@@ -14,6 +14,7 @@ from .bessel import (
     bessel_j,
     bessel_j_prime,
     bessel_zero,
+    bessel_zeros,
     verify_identity_suite,
 )
 from .disk_spectral import (

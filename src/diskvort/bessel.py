@@ -15,9 +15,15 @@ well above max(n, s) with arbitrary seed values, then normalize with
 J_0 + 2*(J_2 + J_4 + ...) = 1.  The recurrence is stable downward and keeps
 relative accuracy near machine precision for all supported arguments.
 
-Zeros are isolated by a fixed-step sign-change scan (consecutive positive
-zeros of J_n are separated by more than pi, so a 0.5 step cannot straddle
-two of them) followed by bisection and a bracket-guarded Newton polish.
+Zeros are solved once per order and kept in one array per order.  A
+fixed-step sign-change scan brackets them (consecutive positive zeros of J_n
+are more than 3 apart, so a 0.5 step cannot straddle two), a secant point
+inside each bracket seeds Newton's method, and every Newton iterate tightens
+its bracket, which also catches a step that leaves it.  Each Newton step
+takes J_n and J_n' from one backward recurrence that yields J_{n-1}, J_n and
+J_{n+1} together.  Asking for more zeros of an order than it holds solves the
+order again and appends only the new zeros, so a zero once returned never
+changes.
 """
 
 import csv
@@ -32,7 +38,9 @@ from .quadrature import integrate
 MAX_ORDER = 64
 
 _SERIES_TERMS = 60
-_RESCALE_LIMIT = 1e250
+_RESCALE_LIMIT = 2.0 ** 600
+_RESCALE_FACTOR = 2.0 ** -600
+_RESCALE_EVERY = 8
 
 
 def _series_threshold(n):
@@ -56,19 +64,67 @@ def _series_j(n, s):
     return total
 
 
-def _miller_columns(s, n_max):
-    """All orders 0..n_max at the positive abscissae ``s`` by backward recurrence."""
+def _miller_rows(s, lo, hi):
+    """Orders lo..hi (rows) at the positive abscissae ``s`` by backward recurrence.
+
+    Each abscissa starts from its own order int(1.5 max(hi, s)) + 30, so its
+    values do not depend on the other abscissae of the call.  Only three
+    rows and the normalization sum are kept while recurring down, and a
+    recurrence step allocates nothing.  The magnitude is checked every
+    ``_RESCALE_EVERY`` rows; a column that grew past ``_RESCALE_LIMIT`` is
+    scaled by a power of two, which is exact, so the result does not depend
+    on where the rescale falls.
+    """
     s = np.asarray(s, dtype=float)
-    m_start = int(1.5 * max(n_max, float(s.max()))) + 30
-    col = np.zeros((m_start + 2, s.size))
-    col[m_start] = 1e-30
-    for m in range(m_start, 0, -1):
-        col[m - 1] = (2.0 * m / s) * col[m] - col[m + 1]
-        big = np.abs(col[m - 1]) > _RESCALE_LIMIT
-        if big.any():
-            col[m - 1:, big] *= 1e-250
-    norm = col[0] + 2.0 * col[2: m_start + 1: 2].sum(axis=0)
-    return col[: n_max + 1] / norm
+    starts = (1.5 * np.maximum(hi, s)).astype(int) + 30
+    order = np.argsort(starts, kind="stable")
+    cuts = np.flatnonzero(np.diff(starts[order])) + 1
+    births = {int(starts[g[0]]): g for g in np.split(order, cuts)}   # m -> columns
+    out = np.empty((hi - lo + 1, s.size))
+    upper = np.zeros(s.size)                 # J_{m+1}, unnormalized
+    cur = np.zeros(s.size)                   # J_m
+    even = np.zeros(s.size)                  # J_2 + J_4 + ... recurred so far
+    spare = np.empty(s.size)
+    for m in range(max(births), 0, -1):
+        if m in births:
+            cur[births[m]] = 1e-30
+            if m % 2 == 0:
+                even[births[m]] = 1e-30
+        np.divide(2.0 * m, s, out=spare)     # J_{m-1} = (2m/s) J_m - J_{m+1}
+        spare *= cur
+        spare -= upper
+        upper, cur, spare = cur, spare, upper
+        if m % 2 == 1 and m > 1:
+            even += cur
+        if lo <= m - 1 <= hi:
+            out[m - 1 - lo] = cur
+        if m % _RESCALE_EVERY == 0 and np.abs(cur).max() > _RESCALE_LIMIT:
+            scale = np.where(np.abs(cur) > _RESCALE_LIMIT, _RESCALE_FACTOR, 1.0)
+            upper *= scale
+            cur *= scale
+            even *= scale
+            out *= scale
+    return out / (cur + 2.0 * even)
+
+
+def _j_neighbours(n, s):
+    """J_{n-1}, J_n and J_{n+1} at the positive abscissae ``s``, as rows.
+
+    One recurrence serves all three orders (J_{-1} = -J_1), so
+    J_n' = (J_{n-1} - J_{n+1}) / 2 costs no more than J_n.
+    """
+    s = np.asarray(s, dtype=float)
+    out = np.empty((3, s.size))
+    small = s <= _series_threshold(max(n - 1, 0))
+    if small.any():
+        for row, m in enumerate((n - 1, n, n + 1)):
+            out[row, small] = _series_j(abs(m), s[small])
+    if (~small).any():
+        rows = _miller_rows(s[~small], max(n - 1, 0), n + 1)
+        out[3 - len(rows):, ~small] = rows
+    if n == 0:
+        out[0] = -out[2]
+    return out
 
 
 def _bessel_j_impl(n, s):
@@ -81,7 +137,7 @@ def _bessel_j_impl(n, s):
     if small.any():
         out[small] = _series_j(n, sa[small])
     if (~small).any():
-        out[~small] = _miller_columns(sa[~small], n)[n]
+        out[~small] = _miller_rows(sa[~small], n, n)[0]
     return out * sign
 
 
@@ -106,23 +162,25 @@ def bessel_j(n, s):
 
 
 def bessel_j_prime(n, s):
-    """dJ_n/ds.  Uses J_0' = -J_1 and, for n >= 1, the mean of the two
-    ladder recurrences: J_n' = (J_{n-1} - J_{n+1}) / 2."""
+    """dJ_n/ds = (J_{n-1} - J_{n+1}) / 2, the mean of the two ladder
+    recurrences, with J_{-1} = -J_1 so that J_0' = -J_1."""
     n = _check_order(n)
     arr = np.asarray(s, dtype=float)
-    if n == 0:
-        res = -_bessel_j_impl(1, arr)
-    else:
-        res = 0.5 * (_bessel_j_impl(n - 1, arr) - _bessel_j_impl(n + 1, arr))
+    jm, _, jp = _j_neighbours(n, np.abs(arr).ravel())
+    sign = np.where((arr < 0) & (n % 2 == 0), -1.0, 1.0)
+    res = sign * (0.5 * (jm - jp)).reshape(arr.shape)
     return float(res) if np.isscalar(s) or arr.ndim == 0 else res
 
 
 # ---------------------------------------------------------------------------
 # Zeros
 
+_NEWTON_TOL = 1e-13
+_NEWTON_ITERS = 60
+
 
 def _zeros_for_order(n, k_max, scan_step=0.5, window=None):
-    """First k_max positive zeros of J_n, vectorized bracketing + polish."""
+    """First k_max positive zeros of J_n: one scan, then guarded Newton."""
     start = float(max(n, 1))
     if window is None:
         window = start + 1.2 * math.pi * (k_max + 0.5 * n + 3.0) + 5.0
@@ -134,54 +192,61 @@ def _zeros_for_order(n, k_max, scan_step=0.5, window=None):
             f"scan window [{start:g}, {window:g}] found only {flips.size} "
             f"sign changes of J_{n}, needed {k_max}"
         )
-    lo = pts[flips[:k_max]].copy()
-    hi = pts[flips[:k_max] + 1].copy()
-    flo = vals[flips[:k_max]].copy()
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        fmid = _bessel_j_impl(n, mid)
-        left = np.sign(flo) * np.sign(fmid) > 0
-        lo = np.where(left, mid, lo)
-        flo = np.where(left, fmid, flo)
-        hi = np.where(left, hi, mid)
-    root = 0.5 * (lo + hi)
-    # Newton polish, kept inside the final bracket; stops at |step| <= 1e-13
-    # or after 30 iterations (bisection already pinned the root, so this only
-    # sharpens the last digits).
-    for _ in range(30):
-        f = _bessel_j_impl(n, root)
-        fp = _prime_impl(n, root)
-        step = f / fp
-        nxt = root - step
-        bad = (nxt <= lo) | (nxt >= hi) | ~np.isfinite(nxt)
-        nxt = np.where(bad, 0.5 * (lo + hi), nxt)
-        root = nxt
-        if np.max(np.abs(step)) <= 1e-13:
-            break
-    return root
+    flips = flips[:k_max]
+    lo, hi = pts[flips], pts[flips + 1]
+    flo, fhi = vals[flips], vals[flips + 1]
+    root = lo - flo * (hi - lo) / (fhi - flo)
+    # Newton, each iterate shrinking its bracket; a step that lands outside
+    # the bracket is replaced by its midpoint.  A root is final once its
+    # step is <= _NEWTON_TOL relative (the error after that step is of the
+    # step's square), so each root's iterates do not depend on the others.
+    active = np.ones(k_max, dtype=bool)
+    for _ in range(_NEWTON_ITERS):
+        jm, f, jp = _j_neighbours(n, root[active])
+        step = f / (0.5 * (jm - jp))
+        x = root[active]
+        left = np.sign(f) == np.sign(flo[active])
+        lo[active] = np.where(left, x, lo[active])
+        flo[active] = np.where(left, f, flo[active])
+        hi[active] = np.where(left, hi[active], x)
+        nxt = x - step
+        bad = ~((nxt >= lo[active]) & (nxt <= hi[active]))
+        root[active] = np.where(bad, 0.5 * (lo[active] + hi[active]), nxt)
+        active[active] = bad | (np.abs(step) > _NEWTON_TOL * x)
+        if not active.any():
+            return root
+    raise ZeroScanError(f"Newton polish of the zeros of J_{n} did not converge")
 
 
-def _prime_impl(n, s):
-    if n == 0:
-        return -_bessel_j_impl(1, s)
-    return 0.5 * (_bessel_j_impl(n - 1, s) - _bessel_j_impl(n + 1, s))
+_zeros = {}          # order n -> array of its first zeros, only ever extended
 
 
-_zero_cache = {}
+def _order_zeros(n, k):
+    """The cached zeros of J_n, holding at least k of them."""
+    have = _zeros.get(n)
+    if have is None or have.size < k:
+        held = 0 if have is None else have.size
+        new = _zeros_for_order(n, max(k, 2 * held))
+        _zeros[n] = new if have is None else np.concatenate([have, new[held:]])
+    return _zeros[n]
+
+
+def _check_index(k):
+    if k != int(k) or k < 1:
+        raise ValueError(f"zero index must be a positive integer, got {k!r}")
+    return int(k)
+
+
+def bessel_zeros(n, k):
+    """First k positive zeros of J_n as an array, accurate to ~1e-13 absolute."""
+    k = _check_index(k)
+    return _order_zeros(_check_order(n), k)[:k].copy()
 
 
 def bessel_zero(n, k):
     """k-th positive zero of J_n (k >= 1), accurate to ~1e-13 absolute."""
-    n = _check_order(n)
-    if k != int(k) or k < 1:
-        raise ValueError(f"zero index must be a positive integer, got {k!r}")
-    k = int(k)
-    key = (n, k)
-    if key not in _zero_cache:
-        roots = _zeros_for_order(n, k)
-        for i, r in enumerate(roots, start=1):
-            _zero_cache[(n, i)] = float(r)
-    return _zero_cache[key]
+    k = _check_index(k)
+    return float(_order_zeros(_check_order(n), k)[k - 1])
 
 
 @dataclass(frozen=True)
@@ -195,24 +260,35 @@ class ZeroTable:
 
     @classmethod
     def build(cls, n_max, k_max):
+        """Certify each order in one vectorized pass: residual |J_n(z)|,
+        separation of consecutive zeros > 1, and the interlacing
+        j_{n,k} < j_{n+1,k} < j_{n,k+1} between neighbouring orders."""
         entries = {}
-        for n in range(n_max + 1):
-            prev = 0.0
-            for k in range(1, k_max + 1):
-                z = bessel_zero(n, k)
-                resid = abs(bessel_j(n, z))
-                slope = abs(bessel_j_prime(n, z))
-                if resid > 1e-12 * max(1.0, slope):
-                    raise ZeroScanError(
-                        f"zero ({n},{k}) failed certification: |J|={resid:g}"
-                    )
-                if k > 1 and z - prev <= 1.0:
-                    raise ZeroScanError(
-                        f"zeros ({n},{k-1}) and ({n},{k}) separated by <= 1"
-                    )
-                bound = resid / max(slope, 1e-300) + 1e-14 * z
-                entries[(n, k)] = (z, bound)
-                prev = z
+        zeros = [bessel_zeros(n, k_max) for n in range(n_max + 1)]
+        for n, z in enumerate(zeros):
+            jm, resid, jp = _j_neighbours(n, z)
+            resid = np.abs(resid)
+            slope = np.abs(0.5 * (jm - jp))
+            failed = np.nonzero(resid > 1e-12 * np.maximum(1.0, slope))[0]
+            if failed.size:
+                k = failed[0] + 1
+                raise ZeroScanError(
+                    f"zero ({n},{k}) failed certification: |J|={resid[k - 1]:g}"
+                )
+            close = np.nonzero(np.diff(z) <= 1.0)[0]
+            if close.size:
+                k = close[0] + 2
+                raise ZeroScanError(
+                    f"zeros ({n},{k-1}) and ({n},{k}) separated by <= 1"
+                )
+            if n > 0 and not (np.all(zeros[n - 1] < z)
+                              and np.all(z[:-1] < zeros[n - 1][1:])):
+                raise ZeroScanError(
+                    f"zeros of J_{n - 1} and J_{n} do not interlace"
+                )
+            bound = resid / np.maximum(slope, 1e-300) + 1e-14 * z
+            for k in range(k_max):
+                entries[(n, k + 1)] = (float(z[k]), float(bound[k]))
         return cls(entries=entries)
 
     def zero(self, n, k):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_j_prime, bessel_zero
+from .bessel import _j_neighbours, bessel_zeros
 from .errors import ResolutionError
 
 
@@ -86,32 +86,25 @@ class DiskBasis:
         self.grid = grid
 
         N, K = self.n_modes, self.k_radial
-        self.roots = np.empty((N + 1, K))
-        for n in range(N + 1):
-            for k in range(1, K + 1):
-                self.roots[n, k - 1] = bessel_zero(n, k)
-
         r = grid.r
+        self.roots = np.empty((N + 1, K))
         self.r_eval = np.empty((N + 1, grid.n_r, K))
         self.r_diff = np.empty((N + 1, grid.n_r, K))
-        self.r_over = np.empty((N + 1, grid.n_r, K))
-        for n in range(N + 1):
-            for k in range(K):
-                jr = self.roots[n, k] * r
-                self.r_eval[n, :, k] = bessel_j(n, jr)
-                self.r_diff[n, :, k] = self.roots[n, k] * bessel_j_prime(n, jr)
-            self.r_over[n] = self.r_eval[n] / r[:, None]
-
         # Analytic squared L2 norms of the basis functions over the disk.
         self.norm2 = np.empty((N + 1, K))
+        # One recurrence per order gives J_{n-1}, J_n, J_{n+1} at every node
+        # j_{n,k} r_i and at the zeros themselves (the last K abscissae).
         for n in range(N + 1):
-            for k in range(K):
-                self.norm2[n, k] = math.pi * bessel_j(n + 1, self.roots[n, k]) ** 2
-
-        # Mean of the n=0 radial modes: integral of J_0(j_{0,k} r) over the disk.
-        self.mean0 = 2.0 * np.pi * np.array(
-            [bessel_j(1, z) / z for z in self.roots[0]]
-        )
+            z = bessel_zeros(n, K)
+            jm, j, jp = _j_neighbours(n, np.append(np.outer(r, z), z))
+            self.roots[n] = z
+            self.r_eval[n] = j[:-K].reshape(grid.n_r, K)
+            self.r_diff[n] = z * (0.5 * (jm[:-K] - jp[:-K])).reshape(grid.n_r, K)
+            self.norm2[n] = math.pi * jp[-K:] ** 2
+            if n == 0:
+                # Mean of the n=0 radial modes: integral of J_0(j_{0,k} r) over the disk.
+                self.mean0 = 2.0 * np.pi * jp[-K:] / z
+        self.r_over = self.r_eval / r[:, None]
 
         # Discrete Gram matrices (2 pi sum J J r w) and their Cholesky factors.
         rw = grid.measure_r * grid.n_theta  # = 2 pi r w

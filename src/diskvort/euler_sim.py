@@ -146,9 +146,19 @@ def _half_spectral_grids(f: SpectralField):
         rad = np.matmul(kit["diff"], stacked[:, :, [0, 2]])         # (nb, nr, 2)
         ang = np.matmul(kit["over"], stacked[:, :, [1, 3]])
         specs = np.concatenate([rad, ang], axis=2)                  # om_r, psi_r, om_t, psi_t
-        flat = specs.transpose(2, 1, 0).reshape(4 * grid.n_r, nb)
-        vals = (flat @ kit["synth"]).real.reshape(4, grid.n_r, grid.n_theta)
-        return [vals[0], vals[2], vals[1], vals[3]]
+        # Re(spec @ synth) one grid at a time in real arithmetic, so that no
+        # temporary is larger than one real grid (80 KB at 80 x 128, under
+        # glibc's 128 KB mmap threshold).  Larger per-call temporaries can
+        # get fresh pages on every call, and their page faults cost more
+        # than the products.
+        synth = kit["synth"]
+        vals = []
+        for q in (0, 2, 1, 3):
+            spec = specs[:, :, q].T
+            v = spec.real @ synth.real
+            v -= spec.imag @ synth.imag
+            vals.append(v)
+        return vals
     c = f.coeffs
     cpsi = c * b.green_mult_pm
     i_n = 1j * b.n_values[:, None]
@@ -171,7 +181,10 @@ def _project_band(rhs_values, basis: DiskBasis):
     """Measure-orthogonal projection of grid values onto the dealias band."""
     kit = _band_kit(basis)
     nd, kd = kit["nd"], kit["kd"]
-    F = rhs_values @ kit["analyze"]        # (n_r, nd+1) azimuthal analysis
+    # (n_r, nd+1) azimuthal analysis as two real products, which makes no
+    # complex copy of the grid (see _half_spectral_grids)
+    analyze = kit["analyze"]
+    F = rhs_values @ analyze.real + 1j * (rhs_values @ analyze.imag)
     cn = np.matmul(kit["proj"], F.T[:, :, None])[..., 0]   # (nd+1, kd)
     coeffs = np.zeros((2 * basis.n_modes + 1, basis.k_radial), complex)
     N = basis.n_modes

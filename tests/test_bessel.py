@@ -6,6 +6,7 @@ import pytest
 from scipy import special
 
 from diskvort import bessel
+from diskvort.disk_spectral import DiskBasis, DiskGrid
 from diskvort.errors import UnsupportedOrderError, ZeroScanError
 from diskvort.quadrature import integrate
 
@@ -171,3 +172,44 @@ def test_zero_table_build_and_export(tmp_path):
 def test_scan_window_error():
     with pytest.raises(ZeroScanError):
         bessel._zeros_for_order(0, 5, window=8.0)  # room for only two roots
+
+
+def test_zeros_match_scipy_oracle():
+    # every zero of the default basis; high orders, where McMahon's expansion
+    # is one to two root spacings off at small k; long runs of J_0, J_1 zeros
+    cases = [(n, 32) for n in range(17)] + [(n, 8) for n in (32, 48, 64)] \
+        + [(0, 100), (1, 100)]
+    for n, k_max in cases:
+        err = np.abs(bessel.bessel_zeros(n, k_max) - special.jn_zeros(n, k_max))
+        assert err.max() < 1e-13, f"order {n}: {err.max()}"
+
+
+def test_zeros_interlace():
+    z = np.array([bessel.bessel_zeros(n, 32) for n in range(17)])
+    assert np.all(z[:-1] < z[1:])              # j_{n,k} < j_{n+1,k}
+    assert np.all(z[1:, :-1] < z[:-1, 1:])     # j_{n+1,k} < j_{n,k+1}
+
+
+def test_basis_build_solves_each_order_once(monkeypatch):
+    solve, orders = bessel._zeros_for_order, []
+
+    def counted(n, k_max, **kw):
+        orders.append(n)
+        return solve(n, k_max, **kw)
+
+    monkeypatch.setattr(bessel, "_zeros", {})
+    monkeypatch.setattr(bessel, "_zeros_for_order", counted)
+    DiskBasis(16, 32, DiskGrid(80, 128))
+    assert sorted(orders) == list(range(17))
+
+
+def test_extending_an_order_keeps_returned_zeros(monkeypatch):
+    monkeypatch.setattr(bessel, "_zeros", {})
+    basis = DiskBasis(4, 8, DiskGrid(12, 16))
+    before = bessel.bessel_zeros(2, 32)
+    far = bessel.bessel_zero(2, 80)
+    assert abs(far - special.jn_zeros(2, 80)[-1]) < 1e-13
+    assert np.array_equal(bessel.bessel_zeros(2, 32), before)
+    for n in range(5):
+        for k in range(1, 9):
+            assert basis.roots[n, k - 1] == bessel.bessel_zero(n, k)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from diskvort import disk_spectral as ds
-from diskvort.bessel import bessel_j, bessel_zero
+from diskvort.bessel import bessel_j, bessel_j_prime, bessel_zero
 from diskvort.errors import ResolutionError
 
 
@@ -19,6 +19,25 @@ def test_resolution_preconditions():
         ds.DiskBasis(16, 32, ds.DiskGrid(80, 30))   # too few angles
     with pytest.raises(ResolutionError):
         ds.DiskBasis(16, 32, ds.DiskGrid(20, 128))  # too few radii
+
+
+def test_basis_roots_are_the_zero_table(basis):
+    for n in range(basis.n_modes + 1):
+        for k in range(1, basis.k_radial + 1):
+            assert basis.roots[n, k - 1] == bessel_zero(n, k)
+
+
+def test_radial_tables_match_pointwise_calls(basis, grid):
+    # the tables come from one recurrence per order over all its abscissae;
+    # one bessel_j / bessel_j_prime call per (n, k) is the reference
+    for n in range(basis.n_modes + 1):
+        for k, z in enumerate(basis.roots[n]):
+            jr = z * grid.r
+            assert np.abs(basis.r_eval[n, :, k] - bessel_j(n, jr)).max() <= 1e-14
+            assert np.abs(basis.r_diff[n, :, k] - z * bessel_j_prime(n, jr)).max() <= 1e-14
+            assert abs(basis.norm2[n, k] - math.pi * bessel_j(n + 1, z) ** 2) <= 1e-14
+    mean0 = [2.0 * np.pi * bessel_j(1, z) / z for z in basis.roots[0]]
+    assert np.abs(basis.mean0 - mean0).max() <= 1e-14
 
 
 def test_to_grid_zero_field(basis):
