@@ -125,6 +125,12 @@ class DiskBasis:
         self.green_mult = 1.0 / self.roots**2
         self.green_mult_pm = self.green_mult[idx]
 
+        # Rows |n| <= nd and columns k <= kd of the 2/3 dealias band.
+        nd, kd = self.dealias_band()
+        self._dealias_mask = np.zeros((2 * N + 1, K), dtype=bool)
+        self._dealias_mask[N - nd: N + nd + 1, :kd] = True
+        self._dealias_mask.flags.writeable = False
+
     def mode_row(self, n):
         return n + self.n_modes
 
@@ -133,11 +139,8 @@ class DiskBasis:
         return (2 * self.n_modes) // 3, (2 * self.k_radial) // 3
 
     def dealias_mask(self):
-        nd, kd = self.dealias_band()
-        mask = np.zeros((2 * self.n_modes + 1, self.k_radial), dtype=bool)
-        for n in range(-nd, nd + 1):
-            mask[self.mode_row(n), :kd] = True
-        return mask
+        """Read-only (2N+1, K) boolean mask of the dealias band."""
+        return self._dealias_mask
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,13 @@ class RadialBackground:
 
     amplitude: float
     root: float
+    # J_0(root) and J_1(root): constant over a run, so computed once
+    j0_root: float = field(init=False, repr=False, compare=False)
+    j1_root: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "j0_root", bessel_j(0, self.root))
+        object.__setattr__(self, "j1_root", bessel_j(1, self.root))
 
     def _profiles(self, grid: DiskGrid):
         cache = self.__dict__.get("_prof_cache")
@@ -76,7 +83,7 @@ class RadialBackground:
 
     def stream_values(self, grid: DiskGrid):
         j0, _ = self._profiles(grid)
-        prof = self.amplitude * (j0 - bessel_j(0, self.root)) / self.root**2
+        prof = self.amplitude * (j0 - self.j0_root) / self.root**2
         return np.tile(prof[:, None], (1, grid.n_theta))
 
     def d_r(self, grid: DiskGrid):
@@ -89,23 +96,29 @@ class RadialBackground:
         return -self.amplitude * j1 / self.root
 
     def mean(self):
-        return 2.0 * math.pi * self.amplitude * bessel_j(1, self.root) / self.root
+        return 2.0 * math.pi * self.amplitude * self.j1_root / self.root
 
 
 def _band_kit(basis: DiskBasis):
-    """Dealias-band views of the radial tensors plus band Gram factors."""
+    """Real operators of the dealias band: half-spectrum synthesis and
+    measure-orthogonal analysis."""
     kit = getattr(basis, "_band_kit", None)
     if kit is not None:
         return kit
     nd, kd = basis.dealias_band()
-    rows = [basis.mode_row(n) for n in range(-nd, nd + 1)]
-    n_vals = np.arange(-nd, nd + 1)
     rw = basis._rw
     theta = basis.grid.theta
-    synth = np.exp(1j * np.outer(n_vals, theta))          # (2nd+1, n_theta)
-    analyze = np.exp(-1j * np.outer(theta, np.arange(nd + 1))) / basis.grid.n_theta
+    # The band's modes n = 0..nd; c[-n] = conj(c[n]) supplies the others, so
+    # a grid is sum_n w_n Re(s_n e^{i n theta}) with w_0 = 1, w_n = 2, i.e.
+    # [Re s, Im s] @ [w cos; -w sin].  For the angular grids s = i n S with
+    # S = over @ c, and the factor i n is folded into the table that acts on
+    # [Re S, Im S].
+    n_half = np.arange(nd + 1)[:, None]
+    w = np.where(n_half == 0, 1.0, 2.0)
+    cos = np.cos(n_half * theta)
+    sin = np.sin(n_half * theta)
     # (nd+1, kd, n_r) projection operators: Gram^-1 T^t diag(2 pi r w)
-    proj = np.empty((nd + 1, kd, basis.grid.n_r), dtype=complex)
+    proj = np.empty((nd + 1, kd, basis.grid.n_r))
     for n in range(nd + 1):
         T = basis.r_eval[n][:, :kd]
         G = T.T @ (rw[:, None] * T)
@@ -113,23 +126,22 @@ def _band_kit(basis: DiskBasis):
     kit = {
         "nd": nd,
         "kd": kd,
-        "rows": np.array(rows),
-        "n_vals": n_vals,
-        "eval": basis.eval_pm[rows][:, :, :kd].astype(complex),
-        "diff": basis.diff_pm[rows][:, :, :kd].astype(complex),
-        "over": basis.over_pm[rows][:, :, :kd].astype(complex),
-        "mult": basis.green_mult_pm[rows][:, :kd],
+        # (nd+1, 2 n_r, kd): d_r rows above (1/r) rows, per mode
+        "radial": np.concatenate([basis.r_diff[: nd + 1, :, :kd],
+                                  basis.r_over[: nd + 1, :, :kd]], axis=1),
+        "mult": basis.green_mult[: nd + 1, :kd],
+        "synth_r": np.vstack([w * cos, -w * sin]),
+        "synth_t": np.vstack([-n_half * w * sin, -n_half * w * cos]),
         "proj": proj,
-        "synth": synth,
-        "analyze": analyze,
+        # (n_theta, 2 nd + 2): columns cos(n theta), -sin(n theta), over n_theta
+        "analyze": np.vstack([cos, -sin]).T / basis.grid.n_theta,
     }
     basis._band_kit = kit
     return kit
 
 
 def _in_band(f: SpectralField):
-    b = f.basis
-    return not np.any(np.where(b.dealias_mask(), 0.0, f.coeffs))
+    return not np.any(f.coeffs[~f.basis.dealias_mask()])
 
 
 def _half_spectral_grids(f: SpectralField):
@@ -138,27 +150,23 @@ def _half_spectral_grids(f: SpectralField):
     grid = b.grid
     if _in_band(f):
         kit = _band_kit(b)
-        nb = kit["rows"].size
-        c = f.coeffs[kit["rows"]][:, : kit["kd"]]
+        N, nd, kd = b.n_modes, kit["nd"], kit["kd"]
+        c = f.coeffs[N: N + nd + 1, :kd]
         cpsi = c * kit["mult"]
-        i_n = 1j * kit["n_vals"][:, None]
-        stacked = np.stack([c, i_n * c, cpsi, i_n * cpsi], axis=2)  # (nb, kd, 4)
-        rad = np.matmul(kit["diff"], stacked[:, :, [0, 2]])         # (nb, nr, 2)
-        ang = np.matmul(kit["over"], stacked[:, :, [1, 3]])
-        specs = np.concatenate([rad, ang], axis=2)                  # om_r, psi_r, om_t, psi_t
-        # Re(spec @ synth) one grid at a time in real arithmetic, so that no
-        # temporary is larger than one real grid (80 KB at 80 x 128, under
-        # glibc's 128 KB mmap threshold).  Larger per-call temporaries can
-        # get fresh pages on every call, and their page faults cost more
-        # than the products.
-        synth = kit["synth"]
-        vals = []
-        for q in (0, 2, 1, 3):
-            spec = specs[:, :, q].T
-            v = spec.real @ synth.real
-            v -= spec.imag @ synth.imag
-            vals.append(v)
-        return vals
+        x = np.stack([c.real, c.imag, cpsi.real, cpsi.imag], axis=2)  # (nd+1, kd, 4)
+        # one real radial matmul for the modes n = 0..nd, then per grid one
+        # real (n_r, 2 nd + 2) @ (2 nd + 2, n_theta) synthesis.  No temporary
+        # is larger than one real grid (80 KB at 80 x 128, under glibc's
+        # 128 KB mmap threshold): larger per-call temporaries can get fresh
+        # pages on every call, and their page faults cost more than the
+        # products.
+        m = np.matmul(kit["radial"], x).transpose(1, 2, 0)            # (2 n_r, 4, nd+1)
+        nr = grid.n_r
+        sr, st = kit["synth_r"], kit["synth_t"]
+        return [m[:nr, 0:2].reshape(nr, -1) @ sr,      # d_r omega
+                m[nr:, 0:2].reshape(nr, -1) @ st,      # (1/r) d_theta omega
+                m[:nr, 2:4].reshape(nr, -1) @ sr,      # d_r psi
+                m[nr:, 2:4].reshape(nr, -1) @ st]      # (1/r) d_theta psi
     c = f.coeffs
     cpsi = c * b.green_mult_pm
     i_n = 1j * b.n_values[:, None]
@@ -181,15 +189,14 @@ def _project_band(rhs_values, basis: DiskBasis):
     """Measure-orthogonal projection of grid values onto the dealias band."""
     kit = _band_kit(basis)
     nd, kd = kit["nd"], kit["kd"]
-    # (n_r, nd+1) azimuthal analysis as two real products, which makes no
-    # complex copy of the grid (see _half_spectral_grids)
-    analyze = kit["analyze"]
-    F = rhs_values @ analyze.real + 1j * (rhs_values @ analyze.imag)
-    cn = np.matmul(kit["proj"], F.T[:, :, None])[..., 0]   # (nd+1, kd)
+    # azimuthal analysis of modes 0..nd as one real (n_r, 2 nd + 2) product,
+    # [Re F_n, Im F_n] per mode, then the real radial projection of both parts
+    F = (rhs_values @ kit["analyze"]).reshape(-1, 2, nd + 1).transpose(2, 0, 1)
+    cn = np.matmul(kit["proj"], F)                          # (nd+1, kd, 2)
     coeffs = np.zeros((2 * basis.n_modes + 1, basis.k_radial), complex)
     N = basis.n_modes
-    coeffs[N: N + nd + 1, :kd] = cn
-    coeffs[N - nd: N, :kd] = np.conj(cn[1:][::-1])
+    coeffs[N: N + nd + 1, :kd] = cn[..., 0] + 1j * cn[..., 1]
+    coeffs[N - nd: N, :kd] = np.conj(coeffs[N + nd: N: -1, :kd])
     return coeffs
 
 
@@ -253,7 +260,7 @@ def _mean_fix(coeffs, w: SpectralField, background, uniform):
     if background is not None:
         bgp = background.amplitude * _unit_background_projection(b, background.root)
         psi = psi + (bgp - background.amplitude
-                     * bessel_j(0, background.root) * const_proj) / background.root**2
+                     * background.j0_root * const_proj) / background.root**2
     if uniform:
         psi = psi + 0.25 * uniform * para_proj
     rows = np.vstack([b.mean0[:m], psi[:m] * b.norm2[0, :m]])
@@ -451,14 +458,16 @@ def steady_state(ve: VElement, basis: DiskBasis) -> SolverState:
 
 def band_limit(f: SpectralField) -> SpectralField:
     b = f.basis
-    return SpectralField(b, np.where(b.dealias_mask(), f.coeffs, 0.0))
+    c = f.coeffs.copy()
+    c[~b.dealias_mask()] = 0.0
+    return SpectralField(b, c)
 
 
 def require_band_limited(f: SpectralField, tol=1e-12):
     b = f.basis
-    outside = np.where(b.dealias_mask(), 0.0, f.coeffs)
+    outside = f.coeffs[~b.dealias_mask()]
     scale = max(float(np.abs(f.coeffs).max()), 1e-300)
-    if float(np.abs(outside).max()) > tol * scale:
+    if float(np.abs(outside).max(initial=0.0)) > tol * scale:
         raise ResolutionError("perturbation has content outside the dealias band")
 
 

@@ -166,14 +166,36 @@ def _orbit_distance_curve(g: GridField, ve: VElement, p: float, betas):
 def orbital_distance(field, ve: VElement, p: float, n_coarse=256, beta_tol=1e-8):
     """min over rotations of ||field - ve(., . + beta)||_p and the minimizer.
 
-    Coarse scan over n_coarse angles followed by golden-section refinement.
-    For b = 0 the orbit is a single radial field and the search is skipped.
+    At p = 2 with family order 0 < 2n < n_theta the minimizer is closed form:
+    the sampled cos(n theta) and sin(n theta) parts gc, gs of the orbit are
+    orthogonal with equal norms in the discrete inner product, so with
+    r = field - base and phi = ve.beta + beta,
+
+        d^2(phi) = C - 2 cos(phi) <r, gc> + 2 sin(phi) <r, gs>,
+
+    which is least at phi* = atan2(-<r, gs>, <r, gc>); the distance is then
+    evaluated once at beta* = phi* - ve.beta (mod 2 pi).  Other p and orders
+    use a coarse scan over n_coarse angles followed by golden-section
+    refinement to beta_tol.  For b = 0 the orbit is a single radial field and
+    no minimizer is sought.
     """
     if not (1.0 < p < math.inf):
         raise ValueError(f"p must lie in (1, inf), got {p}")
     g = to_grid(field) if isinstance(field, SpectralField) else field
     if ve.b == 0.0:
         return float(_orbit_distance_curve(g, ve, p, [0.0])[0]), 0.0
+    n, _ = ve.family
+    if p == 2.0 and 0 < 2 * n < g.grid.n_theta:
+        base, gc, gs = _orbit_tables(ve, g.grid)
+        resid = (g.values - base) * g.grid.measures
+        phi = math.atan2(-float((resid * gs).sum()), float((resid * gc).sum()))
+        beta_star = (phi - ve.beta) % (2.0 * math.pi)
+        return float(_orbit_distance_curve(g, ve, p, [beta_star])[0]), float(beta_star)
+    return _orbit_distance_search(g, ve, p, n_coarse, beta_tol)
+
+
+def _orbit_distance_search(g: GridField, ve: VElement, p: float, n_coarse, beta_tol):
+    """Coarse scan over n_coarse angles, then golden section to beta_tol."""
     betas = 2.0 * math.pi * np.arange(n_coarse) / n_coarse
     vals = _orbit_distance_curve(g, ve, p, betas)
     i = int(np.argmin(vals))

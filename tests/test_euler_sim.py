@@ -7,6 +7,7 @@ from diskvort import disk_spectral as ds
 from diskvort import euler_sim as es
 from diskvort import green_energy as ge
 from diskvort import steady_family as sf
+from diskvort.bessel import bessel_j
 from diskvort.errors import CFLError, ResolutionError
 
 
@@ -180,3 +181,61 @@ def test_uniform_offset_induces_rotation(basis):
     expected = (-0.25 * last.t) % (2 * math.pi)
     diff = abs((last.beta_star - expected + math.pi) % (2 * math.pi) - math.pi)
     assert diff < 1e-3
+
+
+def test_in_band_tendency_matches_fallback(basis, monkeypatch):
+    # the half-spectrum band synthesis against the full einsum/ifft path,
+    # for a band-limited field with a background, with and without rotation
+    ve = sf.VElement(0.5, 1.0, 0.3)
+    state = es.steady_state(ve, basis)
+    pert = es.make_perturbation("smooth-random", ve, 0.05, 2.0, basis,
+                                np.random.default_rng(11))
+    w = ds.SpectralField(basis, state.w.coeffs + pert.coeffs)
+    assert es._in_band(w)
+    fast = [es.tendency(w, state.background, rot).coeffs for rot in (0.0, 0.3)]
+    fast_grids = es._half_spectral_grids(w)
+    monkeypatch.setattr(es, "_in_band", lambda f: False)
+    slow = [es.tendency(w, state.background, rot).coeffs for rot in (0.0, 0.3)]
+    for a, b in zip(fast, slow):
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+    for a, b in zip(fast_grids, es._half_spectral_grids(w)):
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+
+def test_dealias_mask_is_the_band(basis):
+    nd, kd = basis.dealias_band()
+    loop = np.zeros((2 * basis.n_modes + 1, basis.k_radial), dtype=bool)
+    for n in range(-nd, nd + 1):
+        loop[basis.mode_row(n), :kd] = True
+    mask = basis.dealias_mask()
+    assert np.array_equal(mask, loop)
+    assert mask is basis.dealias_mask() and not mask.flags.writeable
+
+
+def test_background_constants_are_hoisted(basis, monkeypatch):
+    for root in (sf.j_11(), sf.VElement(0.0, 1.0, 0.0, family=(2, 1)).root, 3.7):
+        bg = es.RadialBackground(0.5, root)
+        assert bg.j0_root == bessel_j(0, root)
+        assert bg.j1_root == bessel_j(1, root)
+    # a tendency call with a background evaluates no Bessel function
+    ve = sf.VElement(0.5, 1.0, 0.3)
+    state = es.steady_state(ve, basis)
+    es.tendency(state.w, state.background)      # fills the per-grid caches
+    calls = []
+    monkeypatch.setattr(es, "bessel_j", lambda *a: calls.append(a))
+    es.tendency(state.w, state.background, 0.2)
+    assert calls == []
+
+
+def test_short_run_drifts_match_reference(basis):
+    # energy and L2 drifts of a 0.25-turnover run, against the values of the
+    # full-spectrum synthesis with per-call J_0(root) that preceded the
+    # half-spectrum band kit
+    ve = sf.VElement(0.5, 1.0, 0.0)
+    delta = 1e-3 * ds.lp_norm(sf.v_element_grid(ve, basis.grid), 2.0)
+    pert = es.make_perturbation("smooth-random", ve, delta, 2.0, basis,
+                                np.random.default_rng(2024))
+    res = es.run_stability_experiment(ve, pert, 2.0, turnovers=0.25, basis=basis)
+    assert len(res.trace) == 12
+    assert abs(res.energy_drift - 2.076815351879574e-09) <= 1e-12
+    assert abs(res.l2_drift - 7.134828155390779e-10) <= 1e-12

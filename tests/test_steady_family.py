@@ -195,3 +195,50 @@ def test_orbital_distance_rejects_bad_p(grid):
     ve = sf.VElement(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         sf.orbital_distance(sf.v_element_grid(ve, grid), ve, 1.0)
+
+
+def test_closed_form_distance_matches_search(basis, grid):
+    # the p = 2 closed form against the scan + golden section it replaced,
+    # over rotated elements of two families plus perturbations of relative
+    # size 1e-6 to 1: the closed form is never farther, and the minimizers agree
+    rng = np.random.default_rng(77)
+    eps = np.finfo(float).eps
+    cases = 0
+    for family in ((1, 1), (2, 1)):
+        for size in np.logspace(-6, 0, 16):
+            ve = sf.VElement(rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0]),
+                             rng.uniform(0.5, 1.5), rng.uniform(0, 2 * math.pi), family)
+            target = sf.v_element_grid(ve.rotated(rng.uniform(0, 2 * math.pi)), grid)
+            pert = ds.to_grid(ds.random_in_span(basis, rng, n_cut=6, k_cut=8))
+            scale = size * ds.lp_norm(target, 2) / ds.lp_norm(pert, 2)
+            g = ds.GridField(grid, target.values + scale * pert.values)
+            d, beta = sf.orbital_distance(g, ve, 2.0)
+            d_search, beta_search = sf._orbit_distance_search(g, ve, 2.0, 256, 1e-8)
+            assert d <= d_search * (1 + 1e-13), (family, size, d, d_search)
+
+            # d^2 = C - 2 R cos(phi - phi*) exactly, so three samples at
+            # beta* and beta* +- h give the offset of beta* from the minimizer
+            h = 1e-3
+            fm, f0, fp = sf._orbit_distance_curve(g, ve, 2.0, [beta - h, beta, beta + h]) ** 2
+            offset = math.atan((fp - fm) / (fp - 2 * f0 + fm) * math.tan(h / 2))
+            assert abs(offset) <= 1e-12, (family, size, offset)
+
+            # the search stops at a 1e-8 bracket but cannot place beta closer
+            # than where d^2 changes by its rounding: R dbeta^2 ~ 4 eps d^2
+            base, gc, gs = sf._orbit_tables(ve, grid)
+            r = (g.values - base) * grid.measures
+            R = math.hypot(float((r * gc).sum()), float((r * gs).sum()))
+            flat = 2.0 * math.sqrt(eps) * d / math.sqrt(R)
+            gap = abs((beta - beta_search + math.pi) % (2 * math.pi) - math.pi)
+            assert gap <= 1e-8 + flat, (family, size, gap, flat)
+            cases += 1
+    assert cases >= 30
+
+
+def test_closed_form_distance_scope(grid):
+    # p != 2 keeps the search: same result as calling it directly
+    ve = sf.VElement(0.3, 1.0, 0.4)
+    g = sf.v_element_grid(ve.rotated(0.9), grid)
+    g = ds.GridField(grid, g.values + 1e-3 * np.cos(grid.theta)[None, :] ** 3)
+    for p in (1.5, 4.0):
+        assert sf.orbital_distance(g, ve, p) == sf._orbit_distance_search(g, ve, p, 256, 1e-8)
