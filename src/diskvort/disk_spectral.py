@@ -4,10 +4,13 @@ A SpectralField holds complex coefficients over the zero-trace basis
 e^{i n theta} J_{|n|}(j_{|n|,k} r), |n| <= N, 1 <= k <= K.  A GridField holds
 values at radial Gauss-Legendre nodes times uniform azimuthal angles, with
 per-cell measures r_i w_i (2 pi / N_theta).  Transforms are exact (to
-rounding) for fields in the basis span: analysis uses the FFT in theta and a
-measure-weighted Gram solve per azimuthal mode in r, which makes
+rounding) for fields in the basis span.  Both run over the half spectrum
+n = 0..N (c[-n] = conj(c[n])) in real arithmetic: analysis is a real FFT in
+theta and one batched matmul of [Re F_n, Im F_n] with the per-mode operators
+Gram_n^-1 T_n^t diag(2 pi r w) built with the basis, which makes
 from_grid(to_grid(f)) an identity and from_grid an orthogonal projection in
-the discrete inner product for everything else.
+the discrete inner product for everything else; synthesis is one batched
+matmul with the radial tables and an inverse real FFT.
 
 Distribution profiles (value vs cumulative cell measure) provide the
 rearrangement-class machinery: sorting is stable with ties broken by the
@@ -60,11 +63,18 @@ class DiskGrid:
         return x, y
 
 
+def _projector(T, rw):
+    """Gram^-1 T^t diag(rw): projection onto T's columns in the rw product."""
+    G = T.T @ (rw[:, None] * T)
+    return np.linalg.solve(G, (rw[:, None] * T).T)
+
+
 class DiskBasis:
     """Fourier-Bessel basis bound to a collocation grid.
 
-    Caches the radial evaluation/derivative tensors and the per-mode Gram
-    factorizations used by the transforms.
+    Holds the radial tables, the per-mode real transform operators r_eval[n]
+    (synthesis) and analysis[n] = Gram_n^-1 r_eval[n]^t diag(2 pi r w), and
+    the dealias-band operators and channel projections of euler_sim.
     """
 
     def __init__(self, n_theta_modes=16, k_radial=32, grid=None):
@@ -106,20 +116,13 @@ class DiskBasis:
                 self.mean0 = 2.0 * np.pi * jp[-K:] / z
         self.r_over = self.r_eval / r[:, None]
 
-        # Discrete Gram matrices (2 pi sum J J r w) and their Cholesky factors.
+        # Per-mode analysis operators (N+1, K, n_r): measure-weighted least
+        # squares onto the columns of r_eval[n].
         rw = grid.measure_r * grid.n_theta  # = 2 pi r w
-        self._gram_chol = []
-        for n in range(N + 1):
-            T = self.r_eval[n]
-            G = T.T @ (rw[:, None] * T)
-            self._gram_chol.append(np.linalg.cholesky(G))
-        self._rw = rw
+        self.analysis = np.stack([_projector(T, rw) for T in self.r_eval])
 
-        # Stacked tensors indexed by signed mode row (n = -N..N -> row n+N).
+        # Signed-mode rows (n = -N..N -> row n+N) of the per-mode constants.
         idx = [abs(n) for n in range(-N, N + 1)]
-        self.eval_pm = self.r_eval[idx]
-        self.diff_pm = self.r_diff[idx]
-        self.over_pm = self.r_over[idx]
         self.norm2_pm = self.norm2[idx]
         self.n_values = np.arange(-N, N + 1)
         self.green_mult = 1.0 / self.roots**2
@@ -130,6 +133,36 @@ class DiskBasis:
         self._dealias_mask = np.zeros((2 * N + 1, K), dtype=bool)
         self._dealias_mask[N - nd: N + nd + 1, :kd] = True
         self._dealias_mask.flags.writeable = False
+
+        # Real operators of the dealias band: half-spectrum synthesis and
+        # measure-orthogonal analysis.  The band's modes n = 0..nd;
+        # c[-n] = conj(c[n]) supplies the others, so a grid is
+        # sum_n w_n Re(s_n e^{i n theta}) with w_0 = 1, w_n = 2, i.e.
+        # [Re s, Im s] @ [w cos; -w sin].  For the angular grids s = i n S
+        # with S = over @ c, and the factor i n is folded into the table that
+        # acts on [Re S, Im S].
+        n_half = np.arange(nd + 1)[:, None]
+        w = np.where(n_half == 0, 1.0, 2.0)
+        cos = np.cos(n_half * grid.theta)
+        sin = np.sin(n_half * grid.theta)
+        self.band_kit = {
+            "nd": nd,
+            "kd": kd,
+            # (nd+1, 2 n_r, kd): d_r rows above (1/r) rows, per mode
+            "radial": np.concatenate([self.r_diff[: nd + 1, :, :kd],
+                                      self.r_over[: nd + 1, :, :kd]], axis=1),
+            "mult": self.green_mult[: nd + 1, :kd],
+            "synth_r": np.vstack([w * cos, -w * sin]),
+            "synth_t": np.vstack([-n_half * w * sin, -n_half * w * cos]),
+            # (nd+1, kd, n_r): analysis of the truncated tables r_eval[n][:, :kd]
+            # (their Gram differs from analysis[n]'s, so not a slice of it)
+            "proj": np.stack([_projector(T[:, :kd], rw) for T in self.r_eval[: nd + 1]]),
+            # (n_theta, 2 nd + 2): columns cos(n theta), -sin(n theta), over n_theta
+            "analyze": np.vstack([cos, -sin]).T / grid.n_theta,
+        }
+        # n=0 projection coefficients of the constant and of (1 - r^2)
+        self.chan_proj = (self.mean0 / self.norm2[0],
+                          4.0 * self.mean0 / (self.roots[0] ** 2 * self.norm2[0]))
 
     def mode_row(self, n):
         return n + self.n_modes
@@ -219,35 +252,44 @@ def random_in_span(basis, rng, scale=1.0, n_cut=None, k_cut=None):
 # Transforms
 
 
+def _split(c):
+    """(M, K) complex coefficients as (M, K, 2) real [Re c, Im c]."""
+    return np.stack([c.real, c.imag], axis=2)
+
+
+def _irfft_modes(m, grid):
+    """Real grid sum_n w_n Re(S_n(r) e^{i n theta}), w_0 = 1, w_n = 2, from
+    the radial values S_n = m[n, :, 0] + i m[n, :, 1] of the modes n >= 0."""
+    H = np.zeros((grid.n_r, grid.n_theta // 2 + 1), complex)
+    H[:, : len(m)] = (m[..., 0] + 1j * m[..., 1]).T
+    return np.fft.irfft(H, grid.n_theta, axis=1) * grid.n_theta
+
+
+def _analyze(values, basis):
+    """(N+1, K, 2) half-spectrum [Re c_n, Im c_n], n = 0..N, of grid values."""
+    F = np.fft.rfft(values, axis=1)[:, : basis.n_modes + 1] / basis.grid.n_theta
+    return np.matmul(basis.analysis, _split(F.T))
+
+
+def _synthesize(half, basis):
+    """Grid values of the (N+1, K, 2) half-spectrum coefficients."""
+    return _irfft_modes(np.matmul(basis.r_eval, half), basis.grid)
+
+
 def to_grid(f: SpectralField) -> GridField:
     """Evaluate the basis expansion at all collocation nodes."""
-    basis, grid = f.basis, f.basis.grid
-    S = np.einsum("nrk,nk->nr", basis.eval_pm, f.coeffs)
-    full = np.zeros((grid.n_r, grid.n_theta), complex)
-    for row, n in enumerate(basis.n_values):
-        full[:, n % grid.n_theta] += S[row]
-    vals = np.fft.ifft(full, axis=1).real * grid.n_theta
-    return GridField(grid, vals)
+    basis = f.basis
+    return GridField(basis.grid, _synthesize(_split(f.coeffs[basis.n_modes:]), basis))
 
 
 def from_grid(g: GridField, basis: DiskBasis) -> SpectralField:
-    """Discrete Fourier analysis in theta + weighted radial Gram projection."""
+    """Real FFT in theta + per-mode measure-weighted radial projection."""
     grid = basis.grid
     if g.grid is not grid and (g.grid.n_r, g.grid.n_theta) != (grid.n_r, grid.n_theta):
         raise ResolutionError("grid field resolution does not match basis grid")
-    F = np.fft.fft(g.values, axis=1) / grid.n_theta
-    N, K = basis.n_modes, basis.k_radial
-    c = np.zeros((2 * N + 1, K), complex)
-    rw = basis._rw
-    for n in range(N + 1):
-        col = F[:, n % grid.n_theta]
-        rhs = basis.r_eval[n].T @ (rw * col)
-        L = basis._gram_chol[n]
-        y = np.linalg.solve(L, rhs)
-        cn = np.linalg.solve(L.T, y)
-        c[basis.mode_row(n)] = cn
-        c[basis.mode_row(-n)] = np.conj(cn)
-    return SpectralField(basis, c)
+    half = _analyze(g.values, basis)
+    c = half[..., 0] + 1j * half[..., 1]
+    return SpectralField(basis, np.concatenate([np.conj(c[:0:-1]), c]))
 
 
 def rotate(f: SpectralField, beta: float) -> SpectralField:

@@ -35,6 +35,8 @@ from .disk_spectral import (
     DiskGrid,
     GridField,
     SpectralField,
+    _irfft_modes,
+    _split,
     from_grid,
     lp_norm,
     mean_value,
@@ -99,47 +101,6 @@ class RadialBackground:
         return 2.0 * math.pi * self.amplitude * self.j1_root / self.root
 
 
-def _band_kit(basis: DiskBasis):
-    """Real operators of the dealias band: half-spectrum synthesis and
-    measure-orthogonal analysis."""
-    kit = getattr(basis, "_band_kit", None)
-    if kit is not None:
-        return kit
-    nd, kd = basis.dealias_band()
-    rw = basis._rw
-    theta = basis.grid.theta
-    # The band's modes n = 0..nd; c[-n] = conj(c[n]) supplies the others, so
-    # a grid is sum_n w_n Re(s_n e^{i n theta}) with w_0 = 1, w_n = 2, i.e.
-    # [Re s, Im s] @ [w cos; -w sin].  For the angular grids s = i n S with
-    # S = over @ c, and the factor i n is folded into the table that acts on
-    # [Re S, Im S].
-    n_half = np.arange(nd + 1)[:, None]
-    w = np.where(n_half == 0, 1.0, 2.0)
-    cos = np.cos(n_half * theta)
-    sin = np.sin(n_half * theta)
-    # (nd+1, kd, n_r) projection operators: Gram^-1 T^t diag(2 pi r w)
-    proj = np.empty((nd + 1, kd, basis.grid.n_r))
-    for n in range(nd + 1):
-        T = basis.r_eval[n][:, :kd]
-        G = T.T @ (rw[:, None] * T)
-        proj[n] = np.linalg.solve(G, (rw[:, None] * T).T)
-    kit = {
-        "nd": nd,
-        "kd": kd,
-        # (nd+1, 2 n_r, kd): d_r rows above (1/r) rows, per mode
-        "radial": np.concatenate([basis.r_diff[: nd + 1, :, :kd],
-                                  basis.r_over[: nd + 1, :, :kd]], axis=1),
-        "mult": basis.green_mult[: nd + 1, :kd],
-        "synth_r": np.vstack([w * cos, -w * sin]),
-        "synth_t": np.vstack([-n_half * w * sin, -n_half * w * cos]),
-        "proj": proj,
-        # (n_theta, 2 nd + 2): columns cos(n theta), -sin(n theta), over n_theta
-        "analyze": np.vstack([cos, -sin]).T / basis.grid.n_theta,
-    }
-    basis._band_kit = kit
-    return kit
-
-
 def _in_band(f: SpectralField):
     return not np.any(f.coeffs[~f.basis.dealias_mask()])
 
@@ -149,7 +110,7 @@ def _half_spectral_grids(f: SpectralField):
     b = f.basis
     grid = b.grid
     if _in_band(f):
-        kit = _band_kit(b)
+        kit = b.band_kit
         N, nd, kd = b.n_modes, kit["nd"], kit["kd"]
         c = f.coeffs[N: N + nd + 1, :kd]
         cpsi = c * kit["mult"]
@@ -167,27 +128,18 @@ def _half_spectral_grids(f: SpectralField):
                 m[nr:, 0:2].reshape(nr, -1) @ st,      # (1/r) d_theta omega
                 m[:nr, 2:4].reshape(nr, -1) @ sr,      # d_r psi
                 m[nr:, 2:4].reshape(nr, -1) @ st]      # (1/r) d_theta psi
-    c = f.coeffs
-    cpsi = c * b.green_mult_pm
-    i_n = 1j * b.n_values[:, None]
-    specs = [
-        np.einsum("nrk,nk->nr", b.diff_pm, c),
-        np.einsum("nrk,nk->nr", b.over_pm, i_n * c),
-        np.einsum("nrk,nk->nr", b.diff_pm, cpsi),
-        np.einsum("nrk,nk->nr", b.over_pm, i_n * cpsi),
-    ]
-    full = np.zeros((4, grid.n_r, grid.n_theta), complex)
-    for row, n in enumerate(b.n_values):
-        col = n % grid.n_theta
-        for q in range(4):
-            full[q, :, col] += specs[q][row]
-    vals = np.fft.ifft(full, axis=2).real * grid.n_theta
-    return [vals[0], vals[1], vals[2], vals[3]]
+    # out-of-band: every mode n = 0..N, each grid by an inverse real FFT
+    c = f.coeffs[b.n_modes:]
+    cpsi = c * b.green_mult
+    i_n = 1j * np.arange(b.n_modes + 1)[:, None]
+    return [_irfft_modes(np.matmul(T, _split(x)), grid)
+            for T, x in ((b.r_diff, c), (b.r_over, i_n * c),
+                         (b.r_diff, cpsi), (b.r_over, i_n * cpsi))]
 
 
 def _project_band(rhs_values, basis: DiskBasis):
     """Measure-orthogonal projection of grid values onto the dealias band."""
-    kit = _band_kit(basis)
+    kit = basis.band_kit
     nd, kd = kit["nd"], kit["kd"]
     # azimuthal analysis of modes 0..nd as one real (n_r, 2 nd + 2) product,
     # [Re F_n, Im F_n] per mode, then the real radial projection of both parts
@@ -212,17 +164,6 @@ def velocity_magnitude(w: SpectralField, background=None, rotation=0.0):
 
 
 _MEAN_FIX_MODES = 6
-
-
-def _channel_projections(basis: DiskBasis):
-    """n=0 projection coefficients of the constant and of (1 - r^2)."""
-    cached = getattr(basis, "_chan_proj", None)
-    if cached is None:
-        const = basis.mean0 / basis.norm2[0]
-        paraboloid = 4.0 * basis.mean0 / (basis.roots[0] ** 2 * basis.norm2[0])
-        cached = (const, paraboloid)
-        basis._chan_proj = cached
-    return cached
 
 
 def _unit_background_projection(basis: DiskBasis, root: float):
@@ -256,7 +197,7 @@ def _mean_fix(coeffs, w: SpectralField, background, uniform):
     row0 = b.mode_row(0)
     defect = float((coeffs[row0].real * b.mean0).sum())
     psi = w.coeffs[row0].real * b.green_mult[0]
-    const_proj, para_proj = _channel_projections(b)
+    const_proj, para_proj = b.chan_proj
     if background is not None:
         bgp = background.amplitude * _unit_background_projection(b, background.root)
         psi = psi + (bgp - background.amplitude
@@ -265,9 +206,11 @@ def _mean_fix(coeffs, w: SpectralField, background, uniform):
         psi = psi + 0.25 * uniform * para_proj
     rows = np.vstack([b.mean0[:m], psi[:m] * b.norm2[0, :m]])
     G = rows @ rows.T
-    G[np.diag_indices(2)] += 1e-14 * max(G[0, 0], G[1, 1], 1e-30)
-    alpha = np.linalg.solve(G, np.array([defect, 0.0]))
-    coeffs[row0, :m] = coeffs[row0, :m] - rows.T @ alpha
+    reg = 1e-14 * max(G[0, 0], G[1, 1], 1e-30)
+    # G alpha = (defect, 0) for the regularized 2 x 2 G, by Cramer's rule
+    g00, g11 = G[0, 0] + reg, G[1, 1] + reg
+    scale = defect / (g00 * g11 - G[0, 1] * G[1, 0])
+    coeffs[row0, :m] = coeffs[row0, :m] - scale * (g11 * rows[0] - G[1, 0] * rows[1])
     return coeffs
 
 

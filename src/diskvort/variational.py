@@ -31,8 +31,9 @@ from .disk_spectral import (
     DistributionProfile,
     GridField,
     SpectralField,
+    _analyze,
+    _synthesize,
     distribution_profile,
-    from_grid,
     lp_norm,
     mean_value,
     profiles_close,
@@ -242,8 +243,9 @@ class AscentState:
 
 
 def _stream_of(g: GridField, basis: DiskBasis) -> GridField:
-    f = from_grid(g, basis)
-    return to_grid(SpectralField(basis, f.coeffs * basis.green_mult_pm))
+    """Stream function of g: half-spectrum analysis, 1/j^2, synthesis."""
+    half = _analyze(g.values, basis) * basis.green_mult[:, :, None]
+    return GridField(basis.grid, _synthesize(half, basis))
 
 
 def ascent_start(seed: GridField, profile: DistributionProfile, basis: DiskBasis) -> AscentState:

@@ -184,3 +184,62 @@ def test_reality_enforced(basis):
     assert np.abs(f.coeffs[basis.mode_row(-2)] - np.conj(f.coeffs[basis.mode_row(2)])).max() == 0.0
     g = ds.to_grid(f)
     assert np.isrealobj(g.values)
+
+
+# The per-mode transforms that the batched half-spectrum ones replaced, kept
+# as oracles: a complex signed-mode einsum with a full inverse FFT, and two
+# triangular solves with each mode's Cholesky-factored Gram matrix.
+
+
+def _oracle_to_grid(f):
+    basis, grid = f.basis, f.basis.grid
+    eval_pm = basis.r_eval[np.abs(basis.n_values)]
+    S = np.einsum("nrk,nk->nr", eval_pm, f.coeffs)
+    full = np.zeros((grid.n_r, grid.n_theta), complex)
+    for row, n in enumerate(basis.n_values):
+        full[:, n % grid.n_theta] += S[row]
+    return np.fft.ifft(full, axis=1).real * grid.n_theta
+
+
+def _oracle_from_grid(values, basis):
+    grid = basis.grid
+    rw = grid.measure_r * grid.n_theta
+    F = np.fft.fft(values, axis=1) / grid.n_theta
+    c = np.zeros((2 * basis.n_modes + 1, basis.k_radial), complex)
+    for n in range(basis.n_modes + 1):
+        T = basis.r_eval[n]
+        L = np.linalg.cholesky(T.T @ (rw[:, None] * T))
+        cn = np.linalg.solve(L.T, np.linalg.solve(L, T.T @ (rw * F[:, n])))
+        c[basis.mode_row(n)] = cn
+        c[basis.mode_row(-n)] = np.conj(cn)
+    return c
+
+
+def _transform_inputs(basis, grid):
+    rng = np.random.default_rng(77)
+    spans = [ds.random_in_span(basis, rng, scale=s) for s in (1.0, 1e-3, 50.0)]
+    spans.append(ds.random_in_span(basis, rng, n_cut=3, k_cut=5))
+    # real grids outside the span: white noise and a discontinuous shuffle
+    noise = ds.GridField(grid, rng.standard_normal((grid.n_r, grid.n_theta)))
+    shuffled = ds.ring_shuffle(ds.to_grid(spans[0]), rng)
+    return spans, [noise, shuffled] + [ds.to_grid(f) for f in spans]
+
+
+def test_to_grid_matches_per_mode_oracle(basis, grid):
+    spans, _ = _transform_inputs(basis, grid)
+    for f in spans:
+        expect = _oracle_to_grid(f)
+        assert np.abs(ds.to_grid(f).values - expect).max() <= 1e-14 * np.abs(expect).max()
+        # from_grid(to_grid(f)) is an identity, with c[-n] = conj(c[n]) exact
+        back = ds.from_grid(ds.to_grid(f), basis).coeffs
+        assert np.abs(back - f.coeffs).max() <= 1e-14 * np.abs(f.coeffs).max()
+        assert np.array_equal(back, np.conj(back[::-1]))
+
+
+def test_from_grid_matches_per_mode_oracle(basis, grid):
+    _, grids = _transform_inputs(basis, grid)
+    for g in grids:
+        expect = _oracle_from_grid(g.values, basis)
+        got = ds.from_grid(g, basis).coeffs
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+

@@ -239,3 +239,86 @@ def test_short_run_drifts_match_reference(basis):
     assert len(res.trace) == 12
     assert abs(res.energy_drift - 2.076815351879574e-09) <= 1e-12
     assert abs(res.l2_drift - 7.134828155390779e-10) <= 1e-12
+
+
+def _oracle_band_kit(basis):
+    """The band operators as the first tendency call built them before they
+    moved into DiskBasis construction."""
+    nd, kd = basis.dealias_band()
+    rw = basis.grid.measure_r * basis.grid.n_theta
+    theta = basis.grid.theta
+    n_half = np.arange(nd + 1)[:, None]
+    w = np.where(n_half == 0, 1.0, 2.0)
+    cos = np.cos(n_half * theta)
+    sin = np.sin(n_half * theta)
+    proj = np.empty((nd + 1, kd, basis.grid.n_r))
+    for n in range(nd + 1):
+        T = basis.r_eval[n][:, :kd]
+        G = T.T @ (rw[:, None] * T)
+        proj[n] = np.linalg.solve(G, (rw[:, None] * T).T)
+    return {
+        "nd": nd,
+        "kd": kd,
+        "radial": np.concatenate([basis.r_diff[: nd + 1, :, :kd],
+                                  basis.r_over[: nd + 1, :, :kd]], axis=1),
+        "mult": basis.green_mult[: nd + 1, :kd],
+        "synth_r": np.vstack([w * cos, -w * sin]),
+        "synth_t": np.vstack([-n_half * w * sin, -n_half * w * cos]),
+        "proj": proj,
+        "analyze": np.vstack([cos, -sin]).T / basis.grid.n_theta,
+    }
+
+
+def test_band_operators_built_with_basis(basis, monkeypatch):
+    oracle = _oracle_band_kit(basis)
+    assert set(basis.band_kit) == set(oracle)
+    for key, value in oracle.items():
+        assert np.array_equal(basis.band_kit[key], value), key
+    const = basis.mean0 / basis.norm2[0]
+    para = 4.0 * basis.mean0 / (basis.roots[0] ** 2 * basis.norm2[0])
+    assert np.array_equal(basis.chan_proj[0], const)
+    assert np.array_equal(basis.chan_proj[1], para)
+    # the in-band tendency is bit-identical under the lazily built operators
+    ve = sf.VElement(0.5, 1.0, 0.3)
+    state = es.steady_state(ve, basis)
+    pert = es.make_perturbation("smooth-random", ve, 0.05, 2.0, basis,
+                                np.random.default_rng(11))
+    w = ds.SpectralField(basis, state.w.coeffs + pert.coeffs)
+    built = [es.tendency(w, state.background, rot).coeffs for rot in (0.0, 0.3)]
+    monkeypatch.setattr(basis, "band_kit", oracle)
+    monkeypatch.setattr(basis, "chan_proj", (const, para))
+    for rot, c in zip((0.0, 0.3), built):
+        assert np.array_equal(es.tendency(w, state.background, rot).coeffs, c)
+
+
+def test_mean_fix_matches_linear_solve(basis):
+    # the closed-form 2 x 2 solve against np.linalg.solve on the same
+    # regularized system, with and without background and uniform channels
+    ve = sf.VElement(0.5, 1.0, 0.3)
+    state = es.steady_state(ve, basis)
+    pert = es.make_perturbation("smooth-random", ve, 0.05, 2.0, basis,
+                                np.random.default_rng(3))
+    w = ds.SpectralField(basis, state.w.coeffs + pert.coeffs)
+    m, row0 = es._MEAN_FIX_MODES, basis.mode_row(0)
+    for bg, uniform in ((None, 0.0), (state.background, 0.0), (state.background, 0.6)):
+        raw = es._project_band(np.random.default_rng(4).standard_normal(
+            (basis.grid.n_r, basis.grid.n_theta)), basis)
+        got = es._mean_fix(raw.copy(), w, bg, uniform)
+        # the rows the correction spans: mean0 and the stream function
+        # weighted by norm2, as _mean_fix builds them
+        psi = w.coeffs[row0].real * basis.green_mult[0]
+        const_proj, para_proj = basis.chan_proj
+        if bg is not None:
+            bgp = bg.amplitude * es._unit_background_projection(basis, bg.root)
+            psi = psi + (bgp - bg.amplitude * bg.j0_root * const_proj) / bg.root**2
+        psi = psi + 0.25 * uniform * para_proj
+        rows = np.vstack([basis.mean0[:m], psi[:m] * basis.norm2[0, :m]])
+        G = rows @ rows.T
+        G[np.diag_indices(2)] += 1e-14 * max(G[0, 0], G[1, 1], 1e-30)
+        defect = float((raw[row0].real * basis.mean0).sum())
+        alpha = np.linalg.solve(G, np.array([defect, 0.0]))
+        expect = raw.copy()
+        expect[row0, :m] -= rows.T @ alpha
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(raw[row0, :m]).max()
+        # the corrected tendency has zero disk mean, up to the regularization
+        assert abs((got[row0].real * basis.mean0).sum()) <= 1e-12 * abs(defect)

@@ -242,3 +242,38 @@ def test_closed_form_distance_scope(grid):
     g = ds.GridField(grid, g.values + 1e-3 * np.cos(grid.theta)[None, :] ** 3)
     for p in (1.5, 4.0):
         assert sf.orbital_distance(g, ve, p) == sf._orbit_distance_search(g, ve, p, 256, 1e-8)
+
+
+def _roll_scan(g, ref, p):
+    """Every azimuthal shift: the scan the p = 2 cross-correlation replaced."""
+    return np.array([(np.abs(g.values - np.roll(ref.values, -s, axis=1)) ** p
+                      * g.grid.measures).sum() for s in range(g.grid.n_theta)])
+
+
+def test_grid_orbit_distance_matches_roll_scan(basis, grid):
+    # references that are not family elements, rolled by a random number of
+    # cells and perturbed by relative size 1e-9 to 1, plus unrelated fields
+    rng = np.random.default_rng(5)
+    cases = []
+    for size in np.logspace(-9, 0, 10):
+        ref = ds.to_grid(ds.random_in_span(basis, rng, n_cut=8, k_cut=10))
+        pert = ds.to_grid(ds.random_in_span(basis, rng))
+        rolled = np.roll(ref.values, -int(rng.integers(grid.n_theta)), axis=1)
+        scale = size * ds.lp_norm(ref, 2) / ds.lp_norm(pert, 2)
+        cases.append((ds.GridField(grid, rolled + scale * pert.values), ref))
+    for _ in range(4):
+        cases.append((ds.to_grid(ds.random_in_span(basis, rng)),
+                      ds.ring_shuffle(ds.to_grid(ds.random_in_span(basis, rng)), rng)))
+    for g, ref in cases:
+        d, beta = sf.distance_to_grid_orbit(g, ref, 2.0)
+        scan = _roll_scan(g, ref, 2.0)
+        s_best = int(np.argmin(scan))
+        assert abs(d - math.sqrt(scan[s_best])) <= 1e-12 * d
+        s = round(beta * grid.n_theta / (2 * math.pi))
+        # the shifts agree unless the scan ties them to rounding
+        assert s == s_best or abs(scan[s] - scan[s_best]) <= 1e-12 * scan[s_best]
+    # other p keep the scan
+    for g, ref in cases:
+        scan = _roll_scan(g, ref, 1.5)
+        assert sf.distance_to_grid_orbit(g, ref, 1.5) == (
+            scan.min() ** (1 / 1.5), 2 * math.pi * int(np.argmin(scan)) / grid.n_theta)

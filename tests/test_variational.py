@@ -135,3 +135,35 @@ def test_burton_radial_stall_is_reported(basis, grid, rng):
     seed = ds.ring_shuffle(target, rng)
     res = vr.burton_maximize(ve, seed, basis, max_iters=200)
     assert res.distance > 1e-2 * ds.lp_norm(target, 2)
+
+
+def test_ascent_matches_reference(basis, grid):
+    # energies and step count of one ascent from a fixed ring shuffle,
+    # recorded from the per-mode Cholesky transforms that preceded the
+    # batched half-spectrum stream solve
+    ve = sf.VElement(0.0, 1.0, 0.4)
+    seed = ds.ring_shuffle(sf.v_element_grid(ve, grid), np.random.default_rng(7))
+    res = vr.burton_maximize(ve, seed, basis)
+    assert res.converged and len(res.energies) - 1 == 75
+    reference = {0: 1.907471476544326e-05, 1: 0.003097864053335412,
+                 2: 0.00504359753517338, 5: 0.008369539735386868,
+                 10: 0.008659451994054622, 20: 0.00867481233850801,
+                 75: 0.008677545333119234}
+    for i, e in reference.items():
+        assert abs(res.energies[i] - e) <= 1e-12 * e, i
+
+
+def test_burton_step_makes_no_linalg_solve(basis, grid, monkeypatch):
+    ve = sf.VElement(0.0, 1.0, 0.4)
+    target = sf.v_element_grid(ve, grid)
+    profile = ds.distribution_profile(target)
+    state = vr.ascent_start(ds.ring_shuffle(target, np.random.default_rng(7)),
+                            profile, basis)
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(a) or solve(*a))
+    # with and without the carried stream function: one and two stream solves
+    nxt = vr.burton_step(state, profile, basis)
+    state.psi = None
+    vr.burton_step(state, profile, basis)
+    assert calls == [] and nxt.energy > state.energy
