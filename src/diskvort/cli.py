@@ -232,7 +232,7 @@ def _exp_eigs(cfg, rng, outdir):
     basis = cfg.basis()
     j = bessel_zero(1, 1)
     r1 = solve_v1(basis)
-    r2 = solve_v2(basis, seed=cfg.seed)
+    r2 = solve_v2(basis)
     b_unit = 1.0 / math.sqrt(math.pi * bessel_j(0, j) ** 2 / 2.0)
     proj, _ = orbital_distance(r2.maximizer, VElement(0.0, b_unit, 0.0), 2.0)
     checks = {

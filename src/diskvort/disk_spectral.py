@@ -29,14 +29,18 @@ from .errors import ResolutionError
 
 @dataclass(frozen=True)
 class DiskGrid:
-    """Collocation grid: Gauss-Legendre radii on (0,1) x uniform angles."""
+    """Collocation grid: Gauss-Legendre radii on (0,1) x uniform angles.
+
+    The nodes are a function of the resolution, so grids compare and hash
+    by (n_r, n_theta).
+    """
 
     n_r: int
     n_theta: int
-    r: np.ndarray = field(repr=False, default=None)
-    w_r: np.ndarray = field(repr=False, default=None)
-    theta: np.ndarray = field(repr=False, default=None)
-    measure_r: np.ndarray = field(repr=False, default=None)
+    r: np.ndarray = field(init=False, repr=False, compare=False)
+    w_r: np.ndarray = field(init=False, repr=False, compare=False)
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
+    measure_r: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x, w = np.polynomial.legendre.leggauss(self.n_r)
@@ -284,8 +288,7 @@ def to_grid(f: SpectralField) -> GridField:
 
 def from_grid(g: GridField, basis: DiskBasis) -> SpectralField:
     """Real FFT in theta + per-mode measure-weighted radial projection."""
-    grid = basis.grid
-    if g.grid is not grid and (g.grid.n_r, g.grid.n_theta) != (grid.n_r, grid.n_theta):
+    if g.grid != basis.grid:
         raise ResolutionError("grid field resolution does not match basis grid")
     half = _analyze(g.values, basis)
     c = half[..., 0] + 1j * half[..., 1]

@@ -32,7 +32,6 @@ import numpy as np
 from .bessel import bessel_j
 from .disk_spectral import (
     DiskBasis,
-    DiskGrid,
     GridField,
     SpectralField,
     _irfft_modes,
@@ -49,56 +48,56 @@ from .steady_family import (
     dipole_part,
     distance_to_grid_orbit,
     orbital_distance,
+    radial_projection_coeffs,
     v_element_grid,
 )
 
 
 @dataclass(frozen=True)
 class RadialBackground:
-    """Closed-form radial vorticity component amplitude * J_0(root * r)."""
+    """Closed-form radial vorticity component amplitude * J_0(root * r).
+
+    Its run constants are built at construction, on ``basis.grid``: J_0(root),
+    the profiles J_0(root r) and J_1(root r), and the n = 0 coefficients of
+    its stream function a (J_0(root r) - J_0(root)) / root^2 that _mean_fix
+    needs.
+    """
 
     amplitude: float
     root: float
-    # J_0(root) and J_1(root): constant over a run, so computed once
+    basis: DiskBasis = field(repr=False)
     j0_root: float = field(init=False, repr=False, compare=False)
-    j1_root: float = field(init=False, repr=False, compare=False)
+    j0_profile: np.ndarray = field(init=False, repr=False, compare=False)
+    j1_profile: np.ndarray = field(init=False, repr=False, compare=False)
+    stream_row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "j0_root", bessel_j(0, self.root))
-        object.__setattr__(self, "j1_root", bessel_j(1, self.root))
+        r = self.basis.grid.r
+        j0_root = bessel_j(0, self.root)
+        proj = radial_projection_coeffs(1.0, self.root, self.basis)
+        const_proj = self.basis.chan_proj[0]
+        object.__setattr__(self, "j0_root", j0_root)
+        object.__setattr__(self, "j0_profile", bessel_j(0, self.root * r))
+        object.__setattr__(self, "j1_profile", bessel_j(1, self.root * r))
+        object.__setattr__(self, "stream_row", self.amplitude
+                           * (proj - j0_root * const_proj) / self.root**2)
 
-    def _profiles(self, grid: DiskGrid):
-        cache = self.__dict__.get("_prof_cache")
-        if cache is None or cache[0] is not grid:
-            j0 = bessel_j(0, self.root * grid.r)
-            j1 = bessel_j(1, self.root * grid.r)
-            object.__setattr__(self, "_prof_cache", (grid, j0, j1))
-            cache = self._prof_cache
-        return cache[1], cache[2]
+    def values(self):
+        return self.amplitude * self.j0_profile
 
-    def values(self, grid: DiskGrid):
-        j0, _ = self._profiles(grid)
-        return self.amplitude * j0
+    def grid_values(self):
+        return np.tile(self.values()[:, None], (1, self.basis.grid.n_theta))
 
-    def grid_values(self, grid: DiskGrid):
-        return np.tile(self.values(grid)[:, None], (1, grid.n_theta))
+    def stream_values(self):
+        prof = self.amplitude * (self.j0_profile - self.j0_root) / self.root**2
+        return np.tile(prof[:, None], (1, self.basis.grid.n_theta))
 
-    def stream_values(self, grid: DiskGrid):
-        j0, _ = self._profiles(grid)
-        prof = self.amplitude * (j0 - self.j0_root) / self.root**2
-        return np.tile(prof[:, None], (1, grid.n_theta))
-
-    def d_r(self, grid: DiskGrid):
+    def d_r(self):
         """Radial derivative of the vorticity profile."""
-        _, j1 = self._profiles(grid)
-        return -self.amplitude * self.root * j1
+        return -self.amplitude * self.root * self.j1_profile
 
-    def stream_d_r(self, grid: DiskGrid):
-        _, j1 = self._profiles(grid)
-        return -self.amplitude * j1 / self.root
-
-    def mean(self):
-        return 2.0 * math.pi * self.amplitude * self.j1_root / self.root
+    def stream_d_r(self):
+        return -self.amplitude * self.j1_profile / self.root
 
 
 def _in_band(f: SpectralField):
@@ -157,26 +156,13 @@ def velocity_magnitude(w: SpectralField, background=None, rotation=0.0):
     grid = w.basis.grid
     _, _, dr_psi, dth_psi = _half_spectral_grids(w)
     if background is not None:
-        dr_psi = dr_psi + background.stream_d_r(grid)[:, None]
+        dr_psi = dr_psi + background.stream_d_r()[:, None]
     if rotation:
         dr_psi = dr_psi - rotation * grid.r[:, None]
     return float(np.sqrt(dr_psi**2 + dth_psi**2).max())
 
 
 _MEAN_FIX_MODES = 6
-
-
-def _unit_background_projection(basis: DiskBasis, root: float):
-    """Cached n=0 projection coefficients of J_0(root * r)."""
-    cache = getattr(basis, "_bg_proj", None)
-    if cache is None:
-        cache = {}
-        basis._bg_proj = cache
-    if root not in cache:
-        from .steady_family import radial_projection_coeffs
-
-        cache[root] = radial_projection_coeffs(1.0, root, basis)
-    return cache[root]
 
 
 def _mean_fix(coeffs, w: SpectralField, background, uniform):
@@ -197,13 +183,10 @@ def _mean_fix(coeffs, w: SpectralField, background, uniform):
     row0 = b.mode_row(0)
     defect = float((coeffs[row0].real * b.mean0).sum())
     psi = w.coeffs[row0].real * b.green_mult[0]
-    const_proj, para_proj = b.chan_proj
     if background is not None:
-        bgp = background.amplitude * _unit_background_projection(b, background.root)
-        psi = psi + (bgp - background.amplitude
-                     * background.j0_root * const_proj) / background.root**2
+        psi = psi + background.stream_row
     if uniform:
-        psi = psi + 0.25 * uniform * para_proj
+        psi = psi + 0.25 * uniform * b.chan_proj[1]
     rows = np.vstack([b.mean0[:m], psi[:m] * b.norm2[0, :m]])
     G = rows @ rows.T
     reg = 1e-14 * max(G[0, 0], G[1, 1], 1e-30)
@@ -223,11 +206,10 @@ def tendency(w: SpectralField, background: RadialBackground | None = None,
     a uniform vorticity offset 2*rotation.
     """
     b = w.basis
-    grid = b.grid
     dr_om, dth_om, dr_psi, dth_psi = _half_spectral_grids(w)
     if background is not None:
-        dr_om = dr_om + background.d_r(grid)[:, None]
-        dr_psi = dr_psi + background.stream_d_r(grid)[:, None]
+        dr_om = dr_om + background.d_r()[:, None]
+        dr_psi = dr_psi + background.stream_d_r()[:, None]
     rhs = dr_psi * dth_om - dth_psi * dr_om
     coeffs = _project_band(rhs, b)
     coeffs = _mean_fix(coeffs, w, background, 2.0 * rotation)
@@ -248,7 +230,6 @@ class RunConfig:
     p: float = 2.0
     reference: VElement | None = None
     reference_grid: GridField | None = None
-    dealias_rule: str = "2/3"      # record only; the band is fixed at 2/3
 
     def __post_init__(self):
         if self.t_end <= 0:
@@ -277,7 +258,7 @@ class SolverState:
         grid = self.w.basis.grid
         vals = to_grid(self.w).values.copy()
         if self.background is not None:
-            vals += self.background.grid_values(grid)
+            vals += self.background.grid_values()
         if self.uniform:
             vals += self.uniform
         return GridField(grid, vals)
@@ -288,7 +269,7 @@ class SolverState:
             SpectralField(self.w.basis, self.w.coeffs * self.w.basis.green_mult_pm)
         ).values.copy()
         if self.background is not None:
-            psi += self.background.stream_values(grid)
+            psi += self.background.stream_values()
         if self.uniform:
             psi += self.uniform * (1.0 - grid.r[:, None] ** 2) / 4.0
         return GridField(grid, psi)
@@ -391,7 +372,7 @@ def turnover_time(state: SolverState) -> float:
 
 def steady_state(ve: VElement, basis: DiskBasis) -> SolverState:
     """Solver state representing a family element exactly."""
-    bg = RadialBackground(ve.a, ve.root) if ve.a else None
+    bg = RadialBackground(ve.a, ve.root, basis) if ve.a else None
     nd, kd = basis.dealias_band()
     n, k = ve.family
     if n > nd or k > kd:

@@ -81,20 +81,20 @@ def v_element_grid(ve: VElement, grid: DiskGrid) -> GridField:
 def radial_projection_coeffs(amplitude, lam, basis: DiskBasis):
     """Coefficients of amplitude * J_0(lam r) over the n = 0 radial modes.
 
-    Uses the closed-form cross product integral; exact when lam coincides
-    with a J_0 zero, otherwise a slowly converging projection (the target has
-    a nonzero boundary value the zero-trace basis cannot reproduce).
+    Uses the closed-form cross product integral
+    c_k = 2 a z_k J_0(lam) / ((z_k^2 - lam^2) J_1(z_k)), with
+    J_1(z_k) = mean0[k] z_k / (2 pi) from the basis tables; exact when lam
+    coincides with a J_0 zero, otherwise a slowly converging projection (the
+    target has a nonzero boundary value the zero-trace basis cannot
+    reproduce).
     """
     zeros = basis.roots[0]
-    c = np.zeros(basis.k_radial)
     hit = np.isclose(zeros, lam, rtol=0, atol=1e-9)
     if hit.any():
+        c = np.zeros(basis.k_radial)
         c[np.argmax(hit)] = amplitude
         return c
-    j0lam = bessel_j(0, lam)
-    for k, z in enumerate(zeros):
-        c[k] = 2.0 * amplitude * z * j0lam / ((z * z - lam * lam) * bessel_j(1, z))
-    return c
+    return 4.0 * math.pi * amplitude * bessel_j(0, lam) / ((zeros**2 - lam**2) * basis.mean0)
 
 
 def make_v_element(ve: VElement, basis: DiskBasis) -> SpectralField:
@@ -128,24 +128,21 @@ def dipole_part(ve: VElement, basis: DiskBasis) -> SpectralField:
 # Orbital distance
 
 
-_ORBIT_CACHE = {}
+# scan size and bracket width of the search for p != 2
+_N_COARSE = 256
+_BETA_TOL = 1e-8
 
 
+@lru_cache(maxsize=64)
 def _orbit_tables(ve: VElement, grid: DiskGrid):
-    # grid nodes are a deterministic function of the resolution
-    key = (ve.a, ve.b, ve.family, grid.n_r, grid.n_theta)
-    tab = _ORBIT_CACHE.get(key)
-    if tab is None:
-        n, _ = ve.family
-        lam = ve.root
-        base = ve.a * bessel_j(0, lam * grid.r)[:, None]
-        rad = ve.b * bessel_j(n, lam * grid.r)
-        gc = rad[:, None] * np.cos(n * grid.theta)[None, :]
-        gs = rad[:, None] * np.sin(n * grid.theta)[None, :]
-        if len(_ORBIT_CACHE) > 64:
-            _ORBIT_CACHE.clear()
-        tab = _ORBIT_CACHE[key] = (base, gc, gs)
-    return tab
+    """Radial part and the cos / sin parts of the orbit of ve on the grid."""
+    n, _ = ve.family
+    lam = ve.root
+    base = ve.a * bessel_j(0, lam * grid.r)[:, None]
+    rad = ve.b * bessel_j(n, lam * grid.r)
+    gc = rad[:, None] * np.cos(n * grid.theta)[None, :]
+    gs = rad[:, None] * np.sin(n * grid.theta)[None, :]
+    return base, gc, gs
 
 
 def _orbit_distance_curve(g: GridField, ve: VElement, p: float, betas):
@@ -163,7 +160,7 @@ def _orbit_distance_curve(g: GridField, ve: VElement, p: float, betas):
     return out ** (1.0 / p)
 
 
-def orbital_distance(field, ve: VElement, p: float, n_coarse=256, beta_tol=1e-8):
+def orbital_distance(field, ve: VElement, p: float):
     """min over rotations of ||field - ve(., . + beta)||_p and the minimizer.
 
     At p = 2 with family order 0 < 2n < n_theta the minimizer is closed form:
@@ -175,8 +172,8 @@ def orbital_distance(field, ve: VElement, p: float, n_coarse=256, beta_tol=1e-8)
 
     which is least at phi* = atan2(-<r, gs>, <r, gc>); the distance is then
     evaluated once at beta* = phi* - ve.beta (mod 2 pi).  Other p and orders
-    use a coarse scan over n_coarse angles followed by golden-section
-    refinement to beta_tol.  For b = 0 the orbit is a single radial field and
+    use a coarse scan over 256 angles followed by golden-section refinement
+    to a 1e-8 bracket.  For b = 0 the orbit is a single radial field and
     no minimizer is sought.
     """
     if not (1.0 < p < math.inf):
@@ -191,22 +188,22 @@ def orbital_distance(field, ve: VElement, p: float, n_coarse=256, beta_tol=1e-8)
         phi = math.atan2(-float((resid * gs).sum()), float((resid * gc).sum()))
         beta_star = (phi - ve.beta) % (2.0 * math.pi)
         return float(_orbit_distance_curve(g, ve, p, [beta_star])[0]), float(beta_star)
-    return _orbit_distance_search(g, ve, p, n_coarse, beta_tol)
+    return _orbit_distance_search(g, ve, p)
 
 
-def _orbit_distance_search(g: GridField, ve: VElement, p: float, n_coarse, beta_tol):
-    """Coarse scan over n_coarse angles, then golden section to beta_tol."""
-    betas = 2.0 * math.pi * np.arange(n_coarse) / n_coarse
+def _orbit_distance_search(g: GridField, ve: VElement, p: float):
+    """Coarse scan over _N_COARSE angles, then golden section to _BETA_TOL."""
+    betas = 2.0 * math.pi * np.arange(_N_COARSE) / _N_COARSE
     vals = _orbit_distance_curve(g, ve, p, betas)
     i = int(np.argmin(vals))
-    span = 2.0 * math.pi / n_coarse
+    span = 2.0 * math.pi / _N_COARSE
     lo, hi = betas[i] - span, betas[i] + span
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1 = _orbit_distance_curve(g, ve, p, [x1])[0]
     f2 = _orbit_distance_curve(g, ve, p, [x2])[0]
-    while hi - lo > beta_tol:
+    while hi - lo > _BETA_TOL:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
@@ -370,14 +367,13 @@ def verify_steady(ve: VElement, basis: DiskBasis) -> SteadyReport:
     w = dipole_part(ve, basis)
     psi_w = SpectralField(basis, w.coeffs * basis.green_mult_pm)
     psi_vals = to_grid(psi_w).values
-    if ve.a:
-        bg = RadialBackground(ve.a, lam)
-        psi_vals = psi_vals + bg.stream_values(grid)
+    bg = RadialBackground(ve.a, lam, basis) if ve.a else None
+    if bg is not None:
+        psi_vals = psi_vals + bg.stream_values()
     lhs = omega.values
     rhs = lam**2 * psi_vals + ve.a * bessel_j(0, lam)
     functional = float(np.max(np.abs(lhs - rhs)))
 
-    bg = RadialBackground(ve.a, lam) if ve.a else None
     t = tendency(w, background=bg)
     tnorm = lp_norm(to_grid(t), 2)
     onorm = lp_norm(omega, 2)

@@ -7,13 +7,16 @@ the steady family.  The discretization spans the zero-trace modes plus one
 lifted direction ell(r) = 2 r^2 - 1 (the constant minus 2 (1 - r^2): unit
 boundary value, zero mean), which is exactly the boundary-constant freedom
 the constraint set allows.  The operator is block diagonal over azimuthal
-mode away from n = 0, so the solver runs a guarded inverse iteration per
-block and takes the smallest block minimum.
+mode.  Away from n = 0 the blocks are diagonal, so their minima are the
+j_{n,1}^2 read off the basis roots; the n = 0 block, reduced to its
+zero-mean subspace, is solved by one symmetric eigendecomposition after a
+Cholesky reduction of its mass matrix.  The minimum is the least of these.
 
-Problem two maximizes <v, G v> over unit-norm zero-mean fields by power
-iteration of the mean-projected Green operator, again blockwise: the n = 0
-block carries the mean constraint, all other blocks are diagonal.  The two
-problems are mutually inverse (m * M = 1), both attained on the same family.
+Problem two maximizes <v, G v> over unit-norm zero-mean fields, again
+blockwise: the n >= 1 blocks are diagonal with maxima 1 / j_{n,1}^2, and
+the n = 0 block, which carries the mean constraint, is one symmetric
+eigendecomposition of the mean-projected Green operator.  The two problems
+are mutually inverse (m * M = 1), both attained on the same family.
 
 The rearrangement ascent maximizes the kinetic energy over a discrete
 rearrangement class: each step transplants the seed profile monotonically
@@ -22,7 +25,7 @@ decrease the energy.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +55,6 @@ class V1Result:
     minimizer: GridField
     boundary_constant: float
     block: tuple
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,6 @@ class V2Result:
     maximizer_spectral: SpectralField
     relation_residual: float
     block: tuple
-    iterations: int
 
 
 def _lift_vector(basis: DiskBasis):
@@ -78,136 +79,113 @@ def _lift_vector(basis: DiskBasis):
     return ell, mass_cross
 
 
-def _inverse_iteration(A, M, x0, max_iters=200, tol=1e-14):
-    """Smallest generalized eigenpair of (A, M), both SPD, dense."""
-    lu = np.linalg.inv(A)          # small dense blocks; explicit inverse is fine
-    x = x0 / math.sqrt(x0 @ M @ x0)
-    rho_prev = math.inf
-    for it in range(1, max_iters + 1):
-        x = lu @ (M @ x)
-        x = x / math.sqrt(x @ M @ x)
-        rho = float(x @ A @ x)
-        if abs(rho - rho_prev) <= tol * max(abs(rho), 1.0):
-            return rho, x, it
-        rho_prev = rho
-    raise RuntimeError(f"inverse iteration failed to settle in {max_iters} iterations")
+def _zero_mean_basis(mean_vec):
+    """Orthonormal columns spanning the complement of ``mean_vec``.
 
-
-def solve_v1(basis: DiskBasis, max_iters=200):
-    """Minimize the Dirichlet integral over the discrete constraint space.
-
-    Returns the minimum m, one minimizer (unit L2 norm, zero mean, constant
-    boundary trace), its boundary constant, the winning (n-block, k) label
-    and the iteration count of the block solve.
+    They are the columns after the first of the Householder reflector that
+    maps ``mean_vec`` onto the first coordinate axis.
     """
-    j2 = basis.roots**2
-    best = None
+    u = mean_vec / np.linalg.norm(mean_vec)
+    v = u.copy()
+    v[0] -= 1.0
+    H = np.eye(len(u)) - 2.0 * np.outer(v, v) / (v @ v)
+    return H[:, 1:]
 
-    # n >= 1 blocks: the quadratic form is diagonal; the block minimum is the
-    # first radial eigenvalue.  Run the iteration anyway for uniformity.
-    for n in range(1, basis.n_modes + 1):
-        A = np.diag(j2[n] * basis.norm2[n])
-        M = np.diag(basis.norm2[n])
-        x0 = np.ones(basis.k_radial)
-        rho, x, it = _inverse_iteration(A, M, x0, max_iters)
-        if best is None or rho < best[0]:
-            best = (rho, ("cos", n), x, it)
 
-    # n = 0 block with the lift direction and the zero-mean constraint.
-    ell, mass_cross = _lift_vector(basis)
+def _radial_pencil(basis: DiskBasis):
+    """Dirichlet and mass matrices (A0, M0) of the n = 0 block.
+
+    The block spans the zero-trace modes phi_0k plus the lift ell, in that
+    order.
+    """
+    _, mass_cross = _lift_vector(basis)
     K = basis.k_radial
     A0 = np.zeros((K + 1, K + 1))
     M0 = np.zeros((K + 1, K + 1))
-    A0[:K, :K] = np.diag(j2[0] * basis.norm2[0])
+    A0[:K, :K] = np.diag(basis.roots[0] ** 2 * basis.norm2[0])
     M0[:K, :K] = np.diag(basis.norm2[0])
     # grad coupling: <grad phi, grad ell> = -<phi, lap ell> = -8 <phi, 1>
     A0[:K, K] = A0[K, :K] = -8.0 * basis.mean0
     A0[K, K] = 8.0 * math.pi                    # integral of |4 r|^2
     M0[:K, K] = M0[K, :K] = mass_cross
     M0[K, K] = math.pi / 3.0                    # integral of (2 r^2 - 1)^2
-    # zero-mean constraint: only the phi_0k directions carry mean.  Build an
-    # orthonormal null-space basis with the Householder reflector that maps
-    # the constraint vector onto the first coordinate axis.
-    mean_vec = np.concatenate([basis.mean0, [0.0]])
-    u = mean_vec / np.linalg.norm(mean_vec)
-    v = u.copy()
-    v[0] -= 1.0
-    H = np.eye(K + 1) - 2.0 * np.outer(v, v) / (v @ v)
-    Z = H[:, 1:]                                 # columns orthogonal to mean_vec
+    return A0, M0
+
+
+def _radial_block_v1(basis: DiskBasis):
+    """Least Dirichlet quotient of the n = 0 block on its zero-mean subspace.
+
+    Returns the minimum and its vector [coefficients of phi_0k, weight of
+    ell].
+    """
+    A0, M0 = _radial_pencil(basis)
+    # only the phi_0k directions carry mean
+    Z = _zero_mean_basis(np.append(basis.mean0, 0.0))
     Ar = Z.T @ A0 @ Z
     Mr = Z.T @ M0 @ Z
-    rho0, y, it0 = _inverse_iteration(Ar, Mr, np.ones(K), max_iters)
-    if rho0 < best[0]:
-        x0_full = Z @ y
-        best = (rho0, ("radial", 0), x0_full, it0)
+    # with Mr = L L^t the pencil (Ar, Mr) has the eigenvalues of the
+    # symmetric L^-1 Ar L^-t, and its eigenvectors are L^-t y
+    L = np.linalg.cholesky(Mr)
+    vals, vecs = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, Ar).T))
+    return float(vals[0]), Z @ np.linalg.solve(L.T, vecs[:, 0])
 
-    value, label, vec, iters = best
+
+def solve_v1(basis: DiskBasis):
+    """Minimize the Dirichlet integral over the discrete constraint space.
+
+    Returns the minimum m, one minimizer (unit L2 norm, zero mean, constant
+    boundary trace), its boundary constant and the winning (n-block, k)
+    label.
+    """
+    # n >= 1 blocks are diagonal, A = diag(j^2 norm2) and M = diag(norm2),
+    # so each block minimum is j_{n,1}^2; the least n wins ties
+    n = int(np.argmin(basis.roots[1:, 0])) + 1
+    value = float(basis.roots[n, 0] ** 2)
+    rho0, vec = _radial_block_v1(basis)
     grid = basis.grid
-    if label[0] == "cos":
-        n = label[1]
-        k_star = int(np.argmax(np.abs(vec))) + 1
-        f = single_mode(basis, n, k_star, amplitude=1.0)
-        g = to_grid(f)
-        norm = lp_norm(g, 2)
-        minimizer = GridField(grid, g.values / norm)
-        c = 0.0
-    else:
-        coeffs = vec[:-1]
-        vals = (basis.r_eval[0] @ coeffs)[:, None] + vec[-1] * (2.0 * grid.r**2 - 1.0)[:, None]
+    if rho0 < value:
+        value, label = rho0, ("radial", 0)
+        vals = (basis.r_eval[0] @ vec[:-1])[:, None] + vec[-1] * (2.0 * grid.r**2 - 1.0)[:, None]
         g = GridField(grid, np.tile(vals, (1, grid.n_theta)))
         norm = lp_norm(g, 2)
-        minimizer = GridField(grid, g.values / norm)
         c = float(vec[-1] / norm)
-    return V1Result(value, minimizer, c, label, iters)
-
-
-def _power_block_radial(basis: DiskBasis, rng, tol=1e-12, max_iters=200000):
-    """Top constrained eigenpair of G on the zero-mean radial sector."""
-    mult = basis.green_mult[0]
-    norm2 = basis.norm2[0]
-    mean = basis.mean0
-    proj_den = float((mean**2 / norm2).sum())
-
-    def project(c):
-        lam = float((c * mean).sum()) / proj_den
-        return c - lam * mean / norm2
-
-    c = project(rng.standard_normal(basis.k_radial))
-    c /= math.sqrt(float((c**2 * norm2).sum()))
-    rho_prev = -math.inf
-    for it in range(1, max_iters + 1):
-        c = project(mult * c)
-        nrm = math.sqrt(float((c**2 * norm2).sum()))
-        c /= nrm
-        rho = float((c**2 * norm2 * mult).sum())
-        if abs(rho - rho_prev) <= tol:
-            return rho, c, it
-        rho_prev = rho
-    raise RuntimeError("power iteration failed to settle")
-
-
-def solve_v2(basis: DiskBasis, seed=0, tol=1e-12):
-    """Maximize <v, G v> over unit-norm zero-mean fields, blockwise power
-    iteration of the mean-projected Green operator."""
-    rng = np.random.default_rng(seed)
-    best = None
-    for n in range(1, basis.n_modes + 1):
-        # diagonal block: a one-step power iteration lands on k = 1
-        rho = float(basis.green_mult[n, 0])
-        if best is None or rho > best[0]:
-            best = (rho, ("cos", n), None, 1)
-    rho0, c0, it0 = _power_block_radial(basis, rng, tol)
-    if rho0 > best[0]:
-        best = (rho0, ("radial", 0), c0, it0)
-
-    value, label, vec, iters = best
-    if label[0] == "cos":
-        n = label[1]
-        f = single_mode(basis, n, 1, amplitude=1.0)
     else:
+        label = ("cos", n)
+        g = to_grid(single_mode(basis, n, 1, amplitude=1.0))
+        norm = lp_norm(g, 2)
+        c = 0.0
+    minimizer = GridField(grid, g.values / norm)
+    return V1Result(value, minimizer, c, label)
+
+
+def _radial_block_v2(basis: DiskBasis):
+    """Largest <c, G c> over unit-norm zero-mean n = 0 coefficients c.
+
+    In x = sqrt(norm2) c the norm is |x|, the mean constraint is
+    (mean0 / sqrt(norm2)) . x = 0 and G is diag(green_mult[0]).  Returns
+    the maximum and its coefficients c.
+    """
+    s = np.sqrt(basis.norm2[0])
+    Z = _zero_mean_basis(basis.mean0 / s)
+    vals, vecs = np.linalg.eigh((Z.T * basis.green_mult[0]) @ Z)
+    return float(vals[-1]), (Z @ vecs[:, -1]) / s
+
+
+def solve_v2(basis: DiskBasis):
+    """Maximize <v, G v> over unit-norm zero-mean fields, blockwise over the
+    mean-projected Green operator."""
+    # n >= 1 blocks are diagonal with maximum green_mult[n, 0]
+    n = int(np.argmax(basis.green_mult[1:, 0])) + 1
+    value = float(basis.green_mult[n, 0])
+    rho0, c0 = _radial_block_v2(basis)
+    if rho0 > value:
+        value, label = rho0, ("radial", 0)
         coeffs = np.zeros((2 * basis.n_modes + 1, basis.k_radial), complex)
-        coeffs[basis.mode_row(0)] = vec
+        coeffs[basis.mode_row(0)] = c0
         f = SpectralField(basis, coeffs)
+    else:
+        label = ("cos", n)
+        f = single_mode(basis, n, 1, amplitude=1.0)
     g = to_grid(f)
     norm = lp_norm(g, 2)
     f = SpectralField(basis, f.coeffs / norm)
@@ -217,7 +195,7 @@ def solve_v2(basis: DiskBasis, seed=0, tol=1e-12):
     gv = to_grid(SpectralField(basis, f.coeffs * basis.green_mult_pm))
     rel = GridField(basis.grid, (gv.values - mean_value(gv)) / value - g.values)
     residual = lp_norm(rel, 2)
-    return V2Result(value, g, f, residual, label, iters)
+    return V2Result(value, g, f, residual, label)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,17 @@ def test_from_grid_rejects_other_grid(basis):
         ds.from_grid(g, basis)
 
 
+def test_grids_compare_and_hash_by_resolution(basis):
+    a, b = ds.DiskGrid(80, 128), ds.DiskGrid(80, 128)
+    assert a == b and hash(a) == hash(b) and a == basis.grid
+    assert a != ds.DiskGrid(80, 64) and a != ds.DiskGrid(40, 128)
+    # a field on an equal grid object passes from_grid's resolution check
+    f = ds.single_mode(basis, 1, 1)
+    g = ds.GridField(a, ds.to_grid(f).values)
+    assert np.array_equal(ds.from_grid(g, basis).coeffs,
+                          ds.from_grid(ds.to_grid(f), basis).coeffs)
+
+
 def test_lp_norms(basis, grid):
     zero = ds.GridField(grid, np.zeros((grid.n_r, grid.n_theta)))
     assert ds.lp_norm(zero, 2) == 0.0

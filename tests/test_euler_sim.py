@@ -214,17 +214,30 @@ def test_dealias_mask_is_the_band(basis):
 
 def test_background_constants_are_hoisted(basis, monkeypatch):
     for root in (sf.j_11(), sf.VElement(0.0, 1.0, 0.0, family=(2, 1)).root, 3.7):
-        bg = es.RadialBackground(0.5, root)
+        bg = es.RadialBackground(0.5, root, basis)
         assert bg.j0_root == bessel_j(0, root)
-        assert bg.j1_root == bessel_j(1, root)
-    # a tendency call with a background evaluates no Bessel function
+        assert np.array_equal(bg.j1_profile, bessel_j(1, root * basis.grid.r))
+    # the first tendency call with a background evaluates no Bessel function
     ve = sf.VElement(0.5, 1.0, 0.3)
     state = es.steady_state(ve, basis)
-    es.tendency(state.w, state.background)      # fills the per-grid caches
     calls = []
     monkeypatch.setattr(es, "bessel_j", lambda *a: calls.append(a))
+    monkeypatch.setattr(sf, "bessel_j", lambda *a: calls.append(a))
     es.tendency(state.w, state.background, 0.2)
     assert calls == []
+
+
+def test_runs_leave_the_basis_unchanged():
+    # run constants live with their owners: a run with a background and an
+    # orbital distance add no attribute to the basis
+    basis = ds.DiskBasis(8, 12, ds.DiskGrid(30, 32))
+    keys = set(vars(basis))
+    ve = sf.VElement(0.5, 1.0, 0.3)
+    pert = es.make_perturbation("smooth-random", ve, 1e-3, 2.0, basis,
+                                np.random.default_rng(5))
+    res = es.run_stability_experiment(ve, pert, 2.0, turnovers=0.02, basis=basis)
+    sf.orbital_distance(res.final_field, ve, 1.5)
+    assert set(vars(basis)) == keys
 
 
 def test_short_run_drifts_match_reference(basis):
@@ -309,7 +322,7 @@ def test_mean_fix_matches_linear_solve(basis):
         psi = w.coeffs[row0].real * basis.green_mult[0]
         const_proj, para_proj = basis.chan_proj
         if bg is not None:
-            bgp = bg.amplitude * es._unit_background_projection(basis, bg.root)
+            bgp = bg.amplitude * sf.radial_projection_coeffs(1.0, bg.root, basis)
             psi = psi + (bgp - bg.amplitude * bg.j0_root * const_proj) / bg.root**2
         psi = psi + 0.25 * uniform * para_proj
         rows = np.vstack([basis.mean0[:m], psi[:m] * basis.norm2[0, :m]])

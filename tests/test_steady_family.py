@@ -32,6 +32,20 @@ def test_make_v_element_radial_only(basis):
     assert np.abs(c[row0]).max() > 0.1
 
 
+def test_radial_projection_matches_scalar_loop(basis):
+    # the table form against the per-zero Bessel evaluations it replaced
+    for lam in (sf.j_11(), bessel_zero(2, 1), 3.7):
+        loop = np.array([2.0 * 0.7 * z * bessel_j(0, lam)
+                         / ((z * z - lam * lam) * bessel_j(1, z))
+                         for z in basis.roots[0]])
+        got = sf.radial_projection_coeffs(0.7, lam, basis)
+        assert np.abs(got / loop - 1.0).max() <= 1e-14, lam
+    # on a J_0 zero the projection is exactly one mode
+    one_hot = np.zeros(basis.k_radial)
+    one_hot[2] = 0.7
+    assert np.array_equal(sf.radial_projection_coeffs(0.7, basis.roots[0, 2], basis), one_hot)
+
+
 def test_grid_evaluation_matches_closed_form(basis, grid):
     ve = sf.VElement(0.8, 1.2, 1.9)
     g = sf.v_element_grid(ve, grid)
@@ -213,7 +227,7 @@ def test_closed_form_distance_matches_search(basis, grid):
             scale = size * ds.lp_norm(target, 2) / ds.lp_norm(pert, 2)
             g = ds.GridField(grid, target.values + scale * pert.values)
             d, beta = sf.orbital_distance(g, ve, 2.0)
-            d_search, beta_search = sf._orbit_distance_search(g, ve, 2.0, 256, 1e-8)
+            d_search, beta_search = sf._orbit_distance_search(g, ve, 2.0)
             assert d <= d_search * (1 + 1e-13), (family, size, d, d_search)
 
             # d^2 = C - 2 R cos(phi - phi*) exactly, so three samples at
@@ -241,7 +255,7 @@ def test_closed_form_distance_scope(grid):
     g = sf.v_element_grid(ve.rotated(0.9), grid)
     g = ds.GridField(grid, g.values + 1e-3 * np.cos(grid.theta)[None, :] ** 3)
     for p in (1.5, 4.0):
-        assert sf.orbital_distance(g, ve, p) == sf._orbit_distance_search(g, ve, p, 256, 1e-8)
+        assert sf.orbital_distance(g, ve, p) == sf._orbit_distance_search(g, ve, p)
 
 
 def _roll_scan(g, ref, p):

@@ -55,6 +55,92 @@ def test_duality(basis):
     assert abs(quad - r2.value) < 1e-6
 
 
+def _inverse_iteration(A, M, x0, max_iters=200, tol=1e-14):
+    """Smallest generalized eigenpair of (A, M), both SPD: the iteration
+    solve_v1 ran on every block before the closed form."""
+    inv = np.linalg.inv(A)
+    x = x0 / math.sqrt(x0 @ M @ x0)
+    rho_prev = math.inf
+    for _ in range(max_iters):
+        x = inv @ (M @ x)
+        x = x / math.sqrt(x @ M @ x)
+        rho = float(x @ A @ x)
+        if abs(rho - rho_prev) <= tol * max(abs(rho), 1.0):
+            return rho, x
+        rho_prev = rho
+    raise RuntimeError("inverse iteration did not settle")
+
+
+def _power_block_radial(basis, rng, tol=1e-12, max_iters=200000):
+    """Top eigenpair of G on the zero-mean n = 0 block by power iteration:
+    the solver solve_v2 ran before the closed form."""
+    mult, norm2, mean = basis.green_mult[0], basis.norm2[0], basis.mean0
+    proj_den = float((mean**2 / norm2).sum())
+
+    def project(c):
+        return c - float((c * mean).sum()) / proj_den * mean / norm2
+
+    c = project(rng.standard_normal(basis.k_radial))
+    c /= math.sqrt(float((c**2 * norm2).sum()))
+    rho_prev = -math.inf
+    for _ in range(max_iters):
+        c = project(mult * c)
+        c /= math.sqrt(float((c**2 * norm2).sum()))
+        rho = float((c**2 * norm2 * mult).sum())
+        if abs(rho - rho_prev) <= tol:
+            return rho, c
+        rho_prev = rho
+    raise RuntimeError("power iteration did not settle")
+
+
+@pytest.fixture(scope="module", params=["default", "coarse"])
+def any_basis(request, basis):
+    if request.param == "default":
+        return basis
+    return ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+
+
+def test_radial_block_v1_matches_inverse_iteration(any_basis):
+    b = any_basis
+    A0, M0 = vr._radial_pencil(b)
+    mean_vec = np.append(b.mean0, 0.0)
+    Z = vr._zero_mean_basis(mean_vec)
+    rho_it, _ = _inverse_iteration(Z.T @ A0 @ Z, Z.T @ M0 @ Z, np.ones(b.k_radial))
+    rho, vec = vr._radial_block_v1(b)
+    assert abs(rho - rho_it) <= 1e-12 * rho_it
+    assert abs(mean_vec @ vec) <= 1e-13 * np.linalg.norm(mean_vec) * np.linalg.norm(vec)
+    assert abs((vec @ A0 @ vec) / (vec @ M0 @ vec) - rho) <= 1e-13 * rho
+
+
+def test_radial_block_v2_matches_power_iteration(any_basis):
+    b = any_basis
+    rho_it, _ = _power_block_radial(b, np.random.default_rng(0))
+    rho, c = vr._radial_block_v2(b)
+    assert abs(rho - rho_it) <= 1e-10 * rho_it
+    weight = np.sqrt(b.norm2[0])
+    assert abs(c @ b.mean0) <= 1e-13 * np.linalg.norm(b.mean0 / weight) * np.linalg.norm(c * weight)
+    quotient = float((c**2 * b.norm2[0] * b.green_mult[0]).sum() / (c**2 * b.norm2[0]).sum())
+    assert abs(quotient - rho) <= 1e-13 * rho
+
+
+def test_dual_solvers_are_closed_form(any_basis, monkeypatch):
+    calls = {"inv": 0, "eigh": 0}
+    inv, eigh = np.linalg.inv, np.linalg.eigh
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", inv))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+    for solve in (vr.solve_v1, vr.solve_v2):
+        calls.update(inv=0, eigh=0)
+        solve(any_basis)
+        assert calls["inv"] == 0 and calls["eigh"] <= 1, (solve.__name__, calls)
+
+
 def test_burton_step_constant_profile(basis, grid):
     g = ds.GridField(grid, np.full((grid.n_r, grid.n_theta), 2.5))
     profile = ds.distribution_profile(g)
