@@ -134,6 +134,8 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"unknown dt policy {cfg.dt_policy!r}")
     if cfg.delta_rel <= 0:
         raise ConfigError(f"delta_rel must be positive, got {cfg.delta_rel}")
+    if not cfg.cfl_safety > 0:
+        raise ConfigError(f"cfl_safety must be positive, got {cfg.cfl_safety}")
     if cfg.n_theta_modes < 1 or cfg.k_radial < 1 or cfg.n_r < 3 or cfg.n_theta < 4:
         raise ConfigError("resolution parameters out of range")
     if cfg.cadence < 1 or cfg.seeds < 1 or cfg.max_iters < 1:

@@ -1,12 +1,13 @@
 """Scalar fields on the unit disk: spectral and collocation representations.
 
 A SpectralField holds complex coefficients over the zero-trace basis
-e^{i n theta} J_{|n|}(j_{|n|,k} r), |n| <= N, 1 <= k <= K.  A GridField holds
-values at radial Gauss-Legendre nodes times uniform azimuthal angles, with
-per-cell measures r_i w_i (2 pi / N_theta).  Transforms are exact (to
-rounding) for fields in the basis span.  Both run over the half spectrum
-n = 0..N (c[-n] = conj(c[n])) in real arithmetic: analysis is a real FFT in
-theta and one batched matmul of [Re F_n, Im F_n] with the per-mode operators
+e^{i n theta} J_{|n|}(j_{|n|,k} r), 1 <= k <= K, stored as the half spectrum:
+rows n = 0..N, with c[-n] = conj(c[n]) implied because fields are real.  A
+GridField holds values at radial Gauss-Legendre nodes times uniform azimuthal
+angles, with per-cell measures r_i w_i (2 pi / N_theta).  Transforms are
+exact (to rounding) for fields in the basis span.  Both run in real
+arithmetic: analysis is a real FFT in theta and one batched matmul of
+[Re F_n, Im F_n] with the per-mode operators
 Gram_n^-1 T_n^t diag(2 pi r w) built with the basis, which makes
 from_grid(to_grid(f)) an identity and from_grid an orthogonal projection in
 the discrete inner product for everything else; synthesis is one batched
@@ -125,17 +126,16 @@ class DiskBasis:
         rw = grid.measure_r * grid.n_theta  # = 2 pi r w
         self.analysis = np.stack([_projector(T, rw) for T in self.r_eval])
 
-        # Signed-mode rows (n = -N..N -> row n+N) of the per-mode constants.
-        idx = [abs(n) for n in range(-N, N + 1)]
-        self.norm2_pm = self.norm2[idx]
-        self.n_values = np.arange(-N, N + 1)
         self.green_mult = 1.0 / self.roots**2
-        self.green_mult_pm = self.green_mult[idx]
+        # Half-spectrum Parseval weights w_n norm2: row n > 0 also stands for
+        # mode -n, so w_0 = 1 and w_n = 2.
+        self.parseval = self.norm2.copy()
+        self.parseval[1:] *= 2.0
 
-        # Rows |n| <= nd and columns k <= kd of the 2/3 dealias band.
+        # Rows n <= nd and columns k <= kd of the 2/3 dealias band.
         nd, kd = self.dealias_band()
-        self._dealias_mask = np.zeros((2 * N + 1, K), dtype=bool)
-        self._dealias_mask[N - nd: N + nd + 1, :kd] = True
+        self._dealias_mask = np.zeros((N + 1, K), dtype=bool)
+        self._dealias_mask[: nd + 1, :kd] = True
         self._dealias_mask.flags.writeable = False
 
         # Real operators of the dealias band: half-spectrum synthesis and
@@ -168,15 +168,12 @@ class DiskBasis:
         self.chan_proj = (self.mean0 / self.norm2[0],
                           4.0 * self.mean0 / (self.roots[0] ** 2 * self.norm2[0]))
 
-    def mode_row(self, n):
-        return n + self.n_modes
-
     def dealias_band(self):
         """Retained (|n|, k) band under the 2/3 rule."""
         return (2 * self.n_modes) // 3, (2 * self.k_radial) // 3
 
     def dealias_mask(self):
-        """Read-only (2N+1, K) boolean mask of the dealias band."""
+        """Read-only (N+1, K) boolean mask of the dealias band."""
         return self._dealias_mask
 
 
@@ -184,8 +181,9 @@ class DiskBasis:
 class SpectralField:
     """Coefficients over the zero-trace Fourier-Bessel basis.
 
-    coeffs has shape (2N+1, K) with row n+N holding mode n; the reality
-    constraint c[-n] = conj(c[n]) is enforced at construction.
+    coeffs has shape (N+1, K) with row n holding mode n >= 0; mode -n is
+    conj(c[n]), implied by reality.  Row 0 is made real at construction
+    (on a copy, when it has an imaginary part).
     """
 
     basis: DiskBasis
@@ -193,12 +191,13 @@ class SpectralField:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
-        N = self.basis.n_modes
-        expected = (2 * N + 1, self.basis.k_radial)
+        expected = (self.basis.n_modes + 1, self.basis.k_radial)
         if c.shape != expected:
             raise ValueError(f"coefficient shape {c.shape}, expected {expected}")
-        sym = 0.5 * (c + np.conj(c[::-1]))
-        object.__setattr__(self, "coeffs", sym)
+        if np.any(c[0].imag):
+            c = c.copy()
+            c[0] = c[0].real
+        object.__setattr__(self, "coeffs", c)
 
     def copy(self):
         return SpectralField(self.basis, self.coeffs.copy())
@@ -221,19 +220,22 @@ class GridField:
 
 
 def zero_field(basis):
-    return SpectralField(basis, np.zeros((2 * basis.n_modes + 1, basis.k_radial), complex))
+    return SpectralField(basis, np.zeros((basis.n_modes + 1, basis.k_radial), complex))
 
 
 def single_mode(basis, n, k, amplitude=1.0, phase=0.0):
-    """Real mode amplitude * J_|n|(j_{|n|,k} r) cos(n theta + phase)."""
+    """Real mode amplitude * J_|n|(j_{|n|,k} r) cos(n theta + phase).
+
+    For n < 0 this is cos(|n| theta - phase), so row |n| holds
+    amplitude e^{-i phase} / 2.
+    """
     if abs(n) > basis.n_modes or not (1 <= k <= basis.k_radial):
         raise ResolutionError(f"mode ({n},{k}) outside basis")
-    c = np.zeros((2 * basis.n_modes + 1, basis.k_radial), complex)
+    c = np.zeros((basis.n_modes + 1, basis.k_radial), complex)
     if n == 0:
-        c[basis.mode_row(0), k - 1] = amplitude * math.cos(phase)
+        c[0, k - 1] = amplitude * math.cos(phase)
     else:
-        c[basis.mode_row(abs(n)), k - 1] = 0.5 * amplitude * np.exp(1j * phase)
-        c[basis.mode_row(-abs(n)), k - 1] = 0.5 * amplitude * np.exp(-1j * phase)
+        c[abs(n), k - 1] = 0.5 * amplitude * np.exp(1j * (phase if n > 0 else -phase))
     return SpectralField(basis, c)
 
 
@@ -242,13 +244,12 @@ def random_in_span(basis, rng, scale=1.0, n_cut=None, k_cut=None):
     N, K = basis.n_modes, basis.k_radial
     n_cut = N if n_cut is None else min(n_cut, N)
     k_cut = K if k_cut is None else min(k_cut, K)
-    c = np.zeros((2 * N + 1, K), complex)
+    c = np.zeros((N + 1, K), complex)
     for n in range(0, n_cut + 1):
         amp = rng.standard_normal(k_cut) + 1j * rng.standard_normal(k_cut)
         amp /= (1.0 + n) * (1.0 + np.arange(k_cut))
-        c[basis.mode_row(n), :k_cut] = amp
-        c[basis.mode_row(-n), :k_cut] = np.conj(amp)
-    c[basis.mode_row(0)] = c[basis.mode_row(0)].real
+        c[n, :k_cut] = amp
+    c[0] = c[0].real
     return SpectralField(basis, scale * c)
 
 
@@ -282,8 +283,7 @@ def _synthesize(half, basis):
 
 def to_grid(f: SpectralField) -> GridField:
     """Evaluate the basis expansion at all collocation nodes."""
-    basis = f.basis
-    return GridField(basis.grid, _synthesize(_split(f.coeffs[basis.n_modes:]), basis))
+    return GridField(f.basis.grid, _synthesize(_split(f.coeffs), f.basis))
 
 
 def from_grid(g: GridField, basis: DiskBasis) -> SpectralField:
@@ -291,13 +291,12 @@ def from_grid(g: GridField, basis: DiskBasis) -> SpectralField:
     if g.grid != basis.grid:
         raise ResolutionError("grid field resolution does not match basis grid")
     half = _analyze(g.values, basis)
-    c = half[..., 0] + 1j * half[..., 1]
-    return SpectralField(basis, np.concatenate([np.conj(c[:0:-1]), c]))
+    return SpectralField(basis, half[..., 0] + 1j * half[..., 1])
 
 
 def rotate(f: SpectralField, beta: float) -> SpectralField:
     """Rotated field f(r, theta + beta)."""
-    phases = np.exp(1j * f.basis.n_values * beta)
+    phases = np.exp(1j * np.arange(f.basis.n_modes + 1) * beta)
     return SpectralField(f.basis, f.coeffs * phases[:, None])
 
 
@@ -323,7 +322,7 @@ def mean_value(g: GridField) -> float:
 
 def spectral_norm2(f: SpectralField) -> float:
     """Squared L2 norm from coefficients (Parseval with analytic mode norms)."""
-    return float((np.abs(f.coeffs) ** 2 * f.basis.norm2_pm).sum())
+    return float((np.abs(f.coeffs) ** 2 * f.basis.parseval).sum())
 
 
 @dataclass(frozen=True)
@@ -418,8 +417,8 @@ def ring_shuffle(g: GridField, rng) -> GridField:
 
 # ---------------------------------------------------------------------------
 # Serialization: {"kind": "grid"|"spectral", "shape": [...], "data": [...]},
-# row-major; spectral data stores [re, im] pairs.  Writers may add metadata
-# keys; readers ignore unknown keys.
+# row-major; spectral data stores [re, im] pairs of the half spectrum, shape
+# [N+1, K].  Writers may add metadata keys; readers ignore unknown keys.
 
 
 def field_to_dict(f):

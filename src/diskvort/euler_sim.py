@@ -42,7 +42,7 @@ from .disk_spectral import (
     to_grid,
 )
 from .errors import CFLError, ResolutionError
-from .green_energy import energy_grid
+from .green_energy import apply_green, energy_grid
 from .steady_family import (
     VElement,
     dipole_part,
@@ -110,8 +110,8 @@ def _half_spectral_grids(f: SpectralField):
     grid = b.grid
     if _in_band(f):
         kit = b.band_kit
-        N, nd, kd = b.n_modes, kit["nd"], kit["kd"]
-        c = f.coeffs[N: N + nd + 1, :kd]
+        nd, kd = kit["nd"], kit["kd"]
+        c = f.coeffs[: nd + 1, :kd]
         cpsi = c * kit["mult"]
         x = np.stack([c.real, c.imag, cpsi.real, cpsi.imag], axis=2)  # (nd+1, kd, 4)
         # one real radial matmul for the modes n = 0..nd, then per grid one
@@ -128,7 +128,7 @@ def _half_spectral_grids(f: SpectralField):
                 m[:nr, 2:4].reshape(nr, -1) @ sr,      # d_r psi
                 m[nr:, 2:4].reshape(nr, -1) @ st]      # (1/r) d_theta psi
     # out-of-band: every mode n = 0..N, each grid by an inverse real FFT
-    c = f.coeffs[b.n_modes:]
+    c = f.coeffs
     cpsi = c * b.green_mult
     i_n = 1j * np.arange(b.n_modes + 1)[:, None]
     return [_irfft_modes(np.matmul(T, _split(x)), grid)
@@ -144,10 +144,8 @@ def _project_band(rhs_values, basis: DiskBasis):
     # [Re F_n, Im F_n] per mode, then the real radial projection of both parts
     F = (rhs_values @ kit["analyze"]).reshape(-1, 2, nd + 1).transpose(2, 0, 1)
     cn = np.matmul(kit["proj"], F)                          # (nd+1, kd, 2)
-    coeffs = np.zeros((2 * basis.n_modes + 1, basis.k_radial), complex)
-    N = basis.n_modes
-    coeffs[N: N + nd + 1, :kd] = cn[..., 0] + 1j * cn[..., 1]
-    coeffs[N - nd: N, :kd] = np.conj(coeffs[N + nd: N: -1, :kd])
+    coeffs = np.zeros((basis.n_modes + 1, basis.k_radial), complex)
+    coeffs[: nd + 1, :kd] = cn[..., 0] + 1j * cn[..., 1]
     return coeffs
 
 
@@ -180,9 +178,8 @@ def _mean_fix(coeffs, w: SpectralField, background, uniform):
     """
     b = w.basis
     m = _MEAN_FIX_MODES
-    row0 = b.mode_row(0)
-    defect = float((coeffs[row0].real * b.mean0).sum())
-    psi = w.coeffs[row0].real * b.green_mult[0]
+    defect = float((coeffs[0].real * b.mean0).sum())
+    psi = w.coeffs[0].real * b.green_mult[0]
     if background is not None:
         psi = psi + background.stream_row
     if uniform:
@@ -193,7 +190,7 @@ def _mean_fix(coeffs, w: SpectralField, background, uniform):
     # G alpha = (defect, 0) for the regularized 2 x 2 G, by Cramer's rule
     g00, g11 = G[0, 0] + reg, G[1, 1] + reg
     scale = defect / (g00 * g11 - G[0, 1] * G[1, 0])
-    coeffs[row0, :m] = coeffs[row0, :m] - scale * (g11 * rows[0] - G[1, 0] * rows[1])
+    coeffs[0, :m] = coeffs[0, :m] - scale * (g11 * rows[0] - G[1, 0] * rows[1])
     return coeffs
 
 
@@ -214,7 +211,7 @@ def tendency(w: SpectralField, background: RadialBackground | None = None,
     coeffs = _project_band(rhs, b)
     coeffs = _mean_fix(coeffs, w, background, 2.0 * rotation)
     if rotation:
-        coeffs = coeffs - rotation * (1j * b.n_values[:, None]) * w.coeffs
+        coeffs = coeffs - rotation * (1j * np.arange(b.n_modes + 1)[:, None]) * w.coeffs
     return SpectralField(b, coeffs)
 
 
@@ -238,6 +235,9 @@ class RunConfig:
             raise ValueError(f"unknown dt policy {self.dt_policy!r}")
         if self.dt_policy == "fixed" and self.dt <= 0:
             raise ValueError("fixed dt policy requires dt > 0")
+        # a zero limit would step by dt = 0 forever, a negative one backwards
+        if not self.cfl_safety > 0:
+            raise ValueError(f"cfl_safety must be positive, got {self.cfl_safety}")
 
 
 @dataclass
@@ -265,9 +265,7 @@ class SolverState:
 
     def stream_grid_values(self):
         grid = self.w.basis.grid
-        psi = to_grid(
-            SpectralField(self.w.basis, self.w.coeffs * self.w.basis.green_mult_pm)
-        ).values.copy()
+        psi = to_grid(apply_green(self.w)).values.copy()
         if self.background is not None:
             psi += self.background.stream_values()
         if self.uniform:

@@ -29,25 +29,25 @@ class GreenOperator:
         self.multipliers.setflags(write=False)
         if np.any(self.multipliers <= 0) or np.any(np.diff(self.multipliers, axis=1) > 0):
             raise ValueError("Green multipliers must be positive, non-increasing in k")
-        self._mult_pm = basis.green_mult_pm
 
     def apply(self, omega: SpectralField) -> SpectralField:
-        return SpectralField(self.basis, omega.coeffs * self._mult_pm)
+        return SpectralField(self.basis, omega.coeffs * self.multipliers)
 
     def inverse_apply(self, psi: SpectralField) -> SpectralField:
         """Spectral -Laplacian: multiply by j^2."""
-        return SpectralField(self.basis, psi.coeffs / self._mult_pm)
+        return SpectralField(self.basis, psi.coeffs / self.multipliers)
 
 
 def apply_green(omega: SpectralField) -> SpectralField:
-    return GreenOperator(omega.basis).apply(omega)
+    """Stream function G omega: each coefficient times 1/j^2 of its mode."""
+    return SpectralField(omega.basis, omega.coeffs * omega.basis.green_mult)
 
 
 def energy(omega: SpectralField) -> float:
     """Kinetic energy E = (1/2) <omega, G omega> from coefficients."""
     b = omega.basis
     return 0.5 * float(
-        (np.abs(omega.coeffs) ** 2 * b.norm2_pm * b.green_mult_pm).sum()
+        (np.abs(omega.coeffs) ** 2 * b.parseval * b.green_mult).sum()
     )
 
 

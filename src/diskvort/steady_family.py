@@ -30,6 +30,7 @@ from .disk_spectral import (
     single_mode,
     to_grid,
 )
+from .green_energy import apply_green
 from .quadrature import integrate
 
 
@@ -98,7 +99,7 @@ def radial_projection_coeffs(amplitude, lam, basis: DiskBasis):
 
 
 def make_v_element(ve: VElement, basis: DiskBasis) -> SpectralField:
-    """Spectral representation: exact (+-n, k) dipole modes plus the radial
+    """Spectral representation: exact (n, k) dipole mode plus the radial
     part projected onto the n = 0 modes.
 
     For a != 0 the projection carries a truncation (Gibbs) error near the
@@ -108,13 +109,9 @@ def make_v_element(ve: VElement, basis: DiskBasis) -> SpectralField:
     n, k = ve.family
     if n > basis.n_modes or k > basis.k_radial:
         raise ValueError(f"family {ve.family} outside basis ({basis.n_modes},{basis.k_radial})")
-    f = single_mode(basis, n, k, amplitude=ve.b, phase=ve.beta) if ve.b else None
-    coeffs = f.coeffs if f is not None else np.zeros(
-        (2 * basis.n_modes + 1, basis.k_radial), complex
-    )
-    coeffs = coeffs.copy()
+    coeffs = dipole_part(ve, basis).coeffs.copy()
     if ve.a:
-        coeffs[basis.mode_row(0)] += radial_projection_coeffs(ve.a, ve.root, basis)
+        coeffs[0] += radial_projection_coeffs(ve.a, ve.root, basis)
     return SpectralField(basis, coeffs)
 
 
@@ -365,8 +362,7 @@ def verify_steady(ve: VElement, basis: DiskBasis) -> SteadyReport:
     grid = basis.grid
     omega = v_element_grid(ve, grid)
     w = dipole_part(ve, basis)
-    psi_w = SpectralField(basis, w.coeffs * basis.green_mult_pm)
-    psi_vals = to_grid(psi_w).values
+    psi_vals = to_grid(apply_green(w)).values
     bg = RadialBackground(ve.a, lam, basis) if ve.a else None
     if bg is not None:
         psi_vals = psi_vals + bg.stream_values()

@@ -45,7 +45,7 @@ from .disk_spectral import (
     to_grid,
     transplant,
 )
-from .green_energy import energy_grid
+from .green_energy import apply_green, energy_grid
 from .steady_family import VElement, orbital_distance
 
 
@@ -180,8 +180,8 @@ def solve_v2(basis: DiskBasis):
     rho0, c0 = _radial_block_v2(basis)
     if rho0 > value:
         value, label = rho0, ("radial", 0)
-        coeffs = np.zeros((2 * basis.n_modes + 1, basis.k_radial), complex)
-        coeffs[basis.mode_row(0)] = c0
+        coeffs = np.zeros((basis.n_modes + 1, basis.k_radial), complex)
+        coeffs[0] = c0
         f = SpectralField(basis, coeffs)
     else:
         label = ("cos", n)
@@ -192,7 +192,7 @@ def solve_v2(basis: DiskBasis):
     g = GridField(basis.grid, g.values / norm)
 
     # residual of v = (G v - mean(G v)) / M
-    gv = to_grid(SpectralField(basis, f.coeffs * basis.green_mult_pm))
+    gv = to_grid(apply_green(f))
     rel = GridField(basis.grid, (gv.values - mean_value(gv)) / value - g.values)
     residual = lp_norm(rel, 2)
     return V2Result(value, g, f, residual, label)

@@ -50,6 +50,16 @@ def test_p_must_exceed_one():
         cli.parse_config("p = 1.0\n", kind="eigs")
 
 
+def test_cfl_safety_must_be_positive(tmp_path):
+    for value in ("0", "-0.4"):
+        with pytest.raises(ConfigError, match="cfl_safety must be positive"):
+            cli.parse_config(f"cfl_safety = {value}\n", kind="evolve")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"cfl_safety = {value}\n")
+        # eigs runs no time stepping, so a missing check cannot hang here
+        assert cli.main(["eigs", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_comments_and_blanks_ok():
     cfg = cli.parse_config("# header\n\nkind = eigs  # trailing\np = 2.5\n")
     assert cfg.p == 2.5

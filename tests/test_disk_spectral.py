@@ -62,8 +62,7 @@ def test_round_trip_identity(basis, rng):
 def test_from_grid_constant_is_radial(basis, grid):
     g = ds.GridField(grid, np.ones((grid.n_r, grid.n_theta)))
     f = ds.from_grid(g, basis)
-    row0 = basis.mode_row(0)
-    others = np.delete(f.coeffs, row0, axis=0)
+    others = np.delete(f.coeffs, 0, axis=0)
     assert np.abs(others).max() < 1e-12
 
 
@@ -72,8 +71,8 @@ def test_from_grid_pure_radial_mode(basis, grid):
     vals = np.tile(bessel_j(0, z * grid.r)[:, None], (1, grid.n_theta))
     f = ds.from_grid(ds.GridField(grid, vals), basis)
     c = f.coeffs.copy()
-    assert abs(c[basis.mode_row(0), 1] - 1.0) < 1e-9
-    c[basis.mode_row(0), 1] = 0.0
+    assert abs(c[0, 1] - 1.0) < 1e-9
+    c[0, 1] = 0.0
     assert np.abs(c).max() < 1e-9
 
 
@@ -188,13 +187,42 @@ def test_serialization_round_trip(basis, grid, rng, tmp_path):
     assert np.abs(g.values - g2.values).max() == 0.0
 
 
-def test_reality_enforced(basis):
-    c = np.zeros((2 * basis.n_modes + 1, basis.k_radial), complex)
-    c[basis.mode_row(2), 0] = 1.0 + 0.5j      # no conjugate partner supplied
+def test_row0_made_real(basis, rng):
+    # mode 0 is its own conjugate partner: its imaginary part is dropped, on
+    # a copy, and the rows n >= 1 are kept as given
+    c = ds.random_in_span(basis, rng).coeffs.copy()
+    c[0] += 1j * rng.standard_normal(basis.k_radial)
+    given = c.copy()
     f = ds.SpectralField(basis, c)
-    assert np.abs(f.coeffs[basis.mode_row(-2)] - np.conj(f.coeffs[basis.mode_row(2)])).max() == 0.0
-    g = ds.to_grid(f)
-    assert np.isrealobj(g.values)
+    assert np.array_equal(c, given)
+    assert np.array_equal(f.coeffs[0], given[0].real)
+    assert np.array_equal(f.coeffs[1:], given[1:])
+
+
+def test_spectral_shape_checked(basis, rng):
+    N, K = basis.n_modes, basis.k_radial
+    with pytest.raises(ValueError):
+        ds.SpectralField(basis, np.zeros((2 * N + 1, K), complex))
+    # a document in the old signed-mode layout, shape [2N+1, K], is rejected
+    doc = ds.field_to_dict(ds.random_in_span(basis, rng))
+    assert doc["shape"] == [N + 1, K]
+    c = np.array(doc["data"]).reshape(N + 1, K, 2)
+    signed = np.concatenate([c[:0:-1] * [1.0, -1.0], c])
+    old = {"kind": "spectral", "shape": [2 * N + 1, K], "data": signed.reshape(-1, 2).tolist()}
+    with pytest.raises(ValueError):
+        ds.field_from_dict(old, basis=basis)
+
+
+def test_single_mode_phase_sign(basis):
+    # cos(n theta + phase) for negative n too, i.e. cos(|n| theta - phase)
+    small = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    for b in (basis, small):
+        g = b.grid
+        for n in (-2, 0, 2):
+            got = ds.to_grid(ds.single_mode(b, n, 1, amplitude=1.3, phase=0.3)).values
+            z = bessel_zero(abs(n), 1)
+            expect = 1.3 * bessel_j(abs(n), z * g.r)[:, None] * np.cos(n * g.theta + 0.3)[None, :]
+            assert np.abs(got - expect).max() <= 1e-13
 
 
 # The per-mode transforms that the batched half-spectrum ones replaced, kept
@@ -204,10 +232,12 @@ def test_reality_enforced(basis):
 
 def _oracle_to_grid(f):
     basis, grid = f.basis, f.basis.grid
-    eval_pm = basis.r_eval[np.abs(basis.n_values)]
-    S = np.einsum("nrk,nk->nr", eval_pm, f.coeffs)
+    # expand the half spectrum to the signed modes n = -N..N, c[-n] = conj(c[n])
+    n_values = np.arange(-basis.n_modes, basis.n_modes + 1)
+    signed = np.concatenate([np.conj(f.coeffs[:0:-1]), f.coeffs])
+    S = np.einsum("nrk,nk->nr", basis.r_eval[np.abs(n_values)], signed)
     full = np.zeros((grid.n_r, grid.n_theta), complex)
-    for row, n in enumerate(basis.n_values):
+    for row, n in enumerate(n_values):
         full[:, n % grid.n_theta] += S[row]
     return np.fft.ifft(full, axis=1).real * grid.n_theta
 
@@ -216,13 +246,11 @@ def _oracle_from_grid(values, basis):
     grid = basis.grid
     rw = grid.measure_r * grid.n_theta
     F = np.fft.fft(values, axis=1) / grid.n_theta
-    c = np.zeros((2 * basis.n_modes + 1, basis.k_radial), complex)
+    c = np.zeros((basis.n_modes + 1, basis.k_radial), complex)
     for n in range(basis.n_modes + 1):
         T = basis.r_eval[n]
         L = np.linalg.cholesky(T.T @ (rw[:, None] * T))
-        cn = np.linalg.solve(L.T, np.linalg.solve(L, T.T @ (rw * F[:, n])))
-        c[basis.mode_row(n)] = cn
-        c[basis.mode_row(-n)] = np.conj(cn)
+        c[n] = np.linalg.solve(L.T, np.linalg.solve(L, T.T @ (rw * F[:, n])))
     return c
 
 
@@ -241,10 +269,10 @@ def test_to_grid_matches_per_mode_oracle(basis, grid):
     for f in spans:
         expect = _oracle_to_grid(f)
         assert np.abs(ds.to_grid(f).values - expect).max() <= 1e-14 * np.abs(expect).max()
-        # from_grid(to_grid(f)) is an identity, with c[-n] = conj(c[n]) exact
+        # from_grid(to_grid(f)) is an identity, with an exactly real row 0
         back = ds.from_grid(ds.to_grid(f), basis).coeffs
         assert np.abs(back - f.coeffs).max() <= 1e-14 * np.abs(f.coeffs).max()
-        assert np.array_equal(back, np.conj(back[::-1]))
+        assert not np.any(back[0].imag)
 
 
 def test_from_grid_matches_per_mode_oracle(basis, grid):

@@ -161,9 +161,17 @@ def test_perturbation_builders(basis, rng):
         es.make_perturbation("bogus", ve, 1e-3, 2.0, basis, rng)
 
 
+def test_run_config_rejects_nonpositive_cfl_safety():
+    for policy in ("cfl", "fixed"):
+        for value in (0.0, -0.4, math.nan):
+            with pytest.raises(ValueError, match="cfl_safety"):
+                es.RunConfig(t_end=1.0, dt=0.01, dt_policy=policy, cfl_safety=value)
+    assert es.RunConfig(t_end=1.0, cfl_safety=0.4).cfl_safety == 0.4
+
+
 def test_band_limit_enforcement(basis):
-    c = np.zeros((2 * basis.n_modes + 1, basis.k_radial), complex)
-    c[basis.mode_row(basis.n_modes), -1] = 1.0   # outside the dealias band
+    c = np.zeros((basis.n_modes + 1, basis.k_radial), complex)
+    c[basis.n_modes, -1] = 1.0   # outside the dealias band
     f = ds.SpectralField(basis, c)
     with pytest.raises(ResolutionError):
         es.require_band_limited(f)
@@ -204,9 +212,9 @@ def test_in_band_tendency_matches_fallback(basis, monkeypatch):
 
 def test_dealias_mask_is_the_band(basis):
     nd, kd = basis.dealias_band()
-    loop = np.zeros((2 * basis.n_modes + 1, basis.k_radial), dtype=bool)
-    for n in range(-nd, nd + 1):
-        loop[basis.mode_row(n), :kd] = True
+    loop = np.zeros((basis.n_modes + 1, basis.k_radial), dtype=bool)
+    for n in range(nd + 1):
+        loop[n, :kd] = True
     mask = basis.dealias_mask()
     assert np.array_equal(mask, loop)
     assert mask is basis.dealias_mask() and not mask.flags.writeable
@@ -312,14 +320,14 @@ def test_mean_fix_matches_linear_solve(basis):
     pert = es.make_perturbation("smooth-random", ve, 0.05, 2.0, basis,
                                 np.random.default_rng(3))
     w = ds.SpectralField(basis, state.w.coeffs + pert.coeffs)
-    m, row0 = es._MEAN_FIX_MODES, basis.mode_row(0)
+    m = es._MEAN_FIX_MODES
     for bg, uniform in ((None, 0.0), (state.background, 0.0), (state.background, 0.6)):
         raw = es._project_band(np.random.default_rng(4).standard_normal(
             (basis.grid.n_r, basis.grid.n_theta)), basis)
         got = es._mean_fix(raw.copy(), w, bg, uniform)
         # the rows the correction spans: mean0 and the stream function
         # weighted by norm2, as _mean_fix builds them
-        psi = w.coeffs[row0].real * basis.green_mult[0]
+        psi = w.coeffs[0].real * basis.green_mult[0]
         const_proj, para_proj = basis.chan_proj
         if bg is not None:
             bgp = bg.amplitude * sf.radial_projection_coeffs(1.0, bg.root, basis)
@@ -328,10 +336,10 @@ def test_mean_fix_matches_linear_solve(basis):
         rows = np.vstack([basis.mean0[:m], psi[:m] * basis.norm2[0, :m]])
         G = rows @ rows.T
         G[np.diag_indices(2)] += 1e-14 * max(G[0, 0], G[1, 1], 1e-30)
-        defect = float((raw[row0].real * basis.mean0).sum())
+        defect = float((raw[0].real * basis.mean0).sum())
         alpha = np.linalg.solve(G, np.array([defect, 0.0]))
         expect = raw.copy()
-        expect[row0, :m] -= rows.T @ alpha
-        assert np.abs(got - expect).max() <= 1e-13 * np.abs(raw[row0, :m]).max()
+        expect[0, :m] -= rows.T @ alpha
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(raw[0, :m]).max()
         # the corrected tendency has zero disk mean, up to the regularization
-        assert abs((got[row0].real * basis.mean0).sum()) <= 1e-12 * abs(defect)
+        assert abs((got[0].real * basis.mean0).sum()) <= 1e-12 * abs(defect)

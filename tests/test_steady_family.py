@@ -17,19 +17,16 @@ def test_normal_form():
 def test_make_v_element_dipole_only(basis):
     f = sf.make_v_element(sf.VElement(0.0, 1.0, 0.0), basis)
     c = f.coeffs.copy()
-    assert abs(c[basis.mode_row(1), 0] - 0.5) < 1e-15
-    assert abs(c[basis.mode_row(-1), 0] - 0.5) < 1e-15
-    c[basis.mode_row(1), 0] = 0.0
-    c[basis.mode_row(-1), 0] = 0.0
+    assert abs(c[1, 0] - 0.5) < 1e-15
+    c[1, 0] = 0.0
     assert np.abs(c).max() == 0.0
 
 
 def test_make_v_element_radial_only(basis):
     f = sf.make_v_element(sf.VElement(1.0, 0.0, 2.2), basis)
     c = f.coeffs.copy()
-    row0 = basis.mode_row(0)
-    assert np.abs(np.delete(c, row0, axis=0)).max() == 0.0
-    assert np.abs(c[row0]).max() > 0.1
+    assert np.abs(np.delete(c, 0, axis=0)).max() == 0.0
+    assert np.abs(c[0]).max() > 0.1
 
 
 def test_radial_projection_matches_scalar_loop(basis):

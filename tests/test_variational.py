@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from diskvort import disk_spectral as ds
 from diskvort import variational as vr
 from diskvort import steady_family as sf
 from diskvort.bessel import bessel_j, bessel_zero
-from diskvort.green_energy import energy_grid
+from diskvort.green_energy import energy, energy_grid
 
 
 def unit_dipole_element():
@@ -41,16 +42,15 @@ def test_duality(basis):
     assert abs(r1.value * r2.value - 1.0) < 1e-6
     # the maximizer's Dirichlet integral reproduces the minimum
     f = r2.maximizer_spectral
-    orders = [abs(n) for n in f.basis.n_values]
     dirichlet = float(
-        (np.abs(f.coeffs) ** 2 * f.basis.norm2_pm * f.basis.roots[orders] ** 2).sum()
+        (np.abs(f.coeffs) ** 2 * f.basis.parseval * f.basis.roots ** 2).sum()
     )
     assert abs(dirichlet - r1.value) < 1e-5
     # and the minimizer attains the maximum of the dual objective
     g = r1.minimizer
     fmin = ds.from_grid(g, f.basis)
     quad = float(
-        (np.abs(fmin.coeffs) ** 2 * f.basis.norm2_pm * f.basis.green_mult_pm).sum()
+        (np.abs(fmin.coeffs) ** 2 * f.basis.parseval * f.basis.green_mult).sum()
     )
     assert abs(quad - r2.value) < 1e-6
 
@@ -98,6 +98,34 @@ def any_basis(request, basis):
     if request.param == "default":
         return basis
     return ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+
+
+def test_radial_block_wins_when_n_ge_1_blocks_are_moved():
+    # on the test bases the cos block wins, so the ("radial", 0) result
+    # branch runs only on a basis whose n >= 1 blocks are pushed away:
+    # roots doubled raise their v1 minima, multipliers quartered lower
+    # their v2 maxima
+    coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    b1 = copy.copy(coarse)
+    b1.roots = coarse.roots.copy()
+    b1.roots[1:, 0] *= 2.0
+    r1 = vr.solve_v1(b1)
+    assert r1.block == ("radial", 0)
+    assert abs(ds.lp_norm(r1.minimizer, 2) - 1.0) <= 1e-13
+    assert abs(ds.mean_value(r1.minimizer)) <= 1e-13
+    assert abs(r1.boundary_constant) > 0.1      # the lift carries weight
+    b2 = copy.copy(coarse)
+    b2.green_mult = coarse.green_mult.copy()
+    b2.green_mult[1:, 0] *= 0.25
+    r2 = vr.solve_v2(b2)
+    assert r2.block == ("radial", 0)
+    assert abs(ds.lp_norm(r2.maximizer, 2) - 1.0) <= 1e-13
+    assert abs(ds.mean_value(r2.maximizer)) <= 1e-13
+    # the returned row 0 is the block's eigenvector: its Rayleigh quotient in
+    # the analytic norms is the maximum (the grid normalization above differs
+    # from the analytic norm by the 24-node quadrature error, ~1e-9)
+    f = r2.maximizer_spectral
+    assert abs(2.0 * energy(f) / ds.spectral_norm2(f) - r2.value) <= 1e-12 * r2.value
 
 
 def test_radial_block_v1_matches_inverse_iteration(any_basis):
