@@ -35,7 +35,7 @@ from .disk_spectral import (
     save_field,
     to_grid,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteFieldError
 from .euler_sim import (
     RunConfig,
     make_perturbation,
@@ -482,6 +482,9 @@ def main(argv=None) -> int:
         return 2
     try:
         status = run_experiment(cfg, args.out)
+    except NonFiniteFieldError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except Exception as exc:            # pragma: no cover - defensive
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,16 +6,17 @@ rows n = 0..N, with c[-n] = conj(c[n]) implied because fields are real.  A
 GridField holds values at radial Gauss-Legendre nodes times uniform azimuthal
 angles, with per-cell measures r_i w_i (2 pi / N_theta).  Transforms are
 exact (to rounding) for fields in the basis span.  Both run in real
-arithmetic: analysis is a real FFT in theta and one batched matmul of
-[Re F_n, Im F_n] with the per-mode operators
-Gram_n^-1 T_n^t diag(2 pi r w) built with the basis, which makes
+arithmetic: analysis is one product with the basis's truncated real DFT
+table (modes n = 0..N) and one batched matmul of [Re F_n, Im F_n] with the
+per-mode operators Gram_n^-1 T_n^t diag(2 pi r w), which makes
 from_grid(to_grid(f)) an identity and from_grid an orthogonal projection in
 the discrete inner product for everything else; synthesis is one batched
-matmul with the radial tables and an inverse real FFT.
+matmul with the radial tables and one product with the DFT synthesis table.
 
 Distribution profiles (value vs cumulative cell measure) provide the
-rearrangement-class machinery: sorting is stable with ties broken by the
-flattened (radial-major) cell index so runs are reproducible.
+rearrangement-class machinery: cells are ordered by value descending, ties
+broken by the flattened (radial-major) cell index (numpy's default sort, then
+each run of equal values re-sorted by index), so runs are reproducible.
 """
 
 import json
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bessel import _j_neighbours, bessel_zeros
-from .errors import ResolutionError
+from .errors import NonFiniteFieldError, ResolutionError
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,7 @@ class DiskGrid:
     w_r: np.ndarray = field(init=False, repr=False, compare=False)
     theta: np.ndarray = field(init=False, repr=False, compare=False)
     measure_r: np.ndarray = field(init=False, repr=False, compare=False)
+    cell_measure: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x, w = np.polynomial.legendre.leggauss(self.n_r)
@@ -53,6 +55,7 @@ class DiskGrid:
         object.__setattr__(self, "w_r", w)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "measure_r", mu_r)
+        object.__setattr__(self, "cell_measure", np.repeat(mu_r, self.n_theta))
         total = self.n_theta * mu_r.sum()
         if abs(total - math.pi) > 1e-12:
             raise ResolutionError(f"cell measures sum to {total!r}, expected pi")
@@ -77,9 +80,9 @@ def _projector(T, rw):
 class DiskBasis:
     """Fourier-Bessel basis bound to a collocation grid.
 
-    Holds the radial tables, the per-mode real transform operators r_eval[n]
-    (synthesis) and analysis[n] = Gram_n^-1 r_eval[n]^t diag(2 pi r w), and
-    the dealias-band operators and channel projections of euler_sim.
+    Holds the radial and azimuthal DFT tables, the per-mode real operators
+    r_eval[n] (synthesis) and analysis[n] = Gram_n^-1 r_eval[n]^t diag(2 pi r w),
+    and the dealias-band operators and channel projections of euler_sim.
     """
 
     def __init__(self, n_theta_modes=16, k_radial=32, grid=None):
@@ -132,23 +135,25 @@ class DiskBasis:
         self.parseval = self.norm2.copy()
         self.parseval[1:] *= 2.0
 
+        # Truncated real DFT tables of the modes n = 0..N: with c[-n] = conj(c[n])
+        # a grid is [Re s, Im s] @ [w cos; -w sin], w_0 = 1, w_n = 2, and
+        # values @ [cos | -sin] / n_theta is [Re F_n, Im F_n].
+        n_half = np.arange(N + 1)[:, None]
+        w = np.where(n_half == 0, 1.0, 2.0)
+        cos = np.cos(n_half * grid.theta)
+        sin = np.sin(n_half * grid.theta)
+        self.dft_analyze = np.vstack([cos, -sin]).T / grid.n_theta
+        self.dft_synth = np.vstack([w * cos, -w * sin])
+
         # Rows n <= nd and columns k <= kd of the 2/3 dealias band.
         nd, kd = self.dealias_band()
         self._dealias_mask = np.zeros((N + 1, K), dtype=bool)
         self._dealias_mask[: nd + 1, :kd] = True
         self._dealias_mask.flags.writeable = False
 
-        # Real operators of the dealias band: half-spectrum synthesis and
-        # measure-orthogonal analysis.  The band's modes n = 0..nd;
-        # c[-n] = conj(c[n]) supplies the others, so a grid is
-        # sum_n w_n Re(s_n e^{i n theta}) with w_0 = 1, w_n = 2, i.e.
-        # [Re s, Im s] @ [w cos; -w sin].  For the angular grids s = i n S
-        # with S = over @ c, and the factor i n is folded into the table that
-        # acts on [Re S, Im S].
-        n_half = np.arange(nd + 1)[:, None]
-        w = np.where(n_half == 0, 1.0, 2.0)
-        cos = np.cos(n_half * grid.theta)
-        sin = np.sin(n_half * grid.theta)
+        # Band operators from the DFT rows n <= nd.  Angular grids have s = i n S,
+        # S = over @ c, with i n folded into the table acting on [Re S, Im S].
+        n_half, w, cos, sin = n_half[: nd + 1], w[: nd + 1], cos[: nd + 1], sin[: nd + 1]
         self.band_kit = {
             "nd": nd,
             "kd": kd,
@@ -262,23 +267,21 @@ def _split(c):
     return np.stack([c.real, c.imag], axis=2)
 
 
-def _irfft_modes(m, grid):
+def _modes_to_grid(m, basis):
     """Real grid sum_n w_n Re(S_n(r) e^{i n theta}), w_0 = 1, w_n = 2, from
-    the radial values S_n = m[n, :, 0] + i m[n, :, 1] of the modes n >= 0."""
-    H = np.zeros((grid.n_r, grid.n_theta // 2 + 1), complex)
-    H[:, : len(m)] = (m[..., 0] + 1j * m[..., 1]).T
-    return np.fft.irfft(H, grid.n_theta, axis=1) * grid.n_theta
+    the radial values S_n = m[n, :, 0] + i m[n, :, 1] of the modes n = 0..N."""
+    return m.transpose(1, 2, 0).reshape(basis.grid.n_r, -1) @ basis.dft_synth
 
 
 def _analyze(values, basis):
     """(N+1, K, 2) half-spectrum [Re c_n, Im c_n], n = 0..N, of grid values."""
-    F = np.fft.rfft(values, axis=1)[:, : basis.n_modes + 1] / basis.grid.n_theta
-    return np.matmul(basis.analysis, _split(F.T))
+    F = (values @ basis.dft_analyze).reshape(-1, 2, basis.n_modes + 1)
+    return np.matmul(basis.analysis, F.transpose(2, 0, 1))
 
 
 def _synthesize(half, basis):
     """Grid values of the (N+1, K, 2) half-spectrum coefficients."""
-    return _irfft_modes(np.matmul(basis.r_eval, half), basis.grid)
+    return _modes_to_grid(np.matmul(basis.r_eval, half), basis)
 
 
 def to_grid(f: SpectralField) -> GridField:
@@ -287,7 +290,7 @@ def to_grid(f: SpectralField) -> GridField:
 
 
 def from_grid(g: GridField, basis: DiskBasis) -> SpectralField:
-    """Real FFT in theta + per-mode measure-weighted radial projection."""
+    """Azimuthal DFT + per-mode measure-weighted radial projection."""
     if g.grid != basis.grid:
         raise ResolutionError("grid field resolution does not match basis grid")
     half = _analyze(g.values, basis)
@@ -350,14 +353,29 @@ class DistributionProfile:
         return float(self.values[0] - self.values[-1])
 
 
+def _descending_order(flat):
+    """Stable descending order of ``flat`` (ties by index) from the faster
+    default sort, whose runs of equal values are re-sorted by index in one
+    integer sort of run * n + index.  NaN and +-inf, at the ends, raise."""
+    order = np.argsort(-flat)
+    s = flat[order]
+    if not (math.isfinite(s[0]) and math.isfinite(s[-1])):
+        raise NonFiniteFieldError(f"field holds non-finite values ({s[0]!r}, {s[-1]!r})")
+    same = s[1:] == s[:-1]
+    if same.any():
+        tied = np.append(same, False)           # cells in a run of equal values
+        tied[1:] |= same
+        pos = np.flatnonzero(tied)
+        run = np.cumsum(~same[pos - 1])         # run number, up to a constant
+        order[pos] = np.sort(run * flat.size + order[pos]) % flat.size
+    return order
+
+
 def distribution_profile(g: GridField) -> DistributionProfile:
-    """Cells sorted by value descending, stable tie-break by flattened index."""
+    """Cells sorted by value descending, ties broken by flattened index."""
     flat = g.values.ravel()
-    mu = np.broadcast_to(
-        g.grid.measure_r[:, None], (g.grid.n_r, g.grid.n_theta)
-    ).ravel()
-    order = np.argsort(-flat, kind="stable")
-    return DistributionProfile(flat[order], np.cumsum(mu[order]))
+    order = _descending_order(flat)
+    return DistributionProfile(flat[order], np.cumsum(g.grid.cell_measure[order]))
 
 
 def profiles_close(p1, p2, tol=None, n_samples=1000):
@@ -389,18 +407,16 @@ def quantization_tolerance(profile, grid):
 
 def transplant(profile: DistributionProfile, onto: GridField) -> GridField:
     """Measure-preserving monotone transplantation of ``profile`` onto the
-    level structure of ``onto``: cells sorted by ``onto`` descending (stable
-    tie-break by flattened index) receive the profile value at the midpoint
+    level structure of ``onto``: cells sorted by ``onto`` descending (ties
+    broken by flattened index) receive the profile value at the midpoint
     of their cumulative-measure slot."""
-    grid = onto.grid
-    flat = onto.values.ravel()
-    mu = np.broadcast_to(grid.measure_r[:, None], (grid.n_r, grid.n_theta)).ravel()
-    order = np.argsort(-flat, kind="stable")
-    cum = np.cumsum(mu[order])
-    midpoints = cum - 0.5 * mu[order]
-    new_vals = np.empty_like(flat)
-    new_vals[order] = profile.resample(midpoints)
-    return GridField(grid, new_vals.reshape(onto.values.shape))
+    order = _descending_order(onto.values.ravel())
+    mu = onto.grid.cell_measure[order]
+    idx = np.searchsorted(profile.cum_measure, np.cumsum(mu) - 0.5 * mu)
+    np.minimum(idx, len(profile.values) - 1, out=idx)     # as resample clips
+    new_vals = np.empty(mu.size)
+    new_vals[order] = profile.values[idx]
+    return GridField(onto.grid, new_vals.reshape(onto.values.shape))
 
 
 def ring_shuffle(g: GridField, rng) -> GridField:

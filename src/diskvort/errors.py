@@ -21,6 +21,14 @@ class CFLError(RuntimeError):
     """Time step too large for the current velocity field."""
 
 
+class NonFiniteFieldError(FloatingPointError):
+    """A field or a run diagnostic holds NaN or an infinity."""
+
+
+class AscentError(RuntimeError):
+    """A rearrangement ascent step decreased the energy."""
+
+
 class ConfigError(ValueError):
     """Experiment configuration failed to parse or validate."""
 

@@ -34,14 +34,14 @@ from .disk_spectral import (
     DiskBasis,
     GridField,
     SpectralField,
-    _irfft_modes,
+    _modes_to_grid,
     _split,
     from_grid,
     lp_norm,
     mean_value,
     to_grid,
 )
-from .errors import CFLError, ResolutionError
+from .errors import CFLError, NonFiniteFieldError, ResolutionError
 from .green_energy import apply_green, energy_grid
 from .steady_family import (
     VElement,
@@ -127,11 +127,11 @@ def _half_spectral_grids(f: SpectralField):
                 m[nr:, 0:2].reshape(nr, -1) @ st,      # (1/r) d_theta omega
                 m[:nr, 2:4].reshape(nr, -1) @ sr,      # d_r psi
                 m[nr:, 2:4].reshape(nr, -1) @ st]      # (1/r) d_theta psi
-    # out-of-band: every mode n = 0..N, each grid by an inverse real FFT
+    # out-of-band: every mode n = 0..N, each grid by the basis DFT table
     c = f.coeffs
     cpsi = c * b.green_mult
     i_n = 1j * np.arange(b.n_modes + 1)[:, None]
-    return [_irfft_modes(np.matmul(T, _split(x)), grid)
+    return [_modes_to_grid(np.matmul(T, _split(x)), b)
             for T, x in ((b.r_diff, c), (b.r_over, i_n * c),
                          (b.r_diff, cpsi), (b.r_over, i_n * cpsi))]
 
@@ -324,6 +324,8 @@ def _diagnose(state: SolverState, cfg: RunConfig) -> TraceRow:
     e = energy_grid(omega, psi)
     l2 = lp_norm(omega, 2)
     lp = lp_norm(omega, cfg.p)
+    if not (math.isfinite(e) and math.isfinite(l2)):
+        raise NonFiniteFieldError(f"non-finite state at t={state.t!r}: energy {e!r}, L2 {l2!r}")
     mean = mean_value(omega)
     dist, beta = math.nan, math.nan
     if cfg.reference is not None:

@@ -45,6 +45,7 @@ from .disk_spectral import (
     to_grid,
     transplant,
 )
+from .errors import AscentError
 from .green_energy import apply_green, energy_grid
 from .steady_family import VElement, orbital_distance
 
@@ -240,7 +241,7 @@ def burton_step(state: AscentState, profile: DistributionProfile, basis: DiskBas
     psi_next = _stream_of(nxt, basis)
     e_next = energy_grid(nxt, psi_next)
     if e_next < state.energy - slack * max(1.0, abs(state.energy)):
-        raise RuntimeError(
+        raise AscentError(
             f"transplantation decreased energy: {state.energy!r} -> {e_next!r}"
         )
     return AscentState(nxt, e_next, state.iteration + 1, state.profile, psi_next)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from diskvort import cli
-from diskvort.errors import ConfigError
+from diskvort.errors import ConfigError, NonFiniteFieldError
 
 
 def test_parse_defaults_require_kind():
@@ -112,6 +112,15 @@ def test_tolerance_failure_exit_code(tmp_path, monkeypatch):
     assert rc == 3
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["passed"] is False
+
+
+def test_non_finite_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def blow_up(cfg, outdir):
+        raise NonFiniteFieldError("energy nan")
+
+    monkeypatch.setattr(cli, "run_experiment", blow_up)
+    assert cli.main(["eigs", "--out", str(tmp_path / "o")]) == 3
+    assert "numerical failure: energy nan" in capsys.readouterr().err
 
 
 def test_evolve_smoke(tmp_path):

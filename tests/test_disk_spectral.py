@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from diskvort import disk_spectral as ds
+from diskvort import steady_family as sf
+from diskvort import variational as vr
 from diskvort.bessel import bessel_j, bessel_j_prime, bessel_zero
-from diskvort.errors import ResolutionError
+from diskvort.errors import NonFiniteFieldError, ResolutionError
 
 
 def test_cell_measures(grid):
@@ -282,3 +284,132 @@ def test_from_grid_matches_per_mode_oracle(basis, grid):
         got = ds.from_grid(g, basis).coeffs
         assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
+
+
+# The real-FFT half-spectrum transforms that the truncated DFT tables
+# replaced, kept as oracles.
+
+
+def _rfft_analyze(values, basis):
+    F = np.fft.rfft(values, axis=1)[:, : basis.n_modes + 1] / basis.grid.n_theta
+    return np.matmul(basis.analysis, ds._split(F.T))
+
+
+def _irfft_synthesize(half, basis):
+    grid = basis.grid
+    m = np.matmul(basis.r_eval, half)
+    H = np.zeros((grid.n_r, grid.n_theta // 2 + 1), complex)
+    H[:, : len(m)] = (m[..., 0] + 1j * m[..., 1]).T
+    return np.fft.irfft(H, grid.n_theta, axis=1) * grid.n_theta
+
+
+def test_dft_transforms_match_fft_oracle(basis, grid):
+    spans, grids = _transform_inputs(basis, grid)
+    for g in grids:
+        expect = _rfft_analyze(g.values, basis)
+        got = ds._analyze(g.values, basis)
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+    halves = [ds._split(f.coeffs) for f in spans] + [_rfft_analyze(g.values, basis)
+                                                    for g in grids[:2]]
+    for half in halves:
+        expect = _irfft_synthesize(half, basis)
+        got = ds._synthesize(half, basis)
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+
+def test_band_tables_are_rows_of_the_dft_tables(basis):
+    N = basis.n_modes
+    nd = basis.band_kit["nd"]
+    n = np.arange(nd + 1)[:, None]
+    synth, analyze = basis.dft_synth, basis.dft_analyze
+    cos_rows, sin_rows = slice(0, nd + 1), slice(N + 1, N + nd + 2)
+    kit = basis.band_kit
+    assert np.array_equal(kit["synth_r"], np.vstack([synth[cos_rows], synth[sin_rows]]))
+    # [-n w sin; -n w cos] from the rows w cos and -w sin (w n is exact)
+    assert np.array_equal(kit["synth_t"], np.vstack([n * synth[sin_rows],
+                                                     -n * synth[cos_rows]]))
+    assert np.array_equal(kit["analyze"], np.hstack([analyze[:, cos_rows],
+                                                     analyze[:, sin_rows]]))
+
+
+# The stable-sort profile and transplantation that the tie-run sort replaced,
+# kept as oracles.
+
+
+def _stable_profile(g):
+    flat = g.values.ravel()
+    mu = np.broadcast_to(g.grid.measure_r[:, None], g.values.shape).ravel()
+    order = np.argsort(-flat, kind="stable")
+    return ds.DistributionProfile(flat[order], np.cumsum(mu[order]))
+
+
+def _stable_transplant(profile, onto):
+    grid = onto.grid
+    flat = onto.values.ravel()
+    mu = np.broadcast_to(grid.measure_r[:, None], onto.values.shape).ravel()
+    order = np.argsort(-flat, kind="stable")
+    cum = np.cumsum(mu[order])
+    new_vals = np.empty_like(flat)
+    new_vals[order] = profile.resample(cum - 0.5 * mu[order])
+    return ds.GridField(grid, new_vals.reshape(onto.values.shape))
+
+
+def _assert_matches_stable_sort(g, profile):
+    flat = g.values.ravel()
+    assert np.array_equal(ds._descending_order(flat), np.argsort(-flat, kind="stable"))
+    got, expect = ds.distribution_profile(g), _stable_profile(g)
+    assert np.array_equal(got.values, expect.values)
+    assert np.array_equal(got.cum_measure, expect.cum_measure)
+    assert np.array_equal(ds.transplant(profile, g).values,
+                          _stable_transplant(profile, g).values)
+
+
+def test_tie_runs_keep_index_order(basis, grid):
+    rng = np.random.default_rng(5)
+    shape = (grid.n_r, grid.n_theta)
+    lamb = sf.v_element_grid(sf.VElement(0.0, 1.0, 0.0), grid)
+    signed_zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    signed_zeros[::3] = rng.standard_normal(shape)[::3]
+    fields = {
+        "constant": np.full(shape, 1.5),                       # one run
+        "radial": np.tile(grid.r[:, None], (1, grid.n_theta)),  # n_r runs
+        "signed zeros": signed_zeros,
+        "rounded": np.round(rng.standard_normal(shape), 3),   # many runs
+        "lamb dipole": lamb.values,                            # mirror pairs
+    }
+    profile = ds.distribution_profile(lamb)
+    for name, vals in fields.items():
+        g = ds.GridField(grid, vals)
+        s = np.sort(vals.ravel())
+        assert np.any(s[1:] == s[:-1]), name
+        _assert_matches_stable_sort(g, profile)
+        _assert_matches_stable_sort(g, ds.distribution_profile(g))
+
+
+def test_ascent_transplants_match_stable_sort(basis, grid, monkeypatch):
+    # every step of the ascent from test_ascent_matches_reference's seed
+    ve = sf.VElement(0.0, 1.0, 0.4)
+    seed = ds.ring_shuffle(sf.v_element_grid(ve, grid), np.random.default_rng(7))
+    calls = []
+
+    def checked(profile, onto):
+        got = ds.transplant(profile, onto)
+        calls.append(np.array_equal(got.values, _stable_transplant(profile, onto).values))
+        return got
+
+    monkeypatch.setattr(vr, "transplant", checked)
+    res = vr.burton_maximize(ve, seed, basis)
+    assert len(calls) == len(res.energies) - 1 == 75 and all(calls)
+    _assert_matches_stable_sort(res.final, ds.distribution_profile(res.final))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_fields_raise(grid, bad):
+    vals = np.ones((grid.n_r, grid.n_theta))
+    profile = ds.distribution_profile(ds.GridField(grid, vals))
+    vals[3, 7] = bad
+    g = ds.GridField(grid, vals)
+    with pytest.raises(NonFiniteFieldError):
+        ds.distribution_profile(g)
+    with pytest.raises(NonFiniteFieldError):
+        ds.transplant(profile, g)

@@ -8,7 +8,7 @@ from diskvort import euler_sim as es
 from diskvort import green_energy as ge
 from diskvort import steady_family as sf
 from diskvort.bessel import bessel_j
-from diskvort.errors import CFLError, ResolutionError
+from diskvort.errors import CFLError, NonFiniteFieldError, ResolutionError
 
 
 def fd_theta(v, n_theta):
@@ -343,3 +343,13 @@ def test_mean_fix_matches_linear_solve(basis):
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(raw[0, :m]).max()
         # the corrected tendency has zero disk mean, up to the regularization
         assert abs((got[0].real * basis.mean0).sum()) <= 1e-12 * abs(defect)
+
+
+def test_run_raises_on_non_finite_state(basis):
+    state = es.steady_state(sf.VElement(0.5, 1.0, 0.0), basis)
+    c = state.w.coeffs.copy()
+    c[1, 0] = np.nan
+    state.w = ds.SpectralField(basis, c)
+    with pytest.raises(NonFiniteFieldError):
+        es.run(state, es.RunConfig(t_end=1.0))
+    assert state.diagnostics == []          # nothing was recorded

@@ -8,6 +8,7 @@ from diskvort import disk_spectral as ds
 from diskvort import variational as vr
 from diskvort import steady_family as sf
 from diskvort.bessel import bessel_j, bessel_zero
+from diskvort.errors import AscentError
 from diskvort.green_energy import energy, energy_grid
 
 
@@ -194,8 +195,9 @@ def test_burton_step_raises_on_decrease(basis, grid):
     state = vr.ascent_start(target, profile, basis)
     # lie about the current energy to trip the decrease guard
     state.energy = state.energy + 1.0
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError) as exc:
         vr.burton_step(state, profile, basis)
+    assert isinstance(exc.value, AscentError)
 
 
 def test_burton_fixed_point_near_element(basis, grid):
