@@ -132,6 +132,11 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"unknown perturbation kind {cfg.perturbation!r}")
     if cfg.dt_policy not in ("cfl", "fixed"):
         raise ConfigError(f"unknown dt policy {cfg.dt_policy!r}")
+    # NaN passes every comparison below unnoticed, and a NaN or infinite
+    # horizon would end a run after its first row as if it had passed
+    for name in ("turnovers", "t_end", "delta_rel"):
+        if not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
     if cfg.delta_rel <= 0:
         raise ConfigError(f"delta_rel must be positive, got {cfg.delta_rel}")
     if not cfg.cfl_safety > 0:

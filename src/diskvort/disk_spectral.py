@@ -154,6 +154,14 @@ class DiskBasis:
         # Band operators from the DFT rows n <= nd.  Angular grids have s = i n S,
         # S = over @ c, with i n folded into the table acting on [Re S, Im S].
         n_half, w, cos, sin = n_half[: nd + 1], w[: nd + 1], cos[: nd + 1], sin[: nd + 1]
+        synth_r = np.vstack([w * cos, -w * sin])
+        synth_t = np.vstack([-n_half * w * sin, -n_half * w * cos])
+        # The advection product of two band fields has modes |n| <= 2 nd, so
+        # its projection onto |n| <= nd is exact on any n_b > 3 nd equispaced
+        # angles: every s-th angle, s the largest divisor of n_theta that
+        # leaves more than 3 nd of them.
+        s = max(d for d in range(1, grid.n_theta + 1)
+                if grid.n_theta % d == 0 and grid.n_theta // d > 3 * nd)
         self.band_kit = {
             "nd": nd,
             "kd": kd,
@@ -161,13 +169,19 @@ class DiskBasis:
             "radial": np.concatenate([self.r_diff[: nd + 1, :, :kd],
                                       self.r_over[: nd + 1, :, :kd]], axis=1),
             "mult": self.green_mult[: nd + 1, :kd],
-            "synth_r": np.vstack([w * cos, -w * sin]),
-            "synth_t": np.vstack([-n_half * w * sin, -n_half * w * cos]),
+            # (2 nd + 2, n_theta): synthesis on the collocation grid
+            "synth_r": synth_r,
+            "synth_t": synth_t,
             # (nd+1, kd, n_r): analysis of the truncated tables r_eval[n][:, :kd]
             # (their Gram differs from analysis[n]'s, so not a slice of it)
             "proj": np.stack([_projector(T[:, :kd], rw) for T in self.r_eval[: nd + 1]]),
             # (n_theta, 2 nd + 2): columns cos(n theta), -sin(n theta), over n_theta
             "analyze": np.vstack([cos, -sin]).T / grid.n_theta,
+            # the same tables on the subgrid of every s-th angle
+            "stride": s,
+            "sub_synth_r": np.ascontiguousarray(synth_r[:, ::s]),
+            "sub_synth_t": np.ascontiguousarray(synth_t[:, ::s]),
+            "sub_analyze": np.vstack([cos[:, ::s], -sin[:, ::s]]).T / (grid.n_theta // s),
         }
         # n=0 projection coefficients of the constant and of (1 - r^2)
         self.chan_proj = (self.mean0 / self.norm2[0],
@@ -199,7 +213,7 @@ class SpectralField:
         expected = (self.basis.n_modes + 1, self.basis.k_radial)
         if c.shape != expected:
             raise ValueError(f"coefficient shape {c.shape}, expected {expected}")
-        if np.any(c[0].imag):
+        if c[0].imag.any():
             c = c.copy()
             c[0] = c[0].real
         object.__setattr__(self, "coeffs", c)

@@ -12,6 +12,15 @@ r^|n| there.  Products are formed pointwise and projected back with a 2/3
 dealias rule in both the azimuthal and radial indices; the evolving state is
 kept inside that band so the quadratic term is a clean Galerkin truncation.
 
+For a state in the band (|n| <= nd) the product is formed on a subgrid: every
+s-th angle, s the largest divisor of n_theta that leaves n_b > 3 nd angles
+(32 of 128 at the default resolution).  Each factor has modes |n| <= nd, so
+the product has |n| <= 2 nd, and the DFT on n_b points folds a mode q onto
+m = q - j n_b, j != 0.  A kept mode |m| <= nd would need |q - m| <= 3 nd to be
+a nonzero multiple of n_b > 3 nd, so no alias reaches the band, and its
+projection is exact, as on the full grid.  The CFL velocity max|u| is still
+taken on the full grid, which the subgrid would under-sample.
+
 Two exactly handled channels extend the zero-trace basis:
 
 * a radial background a J_0(l r) (the non-eigenfunction component of the
@@ -25,6 +34,7 @@ Two exactly handled channels extend the zero-trace basis:
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -58,8 +68,9 @@ class RadialBackground:
     """Closed-form radial vorticity component amplitude * J_0(root * r).
 
     Its run constants are built at construction, on ``basis.grid``: J_0(root),
-    the profiles J_0(root r) and J_1(root r), and the n = 0 coefficients of
-    its stream function a (J_0(root r) - J_0(root)) / root^2 that _mean_fix
+    the profiles J_0(root r) and J_1(root r), the radial derivatives of the
+    vorticity and of the stream function, and the n = 0 coefficients of its
+    stream function a (J_0(root r) - J_0(root)) / root^2 that _mean_fix
     needs.
     """
 
@@ -69,6 +80,8 @@ class RadialBackground:
     j0_root: float = field(init=False, repr=False, compare=False)
     j0_profile: np.ndarray = field(init=False, repr=False, compare=False)
     j1_profile: np.ndarray = field(init=False, repr=False, compare=False)
+    d_r_profile: np.ndarray = field(init=False, repr=False, compare=False)
+    stream_d_r_profile: np.ndarray = field(init=False, repr=False, compare=False)
     stream_row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -78,7 +91,10 @@ class RadialBackground:
         const_proj = self.basis.chan_proj[0]
         object.__setattr__(self, "j0_root", j0_root)
         object.__setattr__(self, "j0_profile", bessel_j(0, self.root * r))
-        object.__setattr__(self, "j1_profile", bessel_j(1, self.root * r))
+        j1_profile = bessel_j(1, self.root * r)
+        object.__setattr__(self, "j1_profile", j1_profile)
+        object.__setattr__(self, "d_r_profile", -self.amplitude * self.root * j1_profile)
+        object.__setattr__(self, "stream_d_r_profile", -self.amplitude * j1_profile / self.root)
         object.__setattr__(self, "stream_row", self.amplitude
                            * (proj - j0_root * const_proj) / self.root**2)
 
@@ -94,39 +110,50 @@ class RadialBackground:
 
     def d_r(self):
         """Radial derivative of the vorticity profile."""
-        return -self.amplitude * self.root * self.j1_profile
+        return self.d_r_profile
 
     def stream_d_r(self):
-        return -self.amplitude * self.j1_profile / self.root
+        return self.stream_d_r_profile
+
+
+def _outside_band(coeffs, basis: DiskBasis):
+    """The two blocks of ``coeffs`` outside the dealias band, as views."""
+    nd, kd = basis.dealias_band()
+    return coeffs[nd + 1:], coeffs[: nd + 1, kd:]
 
 
 def _in_band(f: SpectralField):
-    return not np.any(f.coeffs[~f.basis.dealias_mask()])
+    # count_nonzero of a complex block costs half of its any()
+    return not any(np.count_nonzero(block) for block in _outside_band(f.coeffs, f.basis))
+
+
+def _band_grids(c, kit, synth_r, synth_t, background=None):
+    """(d_r omega, (1/r) d_theta omega, d_r psi, (1/r) d_theta psi) of the band
+    coefficients c on the angles of the synthesis tables.  ``background``
+    adds its radial profiles to the n = 0 column (row 0 of synth_r is ones)."""
+    cv = c.view(float).reshape(c.shape + (2,))                     # [Re c, Im c]
+    x = np.concatenate([cv, cv * kit["mult"][..., None]], axis=2)  # omega, psi
+    m = np.matmul(kit["radial"], x)         # (nd+1, 2 n_r, 4): d_r above 1/r rows
+    nd1, nr = m.shape[0], m.shape[1] // 2
+    if background is not None:
+        m[0, :nr, 0] += background.d_r()
+        m[0, :nr, 2] += background.stream_d_r()
+    # one copy into ([d_r, 1/r], [omega, psi], n_r, [Re, Im] x n) order, then
+    # per grid one real (n_r, 2 nd + 2) @ (2 nd + 2, n_angles) synthesis.  No
+    # temporary is larger than one real grid (80 KB at 80 x 128, under glibc's
+    # 128 KB mmap threshold): larger per-call temporaries can get fresh pages
+    # on every call, and their page faults cost more than the products.
+    t = m.reshape(nd1, 2, nr, 2, 2).transpose(1, 3, 2, 4, 0).reshape(2, 2, nr, 2 * nd1)
+    return [t[0, 0] @ synth_r, t[1, 0] @ synth_t, t[0, 1] @ synth_r, t[1, 1] @ synth_t]
 
 
 def _half_spectral_grids(f: SpectralField):
     """(d_r omega, (1/r) d_theta omega, d_r psi, (1/r) d_theta psi) on the grid."""
     b = f.basis
-    grid = b.grid
     if _in_band(f):
         kit = b.band_kit
-        nd, kd = kit["nd"], kit["kd"]
-        c = f.coeffs[: nd + 1, :kd]
-        cpsi = c * kit["mult"]
-        x = np.stack([c.real, c.imag, cpsi.real, cpsi.imag], axis=2)  # (nd+1, kd, 4)
-        # one real radial matmul for the modes n = 0..nd, then per grid one
-        # real (n_r, 2 nd + 2) @ (2 nd + 2, n_theta) synthesis.  No temporary
-        # is larger than one real grid (80 KB at 80 x 128, under glibc's
-        # 128 KB mmap threshold): larger per-call temporaries can get fresh
-        # pages on every call, and their page faults cost more than the
-        # products.
-        m = np.matmul(kit["radial"], x).transpose(1, 2, 0)            # (2 n_r, 4, nd+1)
-        nr = grid.n_r
-        sr, st = kit["synth_r"], kit["synth_t"]
-        return [m[:nr, 0:2].reshape(nr, -1) @ sr,      # d_r omega
-                m[nr:, 0:2].reshape(nr, -1) @ st,      # (1/r) d_theta omega
-                m[:nr, 2:4].reshape(nr, -1) @ sr,      # d_r psi
-                m[nr:, 2:4].reshape(nr, -1) @ st]      # (1/r) d_theta psi
+        return _band_grids(f.coeffs[: kit["nd"] + 1, : kit["kd"]], kit,
+                           kit["synth_r"], kit["synth_t"])
     # out-of-band: every mode n = 0..N, each grid by the basis DFT table
     c = f.coeffs
     cpsi = c * b.green_mult
@@ -136,16 +163,21 @@ def _half_spectral_grids(f: SpectralField):
                          (b.r_diff, cpsi), (b.r_over, i_n * cpsi))]
 
 
-def _project_band(rhs_values, basis: DiskBasis):
-    """Measure-orthogonal projection of grid values onto the dealias band."""
-    kit = basis.band_kit
-    nd, kd = kit["nd"], kit["kd"]
+def _project_band(rhs_values, kit, analyze):
+    """Measure-orthogonal projection onto the dealias band of grid values at
+    the angles of the table ``analyze``, as the real (nd+1, kd, 2) array
+    [Re c, Im c]."""
     # azimuthal analysis of modes 0..nd as one real (n_r, 2 nd + 2) product,
     # [Re F_n, Im F_n] per mode, then the real radial projection of both parts
-    F = (rhs_values @ kit["analyze"]).reshape(-1, 2, nd + 1).transpose(2, 0, 1)
-    cn = np.matmul(kit["proj"], F)                          # (nd+1, kd, 2)
+    F = (rhs_values @ analyze).reshape(-1, 2, kit["nd"] + 1).transpose(2, 0, 1)
+    return np.matmul(kit["proj"], F)
+
+
+def _embed(band, basis: DiskBasis):
+    """(N+1, K) complex coefficients holding the real band array [Re c, Im c]."""
+    nd1, kd, _ = band.shape
     coeffs = np.zeros((basis.n_modes + 1, basis.k_radial), complex)
-    coeffs[: nd + 1, :kd] = cn[..., 0] + 1j * cn[..., 1]
+    coeffs.view(float).reshape(coeffs.shape + (2,))[:nd1, :kd] = band
     return coeffs
 
 
@@ -163,7 +195,7 @@ def velocity_magnitude(w: SpectralField, background=None, rotation=0.0):
 _MEAN_FIX_MODES = 6
 
 
-def _mean_fix(coeffs, w: SpectralField, background, uniform):
+def _mean_fix(row0, w: SpectralField, background, uniform):
     """Remove the dealias projection's spurious disk mean from the tendency.
 
     The continuum advection term has exactly zero mean; the dealias cut
@@ -175,23 +207,26 @@ def _mean_fix(coeffs, w: SpectralField, background, uniform):
     vorticity as well is impossible at a steady state, where omega, psi and
     the constant are affinely dependent; the enstrophy impact is O(defect)
     and stays far below the L2 drift budget.)
+
+    ``row0`` holds the real n = 0 coefficients k = 1, 2, ... of the tendency
+    and is corrected in place.
     """
     b = w.basis
     m = _MEAN_FIX_MODES
-    defect = float((coeffs[0].real * b.mean0).sum())
-    psi = w.coeffs[0].real * b.green_mult[0]
+    defect = float(row0 @ b.mean0[: row0.size])
+    psi = w.coeffs[0, :m].real * b.green_mult[0, :m]
     if background is not None:
-        psi = psi + background.stream_row
+        psi = psi + background.stream_row[:m]
     if uniform:
-        psi = psi + 0.25 * uniform * b.chan_proj[1]
-    rows = np.vstack([b.mean0[:m], psi[:m] * b.norm2[0, :m]])
-    G = rows @ rows.T
-    reg = 1e-14 * max(G[0, 0], G[1, 1], 1e-30)
-    # G alpha = (defect, 0) for the regularized 2 x 2 G, by Cramer's rule
-    g00, g11 = G[0, 0] + reg, G[1, 1] + reg
-    scale = defect / (g00 * g11 - G[0, 1] * G[1, 0])
-    coeffs[0, :m] = coeffs[0, :m] - scale * (g11 * rows[0] - G[1, 0] * rows[1])
-    return coeffs
+        psi = psi + 0.25 * uniform * b.chan_proj[1][:m]
+    # the correction spans mean0 and psi weighted by norm2; its 2 x 2 Gram
+    # system G alpha = (defect, 0), regularized, solved by Cramer's rule
+    mean0, q = b.mean0[:m], psi * b.norm2[0, :m]
+    g00, g01, g11 = mean0 @ mean0, mean0 @ q, q @ q
+    reg = 1e-14 * max(g00, g11, 1e-30)
+    g00, g11 = g00 + reg, g11 + reg
+    scale = defect / (g00 * g11 - g01 * g01)
+    row0[:m] -= scale * (g11 * mean0 - g01 * q)
 
 
 def tendency(w: SpectralField, background: RadialBackground | None = None,
@@ -203,13 +238,23 @@ def tendency(w: SpectralField, background: RadialBackground | None = None,
     a uniform vorticity offset 2*rotation.
     """
     b = w.basis
-    dr_om, dth_om, dr_psi, dth_psi = _half_spectral_grids(w)
-    if background is not None:
-        dr_om = dr_om + background.d_r()[:, None]
-        dr_psi = dr_psi + background.stream_d_r()[:, None]
-    rhs = dr_psi * dth_om - dth_psi * dr_om
-    coeffs = _project_band(rhs, b)
-    coeffs = _mean_fix(coeffs, w, background, 2.0 * rotation)
+    kit = b.band_kit
+    if _in_band(w):
+        # the product of the band slice on the subgrid
+        grids = _band_grids(w.coeffs[: kit["nd"] + 1, : kit["kd"]], kit,
+                            kit["sub_synth_r"], kit["sub_synth_t"], background)
+        analyze = kit["sub_analyze"]
+    else:
+        # out-of-band fallback on the collocation grid
+        grids = _half_spectral_grids(w)
+        if background is not None:
+            grids[0] = grids[0] + background.d_r()[:, None]
+            grids[2] = grids[2] + background.stream_d_r()[:, None]
+        analyze = kit["analyze"]
+    dr_om, dth_om, dr_psi, dth_psi = grids
+    band = _project_band(dr_psi * dth_om - dth_psi * dr_om, kit, analyze)
+    _mean_fix(band[0, :, 0], w, background, 2.0 * rotation)
+    coeffs = _embed(band, b)
     if rotation:
         coeffs = coeffs - rotation * (1j * np.arange(b.n_modes + 1)[:, None]) * w.coeffs
     return SpectralField(b, coeffs)
@@ -229,15 +274,19 @@ class RunConfig:
     reference_grid: GridField | None = None
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        # each check is written so that NaN fails it: a NaN t_end or dt would
+        # end the run after its first row, as if it had passed
+        if not (self.t_end > 0 and math.isfinite(self.t_end)):
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
         if self.dt_policy not in ("fixed", "cfl"):
             raise ValueError(f"unknown dt policy {self.dt_policy!r}")
-        if self.dt_policy == "fixed" and self.dt <= 0:
-            raise ValueError("fixed dt policy requires dt > 0")
+        if self.dt_policy == "fixed" and not self.dt > 0:
+            raise ValueError(f"fixed dt policy requires dt > 0, got {self.dt}")
         # a zero limit would step by dt = 0 forever, a negative one backwards
         if not self.cfl_safety > 0:
             raise ValueError(f"cfl_safety must be positive, got {self.cfl_safety}")
+        if not (isinstance(self.cadence, numbers.Integral) and self.cadence >= 1):
+            raise ValueError(f"cadence must be an integer >= 1, got {self.cadence!r}")
 
 
 @dataclass
@@ -381,17 +430,17 @@ def steady_state(ve: VElement, basis: DiskBasis) -> SolverState:
 
 
 def band_limit(f: SpectralField) -> SpectralField:
-    b = f.basis
     c = f.coeffs.copy()
-    c[~b.dealias_mask()] = 0.0
-    return SpectralField(b, c)
+    for block in _outside_band(c, f.basis):
+        block[...] = 0.0
+    return SpectralField(f.basis, c)
 
 
 def require_band_limited(f: SpectralField, tol=1e-12):
-    b = f.basis
-    outside = f.coeffs[~b.dealias_mask()]
+    outside = max(float(np.abs(block).max(initial=0.0))
+                  for block in _outside_band(f.coeffs, f.basis))
     scale = max(float(np.abs(f.coeffs).max()), 1e-300)
-    if float(np.abs(outside).max(initial=0.0)) > tol * scale:
+    if outside > tol * scale:
         raise ResolutionError("perturbation has content outside the dealias band")
 
 

@@ -60,6 +60,19 @@ def test_cfl_safety_must_be_positive(tmp_path):
         assert cli.main(["eigs", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_non_finite_horizons_rejected(tmp_path):
+    # a NaN or infinite horizon or perturbation size used to pass validation:
+    # evolve with turnovers = nan printed "evolve: pass" after one row at t = 0
+    for key in ("turnovers", "t_end", "delta_rel"):
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                cli.parse_config(f"{key} = {value}\n", kind="evolve")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("turnovers = nan\n")
+    assert cli.main(["evolve", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_comments_and_blanks_ok():
     cfg = cli.parse_config("# header\n\nkind = eigs  # trailing\np = 2.5\n")
     assert cfg.p == 2.5

@@ -330,6 +330,25 @@ def test_band_tables_are_rows_of_the_dft_tables(basis):
                                                      -n * synth[cos_rows]]))
     assert np.array_equal(kit["analyze"], np.hstack([analyze[:, cos_rows],
                                                      analyze[:, sin_rows]]))
+    # the subgrid tables: every s-th column, and analysis rows scaled by s
+    # (powers of two at n_theta = 128, so exact)
+    s = kit["stride"]
+    assert np.array_equal(kit["sub_synth_r"], kit["synth_r"][:, ::s])
+    assert np.array_equal(kit["sub_synth_t"], kit["synth_t"][:, ::s])
+    assert np.array_equal(kit["sub_analyze"], kit["analyze"][::s] * s)
+
+
+def test_band_subgrid_stride_rule(basis):
+    # the largest divisor s of n_theta leaving more than 3 nd angles
+    cases = ((basis, 4, 32),                                  # nd = 10
+             (ds.DiskBasis(6, 10, ds.DiskGrid(24, 32)), 2, 16),   # nd = 4
+             (ds.DiskBasis(16, 4, ds.DiskGrid(8, 34)), 1, 34))    # 34 / 2 = 17 <= 30
+    for b, stride, n_angles in cases:
+        kit = b.band_kit
+        assert kit["stride"] == stride
+        assert kit["sub_synth_r"].shape == (2 * kit["nd"] + 2, n_angles)
+        assert kit["sub_synth_t"].shape == (2 * kit["nd"] + 2, n_angles)
+        assert kit["sub_analyze"].shape == (n_angles, 2 * kit["nd"] + 2)
 
 
 # The stable-sort profile and transplantation that the tie-run sort replaced,

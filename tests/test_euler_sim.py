@@ -169,6 +169,22 @@ def test_run_config_rejects_nonpositive_cfl_safety():
     assert es.RunConfig(t_end=1.0, cfl_safety=0.4).cfl_safety == 0.4
 
 
+def test_run_config_rejects_silent_no_op_runs():
+    # NaN t_end or dt would end the run after its first row, and cadence 0
+    # divided by zero in run()
+    for t_end in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_end"):
+            es.RunConfig(t_end=t_end)
+    for dt in (0.0, -0.01, math.nan):
+        with pytest.raises(ValueError, match="dt > 0"):
+            es.RunConfig(t_end=1.0, dt=dt, dt_policy="fixed")
+    for cadence in (0, -3, 2.5, math.nan, "10"):
+        with pytest.raises(ValueError, match="cadence"):
+            es.RunConfig(t_end=1.0, cadence=cadence)
+    assert es.RunConfig(t_end=1.0, dt=0.01, dt_policy="fixed", cadence=1).cadence == 1
+    assert es.RunConfig(t_end=1.0, cadence=np.int64(3)).cadence == 3
+
+
 def test_band_limit_enforcement(basis):
     c = np.zeros((basis.n_modes + 1, basis.k_radial), complex)
     c[basis.n_modes, -1] = 1.0   # outside the dealias band
@@ -208,6 +224,119 @@ def test_in_band_tendency_matches_fallback(basis, monkeypatch):
         assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
     for a, b in zip(fast_grids, es._half_spectral_grids(w)):
         assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+    # the in-band grids of the tendency are the fallback's every s-th column
+    kit = basis.band_kit
+    c = w.coeffs[: kit["nd"] + 1, : kit["kd"]]
+    sub = es._band_grids(c, kit, kit["sub_synth_r"], kit["sub_synth_t"])
+    for a, b in zip(sub, es._half_spectral_grids(w)):
+        assert np.abs(a - b[:, :: kit["stride"]]).max() <= 1e-14 * np.abs(b).max()
+
+
+def _full_grid_tendency(w, background, rotation):
+    """The in-band tendency as it ran on every collocation angle before the
+    subgrid, and the largest coefficient of either projected product term."""
+    b = w.basis
+    kit, nr = b.band_kit, b.grid.n_r
+    nd, kd = kit["nd"], kit["kd"]
+    c = w.coeffs[: nd + 1, :kd]
+    cpsi = c * kit["mult"]
+    x = np.stack([c.real, c.imag, cpsi.real, cpsi.imag], axis=2)
+    m = np.matmul(kit["radial"], x).transpose(1, 2, 0)
+    sr, st = kit["synth_r"], kit["synth_t"]
+    dr_om, dth_om = m[:nr, 0:2].reshape(nr, -1) @ sr, m[nr:, 0:2].reshape(nr, -1) @ st
+    dr_psi, dth_psi = m[:nr, 2:4].reshape(nr, -1) @ sr, m[nr:, 2:4].reshape(nr, -1) @ st
+    if background is not None:
+        dr_om = dr_om + background.d_r()[:, None]
+        dr_psi = dr_psi + background.stream_d_r()[:, None]
+
+    def project(values):
+        F = (values @ kit["analyze"]).reshape(-1, 2, nd + 1).transpose(2, 0, 1)
+        cn = np.matmul(kit["proj"], F)
+        coeffs = np.zeros((b.n_modes + 1, b.k_radial), complex)
+        coeffs[: nd + 1, :kd] = cn[..., 0] + 1j * cn[..., 1]
+        return coeffs
+
+    terms = project(dr_psi * dth_om), project(dth_psi * dr_om)
+    coeffs = project(dr_psi * dth_om - dth_psi * dr_om)
+    # the mean fix as a 2 x 2 solve
+    M = es._MEAN_FIX_MODES
+    defect = float((coeffs[0].real * b.mean0).sum())
+    psi = w.coeffs[0].real * b.green_mult[0]
+    if background is not None:
+        psi = psi + background.stream_row
+    psi = psi + 0.5 * rotation * b.chan_proj[1]
+    rows = np.vstack([b.mean0[:M], psi[:M] * b.norm2[0, :M]])
+    G = rows @ rows.T
+    G[np.diag_indices(2)] += 1e-14 * max(G[0, 0], G[1, 1], 1e-30)
+    coeffs[0, :M] -= rows.T @ np.linalg.solve(G, np.array([defect, 0.0]))
+    coeffs = coeffs - rotation * (1j * np.arange(b.n_modes + 1)[:, None]) * w.coeffs
+    return coeffs, max(np.abs(t).max() for t in terms)
+
+
+def _band_states(basis):
+    """Band-limited states with a background: the default one of these tests
+    and a (2,1) family element."""
+    for ve, seed in ((sf.VElement(0.5, 1.0, 0.3), 11),
+                     (sf.VElement(0.4, 0.6, 0.3, family=(2, 1)), 12)):
+        state = es.steady_state(ve, basis)
+        pert = es.make_perturbation("smooth-random", ve, 0.05, 2.0, basis,
+                                    np.random.default_rng(seed))
+        yield ds.SpectralField(basis, state.w.coeffs + pert.coeffs), state.background
+
+
+def test_subgrid_tendency_matches_full_grid_oracle(basis):
+    coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    for b in (basis, coarse):
+        for w, bg in _band_states(b):
+            assert es._in_band(w)
+            for background in (None, bg):
+                for rot in (0.0, 0.3):
+                    expect, term = _full_grid_tendency(w, background, rot)
+                    got = es.tendency(w, background, rot).coeffs
+                    assert np.abs(got - expect).max() <= 1e-14 * term
+
+
+def test_band_subgrids_are_collocation_columns(basis, monkeypatch):
+    # the in-band grids on every s-th angle against the fallback's grids on
+    # the whole collocation grid, background added to both
+    coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    for b in (basis, coarse):
+        kit = b.band_kit
+        s = kit["stride"]
+        for w, bg in _band_states(b):
+            c = w.coeffs[: kit["nd"] + 1, : kit["kd"]]
+            sub = {bgr: es._band_grids(c, kit, kit["sub_synth_r"], kit["sub_synth_t"], bgr)
+                   for bgr in (None, bg)}
+            with monkeypatch.context() as mp:
+                mp.setattr(es, "_in_band", lambda f: False)
+                full = es._half_spectral_grids(w)
+            with_bg = [full[0] + bg.d_r()[:, None], full[1],
+                       full[2] + bg.stream_d_r()[:, None], full[3]]
+            for got, expect in zip(sub[None] + sub[bg], full + with_bg):
+                assert got.shape == (b.grid.n_r, b.grid.n_theta // s)
+                assert np.abs(got - expect[:, ::s]).max() <= 1e-14 * np.abs(expect).max()
+
+
+def test_run_calls_tendency_four_times_per_step(basis, monkeypatch):
+    # counted on the module globals that run() and step_rk4 look up, as the
+    # benchmark's tracer counts them
+    counts = {"tendency": 0, "step_rk4": 0}
+
+    def counting(name):
+        fn = getattr(es, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(es, name, counting(name))
+    ve = sf.VElement(0.5, 1.0, 0.3)
+    state = es.steady_state(ve, basis)
+    es.run(state, es.RunConfig(t_end=1.0, cadence=3, reference=ve))
+    assert counts["step_rk4"] > 3
+    assert counts["tendency"] == 4 * counts["step_rk4"]
 
 
 def test_dealias_mask_is_the_band(basis):
@@ -233,6 +362,16 @@ def test_background_constants_are_hoisted(basis, monkeypatch):
     monkeypatch.setattr(sf, "bessel_j", lambda *a: calls.append(a))
     es.tendency(state.w, state.background, 0.2)
     assert calls == []
+
+
+def test_background_derivatives_built_at_construction(basis):
+    r = basis.grid.r
+    for amplitude, root in ((0.5, sf.j_11()), (-1.3, 3.7)):
+        bg = es.RadialBackground(amplitude, root, basis)
+        assert bg.d_r() is bg.d_r_profile and bg.stream_d_r() is bg.stream_d_r_profile
+        # bit-identical to the expressions evaluated per call before
+        assert np.array_equal(bg.d_r(), -amplitude * root * bessel_j(1, root * r))
+        assert np.array_equal(bg.stream_d_r(), -amplitude * bessel_j(1, root * r) / root)
 
 
 def test_runs_leave_the_basis_unchanged():
@@ -277,6 +416,10 @@ def _oracle_band_kit(basis):
         T = basis.r_eval[n][:, :kd]
         G = T.T @ (rw[:, None] * T)
         proj[n] = np.linalg.solve(G, (rw[:, None] * T).T)
+    # the subgrid tables, built on the angles of every s-th column
+    n_theta = basis.grid.n_theta
+    s = max(d for d in range(1, n_theta + 1) if n_theta % d == 0 and n_theta // d > 3 * nd)
+    sub_cos, sub_sin = np.cos(n_half * theta[::s]), np.sin(n_half * theta[::s])
     return {
         "nd": nd,
         "kd": kd,
@@ -287,6 +430,10 @@ def _oracle_band_kit(basis):
         "synth_t": np.vstack([-n_half * w * sin, -n_half * w * cos]),
         "proj": proj,
         "analyze": np.vstack([cos, -sin]).T / basis.grid.n_theta,
+        "stride": s,
+        "sub_synth_r": np.vstack([w * sub_cos, -w * sub_sin]),
+        "sub_synth_t": np.vstack([-n_half * w * sub_sin, -n_half * w * sub_cos]),
+        "sub_analyze": np.vstack([sub_cos, -sub_sin]).T / (n_theta // s),
     }
 
 
@@ -322,9 +469,11 @@ def test_mean_fix_matches_linear_solve(basis):
     w = ds.SpectralField(basis, state.w.coeffs + pert.coeffs)
     m = es._MEAN_FIX_MODES
     for bg, uniform in ((None, 0.0), (state.background, 0.0), (state.background, 0.6)):
-        raw = es._project_band(np.random.default_rng(4).standard_normal(
-            (basis.grid.n_r, basis.grid.n_theta)), basis)
-        got = es._mean_fix(raw.copy(), w, bg, uniform)
+        kit = basis.band_kit
+        raw = es._embed(es._project_band(np.random.default_rng(4).standard_normal(
+            (basis.grid.n_r, basis.grid.n_theta)), kit, kit["analyze"]), basis)
+        got = raw.copy()
+        es._mean_fix(got[0].real, w, bg, uniform)
         # the rows the correction spans: mean0 and the stream function
         # weighted by norm2, as _mean_fix builds them
         psi = w.coeffs[0].real * basis.green_mult[0]
