@@ -8,7 +8,8 @@ the config hash, and, where fields are produced, ``fields/*.json`` in the
 documented serialization schema.  The same config and seed reproduce the
 same CSV bytes.
 
-Exit status: 0 all asserted tolerances pass, 2 configuration error,
+Exit status: 0 all asserted tolerances pass, 2 configuration error (also a
+ResolutionError: a family or field outside the basis or its dealias band),
 3 tolerance failure, 1 unexpected error.
 """
 
@@ -35,7 +36,7 @@ from .disk_spectral import (
     save_field,
     to_grid,
 )
-from .errors import ConfigError, NonFiniteFieldError
+from .errors import ConfigError, NonFiniteFieldError, ResolutionError
 from .euler_sim import (
     RunConfig,
     make_perturbation,
@@ -89,8 +90,6 @@ class ExperimentConfig:
     n_uniform: int = 50
     turnovers: float = 20.0
     t_end: float = 0.0
-    dt: float = 0.0
-    dt_policy: str = "cfl"
     cfl_safety: float = 0.4
     cadence: int = 10
     seeds: int = 10
@@ -130,8 +129,6 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"p must lie in (1, inf), got {cfg.p}")
     if cfg.perturbation not in ("random-shuffle", "mode-injection", "smooth-random", "none"):
         raise ConfigError(f"unknown perturbation kind {cfg.perturbation!r}")
-    if cfg.dt_policy not in ("cfl", "fixed"):
-        raise ConfigError(f"unknown dt policy {cfg.dt_policy!r}")
     # NaN passes every comparison below unnoticed, and a NaN or infinite
     # horizon would end a run after its first row as if it had passed
     for name in ("turnovers", "t_end", "delta_rel"):
@@ -487,6 +484,10 @@ def main(argv=None) -> int:
         return 2
     try:
         status = run_experiment(cfg, args.out)
+    except ResolutionError as exc:
+        # a resolution that cannot hold the configured element or field
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except NonFiniteFieldError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -122,7 +122,6 @@ class DiskBasis:
             if n == 0:
                 # Mean of the n=0 radial modes: integral of J_0(j_{0,k} r) over the disk.
                 self.mean0 = 2.0 * np.pi * jp[-K:] / z
-        self.r_over = self.r_eval / r[:, None]
 
         # Per-mode analysis operators (N+1, K, n_r): measure-weighted least
         # squares onto the columns of r_eval[n].
@@ -167,7 +166,7 @@ class DiskBasis:
             "kd": kd,
             # (nd+1, 2 n_r, kd): d_r rows above (1/r) rows, per mode
             "radial": np.concatenate([self.r_diff[: nd + 1, :, :kd],
-                                      self.r_over[: nd + 1, :, :kd]], axis=1),
+                                      self.r_eval[: nd + 1, :, :kd] / r[:, None]], axis=1),
             "mult": self.green_mult[: nd + 1, :kd],
             # (2 nd + 2, n_theta): synthesis on the collocation grid
             "synth_r": synth_r,
@@ -175,9 +174,8 @@ class DiskBasis:
             # (nd+1, kd, n_r): analysis of the truncated tables r_eval[n][:, :kd]
             # (their Gram differs from analysis[n]'s, so not a slice of it)
             "proj": np.stack([_projector(T[:, :kd], rw) for T in self.r_eval[: nd + 1]]),
-            # (n_theta, 2 nd + 2): columns cos(n theta), -sin(n theta), over n_theta
-            "analyze": np.vstack([cos, -sin]).T / grid.n_theta,
-            # the same tables on the subgrid of every s-th angle
+            # the same tables on the subgrid of every s-th angle, and its
+            # analysis: columns cos(n theta), -sin(n theta), over n_b
             "stride": s,
             "sub_synth_r": np.ascontiguousarray(synth_r[:, ::s]),
             "sub_synth_t": np.ascontiguousarray(synth_t[:, ::s]),

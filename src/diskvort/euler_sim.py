@@ -21,6 +21,14 @@ a nonzero multiple of n_b > 3 nd, so no alias reaches the band, and its
 projection is exact, as on the full grid.  The CFL velocity max|u| is still
 taken on the full grid, which the subgrid would under-sample.
 
+The band is the solver's only domain.  ``tendency`` and
+``velocity_magnitude`` raise ResolutionError on a field with any nonzero
+coefficient outside it.  The experiments admit a perturbation through
+``require_band_limited`` (coefficients outside the band at most 1e-12 of the
+largest) and zero that residue with ``band_limit``, so every run starts
+exactly in the band and the Galerkin truncation keeps it there.  The time
+step is the CFL limit, refreshed every cadence steps.
+
 Two exactly handled channels extend the zero-trace basis:
 
 * a radial background a J_0(l r) (the non-eigenfunction component of the
@@ -44,8 +52,6 @@ from .disk_spectral import (
     DiskBasis,
     GridField,
     SpectralField,
-    _modes_to_grid,
-    _split,
     from_grid,
     lp_norm,
     mean_value,
@@ -127,6 +133,15 @@ def _in_band(f: SpectralField):
     return not any(np.count_nonzero(block) for block in _outside_band(f.coeffs, f.basis))
 
 
+def _band_coeffs(f: SpectralField):
+    """The (nd+1, kd) band slice of f's coefficients; ResolutionError if f
+    has any nonzero coefficient outside the band."""
+    if not _in_band(f):
+        raise ResolutionError("field has content outside the dealias band")
+    kit = f.basis.band_kit
+    return f.coeffs[: kit["nd"] + 1, : kit["kd"]]
+
+
 def _band_grids(c, kit, synth_r, synth_t, background=None):
     """(d_r omega, (1/r) d_theta omega, d_r psi, (1/r) d_theta psi) of the band
     coefficients c on the angles of the synthesis tables.  ``background``
@@ -145,22 +160,6 @@ def _band_grids(c, kit, synth_r, synth_t, background=None):
     # on every call, and their page faults cost more than the products.
     t = m.reshape(nd1, 2, nr, 2, 2).transpose(1, 3, 2, 4, 0).reshape(2, 2, nr, 2 * nd1)
     return [t[0, 0] @ synth_r, t[1, 0] @ synth_t, t[0, 1] @ synth_r, t[1, 1] @ synth_t]
-
-
-def _half_spectral_grids(f: SpectralField):
-    """(d_r omega, (1/r) d_theta omega, d_r psi, (1/r) d_theta psi) on the grid."""
-    b = f.basis
-    if _in_band(f):
-        kit = b.band_kit
-        return _band_grids(f.coeffs[: kit["nd"] + 1, : kit["kd"]], kit,
-                           kit["synth_r"], kit["synth_t"])
-    # out-of-band: every mode n = 0..N, each grid by the basis DFT table
-    c = f.coeffs
-    cpsi = c * b.green_mult
-    i_n = 1j * np.arange(b.n_modes + 1)[:, None]
-    return [_modes_to_grid(np.matmul(T, _split(x)), b)
-            for T, x in ((b.r_diff, c), (b.r_over, i_n * c),
-                         (b.r_diff, cpsi), (b.r_over, i_n * cpsi))]
 
 
 def _project_band(rhs_values, kit, analyze):
@@ -183,8 +182,8 @@ def _embed(band, basis: DiskBasis):
 
 def velocity_magnitude(w: SpectralField, background=None, rotation=0.0):
     """Max |u| on the grid; u_r = (1/r) d_theta psi, u_theta = -d_r psi."""
-    grid = w.basis.grid
-    _, _, dr_psi, dth_psi = _half_spectral_grids(w)
+    grid, kit = w.basis.grid, w.basis.band_kit
+    _, _, dr_psi, dth_psi = _band_grids(_band_coeffs(w), kit, kit["synth_r"], kit["synth_t"])
     if background is not None:
         dr_psi = dr_psi + background.stream_d_r()[:, None]
     if rotation:
@@ -233,26 +232,17 @@ def tendency(w: SpectralField, background: RadialBackground | None = None,
              rotation: float = 0.0) -> SpectralField:
     """Right-hand side of the vorticity equation, dealiased.
 
-    ``background`` adds the closed-form radial component to omega and psi;
-    ``rotation`` adds the exact rigid advection -rotation * d_theta omega of
-    a uniform vorticity offset 2*rotation.
+    ``w`` must lie in the dealias band (ResolutionError otherwise); the
+    product is formed on the band subgrid.  ``background`` adds the
+    closed-form radial component to omega and psi; ``rotation`` adds the
+    exact rigid advection -rotation * d_theta omega of a uniform vorticity
+    offset 2*rotation.
     """
     b = w.basis
     kit = b.band_kit
-    if _in_band(w):
-        # the product of the band slice on the subgrid
-        grids = _band_grids(w.coeffs[: kit["nd"] + 1, : kit["kd"]], kit,
-                            kit["sub_synth_r"], kit["sub_synth_t"], background)
-        analyze = kit["sub_analyze"]
-    else:
-        # out-of-band fallback on the collocation grid
-        grids = _half_spectral_grids(w)
-        if background is not None:
-            grids[0] = grids[0] + background.d_r()[:, None]
-            grids[2] = grids[2] + background.stream_d_r()[:, None]
-        analyze = kit["analyze"]
-    dr_om, dth_om, dr_psi, dth_psi = grids
-    band = _project_band(dr_psi * dth_om - dth_psi * dr_om, kit, analyze)
+    dr_om, dth_om, dr_psi, dth_psi = _band_grids(_band_coeffs(w), kit, kit["sub_synth_r"],
+                                                 kit["sub_synth_t"], background)
+    band = _project_band(dr_psi * dth_om - dth_psi * dr_om, kit, kit["sub_analyze"])
     _mean_fix(band[0, :, 0], w, background, 2.0 * rotation)
     coeffs = _embed(band, b)
     if rotation:
@@ -265,8 +255,6 @@ class RunConfig:
     """Time-stepping policy and diagnostics for one run."""
 
     t_end: float
-    dt: float = 0.0                # used by the fixed policy
-    dt_policy: str = "cfl"         # "fixed" | "cfl"
     cfl_safety: float = 0.4
     cadence: int = 10
     p: float = 2.0
@@ -274,14 +262,10 @@ class RunConfig:
     reference_grid: GridField | None = None
 
     def __post_init__(self):
-        # each check is written so that NaN fails it: a NaN t_end or dt would
-        # end the run after its first row, as if it had passed
+        # each check is written so that NaN fails it: a NaN t_end would end
+        # the run after its first row, as if it had passed
         if not (self.t_end > 0 and math.isfinite(self.t_end)):
             raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
-        if self.dt_policy not in ("fixed", "cfl"):
-            raise ValueError(f"unknown dt policy {self.dt_policy!r}")
-        if self.dt_policy == "fixed" and not self.dt > 0:
-            raise ValueError(f"fixed dt policy requires dt > 0, got {self.dt}")
         # a zero limit would step by dt = 0 forever, a negative one backwards
         if not self.cfl_safety > 0:
             raise ValueError(f"cfl_safety must be positive, got {self.cfl_safety}")
@@ -340,10 +324,12 @@ def cfl_dt(state: SolverState, safety: float) -> float:
     return safety * resolved_spacing(state.w.basis) / umax
 
 
-def step_rk4(state: SolverState, dt: float, check_cfl=True, cfl_safety=1.0) -> SolverState:
-    """Classical 4-stage update of the spectral part; exact channels are static."""
+def step_rk4(state: SolverState, dt: float, check_cfl=True) -> SolverState:
+    """Classical 4-stage update of the spectral part; exact channels are
+    static.  ``check_cfl`` raises CFLError for a dt above the advective limit
+    at safety 1."""
     if check_cfl:
-        limit = cfl_dt(state, cfl_safety)
+        limit = cfl_dt(state, 1.0)
         if dt > limit:
             raise CFLError(f"dt={dt:g} exceeds advective limit {limit:g}")
     b, bg, rot = state.w.basis, state.background, state.rotation
@@ -391,24 +377,19 @@ def _diagnose(state: SolverState, cfg: RunConfig) -> TraceRow:
 def run(state: SolverState, cfg: RunConfig):
     """Advance to cfg.t_end recording a TraceRow every cfg.cadence steps.
 
-    Under the cfl policy the advective limit is refreshed every cadence
-    steps; the safety factor absorbs the slow velocity drift in between.
+    The step is the advective limit at cfg.cfl_safety, refreshed every
+    cadence steps; the safety factor absorbs the slow velocity drift in
+    between.
     """
     state.diagnostics.append(_diagnose(state, cfg))
     steps = 0
-    dt_cfl = cfl_dt(state, cfg.cfl_safety) if cfg.dt_policy == "cfl" else None
+    dt_cfl = cfl_dt(state, cfg.cfl_safety)
     while state.t < cfg.t_end - 1e-12:
-        if cfg.dt_policy == "cfl":
-            dt = min(dt_cfl, cfg.t_end - state.t)
-            state = step_rk4(state, dt, check_cfl=False)
-        else:
-            dt = min(cfg.dt, cfg.t_end - state.t)
-            state = step_rk4(state, dt, check_cfl=True, cfl_safety=cfg.cfl_safety)
+        state = step_rk4(state, min(dt_cfl, cfg.t_end - state.t), check_cfl=False)
         steps += 1
         if steps % cfg.cadence == 0 or state.t >= cfg.t_end - 1e-12:
             state.diagnostics.append(_diagnose(state, cfg))
-            if cfg.dt_policy == "cfl":
-                dt_cfl = cfl_dt(state, cfg.cfl_safety)
+            dt_cfl = cfl_dt(state, cfg.cfl_safety)
     return state
 
 
@@ -484,14 +465,18 @@ def _profile_drift(initial: GridField, final: GridField) -> float:
     return gap / max(p0.value_range(), 1e-300)
 
 
-def run_stability_experiment(ve: VElement, perturbation: SpectralField, p: float,
-                             t_end=None, turnovers=20.0, basis=None,
-                             cfl_safety=0.4, cadence=10) -> ExperimentResult:
-    """Evolve ve + perturbation and track the orbital L^p distance."""
-    basis = basis or perturbation.basis
-    require_band_limited(perturbation)
+def _evolve_element(ve: VElement, perturbation: SpectralField | None, p, t_end,
+                    turnovers, basis, uniform, cfl_safety, cadence):
+    """The body of both experiments: evolve ve + uniform (+ perturbation)
+    to t_end, or to ``turnovers`` turnover times when t_end is None, tracking
+    the orbital L^p distance to ve.  The perturbation is admitted by
+    require_band_limited and enters as its band_limit.  Returns the result
+    and the initial grid values."""
     state = steady_state(ve, basis)
-    state.w = SpectralField(basis, state.w.coeffs + perturbation.coeffs)
+    state.uniform = uniform
+    if perturbation is not None:
+        require_band_limited(perturbation)
+        state.w = SpectralField(basis, state.w.coeffs + band_limit(perturbation).coeffs)
     initial = state.full_grid_values()
     if t_end is None:
         t_end = turnovers * turnover_time(state)
@@ -499,12 +484,19 @@ def run_stability_experiment(ve: VElement, perturbation: SpectralField, p: float
                     p=p, reference=ve)
     state = run(state, cfg)
     trace = state.diagnostics
-    e, l2, lp, mn = _drifts(trace)
-    final = state.full_grid_values()
-    return ExperimentResult(trace, max(r.orbital_distance for r in trace),
-                            e, l2, lp, mn,
-                            extra={"profile_drift": _profile_drift(initial, final)},
-                            final_field=final)
+    result = ExperimentResult(trace, max(r.orbital_distance for r in trace),
+                              *_drifts(trace), final_field=state.full_grid_values())
+    return result, initial
+
+
+def run_stability_experiment(ve: VElement, perturbation: SpectralField, p: float,
+                             t_end=None, turnovers=20.0, basis=None,
+                             cfl_safety=0.4, cadence=10) -> ExperimentResult:
+    """Evolve ve + perturbation and track the orbital L^p distance."""
+    res, initial = _evolve_element(ve, perturbation, p, t_end, turnovers,
+                                   basis or perturbation.basis, 0.0, cfl_safety, cadence)
+    res.extra["profile_drift"] = _profile_drift(initial, res.final_field)
+    return res
 
 
 def run_rotating_orbit_experiment(ve: VElement, omega_rot: float,
@@ -517,31 +509,17 @@ def run_rotating_orbit_experiment(ve: VElement, omega_rot: float,
         basis = perturbation.basis if perturbation is not None else None
     if basis is None:
         raise ValueError("need a basis when no perturbation is given")
-    state = steady_state(ve, basis)
-    state.uniform = 2.0 * omega_rot
-    if perturbation is not None:
-        require_band_limited(perturbation)
-        state.w = SpectralField(basis, state.w.coeffs + perturbation.coeffs)
-    if t_end is None:
-        if omega_rot == 0.0:
-            t_end = 20.0 * turnover_time(state)
-        else:
-            t_end = periods * 2.0 * math.pi / abs(omega_rot)
-    cfg = RunConfig(t_end=t_end, cfl_safety=cfl_safety, cadence=cadence,
-                    p=p, reference=ve)
-    state = run(state, cfg)
-    trace = state.diagnostics
-    e, l2, lp, mn = _drifts(trace)
-    extra = {}
+    if t_end is None and omega_rot != 0.0:
+        t_end = periods * 2.0 * math.pi / abs(omega_rot)
+    res, _ = _evolve_element(ve, perturbation, p, t_end, 20.0, basis,
+                             2.0 * omega_rot, cfl_safety, cadence)
     if ve.b > 0 and omega_rot != 0.0:
-        ts = np.array([r.t for r in trace])
+        ts = np.array([r.t for r in res.trace])
         n_fold, _ = ve.family
-        betas = np.unwrap(np.array([r.beta_star for r in trace]) * n_fold) / n_fold
+        betas = np.unwrap(np.array([r.beta_star for r in res.trace]) * n_fold) / n_fold
         slope = np.polyfit(ts, betas, 1)[0]
-        extra["recovered_omega"] = -slope
-    return ExperimentResult(trace, max(r.orbital_distance for r in trace),
-                            e, l2, lp, mn, extra,
-                            final_field=state.full_grid_values())
+        res.extra["recovered_omega"] = -slope
+    return res
 
 
 def mixed_nonsteady_field(basis: DiskBasis, scale=1.0) -> SpectralField:

@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import json
 from pathlib import Path
 
@@ -73,6 +75,35 @@ def test_non_finite_horizons_rejected(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_removed_dt_keys_rejected(tmp_path):
+    # the fixed-dt policy is gone: its keys are unknown, not silently ignored
+    for line in ("dt_policy = fixed", "dt = 0.001"):
+        with pytest.raises(ConfigError, match=r"line 2: unknown key"):
+            cli.parse_config(f"a = 0.4\n{line}\n", kind="evolve")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"a = 0.4\n{line}\n")
+        assert cli.main(["evolve", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+
+def test_every_config_field_is_read():
+    # every key steers a run: it is read by ExperimentConfig.element / basis,
+    # run_experiment or an _exp_* body, so a dead knob cannot come back
+    tree = ast.parse(Path(cli.__file__).read_text())
+    config_class = next(node for node in tree.body
+                        if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
+    readers = [node for node in config_class.body
+               if isinstance(node, ast.FunctionDef) and node.name in ("element", "basis")]
+    readers += [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and (node.name == "run_experiment" or node.name.startswith("_exp_"))]
+    assert len(readers) == 2 + 1 + len(cli._EXPERIMENTS)
+    read = {node.attr for reader in readers for node in ast.walk(reader)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in ("cfg", "self")}
+    fields = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+    assert fields - read == set()
+
+
 def test_comments_and_blanks_ok():
     cfg = cli.parse_config("# header\n\nkind = eigs  # trailing\np = 2.5\n")
     assert cfg.p == 2.5
@@ -134,6 +165,18 @@ def test_non_finite_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_experiment", blow_up)
     assert cli.main(["eigs", "--out", str(tmp_path / "o")]) == 3
     assert "numerical failure: energy nan" in capsys.readouterr().err
+
+
+def test_family_outside_band_exit_code(tmp_path, capsys):
+    # family (1, 25) lies outside the dealias band (k <= 21 at k_radial = 32):
+    # a configuration error, before any output is written
+    cfgfile = tmp_path / "k.cfg"
+    cfgfile.write_text("family_k = 25\nturnovers = 0.05\n")
+    for kind in ("evolve", "steady-check"):
+        out = tmp_path / kind
+        assert cli.main([kind, "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert "config error: " in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
 
 
 def test_evolve_smoke(tmp_path):

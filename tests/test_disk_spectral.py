@@ -328,14 +328,18 @@ def test_band_tables_are_rows_of_the_dft_tables(basis):
     # [-n w sin; -n w cos] from the rows w cos and -w sin (w n is exact)
     assert np.array_equal(kit["synth_t"], np.vstack([n * synth[sin_rows],
                                                      -n * synth[cos_rows]]))
-    assert np.array_equal(kit["analyze"], np.hstack([analyze[:, cos_rows],
-                                                     analyze[:, sin_rows]]))
     # the subgrid tables: every s-th column, and analysis rows scaled by s
     # (powers of two at n_theta = 128, so exact)
     s = kit["stride"]
     assert np.array_equal(kit["sub_synth_r"], kit["synth_r"][:, ::s])
     assert np.array_equal(kit["sub_synth_t"], kit["synth_t"][:, ::s])
-    assert np.array_equal(kit["sub_analyze"], kit["analyze"][::s] * s)
+    assert np.array_equal(kit["sub_analyze"],
+                          np.hstack([analyze[:, cos_rows], analyze[:, sin_rows]])[::s] * s)
+    # the band's 1/r rows divide the r_eval slice by r
+    nr, kd = basis.grid.n_r, kit["kd"]
+    assert np.array_equal(kit["radial"][:, nr:],
+                          basis.r_eval[: nd + 1, :, :kd] / basis.grid.r[:, None])
+    assert not hasattr(basis, "r_over")
 
 
 def test_band_subgrid_stride_rule(basis):

@@ -7,7 +7,7 @@ from diskvort import disk_spectral as ds
 from diskvort import euler_sim as es
 from diskvort import green_energy as ge
 from diskvort import steady_family as sf
-from diskvort.bessel import bessel_j
+from diskvort.bessel import bessel_j, bessel_j_prime
 from diskvort.errors import CFLError, NonFiniteFieldError, ResolutionError
 
 
@@ -162,35 +162,70 @@ def test_perturbation_builders(basis, rng):
 
 
 def test_run_config_rejects_nonpositive_cfl_safety():
-    for policy in ("cfl", "fixed"):
-        for value in (0.0, -0.4, math.nan):
-            with pytest.raises(ValueError, match="cfl_safety"):
-                es.RunConfig(t_end=1.0, dt=0.01, dt_policy=policy, cfl_safety=value)
+    for value in (0.0, -0.4, math.nan):
+        with pytest.raises(ValueError, match="cfl_safety"):
+            es.RunConfig(t_end=1.0, cfl_safety=value)
     assert es.RunConfig(t_end=1.0, cfl_safety=0.4).cfl_safety == 0.4
 
 
 def test_run_config_rejects_silent_no_op_runs():
-    # NaN t_end or dt would end the run after its first row, and cadence 0
+    # NaN t_end would end the run after its first row, and cadence 0
     # divided by zero in run()
     for t_end in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="t_end"):
             es.RunConfig(t_end=t_end)
-    for dt in (0.0, -0.01, math.nan):
-        with pytest.raises(ValueError, match="dt > 0"):
-            es.RunConfig(t_end=1.0, dt=dt, dt_policy="fixed")
     for cadence in (0, -3, 2.5, math.nan, "10"):
         with pytest.raises(ValueError, match="cadence"):
             es.RunConfig(t_end=1.0, cadence=cadence)
-    assert es.RunConfig(t_end=1.0, dt=0.01, dt_policy="fixed", cadence=1).cadence == 1
+    assert es.RunConfig(t_end=1.0, cadence=1).cadence == 1
     assert es.RunConfig(t_end=1.0, cadence=np.int64(3)).cadence == 3
 
 
-def test_band_limit_enforcement(basis):
+def _corner_mode(basis, value=1.0):
+    """A field whose one nonzero coefficient sits at (N, K), outside the band."""
     c = np.zeros((basis.n_modes + 1, basis.k_radial), complex)
-    c[basis.n_modes, -1] = 1.0   # outside the dealias band
-    f = ds.SpectralField(basis, c)
+    c[basis.n_modes, -1] = value
+    return ds.SpectralField(basis, c)
+
+
+def test_band_limit_enforcement(basis):
     with pytest.raises(ResolutionError):
-        es.require_band_limited(f)
+        es.require_band_limited(_corner_mode(basis))
+
+
+def test_solver_rejects_fields_outside_the_band(basis):
+    ve = sf.VElement(0.5, 1.0, 0.3)
+    state = es.steady_state(ve, basis)
+    corner = _corner_mode(basis)
+    w = ds.SpectralField(basis, state.w.coeffs + _corner_mode(basis, 1e-13).coeffs)
+    for f in (corner, w):
+        with pytest.raises(ResolutionError, match="outside the dealias band"):
+            es.tendency(f)
+        with pytest.raises(ResolutionError, match="outside the dealias band"):
+            es.tendency(f, state.background, 0.3)
+        with pytest.raises(ResolutionError, match="outside the dealias band"):
+            es.velocity_magnitude(f, state.background)
+
+
+def test_experiments_zero_a_sub_tolerance_residue(basis):
+    # a perturbation with a 1e-13-relative coefficient at (N, K) passes
+    # require_band_limited and runs as its band_limit, float for float
+    ve = sf.VElement(0.5, 1.0, 0.3)
+    pert = es.make_perturbation("smooth-random", ve, 1e-3, 2.0, basis,
+                                np.random.default_rng(8))
+    scale = np.abs(pert.coeffs).max()
+    dirty = ds.SpectralField(basis, pert.coeffs + _corner_mode(basis, 1e-13 * scale).coeffs)
+    es.require_band_limited(dirty)
+    assert not es._in_band(dirty)
+    assert np.array_equal(es.band_limit(dirty).coeffs, pert.coeffs)
+    runs = (lambda f: es.run_stability_experiment(ve, f, 2.0, t_end=0.3, basis=basis),
+            lambda f: es.run_rotating_orbit_experiment(ve, 0.3, f, 2.0, t_end=0.3,
+                                                       basis=basis))
+    for experiment in runs:
+        got, expect = experiment(dirty), experiment(pert)
+        assert len(got.trace) > 1
+        assert got.trace == expect.trace
+        assert got.extra == expect.extra
 
 
 def test_uniform_offset_induces_rotation(basis):
@@ -207,29 +242,71 @@ def test_uniform_offset_induces_rotation(basis):
     assert diff < 1e-3
 
 
-def test_in_band_tendency_matches_fallback(basis, monkeypatch):
-    # the half-spectrum band synthesis against the full einsum/ifft path,
-    # for a band-limited field with a background, with and without rotation
-    ve = sf.VElement(0.5, 1.0, 0.3)
-    state = es.steady_state(ve, basis)
-    pert = es.make_perturbation("smooth-random", ve, 0.05, 2.0, basis,
-                                np.random.default_rng(11))
-    w = ds.SpectralField(basis, state.w.coeffs + pert.coeffs)
-    assert es._in_band(w)
-    fast = [es.tendency(w, state.background, rot).coeffs for rot in (0.0, 0.3)]
-    fast_grids = es._half_spectral_grids(w)
-    monkeypatch.setattr(es, "_in_band", lambda f: False)
-    slow = [es.tendency(w, state.background, rot).coeffs for rot in (0.0, 0.3)]
-    for a, b in zip(fast, slow):
-        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
-    for a, b in zip(fast_grids, es._half_spectral_grids(w)):
-        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
-    # the in-band grids of the tendency are the fallback's every s-th column
-    kit = basis.band_kit
-    c = w.coeffs[: kit["nd"] + 1, : kit["kd"]]
-    sub = es._band_grids(c, kit, kit["sub_synth_r"], kit["sub_synth_t"])
-    for a, b in zip(sub, es._half_spectral_grids(w)):
-        assert np.abs(a - b[:, :: kit["stride"]]).max() <= 1e-14 * np.abs(b).max()
+def _pointwise_band_grids(w, theta, background=None):
+    """(d_r omega, (1/r) d_theta omega, d_r psi, (1/r) d_theta psi) of the band
+    of w at the grid radii and the angles theta, summed mode by mode from
+    bessel_j and bessel_j_prime at j_{n,k} r_i times cos / sin(n theta)."""
+    b = w.basis
+    nd, kd = b.dealias_band()
+    r = b.grid.r
+    grids = [np.zeros((r.size, theta.size)) for _ in range(4)]
+    for n in range(nd + 1):
+        weight = 1.0 if n == 0 else 2.0
+        cos, sin = np.cos(n * theta), np.sin(n * theta)
+        j = b.roots[n, :kd]
+        jr = np.outer(r, j)
+        value, slope = bessel_j(n, jr), j * bessel_j_prime(n, jr)
+        for i, c in ((0, w.coeffs[n, :kd]), (2, w.coeffs[n, :kd] / j**2)):
+            # Re(S e^{i n theta}) and its theta derivative, S the radial sums
+            d_r, over_r = slope @ c, (value / r[:, None]) @ c
+            grids[i] += weight * (np.outer(d_r.real, cos) - np.outer(d_r.imag, sin))
+            grids[i + 1] -= weight * n * (np.outer(over_r.real, sin) + np.outer(over_r.imag, cos))
+    if background is not None:
+        j1 = bessel_j(1, background.root * r)
+        grids[0] += (-background.amplitude * background.root * j1)[:, None]
+        grids[2] += (-background.amplitude * j1 / background.root)[:, None]
+    return grids
+
+
+def _check_band_grids(basis, full):
+    """_band_grids on the collocation tables (full) or on the subgrid tables
+    against the pointwise oracle, with and without the background; on the
+    collocation grid also velocity_magnitude, with and without rotation."""
+    coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    for b in (basis, coarse):
+        kit = b.band_kit
+        s = 1 if full else kit["stride"]
+        tables = ((kit["synth_r"], kit["synth_t"]) if full
+                  else (kit["sub_synth_r"], kit["sub_synth_t"]))
+        for w, bg in _band_states(b):
+            c = w.coeffs[: kit["nd"] + 1, : kit["kd"]]
+            for background in (None, bg):
+                got = es._band_grids(c, kit, *tables, background)
+                expect = _pointwise_band_grids(w, b.grid.theta[::s], background)
+                for g, e in zip(got, expect):
+                    assert g.shape == (b.grid.n_r, b.grid.n_theta // s)
+                    assert np.abs(g - e).max() <= 1e-14 * np.abs(e).max()
+                for rot in (0.0, 0.3) if full else ():
+                    u_theta = expect[2] - rot * b.grid.r[:, None]
+                    umax = np.sqrt(u_theta**2 + expect[3]**2).max()
+                    assert abs(es.velocity_magnitude(w, background, rot) - umax) <= 1e-14 * umax
+
+
+def test_band_grids_match_pointwise_oracle(basis):
+    # the collocation-grid synthesis that velocity_magnitude uses
+    _check_band_grids(basis, full=True)
+
+
+def test_band_subgrids_are_collocation_columns(basis):
+    # the subgrid synthesis of tendency, at every s-th collocation angle
+    _check_band_grids(basis, full=False)
+
+
+def _band_analyze(basis):
+    """Columns cos(n theta), -sin(n theta), n <= nd, of the basis DFT analysis
+    table: the band analysis on the whole collocation grid."""
+    N, nd = basis.n_modes, basis.dealias_band()[0]
+    return np.hstack([basis.dft_analyze[:, : nd + 1], basis.dft_analyze[:, N + 1: N + nd + 2]])
 
 
 def _full_grid_tendency(w, background, rotation):
@@ -238,6 +315,7 @@ def _full_grid_tendency(w, background, rotation):
     b = w.basis
     kit, nr = b.band_kit, b.grid.n_r
     nd, kd = kit["nd"], kit["kd"]
+    analyze = _band_analyze(b)
     c = w.coeffs[: nd + 1, :kd]
     cpsi = c * kit["mult"]
     x = np.stack([c.real, c.imag, cpsi.real, cpsi.imag], axis=2)
@@ -250,7 +328,7 @@ def _full_grid_tendency(w, background, rotation):
         dr_psi = dr_psi + background.stream_d_r()[:, None]
 
     def project(values):
-        F = (values @ kit["analyze"]).reshape(-1, 2, nd + 1).transpose(2, 0, 1)
+        F = (values @ analyze).reshape(-1, 2, nd + 1).transpose(2, 0, 1)
         cn = np.matmul(kit["proj"], F)
         coeffs = np.zeros((b.n_modes + 1, b.k_radial), complex)
         coeffs[: nd + 1, :kd] = cn[..., 0] + 1j * cn[..., 1]
@@ -294,27 +372,6 @@ def test_subgrid_tendency_matches_full_grid_oracle(basis):
                     expect, term = _full_grid_tendency(w, background, rot)
                     got = es.tendency(w, background, rot).coeffs
                     assert np.abs(got - expect).max() <= 1e-14 * term
-
-
-def test_band_subgrids_are_collocation_columns(basis, monkeypatch):
-    # the in-band grids on every s-th angle against the fallback's grids on
-    # the whole collocation grid, background added to both
-    coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
-    for b in (basis, coarse):
-        kit = b.band_kit
-        s = kit["stride"]
-        for w, bg in _band_states(b):
-            c = w.coeffs[: kit["nd"] + 1, : kit["kd"]]
-            sub = {bgr: es._band_grids(c, kit, kit["sub_synth_r"], kit["sub_synth_t"], bgr)
-                   for bgr in (None, bg)}
-            with monkeypatch.context() as mp:
-                mp.setattr(es, "_in_band", lambda f: False)
-                full = es._half_spectral_grids(w)
-            with_bg = [full[0] + bg.d_r()[:, None], full[1],
-                       full[2] + bg.stream_d_r()[:, None], full[3]]
-            for got, expect in zip(sub[None] + sub[bg], full + with_bg):
-                assert got.shape == (b.grid.n_r, b.grid.n_theta // s)
-                assert np.abs(got - expect[:, ::s]).max() <= 1e-14 * np.abs(expect).max()
 
 
 def test_run_calls_tendency_four_times_per_step(basis, monkeypatch):
@@ -424,12 +481,12 @@ def _oracle_band_kit(basis):
         "nd": nd,
         "kd": kd,
         "radial": np.concatenate([basis.r_diff[: nd + 1, :, :kd],
-                                  basis.r_over[: nd + 1, :, :kd]], axis=1),
+                                  basis.r_eval[: nd + 1, :, :kd] / basis.grid.r[:, None]],
+                                 axis=1),
         "mult": basis.green_mult[: nd + 1, :kd],
         "synth_r": np.vstack([w * cos, -w * sin]),
         "synth_t": np.vstack([-n_half * w * sin, -n_half * w * cos]),
         "proj": proj,
-        "analyze": np.vstack([cos, -sin]).T / basis.grid.n_theta,
         "stride": s,
         "sub_synth_r": np.vstack([w * sub_cos, -w * sub_sin]),
         "sub_synth_t": np.vstack([-n_half * w * sub_sin, -n_half * w * sub_cos]),
@@ -471,7 +528,7 @@ def test_mean_fix_matches_linear_solve(basis):
     for bg, uniform in ((None, 0.0), (state.background, 0.0), (state.background, 0.6)):
         kit = basis.band_kit
         raw = es._embed(es._project_band(np.random.default_rng(4).standard_normal(
-            (basis.grid.n_r, basis.grid.n_theta)), kit, kit["analyze"]), basis)
+            (basis.grid.n_r, basis.grid.n_theta)), kit, _band_analyze(basis)), basis)
         got = raw.copy()
         es._mean_fix(got[0].real, w, bg, uniform)
         # the rows the correction spans: mean0 and the stream function
