@@ -35,7 +35,6 @@ from .disk_spectral import (
     transplant,
 )
 from .green_energy import (
-    GreenOperator,
     apply_green,
     apply_green_kernel,
     energy,

@@ -10,7 +10,8 @@ same CSV bytes.
 
 Exit status: 0 all asserted tolerances pass, 2 configuration error (also a
 ResolutionError: a family or field outside the basis or its dealias band),
-3 tolerance failure, 1 unexpected error.
+3 tolerance failure or numerical failure (a non-finite field, or an ascent
+step that lowered the energy), 1 unexpected error.
 """
 
 import argparse
@@ -36,7 +37,7 @@ from .disk_spectral import (
     save_field,
     to_grid,
 )
-from .errors import ConfigError, NonFiniteFieldError, ResolutionError
+from .errors import AscentError, ConfigError, NonFiniteFieldError, ResolutionError
 from .euler_sim import (
     RunConfig,
     make_perturbation,
@@ -136,8 +137,9 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
     if cfg.delta_rel <= 0:
         raise ConfigError(f"delta_rel must be positive, got {cfg.delta_rel}")
-    if not cfg.cfl_safety > 0:
-        raise ConfigError(f"cfl_safety must be positive, got {cfg.cfl_safety}")
+    # above 1 every refresh steps over the advective limit
+    if not 0 < cfg.cfl_safety <= 1:
+        raise ConfigError(f"cfl_safety must lie in (0, 1], got {cfg.cfl_safety}")
     if cfg.n_theta_modes < 1 or cfg.k_radial < 1 or cfg.n_r < 3 or cfg.n_theta < 4:
         raise ConfigError("resolution parameters out of range")
     if cfg.cadence < 1 or cfg.seeds < 1 or cfg.max_iters < 1:
@@ -393,18 +395,18 @@ def _exp_sharpness(cfg, rng, outdir):
     basis = cfg.basis()
     ve = cfg.element()
     n = cfg.n_uniform
+    uniform = 2.0 / n
     target = v_element_grid(ve, basis.grid)
     rows = []
     passed = True
     for frac in (0.25, 0.5, 1.0):
         beta = math.pi * frac
-        st = steady_state(ve, basis)
-        st.uniform = 2.0 / n
+        st = steady_state(ve, basis, uniform)
         rcfg = RunConfig(t_end=n * beta, cfl_safety=cfg.cfl_safety,
                          cadence=cfg.cadence, p=cfg.p, reference=ve)
         st = run(st, rcfg)
         om = st.full_grid_values()
-        shifted = GridField(om.grid, om.values - st.uniform)
+        shifted = GridField(om.grid, om.values - uniform)
         dist, bstar = orbital_distance(shifted, ve, cfg.p)
         phase = (-bstar) % (2.0 * math.pi)
         plain = plain_distance(om, target, cfg.p)
@@ -488,7 +490,7 @@ def main(argv=None) -> int:
         # a resolution that cannot hold the configured element or field
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NonFiniteFieldError as exc:
+    except (NonFiniteFieldError, AscentError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:            # pragma: no cover - defensive

@@ -144,14 +144,10 @@ class DiskBasis:
         self.dft_analyze = np.vstack([cos, -sin]).T / grid.n_theta
         self.dft_synth = np.vstack([w * cos, -w * sin])
 
-        # Rows n <= nd and columns k <= kd of the 2/3 dealias band.
-        nd, kd = self.dealias_band()
-        self._dealias_mask = np.zeros((N + 1, K), dtype=bool)
-        self._dealias_mask[: nd + 1, :kd] = True
-        self._dealias_mask.flags.writeable = False
-
-        # Band operators from the DFT rows n <= nd.  Angular grids have s = i n S,
+        # Band operators of the 2/3 dealias band (rows n <= nd, columns
+        # k < kd), from the DFT rows n <= nd.  Angular grids have s = i n S,
         # S = over @ c, with i n folded into the table acting on [Re S, Im S].
+        nd, kd = self.dealias_band()
         n_half, w, cos, sin = n_half[: nd + 1], w[: nd + 1], cos[: nd + 1], sin[: nd + 1]
         synth_r = np.vstack([w * cos, -w * sin])
         synth_t = np.vstack([-n_half * w * sin, -n_half * w * cos])
@@ -188,10 +184,6 @@ class DiskBasis:
     def dealias_band(self):
         """Retained (|n|, k) band under the 2/3 rule."""
         return (2 * self.n_modes) // 3, (2 * self.k_radial) // 3
-
-    def dealias_mask(self):
-        """Read-only (N+1, K) boolean mask of the dealias band."""
-        return self._dealias_mask
 
 
 @dataclass(frozen=True)

@@ -27,18 +27,21 @@ coefficient outside it.  The experiments admit a perturbation through
 ``require_band_limited`` (coefficients outside the band at most 1e-12 of the
 largest) and zero that residue with ``band_limit``, so every run starts
 exactly in the band and the Galerkin truncation keeps it there.  The time
-step is the CFL limit, refreshed every cadence steps.
+step is the CFL limit times a safety factor in (0, 1], refreshed every
+cadence steps.
 
-Two exactly handled channels extend the zero-trace basis:
+One exact radial channel, ``RadialBackground``, extends the zero-trace
+basis with the vorticity a J_0(l r) + c.  Both parts are exact radial
+solutions with closed-form stream functions:
 
-* a radial background a J_0(l r) (the non-eigenfunction component of the
-  steady family).  Its stream function a (J_0(l r) - J_0(l)) / l^2 is closed
-  form, so steady family elements are steady to rounding, which a truncated
-  projection of J_0(l r) could never achieve;
-* a uniform vorticity offset c (used as c = 2 Omega by the rotating-state
-  experiments).  Its stream function c (1 - r^2) / 4 induces rigid rotation
-  at rate Omega = c / 2, entering the dynamics as the exact spectral term
-  -Omega d_theta omega.
+* a J_0(l r), the non-eigenfunction component of the steady family, has
+  stream function a (J_0(l r) - J_0(l)) / l^2, so steady family elements are
+  steady to rounding, which a truncated projection of J_0(l r) could never
+  achieve;
+* a uniform offset c (c = 2 Omega in the rotating-state experiments) has
+  stream function c (1 - r^2) / 4.  Its -c r / 2 in d_r psi turns the band
+  product d_r psi (1/r) d_theta omega into the rigid advection
+  -Omega d_theta omega, which is exact on the band.
 """
 
 import math
@@ -71,55 +74,47 @@ from .steady_family import (
 
 @dataclass(frozen=True)
 class RadialBackground:
-    """Closed-form radial vorticity component amplitude * J_0(root * r).
+    """The exact radial channel: vorticity amplitude * J_0(root r) + uniform.
 
-    Its run constants are built at construction, on ``basis.grid``: J_0(root),
-    the profiles J_0(root r) and J_1(root r), the radial derivatives of the
-    vorticity and of the stream function, and the n = 0 coefficients of its
-    stream function a (J_0(root r) - J_0(root)) / root^2 that _mean_fix
-    needs.
+    Its run constants are built at construction, on the radii of
+    ``basis.grid``, with a = amplitude and c = uniform: J_0(root), the
+    profile J_1(root r), the vorticity profile a J_0(root r) + c, the stream
+    profile a (J_0(root r) - J_0(root)) / root^2 + c (1 - r^2) / 4, their
+    radial derivatives, and the n = 0 coefficients of the stream function
+    that _mean_fix needs.  Callers add a profile to a grid by broadcasting it
+    over the angles.
     """
 
     amplitude: float
     root: float
     basis: DiskBasis = field(repr=False)
+    uniform: float = 0.0
     j0_root: float = field(init=False, repr=False, compare=False)
-    j0_profile: np.ndarray = field(init=False, repr=False, compare=False)
     j1_profile: np.ndarray = field(init=False, repr=False, compare=False)
+    profile: np.ndarray = field(init=False, repr=False, compare=False)
+    stream_profile: np.ndarray = field(init=False, repr=False, compare=False)
     d_r_profile: np.ndarray = field(init=False, repr=False, compare=False)
     stream_d_r_profile: np.ndarray = field(init=False, repr=False, compare=False)
     stream_row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r = self.basis.grid.r
-        j0_root = bessel_j(0, self.root)
-        proj = radial_projection_coeffs(1.0, self.root, self.basis)
-        const_proj = self.basis.chan_proj[0]
-        object.__setattr__(self, "j0_root", j0_root)
-        object.__setattr__(self, "j0_profile", bessel_j(0, self.root * r))
-        j1_profile = bessel_j(1, self.root * r)
-        object.__setattr__(self, "j1_profile", j1_profile)
-        object.__setattr__(self, "d_r_profile", -self.amplitude * self.root * j1_profile)
-        object.__setattr__(self, "stream_d_r_profile", -self.amplitude * j1_profile / self.root)
-        object.__setattr__(self, "stream_row", self.amplitude
-                           * (proj - j0_root * const_proj) / self.root**2)
-
-    def values(self):
-        return self.amplitude * self.j0_profile
-
-    def grid_values(self):
-        return np.tile(self.values()[:, None], (1, self.basis.grid.n_theta))
-
-    def stream_values(self):
-        prof = self.amplitude * (self.j0_profile - self.j0_root) / self.root**2
-        return np.tile(prof[:, None], (1, self.basis.grid.n_theta))
-
-    def d_r(self):
-        """Radial derivative of the vorticity profile."""
-        return self.d_r_profile
-
-    def stream_d_r(self):
-        return self.stream_d_r_profile
+        a, c, root, r = self.amplitude, self.uniform, self.root, self.basis.grid.r
+        j0_root = bessel_j(0, root)
+        j0_profile = bessel_j(0, root * r)
+        j1_profile = bessel_j(1, root * r)
+        const_proj, para_proj = self.basis.chan_proj
+        proj = radial_projection_coeffs(1.0, root, self.basis)
+        for name, value in (
+                ("j0_root", j0_root),
+                ("j1_profile", j1_profile),
+                ("profile", a * j0_profile + c),
+                ("stream_profile", a * (j0_profile - j0_root) / root**2
+                 + c * (1.0 - r**2) / 4.0),
+                ("d_r_profile", -a * root * j1_profile),
+                ("stream_d_r_profile", -a * j1_profile / root - 0.5 * c * r),
+                ("stream_row", a * (proj - j0_root * const_proj) / root**2
+                 + 0.25 * c * para_proj)):
+            object.__setattr__(self, name, value)
 
 
 def _outside_band(coeffs, basis: DiskBasis):
@@ -151,8 +146,8 @@ def _band_grids(c, kit, synth_r, synth_t, background=None):
     m = np.matmul(kit["radial"], x)         # (nd+1, 2 n_r, 4): d_r above 1/r rows
     nd1, nr = m.shape[0], m.shape[1] // 2
     if background is not None:
-        m[0, :nr, 0] += background.d_r()
-        m[0, :nr, 2] += background.stream_d_r()
+        m[0, :nr, 0] += background.d_r_profile
+        m[0, :nr, 2] += background.stream_d_r_profile
     # one copy into ([d_r, 1/r], [omega, psi], n_r, [Re, Im] x n) order, then
     # per grid one real (n_r, 2 nd + 2) @ (2 nd + 2, n_angles) synthesis.  No
     # temporary is larger than one real grid (80 KB at 80 x 128, under glibc's
@@ -180,21 +175,19 @@ def _embed(band, basis: DiskBasis):
     return coeffs
 
 
-def velocity_magnitude(w: SpectralField, background=None, rotation=0.0):
+def velocity_magnitude(w: SpectralField, background=None):
     """Max |u| on the grid; u_r = (1/r) d_theta psi, u_theta = -d_r psi."""
-    grid, kit = w.basis.grid, w.basis.band_kit
+    kit = w.basis.band_kit
     _, _, dr_psi, dth_psi = _band_grids(_band_coeffs(w), kit, kit["synth_r"], kit["synth_t"])
     if background is not None:
-        dr_psi = dr_psi + background.stream_d_r()[:, None]
-    if rotation:
-        dr_psi = dr_psi - rotation * grid.r[:, None]
+        dr_psi = dr_psi + background.stream_d_r_profile[:, None]
     return float(np.sqrt(dr_psi**2 + dth_psi**2).max())
 
 
 _MEAN_FIX_MODES = 6
 
 
-def _mean_fix(row0, w: SpectralField, background, uniform):
+def _mean_fix(row0, w: SpectralField, background):
     """Remove the dealias projection's spurious disk mean from the tendency.
 
     The continuum advection term has exactly zero mean; the dealias cut
@@ -216,8 +209,6 @@ def _mean_fix(row0, w: SpectralField, background, uniform):
     psi = w.coeffs[0, :m].real * b.green_mult[0, :m]
     if background is not None:
         psi = psi + background.stream_row[:m]
-    if uniform:
-        psi = psi + 0.25 * uniform * b.chan_proj[1][:m]
     # the correction spans mean0 and psi weighted by norm2; its 2 x 2 Gram
     # system G alpha = (defect, 0), regularized, solved by Cramer's rule
     mean0, q = b.mean0[:m], psi * b.norm2[0, :m]
@@ -228,26 +219,20 @@ def _mean_fix(row0, w: SpectralField, background, uniform):
     row0[:m] -= scale * (g11 * mean0 - g01 * q)
 
 
-def tendency(w: SpectralField, background: RadialBackground | None = None,
-             rotation: float = 0.0) -> SpectralField:
+def tendency(w: SpectralField, background: RadialBackground | None = None) -> SpectralField:
     """Right-hand side of the vorticity equation, dealiased.
 
     ``w`` must lie in the dealias band (ResolutionError otherwise); the
-    product is formed on the band subgrid.  ``background`` adds the
-    closed-form radial component to omega and psi; ``rotation`` adds the
-    exact rigid advection -rotation * d_theta omega of a uniform vorticity
-    offset 2*rotation.
+    product is formed on the band subgrid.  ``background`` adds the exact
+    radial channel to omega and psi, its uniform offset included.
     """
     b = w.basis
     kit = b.band_kit
     dr_om, dth_om, dr_psi, dth_psi = _band_grids(_band_coeffs(w), kit, kit["sub_synth_r"],
                                                  kit["sub_synth_t"], background)
     band = _project_band(dr_psi * dth_om - dth_psi * dr_om, kit, kit["sub_analyze"])
-    _mean_fix(band[0, :, 0], w, background, 2.0 * rotation)
-    coeffs = _embed(band, b)
-    if rotation:
-        coeffs = coeffs - rotation * (1j * np.arange(b.n_modes + 1)[:, None]) * w.coeffs
-    return SpectralField(b, coeffs)
+    _mean_fix(band[0, :, 0], w, background)
+    return SpectralField(b, _embed(band, b))
 
 
 @dataclass
@@ -266,44 +251,34 @@ class RunConfig:
         # the run after its first row, as if it had passed
         if not (self.t_end > 0 and math.isfinite(self.t_end)):
             raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
-        # a zero limit would step by dt = 0 forever, a negative one backwards
-        if not self.cfl_safety > 0:
-            raise ValueError(f"cfl_safety must be positive, got {self.cfl_safety}")
+        # a zero limit would step by dt = 0 forever, a negative one
+        # backwards, and one above 1 over the advective limit
+        if not 0 < self.cfl_safety <= 1:
+            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
         if not (isinstance(self.cadence, numbers.Integral) and self.cadence >= 1):
             raise ValueError(f"cadence must be an integer >= 1, got {self.cadence!r}")
 
 
 @dataclass
 class SolverState:
-    """Evolving vorticity: spectral part + exact channels + diagnostics."""
+    """Evolving vorticity: spectral part + exact radial channel + diagnostics."""
 
     w: SpectralField
     background: RadialBackground | None = None
-    uniform: float = 0.0           # constant vorticity offset (2 Omega)
     t: float = 0.0
     diagnostics: list = field(default_factory=list)
 
-    @property
-    def rotation(self):
-        return 0.5 * self.uniform
-
     def full_grid_values(self):
-        grid = self.w.basis.grid
-        vals = to_grid(self.w).values.copy()
+        vals = to_grid(self.w).values
         if self.background is not None:
-            vals += self.background.grid_values()
-        if self.uniform:
-            vals += self.uniform
-        return GridField(grid, vals)
+            vals = vals + self.background.profile[:, None]
+        return GridField(self.w.basis.grid, vals)
 
     def stream_grid_values(self):
-        grid = self.w.basis.grid
-        psi = to_grid(apply_green(self.w)).values.copy()
+        psi = to_grid(apply_green(self.w)).values
         if self.background is not None:
-            psi += self.background.stream_values()
-        if self.uniform:
-            psi += self.uniform * (1.0 - grid.r[:, None] ** 2) / 4.0
-        return GridField(grid, psi)
+            psi = psi + self.background.stream_profile[:, None]
+        return GridField(self.w.basis.grid, psi)
 
 
 def resolved_spacing(basis: DiskBasis) -> float:
@@ -318,26 +293,26 @@ def resolved_spacing(basis: DiskBasis) -> float:
 
 
 def cfl_dt(state: SolverState, safety: float) -> float:
-    umax = velocity_magnitude(state.w, state.background, state.rotation)
+    umax = velocity_magnitude(state.w, state.background)
     if umax == 0.0:
         return math.inf
     return safety * resolved_spacing(state.w.basis) / umax
 
 
 def step_rk4(state: SolverState, dt: float, check_cfl=True) -> SolverState:
-    """Classical 4-stage update of the spectral part; exact channels are
-    static.  ``check_cfl`` raises CFLError for a dt above the advective limit
+    """Classical 4-stage update of the spectral part; the exact radial channel
+    is static.  ``check_cfl`` raises CFLError for a dt above the advective limit
     at safety 1."""
     if check_cfl:
         limit = cfl_dt(state, 1.0)
         if dt > limit:
             raise CFLError(f"dt={dt:g} exceeds advective limit {limit:g}")
-    b, bg, rot = state.w.basis, state.background, state.rotation
+    b, bg = state.w.basis, state.background
     c0 = state.w.coeffs
-    k1 = tendency(state.w, bg, rot).coeffs
-    k2 = tendency(SpectralField(b, c0 + 0.5 * dt * k1), bg, rot).coeffs
-    k3 = tendency(SpectralField(b, c0 + 0.5 * dt * k2), bg, rot).coeffs
-    k4 = tendency(SpectralField(b, c0 + dt * k3), bg, rot).coeffs
+    k1 = tendency(state.w, bg).coeffs
+    k2 = tendency(SpectralField(b, c0 + 0.5 * dt * k1), bg).coeffs
+    k3 = tendency(SpectralField(b, c0 + 0.5 * dt * k2), bg).coeffs
+    k4 = tendency(SpectralField(b, c0 + dt * k3), bg).coeffs
     w_new = SpectralField(b, c0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
     return replace(state, w=w_new, t=state.t + dt)
 
@@ -363,13 +338,14 @@ def _diagnose(state: SolverState, cfg: RunConfig) -> TraceRow:
         raise NonFiniteFieldError(f"non-finite state at t={state.t!r}: energy {e!r}, L2 {l2!r}")
     mean = mean_value(omega)
     dist, beta = math.nan, math.nan
+    # a uniform offset shifts both the state and every orbit element, so it
+    # cancels from the distance
+    uniform = state.background.uniform if state.background is not None else 0.0
     if cfg.reference is not None:
-        # a uniform offset shifts both the state and every orbit element,
-        # so it cancels from the distance
-        shifted = GridField(omega.grid, omega.values - state.uniform)
+        shifted = GridField(omega.grid, omega.values - uniform)
         dist, beta = orbital_distance(shifted, cfg.reference, cfg.p)
     elif cfg.reference_grid is not None:
-        shifted = GridField(omega.grid, omega.values - state.uniform)
+        shifted = GridField(omega.grid, omega.values - uniform)
         dist, beta = distance_to_grid_orbit(shifted, cfg.reference_grid, cfg.p)
     return TraceRow(state.t, e, l2, lp, mean, dist, beta)
 
@@ -394,19 +370,21 @@ def run(state: SolverState, cfg: RunConfig):
 
 
 def turnover_time(state: SolverState) -> float:
-    umax = velocity_magnitude(state.w, state.background, state.rotation)
+    umax = velocity_magnitude(state.w, state.background)
     if umax == 0.0:
         raise ValueError("zero velocity field has no turnover time")
     return 2.0 * math.pi / umax
 
 
-def steady_state(ve: VElement, basis: DiskBasis) -> SolverState:
-    """Solver state representing a family element exactly."""
-    bg = RadialBackground(ve.a, ve.root, basis) if ve.a else None
+def steady_state(ve: VElement, basis: DiskBasis, uniform: float = 0.0) -> SolverState:
+    """Solver state representing the family element ve plus the uniform
+    vorticity ``uniform`` exactly; its radial channel is None only when
+    both ve.a and ``uniform`` are zero."""
     nd, kd = basis.dealias_band()
     n, k = ve.family
     if n > nd or k > kd:
         raise ResolutionError(f"family {ve.family} outside dealias band ({nd},{kd})")
+    bg = RadialBackground(ve.a, ve.root, basis, uniform) if ve.a or uniform else None
     return SolverState(w=dipole_part(ve, basis), background=bg)
 
 
@@ -472,8 +450,7 @@ def _evolve_element(ve: VElement, perturbation: SpectralField | None, p, t_end,
     the orbital L^p distance to ve.  The perturbation is admitted by
     require_band_limited and enters as its band_limit.  Returns the result
     and the initial grid values."""
-    state = steady_state(ve, basis)
-    state.uniform = uniform
+    state = steady_state(ve, basis, uniform)
     if perturbation is not None:
         require_band_limited(perturbation)
         state.w = SpectralField(basis, state.w.coeffs + band_limit(perturbation).coeffs)

@@ -17,25 +17,7 @@ import math
 
 import numpy as np
 
-from .disk_spectral import DiskBasis, GridField, SpectralField
-
-
-class GreenOperator:
-    """Mode multipliers 1/j^2 over a basis; immutable after construction."""
-
-    def __init__(self, basis: DiskBasis):
-        self.basis = basis
-        self.multipliers = basis.green_mult.copy()
-        self.multipliers.setflags(write=False)
-        if np.any(self.multipliers <= 0) or np.any(np.diff(self.multipliers, axis=1) > 0):
-            raise ValueError("Green multipliers must be positive, non-increasing in k")
-
-    def apply(self, omega: SpectralField) -> SpectralField:
-        return SpectralField(self.basis, omega.coeffs * self.multipliers)
-
-    def inverse_apply(self, psi: SpectralField) -> SpectralField:
-        """Spectral -Laplacian: multiply by j^2."""
-        return SpectralField(self.basis, psi.coeffs / self.multipliers)
+from .disk_spectral import GridField, SpectralField
 
 
 def apply_green(omega: SpectralField) -> SpectralField:
@@ -95,8 +77,3 @@ def apply_green_kernel(omega: GridField, chunk=512) -> GridField:
         psi[lo:hi] += self_corr[rows]
     return GridField(grid, psi.reshape(omega.values.shape))
 
-
-def green_of_constant(grid, value=1.0) -> GridField:
-    """Closed form G(value) = value (1 - r^2) / 4."""
-    prof = value * (1.0 - grid.r**2) / 4.0
-    return GridField(grid, np.tile(prof[:, None], (1, grid.n_theta)))

@@ -30,7 +30,6 @@ from .disk_spectral import (
     single_mode,
     to_grid,
 )
-from .green_energy import apply_green
 from .quadrature import integrate
 
 
@@ -351,26 +350,20 @@ class SteadyReport:
 def verify_steady(ve: VElement, basis: DiskBasis) -> SteadyReport:
     """Check the affine stream-function relationship and the Euler tendency.
 
-    The relationship omega = l^2 G omega + a J_0(l) is evaluated on the grid
-    with the spectral G on the cos component and the closed-form stream
-    function of the radial component; the tendency uses the solver's
-    right-hand side with the radial part carried in closed form.
+    Both take the solver's steady state: the relationship
+    omega = l^2 G omega + a J_0(l) is evaluated on the grid with its stream
+    function (the spectral G on the cos component, the closed form on the
+    radial channel), and the tendency is the solver's right-hand side.
     """
-    from .euler_sim import RadialBackground, tendency
+    from .euler_sim import steady_state, tendency
 
     lam = ve.root
-    grid = basis.grid
-    omega = v_element_grid(ve, grid)
-    w = dipole_part(ve, basis)
-    psi_vals = to_grid(apply_green(w)).values
-    bg = RadialBackground(ve.a, lam, basis) if ve.a else None
-    if bg is not None:
-        psi_vals = psi_vals + bg.stream_values()
-    lhs = omega.values
-    rhs = lam**2 * psi_vals + ve.a * bessel_j(0, lam)
-    functional = float(np.max(np.abs(lhs - rhs)))
+    omega = v_element_grid(ve, basis.grid)
+    state = steady_state(ve, basis)
+    rhs = lam**2 * state.stream_grid_values().values + ve.a * bessel_j(0, lam)
+    functional = float(np.max(np.abs(omega.values - rhs)))
 
-    t = tendency(w, background=bg)
+    t = tendency(state.w, state.background)
     tnorm = lp_norm(to_grid(t), 2)
     onorm = lp_norm(omega, 2)
     return SteadyReport(functional, tnorm / max(onorm, 1e-300))

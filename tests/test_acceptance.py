@@ -266,12 +266,12 @@ def test_criterion_8_sharpness(basis):
     details = []
     for frac in (0.25, 0.5, 1.0):
         beta = math.pi * frac
-        state = es.steady_state(ve, basis)
-        state.uniform = 2.0 / n
+        uniform = 2.0 / n
+        state = es.steady_state(ve, basis, uniform)
         cfg = es.RunConfig(t_end=n * beta, cadence=50, p=2.0, reference=ve)
         state = es.run(state, cfg)
         om = state.full_grid_values()
-        shifted = ds.GridField(om.grid, om.values - state.uniform)
+        shifted = ds.GridField(om.grid, om.values - uniform)
         dist, bstar = sf.orbital_distance(shifted, ve, 2.0)
         phase = (-bstar) % (2 * math.pi)
         plain = sf.plain_distance(om, target, 2.0)

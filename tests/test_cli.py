@@ -53,13 +53,16 @@ def test_p_must_exceed_one():
 
 
 def test_cfl_safety_must_be_positive(tmp_path):
-    for value in ("0", "-0.4"):
-        with pytest.raises(ConfigError, match="cfl_safety must be positive"):
+    # above 1 every refresh would step over the advective limit: cfl_safety
+    # = 1.2 used to print "evolve: pass"
+    for value in ("0", "-0.4", "1.2", "inf", "nan"):
+        with pytest.raises(ConfigError, match=r"cfl_safety must lie in \(0, 1\]"):
             cli.parse_config(f"cfl_safety = {value}\n", kind="evolve")
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"cfl_safety = {value}\n")
         # eigs runs no time stepping, so a missing check cannot hang here
         assert cli.main(["eigs", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert cli.parse_config("cfl_safety = 1.0\n", kind="evolve").cfl_safety == 1.0
 
 
 def test_non_finite_horizons_rejected(tmp_path):
@@ -165,6 +168,18 @@ def test_non_finite_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_experiment", blow_up)
     assert cli.main(["eigs", "--out", str(tmp_path / "o")]) == 3
     assert "numerical failure: energy nan" in capsys.readouterr().err
+
+
+def test_ascent_error_exit_code(tmp_path, capsys):
+    # on this coarse basis the midpoint transplant lowers the energy of seed
+    # 7's ascent (AscentError): a numerical failure, not an unexpected error
+    cfgfile = tmp_path / "b.cfg"
+    cfgfile.write_text("n_theta_modes = 6\nk_radial = 10\nn_r = 24\nn_theta = 32\n"
+                       "a = 0.4\nseeds = 2\nmax_iters = 30\n")
+    rc = cli.main(["burton-maximize", "--config", str(cfgfile), "--seed", "7",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "numerical failure: transplantation decreased energy" in capsys.readouterr().err
 
 
 def test_family_outside_band_exit_code(tmp_path, capsys):

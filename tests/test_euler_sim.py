@@ -151,6 +151,46 @@ def test_rotating_run_omega_zero_matches_stability(basis, rng):
         assert abs(ra.orbital_distance - rb.orbital_distance) < 1e-12
 
 
+# (t, energy, l2, lp, mean, orbital_distance, beta_star) of a quarter period
+# at Omega = 0.3, recorded when the offset entered as the spectral rigid term
+# -Omega i n w with its own stream function added to the diagnostics
+_ROTATING_REFERENCE = [
+    (0.0, 0.10270424679519932, 1.2106843706942012, 1.2106843706942012, 0.5997856405740338, 0.00099171845853456, 6.282930767612223),
+    (0.38669166607412414, 0.10270424679519041, 1.2106843706764423, 1.2106843706764423, 0.5997856405740338, 0.0009886518841813086, 6.166950158271602),
+    (0.7733962335837146, 0.10270424679520072, 1.2106843706841073, 1.2106843706841073, 0.5997856405740338, 0.000985442625779583, 6.050966776416897),
+    (1.160110446993054, 0.10270424679523166, 1.210684370718916, 1.210684370718916, 0.5997856405740338, 0.0009821308038310819, 5.934981716697325),
+    (1.546812105731032, 0.10270424679528747, 1.2106843707861312, 1.2106843707861312, 0.5997856405740339, 0.0009787584417935294, 5.81900173077128),
+    (1.9335314784991038, 0.10270424679537302, 1.2106843708916408, 1.2106843708916408, 0.5997856405740337, 0.000975367460497105, 5.703017808891927),
+    (2.32024653662761, 0.10270424679549342, 1.2106843710417128, 1.2106843710417128, 0.5997856405740338, 0.000971999276552069, 5.587036601257748),
+    (2.706953204354458, 0.10270424679565514, 1.2106843712442201, 1.2106843712442201, 0.5997856405740338, 0.0009686929502578656, 5.471059347797013),
+    (3.09368134933601, 0.10270424679586333, 1.2106843715055025, 1.2106843715055025, 0.5997856405740338, 0.0009654839445832948, 5.355077082575814),
+    (3.480391000849294, 0.10270424679612075, 1.2106843718288198, 1.2106843718288198, 0.5997856405740338, 0.0009624040433890538, 5.239101759242866),
+    (3.867095774474085, 0.1027042467964879, 1.2106843722859197, 1.2106843722859197, 0.5997856405740338, 0.0009594794229122807, 5.123129236787776),
+    (4.253824069146625, 0.1027042467972277, 1.2106843731907686, 1.2106843731907686, 0.5997856405740338, 0.0009567302176708389, 5.0071509203381),
+    (4.640521248565157, 0.10270424679853572, 1.2106843747823692, 1.2106843747823692, 0.5997856405740339, 0.00095417227615754, 4.89118310043536),
+    (5.027217492675919, 0.10270424679930519, 1.210684375754371, 1.210684375754371, 0.5997856405740338, 0.000951820704622171, 4.7752166191418),
+    (5.235987755982989, 0.10270424679848435, 1.2106843748173894, 1.2106843748173894, 0.5997856405740339, 0.0009506431420624814, 4.712608826027383),
+]
+
+
+def test_rotating_run_matches_reference(basis):
+    # the offset carried by the channel reproduces the lab-frame run: every
+    # column to 1e-14 relative, the orbital distance (a small difference of
+    # O(1) fields) to 1e-12
+    ve = sf.VElement(0.4, 1.0, 0.3)
+    pert = es.make_perturbation("smooth-random", ve, 1e-3, 2.0, basis,
+                                np.random.default_rng(5))
+    res = es.run_rotating_orbit_experiment(ve, 0.3, pert, 2.0, basis=basis, periods=0.25)
+    got = np.array([(r.t, r.energy, r.l2, r.lp, r.mean, r.orbital_distance, r.beta_star)
+                    for r in res.trace])
+    expect = np.array(_ROTATING_REFERENCE)
+    assert got.shape == expect.shape
+    rel = np.abs(got - expect) / np.maximum(np.abs(expect), 1e-300)
+    assert rel[:, 5].max() <= 1e-12
+    assert np.delete(rel, 5, axis=1).max() <= 1e-14
+    assert abs(res.extra["recovered_omega"] - 0.2999088806754532) <= 1e-12 * 0.3
+
+
 def test_perturbation_builders(basis, rng):
     ve = sf.VElement(0.5, 1.0, 0.7)
     for kind in ("random-shuffle", "mode-injection", "smooth-random"):
@@ -162,10 +202,12 @@ def test_perturbation_builders(basis, rng):
 
 
 def test_run_config_rejects_nonpositive_cfl_safety():
-    for value in (0.0, -0.4, math.nan):
+    # above 1 every refresh would step over the advective limit
+    for value in (0.0, -0.4, math.nan, 1.2, math.inf):
         with pytest.raises(ValueError, match="cfl_safety"):
             es.RunConfig(t_end=1.0, cfl_safety=value)
     assert es.RunConfig(t_end=1.0, cfl_safety=0.4).cfl_safety == 0.4
+    assert es.RunConfig(t_end=1.0, cfl_safety=1.0).cfl_safety == 1.0
 
 
 def test_run_config_rejects_silent_no_op_runs():
@@ -196,15 +238,17 @@ def test_band_limit_enforcement(basis):
 def test_solver_rejects_fields_outside_the_band(basis):
     ve = sf.VElement(0.5, 1.0, 0.3)
     state = es.steady_state(ve, basis)
+    rotating = es.steady_state(ve, basis, uniform=0.6)
     corner = _corner_mode(basis)
     w = ds.SpectralField(basis, state.w.coeffs + _corner_mode(basis, 1e-13).coeffs)
     for f in (corner, w):
         with pytest.raises(ResolutionError, match="outside the dealias band"):
             es.tendency(f)
-        with pytest.raises(ResolutionError, match="outside the dealias band"):
-            es.tendency(f, state.background, 0.3)
-        with pytest.raises(ResolutionError, match="outside the dealias band"):
-            es.velocity_magnitude(f, state.background)
+        for bg in (state.background, rotating.background):
+            with pytest.raises(ResolutionError, match="outside the dealias band"):
+                es.tendency(f, bg)
+            with pytest.raises(ResolutionError, match="outside the dealias band"):
+                es.velocity_magnitude(f, bg)
 
 
 def test_experiments_zero_a_sub_tolerance_residue(basis):
@@ -231,8 +275,8 @@ def test_experiments_zero_a_sub_tolerance_residue(basis):
 def test_uniform_offset_induces_rotation(basis):
     # a state with uniform vorticity 2 Omega rotates its dipole at rate Omega
     ve = sf.VElement(0.0, 1.0, 0.0)
-    state = es.steady_state(ve, basis)
-    state.uniform = 0.5           # Omega = 0.25
+    state = es.steady_state(ve, basis, uniform=0.5)    # Omega = 0.25
+    assert state.background.amplitude == 0.0
     cfg = es.RunConfig(t_end=1.0, cadence=5, p=2.0, reference=ve)
     state = es.run(state, cfg)
     last = state.diagnostics[-1]
@@ -262,16 +306,20 @@ def _pointwise_band_grids(w, theta, background=None):
             grids[i] += weight * (np.outer(d_r.real, cos) - np.outer(d_r.imag, sin))
             grids[i + 1] -= weight * n * (np.outer(over_r.real, sin) + np.outer(over_r.imag, cos))
     if background is not None:
+        # the channel's a J_0(l r) + c: d_r of a J_0(l r) is -a l J_1(l r),
+        # d_r of its stream function -a J_1(l r) / l, and d_r of c (1 - r^2) / 4
+        # is -c r / 2
         j1 = bessel_j(1, background.root * r)
         grids[0] += (-background.amplitude * background.root * j1)[:, None]
-        grids[2] += (-background.amplitude * j1 / background.root)[:, None]
+        grids[2] += (-background.amplitude * j1 / background.root
+                     - background.uniform * r / 2)[:, None]
     return grids
 
 
 def _check_band_grids(basis, full):
     """_band_grids on the collocation tables (full) or on the subgrid tables
-    against the pointwise oracle, with and without the background; on the
-    collocation grid also velocity_magnitude, with and without rotation."""
+    against the pointwise oracle, with no channel, a J_0 channel and one with
+    a uniform offset too; on the collocation grid also velocity_magnitude."""
     coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
     for b in (basis, coarse):
         kit = b.band_kit
@@ -280,16 +328,15 @@ def _check_band_grids(basis, full):
                   else (kit["sub_synth_r"], kit["sub_synth_t"]))
         for w, bg in _band_states(b):
             c = w.coeffs[: kit["nd"] + 1, : kit["kd"]]
-            for background in (None, bg):
+            for background in _channels(bg):
                 got = es._band_grids(c, kit, *tables, background)
                 expect = _pointwise_band_grids(w, b.grid.theta[::s], background)
                 for g, e in zip(got, expect):
                     assert g.shape == (b.grid.n_r, b.grid.n_theta // s)
                     assert np.abs(g - e).max() <= 1e-14 * np.abs(e).max()
-                for rot in (0.0, 0.3) if full else ():
-                    u_theta = expect[2] - rot * b.grid.r[:, None]
-                    umax = np.sqrt(u_theta**2 + expect[3]**2).max()
-                    assert abs(es.velocity_magnitude(w, background, rot) - umax) <= 1e-14 * umax
+                if full:
+                    umax = np.sqrt(expect[2]**2 + expect[3]**2).max()
+                    assert abs(es.velocity_magnitude(w, background) - umax) <= 1e-14 * umax
 
 
 def test_band_grids_match_pointwise_oracle(basis):
@@ -309,9 +356,14 @@ def _band_analyze(basis):
     return np.hstack([basis.dft_analyze[:, : nd + 1], basis.dft_analyze[:, N + 1: N + nd + 2]])
 
 
-def _full_grid_tendency(w, background, rotation):
+def _full_grid_tendency(w, background, rotation=0.0):
     """The in-band tendency as it ran on every collocation angle before the
-    subgrid, and the largest coefficient of either projected product term."""
+    subgrid, and the largest coefficient of either projected product term.
+
+    A nonzero ``rotation`` adds a uniform vorticity 2 * rotation as the
+    solver once did, outside the channel: its stream function joins the mean
+    fix, and its rigid advection enters as the spectral term
+    -rotation * i n * w."""
     b = w.basis
     kit, nr = b.band_kit, b.grid.n_r
     nd, kd = kit["nd"], kit["kd"]
@@ -324,8 +376,8 @@ def _full_grid_tendency(w, background, rotation):
     dr_om, dth_om = m[:nr, 0:2].reshape(nr, -1) @ sr, m[nr:, 0:2].reshape(nr, -1) @ st
     dr_psi, dth_psi = m[:nr, 2:4].reshape(nr, -1) @ sr, m[nr:, 2:4].reshape(nr, -1) @ st
     if background is not None:
-        dr_om = dr_om + background.d_r()[:, None]
-        dr_psi = dr_psi + background.stream_d_r()[:, None]
+        dr_om = dr_om + background.d_r_profile[:, None]
+        dr_psi = dr_psi + background.stream_d_r_profile[:, None]
 
     def project(values):
         F = (values @ analyze).reshape(-1, 2, nd + 1).transpose(2, 0, 1)
@@ -351,6 +403,11 @@ def _full_grid_tendency(w, background, rotation):
     return coeffs, max(np.abs(t).max() for t in terms)
 
 
+def _channels(bg):
+    """No channel, the channel bg, and bg with a uniform offset 0.6."""
+    return None, bg, es.RadialBackground(bg.amplitude, bg.root, bg.basis, uniform=0.6)
+
+
 def _band_states(basis):
     """Band-limited states with a background: the default one of these tests
     and a (2,1) family element."""
@@ -367,11 +424,27 @@ def test_subgrid_tendency_matches_full_grid_oracle(basis):
     for b in (basis, coarse):
         for w, bg in _band_states(b):
             assert es._in_band(w)
-            for background in (None, bg):
-                for rot in (0.0, 0.3):
-                    expect, term = _full_grid_tendency(w, background, rot)
-                    got = es.tendency(w, background, rot).coeffs
-                    assert np.abs(got - expect).max() <= 1e-14 * term
+            for background in _channels(bg):
+                expect, term = _full_grid_tendency(w, background)
+                got = es.tendency(w, background).coeffs
+                assert np.abs(got - expect).max() <= 1e-14 * term
+
+
+def test_channel_offset_is_the_lab_frame_rigid_term(basis):
+    # a channel with uniform vorticity c = 2 Omega gives, through its -c r / 2
+    # in d_r psi, the tendency of the lab-frame formula: the product without
+    # the offset, minus the exact spectral rigid advection Omega i n w
+    coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    for b in (basis, coarse):
+        for w, bg in _band_states(b):
+            for omega in (0.3, -0.5):
+                for lab in (None, bg):
+                    a = 0.0 if lab is None else lab.amplitude
+                    channel = es.RadialBackground(a, bg.root, b, uniform=2.0 * omega)
+                    expect, _ = _full_grid_tendency(w, lab, omega)
+                    got = es.tendency(w, channel).coeffs
+                    rigid = np.abs(omega * np.arange(b.n_modes + 1)[:, None] * w.coeffs).max()
+                    assert np.abs(got - expect).max() <= 1e-14 * rigid
 
 
 def test_run_calls_tendency_four_times_per_step(basis, monkeypatch):
@@ -396,14 +469,22 @@ def test_run_calls_tendency_four_times_per_step(basis, monkeypatch):
     assert counts["tendency"] == 4 * counts["step_rk4"]
 
 
-def test_dealias_mask_is_the_band(basis):
-    nd, kd = basis.dealias_band()
-    loop = np.zeros((basis.n_modes + 1, basis.k_radial), dtype=bool)
-    for n in range(nd + 1):
-        loop[n, :kd] = True
-    mask = basis.dealias_mask()
-    assert np.array_equal(mask, loop)
-    assert mask is basis.dealias_mask() and not mask.flags.writeable
+def test_band_and_outside_blocks_partition_the_spectrum(basis):
+    # _outside_band's two blocks and the (nd+1, kd) band slice that the
+    # solver reads cover the (N+1, K) coefficients exactly once, and the
+    # band is the one dealias_band() names
+    for b in (basis, ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))):
+        nd, kd = b.dealias_band()
+        loop = np.zeros((b.n_modes + 1, b.k_radial), dtype=bool)
+        for n in range(nd + 1):
+            loop[n, :kd] = True
+        outside = np.zeros(loop.shape, dtype=int)
+        for block in es._outside_band(outside, b):
+            block += 1
+        covered = outside.copy()
+        covered[: b.band_kit["nd"] + 1, : b.band_kit["kd"]] += 1
+        assert (covered == 1).all()
+        assert np.array_equal(outside == 0, loop)
 
 
 def test_background_constants_are_hoisted(basis, monkeypatch):
@@ -414,21 +495,27 @@ def test_background_constants_are_hoisted(basis, monkeypatch):
     # the first tendency call with a background evaluates no Bessel function
     ve = sf.VElement(0.5, 1.0, 0.3)
     state = es.steady_state(ve, basis)
+    rotating = es.steady_state(ve, basis, uniform=0.4)
     calls = []
     monkeypatch.setattr(es, "bessel_j", lambda *a: calls.append(a))
     monkeypatch.setattr(sf, "bessel_j", lambda *a: calls.append(a))
-    es.tendency(state.w, state.background, 0.2)
+    es.tendency(state.w, state.background)
+    es.tendency(rotating.w, rotating.background)
     assert calls == []
 
 
 def test_background_derivatives_built_at_construction(basis):
     r = basis.grid.r
-    for amplitude, root in ((0.5, sf.j_11()), (-1.3, 3.7)):
-        bg = es.RadialBackground(amplitude, root, basis)
-        assert bg.d_r() is bg.d_r_profile and bg.stream_d_r() is bg.stream_d_r_profile
-        # bit-identical to the expressions evaluated per call before
-        assert np.array_equal(bg.d_r(), -amplitude * root * bessel_j(1, root * r))
-        assert np.array_equal(bg.stream_d_r(), -amplitude * bessel_j(1, root * r) / root)
+    for amplitude, root in ((0.5, sf.j_11()), (-1.3, 3.7), (0.0, 3.7)):
+        for c in (0.0, 0.6):
+            bg = es.RadialBackground(amplitude, root, basis, uniform=c)
+            j0, j1 = bessel_j(0, root * r), bessel_j(1, root * r)
+            # at c = 0 bit-identical to the expressions evaluated per call before
+            assert np.array_equal(bg.d_r_profile, -amplitude * root * j1)
+            assert np.array_equal(bg.stream_d_r_profile, -amplitude * j1 / root - 0.5 * c * r)
+            assert np.array_equal(bg.profile, amplitude * j0 + c)
+            stream = amplitude * (j0 - bessel_j(0, root)) / root**2 + c * (1 - r**2) / 4
+            assert np.array_equal(bg.stream_profile, stream)
 
 
 def test_runs_leave_the_basis_unchanged():
@@ -509,28 +596,30 @@ def test_band_operators_built_with_basis(basis, monkeypatch):
     pert = es.make_perturbation("smooth-random", ve, 0.05, 2.0, basis,
                                 np.random.default_rng(11))
     w = ds.SpectralField(basis, state.w.coeffs + pert.coeffs)
-    built = [es.tendency(w, state.background, rot).coeffs for rot in (0.0, 0.3)]
+    channels = _channels(state.background)
+    built = [es.tendency(w, bg).coeffs for bg in channels]
     monkeypatch.setattr(basis, "band_kit", oracle)
     monkeypatch.setattr(basis, "chan_proj", (const, para))
-    for rot, c in zip((0.0, 0.3), built):
-        assert np.array_equal(es.tendency(w, state.background, rot).coeffs, c)
+    for bg, c in zip(channels, built):
+        assert np.array_equal(es.tendency(w, bg).coeffs, c)
 
 
 def test_mean_fix_matches_linear_solve(basis):
     # the closed-form 2 x 2 solve against np.linalg.solve on the same
-    # regularized system, with and without background and uniform channels
+    # regularized system, with no channel, a J_0 channel and one with a
+    # uniform offset too
     ve = sf.VElement(0.5, 1.0, 0.3)
     state = es.steady_state(ve, basis)
     pert = es.make_perturbation("smooth-random", ve, 0.05, 2.0, basis,
                                 np.random.default_rng(3))
     w = ds.SpectralField(basis, state.w.coeffs + pert.coeffs)
     m = es._MEAN_FIX_MODES
-    for bg, uniform in ((None, 0.0), (state.background, 0.0), (state.background, 0.6)):
+    for bg in _channels(state.background):
         kit = basis.band_kit
         raw = es._embed(es._project_band(np.random.default_rng(4).standard_normal(
             (basis.grid.n_r, basis.grid.n_theta)), kit, _band_analyze(basis)), basis)
         got = raw.copy()
-        es._mean_fix(got[0].real, w, bg, uniform)
+        es._mean_fix(got[0].real, w, bg)
         # the rows the correction spans: mean0 and the stream function
         # weighted by norm2, as _mean_fix builds them
         psi = w.coeffs[0].real * basis.green_mult[0]
@@ -538,7 +627,7 @@ def test_mean_fix_matches_linear_solve(basis):
         if bg is not None:
             bgp = bg.amplitude * sf.radial_projection_coeffs(1.0, bg.root, basis)
             psi = psi + (bgp - bg.amplitude * bg.j0_root * const_proj) / bg.root**2
-        psi = psi + 0.25 * uniform * para_proj
+            psi = psi + 0.25 * bg.uniform * para_proj
         rows = np.vstack([basis.mean0[:m], psi[:m] * basis.norm2[0, :m]])
         G = rows @ rows.T
         G[np.diag_indices(2)] += 1e-14 * max(G[0, 0], G[1, 1], 1e-30)
