@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bessel import ZeroTable, bessel_j, bessel_zero, verify_identity_suite
+from .bessel import MAX_ORDER, ZeroTable, bessel_j, bessel_zero, verify_identity_suite
 from .disk_spectral import (
     DiskBasis,
     DiskGrid,
@@ -148,6 +148,11 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("one of turnovers or t_end must be positive")
     if cfg.n_uniform < 1:
         raise ConfigError("n_uniform must be a positive integer")
+    # Bessel orders and zero indices that the tables hold
+    for name, lo, hi in (("family_n", 0, MAX_ORDER), ("bessel_n_max", 0, MAX_ORDER),
+                         ("family_k", 1, math.inf), ("bessel_k_max", 1, math.inf)):
+        if not lo <= getattr(cfg, name) <= hi:
+            raise ConfigError(f"{name} must lie in [{lo}, {hi}], got {getattr(cfg, name)}")
     return cfg
 
 

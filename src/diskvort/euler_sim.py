@@ -257,6 +257,8 @@ class RunConfig:
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
         if not (isinstance(self.cadence, numbers.Integral) and self.cadence >= 1):
             raise ValueError(f"cadence must be an integer >= 1, got {self.cadence!r}")
+        if self.reference_grid is not None and self.p != 2.0:
+            raise ValueError(f"a reference_grid orbit needs p = 2, got {self.p}")
 
 
 @dataclass

@@ -7,7 +7,8 @@ G[a J_0(l r)] = a (J_0(l r) - J_0(l)) / l^2, so the whole field is an affine
 function of its own stream function.
 
 The default family (n, k) = (1, 1) is the one whose rotation orbits the rest
-of the package studies; ``j_11()`` returns its root.  The module also carries
+of the package studies; ``j_11()`` returns its root.  ``orbital_distance``
+is the L^p distance to an element's rotation orbit.  The module also carries
 the moment machinery that identifies an orbit inside a rearrangement class:
 the quadratic and cubic power integrals of a family element reduce to
 r1 = 2a^2 + b^2 and r2 = 4a^3 + 3ab^2, and that algebraic system has at most
@@ -30,6 +31,7 @@ from .disk_spectral import (
     single_mode,
     to_grid,
 )
+from .errors import ResolutionError
 from .quadrature import integrate
 
 
@@ -124,9 +126,8 @@ def dipole_part(ve: VElement, basis: DiskBasis) -> SpectralField:
 # Orbital distance
 
 
-# scan size and bracket width of the search for p != 2
+# restart scan size; a Newton bracket spans one scan spacing either side
 _N_COARSE = 256
-_BETA_TOL = 1e-8
 
 
 @lru_cache(maxsize=64)
@@ -156,82 +157,107 @@ def _orbit_distance_curve(g: GridField, ve: VElement, p: float, betas):
     return out ** (1.0 / p)
 
 
+def _newton_angle(r0, gc, gs, mu, p, phi):
+    """Least D = sum mu |e|^p, e = r0 - m, m = cos(phi) gc - sin(phi) gs, in
+    phi +- 2 pi / _N_COARSE by Newton on D'/p = sum mu sign(e)|e|^(p-1) t,
+    t = de/dphi, with D''/p = sum mu ((p-1)|e|^(p-2) t^2 + sign(e)|e|^(p-1) m),
+    infinite at p < 2 where e = 0.  Each D' narrows the bracket by its sign; a
+    step that leaves it, is not under half the step before last, or comes
+    from a D'' that is not finite and positive bisects instead."""
+    span = 2.0 * math.pi / _N_COARSE
+    lo, hi, last, before = phi - span, phi + span, span, span
+    tol = 8.0 * np.finfo(float).eps
+    for _ in range(100):        # ~45 bisections reach the step tolerance
+        c, s = math.cos(phi), math.sin(phi)
+        m = c * gc - s * gs
+        e, t = r0 - m, s * gc + c * gs
+        a = np.abs(e)
+        w = np.copysign(a ** (p - 1.0), e) * mu
+        d1 = float((w * t).sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d2 = float(((p - 1.0) * a ** (p - 2.0) * t * t * mu + w * m).sum())
+        if d1 == 0.0:
+            break
+        lo, hi = (lo, phi) if d1 > 0.0 else (phi, hi)
+        step = -d1 / d2 if 0.0 < d2 < math.inf else math.inf
+        # a converged step is taken even where it rounds onto the bracket end
+        if abs(step) > tol and not (lo < phi + step < hi and abs(step) < 0.5 * abs(before)):
+            step = 0.5 * (lo + hi) - phi
+        phi, last, before = phi + step, step, last
+        if abs(step) <= tol:
+            break
+    return phi
+
+
+def _tangent_floor(gc, grid: DiskGrid, p: float) -> float:
+    """Lower bound on min over psi of ||rad(r) sin(n theta + psi)||_p, rad =
+    gc[:, 0]: each ring has sum_j sin^2 = n_theta / 2, and power means bound
+    sum_j |sin|^p below by n_theta min(1/2, 2^(-p/2))."""
+    ring = (grid.measure_r * np.abs(gc[:, 0]) ** p).sum()
+    return (min(0.5, 2.0 ** (-0.5 * p)) * grid.n_theta * ring) ** (1.0 / p)
+
+
 def orbital_distance(field, ve: VElement, p: float):
     """min over rotations of ||field - ve(., . + beta)||_p and the minimizer.
 
-    At p = 2 with family order 0 < 2n < n_theta the minimizer is closed form:
-    the sampled cos(n theta) and sin(n theta) parts gc, gs of the orbit are
-    orthogonal with equal norms in the discrete inner product, so with
-    r = field - base and phi = ve.beta + beta,
-
-        d^2(phi) = C - 2 cos(phi) <r, gc> + 2 sin(phi) <r, gs>,
-
-    which is least at phi* = atan2(-<r, gs>, <r, gc>); the distance is then
-    evaluated once at beta* = phi* - ve.beta (mod 2 pi).  Other p and orders
-    use a coarse scan over 256 angles followed by golden-section refinement
-    to a 1e-8 bracket.  For b = 0 the orbit is a single radial field and
-    no minimizer is sought.
+    With r = field - base, gc and gs the orbit's sampled cos(n theta) and
+    sin(n theta) parts and phi = ve.beta + beta, every p starts from the L^2
+    angle phi0 = atan2(-<r, gs>, <r, gc>), exact at p = 2: for 0 < 2n <
+    n_theta, gc and gs are orthogonal with equal norms, so d^2(phi) = C -
+    2 cos(phi) <r, gc> + 2 sin(phi) <r, gs>.  Other p take ``_newton_angle``
+    steps to a distance d at phi.  Rotating by dphi moves the orbit by
+    2 |sin(dphi / 2)| rad(r) sin(n theta + psi), so no angle farther than
+    2 asin(d / ``_tangent_floor``) from phi is closer.  If that radius reaches
+    past the bracket (so always when Newton ends on its edge), the least of
+    256 scanned angles starts a second Newton run; the closer result is kept.
+    b = 0 or n = 0 leaves one orbit field; 2n >= n_theta is a ResolutionError.
     """
     if not (1.0 < p < math.inf):
         raise ValueError(f"p must lie in (1, inf), got {p}")
     g = to_grid(field) if isinstance(field, SpectralField) else field
-    if ve.b == 0.0:
-        return float(_orbit_distance_curve(g, ve, p, [0.0])[0]), 0.0
+    grid = g.grid
     n, _ = ve.family
-    if p == 2.0 and 0 < 2 * n < g.grid.n_theta:
-        base, gc, gs = _orbit_tables(ve, g.grid)
-        resid = (g.values - base) * g.grid.measures
-        phi = math.atan2(-float((resid * gs).sum()), float((resid * gc).sum()))
-        beta_star = (phi - ve.beta) % (2.0 * math.pi)
-        return float(_orbit_distance_curve(g, ve, p, [beta_star])[0]), float(beta_star)
-    return _orbit_distance_search(g, ve, p)
+    if ve.b == 0.0 or n == 0:
+        return float(_orbit_distance_curve(g, ve, p, [0.0])[0]), 0.0
+    if 2 * n >= grid.n_theta:
+        raise ResolutionError(f"family order {n} needs n_theta > {2 * n}, got {grid.n_theta}")
+    base, gc, gs = _orbit_tables(ve, grid)
+    resid = (g.values - base) * grid.measures
+    phi0 = math.atan2(-float((resid * gs).sum()), float((resid * gc).sum()))
 
+    def at(phi):
+        beta = (phi - ve.beta) % (2.0 * math.pi)
+        return float(_orbit_distance_curve(g, ve, p, [beta])[0]), float(beta)
 
-def _orbit_distance_search(g: GridField, ve: VElement, p: float):
-    """Coarse scan over _N_COARSE angles, then golden section to _BETA_TOL."""
-    betas = 2.0 * math.pi * np.arange(_N_COARSE) / _N_COARSE
-    vals = _orbit_distance_curve(g, ve, p, betas)
-    i = int(np.argmin(vals))
-    span = 2.0 * math.pi / _N_COARSE
-    lo, hi = betas[i] - span, betas[i] + span
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1 = _orbit_distance_curve(g, ve, p, [x1])[0]
-    f2 = _orbit_distance_curve(g, ve, p, [x2])[0]
-    while hi - lo > _BETA_TOL:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = _orbit_distance_curve(g, ve, p, [x1])[0]
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = _orbit_distance_curve(g, ve, p, [x2])[0]
-    beta_star = 0.5 * (lo + hi) % (2.0 * math.pi)
-    return float(_orbit_distance_curve(g, ve, p, [beta_star])[0]), float(beta_star)
+    if p == 2.0:
+        return at(phi0)
+    r0, mu = g.values - base, grid.measures
+    phi = _newton_angle(r0, gc, gs, mu, p, phi0)
+    best = at(phi)
+    reach = 2.0 * math.asin(min(1.0, best[0] / _tangent_floor(gc, grid, p)))
+    if reach >= 2.0 * math.pi / _N_COARSE - abs(phi - phi0):
+        betas = 2.0 * math.pi * np.arange(_N_COARSE) / _N_COARSE
+        start = ve.beta + betas[int(np.argmin(_orbit_distance_curve(g, ve, p, betas)))]
+        best = min(best, at(_newton_angle(r0, gc, gs, mu, p, start)))
+    return best
 
 
 def distance_to_grid_orbit(g: GridField, ref: GridField, p: float):
-    """min over grid-multiple rotations of ||g - roll(ref)||_p.
+    """min over grid-multiple rotations of ||g - roll(ref)||_p, p = 2 only.
 
-    Orbit scan for references that are not family elements; resolution is one
-    azimuthal cell.  At p = 2 the best shift maximizes sum mu g roll(ref), a
+    Orbit distance for references that are not family elements; resolution
+    is one azimuthal cell.  The best shift maximizes sum mu g roll(ref), a
     cross-correlation that one real FFT over theta gives for every shift.
     """
+    if p != 2.0:
+        raise ValueError(f"grid-orbit distance supports p = 2 only, got {p}")
     mu = g.grid.measures
     n_theta = g.grid.n_theta
-    shifts = range(n_theta)
-    if p == 2.0:
-        corr = (np.conj(np.fft.rfft(g.values * mu, axis=1))
-                * np.fft.rfft(ref.values, axis=1)).sum(axis=0)
-        shifts = [int(np.argmax(np.fft.irfft(corr, n_theta)))]
-    best, best_s = math.inf, 0
-    for s in shifts:
-        d = (np.abs(g.values - np.roll(ref.values, -s, axis=1)) ** p * mu).sum()
-        if d < best:
-            best, best_s = d, s
-    return float(best ** (1.0 / p)), 2.0 * math.pi * best_s / n_theta
+    corr = (np.conj(np.fft.rfft(g.values * mu, axis=1))
+            * np.fft.rfft(ref.values, axis=1)).sum(axis=0)
+    s = int(np.argmax(np.fft.irfft(corr, n_theta)))
+    d = (np.abs(g.values - np.roll(ref.values, -s, axis=1)) ** p * mu).sum()
+    return float(d ** (1.0 / p)), 2.0 * math.pi * s / n_theta
 
 
 def plain_distance(g: GridField, ref: GridField, p: float) -> float:

@@ -38,15 +38,15 @@ from .disk_spectral import (
     _synthesize,
     distribution_profile,
     lp_norm,
-    mean_value,
     profiles_close,
     quantization_tolerance,
     single_mode,
+    spectral_norm2,
     to_grid,
     transplant,
 )
 from .errors import AscentError
-from .green_energy import apply_green, energy_grid
+from .green_energy import energy_grid
 from .steady_family import VElement, orbital_distance
 
 
@@ -174,7 +174,10 @@ def _radial_block_v2(basis: DiskBasis):
 
 def solve_v2(basis: DiskBasis):
     """Maximize <v, G v> over unit-norm zero-mean fields, blockwise over the
-    mean-projected Green operator."""
+    mean-projected Green operator.  The grid maximizer has unit grid norm,
+    the spectral one unit Parseval norm (2 energy = value).  The relation
+    residual is |P G x / M - x| in coefficients x = sqrt(parseval) c, P
+    projecting off the mean direction of row 0."""
     # n >= 1 blocks are diagonal with maximum green_mult[n, 0]
     n = int(np.argmax(basis.green_mult[1:, 0])) + 1
     value = float(basis.green_mult[n, 0])
@@ -188,14 +191,14 @@ def solve_v2(basis: DiskBasis):
         label = ("cos", n)
         f = single_mode(basis, n, 1, amplitude=1.0)
     g = to_grid(f)
-    norm = lp_norm(g, 2)
-    f = SpectralField(basis, f.coeffs / norm)
-    g = GridField(basis.grid, g.values / norm)
+    g = GridField(basis.grid, g.values / lp_norm(g, 2))
+    f = SpectralField(basis, f.coeffs / math.sqrt(spectral_norm2(f)))
 
-    # residual of v = (G v - mean(G v)) / M
-    gv = to_grid(apply_green(f))
-    rel = GridField(basis.grid, (gv.values - mean_value(gv)) / value - g.values)
-    residual = lp_norm(rel, 2)
+    x = np.sqrt(basis.parseval) * f.coeffs
+    gx = basis.green_mult * x
+    u = basis.mean0 / np.sqrt(basis.norm2[0])
+    gx[0] -= (u @ gx[0]) / (u @ u) * u
+    residual = float(np.linalg.norm(gx / value - x))
     return V2Result(value, g, f, residual, label)
 
 

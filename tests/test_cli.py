@@ -194,6 +194,31 @@ def test_family_outside_band_exit_code(tmp_path, capsys):
         assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("kind,key,value", [
+    ("steady-check", "family_k", 0), ("evolve", "family_k", 0),
+    ("steady-check", "family_n", -1), ("evolve", "family_n", -1),
+    ("steady-check", "family_n", 70), ("evolve", "family_n", 70),
+    ("bessel-table", "bessel_k_max", 0), ("bessel-table", "bessel_n_max", -1),
+    ("bessel-table", "bessel_n_max", 65),
+])
+def test_bessel_index_out_of_range_exit_code(tmp_path, capsys, kind, key, value):
+    # these exited 1 with "error: ..." from the Bessel layer (bessel_n_max = -1
+    # wrote an empty table and passed)
+    cfgfile = tmp_path / "b.cfg"
+    cfgfile.write_text("n_theta_modes = 6\nk_radial = 10\nn_r = 24\nn_theta = 32\n"
+                       f"turnovers = 0.05\n{key} = {value}\n")
+    out = tmp_path / "o"
+    assert cli.main([kind, "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert f"config error: {key} must lie in" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+def test_bessel_index_range_edges_accepted():
+    for line in ("family_n = 0", "family_n = 64", "bessel_n_max = 0", "bessel_n_max = 64",
+                 "family_k = 1", "bessel_k_max = 1"):
+        cli.parse_config(line + "\n", kind="bessel-table")
+
+
 def test_evolve_smoke(tmp_path):
     cfgfile = tmp_path / "e.cfg"
     cfgfile.write_text(
