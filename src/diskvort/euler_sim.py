@@ -30,6 +30,10 @@ exactly in the band and the Galerkin truncation keeps it there.  The time
 step is the CFL limit times a safety factor in (0, 1], refreshed every
 cadence steps.
 
+RK4 stages live on the real band array [Re c, Im c] of shape (nd+1, kd, 2):
+``tendency`` takes a SpectralField (checked and answered in kind) or the
+stepper's unchecked in-band carrier (answered with the band array).
+
 One exact radial channel, ``RadialBackground``, extends the zero-trace
 basis with the vorticity a J_0(l r) + c.  Both parts are exact radial
 solutions with closed-form stream functions:
@@ -46,6 +50,7 @@ solutions with closed-form stream functions:
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,7 +66,7 @@ from .disk_spectral import (
     to_grid,
 )
 from .errors import CFLError, NonFiniteFieldError, ResolutionError
-from .green_energy import apply_green, energy_grid
+from .green_energy import energy_grid
 from .steady_family import (
     VElement,
     dipole_part,
@@ -128,33 +133,45 @@ def _in_band(f: SpectralField):
     return not any(np.count_nonzero(block) for block in _outside_band(f.coeffs, f.basis))
 
 
-def _band_coeffs(f: SpectralField):
-    """The (nd+1, kd) band slice of f's coefficients; ResolutionError if f
-    has any nonzero coefficient outside the band."""
+def _band_values(f: SpectralField):
+    """The band of f's coefficients as the real (nd+1, kd, 2) view [Re c, Im c];
+    ResolutionError if f has any nonzero coefficient outside the band."""
     if not _in_band(f):
         raise ResolutionError("field has content outside the dealias band")
     kit = f.basis.band_kit
-    return f.coeffs[: kit["nd"] + 1, : kit["kd"]]
+    c = f.coeffs[: kit["nd"] + 1, : kit["kd"]]
+    return c.view(float).reshape(c.shape + (2,))
 
 
-def _band_grids(c, kit, synth_r, synth_t, background=None):
+# The stepper's in-band state: the basis and the real band array, built only
+# from a state that passed the band check.
+_Band = namedtuple("_Band", "basis values")
+
+
+def _synth_band(m, tables):
+    """Grids of the band's radial values m, shape (nd+1, len(tables) n_r, 2 q),
+    field by field, row block d synthesized by tables[d].  One copy reorders m,
+    then each grid is one real (n_r, 2 nd + 2) @ (2 nd + 2, n_angles) product.
+    No temporary exceeds one real grid (80 KB at 80 x 128, under glibc's 128 KB
+    mmap threshold): larger ones can get fresh pages on every call, and their
+    page faults cost more than the products."""
+    nd1, nb = m.shape[0], len(tables)
+    nr, q = m.shape[1] // nb, m.shape[2] // 2
+    t = m.reshape(nd1, nb, nr, q, 2).transpose(3, 1, 2, 4, 0).reshape(q, nb, nr, 2 * nd1)
+    return [t[i, d] @ tables[d] for i in range(q) for d in range(nb)]
+
+
+def _band_grids(cv, kit, synth_r, synth_t, background=None):
     """(d_r omega, (1/r) d_theta omega, d_r psi, (1/r) d_theta psi) of the band
-    coefficients c on the angles of the synthesis tables.  ``background``
-    adds its radial profiles to the n = 0 column (row 0 of synth_r is ones)."""
-    cv = c.view(float).reshape(c.shape + (2,))                     # [Re c, Im c]
+    array cv = [Re c, Im c] on the angles of the synthesis tables.
+    ``background`` adds its radial profiles to the n = 0 column."""
     x = np.concatenate([cv, cv * kit["mult"][..., None]], axis=2)  # omega, psi
     m = np.matmul(kit["radial"], x)         # (nd+1, 2 n_r, 4): d_r above 1/r rows
-    nd1, nr = m.shape[0], m.shape[1] // 2
     if background is not None:
+        nr = m.shape[1] // 2
         m[0, :nr, 0] += background.d_r_profile
         m[0, :nr, 2] += background.stream_d_r_profile
-    # one copy into ([d_r, 1/r], [omega, psi], n_r, [Re, Im] x n) order, then
-    # per grid one real (n_r, 2 nd + 2) @ (2 nd + 2, n_angles) synthesis.  No
-    # temporary is larger than one real grid (80 KB at 80 x 128, under glibc's
-    # 128 KB mmap threshold): larger per-call temporaries can get fresh pages
-    # on every call, and their page faults cost more than the products.
-    t = m.reshape(nd1, 2, nr, 2, 2).transpose(1, 3, 2, 4, 0).reshape(2, 2, nr, 2 * nd1)
-    return [t[0, 0] @ synth_r, t[1, 0] @ synth_t, t[0, 1] @ synth_r, t[1, 1] @ synth_t]
+    return _synth_band(m, (synth_r, synth_t))
 
 
 def _project_band(rhs_values, kit, analyze):
@@ -176,9 +193,11 @@ def _embed(band, basis: DiskBasis):
 
 
 def velocity_magnitude(w: SpectralField, background=None):
-    """Max |u| on the grid; u_r = (1/r) d_theta psi, u_theta = -d_r psi."""
+    """Max |u| on the grid from the two grids of psi alone;
+    u_r = (1/r) d_theta psi, u_theta = -d_r psi."""
     kit = w.basis.band_kit
-    _, _, dr_psi, dth_psi = _band_grids(_band_coeffs(w), kit, kit["synth_r"], kit["synth_t"])
+    psi = _band_values(w) * kit["mult"][..., None]
+    dr_psi, dth_psi = _synth_band(np.matmul(kit["radial"], psi), (kit["synth_r"], kit["synth_t"]))
     if background is not None:
         dr_psi = dr_psi + background.stream_d_r_profile[:, None]
     return float(np.sqrt(dr_psi**2 + dth_psi**2).max())
@@ -187,7 +206,7 @@ def velocity_magnitude(w: SpectralField, background=None):
 _MEAN_FIX_MODES = 6
 
 
-def _mean_fix(row0, w: SpectralField, background):
+def _mean_fix(row0, y: _Band, background):
     """Remove the dealias projection's spurious disk mean from the tendency.
 
     The continuum advection term has exactly zero mean; the dealias cut
@@ -201,12 +220,12 @@ def _mean_fix(row0, w: SpectralField, background):
     and stays far below the L2 drift budget.)
 
     ``row0`` holds the real n = 0 coefficients k = 1, 2, ... of the tendency
-    and is corrected in place.
+    of the state ``y`` and is corrected in place.
     """
-    b = w.basis
+    b = y.basis
     m = _MEAN_FIX_MODES
     defect = float(row0 @ b.mean0[: row0.size])
-    psi = w.coeffs[0, :m].real * b.green_mult[0, :m]
+    psi = y.values[0, :m, 0] * b.green_mult[0, :m]
     if background is not None:
         psi = psi + background.stream_row[:m]
     # the correction spans mean0 and psi weighted by norm2; its 2 x 2 Gram
@@ -219,20 +238,21 @@ def _mean_fix(row0, w: SpectralField, background):
     row0[:m] -= scale * (g11 * mean0 - g01 * q)
 
 
-def tendency(w: SpectralField, background: RadialBackground | None = None) -> SpectralField:
+def tendency(w: SpectralField | _Band, background: RadialBackground | None = None):
     """Right-hand side of the vorticity equation, dealiased.
 
-    ``w`` must lie in the dealias band (ResolutionError otherwise); the
-    product is formed on the band subgrid.  ``background`` adds the exact
-    radial channel to omega and psi, its uniform offset included.
+    ``w`` is a SpectralField in the dealias band (ResolutionError otherwise),
+    answered with a SpectralField, or the stepper's ``_Band``, answered with
+    the band array.  The product is formed on the band subgrid; ``background``
+    adds the exact radial channel to omega and psi, its uniform offset included.
     """
-    b = w.basis
-    kit = b.band_kit
-    dr_om, dth_om, dr_psi, dth_psi = _band_grids(_band_coeffs(w), kit, kit["sub_synth_r"],
+    y = w if isinstance(w, _Band) else _Band(w.basis, _band_values(w))
+    kit = y.basis.band_kit
+    dr_om, dth_om, dr_psi, dth_psi = _band_grids(y.values, kit, kit["sub_synth_r"],
                                                  kit["sub_synth_t"], background)
     band = _project_band(dr_psi * dth_om - dth_psi * dr_om, kit, kit["sub_analyze"])
-    _mean_fix(band[0, :, 0], w, background)
-    return SpectralField(b, _embed(band, b))
+    _mean_fix(band[0, :, 0], y, background)
+    return band if y is w else SpectralField(y.basis, _embed(band, y.basis))
 
 
 @dataclass
@@ -270,17 +290,24 @@ class SolverState:
     t: float = 0.0
     diagnostics: list = field(default_factory=list)
 
+    def _grid_values(self):
+        """(omega, psi) grids with the channel, from one band synthesis."""
+        b, bg = self.w.basis, self.background
+        kit = b.band_kit
+        cv = _band_values(self.w)
+        x = np.concatenate([cv, cv * kit["mult"][..., None]], axis=2)
+        m = np.matmul(b.r_eval[: kit["nd"] + 1, :, : kit["kd"]], x)
+        omega, psi = _synth_band(m, (kit["synth_r"],))
+        if bg is not None:
+            omega = omega + bg.profile[:, None]
+            psi = psi + bg.stream_profile[:, None]
+        return GridField(b.grid, omega), GridField(b.grid, psi)
+
     def full_grid_values(self):
-        vals = to_grid(self.w).values
-        if self.background is not None:
-            vals = vals + self.background.profile[:, None]
-        return GridField(self.w.basis.grid, vals)
+        return self._grid_values()[0]
 
     def stream_grid_values(self):
-        psi = to_grid(apply_green(self.w)).values
-        if self.background is not None:
-            psi = psi + self.background.stream_profile[:, None]
-        return GridField(self.w.basis.grid, psi)
+        return self._grid_values()[1]
 
 
 def resolved_spacing(basis: DiskBasis) -> float:
@@ -303,20 +330,21 @@ def cfl_dt(state: SolverState, safety: float) -> float:
 
 def step_rk4(state: SolverState, dt: float, check_cfl=True) -> SolverState:
     """Classical 4-stage update of the spectral part; the exact radial channel
-    is static.  ``check_cfl`` raises CFLError for a dt above the advective limit
-    at safety 1."""
+    is static.  The state is checked against the band once, and the stages
+    are formed on its real band array.  ``check_cfl`` raises CFLError for a
+    dt above the advective limit at safety 1."""
     if check_cfl:
         limit = cfl_dt(state, 1.0)
         if dt > limit:
             raise CFLError(f"dt={dt:g} exceeds advective limit {limit:g}")
     b, bg = state.w.basis, state.background
-    c0 = state.w.coeffs
-    k1 = tendency(state.w, bg).coeffs
-    k2 = tendency(SpectralField(b, c0 + 0.5 * dt * k1), bg).coeffs
-    k3 = tendency(SpectralField(b, c0 + 0.5 * dt * k2), bg).coeffs
-    k4 = tendency(SpectralField(b, c0 + dt * k3), bg).coeffs
-    w_new = SpectralField(b, c0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-    return replace(state, w=w_new, t=state.t + dt)
+    y0 = _band_values(state.w)
+    k1 = tendency(_Band(b, y0), bg)
+    k2 = tendency(_Band(b, y0 + 0.5 * dt * k1), bg)
+    k3 = tendency(_Band(b, y0 + 0.5 * dt * k2), bg)
+    k4 = tendency(_Band(b, y0 + dt * k3), bg)
+    y = y0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return replace(state, w=SpectralField(b, _embed(y, b)), t=state.t + dt)
 
 
 @dataclass(frozen=True)
@@ -331,11 +359,10 @@ class TraceRow:
 
 
 def _diagnose(state: SolverState, cfg: RunConfig) -> TraceRow:
-    omega = state.full_grid_values()
-    psi = state.stream_grid_values()
+    omega, psi = state._grid_values()
     e = energy_grid(omega, psi)
     l2 = lp_norm(omega, 2)
-    lp = lp_norm(omega, cfg.p)
+    lp = l2 if cfg.p == 2 else lp_norm(omega, cfg.p)
     if not (math.isfinite(e) and math.isfinite(l2)):
         raise NonFiniteFieldError(f"non-finite state at t={state.t!r}: energy {e!r}, L2 {l2!r}")
     mean = mean_value(omega)
@@ -343,11 +370,10 @@ def _diagnose(state: SolverState, cfg: RunConfig) -> TraceRow:
     # a uniform offset shifts both the state and every orbit element, so it
     # cancels from the distance
     uniform = state.background.uniform if state.background is not None else 0.0
+    shifted = omega if uniform == 0.0 else GridField(omega.grid, omega.values - uniform)
     if cfg.reference is not None:
-        shifted = GridField(omega.grid, omega.values - uniform)
         dist, beta = orbital_distance(shifted, cfg.reference, cfg.p)
     elif cfg.reference_grid is not None:
-        shifted = GridField(omega.grid, omega.values - uniform)
         dist, beta = distance_to_grid_orbit(shifted, cfg.reference_grid, cfg.p)
     return TraceRow(state.t, e, l2, lp, mean, dist, beta)
 

@@ -131,12 +131,14 @@ _N_COARSE = 256
 
 
 @lru_cache(maxsize=64)
-def _orbit_tables(ve: VElement, grid: DiskGrid):
-    """Radial part and the cos / sin parts of the orbit of ve on the grid."""
-    n, _ = ve.family
-    lam = ve.root
-    base = ve.a * bessel_j(0, lam * grid.r)[:, None]
-    rad = ve.b * bessel_j(n, lam * grid.r)
+def _orbit_tables(a, b, family, grid: DiskGrid):
+    """Radial part and the cos / sin parts, on the grid, of the orbit of the
+    elements with these a, b and family; beta does not enter them, so every
+    rotation of an element shares one cache entry."""
+    n, k = family
+    lam = bessel_zero(n, k)
+    base = a * bessel_j(0, lam * grid.r)[:, None]
+    rad = b * bessel_j(n, lam * grid.r)
     gc = rad[:, None] * np.cos(n * grid.theta)[None, :]
     gs = rad[:, None] * np.sin(n * grid.theta)[None, :]
     return base, gc, gs
@@ -145,7 +147,7 @@ def _orbit_tables(ve: VElement, grid: DiskGrid):
 def _orbit_distance_curve(g: GridField, ve: VElement, p: float, betas):
     """L^p distance from g to the rotations ve.rotated(beta) for many betas."""
     grid = g.grid
-    base, gc, gs = _orbit_tables(ve, grid)
+    base, gc, gs = _orbit_tables(ve.a, ve.b, ve.family, grid)
     resid0 = g.values - base
     mu = grid.measures
     betas = np.atleast_1d(betas)
@@ -221,7 +223,7 @@ def orbital_distance(field, ve: VElement, p: float):
         return float(_orbit_distance_curve(g, ve, p, [0.0])[0]), 0.0
     if 2 * n >= grid.n_theta:
         raise ResolutionError(f"family order {n} needs n_theta > {2 * n}, got {grid.n_theta}")
-    base, gc, gs = _orbit_tables(ve, grid)
+    base, gc, gs = _orbit_tables(ve.a, ve.b, ve.family, grid)
     resid = (g.values - base) * grid.measures
     phi0 = math.atan2(-float((resid * gs).sum()), float((resid * gc).sum()))
 

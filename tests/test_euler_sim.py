@@ -327,9 +327,9 @@ def _check_band_grids(basis, full):
         tables = ((kit["synth_r"], kit["synth_t"]) if full
                   else (kit["sub_synth_r"], kit["sub_synth_t"]))
         for w, bg in _band_states(b):
-            c = w.coeffs[: kit["nd"] + 1, : kit["kd"]]
+            cv = es._band_values(w)
             for background in _channels(bg):
-                got = es._band_grids(c, kit, *tables, background)
+                got = es._band_grids(cv, kit, *tables, background)
                 expect = _pointwise_band_grids(w, b.grid.theta[::s], background)
                 for g, e in zip(got, expect):
                     assert g.shape == (b.grid.n_r, b.grid.n_theta // s)
@@ -619,7 +619,7 @@ def test_mean_fix_matches_linear_solve(basis):
         raw = es._embed(es._project_band(np.random.default_rng(4).standard_normal(
             (basis.grid.n_r, basis.grid.n_theta)), kit, _band_analyze(basis)), basis)
         got = raw.copy()
-        es._mean_fix(got[0].real, w, bg)
+        es._mean_fix(got[0].real, es._Band(basis, es._band_values(w)), bg)
         # the rows the correction spans: mean0 and the stream function
         # weighted by norm2, as _mean_fix builds them
         psi = w.coeffs[0].real * basis.green_mult[0]
@@ -648,3 +648,104 @@ def test_run_raises_on_non_finite_state(basis):
     with pytest.raises(NonFiniteFieldError):
         es.run(state, es.RunConfig(t_end=1.0))
     assert state.diagnostics == []          # nothing was recorded
+
+
+def _spectral_field_rk4(state, dt):
+    """The RK4 step as it ran before the band carrier: every stage a
+    SpectralField, checked against the band by tendency and padded back to
+    (N+1, K) coefficients."""
+    b, bg = state.w.basis, state.background
+    c0 = state.w.coeffs
+    k1 = es.tendency(state.w, bg).coeffs
+    k2 = es.tendency(ds.SpectralField(b, c0 + 0.5 * dt * k1), bg).coeffs
+    k3 = es.tendency(ds.SpectralField(b, c0 + 0.5 * dt * k2), bg).coeffs
+    k4 = es.tendency(ds.SpectralField(b, c0 + dt * k3), bg).coeffs
+    w_new = ds.SpectralField(b, c0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+    return es.SolverState(w=w_new, background=bg, t=state.t + dt)
+
+
+def _four_grid_velocity_magnitude(w, background=None):
+    """Max |u| as it was taken before: all four band grids synthesized on the
+    collocation grid, the two of psi read."""
+    kit = w.basis.band_kit
+    _, _, dr_psi, dth_psi = es._band_grids(es._band_values(w), kit, kit["synth_r"],
+                                           kit["synth_t"])
+    if background is not None:
+        dr_psi = dr_psi + background.stream_d_r_profile[:, None]
+    return float(np.sqrt(dr_psi**2 + dth_psi**2).max())
+
+
+def test_band_stages_match_spectral_field_stages(basis):
+    # the stages on the real band array reproduce the SpectralField stages
+    # bitwise over 20 steps, with no channel, a J_0 channel and one with a
+    # uniform offset too
+    coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    for b in (basis, coarse):
+        w, bg = next(_band_states(b))
+        for background in _channels(bg):
+            got = expect = es.SolverState(w=w, background=background)
+            for _ in range(20):
+                got = es.step_rk4(got, 0.02)
+                expect = _spectral_field_rk4(expect, 0.02)
+                assert got.t == expect.t
+                assert np.array_equal(got.w.coeffs, expect.w.coeffs)
+
+
+def test_tendency_on_the_carrier_is_the_band_slice(basis):
+    coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    for b in (basis, coarse):
+        nd, kd = b.dealias_band()
+        for w, bg in _band_states(b):
+            for background in _channels(bg):
+                band = es.tendency(es._Band(b, es._band_values(w)), background)
+                full = es.tendency(w, background).coeffs
+                assert band.shape == (nd + 1, kd, 2)
+                assert np.array_equal(band[..., 0], full[: nd + 1, :kd].real)
+                assert np.array_equal(band[..., 1], full[: nd + 1, :kd].imag)
+
+
+def test_run_dt_sequence_matches_four_grid_velocity(basis, monkeypatch):
+    # the CFL step from the two psi grids equals, bitwise, the one from the
+    # four-grid synthesis, at every refresh of a run with a rotating channel
+    ve = sf.VElement(0.5, 1.0, 0.3)
+    pert = es.make_perturbation("smooth-random", ve, 1e-2, 2.0, basis,
+                                np.random.default_rng(6))
+    steps = []
+
+    def recording(state, dt, check_cfl=True, step=es.step_rk4):
+        steps.append(dt)
+        return step(state, dt, check_cfl)
+
+    monkeypatch.setattr(es, "step_rk4", recording)
+    sequences = []
+    for velocity in (es.velocity_magnitude, _four_grid_velocity_magnitude):
+        monkeypatch.setattr(es, "velocity_magnitude", velocity)
+        state = es.steady_state(ve, basis, uniform=0.6)
+        state.w = ds.SpectralField(basis, state.w.coeffs + pert.coeffs)
+        steps.clear()
+        es.run(state, es.RunConfig(t_end=1.0, cadence=3, reference=ve))
+        sequences.append(list(steps))
+    assert len(sequences[0]) > 6
+    assert sequences[0] == sequences[1]
+
+
+def test_grid_values_are_the_band_synthesis(basis):
+    # full_grid_values and stream_grid_values synthesize the band only; on an
+    # in-band state they equal to_grid of the whole spectrum (plus the channel
+    # profile) bitwise, and a state outside the band is refused
+    coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    for b in (basis, coarse):
+        for w, bg in _band_states(b):
+            for background in _channels(bg):
+                state = es.SolverState(w=w, background=background)
+                omega = ds.to_grid(w).values
+                psi = ds.to_grid(ge.apply_green(w)).values
+                if background is not None:
+                    omega = omega + background.profile[:, None]
+                    psi = psi + background.stream_profile[:, None]
+                assert np.array_equal(state.full_grid_values().values, omega)
+                assert np.array_equal(state.stream_grid_values().values, psi)
+        dirty = es.SolverState(w=_corner_mode(b, 1e-13))
+        for values in (dirty.full_grid_values, dirty.stream_grid_values):
+            with pytest.raises(ResolutionError, match="outside the dealias band"):
+                values()

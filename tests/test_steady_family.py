@@ -271,7 +271,7 @@ def test_closed_form_distance_matches_search(basis, grid):
             scale = size * ds.lp_norm(target, 2) / ds.lp_norm(pert, 2)
             g = ds.GridField(grid, target.values + scale * pert.values)
             d, beta = sf.orbital_distance(g, ve, 2.0)
-            base, gc, gs = sf._orbit_tables(ve, grid)
+            base, gc, gs = sf._orbit_tables(ve.a, ve.b, ve.family, grid)
             r = (g.values - base) * grid.measures
             # p = 2 takes no Newton step: beta* is the L^2 angle itself
             phi0 = math.atan2(-float((r * gs).sum()), float((r * gc).sum()))
@@ -338,7 +338,7 @@ def test_newton_distance_never_farther_than_search(basis, grid, monkeypatch):
             # evaluated distance is only good to a few eps ||g - base||_p; the
             # search keeps the least of ~40 such values, which can undercut the
             # true minimum by that much at small perturbations
-            base, _, _ = sf._orbit_tables(ve, grid)
+            base, _, _ = sf._orbit_tables(ve.a, ve.b, ve.family, grid)
             floor = 4 * eps * ds.lp_norm(ds.GridField(grid, g.values - base), p)
             assert d <= d_search * (1 + 1e-13) + floor, (p, ve, d, d_search)
             if len(runs) > 1:
@@ -354,7 +354,7 @@ def test_newton_bisects_where_residual_cells_vanish(basis, grid):
     # the p = 1.5 second derivative infinite, and the minimum lies in
     # (0.3, 0.31), where the other half matches
     ve = sf.VElement(0.0, 1.0, 0.0)
-    _, gc, gs = sf._orbit_tables(ve, grid)
+    _, gc, gs = sf._orbit_tables(ve.a, ve.b, ve.family, grid)
     r0 = math.cos(0.3) * gc - math.sin(0.3) * gs
     r0[40:] = (math.cos(0.31) * gc - math.sin(0.31) * gs)[40:]
     phi = sf._newton_angle(r0, gc, gs, grid.measures, 1.5, 0.3)
@@ -373,7 +373,7 @@ def test_tangent_floor_bounds_the_orbit_tangent(grid):
     for g in (grid, coarse):
         for family in ((1, 1), (2, 1), (3, 2)):
             ve = sf.VElement(0.3, 0.8, 0.0, family)
-            _, gc, gs = sf._orbit_tables(ve, g)
+            _, gc, gs = sf._orbit_tables(ve.a, ve.b, ve.family, g)
             for p in (1.1, 1.5, 2.0, 4.0, 8.0):
                 norms = [(np.abs(math.sin(q) * gc + math.cos(q) * gs) ** p
                           * g.measures).sum() ** (1 / p) for q in psis]
@@ -417,3 +417,18 @@ def test_grid_orbit_distance_matches_roll_scan(basis, grid):
         with pytest.raises(ValueError):
             es.RunConfig(t_end=1.0, p=p, reference_grid=ref)
     assert es.RunConfig(t_end=1.0, p=2.0, reference_grid=ref).p == 2.0
+
+
+def test_orbit_tables_are_shared_by_rotations(basis, grid):
+    # beta does not enter the tables: 100 rotations of one element add one
+    # cache entry, and each distance equals the one from freshly built tables
+    ve = sf.VElement(0.5, 1.0, 0.0)
+    g = ds.to_grid(ds.random_in_span(basis, np.random.default_rng(9), n_cut=4, k_cut=6))
+    g = ds.GridField(grid, sf.v_element_grid(ve, grid).values + 1e-2 * g.values)
+    rotations = [ve.rotated(0.01 * i) for i in range(100)]
+    sf._orbit_tables.cache_clear()
+    shared = [sf.orbital_distance(g, r, 2.0) for r in rotations]
+    assert sf._orbit_tables.cache_info().currsize == 1
+    for r, got in zip(rotations, shared):
+        sf._orbit_tables.cache_clear()
+        assert sf.orbital_distance(g, r, 2.0) == got
