@@ -9,9 +9,11 @@ documented serialization schema.  The same config and seed reproduce the
 same CSV bytes.
 
 Exit status: 0 all asserted tolerances pass, 2 configuration error (also a
-ResolutionError: a family or field outside the basis or its dealias band),
-3 tolerance failure or numerical failure (a non-finite field, or an ascent
-step that lowered the energy), 1 unexpected error.
+family or field outside the basis or its dealias band, a turnover horizon
+on a field at rest or a perturbation that vanishes), 3 tolerance failure or
+numerical failure (a non-finite field, or an ascent step that lowered the
+energy of an in-class iterate, a defect), 1 unexpected error.  A run that
+raises still writes its manifest, with the error under ``error``.
 """
 
 import argparse
@@ -130,26 +132,27 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"p must lie in (1, inf), got {cfg.p}")
     if cfg.perturbation not in ("random-shuffle", "mode-injection", "smooth-random", "none"):
         raise ConfigError(f"unknown perturbation kind {cfg.perturbation!r}")
-    # NaN passes every comparison below unnoticed, and a NaN or infinite
-    # horizon would end a run after its first row as if it had passed
-    for name in ("turnovers", "t_end", "delta_rel"):
-        if not math.isfinite(getattr(cfg, name)):
-            raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
-    if cfg.delta_rel <= 0:
-        raise ConfigError(f"delta_rel must be positive, got {cfg.delta_rel}")
     # above 1 every refresh steps over the advective limit
     if not 0 < cfg.cfl_safety <= 1:
         raise ConfigError(f"cfl_safety must lie in (0, 1], got {cfg.cfl_safety}")
-    if cfg.n_theta_modes < 1 or cfg.k_radial < 1 or cfg.n_r < 3 or cfg.n_theta < 4:
-        raise ConfigError("resolution parameters out of range")
-    if cfg.cadence < 1 or cfg.seeds < 1 or cfg.max_iters < 1:
-        raise ConfigError("cadence, seeds and max_iters must be positive")
+    # NaN passes every comparison below unnoticed, a NaN or infinite horizon
+    # would end a run after its first row as if it had passed, and a
+    # non-finite amplitude or phase only surfaces deep inside a run
+    for name, typ in _FIELD_TYPES.items():
+        if typ is float and not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
+    if cfg.delta_rel <= 0:
+        raise ConfigError(f"delta_rel must be positive, got {cfg.delta_rel}")
     if cfg.turnovers <= 0 and cfg.t_end <= 0:
         raise ConfigError("one of turnovers or t_end must be positive")
-    if cfg.n_uniform < 1:
-        raise ConfigError("n_uniform must be a positive integer")
-    # Bessel orders and zero indices that the tables hold
-    for name, lo, hi in (("family_n", 0, MAX_ORDER), ("bessel_n_max", 0, MAX_ORDER),
+    # integer keys: the smallest resolutions a basis is built on, positive
+    # counts, and the Bessel orders and zero indices that the tables hold
+    for name, lo, hi in (("seed", 0, math.inf), ("n_theta_modes", 1, math.inf),
+                         ("k_radial", 1, math.inf), ("n_r", 3, math.inf),
+                         ("n_theta", 4, math.inf), ("cadence", 1, math.inf),
+                         ("seeds", 1, math.inf), ("max_iters", 1, math.inf),
+                         ("n_uniform", 1, math.inf),
+                         ("family_n", 0, MAX_ORDER), ("bessel_n_max", 0, MAX_ORDER),
                          ("family_k", 1, math.inf), ("bessel_k_max", 1, math.inf)):
         if not lo <= getattr(cfg, name) <= hi:
             raise ConfigError(f"{name} must lie in [{lo}, {hi}], got {getattr(cfg, name)}")
@@ -440,15 +443,12 @@ _EXPERIMENTS = {
 
 
 def run_experiment(cfg: ExperimentConfig, outdir) -> int:
-    """Execute the configured experiment; returns the process exit status."""
+    """Execute the configured experiment; returns the process exit status.
+    A run that raises leaves its manifest too, with the error."""
     outdir = Path(outdir)
     (outdir / "fields").mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     chash = config_hash(cfg)
-    t0 = time.time()
-    passed, rows, header, extra = _EXPERIMENTS[cfg.kind](cfg, rng, outdir)
-    wall = time.time() - t0
-    _write_csv(outdir / "results.csv", header, rows, chash)
     manifest = {
         "kind": cfg.kind,
         "config": asdict(cfg),
@@ -456,12 +456,19 @@ def run_experiment(cfg: ExperimentConfig, outdir) -> int:
         "seed": cfg.seed,
         "package_version": __version__,
         "python_version": sys.version.split()[0],
-        "wall_time_s": wall,
-        "passed": bool(passed),
     }
-    manifest.update({k: v for k, v in extra.items()})
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, default=float)
+    t0 = time.time()
+    try:
+        passed, rows, header, extra = _EXPERIMENTS[cfg.kind](cfg, rng, outdir)
+        _write_csv(outdir / "results.csv", header, rows, chash)
+    except Exception as exc:
+        passed, extra = False, {"error": f"{type(exc).__name__}: {exc}"}
+        raise
+    finally:
+        manifest.update(wall_time_s=time.time() - t0, passed=bool(passed))
+        manifest.update(extra)
+        with open(outdir / "manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, default=float)
     return 0 if passed else 3
 
 
@@ -483,16 +490,15 @@ def main(argv=None) -> int:
         cfg = parse_config(text, kind=args.kind)
         if args.seed is not None:
             cfg.seed = args.seed
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+            _validate(cfg)
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
         status = run_experiment(cfg, args.out)
-    except ResolutionError as exc:
-        # a resolution that cannot hold the configured element or field
+    except (ResolutionError, ConfigError) as exc:
+        # a resolution that cannot hold the configured element or field, or
+        # an element without velocity or perturbation to scale a run by
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NonFiniteFieldError, AscentError) as exc:

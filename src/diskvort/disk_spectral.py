@@ -334,16 +334,44 @@ def spectral_norm2(f: SpectralField) -> float:
 
 @dataclass(frozen=True)
 class DistributionProfile:
-    """Sorted (value, cumulative measure) pairs; values non-increasing."""
+    """Sorted (value, cumulative measure) pairs; values non-increasing.
+
+    Cell j holds values[j] on [knots[j], knots[j+1]], knots = [0, cum_measure].
+    ``integral`` is the cumulative integral at the knots plus i times the knot
+    index, so that one interpolation gives both at any measure point.
+    """
 
     values: np.ndarray
     cum_measure: np.ndarray
+    knots: np.ndarray = field(init=False, repr=False, compare=False)
+    integral: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.values) > 0):
             raise ValueError("profile values must be non-increasing")
         if abs(self.cum_measure[-1] - math.pi) > 1e-9:
             raise ValueError("profile cumulative measure must end at pi")
+        knots = np.concatenate([[0.0], self.cum_measure])
+        integral = np.zeros(knots.size, complex)
+        np.cumsum(self.values * np.diff(knots), out=integral.real[1:])
+        integral.imag = np.arange(knots.size)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "integral", integral)
+
+    def slot_averages(self, bounds, measures):
+        """Profile average over each slot [bounds[i], bounds[i+1]] of measure
+        measures[i]: exact for a slot inside one profile cell, and clipped
+        into [value at the slot end, value at its start], which rounding of
+        the integral differences can leave."""
+        at = np.interp(bounds, self.knots, self.integral)
+        cell = at.imag.astype(np.intp)  # the cell right of each bound
+        # the cell left of each slot end; the fractional index is exact at a knot
+        end = cell[1:] - (cell[1:] == at.imag[1:])
+        avg = np.diff(at.real)
+        del at      # fewer live temporaries: see transplant
+        avg /= measures
+        np.maximum(avg, self.values[end], out=avg)
+        return np.minimum(avg, self.values[cell[:-1]], out=avg)
 
     def resample(self, points):
         idx = np.clip(
@@ -399,27 +427,27 @@ def quantization_tolerance(profile, grid):
     variation across a single cell's measure, so comparisons against
     transplanted fields use this bound (plus the exact-case tolerance).
     """
-    mu_max = float(grid.measure_r.max() * 1.0)
-    hi = np.clip(
-        np.searchsorted(profile.cum_measure, profile.cum_measure + mu_max, "left"),
-        0,
-        len(profile.values) - 1,
-    )
-    drop = np.max(profile.values - profile.values[hi])
+    mu_max = float(grid.measure_r.max())
+    drop = np.max(profile.values - profile.resample(profile.cum_measure + mu_max))
     return float(drop + 1e-6 * max(profile.value_range(), 1e-300))
 
 
 def transplant(profile: DistributionProfile, onto: GridField) -> GridField:
     """Measure-preserving monotone transplantation of ``profile`` onto the
     level structure of ``onto``: cells sorted by ``onto`` descending (ties
-    broken by flattened index) receive the profile value at the midpoint
-    of their cumulative-measure slot."""
+    broken by flattened index) receive the profile's average over their
+    cumulative-measure slot.  The result lies in the convex hull of the
+    profile's rearrangement class on the grid."""
     order = _descending_order(onto.values.ravel())
     mu = onto.grid.cell_measure[order]
-    idx = np.searchsorted(profile.cum_measure, np.cumsum(mu) - 0.5 * mu)
-    np.minimum(idx, len(profile.values) - 1, out=idx)     # as resample clips
+    bounds = np.zeros(mu.size + 1)
+    np.cumsum(mu, out=bounds[1:])
+    # averaged before new_vals is allocated, and with the interpolant freed
+    # early: with fewer live temporaries the allocator keeps its pages rather
+    # than faulting them in again every ascent step
+    averages = profile.slot_averages(bounds, mu)
     new_vals = np.empty(mu.size)
-    new_vals[order] = profile.values[idx]
+    new_vals[order] = averages
     return GridField(onto.grid, new_vals.reshape(onto.values.shape))
 
 

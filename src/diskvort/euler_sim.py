@@ -65,7 +65,7 @@ from .disk_spectral import (
     mean_value,
     to_grid,
 )
-from .errors import CFLError, NonFiniteFieldError, ResolutionError
+from .errors import CFLError, ConfigError, NonFiniteFieldError, ResolutionError
 from .green_energy import energy_grid
 from .steady_family import (
     VElement,
@@ -399,8 +399,10 @@ def run(state: SolverState, cfg: RunConfig):
 
 def turnover_time(state: SolverState) -> float:
     umax = velocity_magnitude(state.w, state.background)
+    if not math.isfinite(umax):
+        raise NonFiniteFieldError(f"non-finite velocity {umax!r}")
     if umax == 0.0:
-        raise ValueError("zero velocity field has no turnover time")
+        raise ConfigError("zero velocity field has no turnover time")
     return 2.0 * math.pi / umax
 
 
@@ -569,5 +571,5 @@ def make_perturbation(kind: str, ve: VElement, delta: float, p: float,
     f = band_limit(f)
     size = lp_norm(to_grid(f), p)
     if size == 0.0:
-        raise ValueError("degenerate zero perturbation")
+        raise ConfigError("degenerate zero perturbation")
     return SpectralField(basis, f.coeffs * (delta / size))

@@ -18,10 +18,12 @@ the n = 0 block, which carries the mean constraint, is one symmetric
 eigendecomposition of the mean-projected Green operator.  The two problems
 are mutually inverse (m * M = 1), both attained on the same family.
 
-The rearrangement ascent maximizes the kinetic energy over a discrete
-rearrangement class: each step transplants the seed profile monotonically
-onto the level structure of the current stream function, which cannot
-decrease the energy.
+The rearrangement ascent maximizes the kinetic energy over the convex hull
+(weak closure) of a profile's rearrangement class on the grid.  Each step
+gives every cell the profile's average over its slot in the current stream
+function's level order, which maximizes <f, psi_old> over the hull, so from
+an iterate in the hull the energy cannot fall.  Only the first step, the
+seed's entry into the hull, may lower it.
 """
 
 import math
@@ -39,15 +41,14 @@ from .disk_spectral import (
     distribution_profile,
     lp_norm,
     profiles_close,
-    quantization_tolerance,
     single_mode,
     spectral_norm2,
     to_grid,
     transplant,
 )
-from .errors import AscentError
+from .errors import AscentError, NonFiniteFieldError
 from .green_energy import energy_grid
-from .steady_family import VElement, orbital_distance
+from .steady_family import VElement, orbital_distance, v_element_grid
 
 
 @dataclass(frozen=True)
@@ -216,13 +217,6 @@ class AscentState:
     profile: DistributionProfile
     psi: GridField = None
 
-    def check_profile(self, tol=None):
-        prof = distribution_profile(self.iterate)
-        if tol is None:
-            tol = quantization_tolerance(self.profile, self.iterate.grid)
-        ok, gap = profiles_close(prof, self.profile, tol=tol)
-        return ok, gap
-
 
 def _stream_of(g: GridField, basis: DiskBasis) -> GridField:
     """Stream function of g: half-spectrum analysis, 1/j^2, synthesis."""
@@ -235,15 +229,18 @@ def ascent_start(seed: GridField, profile: DistributionProfile, basis: DiskBasis
     return AscentState(seed, energy_grid(seed, psi), 0, profile, psi)
 
 
-def burton_step(state: AscentState, profile: DistributionProfile, basis: DiskBasis,
-                slack=1e-12) -> AscentState:
-    """One monotone transplantation of ``profile`` onto the current stream
-    function.  Raises if the energy drops beyond the arithmetic slack."""
+def burton_step(state: AscentState, basis: DiskBasis) -> AscentState:
+    """One monotone transplantation of the state's profile onto the current
+    stream function.  From iteration 1 on the iterate lies in the profile's
+    hull, and an energy drop beyond rounding raises; so does a non-finite
+    energy."""
     psi = state.psi if state.psi is not None else _stream_of(state.iterate, basis)
-    nxt = transplant(profile, psi)
+    nxt = transplant(state.profile, psi)
     psi_next = _stream_of(nxt, basis)
     e_next = energy_grid(nxt, psi_next)
-    if e_next < state.energy - slack * max(1.0, abs(state.energy)):
+    if not math.isfinite(e_next):       # which no comparison below would catch
+        raise NonFiniteFieldError(f"ascent energy {e_next!r}")
+    if state.iteration >= 1 and e_next < state.energy - 1e-12 * max(1.0, abs(state.energy)):
         raise AscentError(
             f"transplantation decreased energy: {state.energy!r} -> {e_next!r}"
         )
@@ -262,40 +259,29 @@ class AscentResult:
 
 
 def burton_maximize(ve: VElement, seed: GridField, basis: DiskBasis,
-                    max_iters=600, stall_steps=8, gain_tol=1e-12,
-                    p=2.0, trace_distance=False) -> AscentResult:
+                    max_iters=600, p=2.0, trace_distance=False) -> AscentResult:
     """Iterate burton_step from ``seed`` until the energy gain stays below
-    ``gain_tol`` for ``stall_steps`` consecutive steps or max_iters.
+    1e-12 relative for 8 consecutive steps, or for max_iters steps.
 
-    Steps run with a quantization-sized slack: requantizing a continuum
-    maximizer that is not grid aligned can lower the energy by up to ~1e-7,
-    which the stall logic treats as terminal wobble rather than a defect
-    (the strict burton_step contract still catches real transplantation
-    bugs, which miss by orders of magnitude more).  Elements with a dominant
-    radial component can freeze the ascent at a radially arranged critical
-    state well away from the orbit; the returned distance reports such
-    stalls, it does not hide them.
+    Elements with a dominant radial component can freeze the ascent at a
+    radially arranged critical state well away from the orbit; the returned
+    distance reports such stalls, it does not hide them.
     """
-    from .steady_family import v_element_grid
-
     target = v_element_grid(ve, basis.grid)
     profile = distribution_profile(target)
     state = ascent_start(seed, profile, basis)
     energies = [state.energy]
     distances = [orbital_distance(state.iterate, ve, p)[0]] if trace_distance else None
     stall = 0
-    converged = False
     for _ in range(max_iters):
-        nxt = burton_step(state, profile, basis, slack=1e-6)
-        gain = nxt.energy - state.energy
-        state = nxt
+        state = burton_step(state, basis)
+        gain = state.energy - energies[-1]
         energies.append(state.energy)
         if trace_distance:
             distances.append(orbital_distance(state.iterate, ve, p)[0])
-        stall = stall + 1 if gain <= gain_tol * max(1.0, abs(state.energy)) else 0
-        if stall >= stall_steps:
-            converged = True
+        stall = stall + 1 if gain <= 1e-12 * max(1.0, abs(state.energy)) else 0
+        if stall == 8:
             break
     dist, beta = orbital_distance(state.iterate, ve, p)
-    _, gap = state.check_profile()
-    return AscentResult(state.iterate, energies, converged, dist, beta, gap, distances)
+    _, gap = profiles_close(distribution_profile(state.iterate), profile, tol=math.inf)
+    return AscentResult(state.iterate, energies, stall == 8, dist, beta, gap, distances)

@@ -180,13 +180,12 @@ def test_criterion_5_variational_characterization(basis):
             good += hit
             drops = [res.energies[i] - res.energies[i + 1]
                      for i in range(len(res.energies) - 1)]
-            mono = max(drops, default=0.0) <= 1e-6 * max(1.0, abs(res.energies[-1]))
+            mono = max(drops, default=0.0) <= 1e-12 * max(1.0, abs(res.energies[-1]))
             all_ok = all_ok and mono
         summary.append(good)
         all_ok = all_ok and good >= 9
     report("5 variational-characterization", all_ok,
-           f"(converged runs per element {summary}/10, traces monotone within "
-           f"cell-quantization slack)")
+           f"(converged runs per element {summary}/10, traces monotone to rounding)")
 
 
 def test_criterion_6_steadiness_and_rotation(basis):

@@ -3,9 +3,11 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from diskvort import cli
+from diskvort import cli, variational
+from diskvort.disk_spectral import GridField, transplant
 from diskvort.errors import ConfigError, NonFiniteFieldError
 
 
@@ -170,16 +172,32 @@ def test_non_finite_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "numerical failure: energy nan" in capsys.readouterr().err
 
 
-def test_ascent_error_exit_code(tmp_path, capsys):
-    # on this coarse basis the midpoint transplant lowers the energy of seed
-    # 7's ascent (AscentError): a numerical failure, not an unexpected error
+def test_ascent_error_exit_code(tmp_path, capsys, monkeypatch):
+    # on this coarse basis the midpoint transplant lowered the energy of seed
+    # 7's ascent (AscentError); the slot-average ascent is monotone and fails
+    # on distance only
     cfgfile = tmp_path / "b.cfg"
     cfgfile.write_text("n_theta_modes = 6\nk_radial = 10\nn_r = 24\nn_theta = 32\n"
                        "a = 0.4\nseeds = 2\nmax_iters = 30\n")
-    rc = cli.main(["burton-maximize", "--config", str(cfgfile), "--seed", "7",
-                   "--out", str(tmp_path / "o")])
-    assert rc == 3
+    args = ["burton-maximize", "--config", str(cfgfile), "--seed", "7"]
+    assert cli.main(args + ["--out", str(tmp_path / "o")]) == 3
+    assert "TOLERANCE FAILURE" in capsys.readouterr().err
+    # a transplant that halves its result from the second step on lowers the
+    # energy of an in-class iterate: a numerical failure, with its manifest
+    calls = []
+
+    def halving(profile, onto):
+        calls.append(onto)
+        g = transplant(profile, onto)
+        return GridField(g.grid, 0.5 * g.values) if len(calls) > 1 else g
+
+    monkeypatch.setattr(variational, "transplant", halving)
+    assert cli.main(args + ["--out", str(tmp_path / "e")]) == 3
     assert "numerical failure: transplantation decreased energy" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "e" / "manifest.json").read_text())
+    assert manifest["passed"] is False
+    assert manifest["error"].startswith("AscentError: transplantation decreased energy")
+    assert len(calls) == 2
 
 
 def test_family_outside_band_exit_code(tmp_path, capsys):
@@ -280,3 +298,54 @@ def test_sharpness_demo_smoke(tmp_path):
     )
     rc = cli.main(["sharpness-demo", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
     assert rc == 0
+
+
+# Boundary values per key for the config fuzz.  Huge values go only to keys
+# that do not size the work: a huge resolution, horizon, count or zero index
+# asks for that much memory or time, it is not malformed.
+_FUZZ_BASE = {"n_theta_modes": "6", "k_radial": "10", "n_r": "24", "n_theta": "32",
+              "turnovers": "0.05", "seeds": "2", "max_iters": "20", "n_uniform": "1",
+              "cadence": "5"}
+_EDGES = ["0", "-1", "nan", "inf", "-inf", "1e300"]
+_INT_EDGES = ["0", "-1", "2.5"]
+_FUZZ_VALUES = {
+    "seed": _INT_EDGES + ["1000000000000"],
+    "n_theta_modes": _INT_EDGES, "k_radial": _INT_EDGES,
+    "n_r": _INT_EDGES + ["11"], "n_theta": _INT_EDGES + ["13"],
+    "a": _EDGES, "b": _EDGES, "beta": _EDGES, "omega_rot": _EDGES,
+    "p": _EDGES + ["1"], "delta_rel": _EDGES, "cfl_safety": _EDGES + ["1"],
+    "turnovers": _EDGES[:-1] + ["1e-300"], "t_end": _EDGES[:-1] + ["1e-300"],
+    # family (5, 1) and (1, 7) lie outside the dealias band (4, 6)
+    "family_n": _INT_EDGES + ["5", "1000000000000"], "family_k": _INT_EDGES + ["7"],
+    "perturbation": ["none", "mode-injection", "random-shuffle", "bogus"],
+    "pert_mode_n": _INT_EDGES + ["1000000000000"],
+    "pert_mode_k": _INT_EDGES + ["1000000000000"],
+    "n_uniform": _INT_EDGES, "seeds": _INT_EDGES, "max_iters": _INT_EDGES,
+    "cadence": _INT_EDGES + ["1000000000000"],
+    "bessel_n_max": _INT_EDGES + ["1000000000000"], "bessel_k_max": _INT_EDGES,
+}
+
+
+# the command line runs with numpy's overflow warnings as warnings, which
+# the suite otherwise turns into errors
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_config_fuzz_exits_are_typed(tmp_path, capsys, kind):
+    # every kind on a small basis with one or two keys at a boundary value:
+    # the run ends in 0, 2 or 3, never in an unexpected error, and runs that
+    # get as far as 0 or 3 leave a manifest
+    assert set(_FUZZ_VALUES) == {f.name for f in dataclasses.fields(cli.ExperimentConfig)} - {"kind"}
+    rng = np.random.default_rng([2024, cli.KINDS.index(kind)])
+    keys = sorted(_FUZZ_VALUES)
+    for case in range(20):
+        cfg = dict(_FUZZ_BASE)
+        for key in rng.choice(keys, size=1 + case % 2, replace=False):
+            cfg[key] = _FUZZ_VALUES[key][rng.integers(len(_FUZZ_VALUES[key]))]
+        cfgfile = tmp_path / f"{case}.cfg"
+        cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+        out = tmp_path / f"out{case}"
+        rc = cli.main([kind, "--config", str(cfgfile), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3), (cfg, err)
+        if rc != 2:
+            assert (out / "manifest.json").exists(), (cfg, err)
