@@ -177,14 +177,15 @@ def bessel_j_prime(n, s):
 
 _NEWTON_TOL = 1e-13
 _NEWTON_ITERS = 60
+_SCAN_STEP = 0.5
 
 
-def _zeros_for_order(n, k_max, scan_step=0.5, window=None):
+def _zeros_for_order(n, k_max, window=None):
     """First k_max positive zeros of J_n: one scan, then guarded Newton."""
     start = float(max(n, 1))
     if window is None:
         window = start + 1.2 * math.pi * (k_max + 0.5 * n + 3.0) + 5.0
-    pts = np.arange(start, window + scan_step, scan_step)
+    pts = np.arange(start, window + _SCAN_STEP, _SCAN_STEP)
     vals = _bessel_j_impl(n, pts)
     flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     if flips.size < k_max:

@@ -33,7 +33,6 @@ from .disk_spectral import (
     DiskBasis,
     DiskGrid,
     GridField,
-    SpectralField,
     lp_norm,
     ring_shuffle,
     save_field,
@@ -153,7 +152,7 @@ def _validate(cfg: ExperimentConfig):
                          ("seeds", 1, math.inf), ("max_iters", 1, math.inf),
                          ("n_uniform", 1, math.inf),
                          ("family_n", 0, MAX_ORDER), ("bessel_n_max", 0, MAX_ORDER),
-                         ("family_k", 1, math.inf), ("bessel_k_max", 1, math.inf)):
+                         ("family_k", 1, cfg.k_radial), ("bessel_k_max", 1, math.inf)):
         if not lo <= getattr(cfg, name) <= hi:
             raise ConfigError(f"{name} must lie in [{lo}, {hi}], got {getattr(cfg, name)}")
     return cfg
@@ -324,16 +323,7 @@ def _exp_evolve(cfg, rng, outdir):
     basis = cfg.basis()
     ve = cfg.element()
     pert = _perturbation(cfg, ve, basis, rng)
-    if pert is None:
-        from .disk_spectral import zero_field
-
-        pert = zero_field(basis)
     t_end = cfg.t_end if cfg.t_end > 0 else None
-    chash = config_hash(cfg)
-    initial = steady_state(ve, basis)
-    initial.w = SpectralField(basis, initial.w.coeffs + pert.coeffs)
-    save_field(Path(outdir) / "fields" / "initial.json",
-               initial.full_grid_values(), extra={"config_hash": chash})
     res = run_stability_experiment(ve, pert, cfg.p, t_end=t_end,
                                    turnovers=cfg.turnovers, basis=basis,
                                    cfl_safety=cfg.cfl_safety, cadence=cfg.cadence)
@@ -341,8 +331,9 @@ def _exp_evolve(cfg, rng, outdir):
     if cfg.perturbation == "none":
         passed &= res.max_distance <= 1e-6
     state_final = res.trace[-1]
-    if res.final_field is not None:
-        save_field(Path(outdir) / "fields" / "final.json", res.final_field,
+    chash = config_hash(cfg)
+    for name, g in (("initial", res.initial_field), ("final", res.final_field)):
+        save_field(Path(outdir) / "fields" / f"{name}.json", g,
                    extra={"config_hash": chash})
     extra = {
         "max_distance": res.max_distance,
@@ -361,7 +352,6 @@ def _exp_stability_sweep(cfg, rng, outdir):
     ve = cfg.element()
     rows = []
     passed = True
-    extra = {}
     for p in (1.5, 2.0, 4.0):
         for kind in ("random-shuffle", "mode-injection", "smooth-random"):
             target = v_element_grid(ve, basis.grid)
@@ -379,13 +369,13 @@ def _exp_stability_sweep(cfg, rng, outdir):
                          "pass" if ok else "FAIL"))
     return passed, rows, ["p", "kind", "delta", "max_distance",
                           "distance_over_delta", "energy_drift", "l2_drift",
-                          "status"], extra
+                          "status"], {}
 
 
 def _exp_rotate(cfg, rng, outdir):
     basis = cfg.basis()
     ve = cfg.element()
-    pert = None if cfg.perturbation == "none" else _perturbation(cfg, ve, basis, rng)
+    pert = _perturbation(cfg, ve, basis, rng)
     res = run_rotating_orbit_experiment(ve, cfg.omega_rot, pert, cfg.p,
                                         basis=basis, periods=1.0,
                                         cfl_safety=cfg.cfl_safety,

@@ -12,6 +12,8 @@ per-mode operators Gram_n^-1 T_n^t diag(2 pi r w), which makes
 from_grid(to_grid(f)) an identity and from_grid an orthogonal projection in
 the discrete inner product for everything else; synthesis is one batched
 matmul with the radial tables and one product with the DFT synthesis table.
+These two kernels, ``_synth`` and ``_project``, are the only ones: the
+solver's dealias band runs them on band tables cut from the DFT tables.
 
 Distribution profiles (value vs cumulative cell measure) provide the
 rearrangement-class machinery: cells are ordered by value descending, ties
@@ -107,7 +109,7 @@ class DiskBasis:
         r = grid.r
         self.roots = np.empty((N + 1, K))
         self.r_eval = np.empty((N + 1, grid.n_r, K))
-        self.r_diff = np.empty((N + 1, grid.n_r, K))
+        r_diff = np.empty((N + 1, grid.n_r, K))
         # Analytic squared L2 norms of the basis functions over the disk.
         self.norm2 = np.empty((N + 1, K))
         # One recurrence per order gives J_{n-1}, J_n, J_{n+1} at every node
@@ -117,7 +119,7 @@ class DiskBasis:
             jm, j, jp = _j_neighbours(n, np.append(np.outer(r, z), z))
             self.roots[n] = z
             self.r_eval[n] = j[:-K].reshape(grid.n_r, K)
-            self.r_diff[n] = z * (0.5 * (jm[:-K] - jp[:-K])).reshape(grid.n_r, K)
+            r_diff[n] = z * (0.5 * (jm[:-K] - jp[:-K])).reshape(grid.n_r, K)
             self.norm2[n] = math.pi * jp[-K:] ** 2
             if n == 0:
                 # Mean of the n=0 radial modes: integral of J_0(j_{0,k} r) over the disk.
@@ -145,12 +147,14 @@ class DiskBasis:
         self.dft_synth = np.vstack([w * cos, -w * sin])
 
         # Band operators of the 2/3 dealias band (rows n <= nd, columns
-        # k < kd), from the DFT rows n <= nd.  Angular grids have s = i n S,
-        # S = over @ c, with i n folded into the table acting on [Re S, Im S].
+        # k < kd): the DFT synthesis rows n <= nd.  Angular grids have
+        # s = i n S, S = over @ c, with i n folded into the table acting on
+        # [Re S, Im S]: rows -n w sin and -n w cos.
         nd, kd = self.dealias_band()
-        n_half, w, cos, sin = n_half[: nd + 1], w[: nd + 1], cos[: nd + 1], sin[: nd + 1]
-        synth_r = np.vstack([w * cos, -w * sin])
-        synth_t = np.vstack([-n_half * w * sin, -n_half * w * cos])
+        synth_r = self.dft_synth[np.r_[: nd + 1, N + 1: N + nd + 2]]
+        n_neg = -n_half[: nd + 1]
+        synth_t = np.vstack([n_neg * -synth_r[nd + 1:], n_neg * synth_r[: nd + 1]])
+        w_rows = np.vstack([w[: nd + 1]] * 2)
         # The advection product of two band fields has modes |n| <= 2 nd, so
         # its projection onto |n| <= nd is exact on any n_b > 3 nd equispaced
         # angles: every s-th angle, s the largest divisor of n_theta that
@@ -161,7 +165,7 @@ class DiskBasis:
             "nd": nd,
             "kd": kd,
             # (nd+1, 2 n_r, kd): d_r rows above (1/r) rows, per mode
-            "radial": np.concatenate([self.r_diff[: nd + 1, :, :kd],
+            "radial": np.concatenate([r_diff[: nd + 1, :, :kd],
                                       self.r_eval[: nd + 1, :, :kd] / r[:, None]], axis=1),
             "mult": self.green_mult[: nd + 1, :kd],
             # (2 nd + 2, n_theta): synthesis on the collocation grid
@@ -171,11 +175,12 @@ class DiskBasis:
             # (their Gram differs from analysis[n]'s, so not a slice of it)
             "proj": np.stack([_projector(T[:, :kd], rw) for T in self.r_eval[: nd + 1]]),
             # the same tables on the subgrid of every s-th angle, and its
-            # analysis: columns cos(n theta), -sin(n theta), over n_b
+            # analysis: columns cos(n theta), -sin(n theta), over n_b (w is
+            # 1 or 2, so dividing the synthesis rows by it is exact)
             "stride": s,
             "sub_synth_r": np.ascontiguousarray(synth_r[:, ::s]),
             "sub_synth_t": np.ascontiguousarray(synth_t[:, ::s]),
-            "sub_analyze": np.vstack([cos[:, ::s], -sin[:, ::s]]).T / (grid.n_theta // s),
+            "sub_analyze": (synth_r[:, ::s] / w_rows).T / (grid.n_theta // s),
         }
         # n=0 projection coefficients of the constant and of (1 - r^2)
         self.chan_proj = (self.mean0 / self.norm2[0],
@@ -271,21 +276,67 @@ def _split(c):
     return np.stack([c.real, c.imag], axis=2)
 
 
-def _modes_to_grid(m, basis):
-    """Real grid sum_n w_n Re(S_n(r) e^{i n theta}), w_0 = 1, w_n = 2, from
-    the radial values S_n = m[n, :, 0] + i m[n, :, 1] of the modes n = 0..N."""
-    return m.transpose(1, 2, 0).reshape(basis.grid.n_r, -1) @ basis.dft_synth
+def _outside_band(coeffs, basis: DiskBasis):
+    """The two blocks of ``coeffs`` outside the dealias band, as views."""
+    nd, kd = basis.dealias_band()
+    return coeffs[nd + 1:], coeffs[: nd + 1, kd:]
+
+
+def _in_band(f: SpectralField):
+    # count_nonzero of a complex block costs half of its any()
+    return not any(np.count_nonzero(block) for block in _outside_band(f.coeffs, f.basis))
+
+
+def _band_values(f: SpectralField):
+    """The band of f's coefficients as the real (nd+1, kd, 2) view [Re c, Im c];
+    ResolutionError if f has any nonzero coefficient outside the band."""
+    if not _in_band(f):
+        raise ResolutionError("field has content outside the dealias band")
+    kit = f.basis.band_kit
+    c = f.coeffs[: kit["nd"] + 1, : kit["kd"]]
+    return c.view(float).reshape(c.shape + (2,))
+
+
+def _embed(band, basis: DiskBasis):
+    """(N+1, K) complex coefficients holding the real band array [Re c, Im c]."""
+    nd1, kd, _ = band.shape
+    coeffs = np.zeros((basis.n_modes + 1, basis.k_radial), complex)
+    coeffs.view(float).reshape(coeffs.shape + (2,))[:nd1, :kd] = band
+    return coeffs
+
+
+def _synth(m, tables):
+    """Real grids sum_n w_n Re(S_n(r) e^{i n theta}), w_0 = 1, w_n = 2, of the
+    radial values m, shape (M, len(tables) n_r, 2 q), of the modes n < M:
+    field by field (S_n = m[n, :, 2 i] + i m[n, :, 2 i + 1] for field i), row
+    block d synthesized by tables[d], a (2 M, n_angles) DFT synthesis table.
+    One copy reorders m, then each grid is one real (n_r, 2 M) @ (2 M,
+    n_angles) product.  No temporary exceeds one real grid (80 KB at 80 x 128,
+    under glibc's 128 KB mmap threshold): larger ones can get fresh pages on
+    every call, and their page faults cost more than the products."""
+    nd1, nb = m.shape[0], len(tables)
+    nr, q = m.shape[1] // nb, m.shape[2] // 2
+    t = m.reshape(nd1, nb, nr, q, 2).transpose(3, 1, 2, 4, 0).reshape(q, nb, nr, 2 * nd1)
+    return [t[i, d] @ tables[d] for i in range(q) for d in range(nb)]
+
+
+def _project(values, analyze, proj):
+    """Real (M, K, 2) coefficients [Re c, Im c] of grid values at the angles of
+    the DFT analysis table ``analyze`` (n_angles, 2 M): [Re F_n, Im F_n] of the
+    modes n < M from one real product, then both parts projected by the
+    per-mode radial operators ``proj`` (M, K, n_r) in one batched matmul."""
+    F = (values @ analyze).reshape(-1, 2, proj.shape[0]).transpose(2, 0, 1)
+    return np.matmul(proj, F)
 
 
 def _analyze(values, basis):
     """(N+1, K, 2) half-spectrum [Re c_n, Im c_n], n = 0..N, of grid values."""
-    F = (values @ basis.dft_analyze).reshape(-1, 2, basis.n_modes + 1)
-    return np.matmul(basis.analysis, F.transpose(2, 0, 1))
+    return _project(values, basis.dft_analyze, basis.analysis)
 
 
 def _synthesize(half, basis):
     """Grid values of the (N+1, K, 2) half-spectrum coefficients."""
-    return _modes_to_grid(np.matmul(basis.r_eval, half), basis)
+    return _synth(np.matmul(basis.r_eval, half), (basis.dft_synth,))[0]
 
 
 def to_grid(f: SpectralField) -> GridField:
@@ -410,9 +461,9 @@ def distribution_profile(g: GridField) -> DistributionProfile:
     return DistributionProfile(flat[order], np.cumsum(g.grid.cell_measure[order]))
 
 
-def profiles_close(p1, p2, tol=None, n_samples=1000):
-    """Equimeasurability check on profiles resampled at common measure points."""
-    pts = (np.arange(1, n_samples + 1) - 0.5) * (math.pi / n_samples)
+def profiles_close(p1, p2, tol=None):
+    """Equimeasurability check on profiles resampled at 1000 common measure points."""
+    pts = (np.arange(1, 1001) - 0.5) * (math.pi / 1000)
     v1 = p1.resample(pts)
     v2 = p2.resample(pts)
     if tol is None:

@@ -30,9 +30,10 @@ exactly in the band and the Galerkin truncation keeps it there.  The time
 step is the CFL limit times a safety factor in (0, 1], refreshed every
 cadence steps.
 
-RK4 stages live on the real band array [Re c, Im c] of shape (nd+1, kd, 2):
-``tendency`` takes a SpectralField (checked and answered in kind) or the
-stepper's unchecked in-band carrier (answered with the band array).
+RK4 stages live on the real band array [Re c, Im c] of shape (nd+1, kd, 2),
+whose layout and transform kernels belong to disk_spectral.  ``tendency``
+takes a SpectralField (checked and answered in kind) or the stepper's
+unchecked in-band carrier (answered with the band array).
 
 One exact radial channel, ``RadialBackground``, extends the zero-trace
 basis with the vorticity a J_0(l r) + c.  Both parts are exact radial
@@ -60,6 +61,11 @@ from .disk_spectral import (
     DiskBasis,
     GridField,
     SpectralField,
+    _band_values,
+    _embed,
+    _outside_band,
+    _project,
+    _synth,
     from_grid,
     lp_norm,
     mean_value,
@@ -122,43 +128,9 @@ class RadialBackground:
             object.__setattr__(self, name, value)
 
 
-def _outside_band(coeffs, basis: DiskBasis):
-    """The two blocks of ``coeffs`` outside the dealias band, as views."""
-    nd, kd = basis.dealias_band()
-    return coeffs[nd + 1:], coeffs[: nd + 1, kd:]
-
-
-def _in_band(f: SpectralField):
-    # count_nonzero of a complex block costs half of its any()
-    return not any(np.count_nonzero(block) for block in _outside_band(f.coeffs, f.basis))
-
-
-def _band_values(f: SpectralField):
-    """The band of f's coefficients as the real (nd+1, kd, 2) view [Re c, Im c];
-    ResolutionError if f has any nonzero coefficient outside the band."""
-    if not _in_band(f):
-        raise ResolutionError("field has content outside the dealias band")
-    kit = f.basis.band_kit
-    c = f.coeffs[: kit["nd"] + 1, : kit["kd"]]
-    return c.view(float).reshape(c.shape + (2,))
-
-
 # The stepper's in-band state: the basis and the real band array, built only
 # from a state that passed the band check.
 _Band = namedtuple("_Band", "basis values")
-
-
-def _synth_band(m, tables):
-    """Grids of the band's radial values m, shape (nd+1, len(tables) n_r, 2 q),
-    field by field, row block d synthesized by tables[d].  One copy reorders m,
-    then each grid is one real (n_r, 2 nd + 2) @ (2 nd + 2, n_angles) product.
-    No temporary exceeds one real grid (80 KB at 80 x 128, under glibc's 128 KB
-    mmap threshold): larger ones can get fresh pages on every call, and their
-    page faults cost more than the products."""
-    nd1, nb = m.shape[0], len(tables)
-    nr, q = m.shape[1] // nb, m.shape[2] // 2
-    t = m.reshape(nd1, nb, nr, q, 2).transpose(3, 1, 2, 4, 0).reshape(q, nb, nr, 2 * nd1)
-    return [t[i, d] @ tables[d] for i in range(q) for d in range(nb)]
 
 
 def _band_grids(cv, kit, synth_r, synth_t, background=None):
@@ -171,25 +143,7 @@ def _band_grids(cv, kit, synth_r, synth_t, background=None):
         nr = m.shape[1] // 2
         m[0, :nr, 0] += background.d_r_profile
         m[0, :nr, 2] += background.stream_d_r_profile
-    return _synth_band(m, (synth_r, synth_t))
-
-
-def _project_band(rhs_values, kit, analyze):
-    """Measure-orthogonal projection onto the dealias band of grid values at
-    the angles of the table ``analyze``, as the real (nd+1, kd, 2) array
-    [Re c, Im c]."""
-    # azimuthal analysis of modes 0..nd as one real (n_r, 2 nd + 2) product,
-    # [Re F_n, Im F_n] per mode, then the real radial projection of both parts
-    F = (rhs_values @ analyze).reshape(-1, 2, kit["nd"] + 1).transpose(2, 0, 1)
-    return np.matmul(kit["proj"], F)
-
-
-def _embed(band, basis: DiskBasis):
-    """(N+1, K) complex coefficients holding the real band array [Re c, Im c]."""
-    nd1, kd, _ = band.shape
-    coeffs = np.zeros((basis.n_modes + 1, basis.k_radial), complex)
-    coeffs.view(float).reshape(coeffs.shape + (2,))[:nd1, :kd] = band
-    return coeffs
+    return _synth(m, (synth_r, synth_t))
 
 
 def velocity_magnitude(w: SpectralField, background=None):
@@ -197,7 +151,7 @@ def velocity_magnitude(w: SpectralField, background=None):
     u_r = (1/r) d_theta psi, u_theta = -d_r psi."""
     kit = w.basis.band_kit
     psi = _band_values(w) * kit["mult"][..., None]
-    dr_psi, dth_psi = _synth_band(np.matmul(kit["radial"], psi), (kit["synth_r"], kit["synth_t"]))
+    dr_psi, dth_psi = _synth(np.matmul(kit["radial"], psi), (kit["synth_r"], kit["synth_t"]))
     if background is not None:
         dr_psi = dr_psi + background.stream_d_r_profile[:, None]
     return float(np.sqrt(dr_psi**2 + dth_psi**2).max())
@@ -250,7 +204,7 @@ def tendency(w: SpectralField | _Band, background: RadialBackground | None = Non
     kit = y.basis.band_kit
     dr_om, dth_om, dr_psi, dth_psi = _band_grids(y.values, kit, kit["sub_synth_r"],
                                                  kit["sub_synth_t"], background)
-    band = _project_band(dr_psi * dth_om - dth_psi * dr_om, kit, kit["sub_analyze"])
+    band = _project(dr_psi * dth_om - dth_psi * dr_om, kit["sub_analyze"], kit["proj"])
     _mean_fix(band[0, :, 0], y, background)
     return band if y is w else SpectralField(y.basis, _embed(band, y.basis))
 
@@ -297,7 +251,7 @@ class SolverState:
         cv = _band_values(self.w)
         x = np.concatenate([cv, cv * kit["mult"][..., None]], axis=2)
         m = np.matmul(b.r_eval[: kit["nd"] + 1, :, : kit["kd"]], x)
-        omega, psi = _synth_band(m, (kit["synth_r"],))
+        omega, psi = _synth(m, (kit["synth_r"],))
         if bg is not None:
             omega = omega + bg.profile[:, None]
             psi = psi + bg.stream_profile[:, None]
@@ -425,11 +379,12 @@ def band_limit(f: SpectralField) -> SpectralField:
     return SpectralField(f.basis, c)
 
 
-def require_band_limited(f: SpectralField, tol=1e-12):
+def require_band_limited(f: SpectralField):
+    """ResolutionError if a coefficient outside the band exceeds 1e-12 of the largest."""
     outside = max(float(np.abs(block).max(initial=0.0))
                   for block in _outside_band(f.coeffs, f.basis))
     scale = max(float(np.abs(f.coeffs).max()), 1e-300)
-    if outside > tol * scale:
+    if outside > 1e-12 * scale:
         raise ResolutionError("perturbation has content outside the dealias band")
 
 
@@ -445,8 +400,9 @@ class ExperimentResult:
     l2_drift: float
     lp_drift: float
     mean_drift: float
+    initial_field: GridField
+    final_field: GridField
     extra: dict = field(default_factory=dict)
-    final_field: GridField | None = None
 
 
 def _drifts(trace):
@@ -478,8 +434,7 @@ def _evolve_element(ve: VElement, perturbation: SpectralField | None, p, t_end,
     """The body of both experiments: evolve ve + uniform (+ perturbation)
     to t_end, or to ``turnovers`` turnover times when t_end is None, tracking
     the orbital L^p distance to ve.  The perturbation is admitted by
-    require_band_limited and enters as its band_limit.  Returns the result
-    and the initial grid values."""
+    require_band_limited and enters as its band_limit."""
     state = steady_state(ve, basis, uniform)
     if perturbation is not None:
         require_band_limited(perturbation)
@@ -491,18 +446,17 @@ def _evolve_element(ve: VElement, perturbation: SpectralField | None, p, t_end,
                     p=p, reference=ve)
     state = run(state, cfg)
     trace = state.diagnostics
-    result = ExperimentResult(trace, max(r.orbital_distance for r in trace),
-                              *_drifts(trace), final_field=state.full_grid_values())
-    return result, initial
+    return ExperimentResult(trace, max(r.orbital_distance for r in trace),
+                            *_drifts(trace), initial, state.full_grid_values())
 
 
-def run_stability_experiment(ve: VElement, perturbation: SpectralField, p: float,
+def run_stability_experiment(ve: VElement, perturbation: SpectralField | None, p: float,
                              t_end=None, turnovers=20.0, basis=None,
                              cfl_safety=0.4, cadence=10) -> ExperimentResult:
-    """Evolve ve + perturbation and track the orbital L^p distance."""
-    res, initial = _evolve_element(ve, perturbation, p, t_end, turnovers,
-                                   basis or perturbation.basis, 0.0, cfl_safety, cadence)
-    res.extra["profile_drift"] = _profile_drift(initial, res.final_field)
+    """Evolve ve (+ perturbation) and track the orbital L^p distance."""
+    res = _evolve_element(ve, perturbation, p, t_end, turnovers,
+                          basis or perturbation.basis, 0.0, cfl_safety, cadence)
+    res.extra["profile_drift"] = _profile_drift(res.initial_field, res.final_field)
     return res
 
 
@@ -518,8 +472,8 @@ def run_rotating_orbit_experiment(ve: VElement, omega_rot: float,
         raise ValueError("need a basis when no perturbation is given")
     if t_end is None and omega_rot != 0.0:
         t_end = periods * 2.0 * math.pi / abs(omega_rot)
-    res, _ = _evolve_element(ve, perturbation, p, t_end, 20.0, basis,
-                             2.0 * omega_rot, cfl_safety, cadence)
+    res = _evolve_element(ve, perturbation, p, t_end, 20.0, basis,
+                          2.0 * omega_rot, cfl_safety, cadence)
     if ve.b > 0 and omega_rot != 0.0:
         ts = np.array([r.t for r in res.trace])
         n_fold, _ = ve.family
@@ -529,13 +483,13 @@ def run_rotating_orbit_experiment(ve: VElement, omega_rot: float,
     return res
 
 
-def mixed_nonsteady_field(basis: DiskBasis, scale=1.0) -> SpectralField:
+def mixed_nonsteady_field(basis: DiskBasis) -> SpectralField:
     """J_1(j r) cos theta + J_0(j_{0,1} r): two different eigenvalues mixed,
     hence not steady; used as the control case for departure detection."""
     from .disk_spectral import single_mode
 
-    f1 = single_mode(basis, 1, 1, amplitude=scale)
-    f0 = single_mode(basis, 0, 1, amplitude=scale)
+    f1 = single_mode(basis, 1, 1)
+    f0 = single_mode(basis, 0, 1)
     return SpectralField(basis, f1.coeffs + f0.coeffs)
 
 

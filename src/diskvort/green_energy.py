@@ -41,7 +41,7 @@ def energy_grid(omega: GridField, psi: GridField) -> float:
     return 0.5 * inner_product_grid(omega, psi)
 
 
-def apply_green_kernel(omega: GridField, chunk=512) -> GridField:
+def apply_green_kernel(omega: GridField) -> GridField:
     """Quadrature of the explicit kernel against all cells.
 
     The -(1/2pi) ln|x-y| contribution of the target's own cell is replaced by
@@ -60,6 +60,7 @@ def apply_green_kernel(omega: GridField, chunk=512) -> GridField:
     rho = np.sqrt(mu / math.pi)
     self_corr = omega.values.ravel() * mu * (0.5 - np.log(rho)) / (2.0 * math.pi)
 
+    chunk = 512                         # target cells per block of kernel rows
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         tgt = pts[lo:hi]

@@ -218,10 +218,13 @@ def test_family_outside_band_exit_code(tmp_path, capsys):
     ("steady-check", "family_n", 70), ("evolve", "family_n", 70),
     ("bessel-table", "bessel_k_max", 0), ("bessel-table", "bessel_n_max", -1),
     ("bessel-table", "bessel_n_max", 65),
+    ("steady-check", "family_k", 10**12), ("evolve", "family_k", 10**12),
+    ("burton-maximize", "family_k", 10**12), ("evolve", "family_k", 11),
 ])
 def test_bessel_index_out_of_range_exit_code(tmp_path, capsys, kind, key, value):
     # these exited 1 with "error: ..." from the Bessel layer (bessel_n_max = -1
-    # wrote an empty table and passed)
+    # wrote an empty table and passed; family_k = 10**12 asked the zero scan
+    # for 54.9 TiB); family_k is bounded by k_radial = 10
     cfgfile = tmp_path / "b.cfg"
     cfgfile.write_text("n_theta_modes = 6\nk_radial = 10\nn_r = 24\nn_theta = 32\n"
                        f"turnovers = 0.05\n{key} = {value}\n")
@@ -233,7 +236,8 @@ def test_bessel_index_out_of_range_exit_code(tmp_path, capsys, kind, key, value)
 
 def test_bessel_index_range_edges_accepted():
     for line in ("family_n = 0", "family_n = 64", "bessel_n_max = 0", "bessel_n_max = 64",
-                 "family_k = 1", "bessel_k_max = 1"):
+                 "family_k = 1", "bessel_k_max = 1", "family_k = 32",
+                 "k_radial = 10\nfamily_k = 10"):
         cli.parse_config(line + "\n", kind="bessel-table")
 
 

@@ -31,13 +31,18 @@ def test_basis_roots_are_the_zero_table(basis):
 
 def test_radial_tables_match_pointwise_calls(basis, grid):
     # the tables come from one recurrence per order over all its abscissae;
-    # one bessel_j / bessel_j_prime call per (n, k) is the reference
+    # one bessel_j / bessel_j_prime call per (n, k) is the reference, for the
+    # d_r rows on the dealias band they feed
+    nd, kd = basis.dealias_band()
+    d_r = basis.band_kit["radial"][:, : grid.n_r]
     for n in range(basis.n_modes + 1):
         for k, z in enumerate(basis.roots[n]):
             jr = z * grid.r
             assert np.abs(basis.r_eval[n, :, k] - bessel_j(n, jr)).max() <= 1e-14
-            assert np.abs(basis.r_diff[n, :, k] - z * bessel_j_prime(n, jr)).max() <= 1e-14
+            if n <= nd and k < kd:
+                assert np.abs(d_r[n, :, k] - z * bessel_j_prime(n, jr)).max() <= 1e-14
             assert abs(basis.norm2[n, k] - math.pi * bessel_j(n + 1, z) ** 2) <= 1e-14
+    assert not hasattr(basis, "r_diff")
     mean0 = [2.0 * np.pi * bessel_j(1, z) / z for z in basis.roots[0]]
     assert np.abs(basis.mean0 - mean0).max() <= 1e-14
 
@@ -348,9 +353,15 @@ def test_dft_transforms_match_fft_oracle(basis, grid):
 
 
 def test_band_tables_are_rows_of_the_dft_tables(basis):
+    for b in (basis, ds.DiskBasis(8, 12, ds.DiskGrid(32, 48))):   # strides 4 and 3
+        _check_band_tables(b)
+
+
+def _check_band_tables(basis):
     N = basis.n_modes
     nd = basis.band_kit["nd"]
     n = np.arange(nd + 1)[:, None]
+    w = np.where(n == 0, 1.0, 2.0)
     synth, analyze = basis.dft_synth, basis.dft_analyze
     cos_rows, sin_rows = slice(0, nd + 1), slice(N + 1, N + nd + 2)
     kit = basis.band_kit
@@ -358,13 +369,19 @@ def test_band_tables_are_rows_of_the_dft_tables(basis):
     # [-n w sin; -n w cos] from the rows w cos and -w sin (w n is exact)
     assert np.array_equal(kit["synth_t"], np.vstack([n * synth[sin_rows],
                                                      -n * synth[cos_rows]]))
-    # the subgrid tables: every s-th column, and analysis rows scaled by s
-    # (powers of two at n_theta = 128, so exact)
+    # the subgrid tables: every s-th column; the analysis is the synthesis
+    # rows over w (exact) and n_b, which are the analysis rows scaled by s,
+    # exactly at a power-of-two stride and to rounding at any other
     s = kit["stride"]
     assert np.array_equal(kit["sub_synth_r"], kit["synth_r"][:, ::s])
     assert np.array_equal(kit["sub_synth_t"], kit["synth_t"][:, ::s])
     assert np.array_equal(kit["sub_analyze"],
-                          np.hstack([analyze[:, cos_rows], analyze[:, sin_rows]])[::s] * s)
+                          np.vstack([synth[cos_rows] / w, synth[sin_rows] / w])[:, ::s].T
+                          / (basis.grid.n_theta // s))
+    scaled = np.hstack([analyze[:, cos_rows], analyze[:, sin_rows]])[::s] * s
+    if s & (s - 1) == 0:
+        assert np.array_equal(kit["sub_analyze"], scaled)
+    assert np.abs(kit["sub_analyze"] - scaled).max() <= 1e-16
     # the band's 1/r rows divide the r_eval slice by r
     nr, kd = basis.grid.n_r, kit["kd"]
     assert np.array_equal(kit["radial"][:, nr:],
