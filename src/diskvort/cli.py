@@ -47,6 +47,7 @@ from .euler_sim import (
     run_rotating_orbit_experiment,
     run_stability_experiment,
     steady_state,
+    tendency,
 )
 from .steady_family import (
     VElement,
@@ -276,8 +277,6 @@ def _exp_steady_check(cfg, rng, outdir):
                      rep.functional_residual, rep.tendency_rel,
                      "pass" if ok else "FAIL"))
     # control: mixed eigenvalues must NOT look steady
-    from .euler_sim import tendency
-
     mix = mixed_nonsteady_field(basis)
     tnorm = lp_norm(to_grid(tendency(mix)), 2) / lp_norm(to_grid(mix), 2)
     detect = tnorm > 1e-3

@@ -24,6 +24,7 @@ each run of equal values re-sorted by index), so runs are reproducible.
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,11 +67,6 @@ class DiskGrid:
     def measures(self):
         """Full (n_r, n_theta) matrix of cell measures."""
         return np.broadcast_to(self.measure_r[:, None], (self.n_r, self.n_theta))
-
-    def nodes_xy(self):
-        x = self.r[:, None] * np.cos(self.theta)[None, :]
-        y = self.r[:, None] * np.sin(self.theta)[None, :]
-        return x, y
 
 
 def _projector(T, rw):
@@ -389,25 +385,30 @@ class DistributionProfile:
 
     Cell j holds values[j] on [knots[j], knots[j+1]], knots = [0, cum_measure].
     ``integral`` is the cumulative integral at the knots plus i times the knot
-    index, so that one interpolation gives both at any measure point.
+    index, so that one interpolation gives both at any measure point.  Both
+    tables serve only slot_averages and are built on its first call, so a
+    profile built only to be resampled never holds them.
     """
 
     values: np.ndarray
     cum_measure: np.ndarray
-    knots: np.ndarray = field(init=False, repr=False, compare=False)
-    integral: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.values) > 0):
             raise ValueError("profile values must be non-increasing")
         if abs(self.cum_measure[-1] - math.pi) > 1e-9:
             raise ValueError("profile cumulative measure must end at pi")
-        knots = np.concatenate([[0.0], self.cum_measure])
-        integral = np.zeros(knots.size, complex)
-        np.cumsum(self.values * np.diff(knots), out=integral.real[1:])
-        integral.imag = np.arange(knots.size)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "integral", integral)
+
+    @cached_property
+    def knots(self):
+        return np.concatenate([[0.0], self.cum_measure])
+
+    @cached_property
+    def integral(self):
+        integral = np.zeros(self.knots.size, complex)
+        np.cumsum(self.values * np.diff(self.knots), out=integral.real[1:])
+        integral.imag = np.arange(self.knots.size)
+        return integral
 
     def slot_averages(self, bounds, measures):
         """Profile average over each slot [bounds[i], bounds[i+1]] of measure

@@ -66,9 +66,14 @@ from .disk_spectral import (
     _outside_band,
     _project,
     _synth,
+    distribution_profile,
     from_grid,
     lp_norm,
     mean_value,
+    profiles_close,
+    random_in_span,
+    ring_shuffle,
+    single_mode,
     to_grid,
 )
 from .errors import CFLError, ConfigError, NonFiniteFieldError, ResolutionError
@@ -87,9 +92,9 @@ from .steady_family import (
 class RadialBackground:
     """The exact radial channel: vorticity amplitude * J_0(root r) + uniform.
 
-    Its run constants are built at construction, on the radii of
-    ``basis.grid``, with a = amplitude and c = uniform: J_0(root), the
-    profile J_1(root r), the vorticity profile a J_0(root r) + c, the stream
+    Its run constants are built at construction from J_0(root) and the
+    profile J_1(root r), on the radii of ``basis.grid``, with a = amplitude
+    and c = uniform: the vorticity profile a J_0(root r) + c, the stream
     profile a (J_0(root r) - J_0(root)) / root^2 + c (1 - r^2) / 4, their
     radial derivatives, and the n = 0 coefficients of the stream function
     that _mean_fix needs.  Callers add a profile to a grid by broadcasting it
@@ -100,8 +105,6 @@ class RadialBackground:
     root: float
     basis: DiskBasis = field(repr=False)
     uniform: float = 0.0
-    j0_root: float = field(init=False, repr=False, compare=False)
-    j1_profile: np.ndarray = field(init=False, repr=False, compare=False)
     profile: np.ndarray = field(init=False, repr=False, compare=False)
     stream_profile: np.ndarray = field(init=False, repr=False, compare=False)
     d_r_profile: np.ndarray = field(init=False, repr=False, compare=False)
@@ -116,8 +119,6 @@ class RadialBackground:
         const_proj, para_proj = self.basis.chan_proj
         proj = radial_projection_coeffs(1.0, root, self.basis)
         for name, value in (
-                ("j0_root", j0_root),
-                ("j1_profile", j1_profile),
                 ("profile", a * j0_profile + c),
                 ("stream_profile", a * (j0_profile - j0_root) / root**2
                  + c * (1.0 - r**2) / 4.0),
@@ -421,8 +422,6 @@ def _profile_drift(initial: GridField, final: GridField) -> float:
     truncation only approximately, so this is reported as a fidelity metric
     rather than asserted.
     """
-    from .disk_spectral import distribution_profile, profiles_close
-
     p0 = distribution_profile(initial)
     p1 = distribution_profile(final)
     _, gap = profiles_close(p0, p1, tol=math.inf)
@@ -486,8 +485,6 @@ def run_rotating_orbit_experiment(ve: VElement, omega_rot: float,
 def mixed_nonsteady_field(basis: DiskBasis) -> SpectralField:
     """J_1(j r) cos theta + J_0(j_{0,1} r): two different eigenvalues mixed,
     hence not steady; used as the control case for departure detection."""
-    from .disk_spectral import single_mode
-
     f1 = single_mode(basis, 1, 1)
     f0 = single_mode(basis, 0, 1)
     return SpectralField(basis, f1.coeffs + f0.coeffs)
@@ -507,8 +504,6 @@ def make_perturbation(kind: str, ve: VElement, delta: float, p: float,
     mode-injection: a single spectral mode;
     smooth-random: low-mode random field.
     """
-    from .disk_spectral import ring_shuffle, single_mode, random_in_span
-
     if kind == "mode-injection":
         n, k = mode
         f = single_mode(basis, n, k, amplitude=1.0, phase=float(rng.uniform(0, 2 * math.pi)))

@@ -166,6 +166,17 @@ def test_ring_shuffle_preserves_profile(basis, rng):
     assert ok and gap == 0.0
 
 
+def test_profile_slot_tables_are_built_only_by_slot_averages(basis, rng):
+    # a profile built to be compared (as _profile_drift does) holds neither
+    # table; the first slot_averages call builds both
+    g = ds.to_grid(ds.random_in_span(basis, rng))
+    p = ds.distribution_profile(g)
+    ds.profiles_close(p, ds.distribution_profile(g))
+    assert "knots" not in vars(p) and "integral" not in vars(p)
+    ds.transplant(p, g)
+    assert "knots" in vars(p) and "integral" in vars(p)
+
+
 def test_transplant_onto_own_levels_is_identity(grid):
     # strictly monotone radial field: sorting by itself reassigns each cell
     # its own value

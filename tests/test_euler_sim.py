@@ -492,8 +492,11 @@ def test_band_and_outside_blocks_partition_the_spectrum(basis):
 def test_background_constants_are_hoisted(basis, monkeypatch):
     for root in (sf.j_11(), sf.VElement(0.0, 1.0, 0.0, family=(2, 1)).root, 3.7):
         bg = es.RadialBackground(0.5, root, basis)
-        assert bg.j0_root == bessel_j(0, root)
-        assert np.array_equal(bg.j1_profile, bessel_j(1, root * basis.grid.r))
+        j0_root, j1 = bessel_j(0, root), bessel_j(1, root * basis.grid.r)
+        assert np.array_equal(bg.d_r_profile, -0.5 * root * j1)
+        proj = sf.radial_projection_coeffs(1.0, root, basis)
+        stream_row = 0.5 * (proj - j0_root * basis.chan_proj[0]) / root**2
+        assert np.array_equal(bg.stream_row, stream_row)
     # the first tendency call with a background evaluates no Bessel function
     ve = sf.VElement(0.5, 1.0, 0.3)
     state = es.steady_state(ve, basis)
@@ -634,7 +637,7 @@ def test_mean_fix_matches_linear_solve(basis):
         const_proj, para_proj = basis.chan_proj
         if bg is not None:
             bgp = bg.amplitude * sf.radial_projection_coeffs(1.0, bg.root, basis)
-            psi = psi + (bgp - bg.amplitude * bg.j0_root * const_proj) / bg.root**2
+            psi = psi + (bgp - bg.amplitude * bessel_j(0, bg.root) * const_proj) / bg.root**2
             psi = psi + 0.25 * bg.uniform * para_proj
         rows = np.vstack([basis.mean0[:m], psi[:m] * basis.norm2[0, :m]])
         G = rows @ rows.T

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,3 +108,58 @@ def test_kernel_cross_validates_spectral():
     mask = (grid.r >= 0.1) & (grid.r <= 0.9)
     interior = np.abs(spec.values - kern.values)[mask].max()
     assert interior < 5e-3 * np.abs(spec.values).max()
+
+
+def _pointwise_kernel(omega):
+    """The kernel quadrature cell by cell in Cartesian coordinates:
+    psi(x) = sum_y G(x, y) omega(y) mu(y), with the -(1/2pi) ln|x - y| term of
+    the target's own cell replaced by mu (1/2 - ln rho) / (2 pi)."""
+    grid = omega.grid
+    pts = [(r * math.cos(t), r * math.sin(t)) for r in grid.r for t in grid.theta]
+    mu = grid.cell_measure
+    w = omega.values.ravel() * mu
+    psi = np.zeros(len(pts))
+    for a, (x1, y1) in enumerate(pts):
+        r1 = math.hypot(x1, y1)
+        for b, (x2, y2) in enumerate(pts):
+            image = math.log(math.hypot(x1 / r1 - r1 * x2, y1 / r1 - r1 * y2)) / (2 * math.pi)
+            if a == b:
+                rho = math.sqrt(mu[a] / math.pi)
+                direct = (0.5 - math.log(rho)) / (2 * math.pi)
+            else:
+                direct = -math.log(math.hypot(x1 - x2, y1 - y2)) / (2 * math.pi)
+            psi[a] += (direct + image) * w[b]
+    return psi.reshape(omega.values.shape)
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(6, 8), (5, 9), (7, 12)])
+def test_kernel_circulant_matches_pointwise_quadrature(n_r, n_theta):
+    grid = ds.DiskGrid(n_r, n_theta)
+    rng = np.random.default_rng(n_r * n_theta)
+    for _ in range(3):
+        om = ds.GridField(grid, rng.standard_normal((n_r, n_theta)))
+        expect = _pointwise_kernel(om)
+        got = ge.apply_green_kernel(om).values
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+def test_kernel_peak_memory_on_default_grid():
+    # one call on the default 80 x 128 grid, in a fresh process so that the
+    # peak resident set is its own
+    code = (
+        "import resource, numpy as np\n"
+        "from diskvort import disk_spectral as ds, green_energy as ge\n"
+        "om = ds.GridField(ds.DiskGrid(80, 128),"
+        " np.random.default_rng(0).standard_normal((80, 128)))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "ge.apply_green_kernel(om)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = str(Path(ge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    grown_kb = int(proc.stdout.strip())        # ru_maxrss is in KiB on Linux
+    assert grown_kb < 100 * 1024
