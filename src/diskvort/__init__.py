@@ -10,11 +10,11 @@ __version__ = "0.1.0"
 
 from .bessel import (
     MAX_ORDER,
-    ZeroTable,
     bessel_j,
     bessel_j_prime,
     bessel_zero,
     bessel_zeros,
+    certified_zeros,
     verify_identity_suite,
 )
 from .disk_spectral import (
@@ -49,7 +49,6 @@ from .steady_family import (
     solve_moment_system,
     v_element_grid,
     verify_moment_coefficients,
-    verify_steady,
 )
 from .variational import AscentState, burton_maximize, burton_step, solve_v1, solve_v2
 from .euler_sim import (
@@ -61,4 +60,5 @@ from .euler_sim import (
     steady_state,
     step_rk4,
     tendency,
+    verify_steady,
 )

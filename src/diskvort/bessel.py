@@ -26,9 +26,7 @@ order again and appends only the new zeros, so a zero once returned never
 changes.
 """
 
-import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -250,57 +248,36 @@ def bessel_zero(n, k):
     return float(_order_zeros(_check_order(n), k)[k - 1])
 
 
-@dataclass(frozen=True)
-class ZeroTable:
-    """Certified positive zeros j_{n,k}, immutable after build.
+def certified_zeros(n_max, k_max):
+    """Rows (n, k, zero, bound) of the first k_max positive zeros of J_0 ...
+    J_{n_max}, in (n, k) order, bound a certified absolute error bound.
 
-    entries maps (n, k) -> (zero, certified absolute error bound).
+    Each order is certified in one vectorized pass: residual |J_n(z)|,
+    separation of consecutive zeros > 1, and the interlacing
+    j_{n-1,k} < j_{n,k} < j_{n-1,k+1} with the order below; a failed check
+    raises ZeroScanError.
     """
-
-    entries: dict
-
-    @classmethod
-    def build(cls, n_max, k_max):
-        """Certify each order in one vectorized pass: residual |J_n(z)|,
-        separation of consecutive zeros > 1, and the interlacing
-        j_{n,k} < j_{n+1,k} < j_{n,k+1} between neighbouring orders."""
-        entries = {}
-        zeros = [bessel_zeros(n, k_max) for n in range(n_max + 1)]
-        for n, z in enumerate(zeros):
-            jm, resid, jp = _j_neighbours(n, z)
-            resid = np.abs(resid)
-            slope = np.abs(0.5 * (jm - jp))
-            failed = np.nonzero(resid > 1e-12 * np.maximum(1.0, slope))[0]
-            if failed.size:
-                k = failed[0] + 1
-                raise ZeroScanError(
-                    f"zero ({n},{k}) failed certification: |J|={resid[k - 1]:g}"
-                )
-            close = np.nonzero(np.diff(z) <= 1.0)[0]
-            if close.size:
-                k = close[0] + 2
-                raise ZeroScanError(
-                    f"zeros ({n},{k-1}) and ({n},{k}) separated by <= 1"
-                )
-            if n > 0 and not (np.all(zeros[n - 1] < z)
-                              and np.all(z[:-1] < zeros[n - 1][1:])):
-                raise ZeroScanError(
-                    f"zeros of J_{n - 1} and J_{n} do not interlace"
-                )
-            bound = resid / np.maximum(slope, 1e-300) + 1e-14 * z
-            for k in range(k_max):
-                entries[(n, k + 1)] = (float(z[k]), float(bound[k]))
-        return cls(entries=entries)
-
-    def zero(self, n, k):
-        return self.entries[(n, k)][0]
-
-    def export_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "k", "zero", "error_bound"])
-            for (n, k), (z, bound) in sorted(self.entries.items()):
-                writer.writerow([n, k, f"{z:.17g}", f"{bound:.17g}"])
+    rows = []
+    below = None
+    for n in range(n_max + 1):
+        z = bessel_zeros(n, k_max)
+        jm, resid, jp = _j_neighbours(n, z)
+        resid = np.abs(resid)
+        slope = np.abs(0.5 * (jm - jp))
+        failed = np.nonzero(resid > 1e-12 * np.maximum(1.0, slope))[0]
+        if failed.size:
+            k = failed[0] + 1
+            raise ZeroScanError(f"zero ({n},{k}) failed certification: |J|={resid[k - 1]:g}")
+        close = np.nonzero(np.diff(z) <= 1.0)[0]
+        if close.size:
+            k = close[0] + 2
+            raise ZeroScanError(f"zeros ({n},{k-1}) and ({n},{k}) separated by <= 1")
+        if below is not None and not (np.all(below < z) and np.all(z[:-1] < below[1:])):
+            raise ZeroScanError(f"zeros of J_{n - 1} and J_{n} do not interlace")
+        bound = resid / np.maximum(slope, 1e-300) + 1e-14 * z
+        rows += [(n, k + 1, float(z[k]), float(bound[k])) for k in range(k_max)]
+        below = z
+    return rows
 
 
 # ---------------------------------------------------------------------------

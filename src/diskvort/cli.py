@@ -8,6 +8,13 @@ the config hash, and, where fields are produced, ``fields/*.json`` in the
 documented serialization schema.  The same config and seed reproduce the
 same CSV bytes.
 
+Each kind calls the library and writes its record: ``bessel-table`` the
+rows of ``bessel.certified_zeros``, ``evolve`` and ``rotate-demo`` the
+``euler_sim.TraceRow`` fields of the stability and rotating-orbit drivers,
+and ``sharpness-demo`` the last row and final field of one rotating-orbit
+run per angle.  A zero table holds at most ``MAX_ZERO_INDEX`` zeros per
+order.
+
 Exit status: 0 all asserted tolerances pass, 2 configuration error (also a
 family or field outside the basis or its dealias band, a turnover horizon
 on a field at rest or a perturbation that vanishes), 3 tolerance failure or
@@ -22,17 +29,16 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields as dc_fields
+from dataclasses import asdict, astuple, dataclass, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bessel import MAX_ORDER, ZeroTable, bessel_j, bessel_zero, verify_identity_suite
+from .bessel import MAX_ORDER, bessel_j, bessel_zero, certified_zeros, verify_identity_suite
 from .disk_spectral import (
     DiskBasis,
     DiskGrid,
-    GridField,
     lp_norm,
     ring_shuffle,
     save_field,
@@ -40,35 +46,21 @@ from .disk_spectral import (
 )
 from .errors import AscentError, ConfigError, NonFiniteFieldError, ResolutionError
 from .euler_sim import (
-    RunConfig,
+    TraceRow,
     make_perturbation,
     mixed_nonsteady_field,
-    run,
     run_rotating_orbit_experiment,
     run_stability_experiment,
-    steady_state,
     tendency,
-)
-from .steady_family import (
-    VElement,
-    orbital_distance,
-    plain_distance,
-    v_element_grid,
     verify_steady,
 )
+from .steady_family import VElement, orbital_distance, plain_distance, v_element_grid
 from .variational import burton_maximize, solve_v1, solve_v2
 
-KINDS = (
-    "bessel-table",
-    "verify-identities",
-    "eigs",
-    "steady-check",
-    "burton-maximize",
-    "evolve",
-    "stability-sweep",
-    "rotate-demo",
-    "sharpness-demo",
-)
+# the largest zero index of a bessel-table: the zero scan's time and memory
+# grow with the index, and the (64, 1000) table takes ~22 s, with a 49 MB
+# peak RSS, on a 2-core x86 VM
+MAX_ZERO_INDEX = 1000
 
 
 @dataclass
@@ -114,9 +106,9 @@ _FIELD_TYPES = {f.name: f.type for f in dc_fields(ExperimentConfig)}
 def _coerce(key, raw, line):
     typ = _FIELD_TYPES[key]
     try:
-        if typ is int or typ == "int":
+        if typ is int:
             val = int(raw)
-        elif typ is float or typ == "float":
+        elif typ is float:
             val = float(raw)
         else:
             val = raw.strip()
@@ -153,7 +145,7 @@ def _validate(cfg: ExperimentConfig):
                          ("seeds", 1, math.inf), ("max_iters", 1, math.inf),
                          ("n_uniform", 1, math.inf),
                          ("family_n", 0, MAX_ORDER), ("bessel_n_max", 0, MAX_ORDER),
-                         ("family_k", 1, cfg.k_radial), ("bessel_k_max", 1, math.inf)):
+                         ("family_k", 1, cfg.k_radial), ("bessel_k_max", 1, MAX_ZERO_INDEX)):
         if not lo <= getattr(cfg, name) <= hi:
             raise ConfigError(f"{name} must lie in [{lo}, {hi}], got {getattr(cfg, name)}")
     return cfg
@@ -208,14 +200,7 @@ def _fmt(v):
     return str(v)
 
 
-def _trace_rows(trace):
-    return [
-        (r.t, r.energy, r.l2, r.lp, r.mean, r.orbital_distance, r.beta_star)
-        for r in trace
-    ]
-
-
-_TRACE_HEADER = ["t", "energy", "l2", "lp", "mean", "orbital_distance", "beta_star"]
+_TRACE_HEADER = [f.name for f in dc_fields(TraceRow)]
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +208,10 @@ _TRACE_HEADER = ["t", "energy", "l2", "lp", "mean", "orbital_distance", "beta_st
 
 
 def _exp_bessel_table(cfg, rng, outdir):
-    table = ZeroTable.build(cfg.bessel_n_max, cfg.bessel_k_max)
-    rows = [
-        (n, k, z, bound) for (n, k), (z, bound) in sorted(table.entries.items())
-    ]
+    rows = certified_zeros(cfg.bessel_n_max, cfg.bessel_k_max)
     passed = True
-    if cfg.bessel_n_max >= 1 and cfg.bessel_k_max >= 1:
-        passed = abs(table.zero(1, 1) - 3.831706) <= 1e-6
+    if cfg.bessel_n_max >= 1:
+        passed = abs(rows[cfg.bessel_k_max][2] - 3.831706) <= 1e-6   # j_{1,1}
     return passed, rows, ["n", "k", "zero", "error_bound"], {}
 
 
@@ -309,19 +291,21 @@ def _exp_burton(cfg, rng, outdir):
         "converged_runs": n_ok, "total_runs": cfg.seeds}
 
 
-def _perturbation(cfg, ve, basis, rng):
-    if cfg.perturbation == "none":
-        return None
-    target = v_element_grid(ve, basis.grid)
-    delta = cfg.delta_rel * lp_norm(target, cfg.p)
-    return make_perturbation(cfg.perturbation, ve, delta, cfg.p, basis, rng,
-                             mode=(cfg.pert_mode_n, cfg.pert_mode_k))
+def _perturbation(cfg, kind, p, ve, target, basis, rng):
+    """(perturbation, delta): a ``kind`` perturbation of ve of L^p size
+    delta = delta_rel |target|_p, None for kind "none"."""
+    delta = cfg.delta_rel * lp_norm(target, p)
+    if kind == "none":
+        return None, delta
+    return make_perturbation(kind, ve, delta, p, basis, rng,
+                             mode=(cfg.pert_mode_n, cfg.pert_mode_k)), delta
 
 
 def _exp_evolve(cfg, rng, outdir):
     basis = cfg.basis()
     ve = cfg.element()
-    pert = _perturbation(cfg, ve, basis, rng)
+    pert, _ = _perturbation(cfg, cfg.perturbation, cfg.p, ve,
+                            v_element_grid(ve, basis.grid), basis, rng)
     t_end = cfg.t_end if cfg.t_end > 0 else None
     res = run_stability_experiment(ve, pert, cfg.p, t_end=t_end,
                                    turnovers=cfg.turnovers, basis=basis,
@@ -343,20 +327,18 @@ def _exp_evolve(cfg, rng, outdir):
         "profile_drift": res.extra.get("profile_drift"),
         "final_t": state_final.t,
     }
-    return passed, _trace_rows(res.trace), _TRACE_HEADER, extra
+    return passed, [astuple(r) for r in res.trace], _TRACE_HEADER, extra
 
 
 def _exp_stability_sweep(cfg, rng, outdir):
     basis = cfg.basis()
     ve = cfg.element()
+    target = v_element_grid(ve, basis.grid)
     rows = []
     passed = True
     for p in (1.5, 2.0, 4.0):
         for kind in ("random-shuffle", "mode-injection", "smooth-random"):
-            target = v_element_grid(ve, basis.grid)
-            delta = cfg.delta_rel * lp_norm(target, p)
-            pert = make_perturbation(kind, ve, delta, p, basis, rng,
-                                     mode=(cfg.pert_mode_n, cfg.pert_mode_k))
+            pert, delta = _perturbation(cfg, kind, p, ve, target, basis, rng)
             res = run_stability_experiment(ve, pert, p, turnovers=cfg.turnovers,
                                            basis=basis, cfl_safety=cfg.cfl_safety,
                                            cadence=cfg.cadence)
@@ -374,7 +356,8 @@ def _exp_stability_sweep(cfg, rng, outdir):
 def _exp_rotate(cfg, rng, outdir):
     basis = cfg.basis()
     ve = cfg.element()
-    pert = _perturbation(cfg, ve, basis, rng)
+    pert, _ = _perturbation(cfg, cfg.perturbation, cfg.p, ve,
+                            v_element_grid(ve, basis.grid), basis, rng)
     res = run_rotating_orbit_experiment(ve, cfg.omega_rot, pert, cfg.p,
                                         basis=basis, periods=1.0,
                                         cfl_safety=cfg.cfl_safety,
@@ -385,28 +368,26 @@ def _exp_rotate(cfg, rng, outdir):
         passed &= res.max_distance <= 1e-6
     extra = {"recovered_omega": rec, "omega_rot": cfg.omega_rot,
              "max_distance": res.max_distance}
-    return passed, _trace_rows(res.trace), _TRACE_HEADER, extra
+    return passed, [astuple(r) for r in res.trace], _TRACE_HEADER, extra
 
 
 def _exp_sharpness(cfg, rng, outdir):
     basis = cfg.basis()
     ve = cfg.element()
     n = cfg.n_uniform
-    uniform = 2.0 / n
     target = v_element_grid(ve, basis.grid)
     rows = []
     passed = True
     for frac in (0.25, 0.5, 1.0):
+        # the offset 2 / n turns ve rigidly at rate 1 / n: by t = n beta it
+        # lies on its orbit at angle beta
         beta = math.pi * frac
-        st = steady_state(ve, basis, uniform)
-        rcfg = RunConfig(t_end=n * beta, cfl_safety=cfg.cfl_safety,
-                         cadence=cfg.cadence, p=cfg.p, reference=ve)
-        st = run(st, rcfg)
-        om = st.full_grid_values()
-        shifted = GridField(om.grid, om.values - uniform)
-        dist, bstar = orbital_distance(shifted, ve, cfg.p)
-        phase = (-bstar) % (2.0 * math.pi)
-        plain = plain_distance(om, target, cfg.p)
+        res = run_rotating_orbit_experiment(ve, 1.0 / n, None, cfg.p, t_end=n * beta,
+                                            basis=basis, cfl_safety=cfg.cfl_safety,
+                                            cadence=cfg.cadence)
+        dist = res.trace[-1].orbital_distance
+        phase = (-res.trace[-1].beta_star) % (2.0 * math.pi)
+        plain = plain_distance(res.final_field, target, cfg.p)
         separation = plain_distance(
             v_element_grid(ve.rotated(-beta), basis.grid), target, cfg.p
         )
@@ -429,6 +410,7 @@ _EXPERIMENTS = {
     "rotate-demo": _exp_rotate,
     "sharpness-demo": _exp_sharpness,
 }
+KINDS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig, outdir) -> int:

@@ -433,7 +433,12 @@ def _evolve_element(ve: VElement, perturbation: SpectralField | None, p, t_end,
     """The body of both experiments: evolve ve + uniform (+ perturbation)
     to t_end, or to ``turnovers`` turnover times when t_end is None, tracking
     the orbital L^p distance to ve.  The perturbation is admitted by
-    require_band_limited and enters as its band_limit."""
+    require_band_limited and enters as its band_limit.  Without a basis the
+    perturbation's is used, and ValueError is raised when there is none."""
+    if basis is None:
+        if perturbation is None:
+            raise ValueError("need a basis when no perturbation is given")
+        basis = perturbation.basis
     state = steady_state(ve, basis, uniform)
     if perturbation is not None:
         require_band_limited(perturbation)
@@ -453,8 +458,8 @@ def run_stability_experiment(ve: VElement, perturbation: SpectralField | None, p
                              t_end=None, turnovers=20.0, basis=None,
                              cfl_safety=0.4, cadence=10) -> ExperimentResult:
     """Evolve ve (+ perturbation) and track the orbital L^p distance."""
-    res = _evolve_element(ve, perturbation, p, t_end, turnovers,
-                          basis or perturbation.basis, 0.0, cfl_safety, cadence)
+    res = _evolve_element(ve, perturbation, p, t_end, turnovers, basis, 0.0,
+                          cfl_safety, cadence)
     res.extra["profile_drift"] = _profile_drift(res.initial_field, res.final_field)
     return res
 
@@ -465,10 +470,6 @@ def run_rotating_orbit_experiment(ve: VElement, omega_rot: float,
                                   cfl_safety=0.4, cadence=10) -> ExperimentResult:
     """Evolve ve + 2*omega_rot (+ perturbation); distance is to the shifted
     orbit, and the recovered rotation rate comes from the beta*(t) slope."""
-    if basis is None:
-        basis = perturbation.basis if perturbation is not None else None
-    if basis is None:
-        raise ValueError("need a basis when no perturbation is given")
     if t_end is None and omega_rot != 0.0:
         t_end = periods * 2.0 * math.pi / abs(omega_rot)
     res = _evolve_element(ve, perturbation, p, t_end, 20.0, basis,
@@ -480,6 +481,32 @@ def run_rotating_orbit_experiment(ve: VElement, omega_rot: float,
         slope = np.polyfit(ts, betas, 1)[0]
         res.extra["recovered_omega"] = -slope
     return res
+
+
+@dataclass(frozen=True)
+class SteadyReport:
+    functional_residual: float
+    tendency_rel: float
+
+
+def verify_steady(ve: VElement, basis: DiskBasis) -> SteadyReport:
+    """Check the affine stream-function relationship and the Euler tendency.
+
+    Both take the solver's steady state: the relationship
+    omega = l^2 G omega + a J_0(l) is evaluated on the grid with its stream
+    function (the spectral G on the cos component, the closed form on the
+    radial channel), and the tendency is the solver's right-hand side.
+    """
+    lam = ve.root
+    omega = v_element_grid(ve, basis.grid)
+    state = steady_state(ve, basis)
+    rhs = lam**2 * state.stream_grid_values().values + ve.a * bessel_j(0, lam)
+    functional = float(np.max(np.abs(omega.values - rhs)))
+
+    t = tendency(state.w, state.background)
+    tnorm = lp_norm(to_grid(t), 2)
+    onorm = lp_norm(omega, 2)
+    return SteadyReport(functional, tnorm / max(onorm, 1e-300))
 
 
 def mixed_nonsteady_field(basis: DiskBasis) -> SpectralField:

@@ -27,7 +27,6 @@ from .disk_spectral import (
     DiskGrid,
     GridField,
     SpectralField,
-    lp_norm,
     single_mode,
     to_grid,
 )
@@ -363,35 +362,3 @@ def verify_moment_coefficients():
         "q1_vs_closed": abs(q1 - q1_closed),
         "q2_vs_closed": abs(q2 - q2_closed),
     }
-
-
-# ---------------------------------------------------------------------------
-# Steadiness report
-
-
-@dataclass(frozen=True)
-class SteadyReport:
-    functional_residual: float
-    tendency_rel: float
-
-
-def verify_steady(ve: VElement, basis: DiskBasis) -> SteadyReport:
-    """Check the affine stream-function relationship and the Euler tendency.
-
-    Both take the solver's steady state: the relationship
-    omega = l^2 G omega + a J_0(l) is evaluated on the grid with its stream
-    function (the spectral G on the cos component, the closed form on the
-    radial channel), and the tendency is the solver's right-hand side.
-    """
-    from .euler_sim import steady_state, tendency
-
-    lam = ve.root
-    omega = v_element_grid(ve, basis.grid)
-    state = steady_state(ve, basis)
-    rhs = lam**2 * state.stream_grid_values().values + ve.a * bessel_j(0, lam)
-    functional = float(np.max(np.abs(omega.values - rhs)))
-
-    t = tendency(state.w, state.background)
-    tnorm = lp_norm(to_grid(t), 2)
-    onorm = lp_norm(omega, 2)
-    return SteadyReport(functional, tnorm / max(onorm, 1e-300))

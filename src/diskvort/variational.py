@@ -209,13 +209,14 @@ def solve_v2(basis: DiskBasis):
 
 @dataclass
 class AscentState:
-    """One energy-ascent iterate over a fixed rearrangement profile."""
+    """One energy-ascent iterate over a fixed rearrangement profile, with its
+    stream function psi."""
 
     iterate: GridField
     energy: float
     iteration: int
     profile: DistributionProfile
-    psi: GridField = None
+    psi: GridField
 
 
 def _stream_of(g: GridField, basis: DiskBasis) -> GridField:
@@ -234,8 +235,7 @@ def burton_step(state: AscentState, basis: DiskBasis) -> AscentState:
     stream function.  From iteration 1 on the iterate lies in the profile's
     hull, and an energy drop beyond rounding raises; so does a non-finite
     energy."""
-    psi = state.psi if state.psi is not None else _stream_of(state.iterate, basis)
-    nxt = transplant(state.profile, psi)
+    nxt = transplant(state.profile, state.psi)
     psi_next = _stream_of(nxt, basis)
     e_next = energy_grid(nxt, psi_next)
     if not math.isfinite(e_next):       # which no comparison below would catch

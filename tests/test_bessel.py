@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -152,21 +151,26 @@ def test_identity_apd1_at_zero_is_trivial():
     assert integrate(lambda t: bessel.bessel_j(0, t) ** 2 * t, 0.0, 0.0) == 0.0
 
 
-def test_zero_table_build_and_export(tmp_path):
-    table = bessel.ZeroTable.build(3, 5)
-    for (n, k), (z, bound) in table.entries.items():
+def test_certified_zeros():
+    rows = bessel.certified_zeros(3, 5)
+    assert [(n, k) for n, k, _, _ in rows] == [(n, k) for n in range(4) for k in range(1, 6)]
+    for n, k, z, bound in rows:
         assert abs(bessel.bessel_j(n, z)) <= 1e-12 * max(1.0, abs(bessel.bessel_j_prime(n, z)))
         assert bound >= 0
         if k > 1:
-            assert z - table.zero(n, k - 1) > 1.0
-    path = tmp_path / "zeros.csv"
-    table.export_csv(path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["n", "k", "zero", "error_bound"]
-    assert len(rows) == 1 + 4 * 5
-    got = {(int(r[0]), int(r[1])): float(r[2]) for r in rows[1:]}
-    assert abs(got[(1, 1)] - 3.831706) < 1e-6
+            assert z - bessel.bessel_zero(n, k - 1) > 1.0
+        assert z == bessel.bessel_zero(n, k)
+
+
+def test_certified_zeros_failed_checks_raise(monkeypatch):
+    true_zeros = bessel.bessel_zeros
+    for fake, message in (
+            (lambda n, k: true_zeros(n, k) + 1e-6, "failed certification"),
+            (lambda n, k: np.repeat(true_zeros(n, 1), k), "separated by <= 1"),
+            (lambda n, k: true_zeros(n, k + n)[n:], "do not interlace")):
+        monkeypatch.setattr(bessel, "bessel_zeros", fake)
+        with pytest.raises(ZeroScanError, match=message):
+            bessel.certified_zeros(1, 3)
 
 
 def test_scan_window_error():

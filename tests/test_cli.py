@@ -1,12 +1,13 @@
 import ast
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diskvort import cli, variational
+from diskvort import cli, euler_sim, steady_family, variational
 from diskvort.disk_spectral import GridField, transplant
 from diskvort.errors import ConfigError, NonFiniteFieldError
 
@@ -93,15 +94,20 @@ def test_removed_dt_keys_rejected(tmp_path):
 
 def test_every_config_field_is_read():
     # every key steers a run: it is read by ExperimentConfig.element / basis,
-    # run_experiment or an _exp_* body, so a dead knob cannot come back
+    # run_experiment, an _exp_* body or a module function that an _exp_* body
+    # calls, so a dead knob cannot come back
     tree = ast.parse(Path(cli.__file__).read_text())
     config_class = next(node for node in tree.body
                         if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
     readers = [node for node in config_class.body
                if isinstance(node, ast.FunctionDef) and node.name in ("element", "basis")]
-    readers += [node for node in tree.body if isinstance(node, ast.FunctionDef)
-                and (node.name == "run_experiment" or node.name.startswith("_exp_"))]
-    assert len(readers) == 2 + 1 + len(cli._EXPERIMENTS)
+    bodies = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and (node.name == "run_experiment" or node.name.startswith("_exp_"))]
+    assert len(bodies) == 1 + len(cli._EXPERIMENTS)
+    called = {node.func.id for body in bodies for node in ast.walk(body)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    readers += bodies + [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                         and node.name in called]
     read = {node.attr for reader in readers for node in ast.walk(reader)
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id in ("cfg", "self")}
@@ -126,6 +132,9 @@ def test_bessel_table_run(tmp_path):
     lines = (out / "results.csv").read_text().splitlines()
     assert lines[0].startswith("# config_hash=")
     assert lines[1] == "n,k,zero,error_bound"
+    assert len(lines) == 2 + 4 * 5
+    got = {(int(n), int(k)): float(z) for n, k, z, _ in (ln.split(",") for ln in lines[2:])}
+    assert abs(got[(1, 1)] - 3.831706) < 1e-6
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["passed"] is True
     assert manifest["kind"] == "bessel-table"
@@ -220,11 +229,13 @@ def test_family_outside_band_exit_code(tmp_path, capsys):
     ("bessel-table", "bessel_n_max", 65),
     ("steady-check", "family_k", 10**12), ("evolve", "family_k", 10**12),
     ("burton-maximize", "family_k", 10**12), ("evolve", "family_k", 11),
+    ("bessel-table", "bessel_k_max", 10**12), ("bessel-table", "bessel_k_max", 1001),
 ])
 def test_bessel_index_out_of_range_exit_code(tmp_path, capsys, kind, key, value):
     # these exited 1 with "error: ..." from the Bessel layer (bessel_n_max = -1
     # wrote an empty table and passed; family_k = 10**12 asked the zero scan
-    # for 54.9 TiB); family_k is bounded by k_radial = 10
+    # for 54.9 TiB, as bessel_k_max = 10**12 did); family_k is bounded by
+    # k_radial = 10, bessel_k_max by 1000
     cfgfile = tmp_path / "b.cfg"
     cfgfile.write_text("n_theta_modes = 6\nk_radial = 10\nn_r = 24\nn_theta = 32\n"
                        f"turnovers = 0.05\n{key} = {value}\n")
@@ -236,7 +247,7 @@ def test_bessel_index_out_of_range_exit_code(tmp_path, capsys, kind, key, value)
 
 def test_bessel_index_range_edges_accepted():
     for line in ("family_n = 0", "family_n = 64", "bessel_n_max = 0", "bessel_n_max = 64",
-                 "family_k = 1", "bessel_k_max = 1", "family_k = 32",
+                 "family_k = 1", "bessel_k_max = 1", "bessel_k_max = 1000", "family_k = 32",
                  "k_radial = 10\nfamily_k = 10"):
         cli.parse_config(line + "\n", kind="bessel-table")
 
@@ -294,19 +305,46 @@ def test_rotate_demo_smoke(tmp_path):
     assert abs(manifest["recovered_omega"] - 0.4) <= 0.004
 
 
+_SHARPNESS_SMOKE = ("n_theta_modes = 8\nk_radial = 12\nn_r = 32\nn_theta = 32\n"
+                    "a = 0.3\nb = 1.0\nn_uniform = 2\ncadence = 5\n")
+
+
 def test_sharpness_demo_smoke(tmp_path):
     cfgfile = tmp_path / "sh.cfg"
-    cfgfile.write_text(
-        "n_theta_modes = 8\nk_radial = 12\nn_r = 32\nn_theta = 32\n"
-        "a = 0.3\nb = 1.0\nn_uniform = 2\ncadence = 5\n"
-    )
+    cfgfile.write_text(_SHARPNESS_SMOKE)
     rc = cli.main(["sharpness-demo", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
     assert rc == 0
 
 
+def test_sharpness_demo_rows_match_hand_rolled_runs(tmp_path):
+    # the kind's rows equal, bit for bit, an explicit steady_state + run +
+    # orbital_distance loop over the three rotation angles
+    cfgfile = tmp_path / "sh.cfg"
+    cfgfile.write_text(_SHARPNESS_SMOKE)
+    assert cli.main(["sharpness-demo", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "results.csv").read_text().splitlines()[2:]
+    cfg = cli.parse_config(_SHARPNESS_SMOKE, kind="sharpness-demo")
+    basis, ve, n = cfg.basis(), cfg.element(), cfg.n_uniform
+    uniform = 2.0 / n
+    target = steady_family.v_element_grid(ve, basis.grid)
+    expect = []
+    for frac in (0.25, 0.5, 1.0):
+        beta = math.pi * frac
+        rcfg = euler_sim.RunConfig(t_end=n * beta, cfl_safety=cfg.cfl_safety,
+                                   cadence=cfg.cadence, p=cfg.p, reference=ve)
+        om = euler_sim.run(euler_sim.steady_state(ve, basis, uniform), rcfg).full_grid_values()
+        dist, bstar = steady_family.orbital_distance(
+            GridField(om.grid, om.values - uniform), ve, cfg.p)
+        separation = steady_family.plain_distance(
+            steady_family.v_element_grid(ve.rotated(-beta), basis.grid), target, cfg.p)
+        expect.append((beta, (-bstar) % (2.0 * math.pi), dist,
+                       steady_family.plain_distance(om, target, cfg.p), separation))
+    assert [tuple(float(v) for v in ln.split(",")[:5]) for ln in lines] == expect
+
+
 # Boundary values per key for the config fuzz.  Huge values go only to keys
-# that do not size the work: a huge resolution, horizon, count or zero index
-# asks for that much memory or time, it is not malformed.
+# that do not size the work or are bounded from above: a huge resolution,
+# horizon or count asks for that much memory or time, it is not malformed.
 _FUZZ_BASE = {"n_theta_modes": "6", "k_radial": "10", "n_r": "24", "n_theta": "32",
               "turnovers": "0.05", "seeds": "2", "max_iters": "20", "n_uniform": "1",
               "cadence": "5"}
@@ -326,7 +364,8 @@ _FUZZ_VALUES = {
     "pert_mode_k": _INT_EDGES + ["1000000000000"],
     "n_uniform": _INT_EDGES, "seeds": _INT_EDGES, "max_iters": _INT_EDGES,
     "cadence": _INT_EDGES + ["1000000000000"],
-    "bessel_n_max": _INT_EDGES + ["1000000000000"], "bessel_k_max": _INT_EDGES,
+    "bessel_n_max": _INT_EDGES + ["1000000000000"],
+    "bessel_k_max": _INT_EDGES + ["1001", "1000000000000"],
 }
 
 

@@ -191,6 +191,15 @@ def test_rotating_run_matches_reference(basis):
     assert abs(res.extra["recovered_omega"] - 0.2999088806754532) <= 1e-12 * 0.3
 
 
+def test_drivers_without_basis_raise_value_error():
+    # the stability driver used to die on None.basis with AttributeError
+    ve = sf.VElement(0.4, 1.0, 0.3)
+    with pytest.raises(ValueError, match="need a basis"):
+        es.run_stability_experiment(ve, None, 2.0)
+    with pytest.raises(ValueError, match="need a basis"):
+        es.run_rotating_orbit_experiment(ve, 0.3, None, 2.0)
+
+
 def test_perturbation_builders(basis, rng):
     ve = sf.VElement(0.5, 1.0, 0.7)
     for kind in ("random-shuffle", "mode-injection", "smooth-random"):
