@@ -43,7 +43,6 @@ from .green_energy import (
 from .steady_family import (
     MomentPair,
     VElement,
-    make_v_element,
     moments,
     orbital_distance,
     solve_moment_system,

@@ -45,16 +45,24 @@ def _series_threshold(n):
     return max(6.0, math.sqrt(2.0 * (n + 1)))
 
 
-def _series_j(n, s):
-    """Power series on its well-conditioned range; ``s`` is a positive array."""
+# the denominators m (m + k) of series term m of order k <= MAX_ORDER + 1,
+# integers exact as floats
+_SERIES_DENOMS = np.array([[m * (m + k) for k in range(MAX_ORDER + 2)]
+                           for m in range(1, _SERIES_TERMS + 1)], dtype=float)
+
+
+def _series_j(orders, s):
+    """Power series of the orders ``orders`` (rows) in one pass, on their
+    well-conditioned range; ``s`` is a positive array.  -q is spread over
+    the rows once, so only the division by m (m + k) broadcasts."""
     s = np.asarray(s, dtype=float)
     half = 0.5 * s
-    q = half * half
-    term = half ** n / math.factorial(n)
+    term = np.stack([half ** k / math.factorial(k) for k in orders])
+    neg_q = np.repeat(-(half * half)[None], len(orders), axis=0)
     total = term.copy()
     comp = np.zeros_like(total)          # Kahan compensation
-    for m in range(1, _SERIES_TERMS + 1):
-        term = term * (-q) / (m * (m + n))
+    for d in _SERIES_DENOMS[:, orders, None]:
+        term = term * neg_q / d
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -108,15 +116,14 @@ def _miller_rows(s, lo, hi):
 def _j_neighbours(n, s):
     """J_{n-1}, J_n and J_{n+1} at the positive abscissae ``s``, as rows.
 
-    One recurrence serves all three orders (J_{-1} = -J_1), so
+    One series pass or recurrence serves all three orders (J_{-1} = -J_1), so
     J_n' = (J_{n-1} - J_{n+1}) / 2 costs no more than J_n.
     """
     s = np.asarray(s, dtype=float)
     out = np.empty((3, s.size))
     small = s <= _series_threshold(max(n - 1, 0))
     if small.any():
-        for row, m in enumerate((n - 1, n, n + 1)):
-            out[row, small] = _series_j(abs(m), s[small])
+        out[:, small] = _series_j((abs(n - 1), n, n + 1), s[small])
     if (~small).any():
         rows = _miller_rows(s[~small], max(n - 1, 0), n + 1)
         out[3 - len(rows):, ~small] = rows
@@ -133,7 +140,7 @@ def _bessel_j_impl(n, s):
     sa = np.abs(s)
     small = sa <= _series_threshold(n)
     if small.any():
-        out[small] = _series_j(n, sa[small])
+        out[small] = _series_j((n,), sa[small])[0]
     if (~small).any():
         out[~small] = _miller_rows(sa[~small], n, n)[0]
     return out * sign

@@ -13,7 +13,8 @@ rows of ``bessel.certified_zeros``, ``evolve`` and ``rotate-demo`` the
 ``euler_sim.TraceRow`` fields of the stability and rotating-orbit drivers,
 and ``sharpness-demo`` the last row and final field of one rotating-orbit
 run per angle.  A zero table holds at most ``MAX_ZERO_INDEX`` zeros per
-order.
+order, and a grid at most ``MAX_RADIAL_NODES`` radii and ``MAX_ANGLES``
+angles.
 
 Exit status: 0 all asserted tolerances pass, 2 configuration error (also a
 family or field outside the basis or its dealias band, a turnover horizon
@@ -61,6 +62,12 @@ from .variational import burton_maximize, solve_v1, solve_v2
 # grow with the index, and the (64, 1000) table takes ~22 s, with a 49 MB
 # peak RSS, on a 2-core x86 VM
 MAX_ZERO_INDEX = 1000
+# the largest collocation grid: the basis tables grow as n_theta_modes n_r
+# k_radial (k_radial < n_r) and the Gauss-Legendre nodes as n_r^2, and the
+# largest accepted basis, DiskBasis(64, 254, DiskGrid(256, 1024)), builds in
+# ~16 s with a 197 MB peak RSS on a 2-core x86 VM
+MAX_RADIAL_NODES = 256
+MAX_ANGLES = 1024
 
 
 @dataclass
@@ -137,11 +144,11 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"delta_rel must be positive, got {cfg.delta_rel}")
     if cfg.turnovers <= 0 and cfg.t_end <= 0:
         raise ConfigError("one of turnovers or t_end must be positive")
-    # integer keys: the smallest resolutions a basis is built on, positive
-    # counts, and the Bessel orders and zero indices that the tables hold
-    for name, lo, hi in (("seed", 0, math.inf), ("n_theta_modes", 1, math.inf),
-                         ("k_radial", 1, math.inf), ("n_r", 3, math.inf),
-                         ("n_theta", 4, math.inf), ("cadence", 1, math.inf),
+    # integer keys: the resolutions a basis is built on, positive counts, and
+    # the Bessel orders and zero indices that the tables hold
+    for name, lo, hi in (("seed", 0, math.inf), ("n_theta_modes", 1, MAX_ORDER),
+                         ("k_radial", 1, math.inf), ("n_r", 3, MAX_RADIAL_NODES),
+                         ("n_theta", 4, MAX_ANGLES), ("cadence", 1, math.inf),
                          ("seeds", 1, math.inf), ("max_iters", 1, math.inf),
                          ("n_uniform", 1, math.inf),
                          ("family_n", 0, MAX_ORDER), ("bessel_n_max", 0, MAX_ORDER),

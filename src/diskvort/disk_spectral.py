@@ -43,7 +43,6 @@ class DiskGrid:
     n_r: int
     n_theta: int
     r: np.ndarray = field(init=False, repr=False, compare=False)
-    w_r: np.ndarray = field(init=False, repr=False, compare=False)
     theta: np.ndarray = field(init=False, repr=False, compare=False)
     measure_r: np.ndarray = field(init=False, repr=False, compare=False)
     cell_measure: np.ndarray = field(init=False, repr=False, compare=False)
@@ -51,11 +50,9 @@ class DiskGrid:
     def __post_init__(self):
         x, w = np.polynomial.legendre.leggauss(self.n_r)
         r = 0.5 * (x + 1.0)
-        w = 0.5 * w
         theta = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
-        mu_r = r * w * (2.0 * np.pi / self.n_theta)
+        mu_r = r * (0.5 * w) * (2.0 * np.pi / self.n_theta)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "w_r", w)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "measure_r", mu_r)
         object.__setattr__(self, "cell_measure", np.repeat(mu_r, self.n_theta))
@@ -80,7 +77,7 @@ class DiskBasis:
 
     Holds the radial and azimuthal DFT tables, the per-mode real operators
     r_eval[n] (synthesis) and analysis[n] = Gram_n^-1 r_eval[n]^t diag(2 pi r w),
-    and the dealias-band operators and channel projections of euler_sim.
+    and the dealias-band operators of euler_sim.
     """
 
     def __init__(self, n_theta_modes=16, k_radial=32, grid=None):
@@ -178,9 +175,6 @@ class DiskBasis:
             "sub_synth_t": np.ascontiguousarray(synth_t[:, ::s]),
             "sub_analyze": (synth_r[:, ::s] / w_rows).T / (grid.n_theta // s),
         }
-        # n=0 projection coefficients of the constant and of (1 - r^2)
-        self.chan_proj = (self.mean0 / self.norm2[0],
-                          4.0 * self.mean0 / (self.roots[0] ** 2 * self.norm2[0]))
 
     def dealias_band(self):
         """Retained (|n|, k) band under the 2/3 rule."""
@@ -209,9 +203,6 @@ class SpectralField:
             c[0] = c[0].real
         object.__setattr__(self, "coeffs", c)
 
-    def copy(self):
-        return SpectralField(self.basis, self.coeffs.copy())
-
 
 @dataclass(frozen=True)
 class GridField:
@@ -227,10 +218,6 @@ class GridField:
                 f"value shape {v.shape}, expected {(self.grid.n_r, self.grid.n_theta)}"
             )
         object.__setattr__(self, "values", v)
-
-
-def zero_field(basis):
-    return SpectralField(basis, np.zeros((basis.n_modes + 1, basis.k_radial), complex))
 
 
 def single_mode(basis, n, k, amplitude=1.0, phase=0.0):
@@ -354,11 +341,6 @@ def rotate(f: SpectralField, beta: float) -> SpectralField:
     return SpectralField(f.basis, f.coeffs * phases[:, None])
 
 
-def azimuthal_shift(g: GridField, steps: int) -> GridField:
-    """Grid-exact rotation by ``steps`` azimuthal cells."""
-    return GridField(g.grid, np.roll(g.values, -steps, axis=1))
-
-
 # ---------------------------------------------------------------------------
 # Norms, means, profiles
 
@@ -470,18 +452,6 @@ def profiles_close(p1, p2, tol=None):
     if tol is None:
         tol = 1e-6 * max(p1.value_range(), p2.value_range(), 1e-300)
     return bool(np.max(np.abs(v1 - v2)) <= tol), float(np.max(np.abs(v1 - v2)))
-
-
-def quantization_tolerance(profile, grid):
-    """Value slack absorbing one cell of measure quantization.
-
-    Cell-level transplantation reproduces a profile only up to the value
-    variation across a single cell's measure, so comparisons against
-    transplanted fields use this bound (plus the exact-case tolerance).
-    """
-    mu_max = float(grid.measure_r.max())
-    drop = np.max(profile.values - profile.resample(profile.cum_measure + mu_max))
-    return float(drop + 1e-6 * max(profile.value_range(), 1e-300))
 
 
 def transplant(profile: DistributionProfile, onto: GridField) -> GridField:

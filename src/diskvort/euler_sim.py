@@ -56,7 +56,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bessel import bessel_j
+from .bessel import _j_neighbours, bessel_j
 from .disk_spectral import (
     DiskBasis,
     GridField,
@@ -83,22 +83,26 @@ from .steady_family import (
     dipole_part,
     distance_to_grid_orbit,
     orbital_distance,
-    radial_projection_coeffs,
     v_element_grid,
 )
+
+
+# the lowest n = 0 radial modes that carry the mean fix
+_MEAN_FIX_MODES = 6
 
 
 @dataclass(frozen=True)
 class RadialBackground:
     """The exact radial channel: vorticity amplitude * J_0(root r) + uniform.
 
-    Its run constants are built at construction from J_0(root) and the
-    profile J_1(root r), on the radii of ``basis.grid``, with a = amplitude
-    and c = uniform: the vorticity profile a J_0(root r) + c, the stream
-    profile a (J_0(root r) - J_0(root)) / root^2 + c (1 - r^2) / 4, their
-    radial derivatives, and the n = 0 coefficients of the stream function
-    that _mean_fix needs.  Callers add a profile to a grid by broadcasting it
-    over the angles.
+    Its run constants are built at construction, with a = amplitude and
+    c = uniform, from one recurrence that gives J_0 and J_1 on the radii of
+    ``basis.grid`` and J_0(root): the vorticity profile a J_0(root r) + c,
+    the stream profile a (J_0(root r) - J_0(root)) / root^2 + c (1 - r^2) / 4,
+    their radial derivatives, and ``stream_row``, the first _MEAN_FIX_MODES
+    n = 0 coefficients of the stream profile that _mean_fix needs, projected
+    by the basis' own analysis operator.  Callers add a profile to a grid by
+    broadcasting it over the angles.
     """
 
     amplitude: float
@@ -113,19 +117,15 @@ class RadialBackground:
 
     def __post_init__(self):
         a, c, root, r = self.amplitude, self.uniform, self.root, self.basis.grid.r
-        j0_root = bessel_j(0, root)
-        j0_profile = bessel_j(0, root * r)
-        j1_profile = bessel_j(1, root * r)
-        const_proj, para_proj = self.basis.chan_proj
-        proj = radial_projection_coeffs(1.0, root, self.basis)
+        j0, j1, _ = _j_neighbours(1, np.append(root * r, root))
+        j0_root, j0_profile, j1_profile = j0[-1], j0[:-1], j1[:-1]
+        stream = a * (j0_profile - j0_root) / root**2 + c * (1.0 - r**2) / 4.0
         for name, value in (
                 ("profile", a * j0_profile + c),
-                ("stream_profile", a * (j0_profile - j0_root) / root**2
-                 + c * (1.0 - r**2) / 4.0),
+                ("stream_profile", stream),
                 ("d_r_profile", -a * root * j1_profile),
                 ("stream_d_r_profile", -a * j1_profile / root - 0.5 * c * r),
-                ("stream_row", a * (proj - j0_root * const_proj) / root**2
-                 + 0.25 * c * para_proj)):
+                ("stream_row", self.basis.analysis[0, :_MEAN_FIX_MODES] @ stream)):
             object.__setattr__(self, name, value)
 
 
@@ -158,9 +158,6 @@ def velocity_magnitude(w: SpectralField, background=None):
     return float(np.sqrt(dr_psi**2 + dth_psi**2).max())
 
 
-_MEAN_FIX_MODES = 6
-
-
 def _mean_fix(row0, y: _Band, background):
     """Remove the dealias projection's spurious disk mean from the tendency.
 
@@ -182,7 +179,7 @@ def _mean_fix(row0, y: _Band, background):
     defect = float(row0 @ b.mean0[: row0.size])
     psi = y.values[0, :m, 0] * b.green_mult[0, :m]
     if background is not None:
-        psi = psi + background.stream_row[:m]
+        psi = psi + background.stream_row
     # the correction spans mean0 and psi weighted by norm2; its 2 x 2 Gram
     # system G alpha = (defect, 0), regularized, solved by Cramer's rule
     mean0, q = b.mean0[:m], psi * b.norm2[0, :m]

@@ -22,14 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bessel import bessel_j, bessel_zero
-from .disk_spectral import (
-    DiskBasis,
-    DiskGrid,
-    GridField,
-    SpectralField,
-    single_mode,
-    to_grid,
-)
+from .disk_spectral import DiskBasis, DiskGrid, GridField, SpectralField, single_mode
 from .errors import ResolutionError
 from .quadrature import integrate
 
@@ -77,42 +70,6 @@ def v_element_grid(ve: VElement, grid: DiskGrid) -> GridField:
     radial_b = ve.b * bessel_j(n, lam * grid.r)
     ang = np.cos(n * grid.theta + ve.beta)
     return GridField(grid, radial_a[:, None] + radial_b[:, None] * ang[None, :])
-
-
-def radial_projection_coeffs(amplitude, lam, basis: DiskBasis):
-    """Coefficients of amplitude * J_0(lam r) over the n = 0 radial modes.
-
-    Uses the closed-form cross product integral
-    c_k = 2 a z_k J_0(lam) / ((z_k^2 - lam^2) J_1(z_k)), with
-    J_1(z_k) = mean0[k] z_k / (2 pi) from the basis tables; exact when lam
-    coincides with a J_0 zero, otherwise a slowly converging projection (the
-    target has a nonzero boundary value the zero-trace basis cannot
-    reproduce).
-    """
-    zeros = basis.roots[0]
-    hit = np.isclose(zeros, lam, rtol=0, atol=1e-9)
-    if hit.any():
-        c = np.zeros(basis.k_radial)
-        c[np.argmax(hit)] = amplitude
-        return c
-    return 4.0 * math.pi * amplitude * bessel_j(0, lam) / ((zeros**2 - lam**2) * basis.mean0)
-
-
-def make_v_element(ve: VElement, basis: DiskBasis) -> SpectralField:
-    """Spectral representation: exact (n, k) dipole mode plus the radial
-    part projected onto the n = 0 modes.
-
-    For a != 0 the projection carries a truncation (Gibbs) error near the
-    boundary; grid-space comparisons that need exactness should use
-    v_element_grid instead.
-    """
-    n, k = ve.family
-    if n > basis.n_modes or k > basis.k_radial:
-        raise ValueError(f"family {ve.family} outside basis ({basis.n_modes},{basis.k_radial})")
-    coeffs = dipole_part(ve, basis).coeffs.copy()
-    if ve.a:
-        coeffs[0] += radial_projection_coeffs(ve.a, ve.root, basis)
-    return SpectralField(basis, coeffs)
 
 
 def dipole_part(ve: VElement, basis: DiskBasis) -> SpectralField:
@@ -198,10 +155,10 @@ def _tangent_floor(gc, grid: DiskGrid, p: float) -> float:
     return (min(0.5, 2.0 ** (-0.5 * p)) * grid.n_theta * ring) ** (1.0 / p)
 
 
-def orbital_distance(field, ve: VElement, p: float):
-    """min over rotations of ||field - ve(., . + beta)||_p and the minimizer.
+def orbital_distance(g: GridField, ve: VElement, p: float):
+    """min over rotations of ||g - ve(., . + beta)||_p and the minimizer.
 
-    With r = field - base, gc and gs the orbit's sampled cos(n theta) and
+    With r = g - base, gc and gs the orbit's sampled cos(n theta) and
     sin(n theta) parts and phi = ve.beta + beta, every p starts from the L^2
     angle phi0 = atan2(-<r, gs>, <r, gc>), exact at p = 2: for 0 < 2n <
     n_theta, gc and gs are orthogonal with equal norms, so d^2(phi) = C -
@@ -215,7 +172,6 @@ def orbital_distance(field, ve: VElement, p: float):
     """
     if not (1.0 < p < math.inf):
         raise ValueError(f"p must lie in (1, inf), got {p}")
-    g = to_grid(field) if isinstance(field, SpectralField) else field
     grid = g.grid
     n, _ = ve.family
     if ve.b == 0.0 or n == 0:

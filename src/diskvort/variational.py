@@ -147,7 +147,8 @@ def solve_v1(basis: DiskBasis):
     grid = basis.grid
     if rho0 < value:
         value, label = rho0, ("radial", 0)
-        vals = (basis.r_eval[0] @ vec[:-1])[:, None] + vec[-1] * (2.0 * grid.r**2 - 1.0)[:, None]
+        ell, _ = _lift_vector(basis)
+        vals = (basis.r_eval[0] @ vec[:-1])[:, None] + vec[-1] * ell[:, None]
         g = GridField(grid, np.tile(vals, (1, grid.n_theta)))
         norm = lp_norm(g, 2)
         c = float(vec[-1] / norm)

@@ -106,7 +106,7 @@ def test_zero_against_series_bisection_oracle():
     # independent oracle: bisect the power series itself on a bracket around
     # the first J_0 zero, interval width 1e-10
     lo, hi = 2.0, 3.0
-    f = lambda x: bessel._series_j(0, np.array([x]))[0]
+    f = lambda x: bessel._series_j((0,), np.array([x]))[0, 0]
     assert f(lo) > 0 > f(hi)
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
@@ -115,6 +115,35 @@ def test_zero_against_series_bisection_oracle():
         else:
             hi = mid
     assert abs(bessel.bessel_zero(0, 1) - 0.5 * (lo + hi)) < 1e-6
+
+
+def _series_loop(n, s):
+    """The power series of one order, as each order was summed before
+    _series_j summed its orders in one pass."""
+    half = 0.5 * s
+    q = half * half
+    term = half ** n / math.factorial(n)
+    total = term.copy()
+    comp = np.zeros_like(total)
+    for m in range(1, bessel._SERIES_TERMS + 1):
+        term = term * (-q) / (m * (m + n))
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+def test_series_rows_match_per_order_loop():
+    # the one-pass rows of _j_neighbours are bitwise the per-order sums on
+    # the series range
+    for n in range(21):
+        s = np.linspace(1e-3, bessel._series_threshold(max(n - 1, 0)), 257)
+        rows = bessel._j_neighbours(n, s)
+        expect = [_series_loop(abs(m), s) for m in (n - 1, n, n + 1)]
+        if n == 0:
+            expect[0] = -expect[2]
+        assert all(np.array_equal(r, e) for r, e in zip(rows, expect)), n
 
 
 def test_orthogonality_by_quadrature():

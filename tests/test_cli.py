@@ -230,14 +230,19 @@ def test_family_outside_band_exit_code(tmp_path, capsys):
     ("steady-check", "family_k", 10**12), ("evolve", "family_k", 10**12),
     ("burton-maximize", "family_k", 10**12), ("evolve", "family_k", 11),
     ("bessel-table", "bessel_k_max", 10**12), ("bessel-table", "bessel_k_max", 1001),
+    ("eigs", "n_theta_modes", 65), ("steady-check", "n_theta_modes", 65),
+    ("evolve", "n_r", 10**12), ("evolve", "n_r", 257),
+    ("evolve", "n_theta", 10**12), ("evolve", "n_theta", 1025),
 ])
 def test_bessel_index_out_of_range_exit_code(tmp_path, capsys, kind, key, value):
     # these exited 1 with "error: ..." from the Bessel layer (bessel_n_max = -1
     # wrote an empty table and passed; family_k = 10**12 asked the zero scan
-    # for 54.9 TiB, as bessel_k_max = 10**12 did); family_k is bounded by
-    # k_radial = 10, bessel_k_max by 1000
+    # for 54.9 TiB, as bessel_k_max = 10**12 did; n_theta_modes = 65 on 140
+    # angles reached the zero scan of order 65) or from memory (n_r and
+    # n_theta = 10**12); family_k is bounded by k_radial = 10, bessel_k_max
+    # by 1000, n_theta_modes by 64, n_r by 256 and n_theta by 1024
     cfgfile = tmp_path / "b.cfg"
-    cfgfile.write_text("n_theta_modes = 6\nk_radial = 10\nn_r = 24\nn_theta = 32\n"
+    cfgfile.write_text("n_theta_modes = 6\nk_radial = 10\nn_r = 24\nn_theta = 140\n"
                        f"turnovers = 0.05\n{key} = {value}\n")
     out = tmp_path / "o"
     assert cli.main([kind, "--config", str(cfgfile), "--out", str(out)]) == 2
@@ -248,7 +253,8 @@ def test_bessel_index_out_of_range_exit_code(tmp_path, capsys, kind, key, value)
 def test_bessel_index_range_edges_accepted():
     for line in ("family_n = 0", "family_n = 64", "bessel_n_max = 0", "bessel_n_max = 64",
                  "family_k = 1", "bessel_k_max = 1", "bessel_k_max = 1000", "family_k = 32",
-                 "k_radial = 10\nfamily_k = 10"):
+                 "k_radial = 10\nfamily_k = 10", "n_theta_modes = 64", "n_r = 256",
+                 "n_theta = 1024"):
         cli.parse_config(line + "\n", kind="bessel-table")
 
 
@@ -343,8 +349,9 @@ def test_sharpness_demo_rows_match_hand_rolled_runs(tmp_path):
 
 
 # Boundary values per key for the config fuzz.  Huge values go only to keys
-# that do not size the work or are bounded from above: a huge resolution,
-# horizon or count asks for that much memory or time, it is not malformed.
+# that do not size the work or are bounded from above (the zero indices and
+# the grid resolutions): a huge horizon or count asks for that much memory
+# or time, it is not malformed.
 _FUZZ_BASE = {"n_theta_modes": "6", "k_radial": "10", "n_r": "24", "n_theta": "32",
               "turnovers": "0.05", "seeds": "2", "max_iters": "20", "n_uniform": "1",
               "cadence": "5"}
@@ -353,7 +360,8 @@ _INT_EDGES = ["0", "-1", "2.5"]
 _FUZZ_VALUES = {
     "seed": _INT_EDGES + ["1000000000000"],
     "n_theta_modes": _INT_EDGES, "k_radial": _INT_EDGES,
-    "n_r": _INT_EDGES + ["11"], "n_theta": _INT_EDGES + ["13"],
+    "n_r": _INT_EDGES + ["11", "1000000000000"],
+    "n_theta": _INT_EDGES + ["13", "1000000000000"],
     "a": _EDGES, "b": _EDGES, "beta": _EDGES, "omega_rot": _EDGES,
     "p": _EDGES + ["1"], "delta_rel": _EDGES, "cfl_safety": _EDGES + ["1"],
     "turnovers": _EDGES[:-1] + ["1e-300"], "t_end": _EDGES[:-1] + ["1e-300"],

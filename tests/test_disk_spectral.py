@@ -11,6 +11,11 @@ from diskvort.bessel import bessel_j, bessel_j_prime, bessel_zero
 from diskvort.errors import NonFiniteFieldError, ResolutionError
 
 
+def azimuthal_shift(g, steps):
+    """Grid-exact rotation by ``steps`` azimuthal cells."""
+    return ds.GridField(g.grid, np.roll(g.values, -steps, axis=1))
+
+
 def test_cell_measures(grid):
     assert abs(grid.n_theta * grid.measure_r.sum() - math.pi) < 1e-12
     assert (grid.measure_r > 0).all()
@@ -48,7 +53,8 @@ def test_radial_tables_match_pointwise_calls(basis, grid):
 
 
 def test_to_grid_zero_field(basis):
-    g = ds.to_grid(ds.zero_field(basis))
+    zero = np.zeros((basis.n_modes + 1, basis.k_radial), complex)
+    g = ds.to_grid(ds.SpectralField(basis, zero))
     assert np.all(g.values == 0.0)
 
 
@@ -137,7 +143,7 @@ def test_rotation_equivariance(basis, rng):
     shift = 9
     beta = 2 * math.pi * shift / basis.grid.n_theta
     a = ds.to_grid(ds.rotate(f, beta))
-    b = ds.azimuthal_shift(ds.to_grid(f), shift)
+    b = azimuthal_shift(ds.to_grid(f), shift)
     assert np.abs(a.values - b.values).max() < 1e-10
 
 
@@ -153,7 +159,7 @@ def test_profile_constant_field(grid):
 def test_profile_rotation_invariance(basis, rng):
     g = ds.to_grid(ds.random_in_span(basis, rng))
     p1 = ds.distribution_profile(g)
-    p2 = ds.distribution_profile(ds.azimuthal_shift(g, 17))
+    p2 = ds.distribution_profile(azimuthal_shift(g, 17))
     ok, gap = ds.profiles_close(p1, p2)
     assert ok and gap == 0.0
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diskvort import bessel
 from diskvort import disk_spectral as ds
 from diskvort import euler_sim as es
 from diskvort import green_energy as ge
@@ -402,11 +403,14 @@ def _full_grid_tendency(w, background, rotation=0.0):
     # the mean fix as a 2 x 2 solve
     M = es._MEAN_FIX_MODES
     defect = float((coeffs[0].real * b.mean0).sum())
-    psi = w.coeffs[0].real * b.green_mult[0]
+    psi = w.coeffs[0].real[:M] * b.green_mult[0, :M]
     if background is not None:
         psi = psi + background.stream_row
-    psi = psi + 0.5 * rotation * b.chan_proj[1]
-    rows = np.vstack([b.mean0[:M], psi[:M] * b.norm2[0, :M]])
+    # the n = 0 coefficients of 1 - r^2; the offset's stream function is
+    # rotation (1 - r^2) / 2
+    para = 4.0 * b.mean0[:M] / (b.roots[0, :M] ** 2 * b.norm2[0, :M])
+    psi = psi + 0.5 * rotation * para
+    rows = np.vstack([b.mean0[:M], psi * b.norm2[0, :M]])
     G = rows @ rows.T
     G[np.diag_indices(2)] += 1e-14 * max(G[0, 0], G[1, 1], 1e-30)
     coeffs[0, :M] -= rows.T @ np.linalg.solve(G, np.array([defect, 0.0]))
@@ -499,23 +503,63 @@ def test_band_and_outside_blocks_partition_the_spectrum(basis):
 
 
 def test_background_constants_are_hoisted(basis, monkeypatch):
-    for root in (sf.j_11(), sf.VElement(0.0, 1.0, 0.0, family=(2, 1)).root, 3.7):
-        bg = es.RadialBackground(0.5, root, basis)
-        j0_root, j1 = bessel_j(0, root), bessel_j(1, root * basis.grid.r)
-        assert np.array_equal(bg.d_r_profile, -0.5 * root * j1)
-        proj = sf.radial_projection_coeffs(1.0, root, basis)
-        stream_row = 0.5 * (proj - j0_root * basis.chan_proj[0]) / root**2
-        assert np.array_equal(bg.stream_row, stream_row)
-    # the first tendency call with a background evaluates no Bessel function
+    # the four profiles come from one recurrence, bitwise the bessel_j
+    # expressions; neither the construction nor a tendency call with the
+    # channel calls bessel_j
+    r = basis.grid.r
+    roots = (sf.j_11(), sf.VElement(0.0, 1.0, 0.0, family=(2, 1)).root, 3.7)
+    expect = []
+    for root in roots:
+        j0, j1, j0_root = bessel_j(0, root * r), bessel_j(1, root * r), bessel_j(0, root)
+        expect.append((0.5 * j0 + 0.4,
+                       0.5 * (j0 - j0_root) / root**2 + 0.4 * (1.0 - r**2) / 4.0,
+                       -0.5 * root * j1, -0.5 * j1 / root - 0.5 * 0.4 * r))
+    calls = []
+    for module in (bessel, es, sf):
+        fn = module.bessel_j
+        monkeypatch.setattr(module, "bessel_j",
+                            lambda *a, fn=fn: calls.append(a) or fn(*a))
+    for root, profiles in zip(roots, expect):
+        bg = es.RadialBackground(0.5, root, basis, uniform=0.4)
+        got = bg.profile, bg.stream_profile, bg.d_r_profile, bg.stream_d_r_profile
+        assert all(np.array_equal(g, e) for g, e in zip(got, profiles)), root
+    assert calls == []
     ve = sf.VElement(0.5, 1.0, 0.3)
     state = es.steady_state(ve, basis)
     rotating = es.steady_state(ve, basis, uniform=0.4)
-    calls = []
-    monkeypatch.setattr(es, "bessel_j", lambda *a: calls.append(a))
-    monkeypatch.setattr(sf, "bessel_j", lambda *a: calls.append(a))
     es.tendency(state.w, state.background)
     es.tendency(rotating.w, rotating.background)
     assert calls == []
+
+
+def _closed_form_stream_row(bg):
+    """The channel's n = 0 stream coefficients from the closed-form cross
+    integrals: J_0(l r) has coefficients 2 z J_0(l) / ((z^2 - l^2) J_1(z))
+    over the zeros z = j_{0,k} (one-hot when l is one of them), the constant
+    mean0 / norm2 and (1 - r^2) 4 mean0 / (z^2 norm2)."""
+    b, a, c, lam = bg.basis, bg.amplitude, bg.uniform, bg.root
+    z = b.roots[0]
+    hit = np.isclose(z, lam, rtol=0, atol=1e-9)
+    if hit.any():
+        proj = hit * 1.0
+    else:
+        proj = 4.0 * math.pi * bessel_j(0, lam) / ((z**2 - lam**2) * b.mean0)
+    const = b.mean0 / b.norm2[0]
+    return (a * (proj - bessel_j(0, lam) * const) / lam**2
+            + c * b.mean0 / (z**2 * b.norm2[0]))
+
+
+def test_stream_row_matches_closed_form(basis):
+    # the basis' analysis of the stream profile against the closed form it
+    # replaced: within 2e-16 on the default basis and 2e-14 on 24 nodes
+    coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    for b, tol in ((basis, 2e-16), (coarse, 2e-14)):
+        for family in ((1, 1), (0, 1), (2, 1), (1, 2)):
+            root = sf.VElement(0.0, 1.0, 0.0, family=family).root
+            for c in (0.0, 0.6):
+                bg = es.RadialBackground(0.5, root, b, uniform=c)
+                expect = _closed_form_stream_row(bg)[: es._MEAN_FIX_MODES]
+                assert np.abs(bg.stream_row - expect).max() <= tol, (family, c)
 
 
 def test_background_derivatives_built_at_construction(basis):
@@ -606,10 +650,6 @@ def test_band_operators_built_with_basis(basis, monkeypatch):
     assert set(basis.band_kit) == set(oracle)
     for key, value in oracle.items():
         assert np.array_equal(basis.band_kit[key], value), key
-    const = basis.mean0 / basis.norm2[0]
-    para = 4.0 * basis.mean0 / (basis.roots[0] ** 2 * basis.norm2[0])
-    assert np.array_equal(basis.chan_proj[0], const)
-    assert np.array_equal(basis.chan_proj[1], para)
     # the in-band tendency is bit-identical under the lazily built operators
     ve = sf.VElement(0.5, 1.0, 0.3)
     state = es.steady_state(ve, basis)
@@ -619,7 +659,6 @@ def test_band_operators_built_with_basis(basis, monkeypatch):
     channels = _channels(state.background)
     built = [es.tendency(w, bg).coeffs for bg in channels]
     monkeypatch.setattr(basis, "band_kit", oracle)
-    monkeypatch.setattr(basis, "chan_proj", (const, para))
     for bg, c in zip(channels, built):
         assert np.array_equal(es.tendency(w, bg).coeffs, c)
 
@@ -641,13 +680,10 @@ def test_mean_fix_matches_linear_solve(basis):
         got = raw.copy()
         es._mean_fix(got[0].real, es._Band(basis, ds._band_values(w)), bg)
         # the rows the correction spans: mean0 and the stream function
-        # weighted by norm2, as _mean_fix builds them
+        # weighted by norm2, the channel's from its closed form
         psi = w.coeffs[0].real * basis.green_mult[0]
-        const_proj, para_proj = basis.chan_proj
         if bg is not None:
-            bgp = bg.amplitude * sf.radial_projection_coeffs(1.0, bg.root, basis)
-            psi = psi + (bgp - bg.amplitude * bessel_j(0, bg.root) * const_proj) / bg.root**2
-            psi = psi + 0.25 * bg.uniform * para_proj
+            psi = psi + _closed_form_stream_row(bg)
         rows = np.vstack([basis.mean0[:m], psi[:m] * basis.norm2[0, :m]])
         G = rows @ rows.T
         G[np.diag_indices(2)] += 1e-14 * max(G[0, 0], G[1, 1], 1e-30)

@@ -25,7 +25,7 @@ def test_eigenmode_division(basis):
 
 
 def test_zero_field(basis):
-    z = ds.zero_field(basis)
+    z = ds.SpectralField(basis, np.zeros((basis.n_modes + 1, basis.k_radial), complex))
     assert np.abs(ge.apply_green(z).coeffs).max() == 0.0
     assert ge.energy(z) == 0.0
 

@@ -17,32 +17,29 @@ def test_normal_form():
 
 
 def test_make_v_element_dipole_only(basis):
-    f = sf.make_v_element(sf.VElement(0.0, 1.0, 0.0), basis)
+    # a pure-dipole element is one spectral mode: row 1, first zero, b / 2
+    f = sf.dipole_part(sf.VElement(0.0, 1.0, 0.0), basis)
     c = f.coeffs.copy()
     assert abs(c[1, 0] - 0.5) < 1e-15
     c[1, 0] = 0.0
     assert np.abs(c).max() == 0.0
 
 
-def test_make_v_element_radial_only(basis):
-    f = sf.make_v_element(sf.VElement(1.0, 0.0, 2.2), basis)
-    c = f.coeffs.copy()
-    assert np.abs(np.delete(c, 0, axis=0)).max() == 0.0
-    assert np.abs(c[0]).max() > 0.1
-
-
 def test_radial_projection_matches_scalar_loop(basis):
-    # the table form against the per-zero Bessel evaluations it replaced
+    # the basis' n = 0 analysis of 0.7 J_0(lam r) against the per-zero
+    # closed-form cross integrals
+    r = basis.grid.r
     for lam in (sf.j_11(), bessel_zero(2, 1), 3.7):
         loop = np.array([2.0 * 0.7 * z * bessel_j(0, lam)
                          / ((z * z - lam * lam) * bessel_j(1, z))
                          for z in basis.roots[0]])
-        got = sf.radial_projection_coeffs(0.7, lam, basis)
-        assert np.abs(got / loop - 1.0).max() <= 1e-14, lam
-    # on a J_0 zero the projection is exactly one mode
+        got = basis.analysis[0] @ (0.7 * bessel_j(0, lam * r))
+        assert np.abs(got - loop).max() <= 5e-15, lam
+    # on a J_0 zero the projection is one mode
     one_hot = np.zeros(basis.k_radial)
     one_hot[2] = 0.7
-    assert np.array_equal(sf.radial_projection_coeffs(0.7, basis.roots[0, 2], basis), one_hot)
+    got = basis.analysis[0] @ (0.7 * bessel_j(0, basis.roots[0, 2] * r))
+    assert np.abs(got - one_hot).max() <= 1e-15
 
 
 def test_grid_evaluation_matches_closed_form(basis, grid):
@@ -57,9 +54,13 @@ def test_grid_evaluation_matches_closed_form(basis, grid):
 
 
 def test_spectral_dipole_part_matches_grid(basis, grid):
-    # the b component alone is exactly representable
+    # the b component alone is exactly representable: mode (1, 1) with
+    # phase beta, whatever a is
     ve = sf.VElement(0.0, 0.7, 0.4)
-    g1 = ds.to_grid(sf.make_v_element(ve, basis))
+    f = sf.dipole_part(ve, basis)
+    assert np.array_equal(sf.dipole_part(sf.VElement(1.0, 0.7, 0.4), basis).coeffs, f.coeffs)
+    assert abs(f.coeffs[1, 0] - 0.35 * np.exp(0.4j)) < 1e-15
+    g1 = ds.to_grid(f)
     g2 = sf.v_element_grid(ve, grid)
     assert np.abs(g1.values - g2.values).max() < 1e-12
 
@@ -140,7 +141,8 @@ def test_orbital_distance_invariance_and_lipschitz(basis, grid, rng):
     sum_field = ds.GridField(grid, g.values + h.values)
     for p in (1.5, 2.0, 4.0):
         d1, _ = sf.orbital_distance(g, ve, p)
-        d2, _ = sf.orbital_distance(ds.azimuthal_shift(g, shift), ve.rotated(-beta), p)
+        shifted = ds.GridField(grid, np.roll(g.values, -shift, axis=1))
+        d2, _ = sf.orbital_distance(shifted, ve.rotated(-beta), p)
         assert abs(d1 - d2) < 1e-10, p
 
         d3, _ = sf.orbital_distance(sum_field, ve, p)

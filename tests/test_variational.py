@@ -12,6 +12,18 @@ from diskvort.errors import AscentError, NonFiniteFieldError
 from diskvort.green_energy import energy, energy_grid
 
 
+def quantization_tolerance(profile, grid):
+    """Value slack absorbing one cell of measure quantization.
+
+    Cell-level transplantation reproduces a profile only up to the value
+    variation across a single cell's measure, so comparisons against
+    transplanted fields use this bound (plus the exact-case tolerance).
+    """
+    mu_max = float(grid.measure_r.max())
+    drop = np.max(profile.values - profile.resample(profile.cum_measure + mu_max))
+    return float(drop + 1e-6 * max(profile.value_range(), 1e-300))
+
+
 def unit_dipole_element():
     j = bessel_zero(1, 1)
     b = 1.0 / math.sqrt(math.pi * bessel_j(0, j) ** 2 / 2.0)
@@ -240,7 +252,7 @@ def test_burton_fixed_point_near_element(basis, grid):
     # the iterate keeps the seed's rearrangement profile at cell level
     prof_target = ds.distribution_profile(target)
     prof_final = ds.distribution_profile(res.final)
-    tol = ds.quantization_tolerance(prof_target, grid)
+    tol = quantization_tolerance(prof_target, grid)
     ok, gap = ds.profiles_close(prof_final, prof_target, tol=tol)
     assert ok, gap
 
