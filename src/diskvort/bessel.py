@@ -15,15 +15,21 @@ well above max(n, s) with arbitrary seed values, then normalize with
 J_0 + 2*(J_2 + J_4 + ...) = 1.  The recurrence is stable downward and keeps
 relative accuracy near machine precision for all supported arguments.
 
-Zeros are solved once per order and kept in one array per order.  A
-fixed-step sign-change scan brackets them (consecutive positive zeros of J_n
-are more than 3 apart, so a 0.5 step cannot straddle two), a secant point
-inside each bracket seeds Newton's method, and every Newton iterate tightens
-its bracket, which also catches a step that leaves it.  Each Newton step
-takes J_n and J_n' from one backward recurrence that yields J_{n-1}, J_n and
-J_{n+1} together.  Asking for more zeros of an order than it holds solves the
-order again and appends only the new zeros, so a zero once returned never
-changes.
+Zeros are kept in one array per order, and all orders of a request are
+solved in one scan and one Newton loop (a request whose scans would hold
+more than ``_SCAN_COLUMNS`` points, in batches under that budget).  The
+kernels take one order per abscissa, so the scan points of every order
+form one recurrence pass, and so do the roots of every Newton step.  A
+fixed-step sign-change scan brackets the zeros of each order in its own
+window (consecutive positive zeros of J_n are more than 3 apart, so a 0.5
+step cannot straddle two), a secant point inside each bracket seeds
+Newton's method, and every Newton iterate tightens its bracket, which also
+catches a step that leaves it.  Each Newton step takes J_n and J_n' from
+one backward recurrence that yields J_{n-1}, J_n and J_{n+1} together.  A
+zero depends on its own order and abscissae only, never on the other
+orders of the solve.  Asking for more zeros of an order than it holds
+solves the order again and appends only the new zeros, so a zero once
+returned never changes.
 """
 
 import math
@@ -41,9 +47,8 @@ _RESCALE_FACTOR = 2.0 ** -600
 _RESCALE_EVERY = 8
 
 
-def _series_threshold(n):
-    return max(6.0, math.sqrt(2.0 * (n + 1)))
-
+# the largest abscissa at which the series of order n is used, by n
+_SERIES_LIMIT = np.array([max(6.0, math.sqrt(2.0 * (n + 1))) for n in range(MAX_ORDER + 2)])
 
 # the denominators m (m + k) of series term m of order k <= MAX_ORDER + 1,
 # integers exact as floats
@@ -51,17 +56,26 @@ _SERIES_DENOMS = np.array([[m * (m + k) for k in range(MAX_ORDER + 2)]
                            for m in range(1, _SERIES_TERMS + 1)], dtype=float)
 
 
+def _cols(n, mask):
+    """The orders of the columns ``mask``: all of them for one order."""
+    return n[mask] if n.ndim else n
+
+
 def _series_j(orders, s):
     """Power series of the orders ``orders`` (rows) in one pass, on their
-    well-conditioned range; ``s`` is a positive array.  -q is spread over
-    the rows once, so only the division by m (m + k) broadcasts."""
+    well-conditioned range; ``s`` is a positive array.  A row holds one
+    order, or one per abscissa (``orders`` of shape (rows, s.size)).  -q is
+    spread over the rows once, so only the division by m (m + k) broadcasts."""
     s = np.asarray(s, dtype=float)
+    orders = np.reshape(orders, (len(orders), -1))
     half = 0.5 * s
-    term = np.stack([half ** k / math.factorial(k) for k in orders])
+    term = np.empty((len(orders), s.size))
+    for k in set(orders.ravel().tolist()):
+        np.copyto(term, half ** k / math.factorial(k), where=orders == k)
     neg_q = np.repeat(-(half * half)[None], len(orders), axis=0)
     total = term.copy()
     comp = np.zeros_like(total)          # Kahan compensation
-    for d in _SERIES_DENOMS[:, orders, None]:
+    for d in _SERIES_DENOMS[:, orders]:
         term = term * neg_q / d
         y = term - comp
         t = total + y
@@ -73,37 +87,47 @@ def _series_j(orders, s):
 def _miller_rows(s, lo, hi):
     """Orders lo..hi (rows) at the positive abscissae ``s`` by backward recurrence.
 
-    Each abscissa starts from its own order int(1.5 max(hi, s)) + 30, so its
-    values do not depend on the other abscissae of the call.  Only three
-    rows and the normalization sum are kept while recurring down, and a
-    recurrence step allocates nothing.  The magnitude is checked every
-    ``_RESCALE_EVERY`` rows; a column that grew past ``_RESCALE_LIMIT`` is
-    scaled by a power of two, which is exact, so the result does not depend
-    on where the rescale falls.
+    ``lo`` and ``hi`` are one order each or one per abscissa, hi - lo the
+    same for all; row i of an abscissa holds its order lo + i, and a row
+    below order 0 stays 0.  Each abscissa starts from its own order
+    int(1.5 max(hi, s)) + 30, so its values do not depend on the other
+    abscissae of the call.  Only three rows and the normalization sum are
+    kept while recurring down, and a step that keeps no row allocates
+    nothing.  The magnitude is checked every ``_RESCALE_EVERY`` rows; a
+    column that grew past ``_RESCALE_LIMIT`` is scaled by a power of two,
+    which is exact, so the result does not depend on where the rescale
+    falls.
     """
     s = np.asarray(s, dtype=float)
+    lo = np.asarray(lo)
+    n_rows = int(np.max(hi - lo)) + 1
+    # a sorted count of the start orders: the abscissae that start at order
+    # m are born[born_at[m]:born_at[m + 1]]
     starts = (1.5 * np.maximum(hi, s)).astype(int) + 30
-    order = np.argsort(starts, kind="stable")
-    cuts = np.flatnonzero(np.diff(starts[order])) + 1
-    births = {int(starts[g[0]]): g for g in np.split(order, cuts)}   # m -> columns
-    out = np.empty((hi - lo + 1, s.size))
+    born = np.argsort(starts, kind="stable")
+    born_at = [0] + np.cumsum(np.bincount(starts)).tolist()
+    del starts
+    first_kept, last_kept = int(lo.min()) + 1, int(lo.max()) + n_rows
+    out = np.zeros((n_rows, s.size))
     upper = np.zeros(s.size)                 # J_{m+1}, unnormalized
     cur = np.zeros(s.size)                   # J_m
     even = np.zeros(s.size)                  # J_2 + J_4 + ... recurred so far
     spare = np.empty(s.size)
-    for m in range(max(births), 0, -1):
-        if m in births:
-            cur[births[m]] = 1e-30
+    for m in range(len(born_at) - 2, 0, -1):
+        if born_at[m] < born_at[m + 1]:
+            new = born[born_at[m]:born_at[m + 1]]
+            cur[new] = 1e-30
             if m % 2 == 0:
-                even[births[m]] = 1e-30
+                even[new] = 1e-30
         np.divide(2.0 * m, s, out=spare)     # J_{m-1} = (2m/s) J_m - J_{m+1}
         spare *= cur
         spare -= upper
         upper, cur, spare = cur, spare, upper
         if m % 2 == 1 and m > 1:
             even += cur
-        if lo <= m - 1 <= hi:
-            out[m - 1 - lo] = cur
+        if first_kept <= m <= last_kept:     # cur is J_{m-1}: row m - 1 - lo
+            for i in range(n_rows):
+                np.copyto(out[i], cur, where=lo == m - 1 - i)
         if m % _RESCALE_EVERY == 0 and np.abs(cur).max() > _RESCALE_LIMIT:
             scale = np.where(np.abs(cur) > _RESCALE_LIMIT, _RESCALE_FACTOR, 1.0)
             upper *= scale
@@ -113,37 +137,44 @@ def _miller_rows(s, lo, hi):
     return out / (cur + 2.0 * even)
 
 
+_NEIGHBOURS = np.array([[-1], [0], [1]])
+
+
 def _j_neighbours(n, s):
-    """J_{n-1}, J_n and J_{n+1} at the positive abscissae ``s``, as rows.
+    """J_{n-1}, J_n and J_{n+1} at the positive abscissae ``s``, as rows;
+    ``n`` is one order or one per abscissa.
 
     One series pass or recurrence serves all three orders (J_{-1} = -J_1), so
     J_n' = (J_{n-1} - J_{n+1}) / 2 costs no more than J_n.
     """
     s = np.asarray(s, dtype=float)
+    n = np.asarray(n)
     out = np.empty((3, s.size))
-    small = s <= _series_threshold(max(n - 1, 0))
+    small = s <= _SERIES_LIMIT[np.maximum(n - 1, 0)]
     if small.any():
-        out[:, small] = _series_j((abs(n - 1), n, n + 1), s[small])
+        out[:, small] = _series_j(np.abs(np.reshape(_cols(n, small), (1, -1)) + _NEIGHBOURS),
+                                  s[small])
     if (~small).any():
-        rows = _miller_rows(s[~small], max(n - 1, 0), n + 1)
-        out[3 - len(rows):, ~small] = rows
-    if n == 0:
-        out[0] = -out[2]
+        m = _cols(n, ~small)
+        out[:, ~small] = _miller_rows(s[~small], m - 1, m + 1)
+    if np.any(n == 0):
+        np.copyto(out[0], -out[2], where=n == 0)
     return out
 
 
 def _bessel_j_impl(n, s):
-    """J_n over a float array, any sign of s."""
+    """J_n at the non-negative abscissae ``s``, an array of any shape; ``n``
+    is one order or one per abscissa."""
     s = np.asarray(s, dtype=float)
+    n = np.asarray(n)
     out = np.empty_like(s)
-    sign = np.where((s < 0) & (n % 2 == 1), -1.0, 1.0)
-    sa = np.abs(s)
-    small = sa <= _series_threshold(n)
+    small = s <= _SERIES_LIMIT[n]
     if small.any():
-        out[small] = _series_j((n,), sa[small])[0]
+        out[small] = _series_j(np.reshape(_cols(n, small), (1, -1)), s[small])[0]
     if (~small).any():
-        out[~small] = _miller_rows(sa[~small], n, n)[0]
-    return out * sign
+        m = _cols(n, ~small)
+        out[~small] = _miller_rows(s[~small], m, m)[0]
+    return out
 
 
 def _check_order(n):
@@ -162,7 +193,8 @@ def bessel_j(n, s):
     """
     n = _check_order(n)
     arr = np.asarray(s, dtype=float)
-    res = _bessel_j_impl(n, arr)
+    sign = np.where((arr < 0) & (n % 2 == 1), -1.0, 1.0)
+    res = _bessel_j_impl(n, np.abs(arr)) * sign
     return float(res) if np.isscalar(s) or arr.ndim == 0 else res
 
 
@@ -183,32 +215,57 @@ def bessel_j_prime(n, s):
 _NEWTON_TOL = 1e-13
 _NEWTON_ITERS = 60
 _SCAN_STEP = 0.5
+# the most scan points of one solve: a batch of orders keeps its recurrence
+# arrays near 256 KB each (the default basis' 17 orders hold ~5300)
+_SCAN_COLUMNS = 2 ** 15
 
 
-def _zeros_for_order(n, k_max, window=None):
-    """First k_max positive zeros of J_n: one scan, then guarded Newton."""
-    start = float(max(n, 1))
-    if window is None:
-        window = start + 1.2 * math.pi * (k_max + 0.5 * n + 3.0) + 5.0
-    pts = np.arange(start, window + _SCAN_STEP, _SCAN_STEP)
-    vals = _bessel_j_impl(n, pts)
-    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if flips.size < k_max:
-        raise ZeroScanError(
-            f"scan window [{start:g}, {window:g}] found only {flips.size} "
-            f"sign changes of J_{n}, needed {k_max}"
-        )
-    flips = flips[:k_max]
-    lo, hi = pts[flips], pts[flips + 1]
-    flo, fhi = vals[flips], vals[flips + 1]
+def _scan_window(n, k_max):
+    """Right end of the scan that brackets the first k_max zeros of J_n."""
+    return float(max(n, 1)) + 1.2 * math.pi * (k_max + 0.5 * n + 3.0) + 5.0
+
+
+def _scan_points(n, k_max):
+    """The scan of J_n for its first k_max zeros, from max(n, 1) on."""
+    return np.arange(float(max(n, 1)), _scan_window(n, k_max) + _SCAN_STEP, _SCAN_STEP)
+
+
+def _solve_zeros(want):
+    """First zeros of several orders at once, ``want`` mapping order n to
+    its count k_max: one sign-change scan over the scan points of every
+    order, then one guarded Newton loop over all their roots.  Returns a
+    dict n -> its first k_max zeros.
+
+    Each order keeps its own scan window and brackets, and each root its own
+    iterates, so a zero does not depend on the other orders of the call.
+    """
+    ns, ks = list(want), list(want.values())
+    pts = [_scan_points(n, k) for n, k in want.items()]
+    sizes = [p.size for p in pts]
+    pts = np.concatenate(pts)
+    vals = _bessel_j_impl(np.repeat(ns, sizes), pts)
+    brackets, at = [], 0
+    for n, k, size in zip(ns, ks, sizes):
+        p, v = pts[at:at + size], vals[at:at + size]
+        at += size
+        flips = np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]
+        if flips.size < k:
+            raise ZeroScanError(
+                f"scan window [{p[0]:g}, {_scan_window(n, k):g}] found only "
+                f"{flips.size} sign changes of J_{n}, needed {k}"
+            )
+        flips = flips[:k]
+        brackets.append((p[flips], p[flips + 1], v[flips], v[flips + 1]))
+    lo, hi, flo, fhi = (np.concatenate(c) for c in zip(*brackets))
+    order = np.repeat(ns, ks)
     root = lo - flo * (hi - lo) / (fhi - flo)
     # Newton, each iterate shrinking its bracket; a step that lands outside
     # the bracket is replaced by its midpoint.  A root is final once its
     # step is <= _NEWTON_TOL relative (the error after that step is of the
     # step's square), so each root's iterates do not depend on the others.
-    active = np.ones(k_max, dtype=bool)
+    active = np.ones(root.size, dtype=bool)
     for _ in range(_NEWTON_ITERS):
-        jm, f, jp = _j_neighbours(n, root[active])
+        jm, f, jp = _j_neighbours(order[active], root[active])
         step = f / (0.5 * (jm - jp))
         x = root[active]
         left = np.sign(f) == np.sign(flo[active])
@@ -220,21 +277,35 @@ def _zeros_for_order(n, k_max, window=None):
         root[active] = np.where(bad, 0.5 * (lo[active] + hi[active]), nxt)
         active[active] = bad | (np.abs(step) > _NEWTON_TOL * x)
         if not active.any():
-            return root
-    raise ZeroScanError(f"Newton polish of the zeros of J_{n} did not converge")
+            return dict(zip(ns, np.split(root, np.cumsum(ks)[:-1])))
+    raise ZeroScanError(f"Newton polish of the zeros of J_{order[active][0]} did not converge")
 
 
 _zeros = {}          # order n -> array of its first zeros, only ever extended
 
 
-def _order_zeros(n, k):
-    """The cached zeros of J_n, holding at least k of them."""
-    have = _zeros.get(n)
-    if have is None or have.size < k:
-        held = 0 if have is None else have.size
-        new = _zeros_for_order(n, max(k, 2 * held))
-        _zeros[n] = new if have is None else np.concatenate([have, new[held:]])
-    return _zeros[n]
+def _order_zeros(orders, k):
+    """The cached zeros of each order in ``orders``, each holding at least k.
+
+    The orders that are missing or short are solved together, in batches
+    whose scans hold at most ``_SCAN_COLUMNS`` points; a short order is
+    solved again to max(k, twice what it holds) and only its new zeros are
+    appended, so a zero once returned never changes.
+    """
+    held = {n: len(_zeros.get(n, ())) for n in orders}
+    batches, points = [{}], 0
+    for n, h in held.items():
+        if h < k:
+            size = _scan_points(n, max(k, 2 * h)).size
+            if batches[-1] and points + size > _SCAN_COLUMNS:
+                batches.append({})
+                points = 0
+            batches[-1][n] = max(k, 2 * h)
+            points += size
+    for batch in filter(None, batches):
+        for n, new in _solve_zeros(batch).items():
+            _zeros[n] = np.concatenate([_zeros[n], new[held[n]:]]) if held[n] else new
+    return [_zeros[n] for n in orders]
 
 
 def _check_index(k):
@@ -246,13 +317,13 @@ def _check_index(k):
 def bessel_zeros(n, k):
     """First k positive zeros of J_n as an array, accurate to ~1e-13 absolute."""
     k = _check_index(k)
-    return _order_zeros(_check_order(n), k)[:k].copy()
+    return _order_zeros((_check_order(n),), k)[0][:k].copy()
 
 
 def bessel_zero(n, k):
     """k-th positive zero of J_n (k >= 1), accurate to ~1e-13 absolute."""
     k = _check_index(k)
-    return float(_order_zeros(_check_order(n), k)[k - 1])
+    return float(_order_zeros((_check_order(n),), k)[0][k - 1])
 
 
 def certified_zeros(n_max, k_max):
@@ -264,6 +335,7 @@ def certified_zeros(n_max, k_max):
     j_{n-1,k} < j_{n,k} < j_{n-1,k+1} with the order below; a failed check
     raises ZeroScanError.
     """
+    _order_zeros(range(n_max + 1), k_max)
     rows = []
     below = None
     for n in range(n_max + 1):

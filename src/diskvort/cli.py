@@ -13,8 +13,9 @@ rows of ``bessel.certified_zeros``, ``evolve`` and ``rotate-demo`` the
 ``euler_sim.TraceRow`` fields of the stability and rotating-orbit drivers,
 and ``sharpness-demo`` the last row and final field of one rotating-orbit
 run per angle.  A zero table holds at most ``MAX_ZERO_INDEX`` zeros per
-order, and a grid at most ``MAX_RADIAL_NODES`` radii and ``MAX_ANGLES``
-angles.
+order, a grid at most ``MAX_RADIAL_NODES`` radii and ``MAX_ANGLES``
+angles, and the horizons and counts are bounded by ``MAX_TURNOVERS``,
+``MAX_T_END``, ``MAX_SEEDS``, ``MAX_ASCENT_ITERS`` and ``MAX_N_UNIFORM``.
 
 Exit status: 0 all asserted tolerances pass, 2 configuration error (also a
 family or field outside the basis or its dealias band, a turnover horizon
@@ -59,9 +60,19 @@ from .steady_family import VElement, orbital_distance, plain_distance, v_element
 from .variational import burton_maximize, solve_v1, solve_v2
 
 # the largest zero index of a bessel-table: the zero scan's time and memory
-# grow with the index, and the (64, 1000) table takes ~22 s, with a 49 MB
+# grow with the index, and the (64, 1000) table takes ~13 s, with a 48 MB
 # peak RSS, on a 2-core x86 VM
 MAX_ZERO_INDEX = 1000
+# the largest horizons and counts: each keeps one run on the default basis
+# within about five minutes on a 2-core x86 VM, where one turnover of the
+# default element takes ~0.23 s (t_end: ~3.8 ms per time unit, 48 to a
+# turnover), one ascent seed ~73 ms (~1 ms per iteration, up to max_iters)
+# and one unit of n_uniform ~27 ms
+MAX_TURNOVERS = 1000.0
+MAX_T_END = 50000.0
+MAX_SEEDS = 1000
+MAX_ASCENT_ITERS = 100000
+MAX_N_UNIFORM = 10000
 # the largest collocation grid: the basis tables grow as n_theta_modes n_r
 # k_radial (k_radial < n_r) and the Gauss-Legendre nodes as n_r^2, and the
 # largest accepted basis, DiskBasis(64, 254, DiskGrid(256, 1024)), builds in
@@ -144,13 +155,17 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"delta_rel must be positive, got {cfg.delta_rel}")
     if cfg.turnovers <= 0 and cfg.t_end <= 0:
         raise ConfigError("one of turnovers or t_end must be positive")
+    # a horizon at or below 0 is unset
+    for name, hi in (("turnovers", MAX_TURNOVERS), ("t_end", MAX_T_END)):
+        if getattr(cfg, name) > hi:
+            raise ConfigError(f"{name} must lie in (-inf, {hi:g}], got {getattr(cfg, name)}")
     # integer keys: the resolutions a basis is built on, positive counts, and
     # the Bessel orders and zero indices that the tables hold
     for name, lo, hi in (("seed", 0, math.inf), ("n_theta_modes", 1, MAX_ORDER),
                          ("k_radial", 1, math.inf), ("n_r", 3, MAX_RADIAL_NODES),
                          ("n_theta", 4, MAX_ANGLES), ("cadence", 1, math.inf),
-                         ("seeds", 1, math.inf), ("max_iters", 1, math.inf),
-                         ("n_uniform", 1, math.inf),
+                         ("seeds", 1, MAX_SEEDS), ("max_iters", 1, MAX_ASCENT_ITERS),
+                         ("n_uniform", 1, MAX_N_UNIFORM),
                          ("family_n", 0, MAX_ORDER), ("bessel_n_max", 0, MAX_ORDER),
                          ("family_k", 1, cfg.k_radial), ("bessel_k_max", 1, MAX_ZERO_INDEX)):
         if not lo <= getattr(cfg, name) <= hi:

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bessel import _j_neighbours, bessel_zeros
+from .bessel import _j_neighbours, _order_zeros
 from .errors import NonFiniteFieldError, ResolutionError
 
 
@@ -105,10 +105,12 @@ class DiskBasis:
         r_diff = np.empty((N + 1, grid.n_r, K))
         # Analytic squared L2 norms of the basis functions over the disk.
         self.norm2 = np.empty((N + 1, K))
-        # One recurrence per order gives J_{n-1}, J_n, J_{n+1} at every node
-        # j_{n,k} r_i and at the zeros themselves (the last K abscissae).
+        # One solve finds the zeros of every order; then one recurrence per
+        # order gives J_{n-1}, J_n, J_{n+1} at every node j_{n,k} r_i and at
+        # the zeros themselves (the last K abscissae).
+        zeros = _order_zeros(range(N + 1), K)
         for n in range(N + 1):
-            z = bessel_zeros(n, K)
+            z = zeros[n][:K]
             jm, j, jp = _j_neighbours(n, np.append(np.outer(r, z), z))
             self.roots[n] = z
             self.r_eval[n] = j[:-K].reshape(grid.n_r, K)

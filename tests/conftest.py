@@ -6,8 +6,8 @@ from diskvort.disk_spectral import DiskBasis, DiskGrid
 
 @pytest.fixture(scope="session")
 def basis():
-    """Default-resolution basis shared across the suite (cold build ~0.2 s on
-    a 2-core x86 VM)."""
+    """Default-resolution basis shared across the suite (cold build ~0.1 s on
+    a 2-core x86 VM, the zeros of all 17 orders in one solve)."""
     return DiskBasis(16, 32, DiskGrid(80, 128))
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,7 +142,7 @@ def test_series_rows_match_per_order_loop():
     # the one-pass rows of _j_neighbours are bitwise the per-order sums on
     # the series range
     for n in range(21):
-        s = np.linspace(1e-3, bessel._series_threshold(max(n - 1, 0)), 257)
+        s = np.linspace(1e-3, bessel._SERIES_LIMIT[max(n - 1, 0)], 257)
         rows = bessel._j_neighbours(n, s)
         expect = [_series_loop(abs(m), s) for m in (n - 1, n, n + 1)]
         if n == 0:
@@ -202,9 +206,74 @@ def test_certified_zeros_failed_checks_raise(monkeypatch):
             bessel.certified_zeros(1, 3)
 
 
-def test_scan_window_error():
-    with pytest.raises(ZeroScanError):
-        bessel._zeros_for_order(0, 5, window=8.0)  # room for only two roots
+def test_scan_window_error(monkeypatch):
+    # a window of 8 has room for the first zero of J_1 but only two of J_0
+    monkeypatch.setattr(bessel, "_scan_window", lambda n, k_max: 8.0)
+    with pytest.raises(ZeroScanError, match="found only 2 sign changes of J_0, needed 5"):
+        bessel._solve_zeros({1: 1, 0: 5})
+
+
+def _zeros_for_order(n, k_max):
+    """First k_max positive zeros of J_n: one scan, then guarded Newton, as
+    each order was solved on its own before the orders shared one solve."""
+    start = float(max(n, 1))
+    window = start + 1.2 * math.pi * (k_max + 0.5 * n + 3.0) + 5.0
+    pts = np.arange(start, window + bessel._SCAN_STEP, bessel._SCAN_STEP)
+    vals = bessel._bessel_j_impl(n, pts)
+    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0][:k_max]
+    lo, hi = pts[flips], pts[flips + 1]
+    flo, fhi = vals[flips], vals[flips + 1]
+    root = lo - flo * (hi - lo) / (fhi - flo)
+    active = np.ones(k_max, dtype=bool)
+    for _ in range(bessel._NEWTON_ITERS):
+        jm, f, jp = bessel._j_neighbours(n, root[active])
+        step = f / (0.5 * (jm - jp))
+        x = root[active]
+        left = np.sign(f) == np.sign(flo[active])
+        lo[active] = np.where(left, x, lo[active])
+        flo[active] = np.where(left, f, flo[active])
+        hi[active] = np.where(left, hi[active], x)
+        nxt = x - step
+        bad = ~((nxt >= lo[active]) & (nxt <= hi[active]))
+        root[active] = np.where(bad, 0.5 * (lo[active] + hi[active]), nxt)
+        active[active] = bad | (np.abs(step) > bessel._NEWTON_TOL * x)
+        if not active.any():
+            return root
+    raise AssertionError(f"oracle Newton on J_{n} did not converge")
+
+
+def test_shared_solve_matches_per_order_oracle():
+    # bit for bit: the default basis' orders in one solve, high orders, long
+    # runs of J_0 and J_1 zeros
+    for want in ({n: 32 for n in range(17)}, {32: 8, 48: 8, 64: 8}, {0: 100, 1: 100}):
+        solved = bessel._solve_zeros(want)
+        for n, k_max in want.items():
+            assert np.array_equal(solved[n], _zeros_for_order(n, k_max)), n
+
+
+def test_per_column_kernels_match_single_order_calls(monkeypatch):
+    # each column of a mixed-order call is bitwise the call of its own order:
+    # J_0 (J_{-1} = -J_1), orders whose series rows include order 2, series
+    # and recurrence abscissae, and columns that rescale beside ones that do not
+    rng = np.random.default_rng(11)
+    n = np.concatenate([np.repeat([0, 1, 2, 3], 30), rng.integers(0, 65, 200)])
+    s = np.concatenate([rng.uniform(1e-3, 6.0, 120), rng.uniform(0.01, 150.0, 200)])
+    rows = bessel._j_neighbours(n, s)
+    values = bessel._bessel_j_impl(n, s)
+    for m in set(n.tolist()):
+        assert np.array_equal(rows[:, n == m], bessel._j_neighbours(m, s[n == m])), m
+        assert np.array_equal(values[n == m], bessel._bessel_j_impl(m, s[n == m])), m
+    # at s = 0.1 the recurrence from order 123 grows far past 2^600, and
+    # without the rescale it would overflow
+    lo = np.concatenate([[60, 60, 61], rng.integers(0, 62, 100)])
+    s = np.concatenate([[0.1, 0.1, 0.1], rng.uniform(0.1, 80.0, 100)])
+    rows = bessel._miller_rows(s, lo, lo + 2)
+    assert np.isfinite(rows).all()
+    for m in set(lo.tolist()):
+        assert np.array_equal(rows[:, lo == m], bessel._miller_rows(s[lo == m], m, m + 2)), m
+    with monkeypatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(bessel, "_RESCALE_LIMIT", np.inf)
+        assert not np.isfinite(bessel._miller_rows(s[:1], 60, 62)).all()
 
 
 def test_zeros_match_scipy_oracle():
@@ -224,16 +293,72 @@ def test_zeros_interlace():
 
 
 def test_basis_build_solves_each_order_once(monkeypatch):
-    solve, orders = bessel._zeros_for_order, []
+    # one solve covers orders 0..16
+    solve, calls = bessel._solve_zeros, []
 
-    def counted(n, k_max, **kw):
-        orders.append(n)
-        return solve(n, k_max, **kw)
+    def counted(want):
+        calls.append(dict(want))
+        return solve(want)
 
     monkeypatch.setattr(bessel, "_zeros", {})
-    monkeypatch.setattr(bessel, "_zeros_for_order", counted)
+    monkeypatch.setattr(bessel, "_solve_zeros", counted)
     DiskBasis(16, 32, DiskGrid(80, 128))
-    assert sorted(orders) == list(range(17))
+    assert calls == [{n: 32 for n in range(17)}]
+
+
+def test_zero_batches_keep_the_column_budget(monkeypatch):
+    # a request larger than the budget is split into batches whose scans
+    # hold at most _SCAN_COLUMNS points, and the zeros do not change
+    solve, batches = bessel._solve_zeros, []
+
+    def counted(want):
+        batches.append(dict(want))
+        return solve(want)
+
+    monkeypatch.setattr(bessel, "_zeros", {})
+    monkeypatch.setattr(bessel, "_solve_zeros", counted)
+    monkeypatch.setattr(bessel, "_SCAN_COLUMNS", 1000)
+    zeros = bessel._order_zeros(range(12), 32)
+    assert len(batches) > 1 and [n for b in batches for n in b] == list(range(12))
+    for b in batches:
+        assert sum(bessel._scan_points(n, k).size for n, k in b.items()) <= 1000
+    one = solve({n: 32 for n in range(12)})
+    assert all(np.array_equal(zeros[n], one[n]) for n in range(12))
+
+
+def test_cold_basis_build_runs_few_recurrences(monkeypatch):
+    # one scan pass, a few shared Newton passes and one table pass per order;
+    # solving each order on its own took 85
+    miller, passes = bessel._miller_rows, []
+
+    def counted(*args):
+        passes.append(1)
+        return miller(*args)
+
+    monkeypatch.setattr(bessel, "_zeros", {})
+    monkeypatch.setattr(bessel, "_miller_rows", counted)
+    DiskBasis(16, 32, DiskGrid(80, 128))
+    assert len(passes) <= 25
+
+
+def test_cold_basis_build_peak_memory():
+    # a cold default basis in a fresh process, so that the peak resident set
+    # is its own: ~3.9 MB above the imported package
+    code = (
+        "import resource\n"
+        "from diskvort.disk_spectral import DiskBasis, DiskGrid\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "DiskBasis(16, 32, DiskGrid(80, 128))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = str(Path(bessel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    grown_kb = int(proc.stdout.strip())        # ru_maxrss is in KiB on Linux
+    assert grown_kb < 5 * 1024
 
 
 def test_extending_an_order_keeps_returned_zeros(monkeypatch):

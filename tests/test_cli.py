@@ -233,6 +233,12 @@ def test_family_outside_band_exit_code(tmp_path, capsys):
     ("eigs", "n_theta_modes", 65), ("steady-check", "n_theta_modes", 65),
     ("evolve", "n_r", 10**12), ("evolve", "n_r", 257),
     ("evolve", "n_theta", 10**12), ("evolve", "n_theta", 1025),
+    ("evolve", "turnovers", 10**12), ("evolve", "turnovers", 1001),
+    ("stability-sweep", "turnovers", 10**12), ("evolve", "t_end", 10**12),
+    ("evolve", "t_end", 50001), ("burton-maximize", "seeds", 10**12),
+    ("burton-maximize", "seeds", 1001), ("burton-maximize", "max_iters", 10**12),
+    ("burton-maximize", "max_iters", 100001), ("sharpness-demo", "n_uniform", 10**12),
+    ("sharpness-demo", "n_uniform", 10001),
 ])
 def test_bessel_index_out_of_range_exit_code(tmp_path, capsys, kind, key, value):
     # these exited 1 with "error: ..." from the Bessel layer (bessel_n_max = -1
@@ -240,7 +246,10 @@ def test_bessel_index_out_of_range_exit_code(tmp_path, capsys, kind, key, value)
     # for 54.9 TiB, as bessel_k_max = 10**12 did; n_theta_modes = 65 on 140
     # angles reached the zero scan of order 65) or from memory (n_r and
     # n_theta = 10**12); family_k is bounded by k_radial = 10, bessel_k_max
-    # by 1000, n_theta_modes by 64, n_r by 256 and n_theta by 1024
+    # by 1000, n_theta_modes by 64, n_r by 256 and n_theta by 1024; the
+    # horizons and counts ran for as long as they asked, and are bounded by
+    # the cli's MAX_TURNOVERS, MAX_T_END, MAX_SEEDS, MAX_ASCENT_ITERS and
+    # MAX_N_UNIFORM
     cfgfile = tmp_path / "b.cfg"
     cfgfile.write_text("n_theta_modes = 6\nk_radial = 10\nn_r = 24\nn_theta = 140\n"
                        f"turnovers = 0.05\n{key} = {value}\n")
@@ -254,7 +263,8 @@ def test_bessel_index_range_edges_accepted():
     for line in ("family_n = 0", "family_n = 64", "bessel_n_max = 0", "bessel_n_max = 64",
                  "family_k = 1", "bessel_k_max = 1", "bessel_k_max = 1000", "family_k = 32",
                  "k_radial = 10\nfamily_k = 10", "n_theta_modes = 64", "n_r = 256",
-                 "n_theta = 1024"):
+                 "n_theta = 1024", "turnovers = 1000", "t_end = 50000", "seeds = 1000",
+                 "max_iters = 100000", "n_uniform = 10000", "turnovers = -1\nt_end = 1"):
         cli.parse_config(line + "\n", kind="bessel-table")
 
 
@@ -348,10 +358,8 @@ def test_sharpness_demo_rows_match_hand_rolled_runs(tmp_path):
     assert [tuple(float(v) for v in ln.split(",")[:5]) for ln in lines] == expect
 
 
-# Boundary values per key for the config fuzz.  Huge values go only to keys
-# that do not size the work or are bounded from above (the zero indices and
-# the grid resolutions): a huge horizon or count asks for that much memory
-# or time, it is not malformed.
+# Boundary values per key for the config fuzz.  Every key that sizes the work
+# is bounded from above, so each gets a huge value too.
 _FUZZ_BASE = {"n_theta_modes": "6", "k_radial": "10", "n_r": "24", "n_theta": "32",
               "turnovers": "0.05", "seeds": "2", "max_iters": "20", "n_uniform": "1",
               "cadence": "5"}
@@ -364,13 +372,15 @@ _FUZZ_VALUES = {
     "n_theta": _INT_EDGES + ["13", "1000000000000"],
     "a": _EDGES, "b": _EDGES, "beta": _EDGES, "omega_rot": _EDGES,
     "p": _EDGES + ["1"], "delta_rel": _EDGES, "cfl_safety": _EDGES + ["1"],
-    "turnovers": _EDGES[:-1] + ["1e-300"], "t_end": _EDGES[:-1] + ["1e-300"],
+    "turnovers": _EDGES + ["1e-300", "1000000000000"],
+    "t_end": _EDGES + ["1e-300", "1000000000000"],
     # family (5, 1) and (1, 7) lie outside the dealias band (4, 6)
     "family_n": _INT_EDGES + ["5", "1000000000000"], "family_k": _INT_EDGES + ["7"],
     "perturbation": ["none", "mode-injection", "random-shuffle", "bogus"],
     "pert_mode_n": _INT_EDGES + ["1000000000000"],
     "pert_mode_k": _INT_EDGES + ["1000000000000"],
-    "n_uniform": _INT_EDGES, "seeds": _INT_EDGES, "max_iters": _INT_EDGES,
+    "n_uniform": _INT_EDGES + ["1000000000000"], "seeds": _INT_EDGES + ["1000000000000"],
+    "max_iters": _INT_EDGES + ["1000000000000"],
     "cadence": _INT_EDGES + ["1000000000000"],
     "bessel_n_max": _INT_EDGES + ["1000000000000"],
     "bessel_k_max": _INT_EDGES + ["1001", "1000000000000"],
