@@ -34,12 +34,7 @@ from .disk_spectral import (
     to_grid,
     transplant,
 )
-from .green_energy import (
-    apply_green,
-    apply_green_kernel,
-    energy,
-    energy_grid,
-)
+from .green_energy import energy, energy_grid
 from .steady_family import (
     MomentPair,
     VElement,

@@ -41,7 +41,11 @@ from .quadrature import integrate
 
 MAX_ORDER = 64
 
-_SERIES_TERMS = 60
+# On a dense sample of every order n <= MAX_ORDER + 1 over its series range,
+# zero neighbourhoods included (where a sum is smallest), terms 1..27 give
+# the float64 sum of all 60; a later term is below 1/75 of the one before,
+# (s/2)^2 / (m (m + n)) there, so three more terms are a margin.
+_SERIES_TERMS = 30
 _RESCALE_LIMIT = 2.0 ** 600
 _RESCALE_FACTOR = 2.0 ** -600
 _RESCALE_EVERY = 8
@@ -91,50 +95,60 @@ def _miller_rows(s, lo, hi):
     same for all; row i of an abscissa holds its order lo + i, and a row
     below order 0 stays 0.  Each abscissa starts from its own order
     int(1.5 max(hi, s)) + 30, so its values do not depend on the other
-    abscissae of the call.  Only three rows and the normalization sum are
-    kept while recurring down, and a step that keeps no row allocates
-    nothing.  The magnitude is checked every ``_RESCALE_EVERY`` rows; a
-    column that grew past ``_RESCALE_LIMIT`` is scaled by a power of two,
-    which is exact, so the result does not depend on where the rescale
+    abscissae of the call.  The columns are recurred in order of falling
+    start order, so the columns started by step m are a prefix, and each
+    step touches only that prefix.  Only three rows and the normalization
+    sum are kept while recurring down, and a step that keeps no row
+    allocates nothing.  The magnitude is checked every ``_RESCALE_EVERY``
+    rows; a column that grew past ``_RESCALE_LIMIT`` is scaled by a power of
+    two, which is exact, so the result does not depend on where the rescale
     falls.
     """
     s = np.asarray(s, dtype=float)
     lo = np.asarray(lo)
     n_rows = int(np.max(hi - lo)) + 1
-    # a sorted count of the start orders: the abscissae that start at order
-    # m are born[born_at[m]:born_at[m + 1]]
     starts = (1.5 * np.maximum(hi, s)).astype(int) + 30
-    born = np.argsort(starts, kind="stable")
-    born_at = [0] + np.cumsum(np.bincount(starts)).tolist()
+    by_start = np.argsort(-starts, kind="stable")
+    s = s[by_start]
+    if lo.ndim:
+        lo = lo[by_start]
+    # started[m]: the columns that start at order m or above
+    started = np.cumsum(np.bincount(starts)[::-1])[::-1].tolist() + [0]
     del starts
     first_kept, last_kept = int(lo.min()) + 1, int(lo.max()) + n_rows
     out = np.zeros((n_rows, s.size))
+    # the three rotating buffers hold 0 beyond the started prefix, which no
+    # step writes, so a column starts from J_{m+1} = 0 in whichever is upper
     upper = np.zeros(s.size)                 # J_{m+1}, unnormalized
     cur = np.zeros(s.size)                   # J_m
     even = np.zeros(s.size)                  # J_2 + J_4 + ... recurred so far
-    spare = np.empty(s.size)
-    for m in range(len(born_at) - 2, 0, -1):
-        if born_at[m] < born_at[m + 1]:
-            new = born[born_at[m]:born_at[m + 1]]
-            cur[new] = 1e-30
+    spare = np.zeros(s.size)
+    for m in range(len(started) - 2, 0, -1):
+        a = started[m]
+        if started[m + 1] < a:
+            cur[started[m + 1]:a] = 1e-30
             if m % 2 == 0:
-                even[new] = 1e-30
-        np.divide(2.0 * m, s, out=spare)     # J_{m-1} = (2m/s) J_m - J_{m+1}
-        spare *= cur
-        spare -= upper
+                even[started[m + 1]:a] = 1e-30
+        nxt = np.divide(2.0 * m, s[:a], out=spare[:a])   # J_{m-1} = (2m/s) J_m - J_{m+1}
+        nxt *= cur[:a]
+        nxt -= upper[:a]
         upper, cur, spare = cur, spare, upper
         if m % 2 == 1 and m > 1:
-            even += cur
-        if first_kept <= m <= last_kept:     # cur is J_{m-1}: row m - 1 - lo
+            even[:a] += nxt
+        if first_kept <= m <= last_kept:     # nxt is J_{m-1}: row m - 1 - lo
+            keep = lo[:a] if lo.ndim else lo
             for i in range(n_rows):
-                np.copyto(out[i], cur, where=lo == m - 1 - i)
-        if m % _RESCALE_EVERY == 0 and np.abs(cur).max() > _RESCALE_LIMIT:
-            scale = np.where(np.abs(cur) > _RESCALE_LIMIT, _RESCALE_FACTOR, 1.0)
-            upper *= scale
-            cur *= scale
-            even *= scale
-            out *= scale
-    return out / (cur + 2.0 * even)
+                np.copyto(out[i, :a], nxt, where=keep == m - 1 - i)
+        if m % _RESCALE_EVERY == 0 and np.abs(nxt).max() > _RESCALE_LIMIT:
+            scale = np.where(np.abs(nxt) > _RESCALE_LIMIT, _RESCALE_FACTOR, 1.0)
+            upper[:a] *= scale
+            nxt *= scale
+            even[:a] *= scale
+            out[:, :a] *= scale
+    out /= cur + 2.0 * even
+    rows = np.empty_like(out)
+    rows[:, by_start] = out
+    return rows
 
 
 _NEIGHBOURS = np.array([[-1], [0], [1]])

@@ -15,7 +15,9 @@ and ``sharpness-demo`` the last row and final field of one rotating-orbit
 run per angle.  A zero table holds at most ``MAX_ZERO_INDEX`` zeros per
 order, a grid at most ``MAX_RADIAL_NODES`` radii and ``MAX_ANGLES``
 angles, and the horizons and counts are bounded by ``MAX_TURNOVERS``,
-``MAX_T_END``, ``MAX_SEEDS``, ``MAX_ASCENT_ITERS`` and ``MAX_N_UNIFORM``.
+``MAX_T_END``, ``MAX_SEEDS``, ``MAX_ASCENT_ITERS`` and ``MAX_N_UNIFORM``; a
+nonzero ``omega_rot`` has a period 2 pi / |omega_rot| of at most
+``MAX_T_END``.
 
 Exit status: 0 all asserted tolerances pass, 2 configuration error (also a
 family or field outside the basis or its dealias band, a turnover horizon
@@ -159,6 +161,11 @@ def _validate(cfg: ExperimentConfig):
     for name, hi in (("turnovers", MAX_TURNOVERS), ("t_end", MAX_T_END)):
         if getattr(cfg, name) > hi:
             raise ConfigError(f"{name} must lie in (-inf, {hi:g}], got {getattr(cfg, name)}")
+    # rotate-demo runs one period, 2 pi / |omega_rot| (20 turnovers at 0),
+    # which is a horizon like t_end
+    if cfg.omega_rot != 0 and 2.0 * math.pi / abs(cfg.omega_rot) > MAX_T_END:
+        raise ConfigError(f"omega_rot must be 0 or have its period 2 pi / |omega_rot| "
+                          f"<= {MAX_T_END:g}, got {cfg.omega_rot}")
     # integer keys: the resolutions a basis is built on, positive counts, and
     # the Bessel orders and zero indices that the tables hold
     for name, lo, hi in (("seed", 0, math.inf), ("n_theta_modes", 1, MAX_ORDER),

@@ -30,14 +30,26 @@ import numpy as np
 
 from .bessel import _j_neighbours, _order_zeros
 from .errors import NonFiniteFieldError, ResolutionError
+from .quadrature import gauss_legendre
+
+
+# the most abscissae of one batch of the basis tables: their (3, columns)
+# Bessel rows, 127 KB, stay under glibc's 128 KB mmap threshold, so the
+# batches reuse heap pages rather than map fresh ones (the default basis
+# builds its 17 orders in 9 batches)
+_TABLE_COLUMNS = 5400
 
 
 @dataclass(frozen=True)
 class DiskGrid:
     """Collocation grid: Gauss-Legendre radii on (0,1) x uniform angles.
 
+    The radii and weights come from ``quadrature.gauss_legendre``: Newton on
+    the Legendre recurrence, nodes within 2 ulp and weights within 1e-12
+    relative of a 40-digit reference for n_r <= 256 (1.4e-14 at n_r = 80).
     The nodes are a function of the resolution, so grids compare and hash
-    by (n_r, n_theta).
+    by (n_r, n_theta).  ``measures`` is the read-only (n_r, n_theta) array of
+    cell measures r_i w_i (2 pi / n_theta), and ``cell_measure`` its flat view.
     """
 
     n_r: int
@@ -45,25 +57,24 @@ class DiskGrid:
     r: np.ndarray = field(init=False, repr=False, compare=False)
     theta: np.ndarray = field(init=False, repr=False, compare=False)
     measure_r: np.ndarray = field(init=False, repr=False, compare=False)
+    measures: np.ndarray = field(init=False, repr=False, compare=False)
     cell_measure: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x, w = np.polynomial.legendre.leggauss(self.n_r)
+        x, w = gauss_legendre(self.n_r)
         r = 0.5 * (x + 1.0)
         theta = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
         mu_r = r * (0.5 * w) * (2.0 * np.pi / self.n_theta)
+        measures = np.repeat(mu_r, self.n_theta).reshape(self.n_r, self.n_theta)
+        measures.flags.writeable = False
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "measure_r", mu_r)
-        object.__setattr__(self, "cell_measure", np.repeat(mu_r, self.n_theta))
+        object.__setattr__(self, "measures", measures)
+        object.__setattr__(self, "cell_measure", measures.reshape(-1))
         total = self.n_theta * mu_r.sum()
         if abs(total - math.pi) > 1e-12:
             raise ResolutionError(f"cell measures sum to {total!r}, expected pi")
-
-    @property
-    def measures(self):
-        """Full (n_r, n_theta) matrix of cell measures."""
-        return np.broadcast_to(self.measure_r[:, None], (self.n_r, self.n_theta))
 
 
 def _projector(T, rw):
@@ -106,19 +117,25 @@ class DiskBasis:
         # Analytic squared L2 norms of the basis functions over the disk.
         self.norm2 = np.empty((N + 1, K))
         # One solve finds the zeros of every order; then one recurrence per
-        # order gives J_{n-1}, J_n, J_{n+1} at every node j_{n,k} r_i and at
-        # the zeros themselves (the last K abscissae).
+        # batch of orders gives J_{n-1}, J_n, J_{n+1} at every node j_{n,k} r_i
+        # and at the zeros themselves (the last K abscissae of each order).
         zeros = _order_zeros(range(N + 1), K)
-        for n in range(N + 1):
-            z = zeros[n][:K]
-            jm, j, jp = _j_neighbours(n, np.append(np.outer(r, z), z))
-            self.roots[n] = z
-            self.r_eval[n] = j[:-K].reshape(grid.n_r, K)
-            r_diff[n] = z * (0.5 * (jm[:-K] - jp[:-K])).reshape(grid.n_r, K)
-            self.norm2[n] = math.pi * jp[-K:] ** 2
-            if n == 0:
+        per_order = (grid.n_r + 1) * K
+        batch = max(1, _TABLE_COLUMNS // per_order)
+        for first in range(0, N + 1, batch):
+            orders = np.arange(first, min(first + batch, N + 1))
+            z = np.array([zeros[n][:K] for n in orders])
+            s = np.concatenate([np.append(np.outer(r, zn), zn) for zn in z])
+            jm, j, jp = _j_neighbours(np.repeat(orders, per_order), s).reshape(
+                3, orders.size, per_order)
+            rows = slice(first, first + orders.size)
+            self.roots[rows] = z
+            self.r_eval[rows] = j[:, :-K].reshape(-1, grid.n_r, K)
+            r_diff[rows] = z[:, None] * (0.5 * (jm[:, :-K] - jp[:, :-K])).reshape(-1, grid.n_r, K)
+            self.norm2[rows] = math.pi * jp[:, -K:] ** 2
+            if first == 0:
                 # Mean of the n=0 radial modes: integral of J_0(j_{0,k} r) over the disk.
-                self.mean0 = 2.0 * np.pi * jp[-K:] / z
+                self.mean0 = 2.0 * np.pi * jp[0, -K:] / z[0]
 
         # Per-mode analysis operators (N+1, K, n_r): measure-weighted least
         # squares onto the columns of r_eval[n].
@@ -532,8 +549,3 @@ def save_field(path, f, extra=None):
         doc.update(extra)
     with open(path, "w") as fh:
         json.dump(doc, fh)
-
-
-def load_field(path, basis=None, grid=None):
-    with open(path) as fh:
-        return field_from_dict(json.load(fh), basis=basis, grid=grid)

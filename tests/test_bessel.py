@@ -9,7 +9,7 @@ import pytest
 from scipy import special
 
 from diskvort import bessel
-from diskvort.disk_spectral import DiskBasis, DiskGrid
+from diskvort.disk_spectral import DiskBasis, DiskGrid, _projector
 from diskvort.errors import UnsupportedOrderError, ZeroScanError
 from diskvort.quadrature import integrate
 
@@ -327,8 +327,9 @@ def test_zero_batches_keep_the_column_budget(monkeypatch):
 
 
 def test_cold_basis_build_runs_few_recurrences(monkeypatch):
-    # one scan pass, a few shared Newton passes and one table pass per order;
-    # solving each order on its own took 85
+    # one scan pass, a few shared Newton passes and one table pass per batch
+    # of two orders (13 in all); solving each order on its own took 85, and
+    # one table pass per order 21
     miller, passes = bessel._miller_rows, []
 
     def counted(*args):
@@ -338,7 +339,7 @@ def test_cold_basis_build_runs_few_recurrences(monkeypatch):
     monkeypatch.setattr(bessel, "_zeros", {})
     monkeypatch.setattr(bessel, "_miller_rows", counted)
     DiskBasis(16, 32, DiskGrid(80, 128))
-    assert len(passes) <= 25
+    assert len(passes) <= 16
 
 
 def test_cold_basis_build_peak_memory():
@@ -371,3 +372,104 @@ def test_extending_an_order_keeps_returned_zeros(monkeypatch):
     for n in range(5):
         for k in range(1, 9):
             assert basis.roots[n, k - 1] == bessel.bessel_zero(n, k)
+
+
+def _full_width_rows(s, lo, hi):
+    """The backward recurrence as it ran before the columns were recurred by
+    start order: every column through every step, a column holding 0 until
+    its start order is reached."""
+    s = np.asarray(s, dtype=float)
+    lo = np.asarray(lo)
+    n_rows = int(np.max(hi - lo)) + 1
+    starts = (1.5 * np.maximum(hi, s)).astype(int) + 30
+    born = np.argsort(starts, kind="stable")
+    born_at = [0] + np.cumsum(np.bincount(starts)).tolist()
+    out = np.zeros((n_rows, s.size))
+    upper, cur, even = np.zeros(s.size), np.zeros(s.size), np.zeros(s.size)
+    for m in range(len(born_at) - 2, 0, -1):
+        new = born[born_at[m]:born_at[m + 1]]
+        cur[new] = 1e-30
+        if m % 2 == 0:
+            even[new] = 1e-30
+        upper, cur = cur, (2.0 * m / s) * cur - upper
+        if m % 2 == 1 and m > 1:
+            even += cur
+        for i in range(n_rows):
+            np.copyto(out[i], cur, where=lo == m - 1 - i)
+        if m % bessel._RESCALE_EVERY == 0 and np.abs(cur).max() > bessel._RESCALE_LIMIT:
+            scale = np.where(np.abs(cur) > bessel._RESCALE_LIMIT, bessel._RESCALE_FACTOR, 1.0)
+            upper, cur, even, out = upper * scale, cur * scale, even * scale, out * scale
+    return out / (cur + 2.0 * even)
+
+
+# the power series' denominators at the 60 terms it summed before
+_SIXTY_TERMS = np.array([[m * (m + k) for k in range(bessel.MAX_ORDER + 2)]
+                         for m in range(1, 61)], dtype=float)
+
+
+def _reference_kernels(patch):
+    patch.setattr(bessel, "_SERIES_DENOMS", _SIXTY_TERMS)
+    patch.setattr(bessel, "_miller_rows", _full_width_rows)
+
+
+def test_series_length_is_bitwise():
+    # every order's series range, densely, and the neighbourhoods of the zeros
+    # inside the series ranges, where the sums are smallest: the shortened
+    # series gives bitwise the sum of 60 terms
+    zeros = [z for n in range(4) for z in bessel.bessel_zeros(n, 3) if z <= 6.0]
+    assert len(zeros) == 4                      # j_{0,1}, j_{0,2}, j_{1,1}, j_{2,1}
+    near = np.concatenate([z + np.arange(-500, 501) * np.spacing(z) for z in zeros]
+                          + [np.outer(zeros, 1.0 + np.geomspace(1e-15, 1e-2, 300)).ravel(),
+                             np.outer(zeros, 1.0 - np.geomspace(1e-15, 1e-2, 300)).ravel()])
+    for n in range(bessel.MAX_ORDER + 2):
+        top = bessel._SERIES_LIMIT[n]
+        s = np.concatenate([np.linspace(0.0, top, 5001)[1:], near[near <= top]])
+        short = bessel._series_j([[n]], s)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bessel, "_SERIES_DENOMS", _SIXTY_TERMS)
+            assert np.array_equal(short, bessel._series_j([[n]], s)), n
+
+
+def test_recurrence_by_start_order_is_bitwise():
+    # one order for all columns (the scalar path), one per column, and
+    # columns that rescale beside ones that do not
+    rng = np.random.default_rng(21)
+    s = np.concatenate([[0.1, 0.1], rng.uniform(0.5, 300.0, 2000)])
+    n = rng.integers(0, 65, s.size)
+    for lo, hi in ((3, 5), (0, 0), (64, 66), (n - 1, n + 1), (n, n)):
+        assert np.array_equal(bessel._miller_rows(s, lo, hi), _full_width_rows(s, lo, hi))
+
+
+def test_zeros_match_reference_kernels(monkeypatch):
+    # bessel_zeros(n, 40), n <= 64, from a cold solve are bitwise those of the
+    # 60-term series and the full-width recurrence
+    monkeypatch.setattr(bessel, "_zeros", {})
+    zeros = bessel._order_zeros(range(bessel.MAX_ORDER + 1), 40)
+    monkeypatch.setattr(bessel, "_zeros", {})
+    _reference_kernels(monkeypatch)
+    expect = bessel._order_zeros(range(bessel.MAX_ORDER + 1), 40)
+    assert all(np.array_equal(z, e) for z, e in zip(zeros, expect))
+
+
+@pytest.mark.parametrize("size", ["default", "small"])
+def test_basis_tables_match_per_order_reference(basis, size, monkeypatch):
+    # the batched table build equals, bit for bit, one _j_neighbours call per
+    # order with the 60-term series and the full-width recurrence, on the
+    # same grid
+    b = basis if size == "default" else DiskBasis(6, 10, DiskGrid(24, 32))
+    _reference_kernels(monkeypatch)
+    grid, K = b.grid, b.k_radial
+    nd, kd = b.dealias_band()
+    rw = grid.measure_r * grid.n_theta
+    for n in range(b.n_modes + 1):
+        z = b.roots[n]
+        jm, j, jp = bessel._j_neighbours(n, np.append(np.outer(grid.r, z), z))
+        table = j[:-K].reshape(grid.n_r, K)
+        assert np.array_equal(b.r_eval[n], table), n
+        assert np.array_equal(b.norm2[n], math.pi * jp[-K:] ** 2), n
+        assert np.array_equal(b.analysis[n], _projector(table, rw)), n
+        if n == 0:
+            assert np.array_equal(b.mean0, 2.0 * np.pi * jp[-K:] / z)
+        if n <= nd:
+            r_diff = z * (0.5 * (jm[:-K] - jp[:-K])).reshape(grid.n_r, K)
+            assert np.array_equal(b.band_kit["radial"][n, : grid.n_r], r_diff[:, :kd]), n

@@ -268,6 +268,49 @@ def test_bessel_index_range_edges_accepted():
         cli.parse_config(line + "\n", kind="bessel-table")
 
 
+def test_slow_rotation_exits_without_stepping(tmp_path, capsys, monkeypatch):
+    # rotate-demo plans one period, 2 pi / |omega_rot|: at 1e-9 that is ~6.3e9
+    # time units, which ran until a timeout killed it
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(euler_sim, "step_rk4", no_step)
+    cfgfile = tmp_path / "r.cfg"
+    cfgfile.write_text("n_theta_modes = 6\nk_radial = 10\nn_r = 24\nn_theta = 32\n"
+                       "a = 0.4\nomega_rot = 1e-9\n")
+    out = tmp_path / "o"
+    assert cli.main(["rotate-demo", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "config error: omega_rot must" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+def test_rotation_period_edge(monkeypatch):
+    # the config check accepts exactly the rates whose planned period, the
+    # rotating driver's horizon, is at most MAX_T_END
+    planned = []
+
+    def plan(ve, pert, p, t_end, *args):
+        planned.append(t_end)
+        raise StopIteration
+
+    monkeypatch.setattr(euler_sim, "_evolve_element", plan)
+    edge = 2.0 * math.pi / cli.MAX_T_END
+    verdicts = []
+    for w in (edge, -edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0),
+              math.nextafter(-edge, 0.0), 0.3):
+        with pytest.raises(StopIteration):
+            euler_sim.run_rotating_orbit_experiment(steady_family.VElement(0.0, 1.0), w, None, 2.0)
+        accepted = planned[-1] <= cli.MAX_T_END
+        verdicts.append(accepted)
+        if accepted:
+            cli.parse_config(f"omega_rot = {w!r}\n", kind="rotate-demo")
+        else:
+            with pytest.raises(ConfigError, match="omega_rot must"):
+                cli.parse_config(f"omega_rot = {w!r}\n", kind="rotate-demo")
+    assert True in verdicts and False in verdicts
+    cli.parse_config("omega_rot = 0\n", kind="rotate-demo")
+
+
 def test_evolve_smoke(tmp_path):
     cfgfile = tmp_path / "e.cfg"
     cfgfile.write_text(
@@ -370,7 +413,7 @@ _FUZZ_VALUES = {
     "n_theta_modes": _INT_EDGES, "k_radial": _INT_EDGES,
     "n_r": _INT_EDGES + ["11", "1000000000000"],
     "n_theta": _INT_EDGES + ["13", "1000000000000"],
-    "a": _EDGES, "b": _EDGES, "beta": _EDGES, "omega_rot": _EDGES,
+    "a": _EDGES, "b": _EDGES, "beta": _EDGES, "omega_rot": _EDGES + ["1e-9"],
     "p": _EDGES + ["1"], "delta_rel": _EDGES, "cfl_safety": _EDGES + ["1"],
     "turnovers": _EDGES + ["1e-300", "1000000000000"],
     "t_end": _EDGES + ["1e-300", "1000000000000"],

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from diskvort import disk_spectral as ds
+from diskvort import green_energy as ge
 from diskvort import steady_family as sf
 from diskvort import variational as vr
 from diskvort.bessel import bessel_j, bessel_j_prime, bessel_zero
@@ -19,6 +24,59 @@ def azimuthal_shift(g, steps):
 def test_cell_measures(grid):
     assert abs(grid.n_theta * grid.measure_r.sum() - math.pi) < 1e-12
     assert (grid.measure_r > 0).all()
+
+
+def test_measures_array_matches_broadcast_form(basis, grid, rng):
+    # the precomputed measures give bitwise the sums of the broadcast view
+    # they replaced
+    assert grid.measures.flags.c_contiguous and not grid.measures.flags.writeable
+    assert np.shares_memory(grid.cell_measure, grid.measures)
+    old = ds.DiskGrid(grid.n_r, grid.n_theta)
+    object.__setattr__(old, "measures", np.broadcast_to(
+        old.measure_r[:, None], (old.n_r, old.n_theta)))
+    ve = sf.VElement(0.3, 1.0, 0.4)
+    omega = ds.to_grid(ds.random_in_span(basis, rng))
+    psi = ds.to_grid(ds.random_in_span(basis, rng))
+
+    def on(g, f):
+        return ds.GridField(g, f.values)
+
+    assert np.array_equal(old.measures, grid.measures)
+    assert ge.energy_grid(omega, psi) == ge.energy_grid(on(old, omega), on(old, psi))
+    assert ds.mean_value(omega) == ds.mean_value(on(old, omega))
+    for p in (1.0, 1.5, 2.0, 4.0):
+        assert ds.lp_norm(omega, p) == ds.lp_norm(on(old, omega), p)
+        if p > 1:
+            assert (sf.orbital_distance(omega, ve, p)
+                    == sf.orbital_distance(on(old, omega), ve, p))
+
+
+def test_setup_calls_no_eigen_solver():
+    # a fresh interpreter builds the default basis, the steady state and the
+    # first tendency with numpy's eigen solvers refusing to run: the radial
+    # rule comes from quadrature.gauss_legendre, not from leggauss, whose
+    # eigvalsh woke OpenBLAS's worker thread for the rest of the build
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('eigen solver called')\n"
+        "for name in ('eig', 'eigh', 'eigvals', 'eigvalsh'):\n"
+        "    setattr(np.linalg, name, refuse)\n"
+        "from diskvort.disk_spectral import DiskBasis, DiskGrid\n"
+        "from diskvort.euler_sim import steady_state, tendency\n"
+        "from diskvort.steady_family import VElement\n"
+        "basis = DiskBasis(16, 32, DiskGrid(80, 128))\n"
+        "state = steady_state(VElement(0.5, 1.0, 0.0), basis)\n"
+        "tendency(state.w, state.background)\n"
+        "assert 'numpy.polynomial' not in sys.modules\n"
+    )
+    src = str(Path(ds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_resolution_preconditions():
@@ -237,7 +295,7 @@ def test_serialization_round_trip(basis, grid, rng, tmp_path):
     with open(path) as fh:
         raw = json.load(fh)
     assert raw["kind"] == "grid" and raw["config_hash"] == "abc"
-    g2 = ds.load_field(path, grid=grid)
+    g2 = ds.field_from_dict(raw, grid=grid)
     assert np.abs(g.values - g2.values).max() == 0.0
 
 

@@ -6,10 +6,10 @@ import pytest
 from diskvort import bessel
 from diskvort import disk_spectral as ds
 from diskvort import euler_sim as es
-from diskvort import green_energy as ge
 from diskvort import steady_family as sf
 from diskvort.bessel import _j_neighbours, bessel_j, bessel_j_prime
 from diskvort.errors import CFLError, NonFiniteFieldError, ResolutionError
+from green_oracle import apply_green, apply_green_kernel
 
 
 def fd_theta(v, n_theta):
@@ -63,7 +63,7 @@ def test_tendency_matches_kernel_fd_oracle(basis):
     )
     t_spec = ds.to_grid(es.tendency(f)).values
     om = ds.to_grid(f)
-    psi = ge.apply_green_kernel(om)
+    psi = apply_green_kernel(om)
     oracle = -(
         fd_theta(psi.values, grid.n_theta) * fd_r(om.values, grid.r)
         - fd_r(psi.values, grid.r) * fd_theta(om.values, grid.n_theta)
@@ -795,7 +795,7 @@ def test_grid_values_are_the_band_synthesis(basis):
             for background in _channels(bg):
                 state = es.SolverState(w=w, background=background)
                 omega = ds.to_grid(w).values
-                psi = ds.to_grid(ge.apply_green(w)).values
+                psi = ds.to_grid(apply_green(w)).values
                 if background is not None:
                     omega = omega + background.profile[:, None]
                     psi = psi + background.stream_profile[:, None]
