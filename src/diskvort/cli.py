@@ -3,10 +3,10 @@
 Config files are flat ``key = value`` text; ``#`` starts a comment.  Unknown
 keys are errors, as are out-of-range values.  Every run writes, under the
 output directory, a ``manifest.json`` (config echo, config hash, seed,
-versions, wall time, pass flag), a ``results.csv`` whose first line carries
-the config hash, and, where fields are produced, ``fields/*.json`` in the
-documented serialization schema.  The same config and seed reproduce the
-same CSV bytes.
+versions, BLAS idle policy, wall time, pass flag), a ``results.csv`` whose
+first line carries the config hash, and, where fields are produced,
+``fields/*.json`` in the documented serialization schema.  The same config
+and seed reproduce the same CSV bytes.
 
 Each kind calls the library and writes its record: ``bessel-table`` the
 rows of ``bessel.certified_zeros``, ``evolve`` and ``rotate-demo`` the
@@ -17,7 +17,9 @@ order, a grid at most ``MAX_RADIAL_NODES`` radii and ``MAX_ANGLES``
 angles, and the horizons and counts are bounded by ``MAX_TURNOVERS``,
 ``MAX_T_END``, ``MAX_SEEDS``, ``MAX_ASCENT_ITERS`` and ``MAX_N_UNIFORM``; a
 nonzero ``omega_rot`` has a period 2 pi / |omega_rot| of at most
-``MAX_T_END``.
+``MAX_T_END``, and the amplitudes ``a``, ``b`` and ``delta_rel``, which
+shorten the step under a time horizon, are bounded by ``MAX_AMPLITUDE`` and
+``MAX_DELTA_REL``.
 
 Exit status: 0 all asserted tolerances pass, 2 configuration error (also a
 family or field outside the basis or its dealias band, a turnover horizon
@@ -38,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_IDLE_POLICY, __version__
 from .bessel import MAX_ORDER, bessel_j, bessel_zero, certified_zeros, verify_identity_suite
 from .disk_spectral import (
     DiskBasis,
@@ -81,6 +83,16 @@ MAX_N_UNIFORM = 10000
 # ~16 s with a 197 MB peak RSS on a 2-core x86 VM
 MAX_RADIAL_NODES = 256
 MAX_ANGLES = 1024
+# the largest amplitudes |a|, |b| and delta_rel: under a t_end horizon the
+# step count grows with max|u|, which is linear in each.  At MAX_T_END on the
+# default basis, on a 2-core x86 VM (~5.5 ms per time unit at a = 0, b = 1),
+# the default element takes ~5 min, a = 1 ~7.5 min, and a = 1 with a
+# mode-injection perturbation of delta_rel = 1 ~10 min.  Every shape a / b of
+# the family has a member within the bound, larger amplitudes only rescale
+# time (omega -> lambda omega, t -> t / lambda), and a perturbation larger
+# than its element is no longer a perturbation of it
+MAX_AMPLITUDE = 1.0
+MAX_DELTA_REL = 1.0
 
 
 @dataclass
@@ -153,8 +165,12 @@ def _validate(cfg: ExperimentConfig):
     for name, typ in _FIELD_TYPES.items():
         if typ is float and not math.isfinite(getattr(cfg, name)):
             raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
-    if cfg.delta_rel <= 0:
-        raise ConfigError(f"delta_rel must be positive, got {cfg.delta_rel}")
+    for name in ("a", "b"):
+        if abs(getattr(cfg, name)) > MAX_AMPLITUDE:
+            raise ConfigError(f"{name} must lie in [{-MAX_AMPLITUDE:g}, {MAX_AMPLITUDE:g}], "
+                              f"got {getattr(cfg, name)}")
+    if not 0 < cfg.delta_rel <= MAX_DELTA_REL:
+        raise ConfigError(f"delta_rel must lie in (0, {MAX_DELTA_REL:g}], got {cfg.delta_rel}")
     if cfg.turnovers <= 0 and cfg.t_end <= 0:
         raise ConfigError("one of turnovers or t_end must be positive")
     # a horizon at or below 0 is unset
@@ -456,6 +472,7 @@ def run_experiment(cfg: ExperimentConfig, outdir) -> int:
         "seed": cfg.seed,
         "package_version": __version__,
         "python_version": sys.version.split()[0],
+        "blas_idle": BLAS_IDLE_POLICY,
     }
     t0 = time.time()
     try:

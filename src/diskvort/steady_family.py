@@ -121,21 +121,31 @@ def _newton_angle(r0, gc, gs, mu, p, phi):
     t = de/dphi, with D''/p = sum mu ((p-1)|e|^(p-2) t^2 + sign(e)|e|^(p-1) m),
     infinite at p < 2 where e = 0.  Each D' narrows the bracket by its sign; a
     step that leaves it, is not under half the step before last, or comes
-    from a D'' that is not finite and positive bisects instead."""
+    from a D'' that is not finite and positive bisects instead.  The search
+    stops where D' lies within the bound of its rounding noise, as it does at
+    once on a field that lies on its orbit, where every e is noise."""
     span = 2.0 * math.pi / _N_COARSE
     lo, hi, last, before = phi - span, phi + span, span, span
-    tol = 8.0 * np.finfo(float).eps
+    eps = np.finfo(float).eps
+    tol = 8.0 * eps
+    # the field and the orbit are each known to a few rounding errors, so e
+    # only to within u; a term mu sign(e)|e|^(p-1) t of D'/p is then known to
+    # a relative (p-1) u / |e| to first order, and not even in sign where
+    # |e| <= u, which max(p-1, 1) u / max(|e|, u) covers.  Where D' lies
+    # within the sum of those uncertainties, its sign is noise
+    u = 4.0 * eps * float(np.abs(r0).max() + np.abs(gc).max() + np.abs(gs).max())
     for _ in range(100):        # ~45 bisections reach the step tolerance
         c, s = math.cos(phi), math.sin(phi)
         m = c * gc - s * gs
         e, t = r0 - m, s * gc + c * gs
         a = np.abs(e)
         w = np.copysign(a ** (p - 1.0), e) * mu
-        d1 = float((w * t).sum())
+        wt = w * t
+        d1 = float(wt.sum())
+        if abs(d1) <= max(p - 1.0, 1.0) * u * float((np.abs(wt) / np.maximum(a, u)).sum()):
+            break
         with np.errstate(divide="ignore", invalid="ignore"):
             d2 = float(((p - 1.0) * a ** (p - 2.0) * t * t * mu + w * m).sum())
-        if d1 == 0.0:
-            break
         lo, hi = (lo, phi) if d1 > 0.0 else (phi, hi)
         step = -d1 / d2 if 0.0 < d2 < math.inf else math.inf
         # a converged step is taken even where it rounds onto the bracket end

@@ -239,6 +239,9 @@ def test_family_outside_band_exit_code(tmp_path, capsys):
     ("burton-maximize", "seeds", 1001), ("burton-maximize", "max_iters", 10**12),
     ("burton-maximize", "max_iters", 100001), ("sharpness-demo", "n_uniform", 10**12),
     ("sharpness-demo", "n_uniform", 10001),
+    ("evolve", "a", "1e12"), ("rotate-demo", "a", "-1e12"), ("evolve", "b", "1e12"),
+    ("sharpness-demo", "b", "1.5"), ("evolve", "delta_rel", "1e12"),
+    ("stability-sweep", "delta_rel", "1.5"),
 ])
 def test_bessel_index_out_of_range_exit_code(tmp_path, capsys, kind, key, value):
     # these exited 1 with "error: ..." from the Bessel layer (bessel_n_max = -1
@@ -249,7 +252,8 @@ def test_bessel_index_out_of_range_exit_code(tmp_path, capsys, kind, key, value)
     # by 1000, n_theta_modes by 64, n_r by 256 and n_theta by 1024; the
     # horizons and counts ran for as long as they asked, and are bounded by
     # the cli's MAX_TURNOVERS, MAX_T_END, MAX_SEEDS, MAX_ASCENT_ITERS and
-    # MAX_N_UNIFORM
+    # MAX_N_UNIFORM; under a t_end horizon the step count grew with the
+    # amplitudes a, b and delta_rel, bounded by MAX_AMPLITUDE and MAX_DELTA_REL
     cfgfile = tmp_path / "b.cfg"
     cfgfile.write_text("n_theta_modes = 6\nk_radial = 10\nn_r = 24\nn_theta = 140\n"
                        f"turnovers = 0.05\n{key} = {value}\n")
@@ -264,7 +268,8 @@ def test_bessel_index_range_edges_accepted():
                  "family_k = 1", "bessel_k_max = 1", "bessel_k_max = 1000", "family_k = 32",
                  "k_radial = 10\nfamily_k = 10", "n_theta_modes = 64", "n_r = 256",
                  "n_theta = 1024", "turnovers = 1000", "t_end = 50000", "seeds = 1000",
-                 "max_iters = 100000", "n_uniform = 10000", "turnovers = -1\nt_end = 1"):
+                 "max_iters = 100000", "n_uniform = 10000", "turnovers = -1\nt_end = 1",
+                 "a = 1", "a = -1", "b = 1", "b = -1", "delta_rel = 1"):
         cli.parse_config(line + "\n", kind="bessel-table")
 
 
@@ -413,8 +418,9 @@ _FUZZ_VALUES = {
     "n_theta_modes": _INT_EDGES, "k_radial": _INT_EDGES,
     "n_r": _INT_EDGES + ["11", "1000000000000"],
     "n_theta": _INT_EDGES + ["13", "1000000000000"],
-    "a": _EDGES, "b": _EDGES, "beta": _EDGES, "omega_rot": _EDGES + ["1e-9"],
-    "p": _EDGES + ["1"], "delta_rel": _EDGES, "cfl_safety": _EDGES + ["1"],
+    "a": _EDGES + ["1e12"], "b": _EDGES + ["1e12"], "beta": _EDGES,
+    "omega_rot": _EDGES + ["1e-9"], "p": _EDGES + ["1"], "delta_rel": _EDGES + ["1e12"],
+    "cfl_safety": _EDGES + ["1"],
     "turnovers": _EDGES + ["1e-300", "1000000000000"],
     "t_end": _EDGES + ["1e-300", "1000000000000"],
     # family (5, 1) and (1, 7) lie outside the dealias band (4, 6)

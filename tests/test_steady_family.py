@@ -302,7 +302,10 @@ def test_newton_distance_never_farther_than_search(basis, grid, monkeypatch):
     # of the Lamb dipole, the inputs of burton-maximize.  The rng seed gives
     # Lamb seeds where Newton from the L^2 angle stops at an interior local
     # minimum, so the restart past it is exercised, not only the one after
-    # Newton ends on a bracket edge.
+    # Newton ends on a bracket edge.  Rotated elements without perturbation
+    # lie on their orbit, where every residual cell is rounding noise: Newton
+    # stops at the L^2 angle, which is exact there, instead of bisecting away
+    # from it and back.
     runs = []
 
     def recorded(*args, newton=sf._newton_angle):
@@ -330,7 +333,12 @@ def test_newton_distance_never_farther_than_search(basis, grid, monkeypatch):
                 cases.append((ve, ds.GridField(grid, target.values + scale * pert)))
         for _ in range(16):
             cases.append((lamb, ds.ring_shuffle(sf.v_element_grid(lamb, grid), rng)))
-        for ve, g in cases:
+        on_orbit = []
+        for family in ((1, 1), (2, 1)):
+            for angle in (0.3, 2.0, 4.4):
+                ve = sf.VElement(0.6, 1.2, 0.4, family)
+                on_orbit.append((ve, sf.v_element_grid(ve.rotated(angle), grid)))
+        for i, (ve, g) in enumerate(cases + on_orbit):
             runs.clear()
             d, _ = sf.orbital_distance(g, ve, p)
             d_search, _ = _orbit_distance_search(g, ve, p)
@@ -341,6 +349,9 @@ def test_newton_distance_never_farther_than_search(basis, grid, monkeypatch):
             base, _, _ = sf._orbit_tables(ve.a, ve.b, ve.family, grid)
             floor = 4 * eps * ds.lp_norm(ds.GridField(grid, g.values - base), p)
             assert d <= d_search * (1 + 1e-13) + floor, (p, ve, d, d_search)
+            if i >= len(cases):
+                (phi0, phi), = runs
+                assert phi == phi0, (p, ve, phi - phi0)
             if len(runs) > 1:
                 restarts += 1
                 (phi0, phi), = runs[:1]
