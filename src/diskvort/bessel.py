@@ -15,21 +15,24 @@ well above max(n, s) with arbitrary seed values, then normalize with
 J_0 + 2*(J_2 + J_4 + ...) = 1.  The recurrence is stable downward and keeps
 relative accuracy near machine precision for all supported arguments.
 
+One kernel, ``_j_neighbours``, gives every value: J_{n-1}, J_n and J_{n+1}
+from one series pass or one recurrence, so J_n and J_n' cost one call.  Its
+series range is that of its lowest order n - 1, and its recurrence starts
+above max(n + 1, s).
+
 Zeros are kept in one array per order, and all orders of a request are
 solved in one scan and one Newton loop (a request whose scans would hold
 more than ``_SCAN_COLUMNS`` points, in batches under that budget).  The
-kernels take one order per abscissa, so the scan points of every order
+kernel takes one order per abscissa, so the scan points of every order
 form one recurrence pass, and so do the roots of every Newton step.  A
 fixed-step sign-change scan brackets the zeros of each order in its own
 window (consecutive positive zeros of J_n are more than 3 apart, so a 0.5
 step cannot straddle two), a secant point inside each bracket seeds
 Newton's method, and every Newton iterate tightens its bracket, which also
-catches a step that leaves it.  Each Newton step takes J_n and J_n' from
-one backward recurrence that yields J_{n-1}, J_n and J_{n+1} together.  A
-zero depends on its own order and abscissae only, never on the other
-orders of the solve.  Asking for more zeros of an order than it holds
-solves the order again and appends only the new zeros, so a zero once
-returned never changes.
+catches a step that leaves it.  A zero depends on its own order and
+abscissae only, never on the other orders of the solve.  Asking for more
+zeros of an order than it holds solves the order again and appends only the
+new zeros, so a zero once returned never changes.
 """
 
 import math
@@ -176,21 +179,6 @@ def _j_neighbours(n, s):
     return out
 
 
-def _bessel_j_impl(n, s):
-    """J_n at the non-negative abscissae ``s``, an array of any shape; ``n``
-    is one order or one per abscissa."""
-    s = np.asarray(s, dtype=float)
-    n = np.asarray(n)
-    out = np.empty_like(s)
-    small = s <= _SERIES_LIMIT[n]
-    if small.any():
-        out[small] = _series_j(np.reshape(_cols(n, small), (1, -1)), s[small])[0]
-    if (~small).any():
-        m = _cols(n, ~small)
-        out[~small] = _miller_rows(s[~small], m, m)[0]
-    return out
-
-
 def _check_order(n):
     if n != int(n) or n < 0:
         raise UnsupportedOrderError(f"order must be a non-negative integer, got {n!r}")
@@ -208,7 +196,7 @@ def bessel_j(n, s):
     n = _check_order(n)
     arr = np.asarray(s, dtype=float)
     sign = np.where((arr < 0) & (n % 2 == 1), -1.0, 1.0)
-    res = _bessel_j_impl(n, np.abs(arr)) * sign
+    res = _j_neighbours(n, np.abs(arr).ravel())[1].reshape(arr.shape) * sign
     return float(res) if np.isscalar(s) or arr.ndim == 0 else res
 
 
@@ -257,7 +245,7 @@ def _solve_zeros(want):
     pts = [_scan_points(n, k) for n, k in want.items()]
     sizes = [p.size for p in pts]
     pts = np.concatenate(pts)
-    vals = _bessel_j_impl(np.repeat(ns, sizes), pts)
+    vals = _j_neighbours(np.repeat(ns, sizes), pts)[1]
     brackets, at = [], 0
     for n, k, size in zip(ns, ks, sizes):
         p, v = pts[at:at + size], vals[at:at + size]
@@ -385,8 +373,8 @@ def verify_identity_suite(s_samples, abs_tol=1e-11):
     a different integrand).  Returns a dict identity -> max |residual|.
     """
     j = bessel_zero(1, 1)
-    j0 = lambda t: _bessel_j_impl(0, t)
-    j1 = lambda t: _bessel_j_impl(1, t)
+    j0 = lambda t: _j_neighbours(0, t)[1]
+    j1 = lambda t: _j_neighbours(1, t)[1]
 
     r1 = 0.0
     r3 = 0.0

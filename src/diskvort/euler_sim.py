@@ -78,13 +78,7 @@ from .disk_spectral import (
 )
 from .errors import CFLError, ConfigError, NonFiniteFieldError, ResolutionError
 from .green_energy import energy_grid
-from .steady_family import (
-    VElement,
-    dipole_part,
-    distance_to_grid_orbit,
-    orbital_distance,
-    v_element_grid,
-)
+from .steady_family import VElement, dipole_part, orbital_distance, v_element_grid
 
 
 # the lowest n = 0 radial modes that carry the mean fix
@@ -216,7 +210,6 @@ class RunConfig:
     cadence: int = 10
     p: float = 2.0
     reference: VElement | None = None
-    reference_grid: GridField | None = None
 
     def __post_init__(self):
         # each check is written so that NaN fails it: a NaN t_end would end
@@ -229,8 +222,6 @@ class RunConfig:
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
         if not (isinstance(self.cadence, numbers.Integral) and self.cadence >= 1):
             raise ValueError(f"cadence must be an integer >= 1, got {self.cadence!r}")
-        if self.reference_grid is not None and self.p != 2.0:
-            raise ValueError(f"a reference_grid orbit needs p = 2, got {self.p}")
 
 
 @dataclass
@@ -325,8 +316,6 @@ def _diagnose(state: SolverState, cfg: RunConfig) -> TraceRow:
     shifted = omega if uniform == 0.0 else GridField(omega.grid, omega.values - uniform)
     if cfg.reference is not None:
         dist, beta = orbital_distance(shifted, cfg.reference, cfg.p)
-    elif cfg.reference_grid is not None:
-        dist, beta = distance_to_grid_orbit(shifted, cfg.reference_grid, cfg.p)
     return TraceRow(state.t, e, l2, lp, mean, dist, beta)
 
 

@@ -62,14 +62,25 @@ class VElement:
         return VElement(self.a, self.b, self.beta + angle, self.family)
 
 
+@lru_cache(maxsize=64)
+def _orbit_tables(a, b, family, grid: DiskGrid):
+    """Radial part and the cos / sin parts, on the grid, of the orbit of the
+    elements with these a, b and family; beta does not enter them, so every
+    rotation of an element shares one cache entry."""
+    n, k = family
+    lam = bessel_zero(n, k)
+    base = a * bessel_j(0, lam * grid.r)[:, None]
+    rad = b * bessel_j(n, lam * grid.r)
+    gc = rad[:, None] * np.cos(n * grid.theta)[None, :]
+    gs = rad[:, None] * np.sin(n * grid.theta)[None, :]
+    return base, gc, gs
+
+
 def v_element_grid(ve: VElement, grid: DiskGrid) -> GridField:
-    """Exact closed-form evaluation at the collocation nodes."""
-    n, _ = ve.family
-    lam = ve.root
-    radial_a = ve.a * bessel_j(0, lam * grid.r)
-    radial_b = ve.b * bessel_j(n, lam * grid.r)
-    ang = np.cos(n * grid.theta + ve.beta)
-    return GridField(grid, radial_a[:, None] + radial_b[:, None] * ang[None, :])
+    """Exact closed-form evaluation at the collocation nodes, from the orbit
+    tables: gc[:, 0] is b J_n(l r) times cos 0 = 1."""
+    base, gc, _ = _orbit_tables(ve.a, ve.b, ve.family, grid)
+    return GridField(grid, base + gc[:, :1] * np.cos(ve.family[0] * grid.theta + ve.beta))
 
 
 def dipole_part(ve: VElement, basis: DiskBasis) -> SpectralField:
@@ -84,20 +95,6 @@ def dipole_part(ve: VElement, basis: DiskBasis) -> SpectralField:
 
 # restart scan size; a Newton bracket spans one scan spacing either side
 _N_COARSE = 256
-
-
-@lru_cache(maxsize=64)
-def _orbit_tables(a, b, family, grid: DiskGrid):
-    """Radial part and the cos / sin parts, on the grid, of the orbit of the
-    elements with these a, b and family; beta does not enter them, so every
-    rotation of an element shares one cache entry."""
-    n, k = family
-    lam = bessel_zero(n, k)
-    base = a * bessel_j(0, lam * grid.r)[:, None]
-    rad = b * bessel_j(n, lam * grid.r)
-    gc = rad[:, None] * np.cos(n * grid.theta)[None, :]
-    gs = rad[:, None] * np.sin(n * grid.theta)[None, :]
-    return base, gc, gs
 
 
 def _orbit_distance_curve(g: GridField, ve: VElement, p: float, betas):
@@ -121,11 +118,17 @@ def _newton_angle(r0, gc, gs, mu, p, phi):
     t = de/dphi, with D''/p = sum mu ((p-1)|e|^(p-2) t^2 + sign(e)|e|^(p-1) m),
     infinite at p < 2 where e = 0.  Each D' narrows the bracket by its sign; a
     step that leaves it, is not under half the step before last, or comes
-    from a D'' that is not finite and positive bisects instead.  The search
-    stops where D' lies within the bound of its rounding noise, as it does at
-    once on a field that lies on its orbit, where every e is noise."""
+    from a D'' that is not finite and positive bisects instead.  Where the
+    Newton step leaves past an end of the first bracket, or a finite D'' <= 0
+    gives none, the end that D' falls towards is probed once instead; if D'
+    still falls outward there, the minimum lies past the bracket, and the
+    search stops on that end for ``orbital_distance``'s restart scan.  The
+    search also stops where D' lies within the bound of its rounding noise,
+    as it does at once on a field that lies on its orbit, where every e is
+    noise."""
     span = 2.0 * math.pi / _N_COARSE
     lo, hi, last, before = phi - span, phi + span, span, span
+    ends, probe = [lo, hi], 0.0     # unprobed first-bracket ends; the D' that sent a probe
     eps = np.finfo(float).eps
     tol = 8.0 * eps
     # the field and the orbit are each known to a few rounding errors, so e
@@ -142,15 +145,21 @@ def _newton_angle(r0, gc, gs, mu, p, phi):
         w = np.copysign(a ** (p - 1.0), e) * mu
         wt = w * t
         d1 = float(wt.sum())
-        if abs(d1) <= max(p - 1.0, 1.0) * u * float((np.abs(wt) / np.maximum(a, u)).sum()):
+        if (abs(d1) <= max(p - 1.0, 1.0) * u * float((np.abs(wt) / np.maximum(a, u)).sum())
+                or probe * d1 > 0.0):
             break
         with np.errstate(divide="ignore", invalid="ignore"):
             d2 = float(((p - 1.0) * a ** (p - 2.0) * t * t * mu + w * m).sum())
         lo, hi = (lo, phi) if d1 > 0.0 else (phi, hi)
-        step = -d1 / d2 if 0.0 < d2 < math.inf else math.inf
+        step, probe = (-d1 / d2 if 0.0 < d2 < math.inf else math.inf), 0.0
         # a converged step is taken even where it rounds onto the bracket end
         if abs(step) > tol and not (lo < phi + step < hi and abs(step) < 0.5 * abs(before)):
-            step = 0.5 * (lo + hi) - phi
+            end = lo if d1 > 0.0 else hi
+            if end in ends and d2 < math.inf and not lo < phi + step < hi:
+                ends.remove(end)
+                step, probe = end - phi, d1
+            else:
+                step = 0.5 * (lo + hi) - phi
         phi, last, before = phi + step, step, last
         if abs(step) <= tol:
             break
@@ -207,24 +216,6 @@ def orbital_distance(g: GridField, ve: VElement, p: float):
         start = ve.beta + betas[int(np.argmin(_orbit_distance_curve(g, ve, p, betas)))]
         best = min(best, at(_newton_angle(r0, gc, gs, mu, p, start)))
     return best
-
-
-def distance_to_grid_orbit(g: GridField, ref: GridField, p: float):
-    """min over grid-multiple rotations of ||g - roll(ref)||_p, p = 2 only.
-
-    Orbit distance for references that are not family elements; resolution
-    is one azimuthal cell.  The best shift maximizes sum mu g roll(ref), a
-    cross-correlation that one real FFT over theta gives for every shift.
-    """
-    if p != 2.0:
-        raise ValueError(f"grid-orbit distance supports p = 2 only, got {p}")
-    mu = g.grid.measures
-    n_theta = g.grid.n_theta
-    corr = (np.conj(np.fft.rfft(g.values * mu, axis=1))
-            * np.fft.rfft(ref.values, axis=1)).sum(axis=0)
-    s = int(np.argmax(np.fft.irfft(corr, n_theta)))
-    d = (np.abs(g.values - np.roll(ref.values, -s, axis=1)) ** p * mu).sum()
-    return float(d ** (1.0 / p)), 2.0 * math.pi * s / n_theta
 
 
 def plain_distance(g: GridField, ref: GridField, p: float) -> float:

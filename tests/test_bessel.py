@@ -213,13 +213,42 @@ def test_scan_window_error(monkeypatch):
         bessel._solve_zeros({1: 1, 0: 5})
 
 
+def _single_order_j(n, s):
+    """J_n alone, as the package computed it before every value came from
+    the three-order kernel: the series of order n up to its own limit, and
+    the recurrence started above max(n, s)."""
+    s = np.asarray(s, dtype=float)
+    n = np.asarray(n)
+    out = np.empty_like(s)
+    small = s <= bessel._SERIES_LIMIT[n]
+    if small.any():
+        out[small] = bessel._series_j(np.reshape(bessel._cols(n, small), (1, -1)), s[small])[0]
+    if (~small).any():
+        m = bessel._cols(n, ~small)
+        out[~small] = bessel._miller_rows(s[~small], m, m)[0]
+    return out
+
+
+def test_values_match_the_single_order_kernel():
+    # bitwise for n <= 5 and wherever s >= n + 1 (the same series range and
+    # recurrence start); below n + 1 the three-order recurrence starts two
+    # orders higher or replaces the series, within 4e-16
+    s = np.concatenate([np.linspace(0.0, 80.0, 4001)[1:], [1e-3, 0.5, 150.0, 300.0]])
+    for n in range(bessel.MAX_ORDER + 1):
+        j, ref = bessel.bessel_j(n, s), _single_order_j(n, s)
+        same = (n <= 5) | (s >= n + 1)
+        assert np.array_equal(j[same], ref[same]), n
+        assert np.abs(j - ref).max() <= 4e-16, n
+        assert np.array_equal(bessel.bessel_j(n, -s), (-1) ** n * j), n
+
+
 def _zeros_for_order(n, k_max):
     """First k_max positive zeros of J_n: one scan, then guarded Newton, as
     each order was solved on its own before the orders shared one solve."""
     start = float(max(n, 1))
     window = start + 1.2 * math.pi * (k_max + 0.5 * n + 3.0) + 5.0
     pts = np.arange(start, window + bessel._SCAN_STEP, bessel._SCAN_STEP)
-    vals = bessel._bessel_j_impl(n, pts)
+    vals = _single_order_j(n, pts)
     flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0][:k_max]
     lo, hi = pts[flips], pts[flips + 1]
     flo, fhi = vals[flips], vals[flips + 1]
@@ -259,10 +288,13 @@ def test_per_column_kernels_match_single_order_calls(monkeypatch):
     n = np.concatenate([np.repeat([0, 1, 2, 3], 30), rng.integers(0, 65, 200)])
     s = np.concatenate([rng.uniform(1e-3, 6.0, 120), rng.uniform(0.01, 150.0, 200)])
     rows = bessel._j_neighbours(n, s)
-    values = bessel._bessel_j_impl(n, s)
     for m in set(n.tolist()):
         assert np.array_equal(rows[:, n == m], bessel._j_neighbours(m, s[n == m])), m
-        assert np.array_equal(values[n == m], bessel._bessel_j_impl(m, s[n == m])), m
+    # J_n is the single-order kernel's, bitwise where both take one path
+    single = _single_order_j(n, s)
+    same = (n <= 5) | (s >= n + 1)
+    assert np.array_equal(rows[1, same], single[same])
+    assert np.abs(rows[1] - single).max() <= 4e-16
     # at s = 0.1 the recurrence from order 123 grows far past 2^600, and
     # without the rescale it would overflow
     lo = np.concatenate([[60, 60, 61], rng.integers(0, 62, 100)])

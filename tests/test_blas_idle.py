@@ -69,11 +69,11 @@ def test_blas_worker_sleeps_through_the_cold_setup():
     # CPU, against ~20 with the default timeout on a 2-core x86 VM
     code = (
         "import json, os, time\n"
-        "import diskvort\n"
+        "import diskvort.disk_spectral, diskvort.variational\n"
         "threads = len(os.listdir('/proc/self/task'))\n"
-        "basis = diskvort.DiskBasis()\n"
-        "diskvort.solve_v1(basis)\n"
-        "diskvort.solve_v2(basis)\n"
+        "basis = diskvort.disk_spectral.DiskBasis()\n"
+        "diskvort.variational.solve_v1(basis)\n"
+        "diskvort.variational.solve_v2(basis)\n"
         "time.sleep(0.3)\n"
         "ticks = 0\n"
         "for tid in os.listdir('/proc/self/task'):\n"

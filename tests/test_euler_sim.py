@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -805,3 +809,20 @@ def test_grid_values_are_the_band_synthesis(basis):
         for values in (dirty.full_grid_values, dirty.stream_grid_values):
             with pytest.raises(ResolutionError, match="outside the dealias band"):
                 values()
+
+
+def test_solver_import_loads_neither_ascent_nor_cli():
+    # a fresh interpreter: the package namespace re-exports nothing, so
+    # importing the solver loads only the modules that it uses
+    code = (
+        "import sys\n"
+        "import diskvort.euler_sim\n"
+        "print(' '.join(m for m in ('diskvort.variational', 'diskvort.cli') if m in sys.modules))\n"
+    )
+    src = str(Path(es.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -296,6 +296,31 @@ def test_closed_form_distance_matches_search(basis, grid):
     assert cases >= 30
 
 
+def _newton_cases(rng, basis, grid):
+    """(p, (perturbed, lamb)) for p in (1.5, 4): 32 (element, field) pairs,
+    rotated elements of two families perturbed by smooth or ring-shuffle
+    fields of relative size 1e-6 to 1, and 16 ring-shuffled seeds of the Lamb
+    dipole, the inputs of burton-maximize."""
+    lamb = sf.VElement(0.0, 1.0, 0.0)
+    out = []
+    for p in (1.5, 4.0):
+        perturbed = []
+        for family in ((1, 1), (2, 1)):
+            for i, size in enumerate(np.logspace(-6, 0, 16)):
+                ve = sf.VElement(rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0]),
+                                 rng.uniform(0.5, 1.5), rng.uniform(0, 2 * math.pi), family)
+                target = sf.v_element_grid(ve.rotated(rng.uniform(0, 2 * math.pi)), grid)
+                if i % 2:
+                    pert = ds.to_grid(ds.random_in_span(basis, rng, n_cut=6, k_cut=8)).values
+                else:
+                    pert = ds.ring_shuffle(target, rng).values - target.values
+                scale = size * ds.lp_norm(target, 2) / ds.lp_norm(ds.GridField(grid, pert), 2)
+                perturbed.append((ve, ds.GridField(grid, target.values + scale * pert)))
+        seeds = [(lamb, ds.ring_shuffle(sf.v_element_grid(lamb, grid), rng)) for _ in range(16)]
+        out.append((p, (perturbed, seeds)))
+    return out
+
+
 def test_newton_distance_never_farther_than_search(basis, grid, monkeypatch):
     # p in {1.5, 4}: rotated elements of two families, perturbed by smooth or
     # ring-shuffle fields of relative size 1e-6 to 1, and ring-shuffled seeds
@@ -313,26 +338,11 @@ def test_newton_distance_never_farther_than_search(basis, grid, monkeypatch):
         return runs[-1][1]
 
     monkeypatch.setattr(sf, "_newton_angle", recorded)
-    rng = np.random.default_rng(20)
-    lamb = sf.VElement(0.0, 1.0, 0.0)
     span = 2 * math.pi / sf._N_COARSE
     eps = np.finfo(float).eps
     restarts = interior = 0
-    for p in (1.5, 4.0):
-        cases = []
-        for family in ((1, 1), (2, 1)):
-            for i, size in enumerate(np.logspace(-6, 0, 16)):
-                ve = sf.VElement(rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0]),
-                                 rng.uniform(0.5, 1.5), rng.uniform(0, 2 * math.pi), family)
-                target = sf.v_element_grid(ve.rotated(rng.uniform(0, 2 * math.pi)), grid)
-                if i % 2:
-                    pert = ds.to_grid(ds.random_in_span(basis, rng, n_cut=6, k_cut=8)).values
-                else:
-                    pert = ds.ring_shuffle(target, rng).values - target.values
-                scale = size * ds.lp_norm(target, 2) / ds.lp_norm(ds.GridField(grid, pert), 2)
-                cases.append((ve, ds.GridField(grid, target.values + scale * pert)))
-        for _ in range(16):
-            cases.append((lamb, ds.ring_shuffle(sf.v_element_grid(lamb, grid), rng)))
+    for p, cases in _newton_cases(np.random.default_rng(20), basis, grid):
+        cases = cases[0] + cases[1]
         on_orbit = []
         for family in ((1, 1), (2, 1)):
             for angle in (0.3, 2.0, 4.4):
@@ -375,6 +385,49 @@ def test_newton_bisects_where_residual_cells_vanish(basis, grid):
     assert 0.3 < phi < 0.31
 
 
+class _CountingNumpy:
+    """numpy, counting the calls of ``copysign``: one per Newton pass."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def copysign(self, *args):
+        self.calls += 1
+        return np.copysign(*args)
+
+
+def test_newton_hands_a_minimum_past_the_bracket_to_the_scan(basis, grid, monkeypatch):
+    # rng seed 21 gives perturbed elements whose minimum lies past the first
+    # bracket: D' falls towards one end all the way there, and bisecting the
+    # whole bracket took 44 passes before the restart scan.  Probing that end
+    # hands them to the scan in two; Lamb seeds ending on an end do the same
+    counting, runs = _CountingNumpy(), []
+
+    def recorded(*args, newton=sf._newton_angle):
+        counting.calls = 0
+        runs.append((args[-1], newton(*args), counting.calls))
+        return runs[-1][1]
+
+    monkeypatch.setattr(sf, "np", counting)
+    monkeypatch.setattr(sf, "_newton_angle", recorded)
+    span = 2 * math.pi / sf._N_COARSE
+    past = 0
+    for p, (perturbed, seeds) in _newton_cases(np.random.default_rng(21), basis, grid):
+        for i, (ve, g) in enumerate(perturbed + seeds):
+            runs.clear()
+            sf.orbital_distance(g, ve, p)
+            phi0, phi, passes = runs[0]
+            if abs(phi - phi0) >= span * (1 - 1e-12):
+                assert passes <= 3 and len(runs) == 2, (p, i, passes)
+                past += i < len(perturbed)
+            if i < len(perturbed):
+                assert max(r[2] for r in runs) <= 8, (p, i, runs)
+    assert past >= 4, past
+
+
 def test_tangent_floor_bounds_the_orbit_tangent(grid):
     # the floor under ||sin(psi) gc + cos(psi) gs||_p that confines the
     # minimizer: never above the norm at any psi (equal to it at p = 2, up to
@@ -390,44 +443,6 @@ def test_tangent_floor_bounds_the_orbit_tangent(grid):
                           * g.measures).sum() ** (1 / p) for q in psis]
                 floor = sf._tangent_floor(gc, g, p)
                 assert 0.5 * min(norms) <= floor <= min(norms) * (1 + 1e-13), (family, p)
-
-
-def _roll_scan(g, ref, p):
-    """Every azimuthal shift: the scan the p = 2 cross-correlation replaced."""
-    return np.array([(np.abs(g.values - np.roll(ref.values, -s, axis=1)) ** p
-                      * g.grid.measures).sum() for s in range(g.grid.n_theta)])
-
-
-def test_grid_orbit_distance_matches_roll_scan(basis, grid):
-    # references that are not family elements, rolled by a random number of
-    # cells and perturbed by relative size 1e-9 to 1, plus unrelated fields
-    rng = np.random.default_rng(5)
-    cases = []
-    for size in np.logspace(-9, 0, 10):
-        ref = ds.to_grid(ds.random_in_span(basis, rng, n_cut=8, k_cut=10))
-        pert = ds.to_grid(ds.random_in_span(basis, rng))
-        rolled = np.roll(ref.values, -int(rng.integers(grid.n_theta)), axis=1)
-        scale = size * ds.lp_norm(ref, 2) / ds.lp_norm(pert, 2)
-        cases.append((ds.GridField(grid, rolled + scale * pert.values), ref))
-    for _ in range(4):
-        cases.append((ds.to_grid(ds.random_in_span(basis, rng)),
-                      ds.ring_shuffle(ds.to_grid(ds.random_in_span(basis, rng)), rng)))
-    for g, ref in cases:
-        d, beta = sf.distance_to_grid_orbit(g, ref, 2.0)
-        scan = _roll_scan(g, ref, 2.0)
-        s_best = int(np.argmin(scan))
-        assert abs(d - math.sqrt(scan[s_best])) <= 1e-12 * d
-        s = round(beta * grid.n_theta / (2 * math.pi))
-        # the shifts agree unless the scan ties them to rounding
-        assert s == s_best or abs(scan[s] - scan[s_best]) <= 1e-12 * scan[s_best]
-    # other p are rejected, and so is a run configured with them
-    g, ref = cases[0]
-    for p in (1.5, 4.0):
-        with pytest.raises(ValueError):
-            sf.distance_to_grid_orbit(g, ref, p)
-        with pytest.raises(ValueError):
-            es.RunConfig(t_end=1.0, p=p, reference_grid=ref)
-    assert es.RunConfig(t_end=1.0, p=2.0, reference_grid=ref).p == 2.0
 
 
 def test_orbit_tables_are_shared_by_rotations(basis, grid):
