@@ -6,14 +6,19 @@ rows n = 0..N, with c[-n] = conj(c[n]) implied because fields are real.  A
 GridField holds values at radial Gauss-Legendre nodes times uniform azimuthal
 angles, with per-cell measures r_i w_i (2 pi / N_theta).  Transforms are
 exact (to rounding) for fields in the basis span.  Both run in real
-arithmetic: analysis is one product with the basis's truncated real DFT
-table (modes n = 0..N) and one batched matmul of [Re F_n, Im F_n] with the
-per-mode operators Gram_n^-1 T_n^t diag(2 pi r w), which makes
+arithmetic on one layout: a set of modes n < M is an (M, 2, K) array with a
+[Re; Im] row pair per mode, so that every reshape between stages is a free
+view.  The truncated real DFT tables interleave their rows (or columns) to
+match: cos(n theta) beside -sin(n theta) for each mode.  Analysis is one
+product of the DFT analysis table's transpose with the transposed values,
+read as [Re F_n; Im F_n] per mode, and one batched matmul with the per-mode
+operators (Gram_n^-1 T_n^t diag(2 pi r w))^t, which makes
 from_grid(to_grid(f)) an identity and from_grid an orthogonal projection in
 the discrete inner product for everything else; synthesis is one batched
-matmul with the radial tables and one product with the DFT synthesis table.
-These two kernels, ``_synth`` and ``_project``, are the only ones: the
-solver's dealias band runs them on band tables cut from the DFT tables.
+matmul with the transposed radial tables and one product of the transposed
+radial values with the DFT synthesis table.  These two kernels, ``_synth``
+and ``_project``, are the only ones: the solver's dealias band runs them on
+band tables cut from the DFT tables.
 
 Distribution profiles (value vs cumulative cell measure) provide the
 rearrangement-class machinery: cells are ordered by value descending, ties
@@ -38,6 +43,9 @@ from .quadrature import gauss_legendre
 # batches reuse heap pages rather than map fresh ones (the default basis
 # builds its 17 orders in 9 batches)
 _TABLE_COLUMNS = 5400
+
+# the lowest n = 0 radial modes that carry euler_sim's mean fix
+_MEAN_FIX_MODES = 6
 
 
 @dataclass(frozen=True)
@@ -148,25 +156,39 @@ class DiskBasis:
         self.parseval = self.norm2.copy()
         self.parseval[1:] *= 2.0
 
-        # Truncated real DFT tables of the modes n = 0..N: with c[-n] = conj(c[n])
-        # a grid is [Re s, Im s] @ [w cos; -w sin], w_0 = 1, w_n = 2, and
-        # values @ [cos | -sin] / n_theta is [Re F_n, Im F_n].
+        # Truncated real DFT tables of the modes n = 0..N, a row pair
+        # [cos(n theta); -sin(n theta)] per mode.  With c[-n] = conj(c[n]) a
+        # grid is S^t @ dft_synth, S the (2 N + 2, n_r) radial values
+        # [Re S_n; Im S_n] and dft_synth the rows [w cos; -w sin], w_0 = 1,
+        # w_n = 2; and dft_analyze^t @ values^t, dft_analyze the columns
+        # [cos | -sin] / n_theta, is [Re F_n; Im F_n].
         n_half = np.arange(N + 1)[:, None]
         w = np.where(n_half == 0, 1.0, 2.0)
-        cos = np.cos(n_half * grid.theta)
-        sin = np.sin(n_half * grid.theta)
-        self.dft_analyze = np.vstack([cos, -sin]).T / grid.n_theta
-        self.dft_synth = np.vstack([w * cos, -w * sin])
+        cos_sin = np.stack([np.cos(n_half * grid.theta),
+                            -np.sin(n_half * grid.theta)], axis=1).reshape(2 * N + 2, -1)
+        self.dft_analyze = cos_sin.T / grid.n_theta
+        self.dft_synth = np.repeat(w, 2, axis=0) * cos_sin
 
         # Band operators of the 2/3 dealias band (rows n <= nd, columns
         # k < kd): the DFT synthesis rows n <= nd.  Angular grids have
-        # s = i n S, S = over @ c, with i n folded into the table acting on
-        # [Re S, Im S]: rows -n w sin and -n w cos.
+        # s = i n S, with i n folded into the table acting on [Re S; Im S]:
+        # rows -n w sin and -n w cos.
         nd, kd = self.dealias_band()
-        synth_r = self.dft_synth[np.r_[: nd + 1, N + 1: N + nd + 2]]
-        n_neg = -n_half[: nd + 1]
-        synth_t = np.vstack([n_neg * -synth_r[nd + 1:], n_neg * synth_r[: nd + 1]])
-        w_rows = np.vstack([w[: nd + 1]] * 2)
+        synth_r = self.dft_synth[: 2 * nd + 2]
+        n_band, w_cos, w_sin = n_half[: nd + 1], synth_r[0::2], -synth_r[1::2]
+        synth_t = np.stack([-n_band * w_sin, -n_band * w_cos], axis=1).reshape(2 * nd + 2, -1)
+        w_rows = np.repeat(w[: nd + 1], 2, axis=0)
+        # The solver's radial operator, (nd+1, kd, 4 n_r): per mode and basis
+        # function the columns d_r omega, d_r psi, (1/r) omega and (1/r) psi,
+        # psi = omega / j^2 folded in; filled in place, so that the build holds
+        # no second copy of the table (0.6 MB at the defaults)
+        radial = np.empty((nd + 1, kd, 4, grid.n_r))
+        mult = self.green_mult[: nd + 1, :kd, None]
+        radial[:, :, 0] = r_diff[: nd + 1, :, :kd].transpose(0, 2, 1)
+        radial[:, :, 1] = radial[:, :, 0] * mult
+        radial[:, :, 2] = self.r_eval[: nd + 1, :, :kd].transpose(0, 2, 1) / r
+        radial[:, :, 3] = radial[:, :, 2] * mult
+        mean0 = self.mean0[:_MEAN_FIX_MODES]
         # The advection product of two band fields has modes |n| <= 2 nd, so
         # its projection onto |n| <= nd is exact on any n_b > 3 nd equispaced
         # angles: every s-th angle, s the largest divisor of n_theta that
@@ -176,10 +198,7 @@ class DiskBasis:
         self.band_kit = {
             "nd": nd,
             "kd": kd,
-            # (nd+1, 2 n_r, kd): d_r rows above (1/r) rows, per mode
-            "radial": np.concatenate([r_diff[: nd + 1, :, :kd],
-                                      self.r_eval[: nd + 1, :, :kd] / r[:, None]], axis=1),
-            "mult": self.green_mult[: nd + 1, :kd],
+            "radial": radial.reshape(nd + 1, kd, 4 * grid.n_r),
             # (2 nd + 2, n_theta): synthesis on the collocation grid
             "synth_r": synth_r,
             "synth_t": synth_t,
@@ -193,6 +212,9 @@ class DiskBasis:
             "sub_synth_r": np.ascontiguousarray(synth_r[:, ::s]),
             "sub_synth_t": np.ascontiguousarray(synth_t[:, ::s]),
             "sub_analyze": (synth_r[:, ::s] / w_rows).T / (grid.n_theta // s),
+            # the mean fix's spanning row and its Gram entry
+            "mean0": mean0,
+            "g00": float(mean0 @ mean0),
         }
 
     def dealias_band(self):
@@ -274,8 +296,8 @@ def random_in_span(basis, rng, scale=1.0, n_cut=None, k_cut=None):
 
 
 def _split(c):
-    """(M, K) complex coefficients as (M, K, 2) real [Re c, Im c]."""
-    return np.stack([c.real, c.imag], axis=2)
+    """(M, K) complex coefficients as the (M, 2, K) real rows [Re c_n; Im c_n]."""
+    return np.stack([c.real, c.imag], axis=1)
 
 
 def _outside_band(coeffs, basis: DiskBasis):
@@ -290,55 +312,55 @@ def _in_band(f: SpectralField):
 
 
 def _band_values(f: SpectralField):
-    """The band of f's coefficients as the real (nd+1, kd, 2) view [Re c, Im c];
+    """The band of f's coefficients as the real (nd+1, 2, kd) rows [Re c; Im c];
     ResolutionError if f has any nonzero coefficient outside the band."""
     if not _in_band(f):
         raise ResolutionError("field has content outside the dealias band")
     kit = f.basis.band_kit
-    c = f.coeffs[: kit["nd"] + 1, : kit["kd"]]
-    return c.view(float).reshape(c.shape + (2,))
+    return _split(f.coeffs[: kit["nd"] + 1, : kit["kd"]])
 
 
 def _embed(band, basis: DiskBasis):
-    """(N+1, K) complex coefficients holding the real band array [Re c, Im c]."""
-    nd1, kd, _ = band.shape
+    """(N+1, K) complex coefficients holding the real band rows [Re c; Im c]."""
+    nd1, _, kd = band.shape
     coeffs = np.zeros((basis.n_modes + 1, basis.k_radial), complex)
-    coeffs.view(float).reshape(coeffs.shape + (2,))[:nd1, :kd] = band
+    coeffs.real[:nd1, :kd] = band[:, 0]
+    coeffs.imag[:nd1, :kd] = band[:, 1]
     return coeffs
 
 
 def _synth(m, tables):
     """Real grids sum_n w_n Re(S_n(r) e^{i n theta}), w_0 = 1, w_n = 2, of the
-    radial values m, shape (M, len(tables) n_r, 2 q), of the modes n < M:
-    field by field (S_n = m[n, :, 2 i] + i m[n, :, 2 i + 1] for field i), row
-    block d synthesized by tables[d], a (2 M, n_angles) DFT synthesis table.
-    One copy reorders m, then each grid is one real (n_r, 2 M) @ (2 M,
-    n_angles) product.  No temporary exceeds one real grid (80 KB at 80 x 128,
-    under glibc's 128 KB mmap threshold): larger ones can get fresh pages on
-    every call, and their page faults cost more than the products."""
-    nd1, nb = m.shape[0], len(tables)
-    nr, q = m.shape[1] // nb, m.shape[2] // 2
-    t = m.reshape(nd1, nb, nr, q, 2).transpose(3, 1, 2, 4, 0).reshape(q, nb, nr, 2 * nd1)
-    return [t[i, d] @ tables[d] for i in range(q) for d in range(nb)]
+    radial values m, shape (M, 2, len(tables) rows), [Re S_n; Im S_n] for the
+    modes n < M: column block d synthesized by tables[d], a (2 M, n_angles)
+    DFT synthesis table with a row pair per mode.  m read as (2 M, columns) is
+    a free view, and each block is one real product of its transpose with the
+    table.  The only temporaries are the grids: at 80 x 128 one grid is 80 KB,
+    under glibc's 128 KB mmap threshold (larger ones can get fresh pages on
+    every call, and their page faults cost more than the products)."""
+    t = m.reshape(-1, m.shape[2]).T
+    rows = t.shape[0] // len(tables)
+    return [t[d * rows:(d + 1) * rows] @ table for d, table in enumerate(tables)]
 
 
 def _project(values, analyze, proj):
-    """Real (M, K, 2) coefficients [Re c, Im c] of grid values at the angles of
-    the DFT analysis table ``analyze`` (n_angles, 2 M): [Re F_n, Im F_n] of the
-    modes n < M from one real product, then both parts projected by the
-    per-mode radial operators ``proj`` (M, K, n_r) in one batched matmul."""
-    F = (values @ analyze).reshape(-1, 2, proj.shape[0]).transpose(2, 0, 1)
-    return np.matmul(proj, F)
+    """Real (M, 2, K) coefficients [Re c_n; Im c_n] of grid values at the angles
+    of the DFT analysis table ``analyze`` (n_angles, 2 M), columns cos, -sin
+    per mode: [Re F_n; Im F_n] of the modes n < M from one real product of the
+    transposes, then projected by the per-mode radial operators ``proj``
+    (M, K, n_r), transposed, in one batched matmul."""
+    F = (analyze.T @ values.T).reshape(proj.shape[0], 2, -1)
+    return np.matmul(F, proj.transpose(0, 2, 1))
 
 
 def _analyze(values, basis):
-    """(N+1, K, 2) half-spectrum [Re c_n, Im c_n], n = 0..N, of grid values."""
+    """(N+1, 2, K) half-spectrum [Re c_n; Im c_n], n = 0..N, of grid values."""
     return _project(values, basis.dft_analyze, basis.analysis)
 
 
 def _synthesize(half, basis):
-    """Grid values of the (N+1, K, 2) half-spectrum coefficients."""
-    return _synth(np.matmul(basis.r_eval, half), (basis.dft_synth,))[0]
+    """Grid values of the (N+1, 2, K) half-spectrum coefficients."""
+    return _synth(np.matmul(half, basis.r_eval.transpose(0, 2, 1)), (basis.dft_synth,))[0]
 
 
 def to_grid(f: SpectralField) -> GridField:
@@ -351,7 +373,7 @@ def from_grid(g: GridField, basis: DiskBasis) -> SpectralField:
     if g.grid != basis.grid:
         raise ResolutionError("grid field resolution does not match basis grid")
     half = _analyze(g.values, basis)
-    return SpectralField(basis, half[..., 0] + 1j * half[..., 1])
+    return SpectralField(basis, half[:, 0] + 1j * half[:, 1])
 
 
 def rotate(f: SpectralField, beta: float) -> SpectralField:

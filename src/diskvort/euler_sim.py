@@ -30,10 +30,15 @@ exactly in the band and the Galerkin truncation keeps it there.  The time
 step is the CFL limit times a safety factor in (0, 1], refreshed every
 cadence steps.
 
-RK4 stages live on the real band array [Re c, Im c] of shape (nd+1, kd, 2),
-whose layout and transform kernels belong to disk_spectral.  ``tendency``
-takes a SpectralField (checked and answered in kind) or the stepper's
-unchecked in-band carrier (answered with the band array).
+RK4 stages live on the real band array of shape (nd+1, 2, kd), a [Re c; Im c]
+row pair per mode, whose layout and transform kernels belong to
+disk_spectral.  A stage is one batched product with the band's radial
+operator (the d_r and (1/r) columns of omega and psi, psi = omega / j^2
+folded in), one product per DFT table, the advection product on the
+subgrid, one analysis product and one batched projection; every reshape
+between them is a free view.  ``tendency`` takes a SpectralField (checked
+and answered in kind) or the stepper's unchecked in-band carrier (answered
+with the band array).
 
 One exact radial channel, ``RadialBackground``, extends the zero-trace
 basis with the vorticity a J_0(l r) + c.  Both parts are exact radial
@@ -58,14 +63,18 @@ import numpy as np
 
 from .bessel import _j_neighbours, bessel_j
 from .disk_spectral import (
+    _MEAN_FIX_MODES,
     DiskBasis,
     GridField,
     SpectralField,
     _band_values,
     _embed,
+    _in_band,
     _outside_band,
     _project,
+    _split,
     _synth,
+    _synthesize,
     distribution_profile,
     from_grid,
     lp_norm,
@@ -79,10 +88,6 @@ from .disk_spectral import (
 from .errors import CFLError, ConfigError, NonFiniteFieldError, ResolutionError
 from .green_energy import energy_grid
 from .steady_family import VElement, dipole_part, orbital_distance, v_element_grid
-
-
-# the lowest n = 0 radial modes that carry the mean fix
-_MEAN_FIX_MODES = 6
 
 
 @dataclass(frozen=True)
@@ -128,25 +133,27 @@ class RadialBackground:
 _Band = namedtuple("_Band", "basis values")
 
 
-def _band_grids(cv, kit, synth_r, synth_t, background=None):
+def _band_grids(y, kit, synth_r, synth_t, background=None):
     """(d_r omega, (1/r) d_theta omega, d_r psi, (1/r) d_theta psi) of the band
-    array cv = [Re c, Im c] on the angles of the synthesis tables.
-    ``background`` adds its radial profiles to the n = 0 column."""
-    x = np.concatenate([cv, cv * kit["mult"][..., None]], axis=2)  # omega, psi
-    m = np.matmul(kit["radial"], x)         # (nd+1, 2 n_r, 4): d_r above 1/r rows
+    array y = [Re c; Im c] on the angles of the synthesis tables.
+    ``background`` adds its radial profiles to the n = 0 real row."""
+    m = np.matmul(y, kit["radial"])        # (nd+1, 2, 4 n_r)
+    nr = m.shape[2] // 4
     if background is not None:
-        nr = m.shape[1] // 2
-        m[0, :nr, 0] += background.d_r_profile
-        m[0, :nr, 2] += background.stream_d_r_profile
-    return _synth(m, (synth_r, synth_t))
+        m[0, 0, :nr] += background.d_r_profile
+        m[0, 0, nr: 2 * nr] += background.stream_d_r_profile
+    d_r, over_r = _synth(m, (synth_r, synth_t))
+    return d_r[:nr], over_r[:nr], d_r[nr:], over_r[nr:]
 
 
 def velocity_magnitude(w: SpectralField, background=None):
-    """Max |u| on the grid from the two grids of psi alone;
+    """Max |u| on the grid from the two grids of psi alone, synthesized from
+    the psi columns of the band's radial operator;
     u_r = (1/r) d_theta psi, u_theta = -d_r psi."""
-    kit = w.basis.band_kit
-    psi = _band_values(w) * kit["mult"][..., None]
-    dr_psi, dth_psi = _synth(np.matmul(kit["radial"], psi), (kit["synth_r"], kit["synth_t"]))
+    kit, nr = w.basis.band_kit, w.basis.grid.n_r
+    y, radial = _band_values(w), kit["radial"]
+    dr_psi, = _synth(np.matmul(y, radial[..., nr: 2 * nr]), (kit["synth_r"],))
+    dth_psi, = _synth(np.matmul(y, radial[..., 3 * nr:]), (kit["synth_t"],))
     if background is not None:
         dr_psi = dr_psi + background.stream_d_r_profile[:, None]
     return float(np.sqrt(dr_psi**2 + dth_psi**2).max())
@@ -169,15 +176,16 @@ def _mean_fix(row0, y: _Band, background):
     of the state ``y`` and is corrected in place.
     """
     b = y.basis
+    kit = b.band_kit
     m = _MEAN_FIX_MODES
     defect = float(row0 @ b.mean0[: row0.size])
-    psi = y.values[0, :m, 0] * b.green_mult[0, :m]
+    psi = y.values[0, 0, :m] * b.green_mult[0, :m]
     if background is not None:
         psi = psi + background.stream_row
     # the correction spans mean0 and psi weighted by norm2; its 2 x 2 Gram
     # system G alpha = (defect, 0), regularized, solved by Cramer's rule
-    mean0, q = b.mean0[:m], psi * b.norm2[0, :m]
-    g00, g01, g11 = mean0 @ mean0, mean0 @ q, q @ q
+    mean0, q = kit["mean0"], psi * b.norm2[0, :m]
+    g00, g01, g11 = kit["g00"], float(mean0 @ q), float(q @ q)
     reg = 1e-14 * max(g00, g11, 1e-30)
     g00, g11 = g00 + reg, g11 + reg
     scale = defect / (g00 * g11 - g01 * g01)
@@ -197,7 +205,7 @@ def tendency(w: SpectralField | _Band, background: RadialBackground | None = Non
     dr_om, dth_om, dr_psi, dth_psi = _band_grids(y.values, kit, kit["sub_synth_r"],
                                                  kit["sub_synth_t"], background)
     band = _project(dr_psi * dth_om - dth_psi * dr_om, kit["sub_analyze"], kit["proj"])
-    _mean_fix(band[0, :, 0], y, background)
+    _mean_fix(band[0, 0], y, background)
     return band if y is w else SpectralField(y.basis, _embed(band, y.basis))
 
 
@@ -234,13 +242,13 @@ class SolverState:
     diagnostics: list = field(default_factory=list)
 
     def _grid_values(self):
-        """(omega, psi) grids with the channel, from one band synthesis."""
+        """(omega, psi) grids with the channel, by the full-grid synthesis of
+        to_grid; ResolutionError for a state outside the band."""
         b, bg = self.w.basis, self.background
-        kit = b.band_kit
-        cv = _band_values(self.w)
-        x = np.concatenate([cv, cv * kit["mult"][..., None]], axis=2)
-        m = np.matmul(b.r_eval[: kit["nd"] + 1, :, : kit["kd"]], x)
-        omega, psi = _synth(m, (kit["synth_r"],))
+        if not _in_band(self.w):
+            raise ResolutionError("field has content outside the dealias band")
+        half = _split(self.w.coeffs)
+        omega, psi = _synthesize(half, b), _synthesize(half * b.green_mult[:, None], b)
         if bg is not None:
             omega = omega + bg.profile[:, None]
             psi = psi + bg.stream_profile[:, None]

@@ -222,7 +222,7 @@ class AscentState:
 
 def _stream_of(g: GridField, basis: DiskBasis) -> GridField:
     """Stream function of g: half-spectrum analysis, 1/j^2, synthesis."""
-    half = _analyze(g.values, basis) * basis.green_mult[:, :, None]
+    half = _analyze(g.values, basis) * basis.green_mult[:, None]
     return GridField(basis.grid, _synthesize(half, basis))
 
 

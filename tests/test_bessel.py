@@ -504,4 +504,4 @@ def test_basis_tables_match_per_order_reference(basis, size, monkeypatch):
             assert np.array_equal(b.mean0, 2.0 * np.pi * jp[-K:] / z)
         if n <= nd:
             r_diff = z * (0.5 * (jm[:-K] - jp[:-K])).reshape(grid.n_r, K)
-            assert np.array_equal(b.band_kit["radial"][n, : grid.n_r], r_diff[:, :kd]), n
+            assert np.array_equal(b.band_kit["radial"][n, :, : grid.n_r], r_diff[:, :kd].T), n

@@ -97,13 +97,13 @@ def test_radial_tables_match_pointwise_calls(basis, grid):
     # one bessel_j / bessel_j_prime call per (n, k) is the reference, for the
     # d_r rows on the dealias band they feed
     nd, kd = basis.dealias_band()
-    d_r = basis.band_kit["radial"][:, : grid.n_r]
+    d_r = basis.band_kit["radial"][:, :, : grid.n_r]
     for n in range(basis.n_modes + 1):
         for k, z in enumerate(basis.roots[n]):
             jr = z * grid.r
             assert np.abs(basis.r_eval[n, :, k] - bessel_j(n, jr)).max() <= 1e-14
             if n <= nd and k < kd:
-                assert np.abs(d_r[n, :, k] - z * bessel_j_prime(n, jr)).max() <= 1e-14
+                assert np.abs(d_r[n, k] - z * bessel_j_prime(n, jr)).max() <= 1e-14
             assert abs(basis.norm2[n, k] - math.pi * bessel_j(n + 1, z) ** 2) <= 1e-14
     assert not hasattr(basis, "r_diff")
     mean0 = [2.0 * np.pi * bessel_j(1, z) / z for z in basis.roots[0]]
@@ -402,14 +402,14 @@ def test_from_grid_matches_per_mode_oracle(basis, grid):
 
 def _rfft_analyze(values, basis):
     F = np.fft.rfft(values, axis=1)[:, : basis.n_modes + 1] / basis.grid.n_theta
-    return np.matmul(basis.analysis, ds._split(F.T))
+    return np.matmul(ds._split(F.T), basis.analysis.transpose(0, 2, 1))
 
 
 def _irfft_synthesize(half, basis):
     grid = basis.grid
-    m = np.matmul(basis.r_eval, half)
+    m = np.matmul(half, basis.r_eval.transpose(0, 2, 1))
     H = np.zeros((grid.n_r, grid.n_theta // 2 + 1), complex)
-    H[:, : len(m)] = (m[..., 0] + 1j * m[..., 1]).T
+    H[:, : len(m)] = (m[:, 0] + 1j * m[:, 1]).T
     return np.fft.irfft(H, grid.n_theta, axis=1) * grid.n_theta
 
 
@@ -433,17 +433,21 @@ def test_band_tables_are_rows_of_the_dft_tables(basis):
 
 
 def _check_band_tables(basis):
-    N = basis.n_modes
     nd = basis.band_kit["nd"]
-    n = np.arange(nd + 1)[:, None]
+    n = np.repeat(np.arange(nd + 1), 2)[:, None]
     w = np.where(n == 0, 1.0, 2.0)
     synth, analyze = basis.dft_synth, basis.dft_analyze
-    cos_rows, sin_rows = slice(0, nd + 1), slice(N + 1, N + nd + 2)
+    # a row pair per mode: w cos(n theta), -w sin(n theta)
+    modes = np.arange(basis.n_modes + 1)[:, None]
+    w_all, theta = np.where(modes == 0, 1.0, 2.0), basis.grid.theta
+    assert np.array_equal(synth[0::2], w_all * np.cos(modes * theta))
+    assert np.array_equal(synth[1::2], -w_all * np.sin(modes * theta))
+    band = slice(0, 2 * nd + 2)
     kit = basis.band_kit
-    assert np.array_equal(kit["synth_r"], np.vstack([synth[cos_rows], synth[sin_rows]]))
+    assert np.array_equal(kit["synth_r"], synth[band])
     # [-n w sin; -n w cos] from the rows w cos and -w sin (w n is exact)
-    assert np.array_equal(kit["synth_t"], np.vstack([n * synth[sin_rows],
-                                                     -n * synth[cos_rows]]))
+    swapped = np.stack([synth[1:2 * nd + 2:2], -synth[0:2 * nd + 2:2]], axis=1).reshape(2 * nd + 2, -1)
+    assert np.array_equal(kit["synth_t"], n * swapped)
     # the subgrid tables: every s-th column; the analysis is the synthesis
     # rows over w (exact) and n_b, which are the analysis rows scaled by s,
     # exactly at a power-of-two stride and to rounding at any other
@@ -451,16 +455,20 @@ def _check_band_tables(basis):
     assert np.array_equal(kit["sub_synth_r"], kit["synth_r"][:, ::s])
     assert np.array_equal(kit["sub_synth_t"], kit["synth_t"][:, ::s])
     assert np.array_equal(kit["sub_analyze"],
-                          np.vstack([synth[cos_rows] / w, synth[sin_rows] / w])[:, ::s].T
-                          / (basis.grid.n_theta // s))
-    scaled = np.hstack([analyze[:, cos_rows], analyze[:, sin_rows]])[::s] * s
+                          (synth[band] / w)[:, ::s].T / (basis.grid.n_theta // s))
+    scaled = analyze[:, band][::s] * s
     if s & (s - 1) == 0:
         assert np.array_equal(kit["sub_analyze"], scaled)
     assert np.abs(kit["sub_analyze"] - scaled).max() <= 1e-16
-    # the band's 1/r rows divide the r_eval slice by r
+    # the band's (1/r) omega columns divide the r_eval slice by r, and the
+    # psi columns are the omega columns over j^2
     nr, kd = basis.grid.n_r, kit["kd"]
-    assert np.array_equal(kit["radial"][:, nr:],
-                          basis.r_eval[: nd + 1, :, :kd] / basis.grid.r[:, None])
+    radial = kit["radial"].reshape(nd + 1, kd, 4, nr)
+    assert np.array_equal(radial[:, :, 2],
+                          (basis.r_eval[: nd + 1, :, :kd] / basis.grid.r[:, None]).transpose(0, 2, 1))
+    mult = basis.green_mult[: nd + 1, :kd, None]
+    assert np.array_equal(radial[:, :, 1], radial[:, :, 0] * mult)
+    assert np.array_equal(radial[:, :, 3], radial[:, :, 2] * mult)
     assert not hasattr(basis, "r_over")
 
 

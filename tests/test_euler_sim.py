@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from diskvort import bessel
 from diskvort import disk_spectral as ds
 from diskvort import euler_sim as es
 from diskvort import steady_family as sf
+from diskvort import variational as vr
 from diskvort.bessel import _j_neighbours, bessel_j, bessel_j_prime
 from diskvort.errors import CFLError, NonFiniteFieldError, ResolutionError
 from green_oracle import apply_green, apply_green_kernel
@@ -343,9 +345,9 @@ def _check_band_grids(basis, full):
         tables = ((kit["synth_r"], kit["synth_t"]) if full
                   else (kit["sub_synth_r"], kit["sub_synth_t"]))
         for w, bg in _band_states(b):
-            cv = ds._band_values(w)
+            y = ds._band_values(w)
             for background in _channels(bg):
-                got = es._band_grids(cv, kit, *tables, background)
+                got = es._band_grids(y, kit, *tables, background)
                 expect = _pointwise_band_grids(w, b.grid.theta[::s], background)
                 for g, e in zip(got, expect):
                     assert g.shape == (b.grid.n_r, b.grid.n_theta // s)
@@ -368,8 +370,7 @@ def test_band_subgrids_are_collocation_columns(basis):
 def _band_analyze(basis):
     """Columns cos(n theta), -sin(n theta), n <= nd, of the basis DFT analysis
     table: the band analysis on the whole collocation grid."""
-    N, nd = basis.n_modes, basis.dealias_band()[0]
-    return np.hstack([basis.dft_analyze[:, : nd + 1], basis.dft_analyze[:, N + 1: N + nd + 2]])
+    return basis.dft_analyze[:, : 2 * basis.dealias_band()[0] + 2]
 
 
 def _full_grid_tendency(w, background, rotation=0.0):
@@ -381,9 +382,9 @@ def _full_grid_tendency(w, background, rotation=0.0):
     fix, and its rigid advection enters as the spectral term
     -rotation * i n * w."""
     b = w.basis
-    kit, nr = b.band_kit, b.grid.n_r
+    kit, nr = _old_band_kit(b), b.grid.n_r
     nd, kd = kit["nd"], kit["kd"]
-    analyze = _band_analyze(b)
+    analyze = _old_dft_tables(b, nd)[0]
     c = w.coeffs[: nd + 1, :kd]
     cpsi = c * kit["mult"]
     x = np.stack([c.real, c.imag, cpsi.real, cpsi.imag], axis=2)
@@ -607,9 +608,22 @@ def test_short_run_drifts_match_reference(basis):
     assert abs(res.l2_drift - 7.134828155390779e-10) <= 1e-12
 
 
-def _oracle_band_kit(basis):
+def _old_dft_tables(basis, n_top):
+    """The DFT analysis and synthesis tables of the modes n <= n_top in the
+    layout that preceded the row pairs: a block of cos rows (columns) above
+    a block of -sin ones."""
+    n_half = np.arange(n_top + 1)[:, None]
+    w = np.where(n_half == 0, 1.0, 2.0)
+    cos, sin = np.cos(n_half * basis.grid.theta), np.sin(n_half * basis.grid.theta)
+    return np.vstack([cos, -sin]).T / basis.grid.n_theta, np.vstack([w * cos, -w * sin])
+
+
+def _old_band_kit(basis):
     """The band operators as the first tendency call built them before they
-    moved into DiskBasis construction."""
+    moved into DiskBasis construction, in the (nd+1, kd, 2) layout that
+    preceded the row pairs: radial (nd+1, 2 n_r, kd) with the d_r rows above
+    the (1/r) rows, and DFT tables with a block of cos rows above a block of
+    -sin ones."""
     nd, kd = basis.dealias_band()
     rw = basis.grid.measure_r * basis.grid.n_theta
     theta = basis.grid.theta
@@ -646,6 +660,36 @@ def _oracle_band_kit(basis):
         "sub_synth_r": np.vstack([w * sub_cos, -w * sub_sin]),
         "sub_synth_t": np.vstack([-n_half * w * sub_sin, -n_half * w * sub_cos]),
         "sub_analyze": np.vstack([sub_cos, -sub_sin]).T / (n_theta // s),
+    }
+
+
+def _oracle_band_kit(basis):
+    """The band operators of the row-pair layout, re-laid from the old ones:
+    the DFT rows (columns) a [cos; -sin] pair per mode, the radial operator
+    (nd+1, kd, 4 n_r) with the columns d_r omega, d_r psi, (1/r) omega and
+    (1/r) psi, psi = omega / j^2 folded in, and the mean fix's constants."""
+    old = _old_band_kit(basis)
+    nd, kd, nr = old["nd"], old["kd"], basis.grid.n_r
+
+    def pairs(rows):
+        return rows.reshape(2, nd + 1, -1).transpose(1, 0, 2).reshape(2 * nd + 2, -1)
+
+    d_r, over_r, mult = old["radial"][:, :nr], old["radial"][:, nr:], old["mult"][:, None]
+    mean0 = basis.mean0[: es._MEAN_FIX_MODES]
+    return {
+        "nd": nd,
+        "kd": kd,
+        "radial": np.concatenate([d_r, d_r * mult, over_r, over_r * mult],
+                                 axis=1).transpose(0, 2, 1).copy(),
+        "synth_r": pairs(old["synth_r"]),
+        "synth_t": pairs(old["synth_t"]),
+        "proj": old["proj"],
+        "stride": old["stride"],
+        "sub_synth_r": pairs(old["sub_synth_r"]),
+        "sub_synth_t": pairs(old["sub_synth_t"]),
+        "sub_analyze": pairs(old["sub_analyze"].T).T,
+        "mean0": mean0,
+        "g00": float(mean0 @ mean0),
     }
 
 
@@ -759,9 +803,146 @@ def test_tendency_on_the_carrier_is_the_band_slice(basis):
             for background in _channels(bg):
                 band = es.tendency(es._Band(b, ds._band_values(w)), background)
                 full = es.tendency(w, background).coeffs
-                assert band.shape == (nd + 1, kd, 2)
-                assert np.array_equal(band[..., 0], full[: nd + 1, :kd].real)
-                assert np.array_equal(band[..., 1], full[: nd + 1, :kd].imag)
+                assert band.shape == (nd + 1, 2, kd)
+                assert np.array_equal(band[:, 0], full[: nd + 1, :kd].real)
+                assert np.array_equal(band[:, 1], full[: nd + 1, :kd].imag)
+
+
+# The transform kernels and the band stage as they ran in the (M, K, 2)
+# layout [Re c, Im c] that preceded the row pairs, kept as oracles: _synth
+# reordered the radial values with one copy per call, _project transposed
+# the DFT products of the modes, and the band's radial operator acted on the
+# omega and psi coefficients as four columns.
+
+
+def _old_synth(m, tables):
+    nd1, nb = m.shape[0], len(tables)
+    nr, q = m.shape[1] // nb, m.shape[2] // 2
+    t = m.reshape(nd1, nb, nr, q, 2).transpose(3, 1, 2, 4, 0).reshape(q, nb, nr, 2 * nd1)
+    return [t[i, d] @ tables[d] for i in range(q) for d in range(nb)]
+
+
+def _old_project(values, analyze, proj):
+    F = (values @ analyze).reshape(-1, 2, proj.shape[0]).transpose(2, 0, 1)
+    return np.matmul(proj, F)
+
+
+def _old_split(c):
+    return np.stack([c.real, c.imag], axis=2)
+
+
+def _old_band_grids(cv, kit, synth_r, synth_t, background=None):
+    x = np.concatenate([cv, cv * kit["mult"][..., None]], axis=2)  # omega, psi
+    m = np.matmul(kit["radial"], x)         # (nd+1, 2 n_r, 4): d_r above 1/r rows
+    if background is not None:
+        nr = m.shape[1] // 2
+        m[0, :nr, 0] += background.d_r_profile
+        m[0, :nr, 2] += background.stream_d_r_profile
+    return _old_synth(m, (synth_r, synth_t))
+
+
+def _old_mean_fix(row0, cv, basis, background):
+    m = es._MEAN_FIX_MODES
+    defect = float(row0 @ basis.mean0[: row0.size])
+    psi = cv[0, :m, 0] * basis.green_mult[0, :m]
+    if background is not None:
+        psi = psi + background.stream_row
+    mean0, q = basis.mean0[:m], psi * basis.norm2[0, :m]
+    g00, g01, g11 = mean0 @ mean0, mean0 @ q, q @ q
+    reg = 1e-14 * max(g00, g11, 1e-30)
+    g00, g11 = g00 + reg, g11 + reg
+    scale = defect / (g00 * g11 - g01 * g01)
+    row0[:m] -= scale * (g11 * mean0 - g01 * q)
+
+
+def _old_tendency(w, kit, background):
+    """(N+1, K) tendency coefficients of the band field w, on the old tables."""
+    nd, kd = kit["nd"], kit["kd"]
+    cv = _old_split(w.coeffs[: nd + 1, :kd])
+    dr_om, dth_om, dr_psi, dth_psi = _old_band_grids(cv, kit, kit["sub_synth_r"],
+                                                     kit["sub_synth_t"], background)
+    band = _old_project(dr_psi * dth_om - dth_psi * dr_om, kit["sub_analyze"], kit["proj"])
+    _old_mean_fix(band[0, :, 0], cv, w.basis, background)
+    coeffs = np.zeros_like(w.coeffs)
+    coeffs[: nd + 1, :kd] = band[..., 0] + 1j * band[..., 1]
+    return coeffs
+
+
+def _flat_field(basis, rng, band_only):
+    """Coefficients of order one at every mode of the band (or of the whole
+    basis), the hardest spectrum for rounding; row 0 real."""
+    nd, kd = basis.dealias_band() if band_only else (basis.n_modes, basis.k_radial)
+    c = np.zeros((basis.n_modes + 1, basis.k_radial), complex)
+    c[: nd + 1, :kd] = rng.standard_normal((nd + 1, kd)) + 1j * rng.standard_normal((nd + 1, kd))
+    c[0] = c[0].real
+    return ds.SpectralField(basis, c)
+
+
+def test_tendency_matches_old_layout_oracle(basis):
+    # the row-pair band stage against the (nd+1, kd, 2) composition, on flat
+    # band spectra with channel amplitude a in {0, 0.5} and uniform c in
+    # {0, 0.6}: within 2e-15 of the largest coefficient
+    root = sf.VElement(0.0, 1.0, 0.0).root
+    for b in (basis, ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))):
+        kit, rng = _old_band_kit(b), np.random.default_rng(41)
+        for _ in range(3):
+            w = _flat_field(b, rng, band_only=True)
+            for a in (0.0, 0.5):
+                for c in (0.0, 0.6):
+                    bg = es.RadialBackground(a, root, b, uniform=c) if a or c else None
+                    expect = _old_tendency(w, kit, bg)
+                    got = es.tendency(w, bg).coeffs
+                    assert np.abs(got - expect).max() <= 2e-15 * np.abs(expect).max(), (a, c)
+
+
+def test_full_grid_transforms_match_old_layout_oracle(basis):
+    # to_grid, from_grid and the ascent's stream solve against the old kernels
+    # on flat spectra and on grids outside the span, within 2e-15 relative;
+    # from_grid(to_grid(f)) stays an identity to rounding
+    for b in (basis, ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))):
+        analyze, synth = _old_dft_tables(b, b.n_modes)
+        rng = np.random.default_rng(43)
+        for _ in range(3):
+            f = _flat_field(b, rng, band_only=False)
+            grid = ds.to_grid(f)
+            expect = _old_synth(np.matmul(b.r_eval, _old_split(f.coeffs)), (synth,))[0]
+            assert np.abs(grid.values - expect).max() <= 2e-15 * np.abs(expect).max()
+            back = ds.from_grid(grid, b).coeffs
+            assert np.abs(back - f.coeffs).max() <= 1e-14 * np.abs(f.coeffs).max()
+            for values in (grid.values, rng.standard_normal(grid.values.shape)):
+                g = ds.GridField(b.grid, values)
+                half = _old_project(values, analyze, b.analysis)
+                expect = half[..., 0] + 1j * half[..., 1]
+                got = ds.from_grid(g, b).coeffs
+                assert np.abs(got - expect).max() <= 2e-15 * np.abs(expect).max()
+                stream = _old_synth(np.matmul(b.r_eval, half * b.green_mult[..., None]),
+                                    (synth,))[0]
+                got = vr._stream_of(g, b).values
+                assert np.abs(got - stream).max() <= 2e-15 * np.abs(stream).max()
+
+
+def _traced_peak(call):
+    """Peak traced allocation of one call, after one call to warm up."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_band_stage_and_stream_solve_peak_memory(basis):
+    # one in-band tendency call and one full-grid stream solve allocate no
+    # more than their few grid temporaries, each under glibc's 128 KB mmap
+    # threshold: a larger temporary could get fresh pages, and page faults,
+    # on every call
+    w, bg = next(_band_states(basis))
+    y = es._Band(basis, ds._band_values(w))
+    for background in _channels(bg):
+        assert _traced_peak(lambda: es.tendency(y, background)) <= 200 * 1024
+    g = ds.to_grid(w)
+    assert _traced_peak(lambda: vr._stream_of(g, basis)) <= 135 * 1024
 
 
 def test_run_dt_sequence_matches_four_grid_velocity(basis, monkeypatch):
@@ -790,9 +971,9 @@ def test_run_dt_sequence_matches_four_grid_velocity(basis, monkeypatch):
 
 
 def test_grid_values_are_the_band_synthesis(basis):
-    # full_grid_values and stream_grid_values synthesize the band only; on an
-    # in-band state they equal to_grid of the whole spectrum (plus the channel
-    # profile) bitwise, and a state outside the band is refused
+    # full_grid_values and stream_grid_values of an in-band state equal
+    # to_grid of the whole spectrum (plus the channel profile) bitwise, and a
+    # state outside the band is refused
     coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
     for b in (basis, coarse):
         for w, bg in _band_states(b):
