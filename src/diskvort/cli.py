@@ -369,8 +369,8 @@ def _exp_evolve(cfg, rng, outdir):
         "l2_drift": res.l2_drift,
         "lp_drift": res.lp_drift,
         "mean_drift": res.mean_drift,
-        "profile_drift": res.extra.get("profile_drift"),
         "final_t": state_final.t,
+        **res.extra,        # profile_drift, rk4_steps, dt_min, dt_max
     }
     return passed, [astuple(r) for r in res.trace], _TRACE_HEADER, extra
 
@@ -412,7 +412,7 @@ def _exp_rotate(cfg, rng, outdir):
     if pert is None:
         passed &= res.max_distance <= 1e-6
     extra = {"recovered_omega": rec, "omega_rot": cfg.omega_rot,
-             "max_distance": res.max_distance}
+             "max_distance": res.max_distance, **res.extra}
     return passed, [astuple(r) for r in res.trace], _TRACE_HEADER, extra
 
 

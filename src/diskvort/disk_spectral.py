@@ -386,9 +386,14 @@ def rotate(f: SpectralField, beta: float) -> SpectralField:
 # Norms, means, profiles
 
 
+def _check_p(p):
+    """ValueError unless 1 <= p < inf; NaN fails too."""
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must lie in [1, inf), got {p}")
+
+
 def lp_norm(g: GridField, p: float) -> float:
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_p(p)
     mu = g.grid.measures
     return float((np.abs(g.values) ** p * mu).sum() ** (1.0 / p))
 

@@ -40,28 +40,31 @@ between them is a free view.  ``tendency`` takes a SpectralField (checked
 and answered in kind) or the stepper's unchecked in-band carrier (answered
 with the band array).
 
-One exact radial channel, ``RadialBackground``, extends the zero-trace
-basis with the vorticity a J_0(l r) + c.  Both parts are exact radial
-solutions with closed-form stream functions:
+A run lives on that carrier from step to step: ``run`` checks the state
+against the band once, at entry, ``step_rk4`` answers with a state that
+holds only the new carrier, and a SpectralField is built only where a caller
+asks a state for ``w`` (the experiments at exit).  The CFL velocity is taken
+from the carrier too.  The trace is read from the coefficients: the energy,
+L^2 norm and mean are Parseval sums plus the channel's couplings and its
+own integrals (built with ``RadialBackground``), and the p = 2 orbital
+distance is a masked Parseval sum when the reference's a J_0 is the
+channel's.  The omega grid is synthesized only for the L^p norm and the
+distance at p != 2, for a reference the sum does not cover, and for the
+initial and final fields.
 
-* a J_0(l r), the non-eigenfunction component of the steady family, has
-  stream function a (J_0(l r) - J_0(l)) / l^2, so steady family elements are
-  steady to rounding, which a truncated projection of J_0(l r) could never
-  achieve;
-* a uniform offset c (c = 2 Omega in the rotating-state experiments) has
-  stream function c (1 - r^2) / 4.  Its -c r / 2 in d_r psi turns the band
-  product d_r psi (1/r) d_theta omega into the rigid advection
-  -Omega d_theta omega, which is exact on the band.
+The exact radial channel a J_0(l r) + c, ``RadialBackground``, lives in
+radial_channel; ``tendency`` and ``velocity_magnitude`` take it as their one
+input besides the field, and the trace reads its coupling constants.
 """
 
 import math
 import numbers
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import _j_neighbours, bessel_j
+from .bessel import bessel_j
 from .disk_spectral import (
     _MEAN_FIX_MODES,
     DiskBasis,
@@ -69,7 +72,6 @@ from .disk_spectral import (
     SpectralField,
     _band_values,
     _embed,
-    _in_band,
     _outside_band,
     _project,
     _split,
@@ -78,7 +80,6 @@ from .disk_spectral import (
     distribution_profile,
     from_grid,
     lp_norm,
-    mean_value,
     profiles_close,
     random_in_span,
     ring_shuffle,
@@ -86,46 +87,9 @@ from .disk_spectral import (
     to_grid,
 )
 from .errors import CFLError, ConfigError, NonFiniteFieldError, ResolutionError
-from .green_energy import energy_grid
+from .green_energy import rows_energy
+from .radial_channel import RadialBackground
 from .steady_family import VElement, dipole_part, orbital_distance, v_element_grid
-
-
-@dataclass(frozen=True)
-class RadialBackground:
-    """The exact radial channel: vorticity amplitude * J_0(root r) + uniform.
-
-    Its run constants are built at construction, with a = amplitude and
-    c = uniform, from one recurrence that gives J_0 and J_1 on the radii of
-    ``basis.grid`` and J_0(root): the vorticity profile a J_0(root r) + c,
-    the stream profile a (J_0(root r) - J_0(root)) / root^2 + c (1 - r^2) / 4,
-    their radial derivatives, and ``stream_row``, the first _MEAN_FIX_MODES
-    n = 0 coefficients of the stream profile that _mean_fix needs, projected
-    by the basis' own analysis operator.  Callers add a profile to a grid by
-    broadcasting it over the angles.
-    """
-
-    amplitude: float
-    root: float
-    basis: DiskBasis = field(repr=False)
-    uniform: float = 0.0
-    profile: np.ndarray = field(init=False, repr=False, compare=False)
-    stream_profile: np.ndarray = field(init=False, repr=False, compare=False)
-    d_r_profile: np.ndarray = field(init=False, repr=False, compare=False)
-    stream_d_r_profile: np.ndarray = field(init=False, repr=False, compare=False)
-    stream_row: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        a, c, root, r = self.amplitude, self.uniform, self.root, self.basis.grid.r
-        j0, j1, _ = _j_neighbours(1, np.append(root * r, root))
-        j0_root, j0_profile, j1_profile = j0[-1], j0[:-1], j1[:-1]
-        stream = a * (j0_profile - j0_root) / root**2 + c * (1.0 - r**2) / 4.0
-        for name, value in (
-                ("profile", a * j0_profile + c),
-                ("stream_profile", stream),
-                ("d_r_profile", -a * root * j1_profile),
-                ("stream_d_r_profile", -a * j1_profile / root - 0.5 * c * r),
-                ("stream_row", self.basis.analysis[0, :_MEAN_FIX_MODES] @ stream)):
-            object.__setattr__(self, name, value)
 
 
 # The stepper's in-band state: the basis and the real band array, built only
@@ -146,12 +110,18 @@ def _band_grids(y, kit, synth_r, synth_t, background=None):
     return d_r[:nr], over_r[:nr], d_r[nr:], over_r[nr:]
 
 
-def velocity_magnitude(w: SpectralField, background=None):
+def _carrier(w: SpectralField | _Band) -> _Band:
+    """The in-band carrier of w: w itself, or a checked SpectralField's band."""
+    return w if isinstance(w, _Band) else _Band(w.basis, _band_values(w))
+
+
+def velocity_magnitude(w: SpectralField | _Band, background=None):
     """Max |u| on the grid from the two grids of psi alone, synthesized from
     the psi columns of the band's radial operator;
-    u_r = (1/r) d_theta psi, u_theta = -d_r psi."""
-    kit, nr = w.basis.band_kit, w.basis.grid.n_r
-    y, radial = _band_values(w), kit["radial"]
+    u_r = (1/r) d_theta psi, u_theta = -d_r psi.  ``w`` is a SpectralField in
+    the band (ResolutionError otherwise) or the stepper's carrier."""
+    b, y = _carrier(w)
+    kit, nr, radial = b.band_kit, b.grid.n_r, b.band_kit["radial"]
     dr_psi, = _synth(np.matmul(y, radial[..., nr: 2 * nr]), (kit["synth_r"],))
     dth_psi, = _synth(np.matmul(y, radial[..., 3 * nr:]), (kit["synth_t"],))
     if background is not None:
@@ -200,7 +170,7 @@ def tendency(w: SpectralField | _Band, background: RadialBackground | None = Non
     the band array.  The product is formed on the band subgrid; ``background``
     adds the exact radial channel to omega and psi, its uniform offset included.
     """
-    y = w if isinstance(w, _Band) else _Band(w.basis, _band_values(w))
+    y = _carrier(w)
     kit = y.basis.band_kit
     dr_om, dth_om, dr_psi, dth_psi = _band_grids(y.values, kit, kit["sub_synth_r"],
                                                  kit["sub_synth_t"], background)
@@ -232,33 +202,61 @@ class RunConfig:
             raise ValueError(f"cadence must be an integer >= 1, got {self.cadence!r}")
 
 
-@dataclass
+# A run's step count and its least and largest dt (None for a run of no step)
+StepLog = namedtuple("StepLog", "rk4_steps dt_min dt_max")
+
+
 class SolverState:
-    """Evolving vorticity: spectral part + exact radial channel + diagnostics."""
+    """Evolving vorticity: spectral part + exact radial channel + diagnostics.
 
-    w: SpectralField
-    background: RadialBackground | None = None
-    t: float = 0.0
-    diagnostics: list = field(default_factory=list)
+    The spectral part is held as a SpectralField ``w`` or as the stepper's
+    in-band carrier ``band``, and each is built from the other on first use:
+    the carrier after the band check (ResolutionError for a field outside
+    it), the field by padding the band.  A state from ``step_rk4`` holds only
+    the carrier.  ``run`` leaves its StepLog in ``step_log``.
+    """
 
-    def _grid_values(self):
-        """(omega, psi) grids with the channel, by the full-grid synthesis of
-        to_grid; ResolutionError for a state outside the band."""
-        b, bg = self.w.basis, self.background
-        if not _in_band(self.w):
-            raise ResolutionError("field has content outside the dealias band")
+    def __init__(self, w=None, background=None, t=0.0, diagnostics=None, band=None):
+        self._w, self._band = w, band
+        self.background = background
+        self.t = t
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.step_log = None
+
+    @property
+    def w(self):
+        if self._w is None:
+            b, y = self._band
+            self._w = SpectralField(b, _embed(y, b))
+        return self._w
+
+    @w.setter
+    def w(self, value):
+        self._w, self._band = value, None
+
+    @property
+    def band(self):
+        if self._band is None:
+            self._band = _carrier(self._w)
+        return self._band
+
+    def _grid_values(self, stream):
+        """omega, or psi for ``stream``, with the channel, by the full-grid
+        synthesis of to_grid; ResolutionError for a state outside the band."""
+        b, bg = self.band.basis, self.background
         half = _split(self.w.coeffs)
-        omega, psi = _synthesize(half, b), _synthesize(half * b.green_mult[:, None], b)
+        if stream:
+            half *= b.green_mult[:, None]
+        values = _synthesize(half, b)
         if bg is not None:
-            omega = omega + bg.profile[:, None]
-            psi = psi + bg.stream_profile[:, None]
-        return GridField(b.grid, omega), GridField(b.grid, psi)
+            values = values + (bg.stream_profile if stream else bg.profile)[:, None]
+        return GridField(b.grid, values)
 
     def full_grid_values(self):
-        return self._grid_values()[0]
+        return self._grid_values(False)
 
     def stream_grid_values(self):
-        return self._grid_values()[1]
+        return self._grid_values(True)
 
 
 def resolved_spacing(basis: DiskBasis) -> float:
@@ -273,29 +271,31 @@ def resolved_spacing(basis: DiskBasis) -> float:
 
 
 def cfl_dt(state: SolverState, safety: float) -> float:
-    umax = velocity_magnitude(state.w, state.background)
+    umax = velocity_magnitude(state.band, state.background)
     if umax == 0.0:
         return math.inf
-    return safety * resolved_spacing(state.w.basis) / umax
+    return safety * resolved_spacing(state.band.basis) / umax
 
 
 def step_rk4(state: SolverState, dt: float, check_cfl=True) -> SolverState:
     """Classical 4-stage update of the spectral part; the exact radial channel
-    is static.  The state is checked against the band once, and the stages
-    are formed on its real band array.  ``check_cfl`` raises CFLError for a
-    dt above the advective limit at safety 1."""
+    is static.  The stages are formed on the state's carrier, which is checked
+    against the band only when the state holds none yet, and the new state
+    holds only its carrier.  ``check_cfl`` raises CFLError for a dt above the
+    advective limit at safety 1."""
     if check_cfl:
         limit = cfl_dt(state, 1.0)
         if dt > limit:
             raise CFLError(f"dt={dt:g} exceeds advective limit {limit:g}")
-    b, bg = state.w.basis, state.background
-    y0 = _band_values(state.w)
-    k1 = tendency(_Band(b, y0), bg)
+    y, bg = state.band, state.background
+    b, y0 = y
+    k1 = tendency(y, bg)
     k2 = tendency(_Band(b, y0 + 0.5 * dt * k1), bg)
     k3 = tendency(_Band(b, y0 + 0.5 * dt * k2), bg)
     k4 = tendency(_Band(b, y0 + dt * k3), bg)
-    y = y0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return replace(state, w=SpectralField(b, _embed(y, b)), t=state.t + dt)
+    y1 = y0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return SolverState(background=bg, t=state.t + dt, diagnostics=state.diagnostics,
+                       band=_Band(b, y1))
 
 
 @dataclass(frozen=True)
@@ -310,44 +310,75 @@ class TraceRow:
 
 
 def _diagnose(state: SolverState, cfg: RunConfig) -> TraceRow:
-    omega, psi = state._grid_values()
-    e = energy_grid(omega, psi)
-    l2 = lp_norm(omega, 2)
-    lp = l2 if cfg.p == 2 else lp_norm(omega, cfg.p)
+    """The trace row of the state, from the coefficients c of its carrier.
+
+    With P the Parseval weights and X_omega, X_psi the channel's duals,
+    E = (1/2) sum P |c|^2 / j^2 + <c_0, X_psi> + E_bg,
+    ||omega||^2 = sum P |c|^2 + 2 <c_0, X_omega> + ||omega_bg||^2 and the
+    mean is <c_0, mean0> / pi + mean_bg.  When the reference's family (n, k)
+    lies in the band with n >= 1 and its a J_0 is the channel's, that part
+    cancels from the state minus an orbit element, as does the uniform
+    offset, so the squared p = 2 distance is the sum of P |c|^2 over every
+    mode but (n, k), plus P_nk (|c_nk| - b/2)^2, at the angle
+    beta* = arg c_nk - beta (0 for b = 0).  The omega grid is synthesized
+    only for lp and the distance at p != 2, and for a distance to any other
+    reference."""
+    (b, y), bg, ref = state.band, state.background, cfg.reference
+    nd1, _, kd = y.shape
+    terms = b.parseval[:nd1, :kd] * (y * y).sum(axis=1)
+    c0, e, l2sq = y[0, 0], rows_energy(b, y), float(terms.sum())
+    mean = float(c0 @ b.mean0[:kd]) / math.pi
+    if bg is not None:
+        e += float(c0 @ bg.stream_dual) + bg.energy
+        l2sq += 2.0 * float(c0 @ bg.omega_dual) + bg.norm2
+        mean += bg.mean
+    l2 = math.sqrt(max(l2sq, 0.0))
     if not (math.isfinite(e) and math.isfinite(l2)):
         raise NonFiniteFieldError(f"non-finite state at t={state.t!r}: energy {e!r}, L2 {l2!r}")
-    mean = mean_value(omega)
+    n, k = (0, 0) if ref is None else ref.family
+    a = 0.0 if bg is None else bg.amplitude
+    if (cfg.p == 2 and 1 <= n < nd1 and k <= kd and ref.a == a
+            and (a == 0.0 or ref.root == bg.root)):
+        re, im = y[n, 0, k - 1], y[n, 1, k - 1]
+        terms[n, k - 1] = b.parseval[n, k - 1] * (math.hypot(re, im) - 0.5 * ref.b) ** 2
+        beta = (math.atan2(im, re) - ref.beta) % (2.0 * math.pi) if ref.b else 0.0
+        return TraceRow(state.t, e, l2, l2, mean, math.sqrt(float(terms.sum())), beta)
+    omega = state.full_grid_values() if cfg.p != 2 or ref is not None else None
+    lp = l2 if cfg.p == 2 else lp_norm(omega, cfg.p)
     dist, beta = math.nan, math.nan
-    # a uniform offset shifts both the state and every orbit element, so it
-    # cancels from the distance
-    uniform = state.background.uniform if state.background is not None else 0.0
-    shifted = omega if uniform == 0.0 else GridField(omega.grid, omega.values - uniform)
-    if cfg.reference is not None:
-        dist, beta = orbital_distance(shifted, cfg.reference, cfg.p)
+    if ref is not None:
+        # a uniform offset shifts both the state and every orbit element, so
+        # it cancels from the distance
+        uniform = 0.0 if bg is None else bg.uniform
+        shifted = omega if uniform == 0.0 else GridField(omega.grid, omega.values - uniform)
+        dist, beta = orbital_distance(shifted, ref, cfg.p)
     return TraceRow(state.t, e, l2, lp, mean, dist, beta)
 
 
 def run(state: SolverState, cfg: RunConfig):
     """Advance to cfg.t_end recording a TraceRow every cfg.cadence steps.
 
-    The step is the advective limit at cfg.cfl_safety, refreshed every
-    cadence steps; the safety factor absorbs the slow velocity drift in
-    between.
+    The state is checked against the band once, at entry, and then lives on
+    its carrier; the returned state builds its SpectralField when asked for
+    ``w``, and holds the run's StepLog.  The step is the advective limit at
+    cfg.cfl_safety, refreshed every cadence steps; the safety factor absorbs
+    the slow velocity drift in between.
     """
     state.diagnostics.append(_diagnose(state, cfg))
-    steps = 0
+    dts = []
     dt_cfl = cfl_dt(state, cfg.cfl_safety)
     while state.t < cfg.t_end - 1e-12:
-        state = step_rk4(state, min(dt_cfl, cfg.t_end - state.t), check_cfl=False)
-        steps += 1
-        if steps % cfg.cadence == 0 or state.t >= cfg.t_end - 1e-12:
+        dts.append(min(dt_cfl, cfg.t_end - state.t))
+        state = step_rk4(state, dts[-1], check_cfl=False)
+        if len(dts) % cfg.cadence == 0 or state.t >= cfg.t_end - 1e-12:
             state.diagnostics.append(_diagnose(state, cfg))
             dt_cfl = cfl_dt(state, cfg.cfl_safety)
+    state.step_log = StepLog(len(dts), min(dts, default=None), max(dts, default=None))
     return state
 
 
 def turnover_time(state: SolverState) -> float:
-    umax = velocity_magnitude(state.w, state.background)
+    umax = velocity_magnitude(state.band, state.background)
     if not math.isfinite(umax):
         raise NonFiniteFieldError(f"non-finite velocity {umax!r}")
     if umax == 0.0:
@@ -445,7 +476,8 @@ def _evolve_element(ve: VElement, perturbation: SpectralField | None, p, t_end,
     state = run(state, cfg)
     trace = state.diagnostics
     return ExperimentResult(trace, max(r.orbital_distance for r in trace),
-                            *_drifts(trace), initial, state.full_grid_values())
+                            *_drifts(trace), initial, state.full_grid_values(),
+                            extra=state.step_log._asdict())
 
 
 def run_stability_experiment(ve: VElement, perturbation: SpectralField | None, p: float,

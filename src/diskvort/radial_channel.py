@@ -1,0 +1,82 @@
+"""The exact radial channel of the solver: vorticity a J_0(l r) + c.
+
+It extends the zero-trace basis of disk_spectral, whose functions vanish on
+the boundary, with the one radial field that the steady family and the
+rotating states need.  Both parts are exact radial solutions with
+closed-form stream functions:
+
+* a J_0(l r), the non-eigenfunction component of the steady family, has
+  stream function a (J_0(l r) - J_0(l)) / l^2, so steady family elements are
+  steady to rounding, which a truncated projection of J_0(l r) could never
+  achieve;
+* a uniform offset c (c = 2 Omega in the rotating-state experiments) has
+  stream function c (1 - r^2) / 4.  Its -c r / 2 in d_r psi turns the band
+  product d_r psi (1/r) d_theta omega into the rigid advection
+  -Omega d_theta omega, which is exact on the band.
+"""
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .bessel import _j_neighbours
+from .disk_spectral import _MEAN_FIX_MODES, DiskBasis
+
+
+@dataclass(frozen=True)
+class RadialBackground:
+    """The exact radial channel: vorticity amplitude * J_0(root r) + uniform.
+
+    Its run constants are built at construction, with a = amplitude and
+    c = uniform, from one recurrence that gives J_0 and J_1 on the radii of
+    ``basis.grid`` and J_0(root): the vorticity profile a J_0(root r) + c,
+    the stream profile a (J_0(root r) - J_0(root)) / root^2 + c (1 - r^2) / 4,
+    their radial derivatives, and ``stream_row``, the first _MEAN_FIX_MODES
+    n = 0 coefficients of the stream profile that euler_sim's mean fix
+    needs, projected by the basis' own analysis operator.  Callers add a
+    profile to a grid by broadcasting it over the angles.
+
+    euler_sim's trace reads the channel's coupling to the band from two
+    vectors of 2 pi r w quadratures against the band's n = 0 functions
+    J_0(j_k r), k <= kd: ``omega_dual`` of the vorticity profile and
+    ``stream_dual`` of the stream profile; and its own integrals from
+    ``energy`` (1/2) int omega psi, ``norm2`` int omega^2 and ``mean``
+    int omega / pi.
+    """
+
+    amplitude: float
+    root: float
+    basis: DiskBasis = field(repr=False)
+    uniform: float = 0.0
+    profile: np.ndarray = field(init=False, repr=False, compare=False)
+    stream_profile: np.ndarray = field(init=False, repr=False, compare=False)
+    d_r_profile: np.ndarray = field(init=False, repr=False, compare=False)
+    stream_d_r_profile: np.ndarray = field(init=False, repr=False, compare=False)
+    stream_row: np.ndarray = field(init=False, repr=False, compare=False)
+    omega_dual: np.ndarray = field(init=False, repr=False, compare=False)
+    stream_dual: np.ndarray = field(init=False, repr=False, compare=False)
+    energy: float = field(init=False, repr=False, compare=False)
+    norm2: float = field(init=False, repr=False, compare=False)
+    mean: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a, c, root, b = self.amplitude, self.uniform, self.root, self.basis
+        r, rw = b.grid.r, b.grid.measure_r * b.grid.n_theta     # 2 pi r w
+        j0, j1, _ = _j_neighbours(1, np.append(root * r, root))
+        j0_root, j0_profile, j1_profile = j0[-1], j0[:-1], j1[:-1]
+        profile = a * j0_profile + c
+        stream = a * (j0_profile - j0_root) / root**2 + c * (1.0 - r**2) / 4.0
+        dual = b.r_eval[0, :, : b.band_kit["kd"]].T
+        for name, value in (
+                ("profile", profile),
+                ("stream_profile", stream),
+                ("d_r_profile", -a * root * j1_profile),
+                ("stream_d_r_profile", -a * j1_profile / root - 0.5 * c * r),
+                ("stream_row", b.analysis[0, :_MEAN_FIX_MODES] @ stream),
+                ("omega_dual", dual @ (rw * profile)),
+                ("stream_dual", dual @ (rw * stream)),
+                ("energy", 0.5 * float(rw @ (profile * stream))),
+                ("norm2", float(rw @ (profile * profile))),
+                ("mean", float(rw @ profile) / math.pi)):
+            object.__setattr__(self, name, value)

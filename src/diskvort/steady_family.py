@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bessel import bessel_j, bessel_zero
-from .disk_spectral import DiskBasis, DiskGrid, GridField, SpectralField, single_mode
+from .disk_spectral import DiskBasis, DiskGrid, GridField, SpectralField, _check_p, single_mode
 from .errors import ResolutionError
 from .quadrature import integrate
 
@@ -219,6 +219,7 @@ def orbital_distance(g: GridField, ve: VElement, p: float):
 
 
 def plain_distance(g: GridField, ref: GridField, p: float) -> float:
+    _check_p(p)
     return float(
         ((np.abs(g.values - ref.values) ** p) * g.grid.measures).sum() ** (1.0 / p)
     )

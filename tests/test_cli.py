@@ -316,6 +316,12 @@ def test_rotation_period_edge(monkeypatch):
     cli.parse_config("omega_rot = 0\n", kind="rotate-demo")
 
 
+def _check_step_log(manifest):
+    # the run's step count and dt range, written by the evolution kinds
+    assert manifest["rk4_steps"] >= 1
+    assert 0.0 < manifest["dt_min"] <= manifest["dt_max"]
+
+
 def test_evolve_smoke(tmp_path):
     cfgfile = tmp_path / "e.cfg"
     cfgfile.write_text(
@@ -326,6 +332,7 @@ def test_evolve_smoke(tmp_path):
     assert rc == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["max_distance"] <= 1e-6
+    _check_step_log(manifest)
     header = (tmp_path / "out" / "results.csv").read_text().splitlines()[1]
     assert header == "t,energy,l2,lp,mean,orbital_distance,beta_star"
     for name in ("initial.json", "final.json"):
@@ -367,6 +374,7 @@ def test_rotate_demo_smoke(tmp_path):
     assert rc == 0
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert abs(manifest["recovered_omega"] - 0.4) <= 0.004
+    _check_step_log(manifest)
 
 
 _SHARPNESS_SMOKE = ("n_theta_modes = 8\nk_radial = 12\nn_r = 32\nn_theta = 32\n"
@@ -381,8 +389,10 @@ def test_sharpness_demo_smoke(tmp_path):
 
 
 def test_sharpness_demo_rows_match_hand_rolled_runs(tmp_path):
-    # the kind's rows equal, bit for bit, an explicit steady_state + run +
-    # orbital_distance loop over the three rotation angles
+    # the kind's rows equal, bit for bit, an explicit steady_state + run loop
+    # over the three rotation angles, read from its last trace row; the grid
+    # orbital_distance of its final field agrees within the bound of the
+    # coefficient trace's grid oracle, 5e-15 ||omega||_2 (1e-13 in beta*)
     cfgfile = tmp_path / "sh.cfg"
     cfgfile.write_text(_SHARPNESS_SMOKE)
     assert cli.main(["sharpness-demo", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
@@ -396,12 +406,15 @@ def test_sharpness_demo_rows_match_hand_rolled_runs(tmp_path):
         beta = math.pi * frac
         rcfg = euler_sim.RunConfig(t_end=n * beta, cfl_safety=cfg.cfl_safety,
                                    cadence=cfg.cadence, p=cfg.p, reference=ve)
-        om = euler_sim.run(euler_sim.steady_state(ve, basis, uniform), rcfg).full_grid_values()
+        state = euler_sim.run(euler_sim.steady_state(ve, basis, uniform), rcfg)
+        last, om = state.diagnostics[-1], state.full_grid_values()
         dist, bstar = steady_family.orbital_distance(
             GridField(om.grid, om.values - uniform), ve, cfg.p)
+        assert abs(dist - last.orbital_distance) <= 5e-15 * last.l2
+        assert abs(bstar - last.beta_star) <= 1e-13
         separation = steady_family.plain_distance(
             steady_family.v_element_grid(ve.rotated(-beta), basis.grid), target, cfg.p)
-        expect.append((beta, (-bstar) % (2.0 * math.pi), dist,
+        expect.append((beta, (-last.beta_star) % (2.0 * math.pi), last.orbital_distance,
                        steady_family.plain_distance(om, target, cfg.p), separation))
     assert [tuple(float(v) for v in ln.split(",")[:5]) for ln in lines] == expect
 

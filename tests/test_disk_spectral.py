@@ -174,8 +174,11 @@ def test_lp_norms(basis, grid):
     g = ds.to_grid(ds.single_mode(basis, 1, 1))
     expect = math.sqrt(math.pi * bessel_j(0, j) ** 2 / 2)
     assert abs(ds.lp_norm(g, 2) - expect) < 1e-12
-    with pytest.raises(ValueError):
-        ds.lp_norm(one, 0.5)
+    # p must lie in [1, inf): infinite, NaN and sub-one exponents raise
+    for p in (math.inf, math.nan, 0.5):
+        with pytest.raises(ValueError, match=r"p must lie in \[1, inf\)"):
+            ds.lp_norm(one, p)
+    assert abs(ds.lp_norm(one, 1.0) - math.pi) < 1e-12
 
 
 def test_mean_values(basis, grid):

@@ -15,6 +15,7 @@ from diskvort import steady_family as sf
 from diskvort import variational as vr
 from diskvort.bessel import _j_neighbours, bessel_j, bessel_j_prime
 from diskvort.errors import CFLError, NonFiniteFieldError, ResolutionError
+from diskvort.green_energy import energy_grid
 from green_oracle import apply_green, apply_green_kernel
 
 
@@ -770,10 +771,11 @@ def _spectral_field_rk4(state, dt):
 
 def _four_grid_velocity_magnitude(w, background=None):
     """Max |u| as it was taken before: all four band grids synthesized on the
-    collocation grid, the two of psi read."""
-    kit = w.basis.band_kit
-    _, _, dr_psi, dth_psi = es._band_grids(ds._band_values(w), kit, kit["synth_r"],
-                                           kit["synth_t"])
+    collocation grid, the two of psi read.  ``w`` is a SpectralField or the
+    stepper's carrier, as for velocity_magnitude."""
+    b, y = w if isinstance(w, es._Band) else (w.basis, ds._band_values(w))
+    kit = b.band_kit
+    _, _, dr_psi, dth_psi = es._band_grids(y, kit, kit["synth_r"], kit["synth_t"])
     if background is not None:
         dr_psi = dr_psi + background.stream_d_r_profile[:, None]
     return float(np.sqrt(dr_psi**2 + dth_psi**2).max())
@@ -1007,3 +1009,109 @@ def test_solver_import_loads_neither_ascent_nor_cli():
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def _grid_diagnose(state, cfg):
+    """The trace row as it was taken before the coefficient sums, kept as
+    their oracle: energy, L^2, L^p and mean from the omega and psi grids, and
+    the distance from orbital_distance of omega less the uniform offset."""
+    omega = state.full_grid_values()
+    e = energy_grid(omega, state.stream_grid_values())
+    l2 = ds.lp_norm(omega, 2)
+    lp = l2 if cfg.p == 2 else ds.lp_norm(omega, cfg.p)
+    mean = ds.mean_value(omega)
+    dist, beta = math.nan, math.nan
+    uniform = state.background.uniform if state.background is not None else 0.0
+    shifted = omega if uniform == 0.0 else ds.GridField(omega.grid, omega.values - uniform)
+    if cfg.reference is not None:
+        dist, beta = sf.orbital_distance(shifted, cfg.reference, cfg.p)
+    return es.TraceRow(state.t, e, l2, lp, mean, dist, beta)
+
+
+# Coefficient trace against the grid oracle on the bases below: energy, L^2
+# and L^p relative, the mean and the distance absolute over ||omega||_2 (an
+# on-orbit distance is a difference of O(1) fields), beta* in radians.  The
+# 24-node basis is under-resolved for the band (its band Gram defect is
+# ~1e-6), so there the grid quadrature, not the coefficient sum, is off, by
+# up to 2e-8 relative on flat spectra.
+_TRACE_TOL = 5e-15
+_UNRESOLVED_TRACE_TOL = 1e-7
+_BETA_TOL = 1e-13
+
+
+def _trace_cases(basis):
+    """(state, reference, tolerance) over three bases, channel amplitude
+    a in {0, 0.5} and uniform c in {0, 0.6}, families (1, 1) and (2, 1) and
+    four seeds: the element's cos mode plus a flat band spectrum of size 1
+    (far from the orbit) or 1e-8 (near it)."""
+    bases = ((basis, _TRACE_TOL),
+             (ds.DiskBasis(8, 12, ds.DiskGrid(32, 32)), _TRACE_TOL),
+             (ds.DiskBasis(8, 12, ds.DiskGrid(24, 32)), _UNRESOLVED_TRACE_TOL))
+    for b, tol in bases:
+        rng = np.random.default_rng(53)
+        for family in ((1, 1), (2, 1)):
+            for a in (0.0, 0.5):
+                for c in (0.0, 0.6):
+                    ve = sf.VElement(a, 0.8, 1.1, family=family)
+                    bg = es.RadialBackground(a, ve.root, b, uniform=c) if a or c else None
+                    for _ in range(4):
+                        flat = _flat_field(b, rng, band_only=True).coeffs
+                        for size in (1.0, 1e-8):
+                            w = ds.SpectralField(b, sf.dipole_part(ve, b).coeffs + size * flat)
+                            yield es.SolverState(w=w, background=bg), ve, tol
+
+
+def _check_trace_row(got, expect, tol):
+    for name in ("energy", "l2", "lp"):
+        assert abs(getattr(got, name) - getattr(expect, name)) <= tol * abs(getattr(expect, name))
+    for name in ("mean", "orbital_distance"):
+        assert abs(getattr(got, name) - getattr(expect, name)) <= tol * expect.l2
+    dbeta = (got.beta_star - expect.beta_star + math.pi) % (2.0 * math.pi) - math.pi
+    assert abs(dbeta) <= _BETA_TOL
+
+
+def test_coefficient_trace_matches_grid_oracle(basis):
+    # at p = 2 every column is a coefficient sum and no grid is synthesized
+    for state, ve, tol in _trace_cases(basis):
+        cfg = es.RunConfig(t_end=1.0, reference=ve)
+        state.full_grid_values = None       # a call would raise TypeError
+        got = es._diagnose(state, cfg)
+        del state.full_grid_values
+        _check_trace_row(got, _grid_diagnose(state, cfg), tol)
+
+
+def test_grid_trace_columns_are_the_oracle(basis):
+    # at p in {1.5, 4} the L^p norm and the distance take the omega grid, and
+    # so does the distance to a reference whose a differs from the channel's:
+    # those columns equal the oracle's bitwise, the rest stay within its bounds
+    for i, (state, ve, tol) in enumerate(_trace_cases(basis)):
+        if i % 8:                           # one seed and size in eight
+            continue
+        other = sf.VElement(ve.a + 0.25, ve.b, ve.beta, ve.family)
+        for p, ref in ((1.5, ve), (4.0, ve), (2.0, other)):
+            cfg = es.RunConfig(t_end=1.0, p=p, reference=ref)
+            got, expect = es._diagnose(state, cfg), _grid_diagnose(state, cfg)
+            _check_trace_row(got, expect, tol)
+            assert (got.orbital_distance, got.beta_star) == \
+                (expect.orbital_distance, expect.beta_star)
+            assert p == 2.0 or got.lp == expect.lp
+
+
+def test_step_log_counts_module_level_steps(basis, monkeypatch):
+    # rk4_steps is the number of module-level step_rk4 calls, which the
+    # benchmark counts, and dt_min / dt_max the range of their dt
+    steps = []
+
+    def recording(state, dt, check_cfl=True, step=es.step_rk4):
+        steps.append(dt)
+        return step(state, dt, check_cfl)
+
+    monkeypatch.setattr(es, "step_rk4", recording)
+    ve = sf.VElement(0.5, 1.0, 0.3)
+    pert = es.make_perturbation("smooth-random", ve, 1e-2, 2.0, basis,
+                                np.random.default_rng(6))
+    res = es.run_stability_experiment(ve, pert, 2.0, t_end=0.7, basis=basis, cadence=4)
+    assert len(steps) > 4
+    assert res.extra["rk4_steps"] == len(steps)
+    assert (res.extra["dt_min"], res.extra["dt_max"]) == (min(steps), max(steps))
+    assert res.extra["dt_min"] < res.extra["dt_max"]     # the last step is cut to t_end

@@ -229,6 +229,15 @@ def test_orbital_distance_rejects_bad_p(grid):
         sf.orbital_distance(sf.v_element_grid(ve, grid), ve, 1.0)
 
 
+def test_plain_distance_rejects_p_outside_one_to_inf(grid):
+    # p must lie in [1, inf): infinite, NaN and sub-one exponents raise
+    g = sf.v_element_grid(sf.VElement(0.0, 1.0, 0.0), grid)
+    for p in (math.inf, math.nan, 0.5):
+        with pytest.raises(ValueError, match=r"p must lie in \[1, inf\)"):
+            sf.plain_distance(g, g, p)
+    assert sf.plain_distance(g, g, 1.0) == 0.0
+
+
 def _orbit_distance_search(g, ve, p):
     """A scan over 256 angles, then golden section to a 1e-8 bracket: the
     minimizer that Newton's method from the L^2 angle replaced."""
