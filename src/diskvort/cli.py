@@ -69,9 +69,9 @@ from .variational import burton_maximize, solve_v1, solve_v2
 MAX_ZERO_INDEX = 1000
 # the largest horizons and counts: each keeps one run on the default basis
 # within about five minutes on a 2-core x86 VM, where one turnover of the
-# default element takes ~0.23 s (t_end: ~3.8 ms per time unit, 48 to a
-# turnover), one ascent seed ~73 ms (~1 ms per iteration, up to max_iters)
-# and one unit of n_uniform ~27 ms
+# default element takes ~0.1 s (t_end: ~2.3 ms per time unit, 48 to a
+# turnover), one ascent seed ~50 ms (~0.8 ms per iteration, up to max_iters)
+# and one unit of n_uniform ~11 ms
 MAX_TURNOVERS = 1000.0
 MAX_T_END = 50000.0
 MAX_SEEDS = 1000
@@ -85,9 +85,9 @@ MAX_RADIAL_NODES = 256
 MAX_ANGLES = 1024
 # the largest amplitudes |a|, |b| and delta_rel: under a t_end horizon the
 # step count grows with max|u|, which is linear in each.  At MAX_T_END on the
-# default basis, on a 2-core x86 VM (~5.5 ms per time unit at a = 0, b = 1),
-# the default element takes ~5 min, a = 1 ~7.5 min, and a = 1 with a
-# mode-injection perturbation of delta_rel = 1 ~10 min.  Every shape a / b of
+# default basis, on a 2-core x86 VM (~2.3 ms per time unit at a = 0, b = 1),
+# the default element takes ~2 min, a = 1 ~3 min, and a = 1 with a
+# mode-injection perturbation of delta_rel = 1 ~4.5 min.  Every shape a / b of
 # the family has a member within the bound, larger amplitudes only rescale
 # time (omega -> lambda omega, t -> t / lambda), and a perturbation larger
 # than its element is no longer a perturbation of it
@@ -320,12 +320,16 @@ def _exp_burton(cfg, rng, outdir):
     nrm = lp_norm(target, 2)
     rows = []
     n_ok = 0
+    steps, stalled = [], []
     for s in range(cfg.seeds):
         seed_field = ring_shuffle(target, rng)
         res = burton_maximize(ve, seed_field, basis, max_iters=cfg.max_iters,
                               p=cfg.p, trace_distance=True)
         ok = res.distance <= 1e-3 * nrm
         n_ok += ok
+        steps.append(len(res.energies) - 1)
+        if res.converged:           # the 8-step stall rule, not the orbit
+            stalled.append(s)
         for it, (e, d) in enumerate(zip(res.energies, res.distances)):
             rows.append((s, it, e, d))
         if s == 0:
@@ -333,7 +337,8 @@ def _exp_burton(cfg, rng, outdir):
                        extra={"config_hash": config_hash(cfg)})
     passed = n_ok >= max(1, cfg.seeds - 1)
     return passed, rows, ["seed", "iteration", "energy", "orbital_distance"], {
-        "converged_runs": n_ok, "total_runs": cfg.seeds}
+        "converged_runs": n_ok, "total_runs": cfg.seeds,
+        "ascent_steps": steps, "stalled_runs": stalled}
 
 
 def _perturbation(cfg, kind, p, ve, target, basis, rng):

@@ -22,8 +22,11 @@ band tables cut from the DFT tables.
 
 Distribution profiles (value vs cumulative cell measure) provide the
 rearrangement-class machinery: cells are ordered by value descending, ties
-broken by the flattened (radial-major) cell index (numpy's default sort, then
-each run of equal values re-sorted by index), so runs are reproducible.
+broken by the flattened (radial-major) cell index, so runs are reproducible.
+The order is one sort of int64 keys, each the integer image of the negated
+value with the cell index in its low bits; values that differ only in those
+bits are then put right, so the order is bitwise numpy's stable argsort of
+the negated values.
 """
 
 import json
@@ -466,20 +469,24 @@ class DistributionProfile:
 
 
 def _descending_order(flat):
-    """Stable descending order of ``flat`` (ties by index) from the faster
-    default sort, whose runs of equal values are re-sorted by index in one
-    integer sort of run * n + index.  NaN and +-inf, at the ends, raise."""
-    order = np.argsort(-flat)
+    """Stable descending order of ``flat`` (ties by index) from one sort of
+    int64 keys: the order-preserving integer image of 0.0 - flat (which folds
+    -0.0 into +0.0), its low bits replaced by the cell index.  Cells whose
+    keys agree above those bits are then in index order, equal values among
+    them too; where their values rise, one stable sort of the gathered values
+    puts them right.  NaN and +-inf, at the ends, raise."""
+    mask = (1 << (flat.size - 1).bit_length()) - 1
+    key = np.subtract(0.0, flat).view(np.int64)
+    key ^= (key >> 63) & 0x7FFFFFFFFFFFFFFF     # negative: flip the magnitude
+    key &= ~mask
+    key |= np.arange(flat.size)
+    key.sort()
+    order = key & mask
     s = flat[order]
     if not (math.isfinite(s[0]) and math.isfinite(s[-1])):
         raise NonFiniteFieldError(f"field holds non-finite values ({s[0]!r}, {s[-1]!r})")
-    same = s[1:] == s[:-1]
-    if same.any():
-        tied = np.append(same, False)           # cells in a run of equal values
-        tied[1:] |= same
-        pos = np.flatnonzero(tied)
-        run = np.cumsum(~same[pos - 1])         # run number, up to a constant
-        order[pos] = np.sort(run * flat.size + order[pos]) % flat.size
+    if (s[1:] > s[:-1]).any():
+        order = order[np.argsort(0.0 - s, kind="stable")]
     return order
 
 

@@ -362,6 +362,28 @@ def test_burton_maximize_smoke(tmp_path):
     lines = (tmp_path / "o" / "results.csv").read_text().splitlines()
     assert lines[1] == "seed,iteration,energy,orbital_distance"
     assert (tmp_path / "o" / "fields" / "ascent_final.json").exists()
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    # the seed reached the orbit and stopped by the stall rule; the CSV holds
+    # its start and one row per step
+    assert manifest["converged_runs"] == 1 and manifest["stalled_runs"] == [0]
+    assert manifest["ascent_steps"] == [len(lines) - 3]
+
+
+def test_burton_maximize_stall_reason(tmp_path):
+    # on this coarse basis no seed reaches the orbit: seed 0 stalls away from
+    # it after 33 steps, and the other three run out of max_iters
+    cfgfile = tmp_path / "b.cfg"
+    cfgfile.write_text("n_theta_modes = 6\nk_radial = 10\nn_r = 24\nn_theta = 32\n"
+                       "a = 0.4\nseeds = 4\nmax_iters = 60\n")
+    assert cli.main(["burton-maximize", "--config", str(cfgfile), "--seed", "7",
+                     "--out", str(tmp_path / "o")]) == 3
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["converged_runs"] == 0 and manifest["total_runs"] == 4
+    assert manifest["ascent_steps"] == [33, 60, 60, 60]
+    assert manifest["stalled_runs"] == [0]
+    rows = (tmp_path / "o" / "results.csv").read_text().splitlines()[2:]
+    per_seed = np.bincount([int(row.split(",")[0]) for row in rows])
+    assert list(per_seed - 1) == manifest["ascent_steps"]
 
 
 def test_rotate_demo_smoke(tmp_path):

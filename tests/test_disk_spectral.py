@@ -488,8 +488,8 @@ def test_band_subgrid_stride_rule(basis):
         assert kit["sub_analyze"].shape == (n_angles, 2 * kit["nd"] + 2)
 
 
-# The stable-sort profile and transplantation that the tie-run sort replaced,
-# kept as oracles.
+# The stable-sort profile and transplantation that the int64 key sort
+# replaced, kept as oracles.
 
 
 def _stable_profile(g):
@@ -542,10 +542,52 @@ def test_tie_runs_keep_index_order(basis, grid):
         _assert_matches_stable_sort(g, ds.distribution_profile(g))
 
 
+def _near_ties(n, rng):
+    """Fields of n values whose keys agree above the index bits of the level
+    order's int64 sort, so that only the value comparisons after it can
+    order them."""
+    x = rng.standard_normal(n)
+    mirror = x.copy()                   # 1-ulp pairs, either way up
+    up = np.where(rng.random(n // 2) < 0.5, np.inf, -np.inf)
+    mirror[1::2] = np.nextafter(mirror[0::2][: n // 2], up)
+    ulp_run = x.copy()                  # 1-ulp steps rising with the index
+    cells = np.sort(rng.choice(n, size=min(n, 5), replace=False))
+    ulp_run[cells] = 1.0 + np.arange(cells.size) * np.spacing(1.0)
+    zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    zeros[rng.random(n) < 0.2] = 5e-324      # the smallest subnormal...
+    zeros[rng.random(n) < 0.2] = -5e-324     # ...shares the zeros' keys
+    return {
+        "1-ulp mirror pairs": mirror[rng.permutation(n)],
+        "1-ulp run": ulp_run,
+        "rounded near ties": np.round(x, 1) * (1.0 + 1e-13 * rng.uniform(-1.0, 1.0, n)),
+        "signed zeros": zeros,
+    }
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (3, 3), (12, 20), (144, 128)],
+                         ids=lambda shape: f"{shape[0]}x{shape[1]}")
+def test_near_ties_match_stable_sort(shape):
+    # 144 x 128 = 18432 cells puts the index in 15 bits of the key
+    grid = ds.DiskGrid(*shape)
+    rng = np.random.default_rng(shape[0])
+    profile = ds.distribution_profile(ds.GridField(grid, rng.standard_normal(shape)))
+    for name, vals in _near_ties(grid.n_r * grid.n_theta, rng).items():
+        g = ds.GridField(grid, vals.reshape(shape))
+        _assert_matches_stable_sort(g, profile)
+        _assert_matches_stable_sort(g, ds.distribution_profile(g))
+
+
 def test_ascent_transplants_match_stable_sort(basis, grid, monkeypatch):
-    # every step of the ascent from test_ascent_matches_reference's seed
+    # every step of the ascent from test_ascent_matches_reference's seed, and
+    # of one shaped like a perfbench ascent op: the Lamb dipole from a ring
+    # shuffle drawn from default_rng([seed, 0])
     ve = sf.VElement(0.0, 1.0, 0.4)
-    seed = ds.ring_shuffle(sf.v_element_grid(ve, grid), np.random.default_rng(7))
+    lamb = sf.VElement(0.0, 1.0, 0.0)
+    ascents = (
+        (ve, ds.ring_shuffle(sf.v_element_grid(ve, grid), np.random.default_rng(7)), 77),
+        (lamb, ds.ring_shuffle(sf.v_element_grid(lamb, grid),
+                               np.random.default_rng([400, 0])), 58),
+    )
     calls = []
 
     def checked(profile, onto):
@@ -554,12 +596,16 @@ def test_ascent_transplants_match_stable_sort(basis, grid, monkeypatch):
         return got
 
     monkeypatch.setattr(vr, "transplant", checked)
-    res = vr.burton_maximize(ve, seed, basis)
-    assert len(calls) == len(res.energies) - 1 == 77 and all(calls)
-    _assert_matches_stable_sort(res.final, ds.distribution_profile(res.final))
+    for element, seed, steps in ascents:
+        calls.clear()
+        res = vr.burton_maximize(element, seed, basis, max_iters=600, p=2.0)
+        assert len(calls) == len(res.energies) - 1 == steps and all(calls)
+        _assert_matches_stable_sort(res.final, ds.distribution_profile(res.final))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+# a NaN with its sign bit set lands at the other end of the int64 keys
+@pytest.mark.parametrize("bad", [np.nan, -np.nan, np.inf, -np.inf],
+                         ids=["nan", "-nan", "inf", "-inf"])
 def test_non_finite_fields_raise(grid, bad):
     vals = np.ones((grid.n_r, grid.n_theta))
     profile = ds.distribution_profile(ds.GridField(grid, vals))
