@@ -9,10 +9,6 @@ class ZeroScanError(RuntimeError):
     """Sign-change scan for a Bessel zero exhausted its search window."""
 
 
-class QuadratureConvergenceError(RuntimeError):
-    """Adaptive quadrature hit its refinement depth before reaching tolerance."""
-
-
 class ResolutionError(ValueError):
     """Collocation grid too coarse for the requested spectral resolution."""
 

@@ -21,10 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_zero
-from .disk_spectral import DiskBasis, DiskGrid, GridField, SpectralField, _check_p, single_mode
+from .bessel import _j_neighbours, bessel_j, bessel_zero
+from .disk_spectral import DiskBasis, DiskGrid, GridField, SpectralField, lp_norm, single_mode
 from .errors import ResolutionError
-from .quadrature import integrate
+from .quadrature import interval_rule
 
 
 def j_11():
@@ -219,10 +219,10 @@ def orbital_distance(g: GridField, ve: VElement, p: float):
 
 
 def plain_distance(g: GridField, ref: GridField, p: float) -> float:
-    _check_p(p)
-    return float(
-        ((np.abs(g.values - ref.values) ** p) * g.grid.measures).sum() ** (1.0 / p)
-    )
+    """L^p norm of g - ref; ResolutionError if they lie on different grids."""
+    if g.grid != ref.grid:
+        raise ResolutionError(f"fields on different grids: {g.grid} and {ref.grid}")
+    return lp_norm(GridField(g.grid, g.values - ref.values), p)
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +237,16 @@ class MomentPair:
 
 @lru_cache(maxsize=1)
 def moment_coefficients():
-    """(p1, p2, q1, q2) by quadrature of the radial power integrals."""
+    """(p1, p2, q1, q2) by quadrature of the radial power integrals on
+    [0, j], from one kernel call for J_0 and J_1 at the nodes of the fixed
+    rule ``quadrature.interval_rule``."""
     j = j_11()
-    p1 = (2.0 * math.pi / j**2) * integrate(
-        lambda t: bessel_j(0, t) ** 2 * t, 0.0, j, abs_tol=1e-12
-    )
-    p2 = (math.pi / j**2) * integrate(
-        lambda t: bessel_j(1, t) ** 2 * t, 0.0, j, abs_tol=1e-12
-    )
-    q1 = (2.0 * math.pi / j**2) * integrate(
-        lambda t: bessel_j(0, t) ** 3 * t, 0.0, j, abs_tol=1e-12
-    )
-    q2 = (3.0 * math.pi / j**2) * integrate(
-        lambda t: bessel_j(0, t) * bessel_j(1, t) ** 2 * t, 0.0, j, abs_tol=1e-12
-    )
+    t, w = interval_rule(0.0, j)
+    j0, j1, _ = _j_neighbours(1, t)
+    p1 = (2.0 * math.pi / j**2) * float(w @ (j0 * j0 * t))
+    p2 = (math.pi / j**2) * float(w @ (j1 * j1 * t))
+    q1 = (2.0 * math.pi / j**2) * float(w @ (j0 ** 3 * t))
+    q2 = (3.0 * math.pi / j**2) * float(w @ (j0 * j1 * j1 * t))
     return p1, p2, q1, q2
 
 
@@ -305,7 +301,8 @@ def verify_moment_coefficients():
     j = j_11()
     p1, p2, q1, q2 = moment_coefficients()
     p1_closed = math.pi * bessel_j(0, j) ** 2
-    cube = integrate(lambda t: bessel_j(1, t) ** 3, 0.0, j, abs_tol=1e-12)
+    t, w = interval_rule(0.0, j)
+    cube = float(w @ bessel_j(1, t) ** 3)
     q1_closed = (8.0 * math.pi / (3.0 * j**2)) * cube
     q2_closed = (2.0 * math.pi / j**2) * cube
     return {

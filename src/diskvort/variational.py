@@ -250,6 +250,10 @@ def burton_step(state: AscentState, basis: DiskBasis) -> AscentState:
 
 @dataclass
 class AscentResult:
+    """The end of one ascent.  ``converged`` means that the 8-step stall
+    rule stopped it: the energy stopped rising, not that the iterate reached
+    the orbit; ``distance`` to the orbit tells that."""
+
     final: GridField
     energies: list
     converged: bool

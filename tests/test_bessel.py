@@ -6,12 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 from diskvort import bessel
 from diskvort.disk_spectral import DiskBasis, DiskGrid, _projector
 from diskvort.errors import UnsupportedOrderError, ZeroScanError
-from diskvort.quadrature import integrate
+from diskvort.quadrature import interval_rule
 
 
 def test_values_at_zero():
@@ -157,9 +157,9 @@ def test_orthogonality_by_quadrature():
             for l, zl in enumerate(zeros):
                 if i == l:
                     continue
-                val = integrate(
+                val, _ = integrate.quad(
                     lambda s: bessel.bessel_j(n, zi * s) * bessel.bessel_j(n, zl * s) * s,
-                    0.0, 1.0, abs_tol=1e-11,
+                    0.0, 1.0, epsabs=1e-11, epsrel=0.0,
                 )
                 assert abs(val) < 1e-9
 
@@ -167,7 +167,8 @@ def test_orthogonality_by_quadrature():
 def test_normalization_chain():
     # integral of J_1^2(js) s ds equals both half J_2^2(j) and half J_0^2(j)
     j = bessel.bessel_zero(1, 1)
-    val = integrate(lambda s: bessel.bessel_j(1, j * s) ** 2 * s, 0, 1, abs_tol=1e-11)
+    val, _ = integrate.quad(lambda s: bessel.bessel_j(1, j * s) ** 2 * s, 0, 1,
+                            epsabs=1e-11, epsrel=0.0)
     assert abs(val - 0.5 * bessel.bessel_j(2, j) ** 2) < 1e-9
     assert abs(val - 0.5 * bessel.bessel_j(0, j) ** 2) < 1e-9
 
@@ -181,7 +182,9 @@ def test_identity_suite():
 
 def test_identity_apd1_at_zero_is_trivial():
     # both sides vanish at s = 0
-    assert integrate(lambda t: bessel.bessel_j(0, t) ** 2 * t, 0.0, 0.0) == 0.0
+    t, w = interval_rule(0.0, 0.0)
+    assert w @ (bessel.bessel_j(0, t) ** 2 * t) == 0.0
+    assert bessel.verify_identity_suite([0.0])["apd1"] == 0.0
 
 
 def test_certified_zeros():

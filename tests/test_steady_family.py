@@ -223,6 +223,15 @@ def test_moment_coefficients_report():
     assert abs(rep["q1"] / rep["q2"] - 4.0 / 3.0) < 1e-8
 
 
+def test_moment_coefficients_pinned():
+    # the values of the adaptive Gauss-Kronrod integrator that the fixed
+    # Gauss-Legendre rule replaced; the rule moves them by at most 1.5e-15
+    previous = (0.5096138633062214, 0.2548069316531107,
+                0.17952621826886472, 0.13464466370164854)
+    for value, old in zip(sf.moment_coefficients(), previous):
+        assert abs(value - old) <= 1e-14
+
+
 def test_orbital_distance_rejects_bad_p(grid):
     ve = sf.VElement(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
@@ -236,6 +245,22 @@ def test_plain_distance_rejects_p_outside_one_to_inf(grid):
         with pytest.raises(ValueError, match=r"p must lie in \[1, inf\)"):
             sf.plain_distance(g, g, p)
     assert sf.plain_distance(g, g, 1.0) == 0.0
+
+
+def test_plain_distance_rejects_fields_on_different_grids(grid, rng):
+    # a (1, 128) field broadcast against an (80, 128) one: this pair read
+    # 0.443 one way round and 4.95 the other
+    ve = sf.VElement(0.3, 1.0, 0.0)
+    g = sf.v_element_grid(ve, grid)
+    ref = sf.v_element_grid(ve, ds.DiskGrid(1, grid.n_theta))
+    for a, b in ((g, ref), (ref, g)):
+        with pytest.raises(ResolutionError):
+            sf.plain_distance(a, b, 2.0)
+    # on one grid: the L^p sum of lp_norm, bit for bit the explicit one
+    other = ds.GridField(grid, g.values + rng.standard_normal(g.values.shape))
+    for p in (1.0, 1.5, 2.0, 4.0):
+        explicit = ((np.abs(g.values - other.values) ** p) * grid.measures).sum() ** (1.0 / p)
+        assert sf.plain_distance(g, other, p) == explicit
 
 
 def _orbit_distance_search(g, ve, p):
