@@ -40,17 +40,17 @@ between them is a free view.  ``tendency`` takes a SpectralField (checked
 and answered in kind) or the stepper's unchecked in-band carrier (answered
 with the band array).
 
-A run lives on that carrier from step to step: ``run`` checks the state
-against the band once, at entry, ``step_rk4`` answers with a state that
-holds only the new carrier, and a SpectralField is built only where a caller
-asks a state for ``w`` (the experiments at exit).  The CFL velocity is taken
-from the carrier too.  The trace is read from the coefficients: the energy,
-L^2 norm and mean are Parseval sums plus the channel's couplings and its
-own integrals (built with ``RadialBackground``), and the p = 2 orbital
-distance is a masked Parseval sum when the reference's a J_0 is the
-channel's.  The omega grid is synthesized only for the L^p norm and the
-distance at p != 2, for a reference the sum does not cover, and for the
-initial and final fields.
+A run lives on that carrier from step to step: a ``SolverState`` holds only
+the carrier, checked against the band once, when the state is built from a
+SpectralField; ``step_rk4`` answers with a state built from the new
+carrier, and a SpectralField is padded only where a caller asks a state for
+``w``.  The CFL velocity is taken from the carrier too.  The trace is read
+from the coefficients: the energy, L^2 norm and mean are Parseval sums plus
+the channel's couplings and its own integrals (built with
+``RadialBackground``), and the p = 2 orbital distance is a masked Parseval
+sum when the reference's a J_0 is the channel's.  The omega grid is
+synthesized only for the L^p norm and the distance at p != 2, for a
+reference the sum does not cover, and for the initial and final fields.
 
 The exact radial channel a J_0(l r) + c, ``RadialBackground``, lives in
 radial_channel; ``tendency`` and ``velocity_magnitude`` take it as their one
@@ -74,7 +74,6 @@ from .disk_spectral import (
     _embed,
     _outside_band,
     _project,
-    _split,
     _synth,
     _synthesize,
     distribution_profile,
@@ -209,15 +208,14 @@ StepLog = namedtuple("StepLog", "rk4_steps dt_min dt_max")
 class SolverState:
     """Evolving vorticity: spectral part + exact radial channel + diagnostics.
 
-    The spectral part is held as a SpectralField ``w`` or as the stepper's
-    in-band carrier ``band``, and each is built from the other on first use:
-    the carrier after the band check (ResolutionError for a field outside
-    it), the field by padding the band.  A state from ``step_rk4`` holds only
-    the carrier.  ``run`` leaves its StepLog in ``step_log``.
+    The spectral part is held only as the stepper's in-band carrier
+    ``band``, built at construction from ``w``, a SpectralField (checked
+    against the band, ResolutionError outside it) or a carrier; ``w`` pads
+    it back to a SpectralField.  ``run`` leaves its StepLog in ``step_log``.
     """
 
-    def __init__(self, w=None, background=None, t=0.0, diagnostics=None, band=None):
-        self._w, self._band = w, band
+    def __init__(self, w, background=None, t=0.0, diagnostics=None):
+        self.band = _carrier(w)
         self.background = background
         self.t = t
         self.diagnostics = [] if diagnostics is None else diagnostics
@@ -225,26 +223,15 @@ class SolverState:
 
     @property
     def w(self):
-        if self._w is None:
-            b, y = self._band
-            self._w = SpectralField(b, _embed(y, b))
-        return self._w
-
-    @w.setter
-    def w(self, value):
-        self._w, self._band = value, None
-
-    @property
-    def band(self):
-        if self._band is None:
-            self._band = _carrier(self._w)
-        return self._band
+        b, y = self.band
+        return SpectralField(b, _embed(y, b))
 
     def _grid_values(self, stream):
         """omega, or psi for ``stream``, with the channel, by the full-grid
-        synthesis of to_grid; ResolutionError for a state outside the band."""
-        b, bg = self.band.basis, self.background
-        half = _split(self.w.coeffs)
+        synthesis of to_grid."""
+        (b, y), bg = self.band, self.background
+        half = np.zeros((b.n_modes + 1, 2, b.k_radial))
+        half[: y.shape[0], :, : y.shape[2]] = y
         if stream:
             half *= b.green_mult[:, None]
         values = _synthesize(half, b)
@@ -279,9 +266,8 @@ def cfl_dt(state: SolverState, safety: float) -> float:
 
 def step_rk4(state: SolverState, dt: float, check_cfl=True) -> SolverState:
     """Classical 4-stage update of the spectral part; the exact radial channel
-    is static.  The stages are formed on the state's carrier, which is checked
-    against the band only when the state holds none yet, and the new state
-    holds only its carrier.  ``check_cfl`` raises CFLError for a dt above the
+    is static.  The stages are formed on the state's carrier, and the new
+    state holds the new one.  ``check_cfl`` raises CFLError for a dt above the
     advective limit at safety 1."""
     if check_cfl:
         limit = cfl_dt(state, 1.0)
@@ -294,8 +280,7 @@ def step_rk4(state: SolverState, dt: float, check_cfl=True) -> SolverState:
     k3 = tendency(_Band(b, y0 + 0.5 * dt * k2), bg)
     k4 = tendency(_Band(b, y0 + dt * k3), bg)
     y1 = y0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return SolverState(background=bg, t=state.t + dt, diagnostics=state.diagnostics,
-                       band=_Band(b, y1))
+    return SolverState(_Band(b, y1), bg, state.t + dt, state.diagnostics)
 
 
 @dataclass(frozen=True)
@@ -358,8 +343,8 @@ def _diagnose(state: SolverState, cfg: RunConfig) -> TraceRow:
 def run(state: SolverState, cfg: RunConfig):
     """Advance to cfg.t_end recording a TraceRow every cfg.cadence steps.
 
-    The state is checked against the band once, at entry, and then lives on
-    its carrier; the returned state builds its SpectralField when asked for
+    The state was checked against the band at its construction and lives
+    on its carrier; the returned state pads its SpectralField when asked for
     ``w``, and holds the run's StepLog.  The step is the advective limit at
     cfg.cfl_safety, refreshed every cadence steps; the safety factor absorbs
     the slow velocity drift in between.
@@ -458,16 +443,12 @@ def _evolve_element(ve: VElement, perturbation: SpectralField | None, p, t_end,
     """The body of both experiments: evolve ve + uniform (+ perturbation)
     to t_end, or to ``turnovers`` turnover times when t_end is None, tracking
     the orbital L^p distance to ve.  The perturbation is admitted by
-    require_band_limited and enters as its band_limit.  Without a basis the
-    perturbation's is used, and ValueError is raised when there is none."""
-    if basis is None:
-        if perturbation is None:
-            raise ValueError("need a basis when no perturbation is given")
-        basis = perturbation.basis
+    require_band_limited and enters as its band_limit."""
     state = steady_state(ve, basis, uniform)
     if perturbation is not None:
         require_band_limited(perturbation)
-        state.w = SpectralField(basis, state.w.coeffs + band_limit(perturbation).coeffs)
+        w = SpectralField(basis, state.w.coeffs + band_limit(perturbation).coeffs)
+        state = SolverState(w, state.background)
     initial = state.full_grid_values()
     if t_end is None:
         t_end = turnovers * turnover_time(state)
@@ -481,7 +462,7 @@ def _evolve_element(ve: VElement, perturbation: SpectralField | None, p, t_end,
 
 
 def run_stability_experiment(ve: VElement, perturbation: SpectralField | None, p: float,
-                             t_end=None, turnovers=20.0, basis=None,
+                             basis: DiskBasis, t_end=None, turnovers=20.0,
                              cfl_safety=0.4, cadence=10) -> ExperimentResult:
     """Evolve ve (+ perturbation) and track the orbital L^p distance."""
     res = _evolve_element(ve, perturbation, p, t_end, turnovers, basis, 0.0,
@@ -492,7 +473,7 @@ def run_stability_experiment(ve: VElement, perturbation: SpectralField | None, p
 
 def run_rotating_orbit_experiment(ve: VElement, omega_rot: float,
                                   perturbation: SpectralField | None, p: float,
-                                  t_end=None, periods=1.0, basis=None,
+                                  basis: DiskBasis, t_end=None, periods=1.0,
                                   cfl_safety=0.4, cadence=10) -> ExperimentResult:
     """Evolve ve + 2*omega_rot (+ perturbation); distance is to the shifted
     orbit, and the recovered rotation rate comes from the beta*(t) slope."""

@@ -16,7 +16,6 @@ closed-form stream functions:
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .bessel import _j_neighbours
 from .disk_spectral import _MEAN_FIX_MODES, DiskBasis
 
 
-@dataclass(frozen=True)
 class RadialBackground:
     """The exact radial channel: vorticity amplitude * J_0(root r) + uniform.
 
@@ -45,38 +43,21 @@ class RadialBackground:
     int omega / pi.
     """
 
-    amplitude: float
-    root: float
-    basis: DiskBasis = field(repr=False)
-    uniform: float = 0.0
-    profile: np.ndarray = field(init=False, repr=False, compare=False)
-    stream_profile: np.ndarray = field(init=False, repr=False, compare=False)
-    d_r_profile: np.ndarray = field(init=False, repr=False, compare=False)
-    stream_d_r_profile: np.ndarray = field(init=False, repr=False, compare=False)
-    stream_row: np.ndarray = field(init=False, repr=False, compare=False)
-    omega_dual: np.ndarray = field(init=False, repr=False, compare=False)
-    stream_dual: np.ndarray = field(init=False, repr=False, compare=False)
-    energy: float = field(init=False, repr=False, compare=False)
-    norm2: float = field(init=False, repr=False, compare=False)
-    mean: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        a, c, root, b = self.amplitude, self.uniform, self.root, self.basis
+    def __init__(self, amplitude: float, root: float, basis: DiskBasis, uniform: float = 0.0):
+        self.amplitude, self.root, self.basis, self.uniform = amplitude, root, basis, uniform
+        a, c, b = amplitude, uniform, basis
         r, rw = b.grid.r, b.grid.measure_r * b.grid.n_theta     # 2 pi r w
         j0, j1, _ = _j_neighbours(1, np.append(root * r, root))
         j0_root, j0_profile, j1_profile = j0[-1], j0[:-1], j1[:-1]
         profile = a * j0_profile + c
         stream = a * (j0_profile - j0_root) / root**2 + c * (1.0 - r**2) / 4.0
+        self.profile, self.stream_profile = profile, stream
         dual = b.r_eval[0, :, : b.band_kit["kd"]].T
-        for name, value in (
-                ("profile", profile),
-                ("stream_profile", stream),
-                ("d_r_profile", -a * root * j1_profile),
-                ("stream_d_r_profile", -a * j1_profile / root - 0.5 * c * r),
-                ("stream_row", b.analysis[0, :_MEAN_FIX_MODES] @ stream),
-                ("omega_dual", dual @ (rw * profile)),
-                ("stream_dual", dual @ (rw * stream)),
-                ("energy", 0.5 * float(rw @ (profile * stream))),
-                ("norm2", float(rw @ (profile * profile))),
-                ("mean", float(rw @ profile) / math.pi)):
-            object.__setattr__(self, name, value)
+        self.d_r_profile = -a * root * j1_profile
+        self.stream_d_r_profile = -a * j1_profile / root - 0.5 * c * r
+        self.stream_row = b.analysis[0, :_MEAN_FIX_MODES] @ stream
+        self.omega_dual = dual @ (rw * profile)
+        self.stream_dual = dual @ (rw * stream)
+        self.energy = 0.5 * float(rw @ (profile * stream))
+        self.norm2 = float(rw @ (profile * profile))
+        self.mean = float(rw @ profile) / math.pi

@@ -12,7 +12,8 @@ is the L^p distance to an element's rotation orbit.  The module also carries
 the moment machinery that identifies an orbit inside a rearrangement class:
 the quadratic and cubic power integrals of a family element reduce to
 r1 = 2a^2 + b^2 and r2 = 4a^3 + 3ab^2, and that algebraic system has at most
-one solution with b >= 0, recovered here by bisection of a monotone cubic.
+one solution with b >= 0, recovered here in closed form as the admissible
+root of a monotone cubic.
 """
 
 import math
@@ -23,7 +24,7 @@ import numpy as np
 
 from .bessel import _j_neighbours, bessel_j, bessel_zero
 from .disk_spectral import DiskBasis, DiskGrid, GridField, SpectralField, lp_norm, single_mode
-from .errors import ResolutionError
+from .errors import NonFiniteFieldError, ResolutionError
 from .quadrature import interval_rule
 
 
@@ -264,29 +265,26 @@ def solve_moment_system(m: MomentPair, tol=1e-6):
     """Unique (a, b >= 0) with 2a^2 + b^2 = r1 and 4a^3 + 3ab^2 = r2.
 
     Substituting the first equation into the second leaves the cubic
-    -2x^3 + 3 r1 x = r2, strictly increasing on 2x^2 <= r1; bisection finds
-    the only admissible root.  Returns None when the system is inconsistent
-    beyond ``tol``.
+    -2x^3 + 3 r1 x = r2, strictly increasing on 2x^2 <= r1; its only
+    admissible root is Viete's x = sqrt(2 r1) cos((2 pi - arccos c) / 3),
+    c = -r2 / (r1 sqrt(2 r1)) clipped into [-1, 1].  Returns None when the
+    system is inconsistent beyond ``tol``; NonFiniteFieldError unless r1 and
+    r2 are finite.
     """
     r1, r2 = m.r1, m.r2
+    if not (math.isfinite(r1) and math.isfinite(r2)):
+        raise NonFiniteFieldError(f"non-finite moments r1={r1!r}, r2={r2!r}")
     scale = max(1.0, abs(r1)) ** 1.5
     if r1 < -tol:
         return None
     if r1 <= tol:
         return (0.0, 0.0) if abs(r2) <= tol * scale else None
     xmax = math.sqrt(r1 / 2.0)
-    f = lambda x: -2.0 * x**3 + 3.0 * r1 * x
-    if abs(r2) > f(xmax) + tol * scale:
+    if abs(r2) > -2.0 * xmax**3 + 3.0 * r1 * xmax + tol * scale:
         return None
-    lo, hi = -xmax, xmax
-    target = min(max(r2, f(lo)), f(hi))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
+    s = math.sqrt(2.0 * r1)
+    c = min(max(-r2 / (r1 * s), -1.0), 1.0)
+    x = s * math.cos((2.0 * math.pi - math.acos(c)) / 3.0)
     y2 = r1 - 2.0 * x * x
     y = math.sqrt(max(y2, 0.0))
     resid = max(abs(2 * x * x + y * y - r1), abs(4 * x**3 + 3 * x * y * y - r2))

@@ -40,7 +40,6 @@ from .disk_spectral import (
     _synthesize,
     distribution_profile,
     lp_norm,
-    profiles_close,
     single_mode,
     spectral_norm2,
     to_grid,
@@ -259,7 +258,6 @@ class AscentResult:
     converged: bool
     distance: float
     beta: float
-    profile_gap: float
     distances: list = None
 
 
@@ -288,5 +286,4 @@ def burton_maximize(ve: VElement, seed: GridField, basis: DiskBasis,
         if stall == 8:
             break
     dist, beta = orbital_distance(state.iterate, ve, p)
-    _, gap = profiles_close(distribution_profile(state.iterate), profile, tol=math.inf)
-    return AscentResult(state.iterate, energies, stall == 8, dist, beta, gap, distances)
+    return AscentResult(state.iterate, energies, stall == 8, dist, beta, distances)

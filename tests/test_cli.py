@@ -289,7 +289,7 @@ def test_slow_rotation_exits_without_stepping(tmp_path, capsys, monkeypatch):
     assert not (out / "results.csv").exists()
 
 
-def test_rotation_period_edge(monkeypatch):
+def test_rotation_period_edge(basis, monkeypatch):
     # the config check accepts exactly the rates whose planned period, the
     # rotating driver's horizon, is at most MAX_T_END
     planned = []
@@ -304,7 +304,8 @@ def test_rotation_period_edge(monkeypatch):
     for w in (edge, -edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0),
               math.nextafter(-edge, 0.0), 0.3):
         with pytest.raises(StopIteration):
-            euler_sim.run_rotating_orbit_experiment(steady_family.VElement(0.0, 1.0), w, None, 2.0)
+            euler_sim.run_rotating_orbit_experiment(steady_family.VElement(0.0, 1.0), w, None, 2.0,
+                                                    basis=basis)
         accepted = planned[-1] <= cli.MAX_T_END
         verdicts.append(accepted)
         if accepted:

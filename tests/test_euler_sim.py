@@ -199,15 +199,6 @@ def test_rotating_run_matches_reference(basis):
     assert abs(res.extra["recovered_omega"] - 0.2999088806754532) <= 1e-12 * 0.3
 
 
-def test_drivers_without_basis_raise_value_error():
-    # the stability driver used to die on None.basis with AttributeError
-    ve = sf.VElement(0.4, 1.0, 0.3)
-    with pytest.raises(ValueError, match="need a basis"):
-        es.run_stability_experiment(ve, None, 2.0)
-    with pytest.raises(ValueError, match="need a basis"):
-        es.run_rotating_orbit_experiment(ve, 0.3, None, 2.0)
-
-
 def test_perturbation_builders(basis, rng):
     ve = sf.VElement(0.5, 1.0, 0.7)
     for kind in ("random-shuffle", "mode-injection", "smooth-random"):
@@ -253,6 +244,8 @@ def test_band_limit_enforcement(basis):
 
 
 def test_solver_rejects_fields_outside_the_band(basis):
+    # tendency, velocity_magnitude and a SolverState's construction each
+    # refuse a field with content outside the band, even a 1e-13 corner mode
     ve = sf.VElement(0.5, 1.0, 0.3)
     state = es.steady_state(ve, basis)
     rotating = es.steady_state(ve, basis, uniform=0.6)
@@ -261,6 +254,8 @@ def test_solver_rejects_fields_outside_the_band(basis):
     for f in (corner, w):
         with pytest.raises(ResolutionError, match="outside the dealias band"):
             es.tendency(f)
+        with pytest.raises(ResolutionError, match="outside the dealias band"):
+            es.SolverState(w=f)
         for bg in (state.background, rotating.background):
             with pytest.raises(ResolutionError, match="outside the dealias band"):
                 es.tendency(f, bg)
@@ -749,7 +744,7 @@ def test_run_raises_on_non_finite_state(basis):
     state = es.steady_state(sf.VElement(0.5, 1.0, 0.0), basis)
     c = state.w.coeffs.copy()
     c[1, 0] = np.nan
-    state.w = ds.SpectralField(basis, c)
+    state = es.SolverState(ds.SpectralField(basis, c), state.background)
     with pytest.raises(NonFiniteFieldError):
         es.run(state, es.RunConfig(t_end=1.0))
     assert state.diagnostics == []          # nothing was recorded
@@ -964,7 +959,8 @@ def test_run_dt_sequence_matches_four_grid_velocity(basis, monkeypatch):
     for velocity in (es.velocity_magnitude, _four_grid_velocity_magnitude):
         monkeypatch.setattr(es, "velocity_magnitude", velocity)
         state = es.steady_state(ve, basis, uniform=0.6)
-        state.w = ds.SpectralField(basis, state.w.coeffs + pert.coeffs)
+        state = es.SolverState(ds.SpectralField(basis, state.w.coeffs + pert.coeffs),
+                               state.background)
         steps.clear()
         es.run(state, es.RunConfig(t_end=1.0, cadence=3, reference=ve))
         sequences.append(list(steps))
@@ -975,7 +971,7 @@ def test_run_dt_sequence_matches_four_grid_velocity(basis, monkeypatch):
 def test_grid_values_are_the_band_synthesis(basis):
     # full_grid_values and stream_grid_values of an in-band state equal
     # to_grid of the whole spectrum (plus the channel profile) bitwise, and a
-    # state outside the band is refused
+    # state outside the band is refused at construction
     coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
     for b in (basis, coarse):
         for w, bg in _band_states(b):
@@ -988,10 +984,8 @@ def test_grid_values_are_the_band_synthesis(basis):
                     psi = psi + background.stream_profile[:, None]
                 assert np.array_equal(state.full_grid_values().values, omega)
                 assert np.array_equal(state.stream_grid_values().values, psi)
-        dirty = es.SolverState(w=_corner_mode(b, 1e-13))
-        for values in (dirty.full_grid_values, dirty.stream_grid_values):
-            with pytest.raises(ResolutionError, match="outside the dealias band"):
-                values()
+        with pytest.raises(ResolutionError, match="outside the dealias band"):
+            es.SolverState(w=_corner_mode(b, 1e-13))
 
 
 def test_solver_import_loads_neither_ascent_nor_cli():

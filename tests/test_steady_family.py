@@ -7,7 +7,7 @@ from diskvort import disk_spectral as ds
 from diskvort import euler_sim as es
 from diskvort import steady_family as sf
 from diskvort.bessel import bessel_j, bessel_zero
-from diskvort.errors import ResolutionError
+from diskvort.errors import NonFiniteFieldError, ResolutionError
 
 
 def test_normal_form():
@@ -176,6 +176,44 @@ def test_solve_moment_system_inconsistent():
     # r2 beyond the cubic's range on the admissible interval
     assert sf.solve_moment_system(sf.MomentPair(1.0, 5.0)) is None
     assert sf.solve_moment_system(sf.MomentPair(-1.0, 0.0)) is None
+
+
+def test_solve_moment_system_rejects_non_finite_moments():
+    # a NaN r2 once gave a finite wrong pair, a NaN or infinite r1 (nan, nan)
+    for r1, r2 in ((1.0, math.nan), (math.nan, 0.0), (math.inf, 0.0), (1.0, -math.inf)):
+        with pytest.raises(NonFiniteFieldError):
+            sf.solve_moment_system(sf.MomentPair(r1, r2))
+
+
+def _bisected_moment_root(r1, r2):
+    """(a, b) as solve_moment_system found them before its closed form: 200
+    bisection steps on the increasing cubic -2x^3 + 3 r1 x over 2x^2 <= r1."""
+    xmax = math.sqrt(r1 / 2.0)
+    f = lambda x: -2.0 * x**3 + 3.0 * r1 * x
+    lo, hi = -xmax, xmax
+    target = min(max(r2, f(lo)), f(hi))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    x = 0.5 * (lo + hi)
+    return x, math.sqrt(max(r1 - 2.0 * x * x, 0.0))
+
+
+def test_closed_form_moment_root_matches_bisection():
+    # Viete's root against the bisection oracle, with b kept off the double
+    # root at b = 0: within 1e-10 of it and of the true (a, b), both of which
+    # the bisection reaches to ~6e-11
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        a, b = rng.uniform(-1.5, 1.5), rng.uniform(0.05, 1.5)
+        r1, r2 = 2 * a * a + b * b, 4 * a**3 + 3 * a * b * b
+        got = sf.solve_moment_system(sf.MomentPair(r1, r2))
+        expect = _bisected_moment_root(r1, r2)
+        assert max(abs(got[0] - expect[0]), abs(got[1] - expect[1])) <= 1e-10
+        assert max(abs(got[0] - a), abs(got[1] - b)) <= 1e-10
 
 
 def test_moment_uniqueness_by_grid_scan(rng):
