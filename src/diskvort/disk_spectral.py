@@ -182,15 +182,17 @@ class DiskBasis:
         synth_t = np.stack([-n_band * w_sin, -n_band * w_cos], axis=1).reshape(2 * nd + 2, -1)
         w_rows = np.repeat(w[: nd + 1], 2, axis=0)
         # The solver's radial operator, (nd+1, kd, 4 n_r): per mode and basis
-        # function the columns d_r omega, d_r psi, (1/r) omega and (1/r) psi,
-        # psi = omega / j^2 folded in; filled in place, so that the build holds
-        # no second copy of the table (0.6 MB at the defaults)
+        # function the columns d_r omega, d_r psi, (1/r) psi and (1/r) omega,
+        # psi = omega / j^2 folded in, so that the d_r block times the (1/r)
+        # block pairs the two advection products, and the psi columns are
+        # adjacent; filled in place, so that the build holds no second copy of
+        # the table (0.6 MB at the defaults)
         radial = np.empty((nd + 1, kd, 4, grid.n_r))
         mult = self.green_mult[: nd + 1, :kd, None]
         radial[:, :, 0] = r_diff[: nd + 1, :, :kd].transpose(0, 2, 1)
         radial[:, :, 1] = radial[:, :, 0] * mult
-        radial[:, :, 2] = self.r_eval[: nd + 1, :, :kd].transpose(0, 2, 1) / r
-        radial[:, :, 3] = radial[:, :, 2] * mult
+        radial[:, :, 3] = self.r_eval[: nd + 1, :, :kd].transpose(0, 2, 1) / r
+        radial[:, :, 2] = radial[:, :, 3] * mult
         mean0 = self.mean0[:_MEAN_FIX_MODES]
         # The advection product of two band fields has modes |n| <= 2 nd, so
         # its projection onto |n| <= nd is exact on any n_b > 3 nd equispaced
@@ -215,9 +217,20 @@ class DiskBasis:
             "sub_synth_r": np.ascontiguousarray(synth_r[:, ::s]),
             "sub_synth_t": np.ascontiguousarray(synth_t[:, ::s]),
             "sub_analyze": (synth_r[:, ::s] / w_rows).T / (grid.n_theta // s),
-            # the mean fix's spanning row and its Gram entry
+            # the mean fix's constants: the defect row mean0[:kd]; its
+            # spanning row mean0 on the lowest modes, as an array for the
+            # Gram dot and as floats, with the n = 0 Green multipliers and
+            # norms there; and its Gram entry
+            "mean_row": self.mean0[:kd].copy(),
             "mean0": mean0,
+            "fix_rows": (mean0.tolist(), self.green_mult[0, :_MEAN_FIX_MODES].tolist(),
+                         self.norm2[0, :_MEAN_FIX_MODES].tolist()),
             "g00": float(mean0 @ mean0),
+            # the CFL step's length pi / max j, the half wavelength of the
+            # finest band oscillation: the Gauss-Legendre node clustering near
+            # r = 0 and r = 1 is a quadrature artifact, not a stability
+            # constraint of the Galerkin evaluation
+            "spacing": math.pi / self.roots[: nd + 1, :kd].max(),
         }
 
     def dealias_band(self):

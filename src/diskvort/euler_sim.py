@@ -24,8 +24,9 @@ taken on the full grid, which the subgrid would under-sample.
 The band is the solver's only domain.  ``tendency`` and
 ``velocity_magnitude`` raise ResolutionError on a field with any nonzero
 coefficient outside it.  The experiments admit a perturbation through
-``require_band_limited`` (coefficients outside the band at most 1e-12 of the
-largest) and zero that residue with ``band_limit``, so every run starts
+``require_band_limited`` (every coefficient finite, NonFiniteFieldError
+otherwise, and those outside the band at most 1e-12 of the largest) and
+zero that residue with ``band_limit``, so every run starts
 exactly in the band and the Galerkin truncation keeps it there.  The time
 step is the CFL limit times a safety factor in (0, 1], refreshed every
 cadence steps.
@@ -33,18 +34,21 @@ cadence steps.
 RK4 stages live on the real band array of shape (nd+1, 2, kd), a [Re c; Im c]
 row pair per mode, whose layout and transform kernels belong to
 disk_spectral.  A stage is one batched product with the band's radial
-operator (the d_r and (1/r) columns of omega and psi, psi = omega / j^2
-folded in), one product per DFT table, the advection product on the
-subgrid, one analysis product and one batched projection; every reshape
-between them is a free view.  ``tendency`` takes a SpectralField (checked
-and answered in kind) or the stepper's unchecked in-band carrier (answered
-with the band array).
+operator (the columns d_r omega, d_r psi, (1/r) psi and (1/r) omega,
+psi = omega / j^2 folded in), one product per DFT table, the advection
+product on the subgrid as two in-place operations on the synthesized
+blocks, one analysis product, one batched projection and the mean fix on
+the band kit's prepared constants; every reshape between them is a free
+view, and the stage inputs and the RK4 sum are formed in place.
+``tendency`` takes a SpectralField (checked and answered in kind) or the
+stepper's unchecked in-band carrier (answered with the band array).
 
 A run lives on that carrier from step to step: a ``SolverState`` holds only
 the carrier, checked against the band once, when the state is built from a
 SpectralField; ``step_rk4`` answers with a state built from the new
 carrier, and a SpectralField is padded only where a caller asks a state for
-``w``.  The CFL velocity is taken from the carrier too.  The trace is read
+``w``.  The CFL velocity is taken from the carrier too, by one product
+with the radial operator's psi columns.  The trace is read
 from the coefficients: the energy, L^2 norm and mean are Parseval sums plus
 the channel's couplings and its own integrals (built with
 ``RadialBackground``), and the p = 2 orbital distance is a masked Parseval
@@ -66,7 +70,6 @@ import numpy as np
 
 from .bessel import bessel_j
 from .disk_spectral import (
-    _MEAN_FIX_MODES,
     DiskBasis,
     GridField,
     SpectralField,
@@ -96,19 +99,6 @@ from .steady_family import VElement, dipole_part, orbital_distance, v_element_gr
 _Band = namedtuple("_Band", "basis values")
 
 
-def _band_grids(y, kit, synth_r, synth_t, background=None):
-    """(d_r omega, (1/r) d_theta omega, d_r psi, (1/r) d_theta psi) of the band
-    array y = [Re c; Im c] on the angles of the synthesis tables.
-    ``background`` adds its radial profiles to the n = 0 real row."""
-    m = np.matmul(y, kit["radial"])        # (nd+1, 2, 4 n_r)
-    nr = m.shape[2] // 4
-    if background is not None:
-        m[0, 0, :nr] += background.d_r_profile
-        m[0, 0, nr: 2 * nr] += background.stream_d_r_profile
-    d_r, over_r = _synth(m, (synth_r, synth_t))
-    return d_r[:nr], over_r[:nr], d_r[nr:], over_r[nr:]
-
-
 def _carrier(w: SpectralField | _Band) -> _Band:
     """The in-band carrier of w: w itself, or a checked SpectralField's band."""
     return w if isinstance(w, _Band) else _Band(w.basis, _band_values(w))
@@ -116,16 +106,21 @@ def _carrier(w: SpectralField | _Band) -> _Band:
 
 def velocity_magnitude(w: SpectralField | _Band, background=None):
     """Max |u| on the grid from the two grids of psi alone, synthesized from
-    the psi columns of the band's radial operator;
+    the adjacent psi columns of the band's radial operator in one product;
     u_r = (1/r) d_theta psi, u_theta = -d_r psi.  ``w`` is a SpectralField in
-    the band (ResolutionError otherwise) or the stepper's carrier."""
+    the band (ResolutionError otherwise) or the stepper's carrier.  The root
+    of the largest |u|^2 is the largest root, sqrt being monotone and
+    correctly rounded."""
     b, y = _carrier(w)
-    kit, nr, radial = b.band_kit, b.grid.n_r, b.band_kit["radial"]
-    dr_psi, = _synth(np.matmul(y, radial[..., nr: 2 * nr]), (kit["synth_r"],))
-    dth_psi, = _synth(np.matmul(y, radial[..., 3 * nr:]), (kit["synth_t"],))
+    kit, nr = b.band_kit, b.grid.n_r
+    dr_psi, dth_psi = _synth(np.matmul(y, kit["radial"][..., nr: 3 * nr]),
+                             (kit["synth_r"], kit["synth_t"]))
     if background is not None:
-        dr_psi = dr_psi + background.stream_d_r_profile[:, None]
-    return float(np.sqrt(dr_psi**2 + dth_psi**2).max())
+        dr_psi += background.stream_d_r_profile[:, None]
+    dr_psi *= dr_psi
+    dth_psi *= dth_psi
+    dr_psi += dth_psi
+    return math.sqrt(dr_psi.max())
 
 
 def _mean_fix(row0, y: _Band, background):
@@ -142,23 +137,25 @@ def _mean_fix(row0, y: _Band, background):
     and stays far below the L2 drift budget.)
 
     ``row0`` holds the real n = 0 coefficients k = 1, 2, ... of the tendency
-    of the state ``y`` and is corrected in place.
+    of the state ``y`` and is corrected in place.  The constants come from
+    the band kit; the stream row q is formed and the 2 x 2 system solved on
+    floats, and the numpy calls are the defect dot, the two Gram dots on one
+    6-element array (BLAS dots: Python float sums would round them
+    differently) and the slice update.
     """
-    b = y.basis
-    kit = b.band_kit
-    m = _MEAN_FIX_MODES
-    defect = float(row0 @ b.mean0[: row0.size])
-    psi = y.values[0, 0, :m] * b.green_mult[0, :m]
-    if background is not None:
-        psi = psi + background.stream_row
-    # the correction spans mean0 and psi weighted by norm2; its 2 x 2 Gram
-    # system G alpha = (defect, 0), regularized, solved by Cramer's rule
-    mean0, q = kit["mean0"], psi * b.norm2[0, :m]
-    g00, g01, g11 = kit["g00"], float(mean0 @ q), float(q @ q)
+    kit = y.basis.band_kit
+    defect = float(row0.dot(kit["mean_row"]))
+    mean0, green, norm2 = kit["fix_rows"]
+    stream = (0.0,) * len(mean0) if background is None else background.stream_row
+    q = [(v * g + s) * n for v, g, s, n in zip(y.values[0, 0].tolist(), green, stream, norm2)]
+    qa = np.array(q)
+    # the correction spans mean0 and q; its 2 x 2 Gram system
+    # G alpha = (defect, 0), regularized, solved by Cramer's rule
+    g00, g01, g11 = kit["g00"], float(kit["mean0"].dot(qa)), float(qa.dot(qa))
     reg = 1e-14 * max(g00, g11, 1e-30)
     g00, g11 = g00 + reg, g11 + reg
     scale = defect / (g00 * g11 - g01 * g01)
-    row0[:m] -= scale * (g11 * mean0 - g01 * q)
+    row0[: len(q)] -= [scale * (g11 * m - g01 * x) for m, x in zip(mean0, q)]
 
 
 def tendency(w: SpectralField | _Band, background: RadialBackground | None = None):
@@ -168,12 +165,21 @@ def tendency(w: SpectralField | _Band, background: RadialBackground | None = Non
     answered with a SpectralField, or the stepper's ``_Band``, answered with
     the band array.  The product is formed on the band subgrid; ``background``
     adds the exact radial channel to omega and psi, its uniform offset included.
+    The radial operator's d_r block [d_r omega; d_r psi] times its (1/r) block
+    [(1/r) d_theta psi; (1/r) d_theta omega] holds both advection products.
     """
     y = _carrier(w)
     kit = y.basis.band_kit
-    dr_om, dth_om, dr_psi, dth_psi = _band_grids(y.values, kit, kit["sub_synth_r"],
-                                                 kit["sub_synth_t"], background)
-    band = _project(dr_psi * dth_om - dth_psi * dr_om, kit["sub_analyze"], kit["proj"])
+    m = np.matmul(y.values, kit["radial"])        # (nd+1, 2, 4 n_r)
+    nr = m.shape[2] // 4
+    if background is not None:
+        m[0, 0, : 2 * nr] += background.d_r_pair
+    d_r, over_r = _synth(m, (kit["sub_synth_r"], kit["sub_synth_t"]))
+    del m                   # freed before the projection's temporaries
+    d_r *= over_r
+    advection = d_r[nr:]
+    advection -= d_r[:nr]
+    band = _project(advection, kit["sub_analyze"], kit["proj"])
     _mean_fix(band[0, 0], y, background)
     return band if y is w else SpectralField(y.basis, _embed(band, y.basis))
 
@@ -246,22 +252,13 @@ class SolverState:
         return self._grid_values(True)
 
 
-def resolved_spacing(basis: DiskBasis) -> float:
-    """Half wavelength of the finest retained basis oscillation.
-
-    The Gauss-Legendre node clustering near r = 0 and r = 1 is a quadrature
-    artifact, not a stability constraint for the Galerkin evaluation, so the
-    advective limit uses the resolved scale pi / max j instead.
-    """
-    nd, kd = basis.dealias_band()
-    return math.pi / basis.roots[: nd + 1, :kd].max()
-
-
 def cfl_dt(state: SolverState, safety: float) -> float:
+    """safety times the advective limit pi / max j / max|u|: the resolved
+    spacing of the band kit over the largest velocity."""
     umax = velocity_magnitude(state.band, state.background)
     if umax == 0.0:
         return math.inf
-    return safety * resolved_spacing(state.band.basis) / umax
+    return safety * state.band.basis.band_kit["spacing"] / umax
 
 
 def step_rk4(state: SolverState, dt: float, check_cfl=True) -> SolverState:
@@ -276,11 +273,24 @@ def step_rk4(state: SolverState, dt: float, check_cfl=True) -> SolverState:
     y, bg = state.band, state.background
     b, y0 = y
     k1 = tendency(y, bg)
-    k2 = tendency(_Band(b, y0 + 0.5 * dt * k1), bg)
-    k3 = tendency(_Band(b, y0 + 0.5 * dt * k2), bg)
-    k4 = tendency(_Band(b, y0 + dt * k3), bg)
-    y1 = y0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return SolverState(_Band(b, y1), bg, state.t + dt, state.diagnostics)
+    stage = k1 * (0.5 * dt)
+    stage += y0
+    k2 = tendency(_Band(b, stage), bg)
+    np.multiply(k2, 0.5 * dt, out=stage)
+    stage += y0
+    k3 = tendency(_Band(b, stage), bg)
+    np.multiply(k3, dt, out=stage)
+    stage += y0
+    k4 = tendency(_Band(b, stage), bg)
+    # y0 + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), summed left to right in k2
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += y0
+    return SolverState(_Band(b, k2), bg, state.t + dt, state.diagnostics)
 
 
 @dataclass(frozen=True)
@@ -391,7 +401,11 @@ def band_limit(f: SpectralField) -> SpectralField:
 
 
 def require_band_limited(f: SpectralField):
-    """ResolutionError if a coefficient outside the band exceeds 1e-12 of the largest."""
+    """NonFiniteFieldError if a coefficient is not finite (band_limit would
+    zero one outside the band); ResolutionError if a coefficient outside the
+    band exceeds 1e-12 of the largest."""
+    if not np.isfinite(f.coeffs).all():
+        raise NonFiniteFieldError("perturbation has a non-finite coefficient")
     outside = max(float(np.abs(block).max(initial=0.0))
                   for block in _outside_band(f.coeffs, f.basis))
     scale = max(float(np.abs(f.coeffs).max()), 1e-300)

@@ -30,10 +30,12 @@ class RadialBackground:
     c = uniform, from one recurrence that gives J_0 and J_1 on the radii of
     ``basis.grid`` and J_0(root): the vorticity profile a J_0(root r) + c,
     the stream profile a (J_0(root r) - J_0(root)) / root^2 + c (1 - r^2) / 4,
-    their radial derivatives, and ``stream_row``, the first _MEAN_FIX_MODES
+    their radial derivatives, also held as one (2 n_r,) array ``d_r_pair``
+    [d_r omega; d_r psi], which euler_sim adds to the d_r block of its band
+    product in one slice add, and ``stream_row``, the first _MEAN_FIX_MODES
     n = 0 coefficients of the stream profile that euler_sim's mean fix
-    needs, projected by the basis' own analysis operator.  Callers add a
-    profile to a grid by broadcasting it over the angles.
+    needs, projected by the basis' own analysis operator, as floats.
+    Callers add a profile to a grid by broadcasting it over the angles.
 
     euler_sim's trace reads the channel's coupling to the band from two
     vectors of 2 pi r w quadratures against the band's n = 0 functions
@@ -53,9 +55,10 @@ class RadialBackground:
         stream = a * (j0_profile - j0_root) / root**2 + c * (1.0 - r**2) / 4.0
         self.profile, self.stream_profile = profile, stream
         dual = b.r_eval[0, :, : b.band_kit["kd"]].T
-        self.d_r_profile = -a * root * j1_profile
-        self.stream_d_r_profile = -a * j1_profile / root - 0.5 * c * r
-        self.stream_row = b.analysis[0, :_MEAN_FIX_MODES] @ stream
+        self.d_r_pair = np.concatenate([-a * root * j1_profile,
+                                        -a * j1_profile / root - 0.5 * c * r])
+        self.d_r_profile, self.stream_d_r_profile = np.split(self.d_r_pair, 2)
+        self.stream_row = (b.analysis[0, :_MEAN_FIX_MODES] @ stream).tolist()
         self.omega_dual = dual @ (rw * profile)
         self.stream_dual = dual @ (rw * stream)
         self.energy = 0.5 * float(rw @ (profile * stream))

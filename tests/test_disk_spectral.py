@@ -463,15 +463,16 @@ def _check_band_tables(basis):
     if s & (s - 1) == 0:
         assert np.array_equal(kit["sub_analyze"], scaled)
     assert np.abs(kit["sub_analyze"] - scaled).max() <= 1e-16
-    # the band's (1/r) omega columns divide the r_eval slice by r, and the
-    # psi columns are the omega columns over j^2
+    # the columns d_r omega, d_r psi, (1/r) psi, (1/r) omega: the band's
+    # (1/r) omega columns divide the r_eval slice by r, and the psi columns
+    # are the omega columns over j^2
     nr, kd = basis.grid.n_r, kit["kd"]
     radial = kit["radial"].reshape(nd + 1, kd, 4, nr)
-    assert np.array_equal(radial[:, :, 2],
+    assert np.array_equal(radial[:, :, 3],
                           (basis.r_eval[: nd + 1, :, :kd] / basis.grid.r[:, None]).transpose(0, 2, 1))
     mult = basis.green_mult[: nd + 1, :kd, None]
     assert np.array_equal(radial[:, :, 1], radial[:, :, 0] * mult)
-    assert np.array_equal(radial[:, :, 3], radial[:, :, 2] * mult)
+    assert np.array_equal(radial[:, :, 2], radial[:, :, 3] * mult)
     assert not hasattr(basis, "r_over")
 
 

@@ -243,6 +243,25 @@ def test_band_limit_enforcement(basis):
         es.require_band_limited(_corner_mode(basis))
 
 
+def test_experiments_reject_non_finite_perturbations():
+    # a NaN outside the band would be zeroed by band_limit and the run would
+    # go on silently (NaN fails every comparison of the band check); an
+    # infinity inside it is refused the same way, before any step
+    b = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    ve = sf.VElement(0.5, 1.0, 0.3)
+    pert = es.make_perturbation("smooth-random", ve, 1e-3, 2.0, b, np.random.default_rng(8))
+    for (n, k), value in (((6, 9), np.nan), ((1, 0), np.inf), ((0, 2), -np.inf)):
+        c = pert.coeffs.copy()
+        c[n, k] = value
+        bad = ds.SpectralField(b, c)
+        with pytest.raises(NonFiniteFieldError, match="non-finite coefficient"):
+            es.require_band_limited(bad)
+        with pytest.raises(NonFiniteFieldError):
+            es.run_stability_experiment(ve, bad, 2.0, t_end=0.3, basis=b)
+        with pytest.raises(NonFiniteFieldError):
+            es.run_rotating_orbit_experiment(ve, 0.3, bad, 2.0, t_end=0.3, basis=b)
+
+
 def test_solver_rejects_fields_outside_the_band(basis):
     # tendency, velocity_magnitude and a SolverState's construction each
     # refuse a field with content outside the band, even a 1e-13 corner mode
@@ -330,10 +349,25 @@ def _pointwise_band_grids(w, theta, background=None):
     return grids
 
 
+def _band_grids(y, kit, synth_r, synth_t, background=None):
+    """(d_r omega, (1/r) d_theta omega, d_r psi, (1/r) d_theta psi) of the band
+    array y on the angles of the synthesis tables, read from the blocks that
+    tendency forms: the radial operator's d_r columns [d_r omega; d_r psi]
+    and its (1/r) columns [(1/r) psi; (1/r) omega], the channel's d_r pair
+    added to the n = 0 real row."""
+    m = np.matmul(y, kit["radial"])
+    nr = m.shape[2] // 4
+    if background is not None:
+        m[0, 0, : 2 * nr] += background.d_r_pair
+    d_r, over_r = ds._synth(m, (synth_r, synth_t))
+    return d_r[:nr], over_r[nr:], d_r[nr:], over_r[:nr]
+
+
 def _check_band_grids(basis, full):
-    """_band_grids on the collocation tables (full) or on the subgrid tables
-    against the pointwise oracle, with no channel, a J_0 channel and one with
-    a uniform offset too; on the collocation grid also velocity_magnitude."""
+    """The band grids on the collocation tables (full) or on the subgrid
+    tables against the pointwise oracle, with no channel, a J_0 channel and
+    one with a uniform offset too; on the collocation grid also
+    velocity_magnitude."""
     coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
     for b in (basis, coarse):
         kit = b.band_kit
@@ -343,7 +377,7 @@ def _check_band_grids(basis, full):
         for w, bg in _band_states(b):
             y = ds._band_values(w)
             for background in _channels(bg):
-                got = es._band_grids(y, kit, *tables, background)
+                got = _band_grids(y, kit, *tables, background)
                 expect = _pointwise_band_grids(w, b.grid.theta[::s], background)
                 for g, e in zip(got, expect):
                     assert g.shape == (b.grid.n_r, b.grid.n_theta // s)
@@ -402,7 +436,7 @@ def _full_grid_tendency(w, background, rotation=0.0):
     terms = project(dr_psi * dth_om), project(dth_psi * dr_om)
     coeffs = project(dr_psi * dth_om - dth_psi * dr_om)
     # the mean fix as a 2 x 2 solve
-    M = es._MEAN_FIX_MODES
+    M = ds._MEAN_FIX_MODES
     defect = float((coeffs[0].real * b.mean0).sum())
     psi = w.coeffs[0].real[:M] * b.green_mult[0, :M]
     if background is not None:
@@ -559,7 +593,7 @@ def test_stream_row_matches_closed_form(basis):
             root = sf.VElement(0.0, 1.0, 0.0, family=family).root
             for c in (0.0, 0.6):
                 bg = es.RadialBackground(0.5, root, b, uniform=c)
-                expect = _closed_form_stream_row(bg)[: es._MEAN_FIX_MODES]
+                expect = _closed_form_stream_row(bg)[: ds._MEAN_FIX_MODES]
                 assert np.abs(bg.stream_row - expect).max() <= tol, (family, c)
 
 
@@ -662,8 +696,9 @@ def _old_band_kit(basis):
 def _oracle_band_kit(basis):
     """The band operators of the row-pair layout, re-laid from the old ones:
     the DFT rows (columns) a [cos; -sin] pair per mode, the radial operator
-    (nd+1, kd, 4 n_r) with the columns d_r omega, d_r psi, (1/r) omega and
-    (1/r) psi, psi = omega / j^2 folded in, and the mean fix's constants."""
+    (nd+1, kd, 4 n_r) with the columns d_r omega, d_r psi, (1/r) psi and
+    (1/r) omega, psi = omega / j^2 folded in, the mean fix's constants and
+    the CFL spacing."""
     old = _old_band_kit(basis)
     nd, kd, nr = old["nd"], old["kd"], basis.grid.n_r
 
@@ -671,11 +706,12 @@ def _oracle_band_kit(basis):
         return rows.reshape(2, nd + 1, -1).transpose(1, 0, 2).reshape(2 * nd + 2, -1)
 
     d_r, over_r, mult = old["radial"][:, :nr], old["radial"][:, nr:], old["mult"][:, None]
-    mean0 = basis.mean0[: es._MEAN_FIX_MODES]
+    m = ds._MEAN_FIX_MODES
+    mean0 = basis.mean0[:m]
     return {
         "nd": nd,
         "kd": kd,
-        "radial": np.concatenate([d_r, d_r * mult, over_r, over_r * mult],
+        "radial": np.concatenate([d_r, d_r * mult, over_r * mult, over_r],
                                  axis=1).transpose(0, 2, 1).copy(),
         "synth_r": pairs(old["synth_r"]),
         "synth_t": pairs(old["synth_t"]),
@@ -684,8 +720,12 @@ def _oracle_band_kit(basis):
         "sub_synth_r": pairs(old["sub_synth_r"]),
         "sub_synth_t": pairs(old["sub_synth_t"]),
         "sub_analyze": pairs(old["sub_analyze"].T).T,
+        "mean_row": basis.mean0[:kd],
         "mean0": mean0,
+        "fix_rows": (mean0.tolist(), basis.green_mult[0, :m].tolist(),
+                     basis.norm2[0, :m].tolist()),
         "g00": float(mean0 @ mean0),
+        "spacing": math.pi / basis.roots[: nd + 1, :kd].max(),
     }
 
 
@@ -694,6 +734,8 @@ def test_band_operators_built_with_basis(basis, monkeypatch):
     assert set(basis.band_kit) == set(oracle)
     for key, value in oracle.items():
         assert np.array_equal(basis.band_kit[key], value), key
+    assert basis.band_kit["mean_row"].flags.c_contiguous
+    assert all(type(x) is float for row in basis.band_kit["fix_rows"] for x in row)
     # the in-band tendency is bit-identical under the lazily built operators
     ve = sf.VElement(0.5, 1.0, 0.3)
     state = es.steady_state(ve, basis)
@@ -716,13 +758,13 @@ def test_mean_fix_matches_linear_solve(basis):
     pert = es.make_perturbation("smooth-random", ve, 0.05, 2.0, basis,
                                 np.random.default_rng(3))
     w = ds.SpectralField(basis, state.w.coeffs + pert.coeffs)
-    m = es._MEAN_FIX_MODES
+    m = ds._MEAN_FIX_MODES
     for bg in _channels(state.background):
         kit = basis.band_kit
         raw = ds._embed(ds._project(np.random.default_rng(4).standard_normal(
             (basis.grid.n_r, basis.grid.n_theta)), _band_analyze(basis), kit["proj"]), basis)
         got = raw.copy()
-        es._mean_fix(got[0].real, es._Band(basis, ds._band_values(w)), bg)
+        es._mean_fix(got[0, : kit["kd"]].real, es._Band(basis, ds._band_values(w)), bg)
         # the rows the correction spans: mean0 and the stream function
         # weighted by norm2, the channel's from its closed form
         psi = w.coeffs[0].real * basis.green_mult[0]
@@ -764,16 +806,122 @@ def _spectral_field_rk4(state, dt):
     return es.SolverState(w=w_new, background=bg, t=state.t + dt)
 
 
-def _four_grid_velocity_magnitude(w, background=None):
-    """Max |u| as it was taken before: all four band grids synthesized on the
-    collocation grid, the two of psi read.  ``w`` is a SpectralField or the
-    stepper's carrier, as for velocity_magnitude."""
-    b, y = w if isinstance(w, es._Band) else (w.basis, ds._band_values(w))
-    kit = b.band_kit
-    _, _, dr_psi, dth_psi = es._band_grids(y, kit, kit["synth_r"], kit["synth_t"])
+# The in-band stage as it ran before the paired advection product, kept as
+# its oracle: the radial operator's columns in the order d_r omega, d_r psi,
+# (1/r) omega, (1/r) psi, the four band grids, the product as three
+# allocating ufuncs, the mean fix on numpy vectors, the RK4 stages and sum as
+# whole-array expressions, and the CFL velocity from one product per psi
+# column block.
+
+
+def _unpaired_kit(basis):
+    """The band kit with the radial operator's columns in the unpaired order
+    d_r omega, d_r psi, (1/r) omega, (1/r) psi."""
+    kit = dict(basis.band_kit)
+    nd, kd, nr = kit["nd"], kit["kd"], basis.grid.n_r
+    radial = kit["radial"].reshape(nd + 1, kd, 4, nr)[:, :, [0, 1, 3, 2]]
+    kit["radial"] = radial.reshape(nd + 1, kd, 4 * nr)
+    return kit
+
+
+def _unpaired_band_grids(y, kit, synth_r, synth_t, background=None):
+    m = np.matmul(y, kit["radial"])        # (nd+1, 2, 4 n_r)
+    nr = m.shape[2] // 4
+    if background is not None:
+        m[0, 0, :nr] += background.d_r_profile
+        m[0, 0, nr: 2 * nr] += background.stream_d_r_profile
+    d_r, over_r = ds._synth(m, (synth_r, synth_t))
+    return d_r[:nr], over_r[:nr], d_r[nr:], over_r[nr:]
+
+
+def _unpaired_mean_fix(row0, y, kit, background):
+    b, m = y.basis, ds._MEAN_FIX_MODES
+    defect = float(row0 @ b.mean0[: row0.size])
+    psi = y.values[0, 0, :m] * b.green_mult[0, :m]
+    if background is not None:
+        psi = psi + np.array(background.stream_row)
+    mean0, q = kit["mean0"], psi * b.norm2[0, :m]
+    g00, g01, g11 = kit["g00"], float(mean0 @ q), float(q @ q)
+    reg = 1e-14 * max(g00, g11, 1e-30)
+    g00, g11 = g00 + reg, g11 + reg
+    scale = defect / (g00 * g11 - g01 * g01)
+    row0[:m] -= scale * (g11 * mean0 - g01 * q)
+
+
+def _unpaired_tendency(y, background):
+    kit = _unpaired_kit(y.basis)
+    dr_om, dth_om, dr_psi, dth_psi = _unpaired_band_grids(
+        y.values, kit, kit["sub_synth_r"], kit["sub_synth_t"], background)
+    band = ds._project(dr_psi * dth_om - dth_psi * dr_om, kit["sub_analyze"], kit["proj"])
+    _unpaired_mean_fix(band[0, 0], y, kit, background)
+    return band
+
+
+def _unpaired_rk4(y, dt, background):
+    b, y0 = y
+    k1 = _unpaired_tendency(y, background)
+    k2 = _unpaired_tendency(es._Band(b, y0 + 0.5 * dt * k1), background)
+    k3 = _unpaired_tendency(es._Band(b, y0 + 0.5 * dt * k2), background)
+    k4 = _unpaired_tendency(es._Band(b, y0 + dt * k3), background)
+    return y0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _unpaired_velocity_magnitude(w, background=None):
+    """Max |u| from the psi columns d_r psi and (1/r) psi, one product and
+    one synthesis each, with the root taken of every grid point."""
+    b, y = es._carrier(w)
+    kit, nr = _unpaired_kit(b), b.grid.n_r
+    radial = kit["radial"]
+    dr_psi, = ds._synth(np.matmul(y, radial[..., nr: 2 * nr]), (kit["synth_r"],))
+    dth_psi, = ds._synth(np.matmul(y, radial[..., 3 * nr:]), (kit["synth_t"],))
     if background is not None:
         dr_psi = dr_psi + background.stream_d_r_profile[:, None]
     return float(np.sqrt(dr_psi**2 + dth_psi**2).max())
+
+
+def _four_grid_velocity_magnitude(w, background=None):
+    """Max |u| as it was taken before the two-grid synthesis: all four band
+    grids synthesized on the collocation grid, the two of psi read.  ``w`` is
+    a SpectralField or the stepper's carrier, as for velocity_magnitude."""
+    b, y = es._carrier(w)
+    kit = _unpaired_kit(b)
+    _, _, dr_psi, dth_psi = _unpaired_band_grids(y, kit, kit["synth_r"], kit["synth_t"])
+    if background is not None:
+        dr_psi = dr_psi + background.stream_d_r_profile[:, None]
+    return float(np.sqrt(dr_psi**2 + dth_psi**2).max())
+
+
+def _stage_cases(basis):
+    """(field, channel) pairs: _band_states x _channels, and flat band spectra
+    of size 0.05 plus an element, with channels (a, c) in {(0.5, 0), (0, 0),
+    (0.5, 0.6), (0.3, 0.2)}."""
+    for w, bg in _band_states(basis):
+        for background in _channels(bg):
+            yield w, background
+    rng = np.random.default_rng(61)
+    for a, c in ((0.5, 0.0), (0.0, 0.0), (0.5, 0.6), (0.3, 0.2)):
+        ve = sf.VElement(a, 0.8, 1.1)
+        flat = _flat_field(basis, rng, band_only=True).coeffs
+        w = ds.SpectralField(basis, sf.dipole_part(ve, basis).coeffs + 0.05 * flat)
+        yield w, es.RadialBackground(a, ve.root, basis, uniform=c) if a or c else None
+
+
+def test_stage_matches_unpaired_oracle(basis):
+    # tendency, velocity_magnitude and step_rk4 equal the unpaired stage
+    # bitwise, over 8 steps of every case on both bases
+    coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    for b in (basis, coarse):
+        for w, background in _stage_cases(b):
+            state = es.SolverState(w, background)
+            assert es.velocity_magnitude(w, background) == _unpaired_velocity_magnitude(w, background)
+            for _ in range(8):
+                y = state.band
+                assert np.array_equal(es.tendency(y, background), _unpaired_tendency(y, background))
+                assert (es.velocity_magnitude(y, background)
+                        == _unpaired_velocity_magnitude(y, background)
+                        == _four_grid_velocity_magnitude(y, background))
+                state = es.step_rk4(state, 0.02)
+                assert np.array_equal(state.band.values, _unpaired_rk4(y, 0.02, background))
 
 
 def test_band_stages_match_spectral_field_stages(basis):
@@ -839,7 +987,7 @@ def _old_band_grids(cv, kit, synth_r, synth_t, background=None):
 
 
 def _old_mean_fix(row0, cv, basis, background):
-    m = es._MEAN_FIX_MODES
+    m = ds._MEAN_FIX_MODES
     defect = float(row0 @ basis.mean0[: row0.size])
     psi = cv[0, :m, 0] * basis.green_mult[0, :m]
     if background is not None:
@@ -940,6 +1088,18 @@ def test_band_stage_and_stream_solve_peak_memory(basis):
         assert _traced_peak(lambda: es.tendency(y, background)) <= 200 * 1024
     g = ds.to_grid(w)
     assert _traced_peak(lambda: vr._stream_of(g, basis)) <= 135 * 1024
+
+
+def test_rk4_step_peak_memory(basis):
+    # one RK4 step holds its four (nd+1, 2, kd) stage results and one stage
+    # input besides one stage's temporaries, so it stays under the band
+    # stage's bound; its CFL check adds the two collocation grids of psi
+    # (80 KB each) and their band product, squared and summed in place
+    w, bg = next(_band_states(basis))
+    for background in _channels(bg):
+        state = es.SolverState(w, background)
+        assert _traced_peak(lambda: es.step_rk4(state, 0.01, check_cfl=False)) <= 200 * 1024
+        assert _traced_peak(lambda: es.step_rk4(state, 0.01)) <= 256 * 1024
 
 
 def test_run_dt_sequence_matches_four_grid_velocity(basis, monkeypatch):
