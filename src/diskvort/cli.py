@@ -64,7 +64,7 @@ from .steady_family import VElement, orbital_distance, plain_distance, v_element
 from .variational import burton_maximize, solve_v1, solve_v2
 
 # the largest zero index of a bessel-table: the zero scan's time and memory
-# grow with the index, and the (64, 1000) table takes ~13 s, with a 48 MB
+# grow with the index, and the (64, 1000) table takes ~9 s, with a 48 MB
 # peak RSS, on a 2-core x86 VM
 MAX_ZERO_INDEX = 1000
 # the largest horizons and counts: each keeps one run on the default basis
@@ -80,7 +80,7 @@ MAX_N_UNIFORM = 10000
 # the largest collocation grid: the basis tables grow as n_theta_modes n_r
 # k_radial (k_radial < n_r) and the Gauss-Legendre nodes as n_r^2, and the
 # largest accepted basis, DiskBasis(64, 254, DiskGrid(256, 1024)), builds in
-# ~16 s with a 197 MB peak RSS on a 2-core x86 VM
+# ~7 s with a 224 MB peak RSS on a 2-core x86 VM
 MAX_RADIAL_NODES = 256
 MAX_ANGLES = 1024
 # the largest amplitudes |a|, |b| and delta_rel: under a t_end horizon the

@@ -190,9 +190,9 @@ class DiskBasis:
         radial = np.empty((nd + 1, kd, 4, grid.n_r))
         mult = self.green_mult[: nd + 1, :kd, None]
         radial[:, :, 0] = r_diff[: nd + 1, :, :kd].transpose(0, 2, 1)
-        radial[:, :, 1] = radial[:, :, 0] * mult
-        radial[:, :, 3] = self.r_eval[: nd + 1, :, :kd].transpose(0, 2, 1) / r
-        radial[:, :, 2] = radial[:, :, 3] * mult
+        np.multiply(radial[:, :, 0], mult, out=radial[:, :, 1])
+        np.divide(self.r_eval[: nd + 1, :, :kd].transpose(0, 2, 1), r, out=radial[:, :, 3])
+        np.multiply(radial[:, :, 3], mult, out=radial[:, :, 2])
         mean0 = self.mean0[:_MEAN_FIX_MODES]
         # The advection product of two band fields has modes |n| <= 2 nd, so
         # its projection onto |n| <= nd is exact on any n_b > 3 nd equispaced
@@ -412,10 +412,6 @@ def lp_norm(g: GridField, p: float) -> float:
     _check_p(p)
     mu = g.grid.measures
     return float((np.abs(g.values) ** p * mu).sum() ** (1.0 / p))
-
-
-def mean_value(g: GridField) -> float:
-    return float((g.values * g.grid.measures).sum() / math.pi)
 
 
 def spectral_norm2(f: SpectralField) -> float:

@@ -2,7 +2,7 @@
 
 
 class UnsupportedOrderError(ValueError):
-    """Bessel order above the configured maximum."""
+    """Bessel order or argument outside the supported range."""
 
 
 class ZeroScanError(RuntimeError):

@@ -4,13 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from diskvort import bessel
+from diskvort import bessel, disk_spectral
 from diskvort.disk_spectral import DiskBasis, DiskGrid, _projector
-from diskvort.errors import UnsupportedOrderError, ZeroScanError
+from diskvort.cli import MAX_ZERO_INDEX
+from diskvort.errors import NonFiniteFieldError, UnsupportedOrderError, ZeroScanError
 from diskvort.quadrature import interval_rule
 
 
@@ -106,11 +108,48 @@ def test_zero_values_and_ordering():
             assert abs(bessel.bessel_zero(n, k) - ref[k - 1]) < 1e-12
 
 
+def _series(n, s):
+    """J_n at the non-negative abscissae ``s`` by its power series, 30 terms
+    summed with Kahan compensation: the package's evaluator on
+    s <= max(6, sqrt(2 (n + 1))) before the recurrence served every argument,
+    kept as an oracle independent of the package."""
+    half = 0.5 * np.asarray(s, dtype=float)
+    q = half * half
+    term = half ** n / math.factorial(n)
+    total = term.copy()
+    comp = np.zeros_like(total)
+    for m in range(1, 31):
+        term = term * (-q) / (m * (m + n))
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+def _series_kernel(n, s):
+    """_j_neighbours as it was with the power series: the series of orders
+    |n - 1|, n and n + 1 where s <= max(6, sqrt(2 n)), the recurrence beyond
+    (whose start order did not change there), and J_{-1} = -J_1."""
+    s = np.asarray(s, dtype=float)
+    n = np.broadcast_to(n, s.shape)
+    out = np.empty((3, s.size))
+    small = s <= np.maximum(6.0, np.sqrt(2.0 * np.maximum(n, 1)))
+    if not small.all():
+        out[:, ~small] = bessel._miller_rows(s[~small], n[~small] - 1, n[~small] + 1)
+    for m in set(n[small].tolist()):
+        at = small & (n == m)
+        for i, order in enumerate((abs(m - 1), m, m + 1)):
+            out[i, at] = _series(order, s[at])
+    np.copyto(out[0], -out[2], where=n == 0)
+    return out
+
+
 def test_zero_against_series_bisection_oracle():
-    # independent oracle: bisect the power series itself on a bracket around
-    # the first J_0 zero, interval width 1e-10
+    # independent oracle: bisect the power series on a bracket around the
+    # first J_0 zero, interval width 1e-10
     lo, hi = 2.0, 3.0
-    f = lambda x: bessel._series_j((0,), np.array([x]))[0, 0]
+    f = lambda x: _series(0, x)
     assert f(lo) > 0 > f(hi)
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
@@ -121,33 +160,65 @@ def test_zero_against_series_bisection_oracle():
     assert abs(bessel.bessel_zero(0, 1) - 0.5 * (lo + hi)) < 1e-6
 
 
-def _series_loop(n, s):
-    """The power series of one order, as each order was summed before
-    _series_j summed its orders in one pass."""
-    half = 0.5 * s
-    q = half * half
-    term = half ** n / math.factorial(n)
-    total = term.copy()
-    comp = np.zeros_like(total)
-    for m in range(1, bessel._SERIES_TERMS + 1):
-        term = term * (-q) / (m * (m + n))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+# the low-argument rule and its neighbourhood, then a geometric sweep
+_MPMATH_SAMPLE = np.concatenate([[0.0, 5e-324, 1e-300, 1e-12, 0.999e-8, 1.001e-8],
+                                 np.geomspace(1e-8, 12.0, 161)])
 
 
-def test_series_rows_match_per_order_loop():
-    # the one-pass rows of _j_neighbours are bitwise the per-order sums on
-    # the series range
-    for n in range(21):
-        s = np.linspace(1e-3, bessel._SERIES_LIMIT[max(n - 1, 0)], 257)
-        rows = bessel._j_neighbours(n, s)
-        expect = [_series_loop(abs(m), s) for m in (n - 1, n, n + 1)]
-        if n == 0:
-            expect[0] = -expect[2]
-        assert all(np.array_equal(r, e) for r, e in zip(rows, expect)), n
+@pytest.mark.parametrize("n", range(bessel.MAX_ORDER + 2))
+def test_values_against_mpmath(n):
+    # relative error against 200-bit mpmath values, below the smallest normal
+    # float counted against that floor; J_n(0) is exact.  The bound is the
+    # series kernel's worst on the same sample, or (n + 1) eps where that is
+    # larger: at small s the recurrence reaches J_n from the normalization at
+    # order 0 through n steps of two roundings each, where the series rounds
+    # a few times, and above order 8 that makes its worst up to ~8x the
+    # series' (2.2e-15 against 2.6e-16 at n = 64)
+    s = _MPMATH_SAMPLE
+    row, kernel_n = (1, n) if n <= bessel.MAX_ORDER else (2, n - 1)
+    got = bessel._j_neighbours(kernel_n, s)[row]
+    old = _series_kernel(kernel_n, s)[row]
+    assert got[0] == (1.0 if n == 0 else 0.0)
+    with mpmath.workprec(200):
+        ref = [mpmath.besselj(n, mpmath.mpf(float(x))) for x in s]
+        floor = mpmath.mpf(np.finfo(float).tiny)
+
+        def worst(values):
+            return max(float(abs(mpmath.mpf(float(v)) - r) / max(abs(r), floor))
+                       for v, r in zip(values, ref))
+
+        bound = max(worst(old), (n + 1) * np.finfo(float).eps)
+        assert worst(got) <= bound
+
+
+def test_orders_0_and_1_share_one_recurrence():
+    # J_0 and J_1 start from the same order whether asked for as order 0, 1
+    # or as the neighbours of order 1, which RadialBackground relies on
+    x = np.concatenate([np.geomspace(5e-324, 6.0, 400), np.linspace(0.0, 6.0, 1201)[1:]])
+    rows = bessel._j_neighbours(1, x)
+    assert np.array_equal(bessel.bessel_j(0, x), rows[0])
+    assert np.array_equal(bessel.bessel_j(1, x), rows[1])
+
+
+def test_non_finite_and_huge_arguments_raise():
+    # a non-finite argument, alone or in an array, raises NonFiniteFieldError;
+    # one above MAX_ARGUMENT UnsupportedOrderError, before any recurrence row
+    for bad in (np.nan, np.inf, -np.inf):
+        for arg in (bad, np.array([1.0, bad, 2.0])):
+            for fn in (bessel.bessel_j, bessel.bessel_j_prime):
+                with pytest.raises(NonFiniteFieldError):
+                    fn(0, arg)
+    for huge in (1e300, -1e300, np.nextafter(bessel.MAX_ARGUMENT, np.inf), 1e5):
+        for arg in (huge, np.array([1.0, huge])):
+            for fn in (bessel.bessel_j, bessel.bessel_j_prime):
+                with pytest.raises(UnsupportedOrderError, match="argument"):
+                    fn(3, arg)
+    assert abs(bessel.bessel_j(2, bessel.MAX_ARGUMENT)
+               - special.jv(2, bessel.MAX_ARGUMENT)) < 1e-12
+    # the CLI's largest zero scan, and the scan that extends such an order to
+    # twice what it holds, stay within the supported arguments
+    assert bessel._scan_window(bessel.MAX_ORDER, MAX_ZERO_INDEX) == pytest.approx(3970.9, abs=0.05)
+    assert bessel._scan_window(bessel.MAX_ORDER, 2 * MAX_ZERO_INDEX - 2) < bessel.MAX_ARGUMENT
 
 
 def test_orthogonality_by_quadrature():
@@ -217,29 +288,20 @@ def test_scan_window_error(monkeypatch):
 
 
 def _single_order_j(n, s):
-    """J_n alone, as the package computed it before every value came from
-    the three-order kernel: the series of order n up to its own limit, and
-    the recurrence started above max(n, s)."""
-    s = np.asarray(s, dtype=float)
-    n = np.asarray(n)
-    out = np.empty_like(s)
-    small = s <= bessel._SERIES_LIMIT[n]
-    if small.any():
-        out[small] = bessel._series_j(np.reshape(bessel._cols(n, small), (1, -1)), s[small])[0]
-    if (~small).any():
-        m = bessel._cols(n, ~small)
-        out[~small] = bessel._miller_rows(s[~small], m, m)[0]
-    return out
+    """J_n alone, as each order was evaluated before every value came from
+    the three-order kernel: the recurrence of order n, started above
+    max(n, 2, s)."""
+    return bessel._miller_rows(s, n, n)[0]
 
 
 def test_values_match_the_single_order_kernel():
-    # bitwise for n <= 5 and wherever s >= n + 1 (the same series range and
-    # recurrence start); below n + 1 the three-order recurrence starts two
-    # orders higher or replaces the series, within 4e-16
+    # bitwise for n <= 1 and wherever s >= n + 1 (the same recurrence start);
+    # below n + 1 the three-order recurrence starts one or two orders higher,
+    # within 4e-16
     s = np.concatenate([np.linspace(0.0, 80.0, 4001)[1:], [1e-3, 0.5, 150.0, 300.0]])
     for n in range(bessel.MAX_ORDER + 1):
         j, ref = bessel.bessel_j(n, s), _single_order_j(n, s)
-        same = (n <= 5) | (s >= n + 1)
+        same = (n <= 1) | (s >= n + 1)
         assert np.array_equal(j[same], ref[same]), n
         assert np.abs(j - ref).max() <= 4e-16, n
         assert np.array_equal(bessel.bessel_j(n, -s), (-1) ** n * j), n
@@ -285,8 +347,9 @@ def test_shared_solve_matches_per_order_oracle():
 
 def test_per_column_kernels_match_single_order_calls(monkeypatch):
     # each column of a mixed-order call is bitwise the call of its own order:
-    # J_0 (J_{-1} = -J_1), orders whose series rows include order 2, series
-    # and recurrence abscissae, and columns that rescale beside ones that do not
+    # J_0 (J_{-1} = -J_1), orders whose rows include order 2, abscissae below
+    # and above every start rule's 2, and columns that rescale beside ones
+    # that do not
     rng = np.random.default_rng(11)
     n = np.concatenate([np.repeat([0, 1, 2, 3], 30), rng.integers(0, 65, 200)])
     s = np.concatenate([rng.uniform(1e-3, 6.0, 120), rng.uniform(0.01, 150.0, 200)])
@@ -295,7 +358,7 @@ def test_per_column_kernels_match_single_order_calls(monkeypatch):
         assert np.array_equal(rows[:, n == m], bessel._j_neighbours(m, s[n == m])), m
     # J_n is the single-order kernel's, bitwise where both take one path
     single = _single_order_j(n, s)
-    same = (n <= 5) | (s >= n + 1)
+    same = (n <= 1) | (s >= n + 1)
     assert np.array_equal(rows[1, same], single[same])
     assert np.abs(rows[1] - single).max() <= 4e-16
     # at s = 0.1 the recurrence from order 123 grows far past 2^600, and
@@ -416,7 +479,7 @@ def _full_width_rows(s, lo, hi):
     s = np.asarray(s, dtype=float)
     lo = np.asarray(lo)
     n_rows = int(np.max(hi - lo)) + 1
-    starts = (1.5 * np.maximum(hi, s)).astype(int) + 30
+    starts = (1.5 * np.maximum(np.maximum(hi, 2), s)).astype(int) + 30
     born = np.argsort(starts, kind="stable")
     born_at = [0] + np.cumsum(np.bincount(starts)).tolist()
     out = np.zeros((n_rows, s.size))
@@ -437,34 +500,6 @@ def _full_width_rows(s, lo, hi):
     return out / (cur + 2.0 * even)
 
 
-# the power series' denominators at the 60 terms it summed before
-_SIXTY_TERMS = np.array([[m * (m + k) for k in range(bessel.MAX_ORDER + 2)]
-                         for m in range(1, 61)], dtype=float)
-
-
-def _reference_kernels(patch):
-    patch.setattr(bessel, "_SERIES_DENOMS", _SIXTY_TERMS)
-    patch.setattr(bessel, "_miller_rows", _full_width_rows)
-
-
-def test_series_length_is_bitwise():
-    # every order's series range, densely, and the neighbourhoods of the zeros
-    # inside the series ranges, where the sums are smallest: the shortened
-    # series gives bitwise the sum of 60 terms
-    zeros = [z for n in range(4) for z in bessel.bessel_zeros(n, 3) if z <= 6.0]
-    assert len(zeros) == 4                      # j_{0,1}, j_{0,2}, j_{1,1}, j_{2,1}
-    near = np.concatenate([z + np.arange(-500, 501) * np.spacing(z) for z in zeros]
-                          + [np.outer(zeros, 1.0 + np.geomspace(1e-15, 1e-2, 300)).ravel(),
-                             np.outer(zeros, 1.0 - np.geomspace(1e-15, 1e-2, 300)).ravel()])
-    for n in range(bessel.MAX_ORDER + 2):
-        top = bessel._SERIES_LIMIT[n]
-        s = np.concatenate([np.linspace(0.0, top, 5001)[1:], near[near <= top]])
-        short = bessel._series_j([[n]], s)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bessel, "_SERIES_DENOMS", _SIXTY_TERMS)
-            assert np.array_equal(short, bessel._series_j([[n]], s)), n
-
-
 def test_recurrence_by_start_order_is_bitwise():
     # one order for all columns (the scalar path), one per column, and
     # columns that rescale beside ones that do not
@@ -477,11 +512,11 @@ def test_recurrence_by_start_order_is_bitwise():
 
 def test_zeros_match_reference_kernels(monkeypatch):
     # bessel_zeros(n, 40), n <= 64, from a cold solve are bitwise those of the
-    # 60-term series and the full-width recurrence
+    # full-width recurrence
     monkeypatch.setattr(bessel, "_zeros", {})
     zeros = bessel._order_zeros(range(bessel.MAX_ORDER + 1), 40)
     monkeypatch.setattr(bessel, "_zeros", {})
-    _reference_kernels(monkeypatch)
+    monkeypatch.setattr(bessel, "_miller_rows", _full_width_rows)
     expect = bessel._order_zeros(range(bessel.MAX_ORDER + 1), 40)
     assert all(np.array_equal(z, e) for z, e in zip(zeros, expect))
 
@@ -489,10 +524,9 @@ def test_zeros_match_reference_kernels(monkeypatch):
 @pytest.mark.parametrize("size", ["default", "small"])
 def test_basis_tables_match_per_order_reference(basis, size, monkeypatch):
     # the batched table build equals, bit for bit, one _j_neighbours call per
-    # order with the 60-term series and the full-width recurrence, on the
-    # same grid
+    # order with the full-width recurrence, on the same grid
     b = basis if size == "default" else DiskBasis(6, 10, DiskGrid(24, 32))
-    _reference_kernels(monkeypatch)
+    monkeypatch.setattr(bessel, "_miller_rows", _full_width_rows)
     grid, K = b.grid, b.k_radial
     nd, kd = b.dealias_band()
     rw = grid.measure_r * grid.n_theta
@@ -508,3 +542,19 @@ def test_basis_tables_match_per_order_reference(basis, size, monkeypatch):
         if n <= nd:
             r_diff = z * (0.5 * (jm[:-K] - jp[:-K])).reshape(grid.n_r, K)
             assert np.array_equal(b.band_kit["radial"][n, :, : grid.n_r], r_diff[:, :kd].T), n
+
+
+def test_tables_within_tolerance_of_series_kernel(basis, monkeypatch):
+    # the default basis as the series kernel built it, before the recurrence
+    # served every argument: every table within 1e-14 of today's, relative
+    # to its largest entry (2.3e-15 absolute measured, in r_eval)
+    monkeypatch.setattr(bessel, "_zeros", {})
+    monkeypatch.setattr(bessel, "_j_neighbours", _series_kernel)
+    monkeypatch.setattr(disk_spectral, "_j_neighbours", _series_kernel)
+    old = DiskBasis(16, 32, DiskGrid(80, 128))
+    for name in ("roots", "r_eval", "analysis", "norm2", "mean0"):
+        new, ref = getattr(basis, name), getattr(old, name)
+        assert np.abs(new - ref).max() <= 1e-14 * np.abs(ref).max(), name
+    for name in ("radial", "proj"):
+        new, ref = basis.band_kit[name], old.band_kit[name]
+        assert np.abs(new - ref).max() <= 1e-14 * np.abs(ref).max(), name

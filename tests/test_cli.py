@@ -342,6 +342,20 @@ def test_evolve_smoke(tmp_path):
         assert doc["config_hash"] == manifest["config_hash"]
 
 
+def test_default_evolve_within_tolerance_of_series_kernel(tmp_path):
+    # default evolve --seed 3 as it ran on the power-series Bessel kernel;
+    # the recurrence moves the basis tables at rounding level, and the run
+    # keeps its step count, its energy and L2 drifts (themselves relative)
+    # within 1e-9 and its largest orbital distance within 1e-9 relative.
+    # Measured: drifts moved by 2.0e-16 and 2.2e-16, the distance by 1.4e-14
+    assert cli.main(["evolve", "--seed", "3", "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["rk4_steps"] == 8029
+    assert abs(manifest["energy_drift"] - 1.918574152489034e-12) <= 1e-9
+    assert abs(manifest["l2_drift"] - 3.618527286247651e-09) <= 1e-9
+    assert manifest["max_distance"] == pytest.approx(0.0005092643233095416, rel=1e-9, abs=0)
+
+
 def test_verify_identities_smoke(tmp_path):
     assert cli.main(["verify-identities", "--out", str(tmp_path / "o")]) == 0
 

@@ -16,6 +16,11 @@ from diskvort.bessel import bessel_j, bessel_j_prime, bessel_zero
 from diskvort.errors import NonFiniteFieldError, ResolutionError
 
 
+def _mean_value(g):
+    """The disk mean of a grid field: its cell-measure sum over pi."""
+    return float((g.values * g.grid.measures).sum() / math.pi)
+
+
 def azimuthal_shift(g, steps):
     """Grid-exact rotation by ``steps`` azimuthal cells."""
     return ds.GridField(g.grid, np.roll(g.values, -steps, axis=1))
@@ -43,7 +48,7 @@ def test_measures_array_matches_broadcast_form(basis, grid, rng):
 
     assert np.array_equal(old.measures, grid.measures)
     assert ge.energy_grid(omega, psi) == ge.energy_grid(on(old, omega), on(old, psi))
-    assert ds.mean_value(omega) == ds.mean_value(on(old, omega))
+    assert _mean_value(omega) == _mean_value(on(old, omega))
     for p in (1.0, 1.5, 2.0, 4.0):
         assert ds.lp_norm(omega, p) == ds.lp_norm(on(old, omega), p)
         if p > 1:
@@ -183,14 +188,14 @@ def test_lp_norms(basis, grid):
 
 def test_mean_values(basis, grid):
     one = ds.GridField(grid, np.ones((grid.n_r, grid.n_theta)))
-    assert abs(ds.mean_value(one) - 1.0) < 1e-14
+    assert abs(_mean_value(one) - 1.0) < 1e-14
     dip = ds.to_grid(ds.single_mode(basis, 1, 1))
-    assert abs(ds.mean_value(dip)) < 1e-12
+    assert abs(_mean_value(dip)) < 1e-12
     # J_0(j r) with j the first J_1 zero has zero disk mean: its radial
     # integral telescopes to J_1(j)/j = 0
     j = bessel_zero(1, 1)
     rad = ds.GridField(grid, np.tile(bessel_j(0, j * grid.r)[:, None], (1, grid.n_theta)))
-    assert abs(ds.mean_value(rad)) < 1e-9
+    assert abs(_mean_value(rad)) < 1e-9
 
 
 def test_parseval(basis, rng):
@@ -465,7 +470,8 @@ def _check_band_tables(basis):
     assert np.abs(kit["sub_analyze"] - scaled).max() <= 1e-16
     # the columns d_r omega, d_r psi, (1/r) psi, (1/r) omega: the band's
     # (1/r) omega columns divide the r_eval slice by r, and the psi columns
-    # are the omega columns over j^2
+    # are the omega columns over j^2; the table, filled in place, is bitwise
+    # these expressions, each formed in a temporary of its own
     nr, kd = basis.grid.n_r, kit["kd"]
     radial = kit["radial"].reshape(nd + 1, kd, 4, nr)
     assert np.array_equal(radial[:, :, 3],

@@ -1165,6 +1165,11 @@ def test_solver_import_loads_neither_ascent_nor_cli():
     assert proc.stdout.strip() == ""
 
 
+def _mean_value(g):
+    """The disk mean of a grid field: its cell-measure sum over pi."""
+    return float((g.values * g.grid.measures).sum() / math.pi)
+
+
 def _grid_diagnose(state, cfg):
     """The trace row as it was taken before the coefficient sums, kept as
     their oracle: energy, L^2, L^p and mean from the omega and psi grids, and
@@ -1173,7 +1178,7 @@ def _grid_diagnose(state, cfg):
     e = energy_grid(omega, state.stream_grid_values())
     l2 = ds.lp_norm(omega, 2)
     lp = l2 if cfg.p == 2 else ds.lp_norm(omega, cfg.p)
-    mean = ds.mean_value(omega)
+    mean = _mean_value(omega)
     dist, beta = math.nan, math.nan
     uniform = state.background.uniform if state.background is not None else 0.0
     shifted = omega if uniform == 0.0 else ds.GridField(omega.grid, omega.values - uniform)
