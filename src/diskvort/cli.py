@@ -351,6 +351,10 @@ def _perturbation(cfg, kind, p, ve, target, basis, rng):
                              mode=(cfg.pert_mode_n, cfg.pert_mode_k)), delta
 
 
+def _conserves(res):        # the evolution gate on the energy and L2 drifts
+    return res.energy_drift <= 1e-6 and res.l2_drift <= 1e-4
+
+
 def _exp_evolve(cfg, rng, outdir):
     basis = cfg.basis()
     ve = cfg.element()
@@ -360,7 +364,7 @@ def _exp_evolve(cfg, rng, outdir):
     res = run_stability_experiment(ve, pert, cfg.p, t_end=t_end,
                                    turnovers=cfg.turnovers, basis=basis,
                                    cfl_safety=cfg.cfl_safety, cadence=cfg.cadence)
-    passed = res.energy_drift <= 1e-6 and res.l2_drift <= 1e-4
+    passed = _conserves(res)
     if cfg.perturbation == "none":
         passed &= res.max_distance <= 1e-6
     state_final = res.trace[-1]
@@ -393,7 +397,7 @@ def _exp_stability_sweep(cfg, rng, outdir):
                                            basis=basis, cfl_safety=cfg.cfl_safety,
                                            cadence=cfg.cadence)
             ratio = res.max_distance / delta
-            ok = ratio <= 50.0 and res.energy_drift <= 1e-6 and res.l2_drift <= 1e-4
+            ok = ratio <= 50.0 and _conserves(res)
             passed &= ok
             rows.append((p, kind, delta, res.max_distance, ratio,
                          res.energy_drift, res.l2_drift,

@@ -47,7 +47,7 @@ from .quadrature import gauss_legendre
 # builds its 17 orders in 9 batches)
 _TABLE_COLUMNS = 5400
 
-# the lowest n = 0 radial modes that carry euler_sim's mean fix
+# the lowest n = 0 radial modes that carry euler_sim's mean fix, or all kd
 _MEAN_FIX_MODES = 6
 
 
@@ -121,10 +121,17 @@ class DiskBasis:
         self.grid = grid
 
         N, K = self.n_modes, self.k_radial
+        nd, kd = self.dealias_band()
         r = grid.r
         self.roots = np.empty((N + 1, K))
         self.r_eval = np.empty((N + 1, grid.n_r, K))
-        r_diff = np.empty((N + 1, grid.n_r, K))
+        # The solver's radial operator, (nd+1, kd, 4 n_r): per mode and basis
+        # function the columns d_r omega, d_r psi, (1/r) psi and (1/r) omega,
+        # psi = omega / j^2 folded in, so that the d_r block times the (1/r)
+        # block pairs the two advection products, and the psi columns are
+        # adjacent.  It is filled in place; its d_r omega columns are the one
+        # radial derivative table, computed for the band's orders and modes.
+        radial = np.empty((nd + 1, kd, 4, grid.n_r))
         # Analytic squared L2 norms of the basis functions over the disk.
         self.norm2 = np.empty((N + 1, K))
         # One solve finds the zeros of every order; then one recurrence per
@@ -142,7 +149,10 @@ class DiskBasis:
             rows = slice(first, first + orders.size)
             self.roots[rows] = z
             self.r_eval[rows] = j[:, :-K].reshape(-1, grid.n_r, K)
-            r_diff[rows] = z[:, None] * (0.5 * (jm[:, :-K] - jp[:, :-K])).reshape(-1, grid.n_r, K)
+            nb = max(0, min(orders.size, nd + 1 - first))       # the band's orders
+            jm_b, jp_b = (t[:nb, :-K].reshape(nb, grid.n_r, K)[..., :kd] for t in (jm, jp))
+            radial[first: first + nb, :, 0] = (
+                z[:nb, None, :kd] * (0.5 * (jm_b - jp_b))).transpose(0, 2, 1)
             self.norm2[rows] = math.pi * jp[:, -K:] ** 2
             if first == 0:
                 # Mean of the n=0 radial modes: integral of J_0(j_{0,k} r) over the disk.
@@ -176,24 +186,15 @@ class DiskBasis:
         # k < kd): the DFT synthesis rows n <= nd.  Angular grids have
         # s = i n S, with i n folded into the table acting on [Re S; Im S]:
         # rows -n w sin and -n w cos.
-        nd, kd = self.dealias_band()
         synth_r = self.dft_synth[: 2 * nd + 2]
         n_band, w_cos, w_sin = n_half[: nd + 1], synth_r[0::2], -synth_r[1::2]
         synth_t = np.stack([-n_band * w_sin, -n_band * w_cos], axis=1).reshape(2 * nd + 2, -1)
         w_rows = np.repeat(w[: nd + 1], 2, axis=0)
-        # The solver's radial operator, (nd+1, kd, 4 n_r): per mode and basis
-        # function the columns d_r omega, d_r psi, (1/r) psi and (1/r) omega,
-        # psi = omega / j^2 folded in, so that the d_r block times the (1/r)
-        # block pairs the two advection products, and the psi columns are
-        # adjacent; filled in place, so that the build holds no second copy of
-        # the table (0.6 MB at the defaults)
-        radial = np.empty((nd + 1, kd, 4, grid.n_r))
         mult = self.green_mult[: nd + 1, :kd, None]
-        radial[:, :, 0] = r_diff[: nd + 1, :, :kd].transpose(0, 2, 1)
         np.multiply(radial[:, :, 0], mult, out=radial[:, :, 1])
         np.divide(self.r_eval[: nd + 1, :, :kd].transpose(0, 2, 1), r, out=radial[:, :, 3])
         np.multiply(radial[:, :, 3], mult, out=radial[:, :, 2])
-        mean0 = self.mean0[:_MEAN_FIX_MODES]
+        mean0 = self.mean0[: min(_MEAN_FIX_MODES, kd)]
         # The advection product of two band fields has modes |n| <= 2 nd, so
         # its projection onto |n| <= nd is exact on any n_b > 3 nd equispaced
         # angles: every s-th angle, s the largest divisor of n_theta that
@@ -213,18 +214,16 @@ class DiskBasis:
             # the same tables on the subgrid of every s-th angle, and its
             # analysis: columns cos(n theta), -sin(n theta), over n_b (w is
             # 1 or 2, so dividing the synthesis rows by it is exact)
-            "stride": s,
             "sub_synth_r": np.ascontiguousarray(synth_r[:, ::s]),
             "sub_synth_t": np.ascontiguousarray(synth_t[:, ::s]),
             "sub_analyze": (synth_r[:, ::s] / w_rows).T / (grid.n_theta // s),
-            # the mean fix's constants: the defect row mean0[:kd]; its
-            # spanning row mean0 on the lowest modes, as an array for the
-            # Gram dot and as floats, with the n = 0 Green multipliers and
-            # norms there; and its Gram entry
+            # the mean fix's constants: the defect row mean0[:kd]; on its
+            # lowest m = min(6, kd) modes the spanning row mean0, the n = 0
+            # energy weights norm2 / j^2 of the trace's gradient W y + X_psi,
+            # and the Gram entry of mean0
             "mean_row": self.mean0[:kd].copy(),
             "mean0": mean0,
-            "fix_rows": (mean0.tolist(), self.green_mult[0, :_MEAN_FIX_MODES].tolist(),
-                         self.norm2[0, :_MEAN_FIX_MODES].tolist()),
+            "energy_row": self.norm2[0, : mean0.size] * self.green_mult[0, : mean0.size],
             "g00": float(mean0 @ mean0),
             # the CFL step's length pi / max j, the half wavelength of the
             # finest band oscillation: the Gauss-Legendre node clustering near

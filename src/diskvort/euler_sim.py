@@ -21,15 +21,14 @@ a nonzero multiple of n_b > 3 nd, so no alias reaches the band, and its
 projection is exact, as on the full grid.  The CFL velocity max|u| is still
 taken on the full grid, which the subgrid would under-sample.
 
-The band is the solver's only domain.  ``tendency`` and
-``velocity_magnitude`` raise ResolutionError on a field with any nonzero
-coefficient outside it.  The experiments admit a perturbation through
-``require_band_limited`` (every coefficient finite, NonFiniteFieldError
-otherwise, and those outside the band at most 1e-12 of the largest) and
-zero that residue with ``band_limit``, so every run starts
-exactly in the band and the Galerkin truncation keeps it there.  The time
-step is the CFL limit times a safety factor in (0, 1], refreshed every
-cadence steps.
+The band is the solver's only domain.  ``tendency`` and ``SolverState``
+raise ResolutionError on a field with any nonzero coefficient outside it.
+The experiments admit a perturbation through ``require_band_limited``
+(every coefficient finite, NonFiniteFieldError otherwise, and those outside
+the band at most 1e-12 of the largest) and zero that residue with
+``band_limit``, so every run starts exactly in the band and the Galerkin
+truncation keeps it there.  The time step is the CFL limit times a safety
+factor in (0, 1], refreshed every cadence steps.
 
 RK4 stages live on the real band array of shape (nd+1, 2, kd), a [Re c; Im c]
 row pair per mode, whose layout and transform kernels belong to
@@ -37,9 +36,10 @@ disk_spectral.  A stage is one batched product with the band's radial
 operator (the columns d_r omega, d_r psi, (1/r) psi and (1/r) omega,
 psi = omega / j^2 folded in), one product per DFT table, the advection
 product on the subgrid as two in-place operations on the synthesized
-blocks, one analysis product, one batched projection and the mean fix on
-the band kit's prepared constants; every reshape between them is a free
-view, and the stage inputs and the RK4 sum are formed in place.
+blocks, one analysis product, one batched projection and the mean fix,
+whose stream row is the n = 0 part of the trace's energy gradient; every
+reshape between them is a free view, and the stage inputs and the RK4 sum
+are formed in place.
 ``tendency`` takes a SpectralField (checked and answered in kind) or the
 stepper's unchecked in-band carrier (answered with the band array).
 
@@ -48,7 +48,8 @@ the carrier, checked against the band once, when the state is built from a
 SpectralField; ``step_rk4`` answers with a state built from the new
 carrier, and a SpectralField is padded only where a caller asks a state for
 ``w``.  The CFL velocity is taken from the carrier too, by one product
-with the radial operator's psi columns.  The trace is read
+with the radial operator's psi columns (``velocity_magnitude`` takes the
+carrier only).  The trace is read
 from the coefficients: the energy, L^2 norm and mean are Parseval sums plus
 the channel's couplings and its own integrals (built with
 ``RadialBackground``), and the p = 2 orbital distance is a masked Parseval
@@ -58,7 +59,8 @@ reference the sum does not cover, and for the initial and final fields.
 
 The exact radial channel a J_0(l r) + c, ``RadialBackground``, lives in
 radial_channel; ``tendency`` and ``velocity_magnitude`` take it as their one
-input besides the field, and the trace reads its coupling constants.
+input besides the field, and the trace and the mean fix read its coupling
+constants.
 """
 
 import math
@@ -104,16 +106,14 @@ def _carrier(w: SpectralField | _Band) -> _Band:
     return w if isinstance(w, _Band) else _Band(w.basis, _band_values(w))
 
 
-def velocity_magnitude(w: SpectralField | _Band, background=None):
-    """Max |u| on the grid from the two grids of psi alone, synthesized from
-    the adjacent psi columns of the band's radial operator in one product;
-    u_r = (1/r) d_theta psi, u_theta = -d_r psi.  ``w`` is a SpectralField in
-    the band (ResolutionError otherwise) or the stepper's carrier.  The root
-    of the largest |u|^2 is the largest root, sqrt being monotone and
-    correctly rounded."""
-    b, y = _carrier(w)
+def velocity_magnitude(y: _Band, background=None):
+    """Max |u| on the grid of the carrier ``y`` from its two grids of psi,
+    synthesized from the radial operator's adjacent psi columns in one
+    product; u_r = (1/r) d_theta psi, u_theta = -d_r psi.  The root of the
+    largest |u|^2 is the largest root (sqrt: monotone, correctly rounded)."""
+    b, values = y
     kit, nr = b.band_kit, b.grid.n_r
-    dr_psi, dth_psi = _synth(np.matmul(y, kit["radial"][..., nr: 3 * nr]),
+    dr_psi, dth_psi = _synth(np.matmul(values, kit["radial"][..., nr: 3 * nr]),
                              (kit["synth_r"], kit["synth_t"]))
     if background is not None:
         dr_psi += background.stream_d_r_profile[:, None]
@@ -128,34 +128,29 @@ def _mean_fix(row0, y: _Band, background):
 
     The continuum advection term has exactly zero mean; the dealias cut
     breaks that discretely because the radial modes all carry disk mean.
-    The defect is removed along a combination of the lowest radial modes
-    constrained to be L2-orthogonal to the current total stream function:
-    since dE/dt = <dw/dt, psi>, that hard constraint leaves the energy
-    balance of the uncorrected scheme untouched.  (Orthogonality to the
-    vorticity as well is impossible at a steady state, where omega, psi and
-    the constant are affinely dependent; the enstrophy impact is O(defect)
-    and stays far below the L2 drift budget.)
-
-    ``row0`` holds the real n = 0 coefficients k = 1, 2, ... of the tendency
-    of the state ``y`` and is corrected in place.  The constants come from
-    the band kit; the stream row q is formed and the 2 x 2 system solved on
-    floats, and the numpy calls are the defect dot, the two Gram dots on one
-    6-element array (BLAS dots: Python float sums would round them
-    differently) and the slice update.
+    The defect is removed along the lowest m = min(6, kd) n = 0 modes,
+    orthogonally to q, the n = 0 part of the trace's energy gradient
+    W y + X_psi (the band kit's ``energy_row`` times y, plus the channel's
+    ``stream_dual``): since dE/dt = <dy/dt, W y + X_psi>, that leaves the
+    energy balance of the uncorrected scheme untouched.  (Orthogonality to
+    the vorticity as well is impossible at a steady state, where omega, psi
+    and the constant are affinely dependent; the enstrophy impact is
+    O(defect) and stays far below the L2 drift budget.)  ``row0``, the real
+    n = 0 coefficients of the tendency of ``y``, is corrected in place.
     """
     kit = y.basis.band_kit
+    mean0 = kit["mean0"]
+    q = kit["energy_row"] * y.values[0, 0, : mean0.size]
+    if background is not None:
+        q += background.stream_dual[: mean0.size]
+    # the correction spans mean0 and q: G alpha = (defect, 0), regularized,
+    # solved by Cramer's rule
     defect = float(row0.dot(kit["mean_row"]))
-    mean0, green, norm2 = kit["fix_rows"]
-    stream = (0.0,) * len(mean0) if background is None else background.stream_row
-    q = [(v * g + s) * n for v, g, s, n in zip(y.values[0, 0].tolist(), green, stream, norm2)]
-    qa = np.array(q)
-    # the correction spans mean0 and q; its 2 x 2 Gram system
-    # G alpha = (defect, 0), regularized, solved by Cramer's rule
-    g00, g01, g11 = kit["g00"], float(kit["mean0"].dot(qa)), float(qa.dot(qa))
+    g00, g01, g11 = kit["g00"], float(mean0.dot(q)), float(q.dot(q))
     reg = 1e-14 * max(g00, g11, 1e-30)
     g00, g11 = g00 + reg, g11 + reg
     scale = defect / (g00 * g11 - g01 * g01)
-    row0[: len(q)] -= [scale * (g11 * m - g01 * x) for m, x in zip(mean0, q)]
+    row0[: mean0.size] -= scale * (g11 * mean0 - g01 * q)
 
 
 def tendency(w: SpectralField | _Band, background: RadialBackground | None = None):

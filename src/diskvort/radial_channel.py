@@ -13,6 +13,9 @@ closed-form stream functions:
   stream function c (1 - r^2) / 4.  Its -c r / 2 in d_r psi turns the band
   product d_r psi (1/r) d_theta omega into the rigid advection
   -Omega d_theta omega, which is exact on the band.
+
+The channel's part of the trace's energy gradient W y + X_psi is
+X_psi = ``stream_dual``; euler_sim's mean fix reads its n = 0 part too.
 """
 
 import math
@@ -20,7 +23,7 @@ import math
 import numpy as np
 
 from .bessel import _j_neighbours
-from .disk_spectral import _MEAN_FIX_MODES, DiskBasis
+from .disk_spectral import DiskBasis
 
 
 class RadialBackground:
@@ -32,10 +35,9 @@ class RadialBackground:
     the stream profile a (J_0(root r) - J_0(root)) / root^2 + c (1 - r^2) / 4,
     their radial derivatives, also held as one (2 n_r,) array ``d_r_pair``
     [d_r omega; d_r psi], which euler_sim adds to the d_r block of its band
-    product in one slice add, and ``stream_row``, the first _MEAN_FIX_MODES
-    n = 0 coefficients of the stream profile that euler_sim's mean fix
-    needs, projected by the basis' own analysis operator, as floats.
-    Callers add a profile to a grid by broadcasting it over the angles.
+    product in one slice add (``stream_d_r_profile``, a view of its second
+    half, serves the CFL velocity).  Callers add a profile to a grid by
+    broadcasting it over the angles.
 
     euler_sim's trace reads the channel's coupling to the band from two
     vectors of 2 pi r w quadratures against the band's n = 0 functions
@@ -57,8 +59,7 @@ class RadialBackground:
         dual = b.r_eval[0, :, : b.band_kit["kd"]].T
         self.d_r_pair = np.concatenate([-a * root * j1_profile,
                                         -a * j1_profile / root - 0.5 * c * r])
-        self.d_r_profile, self.stream_d_r_profile = np.split(self.d_r_pair, 2)
-        self.stream_row = (b.analysis[0, :_MEAN_FIX_MODES] @ stream).tolist()
+        self.stream_d_r_profile = self.d_r_pair[r.size:]
         self.omega_dual = dual @ (rw * profile)
         self.stream_dual = dual @ (rw * stream)
         self.energy = 0.5 * float(rw @ (profile * stream))

@@ -356,6 +356,54 @@ def test_default_evolve_within_tolerance_of_series_kernel(tmp_path):
     assert manifest["max_distance"] == pytest.approx(0.0005092643233095416, rel=1e-9, abs=0)
 
 
+def test_small_band_runs_exit_typed(tmp_path, capsys):
+    # a band of 5 radial modes, fewer than the mean fix's six, runs through
+    # evolve and steady-check (both once exited 1 on a shape mismatch)
+    cfgfile = tmp_path / "small.cfg"
+    cfgfile.write_text("n_theta_modes = 4\nk_radial = 8\nn_r = 12\nn_theta = 16\n")
+    for kind in ("evolve", "steady-check"):
+        rc = cli.main([kind, "--config", str(cfgfile), "--seed", "3",
+                       "--out", str(tmp_path / kind)])
+        assert rc in (0, 3), capsys.readouterr().err
+        assert (tmp_path / kind / "results.csv").exists()
+
+
+# The two known failures of the energy gate, from the mean fix's
+# regularization and from the channel's stream tail outside the band:
+# strict xfails, so that the change that mends one must drop its mark
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="energy drift 4.1e-6 against the 1e-6 gate")
+def test_found_sweep_row_passes_the_gates():
+    # stability-sweep --seed 3 on 8 x 12 modes and a 32 x 32 grid, its p = 4
+    # smooth-random row alone: the sweep's eight earlier perturbations are
+    # drawn and dropped, so the row's perturbation is the sweep's
+    cfg = cli.parse_config("n_theta_modes = 8\nk_radial = 12\nn_r = 32\nn_theta = 32\n"
+                           "seed = 3\n", kind="stability-sweep")
+    rng = np.random.default_rng(cfg.seed)
+    basis, ve = cfg.basis(), cfg.element()
+    target = steady_family.v_element_grid(ve, basis.grid)
+    for p in (1.5, 2.0, 4.0):
+        for kind in ("random-shuffle", "mode-injection", "smooth-random"):
+            pert, delta = cli._perturbation(cfg, kind, p, ve, target, basis, rng)
+    res = euler_sim.run_stability_experiment(ve, pert, 4.0, turnovers=cfg.turnovers,
+                                             basis=basis, cfl_safety=cfg.cfl_safety,
+                                             cadence=cfg.cadence)
+    assert res.max_distance / delta <= 50.0
+    assert cli._conserves(res), (res.energy_drift, res.l2_drift)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="energy drift 2.8e-6 against the 1e-6 gate")
+def test_coarse_evolve_passes_the_gates(tmp_path):
+    # evolve --seed 3 at a = 0.3 on 6 x 10 modes and a 24 x 32 grid
+    cfgfile = tmp_path / "coarse.cfg"
+    cfgfile.write_text("n_theta_modes = 6\nk_radial = 10\nn_r = 24\nn_theta = 32\na = 0.3\n")
+    assert cli.main(["evolve", "--config", str(cfgfile), "--seed", "3",
+                     "--out", str(tmp_path / "o")]) == 0
+
+
 def test_verify_identities_smoke(tmp_path):
     assert cli.main(["verify-identities", "--out", str(tmp_path / "o")]) == 0
 

@@ -263,8 +263,9 @@ def test_experiments_reject_non_finite_perturbations():
 
 
 def test_solver_rejects_fields_outside_the_band(basis):
-    # tendency, velocity_magnitude and a SolverState's construction each
-    # refuse a field with content outside the band, even a 1e-13 corner mode
+    # tendency and a SolverState's construction each refuse a field with
+    # content outside the band, even a 1e-13 corner mode (velocity_magnitude
+    # takes the carrier, which only a SolverState builds from a field)
     ve = sf.VElement(0.5, 1.0, 0.3)
     state = es.steady_state(ve, basis)
     rotating = es.steady_state(ve, basis, uniform=0.6)
@@ -279,7 +280,7 @@ def test_solver_rejects_fields_outside_the_band(basis):
             with pytest.raises(ResolutionError, match="outside the dealias band"):
                 es.tendency(f, bg)
             with pytest.raises(ResolutionError, match="outside the dealias band"):
-                es.velocity_magnitude(f, bg)
+                es.SolverState(w=f, background=bg)
 
 
 def test_experiments_zero_a_sub_tolerance_residue(basis):
@@ -371,7 +372,7 @@ def _check_band_grids(basis, full):
     coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
     for b in (basis, coarse):
         kit = b.band_kit
-        s = 1 if full else kit["stride"]
+        s = 1 if full else b.grid.n_theta // kit["sub_synth_r"].shape[1]
         tables = ((kit["synth_r"], kit["synth_t"]) if full
                   else (kit["sub_synth_r"], kit["sub_synth_t"]))
         for w, bg in _band_states(b):
@@ -384,7 +385,8 @@ def _check_band_grids(basis, full):
                     assert np.abs(g - e).max() <= 1e-14 * np.abs(e).max()
                 if full:
                     umax = np.sqrt(expect[2]**2 + expect[3]**2).max()
-                    assert abs(es.velocity_magnitude(w, background) - umax) <= 1e-14 * umax
+                    got = es.velocity_magnitude(es.SolverState(w, background).band, background)
+                    assert abs(got - umax) <= 1e-14 * umax
 
 
 def test_band_grids_match_pointwise_oracle(basis):
@@ -423,8 +425,9 @@ def _full_grid_tendency(w, background, rotation=0.0):
     dr_om, dth_om = m[:nr, 0:2].reshape(nr, -1) @ sr, m[nr:, 0:2].reshape(nr, -1) @ st
     dr_psi, dth_psi = m[:nr, 2:4].reshape(nr, -1) @ sr, m[nr:, 2:4].reshape(nr, -1) @ st
     if background is not None:
-        dr_om = dr_om + background.d_r_profile[:, None]
-        dr_psi = dr_psi + background.stream_d_r_profile[:, None]
+        d_r_omega, d_r_psi = np.split(background.d_r_pair, 2)
+        dr_om = dr_om + d_r_omega[:, None]
+        dr_psi = dr_psi + d_r_psi[:, None]
 
     def project(values):
         F = (values @ analyze).reshape(-1, 2, nd + 1).transpose(2, 0, 1)
@@ -435,17 +438,19 @@ def _full_grid_tendency(w, background, rotation=0.0):
 
     terms = project(dr_psi * dth_om), project(dth_psi * dr_om)
     coeffs = project(dr_psi * dth_om - dth_psi * dr_om)
-    # the mean fix as a 2 x 2 solve
-    M = ds._MEAN_FIX_MODES
+    # the mean fix as a 2 x 2 solve, along the n = 0 energy gradient: the
+    # stream coefficients weighted by norm2, the channel's as its dual
+    M = min(ds._MEAN_FIX_MODES, kd)
     defect = float((coeffs[0].real * b.mean0).sum())
     psi = w.coeffs[0].real[:M] * b.green_mult[0, :M]
-    if background is not None:
-        psi = psi + background.stream_row
     # the n = 0 coefficients of 1 - r^2; the offset's stream function is
     # rotation (1 - r^2) / 2
     para = 4.0 * b.mean0[:M] / (b.roots[0, :M] ** 2 * b.norm2[0, :M])
     psi = psi + 0.5 * rotation * para
-    rows = np.vstack([b.mean0[:M], psi * b.norm2[0, :M]])
+    q = psi * b.norm2[0, :M]
+    if background is not None:
+        q = q + background.stream_dual[:M]
+    rows = np.vstack([b.mean0[:M], q])
     G = rows @ rows.T
     G[np.diag_indices(2)] += 1e-14 * max(G[0, 0], G[1, 1], 1e-30)
     coeffs[0, :M] -= rows.T @ np.linalg.solve(G, np.array([defect, 0.0]))
@@ -556,7 +561,7 @@ def test_background_constants_are_hoisted(basis, monkeypatch):
                             lambda *a, fn=fn: calls.append(a) or fn(*a))
     for root, profiles in zip(roots, expect):
         bg = es.RadialBackground(0.5, root, basis, uniform=0.4)
-        got = bg.profile, bg.stream_profile, bg.d_r_profile, bg.stream_d_r_profile
+        got = bg.profile, bg.stream_profile, *np.split(bg.d_r_pair, 2)
         assert all(np.array_equal(g, e) for g, e in zip(got, profiles)), root
     assert calls == []
     ve = sf.VElement(0.5, 1.0, 0.3)
@@ -584,17 +589,21 @@ def _closed_form_stream_row(bg):
             + c * b.mean0 / (z**2 * b.norm2[0]))
 
 
-def test_stream_row_matches_closed_form(basis):
-    # the basis' analysis of the stream profile against the closed form it
-    # replaced: within 2e-16 on the default basis and 2e-14 on 24 nodes
+def test_stream_dual_matches_closed_form(basis):
+    # the channel's stream dual, the quadrature of its stream profile against
+    # the band's J_0(j_k r) that the mean fix reads, against norm2 times the
+    # closed-form coefficients: within 2e-16 on the default basis and on 24
+    # nodes (8.3e-17 and 3.5e-17 measured; the 6-mode analysis row that it
+    # replaced read 2e-16 and 2e-14)
     coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
-    for b, tol in ((basis, 2e-16), (coarse, 2e-14)):
+    for b in (basis, coarse):
+        kd = b.band_kit["kd"]
         for family in ((1, 1), (0, 1), (2, 1), (1, 2)):
             root = sf.VElement(0.0, 1.0, 0.0, family=family).root
             for c in (0.0, 0.6):
                 bg = es.RadialBackground(0.5, root, b, uniform=c)
-                expect = _closed_form_stream_row(bg)[: ds._MEAN_FIX_MODES]
-                assert np.abs(bg.stream_row - expect).max() <= tol, (family, c)
+                expect = (_closed_form_stream_row(bg) * b.norm2[0])[:kd]
+                assert np.abs(bg.stream_dual - expect).max() <= 2e-16, (family, c)
 
 
 def test_background_derivatives_built_at_construction(basis):
@@ -604,8 +613,10 @@ def test_background_derivatives_built_at_construction(basis):
             bg = es.RadialBackground(amplitude, root, basis, uniform=c)
             j0, j1 = bessel_j(0, root * r), bessel_j(1, root * r)
             # at c = 0 bit-identical to the expressions evaluated per call before
-            assert np.array_equal(bg.d_r_profile, -amplitude * root * j1)
-            assert np.array_equal(bg.stream_d_r_profile, -amplitude * j1 / root - 0.5 * c * r)
+            d_r_omega, d_r_psi = np.split(bg.d_r_pair, 2)
+            assert np.array_equal(d_r_omega, -amplitude * root * j1)
+            assert np.array_equal(d_r_psi, -amplitude * j1 / root - 0.5 * c * r)
+            assert np.array_equal(bg.stream_d_r_profile, d_r_psi)
             assert np.array_equal(bg.profile, amplitude * j0 + c)
             stream = amplitude * (j0 - bessel_j(0, root)) / root**2 + c * (1 - r**2) / 4
             assert np.array_equal(bg.stream_profile, stream)
@@ -706,7 +717,7 @@ def _oracle_band_kit(basis):
         return rows.reshape(2, nd + 1, -1).transpose(1, 0, 2).reshape(2 * nd + 2, -1)
 
     d_r, over_r, mult = old["radial"][:, :nr], old["radial"][:, nr:], old["mult"][:, None]
-    m = ds._MEAN_FIX_MODES
+    m = min(ds._MEAN_FIX_MODES, kd)
     mean0 = basis.mean0[:m]
     return {
         "nd": nd,
@@ -716,14 +727,12 @@ def _oracle_band_kit(basis):
         "synth_r": pairs(old["synth_r"]),
         "synth_t": pairs(old["synth_t"]),
         "proj": old["proj"],
-        "stride": old["stride"],
         "sub_synth_r": pairs(old["sub_synth_r"]),
         "sub_synth_t": pairs(old["sub_synth_t"]),
         "sub_analyze": pairs(old["sub_analyze"].T).T,
         "mean_row": basis.mean0[:kd],
         "mean0": mean0,
-        "fix_rows": (mean0.tolist(), basis.green_mult[0, :m].tolist(),
-                     basis.norm2[0, :m].tolist()),
+        "energy_row": basis.norm2[0, :m] * basis.green_mult[0, :m],
         "g00": float(mean0 @ mean0),
         "spacing": math.pi / basis.roots[: nd + 1, :kd].max(),
     }
@@ -735,7 +744,6 @@ def test_band_operators_built_with_basis(basis, monkeypatch):
     for key, value in oracle.items():
         assert np.array_equal(basis.band_kit[key], value), key
     assert basis.band_kit["mean_row"].flags.c_contiguous
-    assert all(type(x) is float for row in basis.band_kit["fix_rows"] for x in row)
     # the in-band tendency is bit-identical under the lazily built operators
     ve = sf.VElement(0.5, 1.0, 0.3)
     state = es.steady_state(ve, basis)
@@ -780,6 +788,99 @@ def test_mean_fix_matches_linear_solve(basis):
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(raw[0, :m]).max()
         # the corrected tendency has zero disk mean, up to the regularization
         assert abs((got[0].real * basis.mean0).sum()) <= 1e-12 * abs(defect)
+
+
+def _small_bases():
+    """Bases whose band holds fewer than the mean fix's six n = 0 modes:
+    kd = 5 and kd = 4."""
+    return ds.DiskBasis(4, 8, ds.DiskGrid(12, 16)), ds.DiskBasis(3, 6, ds.DiskGrid(10, 16))
+
+
+def test_tendency_runs_on_bands_of_fewer_than_six_radial_modes():
+    # the mean fix spans min(6, kd) modes: a band of 5 or 4 radial modes
+    # gets a finite tendency with no disk mean, with and without a channel
+    root = sf.VElement(0.0, 1.0, 0.0).root
+    rng = np.random.default_rng(73)
+    for b in _small_bases():
+        nd, kd = b.dealias_band()
+        assert kd < ds._MEAN_FIX_MODES
+        y = es._Band(b, ds._band_values(_flat_field(b, rng, band_only=True)))
+        for bg in (None, es.RadialBackground(0.5, root, b),
+                   es.RadialBackground(0.5, root, b, uniform=0.6)):
+            t = es.tendency(y, bg)
+            assert t.shape == (nd + 1, 2, kd)
+            assert np.isfinite(t).all()
+            assert abs(float(t[0, 0] @ b.mean0[:kd])) <= 1e-13 * np.abs(t).max()
+
+
+def test_mean_fix_zeroes_the_mean_rate_and_keeps_the_energy_rate(basis, monkeypatch):
+    # on flat band spectra with channels a in {0, 0.5}, c in {0, 0.6}: the
+    # fixed tendency T has no disk mean, <T_0, mean_row> = 0, and the same
+    # energy rate <T, W y + X_psi> (W the weights norm2 / j^2 of the trace
+    # energy, X_psi the channel's stream_dual) as the unfixed one, U.  Both
+    # hold up to the 2 x 2 solve's 1e-14 regularization, whose share the
+    # Gram system's conditioning scales, not to rounding: measured
+    # mean <= 1.8e-13 of the defect, and energy <= 3.4e-12, 2.3e-12 and
+    # 3.9e-11 of sum |U (W y + X_psi)| on the three bases, the last one's
+    # 12 radial nodes under-resolving its 8 radial modes
+    root = sf.VElement(0.0, 1.0, 0.0).root
+    fix = es._mean_fix
+    for b, energy_tol in ((basis, 2e-11), (ds.DiskBasis(6, 10, ds.DiskGrid(24, 32)), 2e-11),
+                          (_small_bases()[0], 2e-10)):
+        kit, rng = b.band_kit, np.random.default_rng(71)
+        nd, kd = kit["nd"], kit["kd"]
+        weights = (b.parseval * b.green_mult)[: nd + 1, None, :kd]
+        for _ in range(3):
+            y = es._Band(b, ds._band_values(_flat_field(b, rng, band_only=True)))
+            for a in (0.0, 0.5):
+                for c in (0.0, 0.6):
+                    bg = es.RadialBackground(a, root, b, uniform=c) if a or c else None
+                    grad = weights * y.values
+                    if bg is not None:
+                        grad[0, 0] += bg.stream_dual
+                    monkeypatch.setattr(es, "_mean_fix", lambda *args: None)
+                    unfixed = es.tendency(y, bg)
+                    monkeypatch.setattr(es, "_mean_fix", fix)
+                    fixed = es.tendency(y, bg)
+                    defect = float(unfixed[0, 0] @ kit["mean_row"])
+                    assert abs(float(fixed[0, 0] @ kit["mean_row"])) <= 1e-12 * abs(defect)
+                    change = float((fixed * grad).sum()) - float((unfixed * grad).sum())
+                    assert abs(change) <= energy_tol * np.abs(unfixed * grad).sum(), (a, c)
+
+
+def _stream_row_mean_fix(row0, y, background):
+    """The mean fix as it ran before it read the trace's energy gradient: the
+    stream row on the first six n = 0 modes from Python floats, the channel's
+    part the basis' analysis of its stream profile."""
+    b, m = y.basis, ds._MEAN_FIX_MODES
+    kit = b.band_kit
+    mean0 = b.mean0[:m]
+    defect = float(row0.dot(kit["mean_row"]))
+    green, norm2 = b.green_mult[0, :m].tolist(), b.norm2[0, :m].tolist()
+    stream = ((0.0,) * m if background is None
+              else (b.analysis[0, :m] @ background.stream_profile).tolist())
+    q = [(v * g + s) * n for v, g, s, n in zip(y.values[0, 0].tolist(), green, stream, norm2)]
+    qa = np.array(q)
+    g00, g01, g11 = float(mean0 @ mean0), float(mean0.dot(qa)), float(qa.dot(qa))
+    reg = 1e-14 * max(g00, g11, 1e-30)
+    g00, g11 = g00 + reg, g11 + reg
+    scale = defect / (g00 * g11 - g01 * g01)
+    row0[: len(q)] -= [scale * (g11 * x0 - g01 * x) for x0, x in zip(mean0.tolist(), q)]
+
+
+def test_tendency_within_tolerance_of_stream_row_fix(basis, monkeypatch):
+    # the energy-gradient row against the stream row it replaced: within
+    # 1e-15 of the largest coefficient on the default and the 6 x 10 bases,
+    # with and without channels (measured 1.2e-17, bitwise in 6 of its 10
+    # cases, and 7.6e-16)
+    for b in (basis, ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))):
+        for w, background in _stage_cases(b):
+            y = es._Band(b, ds._band_values(w))
+            got = es.tendency(y, background)
+            monkeypatch.setattr(es, "_mean_fix", _stream_row_mean_fix)
+            expect = es.tendency(y, background)
+            monkeypatch.undo()
+            assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
 
 
 def test_run_raises_on_non_finite_state(basis):
@@ -828,19 +929,20 @@ def _unpaired_band_grids(y, kit, synth_r, synth_t, background=None):
     m = np.matmul(y, kit["radial"])        # (nd+1, 2, 4 n_r)
     nr = m.shape[2] // 4
     if background is not None:
-        m[0, 0, :nr] += background.d_r_profile
-        m[0, 0, nr: 2 * nr] += background.stream_d_r_profile
+        d_r_omega, d_r_psi = np.split(background.d_r_pair, 2)
+        m[0, 0, :nr] += d_r_omega
+        m[0, 0, nr: 2 * nr] += d_r_psi
     d_r, over_r = ds._synth(m, (synth_r, synth_t))
     return d_r[:nr], over_r[:nr], d_r[nr:], over_r[nr:]
 
 
 def _unpaired_mean_fix(row0, y, kit, background):
-    b, m = y.basis, ds._MEAN_FIX_MODES
+    b, m = y.basis, min(ds._MEAN_FIX_MODES, kit["kd"])
     defect = float(row0 @ b.mean0[: row0.size])
-    psi = y.values[0, 0, :m] * b.green_mult[0, :m]
+    q = y.values[0, 0, :m] * (b.norm2[0, :m] * b.green_mult[0, :m])
     if background is not None:
-        psi = psi + np.array(background.stream_row)
-    mean0, q = kit["mean0"], psi * b.norm2[0, :m]
+        q = q + background.stream_dual[:m]
+    mean0 = kit["mean0"]
     g00, g01, g11 = kit["g00"], float(mean0 @ q), float(q @ q)
     reg = 1e-14 * max(g00, g11, 1e-30)
     g00, g11 = g00 + reg, g11 + reg
@@ -868,7 +970,8 @@ def _unpaired_rk4(y, dt, background):
 
 def _unpaired_velocity_magnitude(w, background=None):
     """Max |u| from the psi columns d_r psi and (1/r) psi, one product and
-    one synthesis each, with the root taken of every grid point."""
+    one synthesis each, with the root taken of every grid point; ``w`` is a
+    SpectralField or the stepper's carrier."""
     b, y = es._carrier(w)
     kit, nr = _unpaired_kit(b), b.grid.n_r
     radial = kit["radial"]
@@ -882,7 +985,7 @@ def _unpaired_velocity_magnitude(w, background=None):
 def _four_grid_velocity_magnitude(w, background=None):
     """Max |u| as it was taken before the two-grid synthesis: all four band
     grids synthesized on the collocation grid, the two of psi read.  ``w`` is
-    a SpectralField or the stepper's carrier, as for velocity_magnitude."""
+    a SpectralField or the stepper's carrier."""
     b, y = es._carrier(w)
     kit = _unpaired_kit(b)
     _, _, dr_psi, dth_psi = _unpaired_band_grids(y, kit, kit["synth_r"], kit["synth_t"])
@@ -913,7 +1016,8 @@ def test_stage_matches_unpaired_oracle(basis):
     for b in (basis, coarse):
         for w, background in _stage_cases(b):
             state = es.SolverState(w, background)
-            assert es.velocity_magnitude(w, background) == _unpaired_velocity_magnitude(w, background)
+            assert (es.velocity_magnitude(state.band, background)
+                    == _unpaired_velocity_magnitude(w, background))
             for _ in range(8):
                 y = state.band
                 assert np.array_equal(es.tendency(y, background), _unpaired_tendency(y, background))
@@ -981,18 +1085,19 @@ def _old_band_grids(cv, kit, synth_r, synth_t, background=None):
     m = np.matmul(kit["radial"], x)         # (nd+1, 2 n_r, 4): d_r above 1/r rows
     if background is not None:
         nr = m.shape[1] // 2
-        m[0, :nr, 0] += background.d_r_profile
-        m[0, :nr, 2] += background.stream_d_r_profile
+        d_r_omega, d_r_psi = np.split(background.d_r_pair, 2)
+        m[0, :nr, 0] += d_r_omega
+        m[0, :nr, 2] += d_r_psi
     return _old_synth(m, (synth_r, synth_t))
 
 
 def _old_mean_fix(row0, cv, basis, background):
-    m = ds._MEAN_FIX_MODES
+    m = min(ds._MEAN_FIX_MODES, row0.size)
     defect = float(row0 @ basis.mean0[: row0.size])
-    psi = cv[0, :m, 0] * basis.green_mult[0, :m]
+    q = cv[0, :m, 0] * basis.green_mult[0, :m] * basis.norm2[0, :m]
     if background is not None:
-        psi = psi + background.stream_row
-    mean0, q = basis.mean0[:m], psi * basis.norm2[0, :m]
+        q = q + background.stream_dual[:m]
+    mean0 = basis.mean0[:m]
     g00, g01, g11 = mean0 @ mean0, mean0 @ q, q @ q
     reg = 1e-14 * max(g00, g11, 1e-30)
     g00, g11 = g00 + reg, g11 + reg
@@ -1100,6 +1205,14 @@ def test_rk4_step_peak_memory(basis):
         state = es.SolverState(w, background)
         assert _traced_peak(lambda: es.step_rk4(state, 0.01, check_cfl=False)) <= 200 * 1024
         assert _traced_peak(lambda: es.step_rk4(state, 0.01)) <= 256 * 1024
+
+
+def test_basis_build_peak_memory(basis):
+    # the default basis computes its radial derivatives for the band's
+    # orders and modes only, into the radial operator, and holds no table of
+    # them for every order and mode (348 KB): traced peak 1770 KB, against
+    # 2110 KB with that table
+    assert _traced_peak(lambda: ds.DiskBasis(16, 32, basis.grid)) <= 1900 * 1024
 
 
 def test_run_dt_sequence_matches_four_grid_velocity(basis, monkeypatch):
