@@ -23,7 +23,8 @@ shorten the step under a time horizon, are bounded by ``MAX_AMPLITUDE`` and
 
 Exit status: 0 all asserted tolerances pass, 2 configuration error (also a
 family or field outside the basis or its dealias band, a turnover horizon
-on a field at rest or a perturbation that vanishes), 3 tolerance failure or
+on a field at rest, a perturbation that vanishes, or a ``rotate-demo`` or
+``sharpness-demo`` with no rotation to recover), 3 tolerance failure or
 numerical failure (a non-finite field, or an ascent step that lowered the
 energy of an in-class iterate, a defect), 1 unexpected error.  A run that
 raises still writes its manifest, with the error under ``error``.
@@ -177,8 +178,8 @@ def _validate(cfg: ExperimentConfig):
     for name, hi in (("turnovers", MAX_TURNOVERS), ("t_end", MAX_T_END)):
         if getattr(cfg, name) > hi:
             raise ConfigError(f"{name} must lie in (-inf, {hi:g}], got {getattr(cfg, name)}")
-    # rotate-demo runs one period, 2 pi / |omega_rot| (20 turnovers at 0),
-    # which is a horizon like t_end
+    # rotate-demo runs one period, 2 pi / |omega_rot|, which is a horizon
+    # like t_end
     if cfg.omega_rot != 0 and 2.0 * math.pi / abs(cfg.omega_rot) > MAX_T_END:
         raise ConfigError(f"omega_rot must be 0 or have its period 2 pi / |omega_rot| "
                           f"<= {MAX_T_END:g}, got {cfg.omega_rot}")
@@ -193,6 +194,14 @@ def _validate(cfg: ExperimentConfig):
                          ("family_k", 1, cfg.k_radial), ("bessel_k_max", 1, MAX_ZERO_INDEX)):
         if not lo <= getattr(cfg, name) <= hi:
             raise ConfigError(f"{name} must lie in [{lo}, {hi}], got {getattr(cfg, name)}")
+    # rotate-demo recovers a rotation rate and sharpness-demo rotation angles
+    # from the phase of the element's cos(n theta + beta) part: b = 0 or
+    # family_n = 0 leaves no phase, and omega_rot = 0 no rotation
+    if cfg.kind in ("rotate-demo", "sharpness-demo") and (cfg.b == 0 or cfg.family_n == 0):
+        raise ConfigError(f"{cfg.kind} needs an element with a phase, b != 0 and "
+                          f"family_n >= 1, got b = {cfg.b} and family_n = {cfg.family_n}")
+    if cfg.kind == "rotate-demo" and cfg.omega_rot == 0:
+        raise ConfigError("rotate-demo needs a nonzero omega_rot, got 0")
     return cfg
 
 
@@ -416,7 +425,7 @@ def _exp_rotate(cfg, rng, outdir):
                                         basis=basis, periods=1.0,
                                         cfl_safety=cfg.cfl_safety,
                                         cadence=cfg.cadence)
-    rec = res.extra.get("recovered_omega", math.nan)
+    rec = res.extra["recovered_omega"]
     passed = abs(rec - cfg.omega_rot) <= 0.01 * abs(cfg.omega_rot)
     if pert is None:
         passed &= res.max_distance <= 1e-6

@@ -50,6 +50,9 @@ _TABLE_COLUMNS = 5400
 # the lowest n = 0 radial modes that carry euler_sim's mean fix, or all kd
 _MEAN_FIX_MODES = 6
 
+# the least normal float: an L^p sum below it has lost digits to underflow
+_TINY = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class DiskGrid:
@@ -407,10 +410,20 @@ def _check_p(p):
         raise ValueError(f"p must lie in [1, inf), got {p}")
 
 
+def weighted_lp(a, mu, p: float) -> float:
+    """(sum mu a^p)^(1/p) of magnitudes a >= 0.  Where that sum leaves the
+    normal float range (large p), it is taken on a / max a instead and the
+    root scaled back, so it neither underflows to 0 nor overflows."""
+    with np.errstate(over="ignore"):
+        s = (a ** p * mu).sum()
+    if not _TINY <= s < math.inf and 0.0 < (top := float(a.max())) < math.inf:
+        return top * float(((a / top) ** p * mu).sum() ** (1.0 / p))
+    return float(s ** (1.0 / p))
+
+
 def lp_norm(g: GridField, p: float) -> float:
     _check_p(p)
-    mu = g.grid.measures
-    return float((np.abs(g.values) ** p * mu).sum() ** (1.0 / p))
+    return weighted_lp(np.abs(g.values), g.grid.measures, p)
 
 
 def spectral_norm2(f: SpectralField) -> float:

@@ -485,14 +485,16 @@ def run_rotating_orbit_experiment(ve: VElement, omega_rot: float,
                                   basis: DiskBasis, t_end=None, periods=1.0,
                                   cfl_safety=0.4, cadence=10) -> ExperimentResult:
     """Evolve ve + 2*omega_rot (+ perturbation); distance is to the shifted
-    orbit, and the recovered rotation rate comes from the beta*(t) slope."""
+    orbit, and the recovered rotation rate comes from the beta*(t) slope.  An
+    element with b = 0 or order n = 0 has no phase, so a rate is fitted only
+    for b > 0, n >= 1 and omega_rot != 0."""
     if t_end is None and omega_rot != 0.0:
         t_end = periods * 2.0 * math.pi / abs(omega_rot)
     res = _evolve_element(ve, perturbation, p, t_end, 20.0, basis,
                           2.0 * omega_rot, cfl_safety, cadence)
-    if ve.b > 0 and omega_rot != 0.0:
+    n_fold, _ = ve.family
+    if ve.b > 0 and n_fold >= 1 and omega_rot != 0.0:
         ts = np.array([r.t for r in res.trace])
-        n_fold, _ = ve.family
         betas = np.unwrap(np.array([r.beta_star for r in res.trace]) * n_fold) / n_fold
         slope = np.polyfit(ts, betas, 1)[0]
         res.extra["recovered_omega"] = -slope

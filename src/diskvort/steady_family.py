@@ -23,7 +23,16 @@ from functools import lru_cache
 import numpy as np
 
 from .bessel import _j_neighbours, bessel_j, bessel_zero
-from .disk_spectral import DiskBasis, DiskGrid, GridField, SpectralField, lp_norm, single_mode
+from .disk_spectral import (
+    _TINY,
+    DiskBasis,
+    DiskGrid,
+    GridField,
+    SpectralField,
+    lp_norm,
+    single_mode,
+    weighted_lp,
+)
 from .errors import NonFiniteFieldError, ResolutionError
 from .quadrature import interval_rule
 
@@ -98,21 +107,7 @@ def dipole_part(ve: VElement, basis: DiskBasis) -> SpectralField:
 _N_COARSE = 256
 
 
-def _orbit_distance_curve(g: GridField, ve: VElement, p: float, betas):
-    """L^p distance from g to the rotations ve.rotated(beta) for many betas."""
-    grid = g.grid
-    base, gc, gs = _orbit_tables(ve.a, ve.b, ve.family, grid)
-    resid0 = g.values - base
-    mu = grid.measures
-    betas = np.atleast_1d(betas)
-    out = np.empty(betas.size)
-    for i, beta in enumerate(betas):
-        phi = ve.beta + beta
-        diff = resid0 - (math.cos(phi) * gc - math.sin(phi) * gs)
-        out[i] = (np.abs(diff) ** p * mu).sum()
-    return out ** (1.0 / p)
-
-
+@np.errstate(over="ignore")
 def _newton_angle(r0, gc, gs, mu, p, phi):
     """Least D = sum mu |e|^p, e = r0 - m, m = cos(phi) gc - sin(phi) gs, in
     phi +- 2 pi / _N_COARSE by Newton on D'/p = sum mu sign(e)|e|^(p-1) t,
@@ -126,7 +121,11 @@ def _newton_angle(r0, gc, gs, mu, p, phi):
     search stops on that end for ``orbital_distance``'s restart scan.  The
     search also stops where D' lies within the bound of its rounding noise,
     as it does at once on a field that lies on its orbit, where every e is
-    noise."""
+    noise.  Returns the last angle evaluated and D^(1/p) there, from that
+    pass's weights w = mu sign(e)|e|^(p-1): D = sum w e.  A pass whose
+    weights leave the normal float range (large p) is repeated on r0, gc and
+    gs divided by max |e|, which scales D', D'' and D alike and so moves no
+    step; overflow is no error."""
     span = 2.0 * math.pi / _N_COARSE
     lo, hi, last, before = phi - span, phi + span, span, span
     ends, probe = [lo, hi], 0.0     # unprobed first-bracket ends; the D' that sent a probe
@@ -138,16 +137,23 @@ def _newton_angle(r0, gc, gs, mu, p, phi):
     # |e| <= u, which max(p-1, 1) u / max(|e|, u) covers.  Where D' lies
     # within the sum of those uncertainties, its sign is noise
     u = 4.0 * eps * float(np.abs(r0).max() + np.abs(gc).max() + np.abs(gs).max())
+    scale, step = 1.0, 0.0
     for _ in range(100):        # ~45 bisections reach the step tolerance
+        phi += step
         c, s = math.cos(phi), math.sin(phi)
         m = c * gc - s * gs
         e, t = r0 - m, s * gc + c * gs
         a = np.abs(e)
         w = np.copysign(a ** (p - 1.0), e) * mu
         wt = w * t
+        noise = float((np.abs(wt) / np.maximum(a, u)).sum())
+        if not _TINY <= noise < math.inf:
+            top = float(a.max())
+            if 0.0 < top < math.inf and top != 1.0:
+                r0, gc, gs, u, scale, step = r0 / top, gc / top, gs / top, u / top, scale * top, 0.0
+                continue
         d1 = float(wt.sum())
-        if (abs(d1) <= max(p - 1.0, 1.0) * u * float((np.abs(wt) / np.maximum(a, u)).sum())
-                or probe * d1 > 0.0):
+        if abs(d1) <= max(p - 1.0, 1.0) * u * noise or probe * d1 > 0.0:
             break
         with np.errstate(divide="ignore", invalid="ignore"):
             d2 = float(((p - 1.0) * a ** (p - 2.0) * t * t * mu + w * m).sum())
@@ -161,62 +167,68 @@ def _newton_angle(r0, gc, gs, mu, p, phi):
                 step, probe = end - phi, d1
             else:
                 step = 0.5 * (lo + hi) - phi
-        phi, last, before = phi + step, step, last
+        last, before = step, last
         if abs(step) <= tol:
             break
-    return phi
+    total = float((w * e).sum())
+    d = total ** (1.0 / p) if _TINY <= total < math.inf else weighted_lp(a, mu, p)
+    return phi, scale * d
 
 
 def _tangent_floor(gc, grid: DiskGrid, p: float) -> float:
     """Lower bound on min over psi of ||rad(r) sin(n theta + psi)||_p, rad =
     gc[:, 0]: each ring has sum_j sin^2 = n_theta / 2, and power means bound
-    sum_j |sin|^p below by n_theta min(1/2, 2^(-p/2))."""
-    ring = (grid.measure_r * np.abs(gc[:, 0]) ** p).sum()
-    return (min(0.5, 2.0 ** (-0.5 * p)) * grid.n_theta * ring) ** (1.0 / p)
+    sum_j |sin|^p below by n_theta min(1/2, 2^(-p/2)), whose p-th root is
+    2^(-max(1/p, 1/2))."""
+    ring = weighted_lp(np.abs(gc[:, 0]), grid.measure_r, p)
+    return 0.5 ** max(1.0 / p, 0.5) * grid.n_theta ** (1.0 / p) * ring
 
 
 def orbital_distance(g: GridField, ve: VElement, p: float):
     """min over rotations of ||g - ve(., . + beta)||_p and the minimizer.
 
-    With r = g - base, gc and gs the orbit's sampled cos(n theta) and
-    sin(n theta) parts and phi = ve.beta + beta, every p starts from the L^2
-    angle phi0 = atan2(-<r, gs>, <r, gc>), exact at p = 2: for 0 < 2n <
-    n_theta, gc and gs are orthogonal with equal norms, so d^2(phi) = C -
-    2 cos(phi) <r, gc> + 2 sin(phi) <r, gs>.  Other p take ``_newton_angle``
-    steps to a distance d at phi.  Rotating by dphi moves the orbit by
-    2 |sin(dphi / 2)| rad(r) sin(n theta + psi), so no angle farther than
-    2 asin(d / ``_tangent_floor``) from phi is closer.  If that radius reaches
-    past the bracket (so always when Newton ends on its edge), the least of
-    256 scanned angles starts a second Newton run; the closer result is kept.
-    b = 0 or n = 0 leaves one orbit field; 2n >= n_theta is a ResolutionError.
+    With r0 = g - base, gc and gs the orbit's sampled cos(n theta) and
+    sin(n theta) parts and phi = ve.beta + beta, one evaluator gives
+    D(phi)^(1/p), D = sum mu |r0 - cos(phi) gc + sin(phi) gs|^p.  Every p
+    starts from the L^2 angle phi0 = atan2(-<r0, gs>, <r0, gc>), exact at
+    p = 2: for 0 < 2n < n_theta, gc and gs are orthogonal with equal norms, so
+    d^2(phi) = C - 2 cos(phi) <r0, gc> + 2 sin(phi) <r0, gs>.  Other p take
+    ``_newton_angle`` steps to a distance d at phi.  Rotating by dphi moves
+    the orbit by 2 |sin(dphi / 2)| rad(r) sin(n theta + psi), so no angle
+    farther than 2 asin(d / ``_tangent_floor``) from phi is closer.  If that
+    radius reaches past the bracket (so always when Newton ends on its edge),
+    the least of 256 evaluated angles starts a second Newton run; the closer
+    result is kept.  b = 0 or n = 0 leaves one orbit field; 2n >= n_theta is a
+    ResolutionError.
     """
     if not (1.0 < p < math.inf):
         raise ValueError(f"p must lie in (1, inf), got {p}")
     grid = g.grid
     n, _ = ve.family
+    base, gc, gs = _orbit_tables(ve.a, ve.b, ve.family, grid)
+    r0, mu = g.values - base, grid.measures
+
+    def distance(phi):
+        return weighted_lp(np.abs(r0 - (math.cos(phi) * gc - math.sin(phi) * gs)), mu, p)
+
     if ve.b == 0.0 or n == 0:
-        return float(_orbit_distance_curve(g, ve, p, [0.0])[0]), 0.0
+        return distance(ve.beta), 0.0
     if 2 * n >= grid.n_theta:
         raise ResolutionError(f"family order {n} needs n_theta > {2 * n}, got {grid.n_theta}")
-    base, gc, gs = _orbit_tables(ve.a, ve.b, ve.family, grid)
-    resid = (g.values - base) * grid.measures
-    phi0 = math.atan2(-float((resid * gs).sum()), float((resid * gc).sum()))
-
-    def at(phi):
-        beta = (phi - ve.beta) % (2.0 * math.pi)
-        return float(_orbit_distance_curve(g, ve, p, [beta])[0]), float(beta)
-
+    rm = r0 * mu
+    phi0 = math.atan2(-float((rm * gs).sum()), float((rm * gc).sum()))
     if p == 2.0:
-        return at(phi0)
-    r0, mu = g.values - base, grid.measures
-    phi = _newton_angle(r0, gc, gs, mu, p, phi0)
-    best = at(phi)
-    reach = 2.0 * math.asin(min(1.0, best[0] / _tangent_floor(gc, grid, p)))
-    if reach >= 2.0 * math.pi / _N_COARSE - abs(phi - phi0):
-        betas = 2.0 * math.pi * np.arange(_N_COARSE) / _N_COARSE
-        start = ve.beta + betas[int(np.argmin(_orbit_distance_curve(g, ve, p, betas)))]
-        best = min(best, at(_newton_angle(r0, gc, gs, mu, p, start)))
-    return best
+        phi, d = phi0, distance(phi0)
+    else:
+        phi, d = _newton_angle(r0, gc, gs, mu, p, phi0)
+        reach = 2.0 * math.asin(min(1.0, d / _tangent_floor(gc, grid, p)))
+        if reach >= 2.0 * math.pi / _N_COARSE - abs(phi - phi0):
+            phis = ve.beta + 2.0 * math.pi * np.arange(_N_COARSE) / _N_COARSE
+            start = phis[int(np.argmin([distance(x) for x in phis]))]
+            phi2, d2 = _newton_angle(r0, gc, gs, mu, p, float(start))
+            if d2 < d:
+                phi, d = phi2, d2
+    return d, (phi - ve.beta) % (2.0 * math.pi)
 
 
 def plain_distance(g: GridField, ref: GridField, p: float) -> float:

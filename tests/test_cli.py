@@ -314,7 +314,27 @@ def test_rotation_period_edge(basis, monkeypatch):
             with pytest.raises(ConfigError, match="omega_rot must"):
                 cli.parse_config(f"omega_rot = {w!r}\n", kind="rotate-demo")
     assert True in verdicts and False in verdicts
-    cli.parse_config("omega_rot = 0\n", kind="rotate-demo")
+    # 0 has no period: rotate-demo has no rotation to recover, and other
+    # kinds never read the rate
+    with pytest.raises(ConfigError, match="nonzero omega_rot"):
+        cli.parse_config("omega_rot = 0\n", kind="rotate-demo")
+    cli.parse_config("omega_rot = 0\n", kind="evolve")
+
+
+@pytest.mark.parametrize("kind, lines", [
+    ("rotate-demo", "omega_rot = 0\n"), ("rotate-demo", "a = 0.5\nb = 0\n"),
+    ("rotate-demo", "family_n = 0\n"), ("sharpness-demo", "a = 0.5\nb = 0\n"),
+    ("sharpness-demo", "family_n = 0\n")])
+def test_runs_without_a_rotation_are_config_errors(tmp_path, capsys, kind, lines):
+    # an element with b = 0 or family_n = 0 has no phase to follow, and a
+    # rotate-demo at omega_rot = 0 no rate to recover: each ran to exit 3,
+    # rotate-demo writing recovered_omega as NaN, which is not JSON
+    cfgfile = tmp_path / "r.cfg"
+    cfgfile.write_text("n_theta_modes = 6\nk_radial = 10\nn_r = 24\nn_theta = 32\n" + lines)
+    out = tmp_path / "o"
+    assert cli.main([kind, "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert f"config error: {kind} needs" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def _check_step_log(manifest):

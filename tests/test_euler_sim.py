@@ -148,6 +148,15 @@ def test_rotating_run_zero_perturbation(basis):
     assert abs(res.extra["recovered_omega"] - 0.3) <= 0.01 * 0.3
 
 
+def test_rotating_run_fits_no_rate_without_a_phase():
+    # b = 0 and order n = 0 leave beta* without meaning; at n = 0 the fit
+    # divided by n ("invalid value encountered in divide")
+    small = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    for ve in (sf.VElement(0.5, 0.0), sf.VElement(0.3, 0.5, 0.0, family=(0, 2))):
+        res = es.run_rotating_orbit_experiment(ve, 0.3, None, 2.0, basis=small, t_end=0.5)
+        assert "recovered_omega" not in res.extra and res.max_distance <= 1e-6
+
+
 def test_rotating_run_omega_zero_matches_stability(basis, rng):
     ve = sf.VElement(0.3, 1.0, 0.2)
     pert = es.make_perturbation("mode-injection", ve, 1e-4, 2.0, basis,

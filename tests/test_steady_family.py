@@ -99,12 +99,20 @@ def test_orbital_distance_self(basis, grid):
         assert min(beta, 2 * math.pi - beta) < 1e-4, p
 
 
-def test_orbital_distance_radial_skips_search(grid):
-    # b = 0 and order n = 0: the orbit is one field
+def test_orbital_distance_radial_skips_search(basis, grid):
+    # b = 0 and order n = 0: the orbit is one field, and the distance is the
+    # one to it, also off the orbit
+    pert = ds.to_grid(ds.random_in_span(basis, np.random.default_rng(4), n_cut=4, k_cut=6))
     for ve in (sf.VElement(0.5, 0.0, 0.0), sf.VElement(0.5, 0.7, 1.0, family=(0, 2))):
-        for p in (1.5, 2.0):
-            d, beta = sf.orbital_distance(sf.v_element_grid(ve, grid), ve, p)
+        g = sf.v_element_grid(ve, grid)
+        for p in (1.5, 2.0, 4.0):
+            d, beta = sf.orbital_distance(g, ve, p)
             assert d < 1e-12 and beta == 0.0
+            off = ds.GridField(grid, g.values + 1e-2 * pert.values)
+            d, beta = sf.orbital_distance(off, ve, p)
+            assert beta == 0.0 and d > 1e-4
+            _check_returned_pair(off, ve, p, d, beta)
+            _check_against_parent(off, ve, p, d)
 
 
 def test_orbital_distance_unresolved_order():
@@ -301,30 +309,134 @@ def test_plain_distance_rejects_fields_on_different_grids(grid, rng):
         assert sf.plain_distance(g, other, p) == explicit
 
 
-def _orbit_distance_search(g, ve, p):
+def _curve(g, ve, p, betas, scaled=False):
+    """L^p distances from g to the rotations ve.rotated(beta), evaluated here
+    rather than by the code under test; ``scaled`` takes each sum on
+    |e| / max |e| and scales its root back, for p where the plain sum leaves
+    the float range."""
+    base, gc, gs = sf._orbit_tables(ve.a, ve.b, ve.family, g.grid)
+    out = []
+    for beta in np.atleast_1d(betas):
+        phi = ve.beta + beta
+        e = np.abs(g.values - base - (math.cos(phi) * gc - math.sin(phi) * gs))
+        top = e.max() if scaled else 1.0
+        out.append(top * ((e / top) ** p * g.grid.measures).sum() ** (1.0 / p))
+    return np.array(out)
+
+
+def _orbit_distance_search(g, ve, p, scaled=False):
     """A scan over 256 angles, then golden section to a 1e-8 bracket: the
     minimizer that Newton's method from the L^2 angle replaced."""
     n_scan, tol = 256, 1e-8
+
+    def at(x):
+        return _curve(g, ve, p, [x], scaled)[0]
+
     betas = 2.0 * math.pi * np.arange(n_scan) / n_scan
-    i = int(np.argmin(sf._orbit_distance_curve(g, ve, p, betas)))
+    i = int(np.argmin(_curve(g, ve, p, betas, scaled)))
     span = 2.0 * math.pi / n_scan
     lo, hi = betas[i] - span, betas[i] + span
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
-    f1 = sf._orbit_distance_curve(g, ve, p, [x1])[0]
-    f2 = sf._orbit_distance_curve(g, ve, p, [x2])[0]
+    f1, f2 = at(x1), at(x2)
     while hi - lo > tol:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
-            f1 = sf._orbit_distance_curve(g, ve, p, [x1])[0]
+            f1 = at(x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
-            f2 = sf._orbit_distance_curve(g, ve, p, [x2])[0]
+            f2 = at(x2)
     beta_star = 0.5 * (lo + hi) % (2.0 * math.pi)
-    return float(sf._orbit_distance_curve(g, ve, p, [beta_star])[0]), float(beta_star)
+    return float(at(beta_star)), float(beta_star)
+
+
+def _floor(g, ve, p):
+    """4 eps ||g - base||_p: each residual cell is a difference of
+    O(|g - base|) terms, so an evaluated distance is only good to a few eps
+    ||g - base||_p."""
+    base, _, _ = sf._orbit_tables(ve.a, ve.b, ve.family, g.grid)
+    return 4 * np.finfo(float).eps * ds.lp_norm(ds.GridField(g.grid, g.values - base), p)
+
+
+def _check_returned_pair(g, ve, p, d, beta):
+    # the returned distance is the distance at the returned angle
+    assert abs(d - _curve(g, ve, p, [beta])[0]) <= _floor(g, ve, p), (p, ve, d, beta)
+
+
+def _parent_newton(r0, gc, gs, mu, p, phi):
+    """The Newton search of the orbital_distance that one residual and one
+    evaluator replaced, kept with it as the reference of the new distances:
+    it returned its last step's angle without the distance there."""
+    span = 2.0 * math.pi / sf._N_COARSE
+    lo, hi, last, before = phi - span, phi + span, span, span
+    ends, probe = [lo, hi], 0.0
+    eps = np.finfo(float).eps
+    tol = 8.0 * eps
+    u = 4.0 * eps * float(np.abs(r0).max() + np.abs(gc).max() + np.abs(gs).max())
+    for _ in range(100):
+        c, s = math.cos(phi), math.sin(phi)
+        m = c * gc - s * gs
+        e, t = r0 - m, s * gc + c * gs
+        a = np.abs(e)
+        w = np.copysign(a ** (p - 1.0), e) * mu
+        wt = w * t
+        d1 = float(wt.sum())
+        if (abs(d1) <= max(p - 1.0, 1.0) * u * float((np.abs(wt) / np.maximum(a, u)).sum())
+                or probe * d1 > 0.0):
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d2 = float(((p - 1.0) * a ** (p - 2.0) * t * t * mu + w * m).sum())
+        lo, hi = (lo, phi) if d1 > 0.0 else (phi, hi)
+        step, probe = (-d1 / d2 if 0.0 < d2 < math.inf else math.inf), 0.0
+        if abs(step) > tol and not (lo < phi + step < hi and abs(step) < 0.5 * abs(before)):
+            end = lo if d1 > 0.0 else hi
+            if end in ends and d2 < math.inf and not lo < phi + step < hi:
+                ends.remove(end)
+                step, probe = end - phi, d1
+            else:
+                step = 0.5 * (lo + hi) - phi
+        phi, last, before = phi + step, step, last
+        if abs(step) <= tol:
+            break
+    return phi
+
+
+def _parent_orbital_distance(g, ve, p):
+    """That orbital_distance: the residual formed per evaluation, angles
+    through beta and back, and the distance evaluated again after Newton."""
+    grid = g.grid
+    if ve.b == 0.0 or ve.family[0] == 0:
+        return float(_curve(g, ve, p, [0.0])[0]), 0.0
+    base, gc, gs = sf._orbit_tables(ve.a, ve.b, ve.family, grid)
+    resid = (g.values - base) * grid.measures
+    phi0 = math.atan2(-float((resid * gs).sum()), float((resid * gc).sum()))
+
+    def at(phi):
+        beta = (phi - ve.beta) % (2.0 * math.pi)
+        return float(_curve(g, ve, p, [beta])[0]), float(beta)
+
+    if p == 2.0:
+        return at(phi0)
+    r0, mu = g.values - base, grid.measures
+    phi = _parent_newton(r0, gc, gs, mu, p, phi0)
+    best = at(phi)
+    ring = (grid.measure_r * np.abs(gc[:, 0]) ** p).sum()
+    floor = (min(0.5, 2.0 ** (-0.5 * p)) * grid.n_theta * ring) ** (1.0 / p)
+    reach = 2.0 * math.asin(min(1.0, best[0] / floor))
+    if reach >= 2.0 * math.pi / sf._N_COARSE - abs(phi - phi0):
+        betas = 2.0 * math.pi * np.arange(sf._N_COARSE) / sf._N_COARSE
+        start = ve.beta + betas[int(np.argmin(_curve(g, ve, p, betas)))]
+        best = min(best, at(_parent_newton(r0, gc, gs, mu, p, start)))
+    return best
+
+
+def _check_against_parent(g, ve, p, d):
+    # one residual, one evaluator and Newton's own distance move a distance
+    # by at most the floor of its evaluation
+    assert abs(d - _parent_orbital_distance(g, ve, p)[0]) <= _floor(g, ve, p), (p, ve)
 
 
 def test_closed_form_distance_matches_search(basis, grid):
@@ -350,11 +462,13 @@ def test_closed_form_distance_matches_search(basis, grid):
             assert beta == (phi0 - ve.beta) % (2.0 * math.pi)
             d_search, beta_search = _orbit_distance_search(g, ve, 2.0)
             assert d <= d_search * (1 + 1e-13), (family, size, d, d_search)
+            _check_returned_pair(g, ve, 2.0, d, beta)
+            _check_against_parent(g, ve, 2.0, d)
 
             # d^2 = C - 2 R cos(phi - phi*) exactly, so three samples at
             # beta* and beta* +- h give the offset of beta* from the minimizer
             h = 1e-3
-            fm, f0, fp = sf._orbit_distance_curve(g, ve, 2.0, [beta - h, beta, beta + h]) ** 2
+            fm, f0, fp = _curve(g, ve, 2.0, [beta - h, beta, beta + h]) ** 2
             offset = math.atan((fp - fm) / (fp - 2 * f0 + fm) * math.tan(h / 2))
             assert abs(offset) <= 1e-12, (family, size, offset)
 
@@ -406,12 +520,12 @@ def test_newton_distance_never_farther_than_search(basis, grid, monkeypatch):
     runs = []
 
     def recorded(*args, newton=sf._newton_angle):
-        runs.append((args[-1], newton(*args)))
-        return runs[-1][1]
+        phi, d = newton(*args)
+        runs.append((args[-1], phi, d))
+        return phi, d
 
     monkeypatch.setattr(sf, "_newton_angle", recorded)
     span = 2 * math.pi / sf._N_COARSE
-    eps = np.finfo(float).eps
     restarts = interior = 0
     for p, cases in _newton_cases(np.random.default_rng(20), basis, grid):
         cases = cases[0] + cases[1]
@@ -422,22 +536,19 @@ def test_newton_distance_never_farther_than_search(basis, grid, monkeypatch):
                 on_orbit.append((ve, sf.v_element_grid(ve.rotated(angle), grid)))
         for i, (ve, g) in enumerate(cases + on_orbit):
             runs.clear()
-            d, _ = sf.orbital_distance(g, ve, p)
+            d, beta = sf.orbital_distance(g, ve, p)
             d_search, _ = _orbit_distance_search(g, ve, p)
-            # each residual cell is a difference of O(|g - base|) terms, so an
-            # evaluated distance is only good to a few eps ||g - base||_p; the
-            # search keeps the least of ~40 such values, which can undercut the
-            # true minimum by that much at small perturbations
-            base, _, _ = sf._orbit_tables(ve.a, ve.b, ve.family, grid)
-            floor = 4 * eps * ds.lp_norm(ds.GridField(grid, g.values - base), p)
-            assert d <= d_search * (1 + 1e-13) + floor, (p, ve, d, d_search)
+            # the search keeps the least of ~40 evaluated values, which can
+            # undercut the true minimum by the floor at small perturbations
+            assert d <= d_search * (1 + 1e-13) + _floor(g, ve, p), (p, ve, d, d_search)
+            _check_returned_pair(g, ve, p, d, beta)
+            _check_against_parent(g, ve, p, d)
             if i >= len(cases):
-                (phi0, phi), = runs
+                (phi0, phi, _), = runs
                 assert phi == phi0, (p, ve, phi - phi0)
             if len(runs) > 1:
                 restarts += 1
-                (phi0, phi), = runs[:1]
-                first = sf._orbit_distance_curve(g, ve, p, [phi - ve.beta])[0]
+                (phi0, phi, first), = runs[:1]
                 interior += abs(phi - phi0) < span - 1e-12 and d < first * (1 - 1e-10)
     assert restarts >= 1 and interior >= 1, (restarts, interior)
 
@@ -450,10 +561,11 @@ def test_newton_bisects_where_residual_cells_vanish(basis, grid):
     _, gc, gs = sf._orbit_tables(ve.a, ve.b, ve.family, grid)
     r0 = math.cos(0.3) * gc - math.sin(0.3) * gs
     r0[40:] = (math.cos(0.31) * gc - math.sin(0.31) * gs)[40:]
-    phi = sf._newton_angle(r0, gc, gs, grid.measures, 1.5, 0.3)
+    phi, d = sf._newton_angle(r0, gc, gs, grid.measures, 1.5, 0.3)
     g = ds.GridField(grid, r0)
     d_search, _ = _orbit_distance_search(g, ve, 1.5)
-    assert sf._orbit_distance_curve(g, ve, 1.5, [phi])[0] <= d_search * (1 + 1e-13)
+    assert d <= d_search * (1 + 1e-13)
+    _check_returned_pair(g, ve, 1.5, d, phi)
     assert 0.3 < phi < 0.31
 
 
@@ -480,8 +592,9 @@ def test_newton_hands_a_minimum_past_the_bracket_to_the_scan(basis, grid, monkey
 
     def recorded(*args, newton=sf._newton_angle):
         counting.calls = 0
-        runs.append((args[-1], newton(*args), counting.calls))
-        return runs[-1][1]
+        phi, d = newton(*args)
+        runs.append((args[-1], phi, counting.calls))
+        return phi, d
 
     monkeypatch.setattr(sf, "np", counting)
     monkeypatch.setattr(sf, "_newton_angle", recorded)
@@ -530,3 +643,39 @@ def test_orbit_tables_are_shared_by_rotations(basis, grid):
     for r, got in zip(rotations, shared):
         sf._orbit_tables.cache_clear()
         assert sf.orbital_distance(g, r, 2.0) == got
+
+
+def test_lp_sums_keep_their_range_at_large_p(grid):
+    # at p = 200 and 400 a residual of size 1e-3 has |e|^p far below the least
+    # normal float, and a field of size 1e3 far above the largest: plain sums
+    # read 0.0 and overflowed.  Each sum is taken on |x| / max |x| where it
+    # would leave the normal range; with RuntimeWarning an error, no overflow
+    # warning may escape
+    for c in (1e-3, 1e3):
+        const = ds.GridField(grid, np.full(grid.measures.shape, c))
+        for p in (200.0, 400.0):
+            assert abs(ds.lp_norm(const, p) / (c * math.pi ** (1 / p)) - 1) <= 1e-12, (c, p)
+    # where the plain sum is a normal float it is kept, bit for bit
+    small = ds.GridField(grid, np.full(grid.measures.shape, 1e-3))
+    assert ds.lp_norm(small, 100.0) == float((1e-3 ** 100.0 * grid.measures).sum() ** 0.01)
+    # the floor of a small orbit scales with it
+    _, gc, _ = sf._orbit_tables(0.0, 1.0, (1, 1), grid)
+    for p in (200.0, 400.0):
+        ratio = sf._tangent_floor(1e-3 * gc, grid, p) / sf._tangent_floor(gc, grid, p)
+        assert abs(ratio / 1e-3 - 1) <= 1e-12, p
+
+    lamb = sf.VElement(0.0, 1.0, 0.0)
+    ve = sf.VElement(0.3, 1.0, 0.7)
+    target = sf.v_element_grid(ve.rotated(1.0), grid)
+    shuffled = ds.ring_shuffle(target, np.random.default_rng(3)).values - target.values
+    cases = [(lamb, ds.GridField(grid, sf.v_element_grid(lamb, grid).values
+                                 + 1e-3 * np.cos(2 * grid.theta)[None, :])),
+             (ve, ds.GridField(grid, target.values + 1e-2 * shuffled))]
+    for p in (200.0, 400.0):
+        for element, g in cases:
+            d, beta = sf.orbital_distance(g, element, p)
+            at_beta = _curve(g, element, p, [beta], scaled=True)[0]
+            assert abs(d - at_beta) <= 1e-12 * at_beta, (p, d, at_beta)
+            d_search, _ = _orbit_distance_search(g, element, p, scaled=True)
+            assert d <= d_search * (1 + 1e-13) + _floor(g, element, p), (p, d, d_search)
+            assert d > 9e-4, (p, d)
