@@ -1,33 +1,31 @@
 """Command-line harness: reproducible experiments with structured output.
 
-Config files are flat ``key = value`` text; ``#`` starts a comment.  Unknown
-keys are errors, as are out-of-range values.  Every run writes, under the
-output directory, a ``manifest.json`` (config echo, config hash, seed,
-versions, BLAS idle policy, wall time, pass flag), a ``results.csv`` whose
-first line carries the config hash, and, where fields are produced,
-``fields/*.json`` in the documented serialization schema.  The same config
-and seed reproduce the same CSV bytes.
+Config files are flat ``key = value`` text; ``#`` starts a comment.  The
+fields of ``ExperimentConfig`` are the keys: each declares its type, its
+default, the kinds whose runs read it and the bounds those kinds check.
+Unknown keys, values that do not parse and non-finite floats are errors for
+every kind, and a value outside its key's bounds is an error for the kinds
+that read the key.  Every run writes, under the output directory, a
+``manifest.json`` (config echo, config hash, seed, versions, BLAS idle
+policy, wall time, pass flag), a ``results.csv`` whose first line carries the
+config hash, and, where fields are produced, ``fields/*.json`` in the
+documented serialization schema.  The same config and seed reproduce the
+same CSV bytes.
 
 Each kind calls the library and writes its record: ``bessel-table`` the
 rows of ``bessel.certified_zeros``, ``evolve`` and ``rotate-demo`` the
 ``euler_sim.TraceRow`` fields of the stability and rotating-orbit drivers,
 and ``sharpness-demo`` the last row and final field of one rotating-orbit
-run per angle.  A zero table holds at most ``MAX_ZERO_INDEX`` zeros per
-order, a grid at most ``MAX_RADIAL_NODES`` radii and ``MAX_ANGLES``
-angles, and the horizons and counts are bounded by ``MAX_TURNOVERS``,
-``MAX_T_END``, ``MAX_SEEDS``, ``MAX_ASCENT_ITERS`` and ``MAX_N_UNIFORM``; a
-nonzero ``omega_rot`` has a period 2 pi / |omega_rot| of at most
-``MAX_T_END``, and the amplitudes ``a``, ``b`` and ``delta_rel``, which
-shorten the step under a time horizon, are bounded by ``MAX_AMPLITUDE`` and
-``MAX_DELTA_REL``.
+run per angle.
 
 Exit status: 0 all asserted tolerances pass, 2 configuration error (also a
-family or field outside the basis or its dealias band, a turnover horizon
-on a field at rest, a perturbation that vanishes, or a ``rotate-demo`` or
-``sharpness-demo`` with no rotation to recover), 3 tolerance failure or
-numerical failure (a non-finite field, or an ascent step that lowered the
-energy of an in-class iterate, a defect), 1 unexpected error.  A run that
-raises still writes its manifest, with the error under ``error``.
+family or field outside the basis or its dealias band, an empty dealias
+band, a turnover horizon on a field at rest, a perturbation that vanishes,
+or a ``rotate-demo`` or ``sharpness-demo`` with no rotation to recover), 3
+tolerance failure or numerical failure (a non-finite field, or an ascent
+step that lowered the energy of an in-class iterate, a defect), 1 unexpected
+error.  A run that raises still writes its manifest, with the error under
+``error``.
 """
 
 import argparse
@@ -36,7 +34,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass, fields as dc_fields
+from dataclasses import asdict, astuple, dataclass, field, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -64,66 +62,84 @@ from .euler_sim import (
 from .steady_family import VElement, orbital_distance, plain_distance, v_element_grid
 from .variational import burton_maximize, solve_v1, solve_v2
 
+KINDS = ("bessel-table", "verify-identities", "eigs", "steady-check", "burton-maximize",
+         "evolve", "stability-sweep", "rotate-demo", "sharpness-demo")
+# the kinds that build a basis; of those, the ones that build the configured
+# element; of those, the ones that step it in time
+_BASIS, _ELEMENT, _STEPPING = KINDS[2:], KINDS[3:], KINDS[5:]
+_PERTURBING = ("evolve", "stability-sweep", "rotate-demo")
 # the largest zero index of a bessel-table: the zero scan's time and memory
 # grow with the index, and the (64, 1000) table takes ~9 s, with a 48 MB
 # peak RSS, on a 2-core x86 VM
 MAX_ZERO_INDEX = 1000
-# the largest horizons and counts: each keeps one run on the default basis
-# within about five minutes on a 2-core x86 VM, where one turnover of the
-# default element takes ~0.1 s (t_end: ~2.3 ms per time unit, 48 to a
-# turnover), one ascent seed ~50 ms (~0.8 ms per iteration, up to max_iters)
-# and one unit of n_uniform ~11 ms
-MAX_TURNOVERS = 1000.0
+# the largest t_end, and the longest rotate-demo period 2 pi / |omega_rot|
 MAX_T_END = 50000.0
-MAX_SEEDS = 1000
-MAX_ASCENT_ITERS = 100000
-MAX_N_UNIFORM = 10000
-# the largest collocation grid: the basis tables grow as n_theta_modes n_r
-# k_radial (k_radial < n_r) and the Gauss-Legendre nodes as n_r^2, and the
+
+
+def _key(default, kinds, lo=None, hi=None, *, open_lo=False, choices=None, caps=None,
+         horizon=False):
+    """A config key: its default, the kinds whose runs read it, and the
+    bounds that those kinds check, lo <= value <= hi (lo < value if open_lo;
+    a bound may name another key) or value in choices.  ``caps`` names the
+    count of work that a bound caps.  A ``horizon`` at or below 0 is unset,
+    and a kind needs one of the horizons it reads positive."""
+    return field(default=default, metadata=dict(kinds=kinds, lo=lo, hi=hi, open_lo=open_lo,
+                                                choices=choices, caps=caps, horizon=horizon))
+
+
+# A bound that caps work keeps one run on the default basis within about
+# five minutes on a 2-core x86 VM at cfl_safety 0.4, where one turnover of
+# the default element takes ~0.1 s (t_end: ~2.3 ms per time unit, 48 to a
+# turnover), one ascent seed ~50 ms (~0.8 ms per iteration, up to max_iters)
+# and one unit of n_uniform ~11 ms.  The basis tables grow as n_theta_modes
+# n_r k_radial (k_radial < n_r) and the Gauss-Legendre nodes as n_r^2: the
 # largest accepted basis, DiskBasis(64, 254, DiskGrid(256, 1024)), builds in
-# ~7 s with a 224 MB peak RSS on a 2-core x86 VM
-MAX_RADIAL_NODES = 256
-MAX_ANGLES = 1024
-# the largest amplitudes |a|, |b| and delta_rel: under a t_end horizon the
-# step count grows with max|u|, which is linear in each.  At MAX_T_END on the
-# default basis, on a 2-core x86 VM (~2.3 ms per time unit at a = 0, b = 1),
+# ~7 s with a 224 MB peak RSS.  Under a t_end horizon the step count grows
+# with max|u|, which is linear in a, b and delta_rel: at the largest t_end
 # the default element takes ~2 min, a = 1 ~3 min, and a = 1 with a
-# mode-injection perturbation of delta_rel = 1 ~4.5 min.  Every shape a / b of
-# the family has a member within the bound, larger amplitudes only rescale
-# time (omega -> lambda omega, t -> t / lambda), and a perturbation larger
-# than its element is no longer a perturbation of it
-MAX_AMPLITUDE = 1.0
-MAX_DELTA_REL = 1.0
-
-
+# mode-injection perturbation of delta_rel = 1 ~4.5 min.  Every shape a / b
+# of the family has a member within the bound, larger amplitudes only
+# rescale time (omega -> lambda omega, t -> t / lambda), and a perturbation
+# larger than its element is no longer a perturbation of it.  The step count
+# grows as 1 / cfl_safety (default evolve: 8029 steps at 0.4), so the floor
+# 0.1 lets a run take up to 4x its budget at 0.4, ~18 min at the largest
+# t_end with a = 1 and delta_rel = 1; above 1 every refresh would step over
+# the advective limit.
 @dataclass
 class ExperimentConfig:
-    kind: str = ""
-    seed: int = 0
-    n_theta_modes: int = 16
-    k_radial: int = 32
-    n_r: int = 80
-    n_theta: int = 128
-    a: float = 0.0
-    b: float = 1.0
-    beta: float = 0.0
-    family_n: int = 1
-    family_k: int = 1
-    p: float = 2.0
-    perturbation: str = "smooth-random"
-    delta_rel: float = 1e-3
-    pert_mode_n: int = 2
-    pert_mode_k: int = 1
-    omega_rot: float = 0.3
-    n_uniform: int = 50
-    turnovers: float = 20.0
-    t_end: float = 0.0
-    cfl_safety: float = 0.4
-    cadence: int = 10
-    seeds: int = 10
-    max_iters: int = 600
-    bessel_n_max: int = 3
-    bessel_k_max: int = 5
+    kind: str = _key("", KINDS)      # checked first: a kind selects the checks
+    seed: int = _key(0, KINDS, 0)
+    n_theta_modes: int = _key(16, _BASIS, 1, MAX_ORDER)
+    k_radial: int = _key(32, _BASIS, 1)
+    n_r: int = _key(80, _BASIS, 3, 256, caps="basis size")
+    n_theta: int = _key(128, _BASIS, 4, 1024, caps="basis size")
+    a: float = _key(0.0, _ELEMENT, -1.0, 1.0, caps="RK4 steps under t_end")
+    b: float = _key(1.0, _ELEMENT, -1.0, 1.0, caps="RK4 steps under t_end")
+    beta: float = _key(0.0, _ELEMENT)
+    family_n: int = _key(1, _ELEMENT, 0, MAX_ORDER)
+    family_k: int = _key(1, _ELEMENT, 1, "k_radial")
+    p: float = _key(2.0, ("burton-maximize", "evolve", "rotate-demo", "sharpness-demo"),
+                    1.0, open_lo=True)
+    perturbation: str = _key("smooth-random", ("evolve", "rotate-demo"),
+                             choices=("random-shuffle", "mode-injection", "smooth-random", "none"))
+    # below 1e-12 the sum element + perturbation keeps fewer than ~4 digits
+    # of the perturbation, and the orbital distance that rounding alone
+    # leaves on an unperturbed run (<= 6e-16 relative over 20 turnovers)
+    # nears it: stability-sweep's distance / delta then measures rounding
+    delta_rel: float = _key(1e-3, _PERTURBING, 1e-12, 1.0, caps="RK4 steps under t_end")
+    pert_mode_n: int = _key(2, _PERTURBING)
+    pert_mode_k: int = _key(1, _PERTURBING)
+    omega_rot: float = _key(0.3, ("rotate-demo",))
+    n_uniform: int = _key(50, ("sharpness-demo",), 1, 10000, caps="RK4 steps")
+    turnovers: float = _key(20.0, ("evolve", "stability-sweep"), hi=1000.0, caps="RK4 steps",
+                            horizon=True)
+    t_end: float = _key(0.0, ("evolve",), hi=MAX_T_END, caps="RK4 steps", horizon=True)
+    cfl_safety: float = _key(0.4, _STEPPING, 0.1, 1.0, caps="RK4 steps")
+    cadence: int = _key(10, _STEPPING, 1)
+    seeds: int = _key(10, ("burton-maximize",), 1, 1000, caps="ascents")
+    max_iters: int = _key(600, ("burton-maximize",), 1, 100000, caps="ascent steps per seed")
+    bessel_n_max: int = _key(3, ("bessel-table",), 0, MAX_ORDER)
+    bessel_k_max: int = _key(5, ("bessel-table",), 1, MAX_ZERO_INDEX, caps="zeros per order")
 
     def element(self):
         return VElement(self.a, self.b, self.beta, (self.family_n, self.family_k))
@@ -133,75 +149,54 @@ class ExperimentConfig:
                          DiskGrid(self.n_r, self.n_theta))
 
 
-_FIELD_TYPES = {f.name: f.type for f in dc_fields(ExperimentConfig)}
+def _interval(lo, hi, open_lo):
+    """Bounds as an interval; a bound may be the name of a key."""
+    def text(bound):
+        return bound if isinstance(bound, str) else format(bound, "g")
 
-
-def _coerce(key, raw, line):
-    typ = _FIELD_TYPES[key]
-    try:
-        if typ is int:
-            val = int(raw)
-        elif typ is float:
-            val = float(raw)
-        else:
-            val = raw.strip()
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r}", line)
-    return val
+    left = "(-inf" if lo is None else ("(" if open_lo else "[") + text(lo)
+    return left + ", " + ("inf)" if hi is None else text(hi) + "]")
 
 
 def _validate(cfg: ExperimentConfig):
-    if cfg.kind and cfg.kind not in KINDS:
+    if cfg.kind not in KINDS:
         raise ConfigError(f"unknown kind {cfg.kind!r}; expected one of {KINDS}")
-    if not (1.0 < cfg.p < math.inf):
-        raise ConfigError(f"p must lie in (1, inf), got {cfg.p}")
-    if cfg.perturbation not in ("random-shuffle", "mode-injection", "smooth-random", "none"):
-        raise ConfigError(f"unknown perturbation kind {cfg.perturbation!r}")
-    # above 1 every refresh steps over the advective limit
-    if not 0 < cfg.cfl_safety <= 1:
-        raise ConfigError(f"cfl_safety must lie in (0, 1], got {cfg.cfl_safety}")
-    # NaN passes every comparison below unnoticed, a NaN or infinite horizon
-    # would end a run after its first row as if it had passed, and a
-    # non-finite amplitude or phase only surfaces deep inside a run
-    for name, typ in _FIELD_TYPES.items():
-        if typ is float and not math.isfinite(getattr(cfg, name)):
-            raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
-    for name in ("a", "b"):
-        if abs(getattr(cfg, name)) > MAX_AMPLITUDE:
-            raise ConfigError(f"{name} must lie in [{-MAX_AMPLITUDE:g}, {MAX_AMPLITUDE:g}], "
-                              f"got {getattr(cfg, name)}")
-    if not 0 < cfg.delta_rel <= MAX_DELTA_REL:
-        raise ConfigError(f"delta_rel must lie in (0, {MAX_DELTA_REL:g}], got {cfg.delta_rel}")
-    if cfg.turnovers <= 0 and cfg.t_end <= 0:
-        raise ConfigError("one of turnovers or t_end must be positive")
-    # a horizon at or below 0 is unset
-    for name, hi in (("turnovers", MAX_TURNOVERS), ("t_end", MAX_T_END)):
-        if getattr(cfg, name) > hi:
-            raise ConfigError(f"{name} must lie in (-inf, {hi:g}], got {getattr(cfg, name)}")
-    # rotate-demo runs one period, 2 pi / |omega_rot|, which is a horizon
-    # like t_end
-    if cfg.omega_rot != 0 and 2.0 * math.pi / abs(cfg.omega_rot) > MAX_T_END:
-        raise ConfigError(f"omega_rot must be 0 or have its period 2 pi / |omega_rot| "
-                          f"<= {MAX_T_END:g}, got {cfg.omega_rot}")
-    # integer keys: the resolutions a basis is built on, positive counts, and
-    # the Bessel orders and zero indices that the tables hold
-    for name, lo, hi in (("seed", 0, math.inf), ("n_theta_modes", 1, MAX_ORDER),
-                         ("k_radial", 1, math.inf), ("n_r", 3, MAX_RADIAL_NODES),
-                         ("n_theta", 4, MAX_ANGLES), ("cadence", 1, math.inf),
-                         ("seeds", 1, MAX_SEEDS), ("max_iters", 1, MAX_ASCENT_ITERS),
-                         ("n_uniform", 1, MAX_N_UNIFORM),
-                         ("family_n", 0, MAX_ORDER), ("bessel_n_max", 0, MAX_ORDER),
-                         ("family_k", 1, cfg.k_radial), ("bessel_k_max", 1, MAX_ZERO_INDEX)):
-        if not lo <= getattr(cfg, name) <= hi:
-            raise ConfigError(f"{name} must lie in [{lo}, {hi}], got {getattr(cfg, name)}")
+    horizons = []
+    for key in dc_fields(cfg):
+        name, value, meta = key.name, getattr(cfg, key.name), key.metadata
+        # every key is echoed into the manifest and the config hash, so every
+        # kind checks its type and finiteness: NaN passes every comparison
+        # unnoticed, and a non-finite value only surfaces deep inside a run
+        if not isinstance(value, key.type):
+            raise ConfigError(f"{name} must be {key.type.__name__}, got {value!r}")
+        if key.type is float and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+        if cfg.kind not in meta["kinds"]:
+            continue
+        if meta["choices"] and value not in meta["choices"]:
+            raise ConfigError(f"{name} must be one of {meta['choices']}, got {value!r}")
+        lo, hi = (getattr(cfg, b) if isinstance(b, str) else b for b in (meta["lo"], meta["hi"]))
+        if (lo is not None and (value <= lo if meta["open_lo"] else value < lo)
+                or hi is not None and value > hi):
+            raise ConfigError(f"{name} must lie in {_interval(lo, hi, meta['open_lo'])}, "
+                              f"got {value}")
+        if meta["horizon"]:
+            horizons.append(name)
+    if horizons and not any(getattr(cfg, name) > 0 for name in horizons):
+        raise ConfigError(f"{cfg.kind} needs a positive {' or '.join(horizons)}")
+    # rotate-demo runs one period, 2 pi / |omega_rot|, a horizon like t_end
+    if cfg.kind == "rotate-demo":
+        if cfg.omega_rot == 0:
+            raise ConfigError("rotate-demo needs a nonzero omega_rot, got 0")
+        if 2.0 * math.pi / abs(cfg.omega_rot) > MAX_T_END:
+            raise ConfigError(f"omega_rot must have its period 2 pi / |omega_rot| "
+                              f"<= {MAX_T_END:g}, got {cfg.omega_rot}")
     # rotate-demo recovers a rotation rate and sharpness-demo rotation angles
     # from the phase of the element's cos(n theta + beta) part: b = 0 or
-    # family_n = 0 leaves no phase, and omega_rot = 0 no rotation
+    # family_n = 0 leaves no phase
     if cfg.kind in ("rotate-demo", "sharpness-demo") and (cfg.b == 0 or cfg.family_n == 0):
         raise ConfigError(f"{cfg.kind} needs an element with a phase, b != 0 and "
                           f"family_n >= 1, got b = {cfg.b} and family_n = {cfg.family_n}")
-    if cfg.kind == "rotate-demo" and cfg.omega_rot == 0:
-        raise ConfigError("rotate-demo needs a nonzero omega_rot, got 0")
     return cfg
 
 
@@ -213,6 +208,7 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
     line number.
     """
     cfg = ExperimentConfig()
+    types = {key.name: key.type for key in dc_fields(cfg)}
     for ln, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -220,10 +216,13 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"expected 'key = value', got {raw!r}", ln)
         key, _, val = stripped.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in _FIELD_TYPES:
+        key, val = key.strip().replace("-", "_"), val.strip()
+        if key not in types:
             raise ConfigError(f"unknown key {key!r}", ln)
-        setattr(cfg, key, _coerce(key, val.strip(), ln))
+        try:
+            setattr(cfg, key, types[key](val))
+        except ValueError:
+            raise ConfigError(f"key {key!r}: cannot parse {val!r}", ln)
     if kind:
         if cfg.kind and cfg.kind != kind:
             raise ConfigError(
@@ -462,18 +461,9 @@ def _exp_sharpness(cfg, rng, outdir):
                           "plain_distance", "orbit_separation", "status"], {}
 
 
-_EXPERIMENTS = {
-    "bessel-table": _exp_bessel_table,
-    "verify-identities": _exp_verify_identities,
-    "eigs": _exp_eigs,
-    "steady-check": _exp_steady_check,
-    "burton-maximize": _exp_burton,
-    "evolve": _exp_evolve,
-    "stability-sweep": _exp_stability_sweep,
-    "rotate-demo": _exp_rotate,
-    "sharpness-demo": _exp_sharpness,
-}
-KINDS = tuple(_EXPERIMENTS)
+_EXPERIMENTS = dict(zip(KINDS, (_exp_bessel_table, _exp_verify_identities, _exp_eigs,
+                                _exp_steady_check, _exp_burton, _exp_evolve,
+                                _exp_stability_sweep, _exp_rotate, _exp_sharpness)))
 
 
 def run_experiment(cfg: ExperimentConfig, outdir) -> int:

@@ -125,6 +125,8 @@ class DiskBasis:
 
         N, K = self.n_modes, self.k_radial
         nd, kd = self.dealias_band()
+        if kd == 0:
+            raise ResolutionError(f"k_radial={K} leaves no radial mode in the dealias band")
         r = grid.r
         self.roots = np.empty((N + 1, K))
         self.r_eval = np.empty((N + 1, grid.n_r, K))

@@ -50,22 +50,40 @@ def test_syntax_error_reports_line():
 
 def test_p_must_exceed_one():
     with pytest.raises(ConfigError, match="p must lie"):
-        cli.parse_config("p = 0.5\n", kind="eigs")
+        cli.parse_config("p = 0.5\n", kind="evolve")
     with pytest.raises(ConfigError, match="p must lie"):
-        cli.parse_config("p = 1.0\n", kind="eigs")
+        cli.parse_config("p = 1.0\n", kind="evolve")
+    # eigs reads no p
+    assert cli.parse_config("p = 0.5\n", kind="eigs").p == 0.5
 
 
-def test_cfl_safety_must_be_positive(tmp_path):
+def _no_step(monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(euler_sim, "step_rk4", no_step)
+
+
+def test_cfl_safety_must_be_positive(tmp_path, monkeypatch):
     # above 1 every refresh would step over the advective limit: cfl_safety
-    # = 1.2 used to print "evolve: pass"
-    for value in ("0", "-0.4", "1.2", "inf", "nan"):
-        with pytest.raises(ConfigError, match=r"cfl_safety must lie in \(0, 1\]"):
+    # = 1.2 used to print "evolve: pass"; below the floor 0.1 the step count,
+    # which grows as 1 / cfl_safety, leaves the horizons' budget by more than
+    # 4x: cfl_safety = 1e-300 ran until it was stopped
+    _no_step(monkeypatch)
+    floor = 0.1
+    for value in ("0", "-0.4", "1.2", "1e-300", repr(math.nextafter(floor, 0.0))):
+        with pytest.raises(ConfigError, match=r"cfl_safety must lie in \[0.1, 1\]"):
             cli.parse_config(f"cfl_safety = {value}\n", kind="evolve")
+    for value in ("inf", "nan"):
+        with pytest.raises(ConfigError, match="cfl_safety must be finite"):
+            cli.parse_config(f"cfl_safety = {value}\n", kind="evolve")
+    for kind in ("evolve", "stability-sweep", "rotate-demo", "sharpness-demo"):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(f"cfl_safety = {value}\n")
-        # eigs runs no time stepping, so a missing check cannot hang here
-        assert cli.main(["eigs", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    assert cli.parse_config("cfl_safety = 1.0\n", kind="evolve").cfl_safety == 1.0
+        bad.write_text(f"cfl_safety = {math.nextafter(floor, 0.0)!r}\n")
+        assert cli.main([kind, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+    for value in (floor, 1.0):
+        assert cli.parse_config(f"cfl_safety = {value}\n", kind="evolve").cfl_safety == value
 
 
 def test_non_finite_horizons_rejected(tmp_path):
@@ -92,27 +110,61 @@ def test_removed_dt_keys_rejected(tmp_path):
         assert not (tmp_path / "o").exists()
 
 
-def test_every_config_field_is_read():
-    # every key steers a run: it is read by ExperimentConfig.element / basis,
-    # run_experiment, an _exp_* body or a module function that an _exp_* body
-    # calls, so a dead knob cannot come back
-    tree = ast.parse(Path(cli.__file__).read_text())
+def _keys_read(tree):
+    """kind -> the config keys its run reads: those its _exp_* body and
+    run_experiment read as cfg.<key>, themselves, through
+    ExperimentConfig.element / basis, and through the cli functions they call"""
     config_class = next(node for node in tree.body
                         if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
-    readers = [node for node in config_class.body
-               if isinstance(node, ast.FunctionDef) and node.name in ("element", "basis")]
-    bodies = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-              and (node.name == "run_experiment" or node.name.startswith("_exp_"))]
-    assert len(bodies) == 1 + len(cli._EXPERIMENTS)
-    called = {node.func.id for body in bodies for node in ast.walk(body)
-              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-    readers += bodies + [node for node in tree.body if isinstance(node, ast.FunctionDef)
-                         and node.name in called]
-    read = {node.attr for reader in readers for node in ast.walk(reader)
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id in ("cfg", "self")}
+    methods = {node.name: node for node in config_class.body if isinstance(node, ast.FunctionDef)}
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     fields = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
-    assert fields - read == set()
+
+    def reads(node, seen):
+        out = set()
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                    and sub.value.id in ("cfg", "self")):
+                if sub.attr in methods and sub.attr not in seen:
+                    out |= reads(methods[sub.attr], seen | {sub.attr})
+                out |= {sub.attr} & fields
+            elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                  and sub.func.id in functions and sub.func.id not in seen):
+                out |= reads(functions[sub.func.id], seen | {sub.func.id})
+        return out
+
+    common = reads(functions["run_experiment"], {"run_experiment"})
+    return {kind: common | reads(functions[body.__name__], {body.__name__})
+            for kind, body in cli._EXPERIMENTS.items()}
+
+
+def _schema_readers():
+    return {kind: {f.name for f in dataclasses.fields(cli.ExperimentConfig)
+                   if kind in f.metadata["kinds"]} for kind in cli.KINDS}
+
+
+def test_every_config_field_is_read():
+    # each kind reads exactly the keys whose schema entry names it, so that a
+    # kind is checked on every key it reads and on no other, and a dead knob
+    # cannot come back
+    assert tuple(cli._EXPERIMENTS) == cli.KINDS
+    tree = ast.parse(Path(cli.__file__).read_text())
+    assert _keys_read(tree) == _schema_readers()
+    assert set().union(*_schema_readers().values()) == {
+        f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+
+
+def test_read_check_sees_a_key_the_schema_omits():
+    # the check above fails when a kind reads a key that its schema entry
+    # does not name: here eigs made to read omega_rot
+    tree = ast.parse(Path(cli.__file__).read_text())
+    eigs = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_exp_eigs")
+    eigs.body.insert(0, ast.parse("cfg.omega_rot").body[0])
+    read = _keys_read(tree)
+    assert read["eigs"] - _schema_readers()["eigs"] == {"omega_rot"}
+    assert {k: v for k, v in read.items() if k != "eigs"} == {
+        k: v for k, v in _schema_readers().items() if k != "eigs"}
 
 
 def test_comments_and_blanks_ok():
@@ -153,7 +205,7 @@ def test_determinism_same_seed(tmp_path):
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("p = 0.5\n")
-    assert cli.main(["eigs", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert cli.main(["evolve", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_missing_config_file(tmp_path):
@@ -264,13 +316,21 @@ def test_bessel_index_out_of_range_exit_code(tmp_path, capsys, kind, key, value)
 
 
 def test_bessel_index_range_edges_accepted():
-    for line in ("family_n = 0", "family_n = 64", "bessel_n_max = 0", "bessel_n_max = 64",
-                 "family_k = 1", "bessel_k_max = 1", "bessel_k_max = 1000", "family_k = 32",
-                 "k_radial = 10\nfamily_k = 10", "n_theta_modes = 64", "n_r = 256",
-                 "n_theta = 1024", "turnovers = 1000", "t_end = 50000", "seeds = 1000",
-                 "max_iters = 100000", "n_uniform = 10000", "turnovers = -1\nt_end = 1",
-                 "a = 1", "a = -1", "b = 1", "b = -1", "delta_rel = 1"):
-        cli.parse_config(line + "\n", kind="bessel-table")
+    # each edge through a kind that reads its key
+    for kind, line in (
+            ("steady-check", "family_n = 0"), ("steady-check", "family_n = 64"),
+            ("bessel-table", "bessel_n_max = 0"), ("bessel-table", "bessel_n_max = 64"),
+            ("steady-check", "family_k = 1"), ("bessel-table", "bessel_k_max = 1"),
+            ("bessel-table", "bessel_k_max = 1000"), ("steady-check", "family_k = 32"),
+            ("evolve", "k_radial = 10\nfamily_k = 10"), ("eigs", "n_theta_modes = 64"),
+            ("eigs", "n_r = 256"), ("eigs", "n_theta = 1024"),
+            ("stability-sweep", "turnovers = 1000"), ("evolve", "t_end = 50000"),
+            ("burton-maximize", "seeds = 1000"), ("burton-maximize", "max_iters = 100000"),
+            ("sharpness-demo", "n_uniform = 10000"), ("evolve", "turnovers = -1\nt_end = 1"),
+            ("rotate-demo", "a = 1"), ("steady-check", "a = -1"), ("sharpness-demo", "b = 1"),
+            ("rotate-demo", "b = -1"), ("stability-sweep", "delta_rel = 1"),
+            ("rotate-demo", "delta_rel = 1e-12"), ("sharpness-demo", "cfl_safety = 0.1")):
+        cli.parse_config(line + "\n", kind=kind)
 
 
 def test_slow_rotation_exits_without_stepping(tmp_path, capsys, monkeypatch):
@@ -524,56 +584,168 @@ def test_sharpness_demo_rows_match_hand_rolled_runs(tmp_path):
     assert [tuple(float(v) for v in ln.split(",")[:5]) for ln in lines] == expect
 
 
-# Boundary values per key for the config fuzz.  Every key that sizes the work
-# is bounded from above, so each gets a huge value too.
-_FUZZ_BASE = {"n_theta_modes": "6", "k_radial": "10", "n_r": "24", "n_theta": "32",
-              "turnovers": "0.05", "seeds": "2", "max_iters": "20", "n_uniform": "1",
-              "cadence": "5"}
-_EDGES = ["0", "-1", "nan", "inf", "-inf", "1e300"]
-_INT_EDGES = ["0", "-1", "2.5"]
-_FUZZ_VALUES = {
-    "seed": _INT_EDGES + ["1000000000000"],
-    "n_theta_modes": _INT_EDGES, "k_radial": _INT_EDGES,
-    "n_r": _INT_EDGES + ["11", "1000000000000"],
-    "n_theta": _INT_EDGES + ["13", "1000000000000"],
-    "a": _EDGES + ["1e12"], "b": _EDGES + ["1e12"], "beta": _EDGES,
-    "omega_rot": _EDGES + ["1e-9"], "p": _EDGES + ["1"], "delta_rel": _EDGES + ["1e12"],
-    "cfl_safety": _EDGES + ["1"],
-    "turnovers": _EDGES + ["1e-300", "1000000000000"],
-    "t_end": _EDGES + ["1e-300", "1000000000000"],
-    # family (5, 1) and (1, 7) lie outside the dealias band (4, 6)
-    "family_n": _INT_EDGES + ["5", "1000000000000"], "family_k": _INT_EDGES + ["7"],
-    "perturbation": ["none", "mode-injection", "random-shuffle", "bogus"],
-    "pert_mode_n": _INT_EDGES + ["1000000000000"],
-    "pert_mode_k": _INT_EDGES + ["1000000000000"],
-    "n_uniform": _INT_EDGES + ["1000000000000"], "seeds": _INT_EDGES + ["1000000000000"],
-    "max_iters": _INT_EDGES + ["1000000000000"],
-    "cadence": _INT_EDGES + ["1000000000000"],
-    "bessel_n_max": _INT_EDGES + ["1000000000000"],
-    "bessel_k_max": _INT_EDGES + ["1001", "1000000000000"],
-}
+# The config edge sweep: every kind at each key's edges, read from the schema,
+# on a small basis and short runs.  Family (1, 10) lies outside its dealias
+# band, k <= 6.
+_EDGE_BASE = {"n_theta_modes": 6, "k_radial": 10, "n_r": 24, "n_theta": 32, "turnovers": 0.05,
+              "seeds": 2, "max_iters": 20, "n_uniform": 1, "cadence": 5}
 
 
-# the command line runs with numpy's overflow warnings as warnings, which
-# the suite otherwise turns into errors
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def _edges(key):
+    """(value, accepted by a kind that reads the key, by one that does not):
+    each bound and one value past it, each choice and one that is not, and
+    nan and +-inf for a float"""
+    meta, step = key.metadata, {int: lambda v, d: v + d,
+                                float: lambda v, d: math.nextafter(v, d * math.inf)}.get(key.type)
+    lo, hi = (_EDGE_BASE.get(b) if isinstance(b, str) else b for b in (meta["lo"], meta["hi"]))
+    edges = []
+    if lo is not None:
+        edges += ([(lo, False, True), (step(lo, 1), True, True)] if meta["open_lo"]
+                  else [(lo, True, True), (step(lo, -1), False, True)])
+    if hi is not None:
+        edges += [(hi, True, True), (step(hi, 1), False, True)]
+    if meta["choices"]:
+        edges += [(c, True, True) for c in meta["choices"]] + [("bogus", False, True)]
+    if key.type is float:
+        edges += [(v, False, False) for v in (math.nan, math.inf, -math.inf)]
+    return edges
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.mark.parametrize("kind", cli.KINDS)
 def test_config_fuzz_exits_are_typed(tmp_path, capsys, kind):
-    # every kind on a small basis with one or two keys at a boundary value:
-    # the run ends in 0, 2 or 3, never in an unexpected error, and runs that
-    # get as far as 0 or 3 leave a manifest
-    assert set(_FUZZ_VALUES) == {f.name for f in dataclasses.fields(cli.ExperimentConfig)} - {"kind"}
-    rng = np.random.default_rng([2024, cli.KINDS.index(kind)])
-    keys = sorted(_FUZZ_VALUES)
-    for case in range(20):
-        cfg = dict(_FUZZ_BASE)
-        for key in rng.choice(keys, size=1 + case % 2, replace=False):
-            cfg[key] = _FUZZ_VALUES[key][rng.integers(len(_FUZZ_VALUES[key]))]
-        cfgfile = tmp_path / f"{case}.cfg"
-        cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
-        out = tmp_path / f"out{case}"
-        rc = cli.main([kind, "--config", str(cfgfile), "--out", str(out)])
-        err = capsys.readouterr().err
-        assert rc in (0, 2, 3), (cfg, err)
-        if rc != 2:
-            assert (out / "manifest.json").exists(), (cfg, err)
+    # every (key, edge) parses to the verdict the schema gives the kind: a
+    # bound holds only for the kinds that read its key, finiteness for all;
+    # the accepted edges of the keys that size no work then run: each run
+    # ends in 0, 2 or 3, never in an unexpected error, and runs that get as
+    # far as 0 or 3 leave a manifest in strict JSON
+    for key in dataclasses.fields(cli.ExperimentConfig):
+        if key.name == "kind":
+            continue
+        reads = kind in key.metadata["kinds"]
+        for value, if_read, if_not_read in _edges(key):
+            text = "".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n"
+                           for k, v in {**_EDGE_BASE, key.name: value}.items())
+            expect = if_read if reads else if_not_read
+            # rotate-demo and sharpness-demo follow the phase that family_n = 0 lacks
+            if key.name == "family_n" and value == 0 and kind in ("rotate-demo", "sharpness-demo"):
+                expect = False
+            try:
+                cli.parse_config(text, kind=kind)
+                accepted = True
+            except ConfigError:
+                accepted = False
+            assert accepted == expect, (key.name, value)
+            if not (accepted and reads and key.metadata["caps"] is None):
+                continue
+            cfgfile = tmp_path / f"{key.name}-{value}.cfg"
+            cfgfile.write_text(text)
+            out = tmp_path / f"out-{key.name}-{value}"
+            rc = cli.main([kind, "--config", str(cfgfile), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc in (0, 2, 3), (key.name, value, err)
+            if rc != 2:
+                _strict_json((out / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("kind, lines, status", [
+    # evolve reads no omega_rot, and rotate-demo and sharpness-demo read no
+    # turnovers: each exited 2 on the key it ignores
+    ("evolve", "omega_rot = 1e-9\nturnovers = 0.05\n", 0),
+    ("rotate-demo", "turnovers = -1\n", 0),
+    ("sharpness-demo", "turnovers = -1\n", 0),
+    # stability-sweep reads only turnovers: it ran to a ValueError, exit 1;
+    # evolve reads either horizon
+    ("stability-sweep", "turnovers = -1\nt_end = 0.5\n", 2),
+    ("evolve", "turnovers = -1\nt_end = 0.5\n", 0),
+    ("evolve", "turnovers = 0\nt_end = 0\n", 2),
+    # an empty dealias band exited 1 on a numpy reduction error
+    ("eigs", "k_radial = 1\n", 2),
+    # a cfl_safety of 1e-300 was accepted for a run that never ends
+    ("evolve", "cfl_safety = 1e-300\n", 2),
+])
+def test_kinds_are_checked_on_the_keys_they_read(tmp_path, capsys, monkeypatch, kind, lines,
+                                                 status):
+    if status == 2:
+        _no_step(monkeypatch)
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("n_theta_modes = 6\nk_radial = 10\nn_r = 24\nn_theta = 32\n" + lines)
+    out = tmp_path / "o"
+    assert cli.main([kind, "--config", str(cfgfile), "--out", str(out)]) == status
+    if status == 2:
+        assert "config error: " in capsys.readouterr().err
+    else:
+        _strict_json((out / "manifest.json").read_text())
+
+
+def test_empty_dealias_band_is_a_config_error(tmp_path, capsys):
+    # k_radial = 1 leaves kd = 0 radial modes in the band: every kind that
+    # builds a basis exited 1 on a numpy reduction error; k_radial = 2 runs
+    for kind in cli._BASIS:
+        cfgfile = tmp_path / "k.cfg"
+        cfgfile.write_text("n_theta_modes = 6\nk_radial = 1\nn_r = 24\nn_theta = 32\n")
+        assert cli.main([kind, "--config", str(cfgfile), "--out", str(tmp_path / kind)]) == 2
+        assert "config error: k_radial=1 leaves no radial mode" in capsys.readouterr().err
+    for kind in ("eigs", "steady-check", "burton-maximize", "evolve"):
+        cfgfile.write_text("n_theta_modes = 6\nk_radial = 2\nn_r = 24\nn_theta = 32\nseeds = 2\n")
+        assert cli.main([kind, "--config", str(cfgfile), "--out", str(tmp_path / "2" / kind)]) == 0
+
+
+def test_tolerance_exits_at_the_edges(tmp_path, capsys):
+    # stability-sweep at delta_rel = 1e-300 exited 3: its distance / delta was
+    # rounding over delta.  The bound 1e-12 makes it a config error, and the
+    # edge runs and passes
+    base = "n_theta_modes = 6\nk_radial = 10\nn_r = 24\nn_theta = 32\nturnovers = 0.05\n"
+    cfgfile = tmp_path / "s.cfg"
+    cfgfile.write_text(base + "delta_rel = 1e-300\n")
+    assert cli.main(["stability-sweep", "--config", str(cfgfile), "--out", str(tmp_path / "a")]) == 2
+    assert "config error: delta_rel must lie in [1e-12, 1]" in capsys.readouterr().err
+    cfgfile.write_text(base + "delta_rel = 1e-12\n")
+    assert cli.main(["stability-sweep", "--config", str(cfgfile), "--out", str(tmp_path / "b")]) == 0
+    # rotate-demo at cadence = 1000000 keeps the first and last rows of the
+    # period, too few to unwrap the phase; how many rows a period holds
+    # depends on the step the run takes, not on the config, so this stays a
+    # tolerance failure, with a finite recovered_omega
+    cfgfile.write_text(base + "cadence = 1000000\n")
+    assert cli.main(["rotate-demo", "--config", str(cfgfile), "--out", str(tmp_path / "c")]) == 3
+    manifest = _strict_json((tmp_path / "c" / "manifest.json").read_text())
+    assert abs(manifest["recovered_omega"] - 0.3) > 0.003
+
+
+def test_default_config_hashes_unchanged():
+    # the schema keeps every key, default and key order: the hashes of each
+    # kind's default config, as the hand-kept key list wrote them
+    assert {kind: cli.config_hash(cli.parse_config("", kind=kind)) for kind in cli.KINDS} == {
+        "bessel-table": "c0bab0c28dcde1ab", "verify-identities": "b2ef90be94316175",
+        "eigs": "75e441b1dfb4625e", "steady-check": "3c5575acfd729ce0",
+        "burton-maximize": "03af21bfdc527b29", "evolve": "b5cdd58f34ac50a3",
+        "stability-sweep": "22f59807412967f8", "rotate-demo": "986059720c0a3a2d",
+        "sharpness-demo": "236328c2622248f4"}
+
+
+def _table_rows():
+    """The README's config table, one row per key of the schema, without
+    the meaning column."""
+    rows = []
+    for key in dataclasses.fields(cli.ExperimentConfig):
+        meta = key.metadata
+        bounds = (", ".join(meta["choices"]) if meta["choices"]
+                  else "" if meta["lo"] is None and meta["hi"] is None
+                  else cli._interval(meta["lo"], meta["hi"], meta["open_lo"]))
+        kinds = "all" if meta["kinds"] == cli.KINDS else ", ".join(meta["kinds"])
+        rows.append(f"| `{key.name}` | {key.default} | {bounds} | {kinds} | {meta['caps'] or ''} |")
+    return rows
+
+
+def test_readme_config_table_matches_schema():
+    # the README's key table, but for its last column, the key's meaning
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = readme.index("| key | default | bounds | read by | bound caps | meaning |") + 2
+    end = next(i for i in range(start, len(readme)) if not readme[i].startswith("|"))
+    assert [ln.rsplit(" | ", 1)[0] + " |" for ln in readme[start:end]] == _table_rows()

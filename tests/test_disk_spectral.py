@@ -89,6 +89,11 @@ def test_resolution_preconditions():
         ds.DiskBasis(16, 32, ds.DiskGrid(80, 30))   # too few angles
     with pytest.raises(ResolutionError):
         ds.DiskBasis(16, 32, ds.DiskGrid(20, 128))  # too few radii
+    # k_radial = 1 leaves kd = 0 radial modes in the dealias band; the build
+    # failed on a zero-size reduction (ValueError) after its zero solve
+    with pytest.raises(ResolutionError, match="no radial mode in the dealias band"):
+        ds.DiskBasis(4, 1, ds.DiskGrid(12, 16))
+    assert ds.DiskBasis(4, 2, ds.DiskGrid(12, 16)).band_kit["kd"] == 1
 
 
 def test_basis_roots_are_the_zero_table(basis):
