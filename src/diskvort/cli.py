@@ -387,7 +387,7 @@ def _exp_evolve(cfg, rng, outdir):
         "lp_drift": res.lp_drift,
         "mean_drift": res.mean_drift,
         "final_t": state_final.t,
-        **res.extra,        # profile_drift, rk4_steps, dt_min, dt_max
+        **res.extra,        # rk4_steps, dt_min, dt_max, casimir3_drift
     }
     return passed, [astuple(r) for r in res.trace], _TRACE_HEADER, extra
 
@@ -424,8 +424,8 @@ def _exp_rotate(cfg, rng, outdir):
                                         basis=basis, periods=1.0,
                                         cfl_safety=cfg.cfl_safety,
                                         cadence=cfg.cadence)
-    rec = res.extra["recovered_omega"]
-    passed = abs(rec - cfg.omega_rot) <= 0.01 * abs(cfg.omega_rot)
+    rec = res.extra.get("recovered_omega")      # None: no rate resolved
+    passed = rec is not None and abs(rec - cfg.omega_rot) <= 0.01 * abs(cfg.omega_rot)
     if pert is None:
         passed &= res.max_distance <= 1e-6
     extra = {"recovered_omega": rec, "omega_rot": cfg.omega_rot,

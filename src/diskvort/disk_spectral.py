@@ -32,7 +32,6 @@ the negated values.
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -433,6 +432,23 @@ def spectral_norm2(f: SpectralField) -> float:
     return float((np.abs(f.coeffs) ** 2 * f.basis.parseval).sum())
 
 
+def casimir3_drift(initial: GridField, final: GridField) -> float:
+    """|C_3(final) - C_3(initial)| / int |omega_initial|^3 dA, C_3 = int omega^3 dA.
+
+    The Euler flow conserves every Casimir int F(omega) dA; C_3 is the lowest
+    one that the L^2 norm does not already give.  Each integral is a row sum
+    of the cubes against the ring measures ``measure_r``.  On the solver's
+    fields, the dealias band of a DiskBasis (|n| <= nd) plus a radial channel,
+    the angular sum is exact: omega^3 has |n| <= 3 nd <= 2 N < n_theta, so
+    only its n = 0 part survives the sum, and an exact rotation, which leaves
+    that part alone, moves the reading by rounding only.
+    """
+    cubes = [g.values * g.values * g.values for g in (initial, final)]
+    mu = initial.grid.measure_r
+    c0, c1, scale = (float(c.sum(axis=1) @ mu) for c in (*cubes, np.abs(cubes[0])))
+    return abs(c1 - c0) / max(scale, 1e-300)
+
+
 @dataclass(frozen=True)
 class DistributionProfile:
     """Sorted (value, cumulative measure) pairs; values non-increasing.
@@ -440,29 +456,26 @@ class DistributionProfile:
     Cell j holds values[j] on [knots[j], knots[j+1]], knots = [0, cum_measure].
     ``integral`` is the cumulative integral at the knots plus i times the knot
     index, so that one interpolation gives both at any measure point.  Both
-    tables serve only slot_averages and are built on its first call, so a
-    profile built only to be resampled never holds them.
+    tables serve slot_averages, the profile's one reader, and are built once,
+    at construction.
     """
 
     values: np.ndarray
     cum_measure: np.ndarray
+    knots: np.ndarray = field(init=False, repr=False, compare=False)
+    integral: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.values) > 0):
             raise ValueError("profile values must be non-increasing")
         if abs(self.cum_measure[-1] - math.pi) > 1e-9:
             raise ValueError("profile cumulative measure must end at pi")
-
-    @cached_property
-    def knots(self):
-        return np.concatenate([[0.0], self.cum_measure])
-
-    @cached_property
-    def integral(self):
-        integral = np.zeros(self.knots.size, complex)
-        np.cumsum(self.values * np.diff(self.knots), out=integral.real[1:])
-        integral.imag = np.arange(self.knots.size)
-        return integral
+        knots = np.concatenate([[0.0], self.cum_measure])
+        integral = np.zeros(knots.size, complex)
+        np.cumsum(self.values * np.diff(knots), out=integral.real[1:])
+        integral.imag = np.arange(knots.size)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "integral", integral)
 
     def slot_averages(self, bounds, measures):
         """Profile average over each slot [bounds[i], bounds[i+1]] of measure
@@ -478,17 +491,6 @@ class DistributionProfile:
         avg /= measures
         np.maximum(avg, self.values[end], out=avg)
         return np.minimum(avg, self.values[cell[:-1]], out=avg)
-
-    def resample(self, points):
-        idx = np.clip(
-            np.searchsorted(self.cum_measure, points, side="left"),
-            0,
-            len(self.values) - 1,
-        )
-        return self.values[idx]
-
-    def value_range(self):
-        return float(self.values[0] - self.values[-1])
 
 
 def _descending_order(flat):
@@ -518,16 +520,6 @@ def distribution_profile(g: GridField) -> DistributionProfile:
     flat = g.values.ravel()
     order = _descending_order(flat)
     return DistributionProfile(flat[order], np.cumsum(g.grid.cell_measure[order]))
-
-
-def profiles_close(p1, p2, tol=None):
-    """Equimeasurability check on profiles resampled at 1000 common measure points."""
-    pts = (np.arange(1, 1001) - 0.5) * (math.pi / 1000)
-    v1 = p1.resample(pts)
-    v2 = p2.resample(pts)
-    if tol is None:
-        tol = 1e-6 * max(p1.value_range(), p2.value_range(), 1e-300)
-    return bool(np.max(np.abs(v1 - v2)) <= tol), float(np.max(np.abs(v1 - v2)))
 
 
 def transplant(profile: DistributionProfile, onto: GridField) -> GridField:

@@ -81,10 +81,9 @@ from .disk_spectral import (
     _project,
     _synth,
     _synthesize,
-    distribution_profile,
+    casimir3_drift,
     from_grid,
     lp_norm,
-    profiles_close,
     random_in_span,
     ring_shuffle,
     single_mode,
@@ -434,19 +433,6 @@ def _drifts(trace):
     return e_drift, l2_drift, lp_drift, mean_drift
 
 
-def _profile_drift(initial: GridField, final: GridField) -> float:
-    """Sup difference of the resampled distribution profiles over the range.
-
-    The flow conserves the distribution function exactly; the spectral
-    truncation only approximately, so this is reported as a fidelity metric
-    rather than asserted.
-    """
-    p0 = distribution_profile(initial)
-    p1 = distribution_profile(final)
-    _, gap = profiles_close(p0, p1, tol=math.inf)
-    return gap / max(p0.value_range(), 1e-300)
-
-
 def _evolve_element(ve: VElement, perturbation: SpectralField | None, p, t_end,
                     turnovers, basis, uniform, cfl_safety, cadence):
     """The body of both experiments: evolve ve + uniform (+ perturbation)
@@ -464,20 +450,19 @@ def _evolve_element(ve: VElement, perturbation: SpectralField | None, p, t_end,
     cfg = RunConfig(t_end=t_end, cfl_safety=cfl_safety, cadence=cadence,
                     p=p, reference=ve)
     state = run(state, cfg)
-    trace = state.diagnostics
+    trace, final = state.diagnostics, state.full_grid_values()
     return ExperimentResult(trace, max(r.orbital_distance for r in trace),
-                            *_drifts(trace), initial, state.full_grid_values(),
-                            extra=state.step_log._asdict())
+                            *_drifts(trace), initial, final,
+                            extra={**state.step_log._asdict(),
+                                   "casimir3_drift": casimir3_drift(initial, final)})
 
 
 def run_stability_experiment(ve: VElement, perturbation: SpectralField | None, p: float,
                              basis: DiskBasis, t_end=None, turnovers=20.0,
                              cfl_safety=0.4, cadence=10) -> ExperimentResult:
     """Evolve ve (+ perturbation) and track the orbital L^p distance."""
-    res = _evolve_element(ve, perturbation, p, t_end, turnovers, basis, 0.0,
-                          cfl_safety, cadence)
-    res.extra["profile_drift"] = _profile_drift(res.initial_field, res.final_field)
-    return res
+    return _evolve_element(ve, perturbation, p, t_end, turnovers, basis, 0.0,
+                           cfl_safety, cadence)
 
 
 def run_rotating_orbit_experiment(ve: VElement, omega_rot: float,
@@ -487,7 +472,9 @@ def run_rotating_orbit_experiment(ve: VElement, omega_rot: float,
     """Evolve ve + 2*omega_rot (+ perturbation); distance is to the shifted
     orbit, and the recovered rotation rate comes from the beta*(t) slope.  An
     element with b = 0 or order n = 0 has no phase, so a rate is fitted only
-    for b > 0, n >= 1 and omega_rot != 0."""
+    for b > 0, n >= 1 and omega_rot != 0; and n beta* is unwrapped only where
+    it turns by less than pi between trace rows, n |omega_rot| max(dt) < pi,
+    so rows farther apart fit no rate either."""
     if t_end is None and omega_rot != 0.0:
         t_end = periods * 2.0 * math.pi / abs(omega_rot)
     res = _evolve_element(ve, perturbation, p, t_end, 20.0, basis,
@@ -495,9 +482,9 @@ def run_rotating_orbit_experiment(ve: VElement, omega_rot: float,
     n_fold, _ = ve.family
     if ve.b > 0 and n_fold >= 1 and omega_rot != 0.0:
         ts = np.array([r.t for r in res.trace])
-        betas = np.unwrap(np.array([r.beta_star for r in res.trace]) * n_fold) / n_fold
-        slope = np.polyfit(ts, betas, 1)[0]
-        res.extra["recovered_omega"] = -slope
+        if ts.size > 1 and n_fold * abs(omega_rot) * np.diff(ts).max() < math.pi:
+            betas = np.unwrap(np.array([r.beta_star for r in res.trace]) * n_fold) / n_fold
+            res.extra["recovered_omega"] = -np.polyfit(ts, betas, 1)[0]
     return res
 
 

@@ -223,35 +223,25 @@ def test_profile_constant_field(grid):
     p = ds.distribution_profile(g)
     assert np.all(p.values == 3.25)
     assert abs(p.cum_measure[-1] - math.pi) < 1e-12
-    pts = np.linspace(0.01, math.pi - 0.01, 50)
-    assert np.all(p.resample(pts) == 3.25)
+
+
+def _assert_same_profile(p1, p2):
+    # a rotation by whole cells or a ring shuffle moves cells only within
+    # their rings, which share one measure, so both arrays agree bitwise
+    assert np.array_equal(p1.values, p2.values)
+    assert np.array_equal(p1.cum_measure, p2.cum_measure)
 
 
 def test_profile_rotation_invariance(basis, rng):
     g = ds.to_grid(ds.random_in_span(basis, rng))
-    p1 = ds.distribution_profile(g)
-    p2 = ds.distribution_profile(azimuthal_shift(g, 17))
-    ok, gap = ds.profiles_close(p1, p2)
-    assert ok and gap == 0.0
+    _assert_same_profile(ds.distribution_profile(g),
+                         ds.distribution_profile(azimuthal_shift(g, 17)))
 
 
 def test_ring_shuffle_preserves_profile(basis, rng):
     g = ds.to_grid(ds.random_in_span(basis, rng))
-    p1 = ds.distribution_profile(g)
-    p2 = ds.distribution_profile(ds.ring_shuffle(g, rng))
-    ok, gap = ds.profiles_close(p1, p2)
-    assert ok and gap == 0.0
-
-
-def test_profile_slot_tables_are_built_only_by_slot_averages(basis, rng):
-    # a profile built to be compared (as _profile_drift does) holds neither
-    # table; the first slot_averages call builds both
-    g = ds.to_grid(ds.random_in_span(basis, rng))
-    p = ds.distribution_profile(g)
-    ds.profiles_close(p, ds.distribution_profile(g))
-    assert "knots" not in vars(p) and "integral" not in vars(p)
-    ds.transplant(p, g)
-    assert "knots" in vars(p) and "integral" in vars(p)
+    _assert_same_profile(ds.distribution_profile(g),
+                         ds.distribution_profile(ds.ring_shuffle(g, rng)))
 
 
 def test_transplant_onto_own_levels_is_identity(grid):

@@ -157,6 +157,42 @@ def test_rotating_run_fits_no_rate_without_a_phase():
         assert "recovered_omega" not in res.extra and res.max_distance <= 1e-6
 
 
+def test_rotating_run_fits_no_rate_from_rows_too_far_apart():
+    # rotate-demo --seed 3 on 6 x 10 modes and a 24 x 32 grid: at cadence 100
+    # n beta* turns by 1.23 pi between trace rows, and the unwrapped fit read
+    # a rate of -0.0175 for 0.3; at cadence 30, 0.37 pi, it recovers 0.30013
+    small = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    ve = sf.VElement(0.0, 1.0, 0.0)
+    delta = 1e-3 * ds.lp_norm(sf.v_element_grid(ve, small.grid), 2.0)
+    pert = es.make_perturbation("smooth-random", ve, delta, 2.0, small,
+                                np.random.default_rng(3))
+    coarse, fine = (es.run_rotating_orbit_experiment(ve, 0.3, pert, 2.0, basis=small,
+                                                     cadence=cadence)
+                    for cadence in (100, 30))
+    assert "recovered_omega" not in coarse.extra
+    assert abs(fine.extra["recovered_omega"] - 0.3) <= 0.01 * 0.3
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["default", "6x10"])
+def test_casimir3_drift_reads_rounding_under_exact_rotations(basis, small):
+    # an exact spectral rotation keeps the distribution function, and the
+    # angular sum of omega^3 is exact on the grid, so the reading is rounding
+    b = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32)) if small else basis
+    for a in (0.0, 0.5):
+        ve = sf.VElement(a, 1.0, 0.7)
+        pert = es.make_perturbation("smooth-random", ve, 1e-3, 2.0, b,
+                                    np.random.default_rng(3))
+        for c in (0.0, 0.6):
+            steady = es.steady_state(ve, b, c)
+            w = ds.SpectralField(b, steady.w.coeffs + pert.coeffs)
+            initial = es.SolverState(w, steady.background).full_grid_values()
+            for angle in (1e-3, 0.01, 2 * math.pi / 256, 0.3, 1.0):
+                turned = es.SolverState(ds.rotate(w, angle), steady.background)
+                assert ds.casimir3_drift(initial, turned.full_grid_values()) <= 1e-14
+            # the perturbation itself reads far above rounding
+            assert ds.casimir3_drift(initial, steady.full_grid_values()) > 1e-8
+
+
 def test_rotating_run_omega_zero_matches_stability(basis, rng):
     ve = sf.VElement(0.3, 1.0, 0.2)
     pert = es.make_perturbation("mode-injection", ve, 1e-4, 2.0, basis,
