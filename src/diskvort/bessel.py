@@ -34,8 +34,8 @@ step cannot straddle two), a secant point inside each bracket seeds
 Newton's method, and every Newton iterate tightens its bracket, which also
 catches a step that leaves it.  A zero depends on its own order and
 abscissae only, never on the other orders of the solve.  Asking for more
-zeros of an order than it holds solves the order again and appends only the
-new zeros, so a zero once returned never changes.
+zeros of an order than it holds solves the order again and stores it whole,
+which repeats the zeros it held: a zero once returned never changes.
 """
 
 import math
@@ -272,8 +272,8 @@ def _order_zeros(orders, k):
 
     The orders that are missing or short are solved together, in batches
     whose scans hold at most ``_SCAN_COLUMNS`` points; a short order is
-    solved again to max(k, twice what it holds) and only its new zeros are
-    appended, so a zero once returned never changes.
+    solved again to max(k, twice what it holds) and stored whole, which
+    repeats the zeros it held, so a zero once returned never changes.
     """
     held = {n: len(_zeros.get(n, ())) for n in orders}
     batches, points = [{}], 0
@@ -286,8 +286,7 @@ def _order_zeros(orders, k):
             batches[-1][n] = max(k, 2 * h)
             points += size
     for batch in filter(None, batches):
-        for n, new in _solve_zeros(batch).items():
-            _zeros[n] = np.concatenate([_zeros[n], new[held[n]:]]) if held[n] else new
+        _zeros.update(_solve_zeros(batch))
     return [_zeros[n] for n in orders]
 
 
@@ -346,39 +345,39 @@ def certified_zeros(n_max, k_max):
 # Integral identity suite
 
 
+def _power_integrals(s):
+    """The integrals on [0, s] of J_0^2 t, J_1^2 t, J_0^3 t, J_0 J_1^2 t and
+    J_1^3, each ``w @ g(t)`` on the Gauss-Legendre rule of
+    ``quadrature.interval_rule``, J_0 and J_1 at its nodes from one call."""
+    t, w = interval_rule(0.0, s)
+    j0, j1, _ = _j_neighbours(1, t)
+    return tuple(float(w @ g) for g in (j0 * j0 * t, j1 * j1 * t, j0 ** 3 * t,
+                                         j0 * j1 * j1 * t, j1 ** 3))
+
+
 def verify_identity_suite(s_samples):
     """Max residuals of the J_0/J_1 cubic and quadratic integral identities.
 
-    Each integral on [0, s] is ``w @ g(t)`` on the fixed Gauss-Legendre rule
-    of ``quadrature.interval_rule``, with J_0 and J_1 at its nodes from one
-    kernel call; right sides come from the closed forms (plus such an
-    integral where the right side keeps one of a different integrand).
-    Returns a dict identity -> max |residual|.
+    Each integral on [0, s] is one of ``_power_integrals``; right sides come
+    from the closed forms (plus such an integral where the right side keeps
+    one of a different integrand).  Returns a dict identity -> max |residual|.
     """
-    r1 = 0.0
-    r3 = 0.0
-    r4 = 0.0
+    r1 = r3 = r4 = 0.0
     for s in s_samples:
         s = float(s)
-        t, w = interval_rule(0.0, s)
-        j0, j1, _ = _j_neighbours(1, t)
-        lhs1 = float(w @ (j0 * j0 * t))
+        lhs1, _, lhs3, cross, cube = _power_integrals(s)
         rhs1 = 0.5 * s * s * (bessel_j(0, s) ** 2 + bessel_j(1, s) ** 2)
         r1 = max(r1, abs(lhs1 - rhs1))
 
-        cross = float(w @ (j0 * j1 * j1 * t))
-        lhs3 = float(w @ (j0 ** 3 * t))
         rhs3 = s * bessel_j(0, s) ** 2 * bessel_j(1, s) + 2.0 * cross
         r3 = max(r3, abs(lhs3 - rhs3))
 
-        cube = float(w @ j1 ** 3)
         rhs4 = s * bessel_j(1, s) ** 3 / 3.0 + (2.0 / 3.0) * cube
         r4 = max(r4, abs(cross - rhs4))
 
     # int_0^1 J_1(j t)^2 t dt = int_0^j J_1(u)^2 u du / j^2
     j = bessel_zero(1, 1)
-    t, w = interval_rule(0.0, j)
-    lhs2 = float(w @ (_j_neighbours(1, t)[1] ** 2 * t)) / j**2
+    lhs2 = _power_integrals(j)[1] / j**2
     r2 = abs(lhs2 - 0.5 * bessel_j(0, j) ** 2)
 
     return {"apd1": r1, "apd2": r2, "apd3": r3, "apd4": r4}

@@ -25,8 +25,8 @@ The band is the solver's only domain.  ``tendency`` and ``SolverState``
 raise ResolutionError on a field with any nonzero coefficient outside it.
 The experiments admit a perturbation through ``require_band_limited``
 (every coefficient finite, NonFiniteFieldError otherwise, and those outside
-the band at most 1e-12 of the largest) and zero that residue with
-``band_limit``, so every run starts exactly in the band and the Galerkin
+the band at most 1e-12 of the largest), whose band rows join the element's
+carrier, so every run starts exactly in the band and the Galerkin
 truncation keeps it there.  The time step is the CFL limit times a safety
 factor in (0, 1], refreshed every cadence steps.
 
@@ -45,15 +45,16 @@ stepper's unchecked in-band carrier (answered with the band array).
 
 A run lives on that carrier from step to step: a ``SolverState`` holds only
 the carrier, checked against the band once, when the state is built from a
-SpectralField; ``step_rk4`` answers with a state built from the new
-carrier, and a SpectralField is padded only where a caller asks a state for
-``w``.  The CFL velocity is taken from the carrier too, by one product
-with the radial operator's psi columns (``velocity_magnitude`` takes the
-carrier only).  The trace is read
-from the coefficients: the energy, L^2 norm and mean are Parseval sums plus
-the channel's couplings and its own integrals (built with
-``RadialBackground``), and the p = 2 orbital distance is a masked Parseval
-sum when the reference's a J_0 is the channel's.  The omega grid is
+SpectralField, the radial channel and the time; ``step_rk4`` answers with a
+state built from the new carrier, and a SpectralField is padded only where
+a caller asks a state for ``w``.  ``run`` returns its final state, its trace
+and its StepLog, and leaves the state it was given as it was.  The CFL
+velocity is taken from the carrier too, by one product with the radial
+operator's psi columns (``velocity_magnitude`` takes the carrier only).
+The trace is read from the coefficients: the energy, L^2 norm and mean are
+Parseval sums plus the channel's couplings and its own integrals (built
+with ``RadialBackground``), and the p = 2 orbital distance is a masked
+Parseval sum when the reference's a J_0 is the channel's.  The omega grid is
 synthesized only for the L^p norm and the distance at p != 2, for a
 reference the sum does not cover, and for the initial and final fields.
 
@@ -79,6 +80,7 @@ from .disk_spectral import (
     _embed,
     _outside_band,
     _project,
+    _split,
     _synth,
     _synthesize,
     casimir3_drift,
@@ -206,20 +208,18 @@ StepLog = namedtuple("StepLog", "rk4_steps dt_min dt_max")
 
 
 class SolverState:
-    """Evolving vorticity: spectral part + exact radial channel + diagnostics.
+    """Evolving vorticity at time ``t``: spectral part + exact radial channel.
 
     The spectral part is held only as the stepper's in-band carrier
     ``band``, built at construction from ``w``, a SpectralField (checked
     against the band, ResolutionError outside it) or a carrier; ``w`` pads
-    it back to a SpectralField.  ``run`` leaves its StepLog in ``step_log``.
+    it back to a SpectralField.
     """
 
-    def __init__(self, w, background=None, t=0.0, diagnostics=None):
+    def __init__(self, w, background=None, t=0.0):
         self.band = _carrier(w)
         self.background = background
         self.t = t
-        self.diagnostics = [] if diagnostics is None else diagnostics
-        self.step_log = None
 
     @property
     def w(self):
@@ -284,7 +284,7 @@ def step_rk4(state: SolverState, dt: float, check_cfl=True) -> SolverState:
     k2 += k4
     k2 *= dt / 6.0
     k2 += y0
-    return SolverState(_Band(b, k2), bg, state.t + dt, state.diagnostics)
+    return SolverState(_Band(b, k2), bg, state.t + dt)
 
 
 @dataclass(frozen=True)
@@ -347,23 +347,20 @@ def _diagnose(state: SolverState, cfg: RunConfig) -> TraceRow:
 def run(state: SolverState, cfg: RunConfig):
     """Advance to cfg.t_end recording a TraceRow every cfg.cadence steps.
 
-    The state was checked against the band at its construction and lives
-    on its carrier; the returned state pads its SpectralField when asked for
-    ``w``, and holds the run's StepLog.  The step is the advective limit at
-    cfg.cfl_safety, refreshed every cadence steps; the safety factor absorbs
-    the slow velocity drift in between.
+    Returns (final state, trace, StepLog); the trace starts with the row of
+    ``state`` at its own t, and ``state`` is left as it was.  The step is the
+    advective limit at cfg.cfl_safety, refreshed every cadence steps; the
+    safety factor absorbs the slow velocity drift in between.
     """
-    state.diagnostics.append(_diagnose(state, cfg))
-    dts = []
+    trace, dts = [_diagnose(state, cfg)], []
     dt_cfl = cfl_dt(state, cfg.cfl_safety)
     while state.t < cfg.t_end - 1e-12:
         dts.append(min(dt_cfl, cfg.t_end - state.t))
         state = step_rk4(state, dts[-1], check_cfl=False)
         if len(dts) % cfg.cadence == 0 or state.t >= cfg.t_end - 1e-12:
-            state.diagnostics.append(_diagnose(state, cfg))
+            trace.append(_diagnose(state, cfg))
             dt_cfl = cfl_dt(state, cfg.cfl_safety)
-    state.step_log = StepLog(len(dts), min(dts, default=None), max(dts, default=None))
-    return state
+    return state, trace, StepLog(len(dts), min(dts, default=None), max(dts, default=None))
 
 
 def turnover_time(state: SolverState) -> float:
@@ -395,9 +392,10 @@ def band_limit(f: SpectralField) -> SpectralField:
 
 
 def require_band_limited(f: SpectralField):
-    """NonFiniteFieldError if a coefficient is not finite (band_limit would
-    zero one outside the band); ResolutionError if a coefficient outside the
-    band exceeds 1e-12 of the largest."""
+    """f's band rows, laid out as ``_band_values`` lays them out, dropping
+    what lies outside the band.  NonFiniteFieldError if a coefficient is not
+    finite (one outside the band would be dropped unseen); ResolutionError if
+    a coefficient outside the band exceeds 1e-12 of the largest."""
     if not np.isfinite(f.coeffs).all():
         raise NonFiniteFieldError("perturbation has a non-finite coefficient")
     outside = max(float(np.abs(block).max(initial=0.0))
@@ -405,6 +403,8 @@ def require_band_limited(f: SpectralField):
     scale = max(float(np.abs(f.coeffs).max()), 1e-300)
     if outside > 1e-12 * scale:
         raise ResolutionError("perturbation has content outside the dealias band")
+    nd, kd = f.basis.dealias_band()
+    return _split(f.coeffs[: nd + 1, : kd])
 
 
 # ---------------------------------------------------------------------------
@@ -437,23 +437,22 @@ def _evolve_element(ve: VElement, perturbation: SpectralField | None, p, t_end,
                     turnovers, basis, uniform, cfl_safety, cadence):
     """The body of both experiments: evolve ve + uniform (+ perturbation)
     to t_end, or to ``turnovers`` turnover times when t_end is None, tracking
-    the orbital L^p distance to ve.  The perturbation is admitted by
-    require_band_limited and enters as its band_limit."""
+    the orbital L^p distance to ve.  The band rows of the perturbation, as
+    require_band_limited admits them, join the element's carrier."""
     state = steady_state(ve, basis, uniform)
     if perturbation is not None:
-        require_band_limited(perturbation)
-        w = SpectralField(basis, state.w.coeffs + band_limit(perturbation).coeffs)
-        state = SolverState(w, state.background)
+        b, y = state.band
+        state = SolverState(_Band(b, y + require_band_limited(perturbation)), state.background)
     initial = state.full_grid_values()
     if t_end is None:
         t_end = turnovers * turnover_time(state)
     cfg = RunConfig(t_end=t_end, cfl_safety=cfl_safety, cadence=cadence,
                     p=p, reference=ve)
-    state = run(state, cfg)
-    trace, final = state.diagnostics, state.full_grid_values()
+    state, trace, log = run(state, cfg)
+    final = state.full_grid_values()
     return ExperimentResult(trace, max(r.orbital_distance for r in trace),
                             *_drifts(trace), initial, final,
-                            extra={**state.step_log._asdict(),
+                            extra={**log._asdict(),
                                    "casimir3_drift": casimir3_drift(initial, final)})
 
 
@@ -474,10 +473,13 @@ def run_rotating_orbit_experiment(ve: VElement, omega_rot: float,
     element with b = 0 or order n = 0 has no phase, so a rate is fitted only
     for b > 0, n >= 1 and omega_rot != 0; and n beta* is unwrapped only where
     it turns by less than pi between trace rows, n |omega_rot| max(dt) < pi,
-    so rows farther apart fit no rate either."""
-    if t_end is None and omega_rot != 0.0:
+    so rows farther apart fit no rate either.  A zero rate has no period,
+    so it needs t_end (ConfigError otherwise)."""
+    if t_end is None:
+        if omega_rot == 0.0:
+            raise ConfigError("a run at rotation rate 0 needs t_end")
         t_end = periods * 2.0 * math.pi / abs(omega_rot)
-    res = _evolve_element(ve, perturbation, p, t_end, 20.0, basis,
+    res = _evolve_element(ve, perturbation, p, t_end, None, basis,
                           2.0 * omega_rot, cfl_safety, cadence)
     n_fold, _ = ve.family
     if ve.b > 0 and n_fold >= 1 and omega_rot != 0.0:

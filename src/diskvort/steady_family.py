@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import _j_neighbours, bessel_j, bessel_zero
+from .bessel import _power_integrals, bessel_j, bessel_zero
 from .disk_spectral import (
     _TINY,
     DiskBasis,
@@ -34,7 +34,6 @@ from .disk_spectral import (
     weighted_lp,
 )
 from .errors import NonFiniteFieldError, ResolutionError
-from .quadrature import interval_rule
 
 
 def j_11():
@@ -251,16 +250,11 @@ class MomentPair:
 @lru_cache(maxsize=1)
 def moment_coefficients():
     """(p1, p2, q1, q2) by quadrature of the radial power integrals on
-    [0, j], from one kernel call for J_0 and J_1 at the nodes of the fixed
-    rule ``quadrature.interval_rule``."""
+    [0, j], ``bessel._power_integrals``."""
     j = j_11()
-    t, w = interval_rule(0.0, j)
-    j0, j1, _ = _j_neighbours(1, t)
-    p1 = (2.0 * math.pi / j**2) * float(w @ (j0 * j0 * t))
-    p2 = (math.pi / j**2) * float(w @ (j1 * j1 * t))
-    q1 = (2.0 * math.pi / j**2) * float(w @ (j0 ** 3 * t))
-    q2 = (3.0 * math.pi / j**2) * float(w @ (j0 * j1 * j1 * t))
-    return p1, p2, q1, q2
+    i00, i11, i000, i011, _ = _power_integrals(j)
+    return ((2.0 * math.pi / j**2) * i00, (math.pi / j**2) * i11,
+            (2.0 * math.pi / j**2) * i000, (3.0 * math.pi / j**2) * i011)
 
 
 def moments(g: GridField) -> MomentPair:
@@ -311,8 +305,7 @@ def verify_moment_coefficients():
     j = j_11()
     p1, p2, q1, q2 = moment_coefficients()
     p1_closed = math.pi * bessel_j(0, j) ** 2
-    t, w = interval_rule(0.0, j)
-    cube = float(w @ bessel_j(1, t) ** 3)
+    cube = _power_integrals(j)[4]
     q1_closed = (8.0 * math.pi / (3.0 * j**2)) * cube
     q2_closed = (2.0 * math.pi / j**2) * cube
     return {

@@ -284,7 +284,7 @@ def test_criterion_8_sharpness(basis):
         uniform = 2.0 / n
         state = es.steady_state(ve, basis, uniform)
         cfg = es.RunConfig(t_end=n * beta, cadence=50, p=2.0, reference=ve)
-        state = es.run(state, cfg)
+        state, _, _ = es.run(state, cfg)
         om = state.full_grid_values()
         shifted = ds.GridField(om.grid, om.values - uniform)
         dist, bstar = sf.orbital_distance(shifted, ve, 2.0)

@@ -574,8 +574,8 @@ def test_sharpness_demo_rows_match_hand_rolled_runs(tmp_path):
         beta = math.pi * frac
         rcfg = euler_sim.RunConfig(t_end=n * beta, cfl_safety=cfg.cfl_safety,
                                    cadence=cfg.cadence, p=cfg.p, reference=ve)
-        state = euler_sim.run(euler_sim.steady_state(ve, basis, uniform), rcfg)
-        last, om = state.diagnostics[-1], state.full_grid_values()
+        state, trace, _ = euler_sim.run(euler_sim.steady_state(ve, basis, uniform), rcfg)
+        last, om = trace[-1], state.full_grid_values()
         dist, bstar = steady_family.orbital_distance(
             GridField(om.grid, om.values - uniform), ve, cfg.p)
         assert abs(dist - last.orbital_distance) <= 5e-15 * last.l2

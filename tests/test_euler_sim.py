@@ -14,7 +14,7 @@ from diskvort import euler_sim as es
 from diskvort import steady_family as sf
 from diskvort import variational as vr
 from diskvort.bessel import _j_neighbours, bessel_j, bessel_j_prime
-from diskvort.errors import CFLError, NonFiniteFieldError, ResolutionError
+from diskvort.errors import CFLError, ConfigError, NonFiniteFieldError, ResolutionError
 from diskvort.green_energy import energy_grid
 from green_oracle import apply_green, apply_green_kernel
 
@@ -204,6 +204,19 @@ def test_rotating_run_omega_zero_matches_stability(basis, rng):
         assert abs(ra.orbital_distance - rb.orbital_distance) < 1e-12
 
 
+def test_rotating_run_at_rate_zero_needs_t_end(monkeypatch):
+    # a zero rate has no period, so without t_end the run is refused before
+    # its first step rather than run for some other horizon
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(es, "step_rk4", no_step)
+    b = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    with pytest.raises(ConfigError, match="t_end"):
+        es.run_rotating_orbit_experiment(sf.VElement(0.3, 1.0), 0.0, None, 2.0, basis=b,
+                                         periods=0.01)
+
+
 # (t, energy, l2, lp, mean, orbital_distance, beta_star) of a quarter period
 # at Omega = 0.3, recorded when the offset entered as the spectral rigid term
 # -Omega i n w with its own stream function added to the diagnostics
@@ -330,15 +343,18 @@ def test_solver_rejects_fields_outside_the_band(basis):
 
 def test_experiments_zero_a_sub_tolerance_residue(basis):
     # a perturbation with a 1e-13-relative coefficient at (N, K) passes
-    # require_band_limited and runs as its band_limit, float for float
+    # require_band_limited, whose band rows are its band_limit's, and runs as
+    # its band_limit, float for float
     ve = sf.VElement(0.5, 1.0, 0.3)
     pert = es.make_perturbation("smooth-random", ve, 1e-3, 2.0, basis,
                                 np.random.default_rng(8))
     scale = np.abs(pert.coeffs).max()
     dirty = ds.SpectralField(basis, pert.coeffs + _corner_mode(basis, 1e-13 * scale).coeffs)
-    es.require_band_limited(dirty)
+    rows = es.require_band_limited(dirty)
     assert not ds._in_band(dirty)
     assert np.array_equal(es.band_limit(dirty).coeffs, pert.coeffs)
+    expect_rows = ds._band_values(es.band_limit(dirty))
+    assert rows.shape == expect_rows.shape and rows.tobytes() == expect_rows.tobytes()
     runs = (lambda f: es.run_stability_experiment(ve, f, 2.0, t_end=0.3, basis=basis),
             lambda f: es.run_rotating_orbit_experiment(ve, 0.3, f, 2.0, t_end=0.3,
                                                        basis=basis))
@@ -357,8 +373,8 @@ def test_uniform_offset_induces_rotation(basis):
     state = es.steady_state(ve, basis, uniform=0.5)    # Omega = 0.25
     assert state.background.amplitude == 0.0
     cfg = es.RunConfig(t_end=1.0, cadence=5, p=2.0, reference=ve)
-    state = es.run(state, cfg)
-    last = state.diagnostics[-1]
+    _, trace, _ = es.run(state, cfg)
+    last = trace[-1]
     # beta_star tracks -Omega t
     expected = (-0.25 * last.t) % (2 * math.pi)
     diff = abs((last.beta_star - expected + math.pi) % (2 * math.pi) - math.pi)
@@ -567,6 +583,29 @@ def test_run_calls_tendency_four_times_per_step(basis, monkeypatch):
     es.run(state, es.RunConfig(t_end=1.0, cadence=3, reference=ve))
     assert counts["step_rk4"] > 3
     assert counts["tendency"] == 4 * counts["step_rk4"]
+
+
+def test_runs_return_their_own_trace():
+    # two runs from one state each return their own rows from t = 0 and
+    # leave the state as it was; a run continued from a final state returns
+    # only its own rows, from that state's t
+    b = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    ve = sf.VElement(0.3, 1.0)
+    state = es.steady_state(ve, b)
+    values = state.band.values.tobytes()
+    cfg = es.RunConfig(t_end=0.5, cadence=2, reference=ve)
+    first, second = es.run(state, cfg), es.run(state, cfg)
+    assert state.t == 0.0 and state.band.values.tobytes() == values
+    assert first[1] is not second[1] and first[1] == second[1]
+    mid = first[0]
+    resumed = es.run(mid, es.RunConfig(t_end=1.0, cadence=2, reference=ve))
+    assert mid.t == first[1][-1].t
+    for start, (final, trace, log) in ((0.0, first), (0.0, second), (mid.t, resumed)):
+        ts = [r.t for r in trace]
+        assert ts[0] == start and ts[-1] == final.t
+        assert all(s < t for s, t in zip(ts, ts[1:]))
+        assert len(ts) == 1 + -(-log.rk4_steps // 2)
+    assert abs(mid.t - 0.5) < 1e-12 and abs(resumed[0].t - 1.0) < 1e-12
 
 
 def test_band_and_outside_blocks_partition_the_spectrum(basis):
@@ -933,9 +972,11 @@ def test_run_raises_on_non_finite_state(basis):
     c = state.w.coeffs.copy()
     c[1, 0] = np.nan
     state = es.SolverState(ds.SpectralField(basis, c), state.background)
+    values = state.band.values.tobytes()
     with pytest.raises(NonFiniteFieldError):
         es.run(state, es.RunConfig(t_end=1.0))
-    assert state.diagnostics == []          # nothing was recorded
+    # the given state is left as it was
+    assert state.t == 0.0 and state.band.values.tobytes() == values
 
 
 def _spectral_field_rk4(state, dt):
