@@ -59,7 +59,8 @@ from .euler_sim import (
     tendency,
     verify_steady,
 )
-from .steady_family import VElement, orbital_distance, plain_distance, v_element_grid
+from .radial_channel import RadialBackground
+from .steady_family import VElement, j_11, orbital_distance, plain_distance, v_element_grid
 from .variational import burton_maximize, solve_v1, solve_v2
 
 KINDS = ("bessel-table", "verify-identities", "eigs", "steady-check", "burton-maximize",
@@ -87,24 +88,26 @@ def _key(default, kinds, lo=None, hi=None, *, open_lo=False, choices=None, caps=
                                                 choices=choices, caps=caps, horizon=horizon))
 
 
-# A bound that caps work keeps one run on the default basis within about
-# five minutes on a 2-core x86 VM at cfl_safety 0.4, where one turnover of
-# the default element takes ~0.1 s (t_end: ~2.3 ms per time unit, 48 to a
-# turnover), one ascent seed ~50 ms (~0.8 ms per iteration, up to max_iters)
-# and one unit of n_uniform ~11 ms.  The basis tables grow as n_theta_modes
-# n_r k_radial (k_radial < n_r) and the Gauss-Legendre nodes as n_r^2: the
-# largest accepted basis, DiskBasis(64, 254, DiskGrid(256, 1024)), builds in
-# ~7 s with a 224 MB peak RSS.  Under a t_end horizon the step count grows
-# with max|u|, which is linear in a, b and delta_rel: at the largest t_end
-# the default element takes ~2 min, a = 1 ~3 min, and a = 1 with a
-# mode-injection perturbation of delta_rel = 1 ~4.5 min.  Every shape a / b
-# of the family has a member within the bound, larger amplitudes only
-# rescale time (omega -> lambda omega, t -> t / lambda), and a perturbation
-# larger than its element is no longer a perturbation of it.  The step count
-# grows as 1 / cfl_safety (default evolve: 8029 steps at 0.4), so the floor
-# 0.1 lets a run take up to 4x its budget at 0.4, ~18 min at the largest
-# t_end with a = 1 and delta_rel = 1; above 1 every refresh would step over
-# the advective limit.
+# A bound that caps work keeps one run on the default basis within about five
+# minutes on a 2-core x86 VM at cfl_safety 0.4, p = 2 and cadence 10, where
+# one turnover of default evolve takes 0.14 s (t_end: ~2.3 ms per time unit,
+# 48 to a turnover), one ascent seed ~50 ms (~0.8 ms per iteration, up to
+# max_iters) and one unit of n_uniform ~11 ms.  The caps are sized at that p
+# and cadence: a turnover takes 0.19 s at p = 1.5 and 0.65 s at p = 1.5 with
+# cadence 1, so turnovers = 1000 runs ~11 min there.  The basis tables grow as
+# n_theta_modes n_r k_radial (k_radial < n_r) and the Gauss-Legendre nodes as
+# n_r^2: the largest accepted basis, DiskBasis(64, 254, DiskGrid(256, 1024)),
+# builds in ~7 s with a 224 MB peak RSS.  Under a t_end horizon the step count
+# grows with max|u|, which is linear in a, b and delta_rel: at the largest
+# t_end the default element takes ~2 min, a = 1 ~3 min, and a = 1 with a
+# mode-injection perturbation of delta_rel = 1 ~4.5 min.  Every shape a / b of
+# the family has a member within the bound, larger amplitudes only rescale
+# time (omega -> lambda omega, t -> t / lambda), and a perturbation larger
+# than its element is no longer a perturbation of it.  The step count grows as
+# 1 / cfl_safety (default evolve: 8029 steps at 0.4), so the floor 0.1 lets a
+# run take up to 4x its budget at 0.4, ~18 min at the largest t_end with a = 1
+# and delta_rel = 1; above 1 every refresh would step over the advective
+# limit.
 @dataclass
 class ExperimentConfig:
     kind: str = _key("", KINDS)      # checked first: a kind selects the checks
@@ -313,7 +316,8 @@ def _exp_steady_check(cfg, rng, outdir):
                      "pass" if ok else "FAIL"))
     # control: mixed eigenvalues must NOT look steady
     mix = mixed_nonsteady_field(basis)
-    tnorm = lp_norm(to_grid(tendency(mix)), 2) / lp_norm(to_grid(mix), 2)
+    zero = RadialBackground(0.0, j_11(), basis)     # the zero channel; j_11 only labels it
+    tnorm = lp_norm(to_grid(tendency(mix, zero)), 2) / lp_norm(to_grid(mix), 2)
     detect = tnorm > 1e-3
     passed &= detect
     rows.append(("mixed", "", "", "", "", "", tnorm, "pass" if detect else "FAIL"))

@@ -61,7 +61,11 @@ reference the sum does not cover, and for the initial and final fields.
 The exact radial channel a J_0(l r) + c, ``RadialBackground``, lives in
 radial_channel; ``tendency`` and ``velocity_magnitude`` take it as their one
 input besides the field, and the trace and the mean fix read its coupling
-constants.
+constants.  There is one solver path: every state carries a channel and
+every run a reference.  A field with no channel of its own runs with the
+zero channel ``RadialBackground(0.0, l, basis)``, whose root l only labels
+it and which adds zeros; ``steady_state`` builds the channel of every
+element, the Lamb dipole (a = 0) included.
 """
 
 import math
@@ -107,7 +111,7 @@ def _carrier(w: SpectralField | _Band) -> _Band:
     return w if isinstance(w, _Band) else _Band(w.basis, _band_values(w))
 
 
-def velocity_magnitude(y: _Band, background=None):
+def velocity_magnitude(y: _Band, background: RadialBackground):
     """Max |u| on the grid of the carrier ``y`` from its two grids of psi,
     synthesized from the radial operator's adjacent psi columns in one
     product; u_r = (1/r) d_theta psi, u_theta = -d_r psi.  The root of the
@@ -116,8 +120,7 @@ def velocity_magnitude(y: _Band, background=None):
     kit, nr = b.band_kit, b.grid.n_r
     dr_psi, dth_psi = _synth(np.matmul(values, kit["radial"][..., nr: 3 * nr]),
                              (kit["synth_r"], kit["synth_t"]))
-    if background is not None:
-        dr_psi += background.stream_d_r_profile[:, None]
+    dr_psi += background.stream_d_r_profile[:, None]
     dr_psi *= dr_psi
     dth_psi *= dth_psi
     dr_psi += dth_psi
@@ -142,8 +145,7 @@ def _mean_fix(row0, y: _Band, background):
     kit = y.basis.band_kit
     mean0 = kit["mean0"]
     q = kit["energy_row"] * y.values[0, 0, : mean0.size]
-    if background is not None:
-        q += background.stream_dual[: mean0.size]
+    q += background.stream_dual[: mean0.size]
     # the correction spans mean0 and q: G alpha = (defect, 0), regularized,
     # solved by Cramer's rule
     defect = float(row0.dot(kit["mean_row"]))
@@ -154,13 +156,14 @@ def _mean_fix(row0, y: _Band, background):
     row0[: mean0.size] -= scale * (g11 * mean0 - g01 * q)
 
 
-def tendency(w: SpectralField | _Band, background: RadialBackground | None = None):
+def tendency(w: SpectralField | _Band, background: RadialBackground):
     """Right-hand side of the vorticity equation, dealiased.
 
     ``w`` is a SpectralField in the dealias band (ResolutionError otherwise),
     answered with a SpectralField, or the stepper's ``_Band``, answered with
     the band array.  The product is formed on the band subgrid; ``background``
-    adds the exact radial channel to omega and psi, its uniform offset included.
+    adds the exact radial channel to omega and psi, its uniform offset
+    included (a bare field takes the zero channel).
     The radial operator's d_r block [d_r omega; d_r psi] times its (1/r) block
     [(1/r) d_theta psi; (1/r) d_theta omega] holds both advection products.
     """
@@ -168,8 +171,7 @@ def tendency(w: SpectralField | _Band, background: RadialBackground | None = Non
     kit = y.basis.band_kit
     m = np.matmul(y.values, kit["radial"])        # (nd+1, 2, 4 n_r)
     nr = m.shape[2] // 4
-    if background is not None:
-        m[0, 0, : 2 * nr] += background.d_r_pair
+    m[0, 0, : 2 * nr] += background.d_r_pair
     d_r, over_r = _synth(m, (kit["sub_synth_r"], kit["sub_synth_t"]))
     del m                   # freed before the projection's temporaries
     d_r *= over_r
@@ -182,13 +184,14 @@ def tendency(w: SpectralField | _Band, background: RadialBackground | None = Non
 
 @dataclass
 class RunConfig:
-    """Time-stepping policy and diagnostics for one run."""
+    """Time-stepping policy and diagnostics for one run; the trace's orbital
+    distance is taken to the orbit of ``reference``."""
 
     t_end: float
+    reference: VElement
     cfl_safety: float = 0.4
     cadence: int = 10
     p: float = 2.0
-    reference: VElement | None = None
 
     def __post_init__(self):
         # each check is written so that NaN fails it: a NaN t_end would end
@@ -213,10 +216,11 @@ class SolverState:
     The spectral part is held only as the stepper's in-band carrier
     ``band``, built at construction from ``w``, a SpectralField (checked
     against the band, ResolutionError outside it) or a carrier; ``w`` pads
-    it back to a SpectralField.
+    it back to a SpectralField.  ``background``, the channel, is required:
+    a bare field takes the zero channel.
     """
 
-    def __init__(self, w, background=None, t=0.0):
+    def __init__(self, w, background: RadialBackground, t=0.0):
         self.band = _carrier(w)
         self.background = background
         self.t = t
@@ -234,9 +238,7 @@ class SolverState:
         half[: y.shape[0], :, : y.shape[2]] = y
         if stream:
             half *= b.green_mult[:, None]
-        values = _synthesize(half, b)
-        if bg is not None:
-            values = values + (bg.stream_profile if stream else bg.profile)[:, None]
+        values = _synthesize(half, b) + (bg.stream_profile if stream else bg.profile)[:, None]
         return GridField(b.grid, values)
 
     def full_grid_values(self):
@@ -316,32 +318,25 @@ def _diagnose(state: SolverState, cfg: RunConfig) -> TraceRow:
     nd1, _, kd = y.shape
     terms = b.parseval[:nd1, :kd] * (y * y).sum(axis=1)
     c0, e, l2sq = y[0, 0], rows_energy(b, y), float(terms.sum())
-    mean = float(c0 @ b.mean0[:kd]) / math.pi
-    if bg is not None:
-        e += float(c0 @ bg.stream_dual) + bg.energy
-        l2sq += 2.0 * float(c0 @ bg.omega_dual) + bg.norm2
-        mean += bg.mean
+    e += float(c0 @ bg.stream_dual) + bg.energy
+    l2sq += 2.0 * float(c0 @ bg.omega_dual) + bg.norm2
+    mean = float(c0 @ b.mean0[:kd]) / math.pi + bg.mean
     l2 = math.sqrt(max(l2sq, 0.0))
     if not (math.isfinite(e) and math.isfinite(l2)):
         raise NonFiniteFieldError(f"non-finite state at t={state.t!r}: energy {e!r}, L2 {l2!r}")
-    n, k = (0, 0) if ref is None else ref.family
-    a = 0.0 if bg is None else bg.amplitude
-    if (cfg.p == 2 and 1 <= n < nd1 and k <= kd and ref.a == a
-            and (a == 0.0 or ref.root == bg.root)):
+    n, k = ref.family
+    if (cfg.p == 2 and 1 <= n < nd1 and k <= kd and ref.a == bg.amplitude
+            and (ref.a == 0.0 or ref.root == bg.root)):
         re, im = y[n, 0, k - 1], y[n, 1, k - 1]
         terms[n, k - 1] = b.parseval[n, k - 1] * (math.hypot(re, im) - 0.5 * ref.b) ** 2
         beta = (math.atan2(im, re) - ref.beta) % (2.0 * math.pi) if ref.b else 0.0
         return TraceRow(state.t, e, l2, l2, mean, math.sqrt(float(terms.sum())), beta)
-    omega = state.full_grid_values() if cfg.p != 2 or ref is not None else None
+    omega = state.full_grid_values()
     lp = l2 if cfg.p == 2 else lp_norm(omega, cfg.p)
-    dist, beta = math.nan, math.nan
-    if ref is not None:
-        # a uniform offset shifts both the state and every orbit element, so
-        # it cancels from the distance
-        uniform = 0.0 if bg is None else bg.uniform
-        shifted = omega if uniform == 0.0 else GridField(omega.grid, omega.values - uniform)
-        dist, beta = orbital_distance(shifted, ref, cfg.p)
-    return TraceRow(state.t, e, l2, lp, mean, dist, beta)
+    # a uniform offset shifts both the state and every orbit element, so it
+    # cancels from the distance
+    shifted = omega if bg.uniform == 0.0 else GridField(omega.grid, omega.values - bg.uniform)
+    return TraceRow(state.t, e, l2, lp, mean, *orbital_distance(shifted, ref, cfg.p))
 
 
 def run(state: SolverState, cfg: RunConfig):
@@ -374,14 +369,14 @@ def turnover_time(state: SolverState) -> float:
 
 def steady_state(ve: VElement, basis: DiskBasis, uniform: float = 0.0) -> SolverState:
     """Solver state representing the family element ve plus the uniform
-    vorticity ``uniform`` exactly; its radial channel is None only when
+    vorticity ``uniform`` exactly; its radial channel is
+    RadialBackground(ve.a, ve.root, basis, uniform), the zero channel when
     both ve.a and ``uniform`` are zero."""
     nd, kd = basis.dealias_band()
     n, k = ve.family
     if n > nd or k > kd:
         raise ResolutionError(f"family {ve.family} outside dealias band ({nd},{kd})")
-    bg = RadialBackground(ve.a, ve.root, basis, uniform) if ve.a or uniform else None
-    return SolverState(w=dipole_part(ve, basis), background=bg)
+    return SolverState(dipole_part(ve, basis), RadialBackground(ve.a, ve.root, basis, uniform))
 
 
 def band_limit(f: SpectralField) -> SpectralField:

@@ -247,7 +247,8 @@ def test_criterion_7_orbital_stability(basis):
     mix_grid = ds.to_grid(mix)
     delta = 1e-3 * ds.lp_norm(mix_grid, 2)
     pert = es.make_perturbation("smooth-random", ve, delta, 2.0, basis, rng)
-    state = es.SolverState(w=ds.SpectralField(basis, mix.coeffs + pert.coeffs))
+    state = es.SolverState(w=ds.SpectralField(basis, mix.coeffs + pert.coeffs),
+                           background=es.RadialBackground(0.0, sf.j_11(), basis))
 
     def grid_orbit_distance(state):
         # the least L^2 distance to the mixed field's rotations by whole cells

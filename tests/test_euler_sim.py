@@ -42,6 +42,11 @@ def fd_r(v, r):
     return out
 
 
+def _bare(basis):
+    """The zero channel that a bare field runs with; its root only labels it."""
+    return es.RadialBackground(0.0, sf.j_11(), basis)
+
+
 def test_steady_tendency_all_elements(basis):
     for ve in [sf.VElement(0.0, 1.0, 0.0), sf.VElement(1.0, 0.0, 0.0),
                sf.VElement(0.7, 0.9, 1.1), sf.VElement(-0.5, 0.8, 2.2),
@@ -56,7 +61,7 @@ def test_steady_tendency_all_elements(basis):
 
 def test_radial_tendency_vanishes(basis):
     f = ds.single_mode(basis, 0, 2, 1.3)
-    assert np.abs(es.tendency(f).coeffs).max() <= 1e-12
+    assert np.abs(es.tendency(f, _bare(basis)).coeffs).max() <= 1e-12
 
 
 def test_tendency_matches_kernel_fd_oracle(basis):
@@ -68,7 +73,7 @@ def test_tendency_matches_kernel_fd_oracle(basis):
         basis,
         ds.single_mode(basis, 1, 1, 1.0).coeffs + eps * ds.single_mode(basis, 2, 1, 1.0).coeffs,
     )
-    t_spec = ds.to_grid(es.tendency(f)).values
+    t_spec = ds.to_grid(es.tendency(f, _bare(basis))).values
     om = ds.to_grid(f)
     psi = apply_green_kernel(om)
     oracle = -(
@@ -84,14 +89,14 @@ def test_tendency_matches_kernel_fd_oracle(basis):
         basis,
         ds.single_mode(basis, 1, 1, 1.0).coeffs + 0.5 * eps * ds.single_mode(basis, 2, 1, 1.0).coeffs,
     )
-    t2 = ds.to_grid(es.tendency(f2)).values
+    t2 = ds.to_grid(es.tendency(f2, _bare(basis))).values
     ratio = np.abs(t_spec[mask]).max() / np.abs(t2[mask]).max()
     assert abs(ratio - 2.0) < 0.05
 
 
 def test_rk4_order(basis):
     mix = es.mixed_nonsteady_field(basis)
-    st = es.SolverState(w=mix)
+    st = es.SolverState(w=mix, background=_bare(basis))
     ref = st
     for _ in range(8):
         ref = es.step_rk4(ref, 0.05 / 8, check_cfl=False)
@@ -122,8 +127,8 @@ def test_cfl_violation_raises(basis):
 def test_rotation_covariance(basis, rng):
     # evolving then rotating equals rotating then evolving
     pert = es.make_perturbation("smooth-random", sf.VElement(0.0, 1.0, 0.0), 0.05, 2.0, basis, rng)
-    st_a = es.SolverState(w=pert)
-    st_b = es.SolverState(w=ds.rotate(pert, 0.9))
+    st_a = es.SolverState(w=pert, background=_bare(basis))
+    st_b = es.SolverState(w=ds.rotate(pert, 0.9), background=_bare(basis))
     for _ in range(10):
         st_a = es.step_rk4(st_a, 0.05, check_cfl=False)
         st_b = es.step_rk4(st_b, 0.05, check_cfl=False)
@@ -269,24 +274,26 @@ def test_perturbation_builders(basis, rng):
 
 def test_run_config_rejects_nonpositive_cfl_safety():
     # above 1 every refresh would step over the advective limit
+    ve = sf.VElement(0.5, 1.0)
     for value in (0.0, -0.4, math.nan, 1.2, math.inf):
         with pytest.raises(ValueError, match="cfl_safety"):
-            es.RunConfig(t_end=1.0, cfl_safety=value)
-    assert es.RunConfig(t_end=1.0, cfl_safety=0.4).cfl_safety == 0.4
-    assert es.RunConfig(t_end=1.0, cfl_safety=1.0).cfl_safety == 1.0
+            es.RunConfig(t_end=1.0, reference=ve, cfl_safety=value)
+    assert es.RunConfig(t_end=1.0, reference=ve, cfl_safety=0.4).cfl_safety == 0.4
+    assert es.RunConfig(t_end=1.0, reference=ve, cfl_safety=1.0).cfl_safety == 1.0
 
 
 def test_run_config_rejects_silent_no_op_runs():
     # NaN t_end would end the run after its first row, and cadence 0
     # divided by zero in run()
+    ve = sf.VElement(0.5, 1.0)
     for t_end in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="t_end"):
-            es.RunConfig(t_end=t_end)
+            es.RunConfig(t_end=t_end, reference=ve)
     for cadence in (0, -3, 2.5, math.nan, "10"):
         with pytest.raises(ValueError, match="cadence"):
-            es.RunConfig(t_end=1.0, cadence=cadence)
-    assert es.RunConfig(t_end=1.0, cadence=1).cadence == 1
-    assert es.RunConfig(t_end=1.0, cadence=np.int64(3)).cadence == 3
+            es.RunConfig(t_end=1.0, reference=ve, cadence=cadence)
+    assert es.RunConfig(t_end=1.0, reference=ve, cadence=1).cadence == 1
+    assert es.RunConfig(t_end=1.0, reference=ve, cadence=np.int64(3)).cadence == 3
 
 
 def _corner_mode(basis, value=1.0):
@@ -330,11 +337,7 @@ def test_solver_rejects_fields_outside_the_band(basis):
     corner = _corner_mode(basis)
     w = ds.SpectralField(basis, state.w.coeffs + _corner_mode(basis, 1e-13).coeffs)
     for f in (corner, w):
-        with pytest.raises(ResolutionError, match="outside the dealias band"):
-            es.tendency(f)
-        with pytest.raises(ResolutionError, match="outside the dealias band"):
-            es.SolverState(w=f)
-        for bg in (state.background, rotating.background):
+        for bg in (_bare(basis), state.background, rotating.background):
             with pytest.raises(ResolutionError, match="outside the dealias band"):
                 es.tendency(f, bg)
             with pytest.raises(ResolutionError, match="outside the dealias band"):
@@ -427,8 +430,8 @@ def _band_grids(y, kit, synth_r, synth_t, background=None):
 
 def _check_band_grids(basis, full):
     """The band grids on the collocation tables (full) or on the subgrid
-    tables against the pointwise oracle, with no channel, a J_0 channel and
-    one with a uniform offset too; on the collocation grid also
+    tables against the pointwise oracle, with the zero channel, a J_0 channel
+    and one with a uniform offset too; on the collocation grid also
     velocity_magnitude."""
     coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
     for b in (basis, coarse):
@@ -520,8 +523,9 @@ def _full_grid_tendency(w, background, rotation=0.0):
 
 
 def _channels(bg):
-    """No channel, the channel bg, and bg with a uniform offset 0.6."""
-    return None, bg, es.RadialBackground(bg.amplitude, bg.root, bg.basis, uniform=0.6)
+    """The zero channel, the channel bg, and bg with a uniform offset 0.6."""
+    return (es.RadialBackground(0.0, bg.root, bg.basis), bg,
+            es.RadialBackground(bg.amplitude, bg.root, bg.basis, uniform=0.6))
 
 
 def _band_states(basis):
@@ -843,7 +847,7 @@ def test_band_operators_built_with_basis(basis, monkeypatch):
 
 def test_mean_fix_matches_linear_solve(basis):
     # the closed-form 2 x 2 solve against np.linalg.solve on the same
-    # regularized system, with no channel, a J_0 channel and one with a
+    # regularized system, with the zero channel, a J_0 channel and one with a
     # uniform offset too
     ve = sf.VElement(0.5, 1.0, 0.3)
     state = es.steady_state(ve, basis)
@@ -859,9 +863,7 @@ def test_mean_fix_matches_linear_solve(basis):
         es._mean_fix(got[0, : kit["kd"]].real, es._Band(basis, ds._band_values(w)), bg)
         # the rows the correction spans: mean0 and the stream function
         # weighted by norm2, the channel's from its closed form
-        psi = w.coeffs[0].real * basis.green_mult[0]
-        if bg is not None:
-            psi = psi + _closed_form_stream_row(bg)
+        psi = w.coeffs[0].real * basis.green_mult[0] + _closed_form_stream_row(bg)
         rows = np.vstack([basis.mean0[:m], psi[:m] * basis.norm2[0, :m]])
         G = rows @ rows.T
         G[np.diag_indices(2)] += 1e-14 * max(G[0, 0], G[1, 1], 1e-30)
@@ -882,14 +884,15 @@ def _small_bases():
 
 def test_tendency_runs_on_bands_of_fewer_than_six_radial_modes():
     # the mean fix spans min(6, kd) modes: a band of 5 or 4 radial modes
-    # gets a finite tendency with no disk mean, with and without a channel
+    # gets a finite tendency with no disk mean, with the zero channel and two
+    # others
     root = sf.VElement(0.0, 1.0, 0.0).root
     rng = np.random.default_rng(73)
     for b in _small_bases():
         nd, kd = b.dealias_band()
         assert kd < ds._MEAN_FIX_MODES
         y = es._Band(b, ds._band_values(_flat_field(b, rng, band_only=True)))
-        for bg in (None, es.RadialBackground(0.5, root, b),
+        for bg in (es.RadialBackground(0.0, root, b), es.RadialBackground(0.5, root, b),
                    es.RadialBackground(0.5, root, b, uniform=0.6)):
             t = es.tendency(y, bg)
             assert t.shape == (nd + 1, 2, kd)
@@ -918,10 +921,9 @@ def test_mean_fix_zeroes_the_mean_rate_and_keeps_the_energy_rate(basis, monkeypa
             y = es._Band(b, ds._band_values(_flat_field(b, rng, band_only=True)))
             for a in (0.0, 0.5):
                 for c in (0.0, 0.6):
-                    bg = es.RadialBackground(a, root, b, uniform=c) if a or c else None
+                    bg = es.RadialBackground(a, root, b, uniform=c)
                     grad = weights * y.values
-                    if bg is not None:
-                        grad[0, 0] += bg.stream_dual
+                    grad[0, 0] += bg.stream_dual
                     monkeypatch.setattr(es, "_mean_fix", lambda *args: None)
                     unfixed = es.tendency(y, bg)
                     monkeypatch.setattr(es, "_mean_fix", fix)
@@ -955,8 +957,8 @@ def _stream_row_mean_fix(row0, y, background):
 def test_tendency_within_tolerance_of_stream_row_fix(basis, monkeypatch):
     # the energy-gradient row against the stream row it replaced: within
     # 1e-15 of the largest coefficient on the default and the 6 x 10 bases,
-    # with and without channels (measured 1.2e-17, bitwise in 6 of its 10
-    # cases, and 7.6e-16)
+    # with the zero channel and others (measured 1.2e-17, bitwise in 6 of its
+    # 10 cases, and 7.6e-16)
     for b in (basis, ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))):
         for w, background in _stage_cases(b):
             y = es._Band(b, ds._band_values(w))
@@ -974,7 +976,7 @@ def test_run_raises_on_non_finite_state(basis):
     state = es.SolverState(ds.SpectralField(basis, c), state.background)
     values = state.band.values.tobytes()
     with pytest.raises(NonFiniteFieldError):
-        es.run(state, es.RunConfig(t_end=1.0))
+        es.run(state, es.RunConfig(t_end=1.0, reference=sf.VElement(0.5, 1.0, 0.0)))
     # the given state is left as it was
     assert state.t == 0.0 and state.band.values.tobytes() == values
 
@@ -1092,7 +1094,7 @@ def _stage_cases(basis):
         ve = sf.VElement(a, 0.8, 1.1)
         flat = _flat_field(basis, rng, band_only=True).coeffs
         w = ds.SpectralField(basis, sf.dipole_part(ve, basis).coeffs + 0.05 * flat)
-        yield w, es.RadialBackground(a, ve.root, basis, uniform=c) if a or c else None
+        yield w, es.RadialBackground(a, ve.root, basis, uniform=c)
 
 
 def test_stage_matches_unpaired_oracle(basis):
@@ -1114,10 +1116,33 @@ def test_stage_matches_unpaired_oracle(basis):
                 assert np.array_equal(state.band.values, _unpaired_rk4(y, 0.02, background))
 
 
+def test_zero_channel_is_the_channel_free_solver(basis):
+    # a bare field runs with the zero channel, which adds zeros: tendency and
+    # velocity_magnitude equal the oracles' channel-free results, and the
+    # diagnostic grids to_grid of the padded field, bitwise; its constants
+    # are zeros
+    coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    for b in (basis, coarse):
+        zero = _bare(b)
+        for name in ("energy", "norm2", "mean"):
+            assert getattr(zero, name) == 0.0, name
+        for name in ("d_r_pair", "omega_dual", "stream_dual", "profile", "stream_profile"):
+            assert not getattr(zero, name).any(), name
+        for w, _ in _band_states(b):
+            state = es.SolverState(w, zero)
+            y = state.band
+            assert np.array_equal(es.tendency(y, zero), _unpaired_tendency(y, None))
+            assert (es.velocity_magnitude(y, zero) == _unpaired_velocity_magnitude(y, None)
+                    == _four_grid_velocity_magnitude(y, None))
+            assert np.array_equal(state.full_grid_values().values, ds.to_grid(state.w).values)
+            assert np.array_equal(state.stream_grid_values().values,
+                                  ds.to_grid(apply_green(state.w)).values)
+
+
 def test_band_stages_match_spectral_field_stages(basis):
     # the stages on the real band array reproduce the SpectralField stages
-    # bitwise over 20 steps, with no channel, a J_0 channel and one with a
-    # uniform offset too
+    # bitwise over 20 steps, with the zero channel, a J_0 channel and one with
+    # a uniform offset too
     coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
     for b in (basis, coarse):
         w, bg = next(_band_states(b))
@@ -1225,7 +1250,7 @@ def test_tendency_matches_old_layout_oracle(basis):
             w = _flat_field(b, rng, band_only=True)
             for a in (0.0, 0.5):
                 for c in (0.0, 0.6):
-                    bg = es.RadialBackground(a, root, b, uniform=c) if a or c else None
+                    bg = es.RadialBackground(a, root, b, uniform=c)
                     expect = _old_tendency(w, kit, bg)
                     got = es.tendency(w, bg).coeffs
                     assert np.abs(got - expect).max() <= 2e-15 * np.abs(expect).max(), (a, c)
@@ -1336,15 +1361,12 @@ def test_grid_values_are_the_band_synthesis(basis):
         for w, bg in _band_states(b):
             for background in _channels(bg):
                 state = es.SolverState(w=w, background=background)
-                omega = ds.to_grid(w).values
-                psi = ds.to_grid(apply_green(w)).values
-                if background is not None:
-                    omega = omega + background.profile[:, None]
-                    psi = psi + background.stream_profile[:, None]
+                omega = ds.to_grid(w).values + background.profile[:, None]
+                psi = ds.to_grid(apply_green(w)).values + background.stream_profile[:, None]
                 assert np.array_equal(state.full_grid_values().values, omega)
                 assert np.array_equal(state.stream_grid_values().values, psi)
         with pytest.raises(ResolutionError, match="outside the dealias band"):
-            es.SolverState(w=_corner_mode(b, 1e-13))
+            es.SolverState(w=_corner_mode(b, 1e-13), background=_bare(b))
 
 
 def test_solver_import_loads_neither_ascent_nor_cli():
@@ -1378,11 +1400,9 @@ def _grid_diagnose(state, cfg):
     l2 = ds.lp_norm(omega, 2)
     lp = l2 if cfg.p == 2 else ds.lp_norm(omega, cfg.p)
     mean = _mean_value(omega)
-    dist, beta = math.nan, math.nan
-    uniform = state.background.uniform if state.background is not None else 0.0
+    uniform = state.background.uniform
     shifted = omega if uniform == 0.0 else ds.GridField(omega.grid, omega.values - uniform)
-    if cfg.reference is not None:
-        dist, beta = sf.orbital_distance(shifted, cfg.reference, cfg.p)
+    dist, beta = sf.orbital_distance(shifted, cfg.reference, cfg.p)
     return es.TraceRow(state.t, e, l2, lp, mean, dist, beta)
 
 
@@ -1411,7 +1431,7 @@ def _trace_cases(basis):
             for a in (0.0, 0.5):
                 for c in (0.0, 0.6):
                     ve = sf.VElement(a, 0.8, 1.1, family=family)
-                    bg = es.RadialBackground(a, ve.root, b, uniform=c) if a or c else None
+                    bg = es.RadialBackground(a, ve.root, b, uniform=c)
                     for _ in range(4):
                         flat = _flat_field(b, rng, band_only=True).coeffs
                         for size in (1.0, 1e-8):
