@@ -24,33 +24,35 @@ taken on the full grid, which the subgrid would under-sample.
 The band is the solver's only domain.  ``tendency`` and ``SolverState``
 raise ResolutionError on a field with any nonzero coefficient outside it.
 The experiments admit a perturbation through ``require_band_limited``
-(every coefficient finite, NonFiniteFieldError otherwise, and those outside
-the band at most 1e-12 of the largest), whose band rows join the element's
-carrier, so every run starts exactly in the band and the Galerkin
-truncation keeps it there.  The time step is the CFL limit times a safety
-factor in (0, 1], refreshed every cadence steps.
+(every coefficient finite, NonFiniteFieldError otherwise, and the moduli
+|c_nk| outside the band at most 1e-12 of the largest), whose band rows join
+the element's carrier, so every run starts exactly in the band and the
+Galerkin truncation keeps it there.  The time step is the CFL limit times a
+safety factor in (0, 1], refreshed every cadence steps.
 
-RK4 stages live on the real band array of shape (nd+1, 2, kd), a [Re c; Im c]
-row pair per mode, whose layout and transform kernels belong to
-disk_spectral.  A stage is one batched product with the band's radial
-operator (the columns d_r omega, d_r psi, (1/r) psi and (1/r) omega,
-psi = omega / j^2 folded in), one product per DFT table, the advection
-product on the subgrid as two in-place operations on the synthesized
-blocks, one analysis product, one batched projection and the mean fix,
-whose stream row is the n = 0 part of the trace's energy gradient; every
-reshape between them is a free view, and the stage inputs and the RK4 sum
-are formed in place.
-``tendency`` takes a SpectralField (checked and answered in kind) or the
-stepper's unchecked in-band carrier (answered with the band array).
+RK4 stages live on the band array of shape (nd+1, 2, kd): the rows n <= nd
+and columns k < kd of the real [Re c; Im c] layout a SpectralField stores,
+whose transform kernels belong to disk_spectral.  A stage is one batched
+product with the band's radial operator (the columns d_r omega, d_r psi,
+(1/r) psi and (1/r) omega, psi = omega / j^2 folded in), one product per DFT
+table, the advection product on the subgrid as two in-place operations on
+the synthesized blocks, one analysis product, one batched projection and
+the mean fix, whose stream row is the n = 0 part of the trace's energy
+gradient; every reshape between them is a free view, and the stage inputs
+and the RK4 sum are formed in place.
+``tendency`` takes a SpectralField (checked, and answered with the band
+array zero padded to a SpectralField) or the stepper's unchecked in-band
+carrier (answered with the band array).
 
 A run lives on that carrier from step to step: a ``SolverState`` holds only
-the carrier, checked against the band once, when the state is built from a
-SpectralField, the radial channel and the time; ``step_rk4`` answers with a
-state built from the new carrier, and a SpectralField is padded only where
-a caller asks a state for ``w``.  ``run`` returns its final state, its trace
-and its StepLog, and leaves the state it was given as it was.  The CFL
-velocity is taken from the carrier too, by one product with the radial
-operator's psi columns (``velocity_magnitude`` takes the carrier only).
+the carrier, a copy of the band rows checked once, when the state is built
+from a SpectralField, the radial channel and the time; ``step_rk4`` answers
+with a state built from the new carrier, which is zero padded to a
+SpectralField only where a caller asks a state for ``w``.  ``run`` returns
+its final state, its trace and its StepLog, and leaves the state it was
+given as it was.  The CFL velocity is taken from the carrier too, by one
+product with the radial operator's psi columns (``velocity_magnitude``
+takes the carrier only).
 The trace is read from the coefficients: the energy, L^2 norm and mean are
 Parseval sums plus the channel's couplings and its own integrals (built
 with ``RadialBackground``), and the p = 2 orbital distance is a masked
@@ -84,7 +86,6 @@ from .disk_spectral import (
     _embed,
     _outside_band,
     _project,
-    _split,
     _synth,
     _synthesize,
     casimir3_drift,
@@ -214,10 +215,10 @@ class SolverState:
     """Evolving vorticity at time ``t``: spectral part + exact radial channel.
 
     The spectral part is held only as the stepper's in-band carrier
-    ``band``, built at construction from ``w``, a SpectralField (checked
-    against the band, ResolutionError outside it) or a carrier; ``w`` pads
-    it back to a SpectralField.  ``background``, the channel, is required:
-    a bare field takes the zero channel.
+    ``band``, built at construction from ``w``: a copy of a SpectralField's
+    band rows (ResolutionError outside the band), or a carrier.  ``w`` zero
+    pads it back to a SpectralField.  ``background``, the channel, is
+    required: a bare field takes the zero channel.
     """
 
     def __init__(self, w, background: RadialBackground, t=0.0):
@@ -232,10 +233,9 @@ class SolverState:
 
     def _grid_values(self, stream):
         """omega, or psi for ``stream``, with the channel, by the full-grid
-        synthesis of to_grid."""
+        synthesis of to_grid on the zero-padded carrier."""
         (b, y), bg = self.band, self.background
-        half = np.zeros((b.n_modes + 1, 2, b.k_radial))
-        half[: y.shape[0], :, : y.shape[2]] = y
+        half = _embed(y, b)
         if stream:
             half *= b.green_mult[:, None]
         values = _synthesize(half, b) + (bg.stream_profile if stream else bg.profile)[:, None]
@@ -387,19 +387,17 @@ def band_limit(f: SpectralField) -> SpectralField:
 
 
 def require_band_limited(f: SpectralField):
-    """f's band rows, laid out as ``_band_values`` lays them out, dropping
-    what lies outside the band.  NonFiniteFieldError if a coefficient is not
-    finite (one outside the band would be dropped unseen); ResolutionError if
-    a coefficient outside the band exceeds 1e-12 of the largest."""
+    """``_band_values`` of f with what lies outside the band dropped.
+    NonFiniteFieldError if a coefficient is not finite (one outside the band
+    would be dropped unseen); ResolutionError if the modulus |c_nk| of one
+    outside the band exceeds 1e-12 of the largest."""
     if not np.isfinite(f.coeffs).all():
         raise NonFiniteFieldError("perturbation has a non-finite coefficient")
-    outside = max(float(np.abs(block).max(initial=0.0))
-                  for block in _outside_band(f.coeffs, f.basis))
-    scale = max(float(np.abs(f.coeffs).max()), 1e-300)
-    if outside > 1e-12 * scale:
+    moduli = np.hypot(f.coeffs[:, 0], f.coeffs[:, 1])      # |c_nk|
+    outside = max(float(block.max(initial=0.0)) for block in _outside_band(moduli, f.basis))
+    if outside > 1e-12 * max(float(moduli.max()), 1e-300):
         raise ResolutionError("perturbation has content outside the dealias band")
-    nd, kd = f.basis.dealias_band()
-    return _split(f.coeffs[: nd + 1, : kd])
+    return _band_values(band_limit(f))
 
 
 # ---------------------------------------------------------------------------

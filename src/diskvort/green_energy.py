@@ -8,7 +8,7 @@ takes on its band too; on the grid it is the measure-weighted sum of
 omega psi.
 """
 
-from .disk_spectral import GridField, SpectralField, _split
+from .disk_spectral import GridField, SpectralField
 
 
 def rows_energy(basis, rows) -> float:
@@ -22,7 +22,7 @@ def rows_energy(basis, rows) -> float:
 
 def energy(omega: SpectralField) -> float:
     """Kinetic energy E = (1/2) <omega, G omega> from coefficients."""
-    return rows_energy(omega.basis, _split(omega.coeffs))
+    return rows_energy(omega.basis, omega.coeffs)
 
 
 def inner_product_grid(g1: GridField, g2: GridField) -> float:

@@ -185,21 +185,22 @@ def solve_v2(basis: DiskBasis):
     rho0, c0 = _radial_block_v2(basis)
     if rho0 > value:
         value, label = rho0, ("radial", 0)
-        coeffs = np.zeros((basis.n_modes + 1, basis.k_radial), complex)
-        coeffs[0] = c0
+        coeffs = np.zeros((basis.n_modes + 1, 2, basis.k_radial))
+        coeffs[0, 0] = c0
         f = SpectralField(basis, coeffs)
     else:
         label = ("cos", n)
         f = single_mode(basis, n, 1, amplitude=1.0)
     g = to_grid(f)
     g = GridField(basis.grid, g.values / lp_norm(g, 2))
-    f = SpectralField(basis, f.coeffs / math.sqrt(spectral_norm2(f)))
+    # * (1.0 / d) here and below, as numpy divided complex values by a real d: same bits
+    f = SpectralField(basis, f.coeffs * (1.0 / math.sqrt(spectral_norm2(f))))
 
-    x = np.sqrt(basis.parseval) * f.coeffs
-    gx = basis.green_mult * x
+    x = np.sqrt(basis.parseval)[:, None] * f.coeffs
+    gx = basis.green_mult[:, None] * x
     u = basis.mean0 / np.sqrt(basis.norm2[0])
-    gx[0] -= (u @ gx[0]) / (u @ u) * u
-    residual = float(np.linalg.norm(gx / value - x))
+    gx[0, 0] -= (u @ gx[0, 0]) * (1.0 / (u @ u)) * u
+    residual = float(np.linalg.norm(gx * (1.0 / value) - x))
     return V2Result(value, g, f, residual, label)
 
 

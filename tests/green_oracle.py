@@ -23,12 +23,13 @@ import math
 
 import numpy as np
 
+from complex_layout import as_complex, as_rows
 from diskvort.disk_spectral import GridField, SpectralField
 
 
 def apply_green(omega: SpectralField) -> SpectralField:
     """Stream function G omega: each coefficient times 1/j^2 of its mode."""
-    return SpectralField(omega.basis, omega.coeffs * omega.basis.green_mult)
+    return SpectralField(omega.basis, as_rows(as_complex(omega.coeffs) * omega.basis.green_mult))
 
 
 def apply_green_kernel(omega: GridField) -> GridField:

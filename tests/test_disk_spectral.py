@@ -14,6 +14,7 @@ from diskvort import steady_family as sf
 from diskvort import variational as vr
 from diskvort.bessel import bessel_j, bessel_j_prime, bessel_zero
 from diskvort.errors import NonFiniteFieldError, ResolutionError
+from complex_layout import as_complex, as_rows
 
 
 def _mean_value(g):
@@ -121,7 +122,7 @@ def test_radial_tables_match_pointwise_calls(basis, grid):
 
 
 def test_to_grid_zero_field(basis):
-    zero = np.zeros((basis.n_modes + 1, basis.k_radial), complex)
+    zero = np.zeros((basis.n_modes + 1, 2, basis.k_radial))
     g = ds.to_grid(ds.SpectralField(basis, zero))
     assert np.all(g.values == 0.0)
 
@@ -151,7 +152,7 @@ def test_from_grid_pure_radial_mode(basis, grid):
     z = bessel_zero(0, 2)
     vals = np.tile(bessel_j(0, z * grid.r)[:, None], (1, grid.n_theta))
     f = ds.from_grid(ds.GridField(grid, vals), basis)
-    c = f.coeffs.copy()
+    c = as_complex(f.coeffs)
     assert abs(c[0, 1] - 1.0) < 1e-9
     c[0, 1] = 0.0
     assert np.abs(c).max() < 1e-9
@@ -306,18 +307,23 @@ def test_row0_made_real(basis, rng):
     # mode 0 is its own conjugate partner: its imaginary part is dropped, on
     # a copy, and the rows n >= 1 are kept as given
     c = ds.random_in_span(basis, rng).coeffs.copy()
-    c[0] += 1j * rng.standard_normal(basis.k_radial)
+    c[0, 1] += rng.standard_normal(basis.k_radial)
     given = c.copy()
     f = ds.SpectralField(basis, c)
     assert np.array_equal(c, given)
-    assert np.array_equal(f.coeffs[0], given[0].real)
+    assert np.array_equal(f.coeffs[0], [given[0, 0], np.zeros(basis.k_radial)])
     assert np.array_equal(f.coeffs[1:], given[1:])
 
 
 def test_spectral_shape_checked(basis, rng):
     N, K = basis.n_modes, basis.k_radial
-    with pytest.raises(ValueError):
-        ds.SpectralField(basis, np.zeros((2 * N + 1, K), complex))
+    # a complex array, the old layout among them, fails loudly rather than
+    # losing its imaginary part
+    for shape in ((2 * N + 1, K), (N + 1, K), (N + 1, 2, K)):
+        with pytest.raises(ValueError, match="complex"):
+            ds.SpectralField(basis, np.zeros(shape, complex))
+    with pytest.raises(ValueError, match="shape"):
+        ds.SpectralField(basis, np.zeros((2 * N + 1, 2, K)))
     # a document in the old signed-mode layout, shape [2N+1, K], is rejected
     doc = ds.field_to_dict(ds.random_in_span(basis, rng))
     assert doc["shape"] == [N + 1, K]
@@ -326,6 +332,46 @@ def test_spectral_shape_checked(basis, rng):
     old = {"kind": "spectral", "shape": [2 * N + 1, K], "data": signed.reshape(-1, 2).tolist()}
     with pytest.raises(ValueError):
         ds.field_from_dict(old, basis=basis)
+
+
+# The generators as they built complex coefficients, kept as oracles: the
+# real rows must hold their values bitwise, from the same draws in the same
+# order.
+
+
+def _complex_random_in_span(basis, rng, scale=1.0, n_cut=None, k_cut=None):
+    N, K = basis.n_modes, basis.k_radial
+    n_cut = N if n_cut is None else min(n_cut, N)
+    k_cut = K if k_cut is None else min(k_cut, K)
+    c = np.zeros((N + 1, K), complex)
+    for n in range(0, n_cut + 1):
+        amp = rng.standard_normal(k_cut) + 1j * rng.standard_normal(k_cut)
+        amp /= (1.0 + n) * (1.0 + np.arange(k_cut))
+        c[n, :k_cut] = amp
+    c[0] = c[0].real
+    return as_rows(scale * c)
+
+
+def _complex_single_mode(basis, n, k, amplitude, phase):
+    c = np.zeros((basis.n_modes + 1, basis.k_radial), complex)
+    if n == 0:
+        c[0, k - 1] = amplitude * math.cos(phase)
+    else:
+        c[abs(n), k - 1] = 0.5 * amplitude * np.exp(1j * (phase if n > 0 else -phase))
+    return as_rows(c)
+
+
+def test_generators_match_complex_layout_oracles(basis):
+    for seed in (5, 2024):
+        for cuts in ({}, {"n_cut": 5, "k_cut": 6}):
+            got = ds.random_in_span(basis, np.random.default_rng(seed), 0.3, **cuts)
+            expect = _complex_random_in_span(basis, np.random.default_rng(seed), 0.3, **cuts)
+            assert got.coeffs.tobytes() == expect.tobytes(), (seed, cuts)
+    for n in (-3, 0, 2):
+        for amplitude, phase in ((1.3, 0.7), (-0.4, 2.9), (1.0, -1.1)):
+            got = ds.single_mode(basis, n, 2, amplitude, phase)
+            expect = _complex_single_mode(basis, n, 2, amplitude, phase)
+            assert got.coeffs.tobytes() == expect.tobytes(), (n, amplitude, phase)
 
 
 def test_single_mode_phase_sign(basis):
@@ -349,7 +395,8 @@ def _oracle_to_grid(f):
     basis, grid = f.basis, f.basis.grid
     # expand the half spectrum to the signed modes n = -N..N, c[-n] = conj(c[n])
     n_values = np.arange(-basis.n_modes, basis.n_modes + 1)
-    signed = np.concatenate([np.conj(f.coeffs[:0:-1]), f.coeffs])
+    c = as_complex(f.coeffs)
+    signed = np.concatenate([np.conj(c[:0:-1]), c])
     S = np.einsum("nrk,nk->nr", basis.r_eval[np.abs(n_values)], signed)
     full = np.zeros((grid.n_r, grid.n_theta), complex)
     for row, n in enumerate(n_values):
@@ -385,8 +432,9 @@ def test_to_grid_matches_per_mode_oracle(basis, grid):
         expect = _oracle_to_grid(f)
         assert np.abs(ds.to_grid(f).values - expect).max() <= 1e-14 * np.abs(expect).max()
         # from_grid(to_grid(f)) is an identity, with an exactly real row 0
-        back = ds.from_grid(ds.to_grid(f), basis).coeffs
-        assert np.abs(back - f.coeffs).max() <= 1e-14 * np.abs(f.coeffs).max()
+        back = as_complex(ds.from_grid(ds.to_grid(f), basis).coeffs)
+        c = as_complex(f.coeffs)
+        assert np.abs(back - c).max() <= 1e-14 * np.abs(c).max()
         assert not np.any(back[0].imag)
 
 
@@ -394,7 +442,7 @@ def test_from_grid_matches_per_mode_oracle(basis, grid):
     _, grids = _transform_inputs(basis, grid)
     for g in grids:
         expect = _oracle_from_grid(g.values, basis)
-        got = ds.from_grid(g, basis).coeffs
+        got = as_complex(ds.from_grid(g, basis).coeffs)
         assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
@@ -405,7 +453,7 @@ def test_from_grid_matches_per_mode_oracle(basis, grid):
 
 def _rfft_analyze(values, basis):
     F = np.fft.rfft(values, axis=1)[:, : basis.n_modes + 1] / basis.grid.n_theta
-    return np.matmul(ds._split(F.T), basis.analysis.transpose(0, 2, 1))
+    return np.matmul(as_rows(F.T), basis.analysis.transpose(0, 2, 1))
 
 
 def _irfft_synthesize(half, basis):
@@ -422,7 +470,7 @@ def test_dft_transforms_match_fft_oracle(basis, grid):
         expect = _rfft_analyze(g.values, basis)
         got = ds._analyze(g.values, basis)
         assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
-    halves = [ds._split(f.coeffs) for f in spans] + [_rfft_analyze(g.values, basis)
+    halves = [f.coeffs for f in spans] + [_rfft_analyze(g.values, basis)
                                                     for g in grids[:2]]
     for half in halves:
         expect = _irfft_synthesize(half, basis)

@@ -16,6 +16,7 @@ from diskvort import variational as vr
 from diskvort.bessel import _j_neighbours, bessel_j, bessel_j_prime
 from diskvort.errors import CFLError, ConfigError, NonFiniteFieldError, ResolutionError
 from diskvort.green_energy import energy_grid
+from complex_layout import as_complex, as_rows
 from green_oracle import apply_green, apply_green_kernel
 
 
@@ -298,14 +299,26 @@ def test_run_config_rejects_silent_no_op_runs():
 
 def _corner_mode(basis, value=1.0):
     """A field whose one nonzero coefficient sits at (N, K), outside the band."""
-    c = np.zeros((basis.n_modes + 1, basis.k_radial), complex)
-    c[basis.n_modes, -1] = value
+    c = np.zeros((basis.n_modes + 1, 2, basis.k_radial))
+    c[basis.n_modes, 0, -1] = value
     return ds.SpectralField(basis, c)
 
 
 def test_band_limit_enforcement(basis):
     with pytest.raises(ResolutionError):
         es.require_band_limited(_corner_mode(basis))
+    # the 1e-12 bound and its scale are on the moduli |c_nk|: beside a mode
+    # of modulus 1, a corner coefficient with Re = Im = 0.8e-12 has modulus
+    # 1.13e-12 and is refused, one with Re = Im = 0.7e-12 (0.99e-12) passes
+    for part, refused in ((0.8e-12, True), (0.7e-12, False)):
+        c = ds.single_mode(basis, 1, 1, amplitude=2.0).coeffs.copy()
+        c[basis.n_modes, :, -1] = part
+        f = ds.SpectralField(basis, c)
+        if refused:
+            with pytest.raises(ResolutionError):
+                es.require_band_limited(f)
+        else:
+            assert np.array_equal(es.require_band_limited(f), ds._band_values(es.band_limit(f)))
 
 
 def test_experiments_reject_non_finite_perturbations():
@@ -317,7 +330,7 @@ def test_experiments_reject_non_finite_perturbations():
     pert = es.make_perturbation("smooth-random", ve, 1e-3, 2.0, b, np.random.default_rng(8))
     for (n, k), value in (((6, 9), np.nan), ((1, 0), np.inf), ((0, 2), -np.inf)):
         c = pert.coeffs.copy()
-        c[n, k] = value
+        c[n, 0, k] = value
         bad = ds.SpectralField(b, c)
         with pytest.raises(NonFiniteFieldError, match="non-finite coefficient"):
             es.require_band_limited(bad)
@@ -390,7 +403,7 @@ def _pointwise_band_grids(w, theta, background=None):
     bessel_j and bessel_j_prime at j_{n,k} r_i times cos / sin(n theta)."""
     b = w.basis
     nd, kd = b.dealias_band()
-    r = b.grid.r
+    r, coeffs = b.grid.r, as_complex(w.coeffs)
     grids = [np.zeros((r.size, theta.size)) for _ in range(4)]
     for n in range(nd + 1):
         weight = 1.0 if n == 0 else 2.0
@@ -398,7 +411,7 @@ def _pointwise_band_grids(w, theta, background=None):
         j = b.roots[n, :kd]
         jr = np.outer(r, j)
         value, slope = bessel_j(n, jr), j * bessel_j_prime(n, jr)
-        for i, c in ((0, w.coeffs[n, :kd]), (2, w.coeffs[n, :kd] / j**2)):
+        for i, c in ((0, coeffs[n, :kd]), (2, coeffs[n, :kd] / j**2)):
             # Re(S e^{i n theta}) and its theta derivative, S the radial sums
             d_r, over_r = slope @ c, (value / r[:, None]) @ c
             grids[i] += weight * (np.outer(d_r.real, cos) - np.outer(d_r.imag, sin))
@@ -481,7 +494,8 @@ def _full_grid_tendency(w, background, rotation=0.0):
     kit, nr = _old_band_kit(b), b.grid.n_r
     nd, kd = kit["nd"], kit["kd"]
     analyze = _old_dft_tables(b, nd)[0]
-    c = w.coeffs[: nd + 1, :kd]
+    wc = as_complex(w.coeffs)
+    c = wc[: nd + 1, :kd]
     cpsi = c * kit["mult"]
     x = np.stack([c.real, c.imag, cpsi.real, cpsi.imag], axis=2)
     m = np.matmul(kit["radial"], x).transpose(1, 2, 0)
@@ -506,7 +520,7 @@ def _full_grid_tendency(w, background, rotation=0.0):
     # stream coefficients weighted by norm2, the channel's as its dual
     M = min(ds._MEAN_FIX_MODES, kd)
     defect = float((coeffs[0].real * b.mean0).sum())
-    psi = w.coeffs[0].real[:M] * b.green_mult[0, :M]
+    psi = wc[0].real[:M] * b.green_mult[0, :M]
     # the n = 0 coefficients of 1 - r^2; the offset's stream function is
     # rotation (1 - r^2) / 2
     para = 4.0 * b.mean0[:M] / (b.roots[0, :M] ** 2 * b.norm2[0, :M])
@@ -518,7 +532,7 @@ def _full_grid_tendency(w, background, rotation=0.0):
     G = rows @ rows.T
     G[np.diag_indices(2)] += 1e-14 * max(G[0, 0], G[1, 1], 1e-30)
     coeffs[0, :M] -= rows.T @ np.linalg.solve(G, np.array([defect, 0.0]))
-    coeffs = coeffs - rotation * (1j * np.arange(b.n_modes + 1)[:, None]) * w.coeffs
+    coeffs = coeffs - rotation * (1j * np.arange(b.n_modes + 1)[:, None]) * wc
     return coeffs, max(np.abs(t).max() for t in terms)
 
 
@@ -546,7 +560,7 @@ def test_subgrid_tendency_matches_full_grid_oracle(basis):
             assert ds._in_band(w)
             for background in _channels(bg):
                 expect, term = _full_grid_tendency(w, background)
-                got = es.tendency(w, background).coeffs
+                got = as_complex(es.tendency(w, background).coeffs)
                 assert np.abs(got - expect).max() <= 1e-14 * term
 
 
@@ -562,8 +576,9 @@ def test_channel_offset_is_the_lab_frame_rigid_term(basis):
                     a = 0.0 if lab is None else lab.amplitude
                     channel = es.RadialBackground(a, bg.root, b, uniform=2.0 * omega)
                     expect, _ = _full_grid_tendency(w, lab, omega)
-                    got = es.tendency(w, channel).coeffs
-                    rigid = np.abs(omega * np.arange(b.n_modes + 1)[:, None] * w.coeffs).max()
+                    got = as_complex(es.tendency(w, channel).coeffs)
+                    rigid = np.abs(omega * np.arange(b.n_modes + 1)[:, None]
+                                   * as_complex(w.coeffs)).max()
                     assert np.abs(got - expect).max() <= 1e-14 * rigid
 
 
@@ -860,17 +875,18 @@ def test_mean_fix_matches_linear_solve(basis):
         raw = ds._embed(ds._project(np.random.default_rng(4).standard_normal(
             (basis.grid.n_r, basis.grid.n_theta)), _band_analyze(basis), kit["proj"]), basis)
         got = raw.copy()
-        es._mean_fix(got[0, : kit["kd"]].real, es._Band(basis, ds._band_values(w)), bg)
+        es._mean_fix(got[0, 0, : kit["kd"]], es._Band(basis, ds._band_values(w)), bg)
         # the rows the correction spans: mean0 and the stream function
         # weighted by norm2, the channel's from its closed form
-        psi = w.coeffs[0].real * basis.green_mult[0] + _closed_form_stream_row(bg)
+        psi = w.coeffs[0, 0] * basis.green_mult[0] + _closed_form_stream_row(bg)
         rows = np.vstack([basis.mean0[:m], psi[:m] * basis.norm2[0, :m]])
         G = rows @ rows.T
         G[np.diag_indices(2)] += 1e-14 * max(G[0, 0], G[1, 1], 1e-30)
-        defect = float((raw[0].real * basis.mean0).sum())
+        defect = float((raw[0, 0] * basis.mean0).sum())
         alpha = np.linalg.solve(G, np.array([defect, 0.0]))
         expect = raw.copy()
-        expect[0, :m] -= rows.T @ alpha
+        expect[0, 0, :m] -= rows.T @ alpha
+        got, expect, raw = as_complex(got), as_complex(expect), as_complex(raw)
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(raw[0, :m]).max()
         # the corrected tendency has zero disk mean, up to the regularization
         assert abs((got[0].real * basis.mean0).sum()) <= 1e-12 * abs(defect)
@@ -972,7 +988,7 @@ def test_tendency_within_tolerance_of_stream_row_fix(basis, monkeypatch):
 def test_run_raises_on_non_finite_state(basis):
     state = es.steady_state(sf.VElement(0.5, 1.0, 0.0), basis)
     c = state.w.coeffs.copy()
-    c[1, 0] = np.nan
+    c[1, 0, 0] = np.nan
     state = es.SolverState(ds.SpectralField(basis, c), state.background)
     values = state.band.values.tobytes()
     with pytest.raises(NonFiniteFieldError):
@@ -1164,8 +1180,29 @@ def test_tendency_on_the_carrier_is_the_band_slice(basis):
                 band = es.tendency(es._Band(b, ds._band_values(w)), background)
                 full = es.tendency(w, background).coeffs
                 assert band.shape == (nd + 1, 2, kd)
-                assert np.array_equal(band[:, 0], full[: nd + 1, :kd].real)
-                assert np.array_equal(band[:, 1], full[: nd + 1, :kd].imag)
+                assert np.array_equal(band[:, 0], full[: nd + 1, 0, :kd])
+                assert np.array_equal(band[:, 1], full[: nd + 1, 1, :kd])
+
+
+def test_every_producer_gives_the_real_row_layout(basis, rng):
+    # SpectralField.coeffs is the float64 (N+1, 2, K) array [Re c_n; Im c_n],
+    # row 0's imaginary part zero, whichever function made the field
+    state = es.steady_state(sf.VElement(0.5, 1.0, 0.3), basis)
+    f = ds.random_in_span(basis, rng)
+    fields = {
+        "from_grid": ds.from_grid(ds.to_grid(f), basis),
+        "single_mode": ds.single_mode(basis, 2, 3, 0.7, 0.4),
+        "random_in_span": f,
+        "rotate": ds.rotate(f, 0.9),
+        "field_from_dict": ds.field_from_dict(ds.field_to_dict(f), basis=basis),
+        "tendency": es.tendency(state.w, state.background),
+        "SolverState.w": state.w,
+    }
+    for name, field in fields.items():
+        c = field.coeffs
+        assert c.dtype == np.float64, name
+        assert c.shape == (basis.n_modes + 1, 2, basis.k_radial), name
+        assert not c[0, 1].any(), name
 
 
 # The transform kernels and the band stage as they ran in the (M, K, 2)
@@ -1219,12 +1256,13 @@ def _old_mean_fix(row0, cv, basis, background):
 def _old_tendency(w, kit, background):
     """(N+1, K) tendency coefficients of the band field w, on the old tables."""
     nd, kd = kit["nd"], kit["kd"]
-    cv = _old_split(w.coeffs[: nd + 1, :kd])
+    c = as_complex(w.coeffs)
+    cv = _old_split(c[: nd + 1, :kd])
     dr_om, dth_om, dr_psi, dth_psi = _old_band_grids(cv, kit, kit["sub_synth_r"],
                                                      kit["sub_synth_t"], background)
     band = _old_project(dr_psi * dth_om - dth_psi * dr_om, kit["sub_analyze"], kit["proj"])
     _old_mean_fix(band[0, :, 0], cv, w.basis, background)
-    coeffs = np.zeros_like(w.coeffs)
+    coeffs = np.zeros_like(c)
     coeffs[: nd + 1, :kd] = band[..., 0] + 1j * band[..., 1]
     return coeffs
 
@@ -1236,7 +1274,7 @@ def _flat_field(basis, rng, band_only):
     c = np.zeros((basis.n_modes + 1, basis.k_radial), complex)
     c[: nd + 1, :kd] = rng.standard_normal((nd + 1, kd)) + 1j * rng.standard_normal((nd + 1, kd))
     c[0] = c[0].real
-    return ds.SpectralField(basis, c)
+    return ds.SpectralField(basis, as_rows(c))
 
 
 def test_tendency_matches_old_layout_oracle(basis):
@@ -1252,7 +1290,7 @@ def test_tendency_matches_old_layout_oracle(basis):
                 for c in (0.0, 0.6):
                     bg = es.RadialBackground(a, root, b, uniform=c)
                     expect = _old_tendency(w, kit, bg)
-                    got = es.tendency(w, bg).coeffs
+                    got = as_complex(es.tendency(w, bg).coeffs)
                     assert np.abs(got - expect).max() <= 2e-15 * np.abs(expect).max(), (a, c)
 
 
@@ -1266,15 +1304,16 @@ def test_full_grid_transforms_match_old_layout_oracle(basis):
         for _ in range(3):
             f = _flat_field(b, rng, band_only=False)
             grid = ds.to_grid(f)
-            expect = _old_synth(np.matmul(b.r_eval, _old_split(f.coeffs)), (synth,))[0]
+            c = as_complex(f.coeffs)
+            expect = _old_synth(np.matmul(b.r_eval, _old_split(c)), (synth,))[0]
             assert np.abs(grid.values - expect).max() <= 2e-15 * np.abs(expect).max()
-            back = ds.from_grid(grid, b).coeffs
-            assert np.abs(back - f.coeffs).max() <= 1e-14 * np.abs(f.coeffs).max()
+            back = as_complex(ds.from_grid(grid, b).coeffs)
+            assert np.abs(back - c).max() <= 1e-14 * np.abs(c).max()
             for values in (grid.values, rng.standard_normal(grid.values.shape)):
                 g = ds.GridField(b.grid, values)
                 half = _old_project(values, analyze, b.analysis)
                 expect = half[..., 0] + 1j * half[..., 1]
-                got = ds.from_grid(g, b).coeffs
+                got = as_complex(ds.from_grid(g, b).coeffs)
                 assert np.abs(got - expect).max() <= 2e-15 * np.abs(expect).max()
                 stream = _old_synth(np.matmul(b.r_eval, half * b.green_mult[..., None]),
                                     (synth,))[0]

@@ -10,6 +10,7 @@ import pytest
 from diskvort import disk_spectral as ds
 from diskvort import green_energy as ge
 from diskvort.bessel import bessel_j, bessel_zero
+from complex_layout import as_complex
 from green_oracle import apply_green, apply_green_kernel
 
 
@@ -26,7 +27,7 @@ def test_eigenmode_division(basis):
 
 
 def test_zero_field(basis):
-    z = ds.SpectralField(basis, np.zeros((basis.n_modes + 1, basis.k_radial), complex))
+    z = ds.SpectralField(basis, np.zeros((basis.n_modes + 1, 2, basis.k_radial)))
     assert np.abs(apply_green(z).coeffs).max() == 0.0
     assert ge.energy(z) == 0.0
 
@@ -57,8 +58,8 @@ def test_symmetry(basis, rng):
 
 def test_inverse_property(basis, rng):
     f = ds.random_in_span(basis, rng)
-    back = ds.SpectralField(basis, apply_green(f).coeffs / basis.green_mult)
-    assert np.abs(back.coeffs - f.coeffs).max() < 1e-9
+    back = ds.SpectralField(basis, apply_green(f).coeffs / basis.green_mult[:, None])
+    assert np.abs(as_complex(back.coeffs - f.coeffs)).max() < 1e-9
 
 
 def test_rotation_commutes(basis, rng):
