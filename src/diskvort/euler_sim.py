@@ -387,17 +387,18 @@ def band_limit(f: SpectralField) -> SpectralField:
 
 
 def require_band_limited(f: SpectralField):
-    """``_band_values`` of f with what lies outside the band dropped.
-    NonFiniteFieldError if a coefficient is not finite (one outside the band
-    would be dropped unseen); ResolutionError if the modulus |c_nk| of one
-    outside the band exceeds 1e-12 of the largest."""
+    """A copy of f's band rows, (nd+1, 2, kd), what lies outside the band
+    dropped.  NonFiniteFieldError if a coefficient is not finite (one outside
+    the band would be dropped unseen); ResolutionError if the modulus |c_nk|
+    of one outside the band exceeds 1e-12 of the largest."""
     if not np.isfinite(f.coeffs).all():
         raise NonFiniteFieldError("perturbation has a non-finite coefficient")
     moduli = np.hypot(f.coeffs[:, 0], f.coeffs[:, 1])      # |c_nk|
     outside = max(float(block.max(initial=0.0)) for block in _outside_band(moduli, f.basis))
     if outside > 1e-12 * max(float(moduli.max()), 1e-300):
         raise ResolutionError("perturbation has content outside the dealias band")
-    return _band_values(band_limit(f))
+    nd, kd = f.basis.dealias_band()
+    return f.coeffs[: nd + 1, :, : kd].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def test_steady_tendency_all_elements(basis):
 
 def test_radial_tendency_vanishes(basis):
     f = ds.single_mode(basis, 0, 2, 1.3)
-    assert np.abs(es.tendency(f, _bare(basis)).coeffs).max() <= 1e-12
+    assert np.abs(as_complex(es.tendency(f, _bare(basis)).coeffs)).max() <= 1e-12
 
 
 def test_tendency_matches_kernel_fd_oracle(basis):
@@ -103,8 +103,8 @@ def test_rk4_order(basis):
         ref = es.step_rk4(ref, 0.05 / 8, check_cfl=False)
     one = es.step_rk4(st, 0.05, check_cfl=False)
     half = es.step_rk4(es.step_rk4(st, 0.025, check_cfl=False), 0.025, check_cfl=False)
-    e1 = np.abs(one.w.coeffs - ref.w.coeffs).max()
-    e2 = np.abs(half.w.coeffs - ref.w.coeffs).max()
+    e1 = np.abs(as_complex(one.w.coeffs - ref.w.coeffs)).max()
+    e2 = np.abs(as_complex(half.w.coeffs - ref.w.coeffs)).max()
     assert 12.0 < e1 / e2 < 20.0
 
 
@@ -114,7 +114,7 @@ def test_steady_state_under_steps(basis):
     w0 = state.w.coeffs.copy()
     for _ in range(100):
         state = es.step_rk4(state, 0.05, check_cfl=False)
-    drift = np.abs(state.w.coeffs - w0).max()
+    drift = np.abs(as_complex(state.w.coeffs - w0)).max()
     assert drift <= 1e-10
 
 
@@ -134,7 +134,7 @@ def test_rotation_covariance(basis, rng):
         st_a = es.step_rk4(st_a, 0.05, check_cfl=False)
         st_b = es.step_rk4(st_b, 0.05, check_cfl=False)
     rotated_after = ds.rotate(st_a.w, 0.9)
-    assert np.abs(rotated_after.coeffs - st_b.w.coeffs).max() < 1e-10
+    assert np.abs(as_complex(rotated_after.coeffs - st_b.w.coeffs)).max() < 1e-10
 
 
 def test_conservation_short_run(basis, rng):
@@ -364,7 +364,7 @@ def test_experiments_zero_a_sub_tolerance_residue(basis):
     ve = sf.VElement(0.5, 1.0, 0.3)
     pert = es.make_perturbation("smooth-random", ve, 1e-3, 2.0, basis,
                                 np.random.default_rng(8))
-    scale = np.abs(pert.coeffs).max()
+    scale = np.abs(as_complex(pert.coeffs)).max()
     dirty = ds.SpectralField(basis, pert.coeffs + _corner_mode(basis, 1e-13 * scale).coeffs)
     rows = es.require_band_limited(dirty)
     assert not ds._in_band(dirty)
