@@ -330,12 +330,24 @@ def _in_band(f: SpectralField):
 
 
 def _band_values(f: SpectralField):
-    """A copy of the band of f's coefficients, (nd+1, 2, kd), that no carrier
-    shares with f; ResolutionError if f has content outside the band."""
+    """A copy of the band of f's coefficients, (nd+1, 2, kd), that no band
+    array shares with f; ResolutionError if f has content outside the band."""
     if not _in_band(f):
         raise ResolutionError("field has content outside the dealias band")
     kit = f.basis.band_kit
     return f.coeffs[: kit["nd"] + 1, :, : kit["kd"]].copy()
+
+
+def _on_basis(f: SpectralField, basis: DiskBasis):
+    """f, if its basis has the resolution of ``basis`` (modes, radial modes
+    and grid; a basis built apart at that resolution passes), ResolutionError
+    otherwise."""
+    b = f.basis
+    if (b.n_modes, b.k_radial, b.grid) != (basis.n_modes, basis.k_radial, basis.grid):
+        raise ResolutionError(
+            f"field on a {b.n_modes} x {b.k_radial} basis over {b.grid}, expected "
+            f"{basis.n_modes} x {basis.k_radial} over {basis.grid}")
+    return f
 
 
 def _embed(band, basis: DiskBasis):

@@ -22,13 +22,15 @@ projection is exact, as on the full grid.  The CFL velocity max|u| is still
 taken on the full grid, which the subgrid would under-sample.
 
 The band is the solver's only domain.  ``tendency`` and ``SolverState``
-raise ResolutionError on a field with any nonzero coefficient outside it.
-The experiments admit a perturbation through ``require_band_limited``
-(every coefficient finite, NonFiniteFieldError otherwise, and the moduli
-|c_nk| outside the band at most 1e-12 of the largest), whose band rows join
-the element's carrier, so every run starts exactly in the band and the
-Galerkin truncation keeps it there.  The time step is the CFL limit times a
-safety factor in (0, 1], refreshed every cadence steps.
+raise ResolutionError on a field with any nonzero coefficient outside it,
+or on a basis of another resolution than the run's.  The experiments admit
+a perturbation on the run's resolution (ResolutionError otherwise) through
+``require_band_limited`` (every coefficient finite, NonFiniteFieldError
+otherwise, and the moduli |c_nk| outside the band at most 1e-12 of the
+largest), whose band rows join the element's band array, so every run
+starts exactly in the band and the Galerkin truncation keeps it there.  The
+time step is the CFL limit times a safety factor in (0, 1], refreshed every
+cadence steps.
 
 RK4 stages live on the band array of shape (nd+1, 2, kd): the rows n <= nd
 and columns k < kd of the real [Re c; Im c] layout a SpectralField stores,
@@ -41,18 +43,18 @@ the mean fix, whose stream row is the n = 0 part of the trace's energy
 gradient; every reshape between them is a free view, and the stage inputs
 and the RK4 sum are formed in place.
 ``tendency`` takes a SpectralField (checked, and answered with the band
-array zero padded to a SpectralField) or the stepper's unchecked in-band
-carrier (answered with the band array).
+array zero padded to a SpectralField) or the stepper's unchecked band array
+(answered with the band array).
 
-A run lives on that carrier from step to step: a ``SolverState`` holds only
-the carrier, a copy of the band rows checked once, when the state is built
-from a SpectralField, the radial channel and the time; ``step_rk4`` answers
-with a state built from the new carrier, which is zero padded to a
-SpectralField only where a caller asks a state for ``w``.  ``run`` returns
-its final state, its trace and its StepLog, and leaves the state it was
-given as it was.  The CFL velocity is taken from the carrier too, by one
-product with the radial operator's psi columns (``velocity_magnitude``
-takes the carrier only).
+A run lives on the band array from step to step: a ``SolverState`` holds
+only the band array, a copy of the band rows checked once, when the state
+is built from a SpectralField, the radial channel and the time;
+``step_rk4`` answers with a state built from the new band array, which is
+zero padded to a SpectralField only where a caller asks a state for ``w``.
+``run`` returns its final state, its trace and its StepLog, and leaves the
+state it was given as it was.  The CFL velocity is taken from the band
+array too, by one product with the radial operator's psi columns
+(``velocity_magnitude`` takes the band array only).
 The trace is read from the coefficients: the energy, L^2 norm and mean are
 Parseval sums plus the channel's couplings and its own integrals (built
 with ``RadialBackground``), and the p = 2 orbital distance is a masked
@@ -63,11 +65,13 @@ reference the sum does not cover, and for the initial and final fields.
 The exact radial channel a J_0(l r) + c, ``RadialBackground``, lives in
 radial_channel; ``tendency`` and ``velocity_magnitude`` take it as their one
 input besides the field, and the trace and the mean fix read its coupling
-constants.  There is one solver path: every state carries a channel and
-every run a reference.  A field with no channel of its own runs with the
-zero channel ``RadialBackground(0.0, l, basis)``, whose root l only labels
-it and which adds zeros; ``steady_state`` builds the channel of every
-element, the Lamb dipole (a = 0) included.
+constants.  The channel holds the run's basis, ``background.basis``, the
+one place every stage, the CFL step and the trace read it from.  There is
+one solver path: every state carries a channel and every run a reference.
+A field with no channel of its own runs with the zero channel
+``RadialBackground(0.0, l, basis)``, whose root l only labels it and which
+adds zeros; ``steady_state`` builds the channel of every element, the Lamb
+dipole (a = 0) included.
 """
 
 import math
@@ -84,6 +88,7 @@ from .disk_spectral import (
     SpectralField,
     _band_values,
     _embed,
+    _on_basis,
     _outside_band,
     _project,
     _synth,
@@ -102,24 +107,15 @@ from .radial_channel import RadialBackground
 from .steady_family import VElement, dipole_part, orbital_distance, v_element_grid
 
 
-# The stepper's in-band state: the basis and the real band array, built only
-# from a state that passed the band check.
-_Band = namedtuple("_Band", "basis values")
-
-
-def _carrier(w: SpectralField | _Band) -> _Band:
-    """The in-band carrier of w: w itself, or a checked SpectralField's band."""
-    return w if isinstance(w, _Band) else _Band(w.basis, _band_values(w))
-
-
-def velocity_magnitude(y: _Band, background: RadialBackground):
-    """Max |u| on the grid of the carrier ``y`` from its two grids of psi,
-    synthesized from the radial operator's adjacent psi columns in one
-    product; u_r = (1/r) d_theta psi, u_theta = -d_r psi.  The root of the
-    largest |u|^2 is the largest root (sqrt: monotone, correctly rounded)."""
-    b, values = y
+def velocity_magnitude(y, background: RadialBackground):
+    """Max |u| of the band array ``y`` on the grid of the channel's basis,
+    from its two grids of psi, synthesized from the radial operator's
+    adjacent psi columns in one product; u_r = (1/r) d_theta psi,
+    u_theta = -d_r psi.  The root of the largest |u|^2 is the largest root
+    (sqrt: monotone, correctly rounded)."""
+    b = background.basis
     kit, nr = b.band_kit, b.grid.n_r
-    dr_psi, dth_psi = _synth(np.matmul(values, kit["radial"][..., nr: 3 * nr]),
+    dr_psi, dth_psi = _synth(np.matmul(y, kit["radial"][..., nr: 3 * nr]),
                              (kit["synth_r"], kit["synth_t"]))
     dr_psi += background.stream_d_r_profile[:, None]
     dr_psi *= dr_psi
@@ -128,24 +124,25 @@ def velocity_magnitude(y: _Band, background: RadialBackground):
     return math.sqrt(dr_psi.max())
 
 
-def _mean_fix(row0, y: _Band, background):
+def _mean_fix(row0, y, background):
     """Remove the dealias projection's spurious disk mean from the tendency.
 
     The continuum advection term has exactly zero mean; the dealias cut
     breaks that discretely because the radial modes all carry disk mean.
     The defect is removed along the lowest m = min(6, kd) n = 0 modes,
     orthogonally to q, the n = 0 part of the trace's energy gradient
-    W y + X_psi (the band kit's ``energy_row`` times y, plus the channel's
-    ``stream_dual``): since dE/dt = <dy/dt, W y + X_psi>, that leaves the
-    energy balance of the uncorrected scheme untouched.  (Orthogonality to
-    the vorticity as well is impossible at a steady state, where omega, psi
-    and the constant are affinely dependent; the enstrophy impact is
-    O(defect) and stays far below the L2 drift budget.)  ``row0``, the real
-    n = 0 coefficients of the tendency of ``y``, is corrected in place.
+    W y + X_psi (the ``energy_row`` of the channel basis' band kit times y,
+    plus the channel's ``stream_dual``): since dE/dt = <dy/dt, W y + X_psi>,
+    that leaves the energy balance of the uncorrected scheme untouched.
+    (Orthogonality to the vorticity as well is impossible at a steady state,
+    where omega, psi and the constant are affinely dependent; the enstrophy
+    impact is O(defect) and stays far below the L2 drift budget.)  ``row0``,
+    the real n = 0 coefficients of the tendency of the band array ``y``, is
+    corrected in place.
     """
-    kit = y.basis.band_kit
+    kit = background.basis.band_kit
     mean0 = kit["mean0"]
-    q = kit["energy_row"] * y.values[0, 0, : mean0.size]
+    q = kit["energy_row"] * y[0, 0, : mean0.size]
     q += background.stream_dual[: mean0.size]
     # the correction spans mean0 and q: G alpha = (defect, 0), regularized,
     # solved by Cramer's rule
@@ -157,20 +154,22 @@ def _mean_fix(row0, y: _Band, background):
     row0[: mean0.size] -= scale * (g11 * mean0 - g01 * q)
 
 
-def tendency(w: SpectralField | _Band, background: RadialBackground):
+def tendency(w, background: RadialBackground):
     """Right-hand side of the vorticity equation, dealiased.
 
-    ``w`` is a SpectralField in the dealias band (ResolutionError otherwise),
-    answered with a SpectralField, or the stepper's ``_Band``, answered with
-    the band array.  The product is formed on the band subgrid; ``background``
+    ``w`` is a SpectralField on the resolution of the channel's basis and in
+    its dealias band (ResolutionError otherwise), answered with a
+    SpectralField, or the stepper's band array, unchecked, answered with the
+    band array.  The product is formed on the band subgrid; ``background``
     adds the exact radial channel to omega and psi, its uniform offset
-    included (a bare field takes the zero channel).
+    included (a bare field takes the zero channel), and holds the basis.
     The radial operator's d_r block [d_r omega; d_r psi] times its (1/r) block
     [(1/r) d_theta psi; (1/r) d_theta omega] holds both advection products.
     """
-    y = _carrier(w)
-    kit = y.basis.band_kit
-    m = np.matmul(y.values, kit["radial"])        # (nd+1, 2, 4 n_r)
+    b = background.basis
+    y = _band_values(_on_basis(w, b)) if isinstance(w, SpectralField) else w
+    kit = b.band_kit
+    m = np.matmul(y, kit["radial"])  # (nd+1, 2, 4 n_r)
     nr = m.shape[2] // 4
     m[0, 0, : 2 * nr] += background.d_r_pair
     d_r, over_r = _synth(m, (kit["sub_synth_r"], kit["sub_synth_t"]))
@@ -180,7 +179,7 @@ def tendency(w: SpectralField | _Band, background: RadialBackground):
     advection -= d_r[:nr]
     band = _project(advection, kit["sub_analyze"], kit["proj"])
     _mean_fix(band[0, 0], y, background)
-    return band if y is w else SpectralField(y.basis, _embed(band, y.basis))
+    return band if y is w else SpectralField(b, _embed(band, b))
 
 
 @dataclass
@@ -214,28 +213,31 @@ StepLog = namedtuple("StepLog", "rk4_steps dt_min dt_max")
 class SolverState:
     """Evolving vorticity at time ``t``: spectral part + exact radial channel.
 
-    The spectral part is held only as the stepper's in-band carrier
-    ``band``, built at construction from ``w``: a copy of a SpectralField's
-    band rows (ResolutionError outside the band), or a carrier.  ``w`` zero
+    The spectral part is held only as the stepper's band array ``band``,
+    built at construction from ``w``: a copy of a SpectralField's band rows
+    (ResolutionError for a field on another resolution than the channel's
+    basis or outside the band), or a band array, taken as it is.  ``w`` zero
     pads it back to a SpectralField.  ``background``, the channel, is
-    required: a bare field takes the zero channel.
+    required (a bare field takes the zero channel) and holds the run's basis.
     """
 
     def __init__(self, w, background: RadialBackground, t=0.0):
-        self.band = _carrier(w)
+        b = background.basis
+        self.band = _band_values(_on_basis(w, b)) if isinstance(w, SpectralField) else w
         self.background = background
         self.t = t
 
     @property
     def w(self):
-        b, y = self.band
-        return SpectralField(b, _embed(y, b))
+        b = self.background.basis
+        return SpectralField(b, _embed(self.band, b))
 
     def _grid_values(self, stream):
         """omega, or psi for ``stream``, with the channel, by the full-grid
-        synthesis of to_grid on the zero-padded carrier."""
-        (b, y), bg = self.band, self.background
-        half = _embed(y, b)
+        synthesis of to_grid on the zero-padded band array."""
+        bg = self.background
+        b = bg.basis
+        half = _embed(self.band, b)
         if stream:
             half *= b.green_mult[:, None]
         values = _synthesize(half, b) + (bg.stream_profile if stream else bg.profile)[:, None]
@@ -254,30 +256,29 @@ def cfl_dt(state: SolverState, safety: float) -> float:
     umax = velocity_magnitude(state.band, state.background)
     if umax == 0.0:
         return math.inf
-    return safety * state.band.basis.band_kit["spacing"] / umax
+    return safety * state.background.basis.band_kit["spacing"] / umax
 
 
 def step_rk4(state: SolverState, dt: float, check_cfl=True) -> SolverState:
     """Classical 4-stage update of the spectral part; the exact radial channel
-    is static.  The stages are formed on the state's carrier, and the new
+    is static.  The stages are formed on the state's band array, and the new
     state holds the new one.  ``check_cfl`` raises CFLError for a dt above the
     advective limit at safety 1."""
     if check_cfl:
         limit = cfl_dt(state, 1.0)
         if dt > limit:
             raise CFLError(f"dt={dt:g} exceeds advective limit {limit:g}")
-    y, bg = state.band, state.background
-    b, y0 = y
-    k1 = tendency(y, bg)
+    y0, bg = state.band, state.background
+    k1 = tendency(y0, bg)
     stage = k1 * (0.5 * dt)
     stage += y0
-    k2 = tendency(_Band(b, stage), bg)
+    k2 = tendency(stage, bg)
     np.multiply(k2, 0.5 * dt, out=stage)
     stage += y0
-    k3 = tendency(_Band(b, stage), bg)
+    k3 = tendency(stage, bg)
     np.multiply(k3, dt, out=stage)
     stage += y0
-    k4 = tendency(_Band(b, stage), bg)
+    k4 = tendency(stage, bg)
     # y0 + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), summed left to right in k2
     k2 *= 2.0
     k2 += k1
@@ -286,7 +287,7 @@ def step_rk4(state: SolverState, dt: float, check_cfl=True) -> SolverState:
     k2 += k4
     k2 *= dt / 6.0
     k2 += y0
-    return SolverState(_Band(b, k2), bg, state.t + dt)
+    return SolverState(k2, bg, state.t + dt)
 
 
 @dataclass(frozen=True)
@@ -301,7 +302,7 @@ class TraceRow:
 
 
 def _diagnose(state: SolverState, cfg: RunConfig) -> TraceRow:
-    """The trace row of the state, from the coefficients c of its carrier.
+    """The trace row of the state, from the coefficients c of its band array.
 
     With P the Parseval weights and X_omega, X_psi the channel's duals,
     E = (1/2) sum P |c|^2 / j^2 + <c_0, X_psi> + E_bg,
@@ -314,7 +315,8 @@ def _diagnose(state: SolverState, cfg: RunConfig) -> TraceRow:
     beta* = arg c_nk - beta (0 for b = 0).  The omega grid is synthesized
     only for lp and the distance at p != 2, and for a distance to any other
     reference."""
-    (b, y), bg, ref = state.band, state.background, cfg.reference
+    y, bg, ref = state.band, state.background, cfg.reference
+    b = bg.basis
     nd1, _, kd = y.shape
     terms = b.parseval[:nd1, :kd] * (y * y).sum(axis=1)
     c0, e, l2sq = y[0, 0], rows_energy(b, y), float(terms.sum())
@@ -432,11 +434,12 @@ def _evolve_element(ve: VElement, perturbation: SpectralField | None, p, t_end,
     """The body of both experiments: evolve ve + uniform (+ perturbation)
     to t_end, or to ``turnovers`` turnover times when t_end is None, tracking
     the orbital L^p distance to ve.  The band rows of the perturbation, as
-    require_band_limited admits them, join the element's carrier."""
+    require_band_limited admits them from a field on the run's resolution
+    (ResolutionError otherwise), join the element's band array."""
     state = steady_state(ve, basis, uniform)
     if perturbation is not None:
-        b, y = state.band
-        state = SolverState(_Band(b, y + require_band_limited(perturbation)), state.background)
+        rows = require_band_limited(_on_basis(perturbation, basis))
+        state = SolverState(state.band + rows, state.background)
     initial = state.full_grid_values()
     if t_end is None:
         t_end = turnovers * turnover_time(state)

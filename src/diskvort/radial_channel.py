@@ -17,7 +17,9 @@ closed-form stream functions:
 The channel's part of the trace's energy gradient W y + X_psi is
 X_psi = ``stream_dual``; euler_sim's mean fix reads its n = 0 part too.
 
-Every solver state carries a channel.  One of amplitude 0 and offset 0,
+Every solver state carries a channel, and the channel carries the run's
+basis, ``basis``: euler_sim's band array holds none, so its stages, CFL
+step, mean fix and trace read it here.  One of amplitude 0 and offset 0,
 ``RadialBackground(0.0, l, basis)``, is the zero channel of a field that has
 none of its own: its profiles, derivatives and duals are zeros and its
 energy, norm and mean 0.0, so it adds zeros, and its root l only labels it.

@@ -45,7 +45,7 @@ from .disk_spectral import (
     to_grid,
     transplant,
 )
-from .errors import AscentError, NonFiniteFieldError
+from .errors import AscentError, NonFiniteFieldError, ResolutionError
 from .green_energy import energy_grid
 from .steady_family import VElement, orbital_distance, v_element_grid
 
@@ -227,6 +227,10 @@ def _stream_of(g: GridField, basis: DiskBasis) -> GridField:
 
 
 def ascent_start(seed: GridField, profile: DistributionProfile, basis: DiskBasis) -> AscentState:
+    """The iterate ``seed``; ResolutionError if it lies on another grid than
+    the basis, which every later step shares with it."""
+    if seed.grid != basis.grid:
+        raise ResolutionError(f"ascent seed on {seed.grid}, basis on {basis.grid}")
     psi = _stream_of(seed, basis)
     return AscentState(seed, energy_grid(seed, psi), 0, profile, psi)
 

@@ -611,10 +611,10 @@ def test_runs_return_their_own_trace():
     b = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
     ve = sf.VElement(0.3, 1.0)
     state = es.steady_state(ve, b)
-    values = state.band.values.tobytes()
+    values = state.band.tobytes()
     cfg = es.RunConfig(t_end=0.5, cadence=2, reference=ve)
     first, second = es.run(state, cfg), es.run(state, cfg)
-    assert state.t == 0.0 and state.band.values.tobytes() == values
+    assert state.t == 0.0 and state.band.tobytes() == values
     assert first[1] is not second[1] and first[1] == second[1]
     mid = first[0]
     resumed = es.run(mid, es.RunConfig(t_end=1.0, cadence=2, reference=ve))
@@ -875,7 +875,7 @@ def test_mean_fix_matches_linear_solve(basis):
         raw = ds._embed(ds._project(np.random.default_rng(4).standard_normal(
             (basis.grid.n_r, basis.grid.n_theta)), _band_analyze(basis), kit["proj"]), basis)
         got = raw.copy()
-        es._mean_fix(got[0, 0, : kit["kd"]], es._Band(basis, ds._band_values(w)), bg)
+        es._mean_fix(got[0, 0, : kit["kd"]], ds._band_values(w), bg)
         # the rows the correction spans: mean0 and the stream function
         # weighted by norm2, the channel's from its closed form
         psi = w.coeffs[0, 0] * basis.green_mult[0] + _closed_form_stream_row(bg)
@@ -907,7 +907,7 @@ def test_tendency_runs_on_bands_of_fewer_than_six_radial_modes():
     for b in _small_bases():
         nd, kd = b.dealias_band()
         assert kd < ds._MEAN_FIX_MODES
-        y = es._Band(b, ds._band_values(_flat_field(b, rng, band_only=True)))
+        y = ds._band_values(_flat_field(b, rng, band_only=True))
         for bg in (es.RadialBackground(0.0, root, b), es.RadialBackground(0.5, root, b),
                    es.RadialBackground(0.5, root, b, uniform=0.6)):
             t = es.tendency(y, bg)
@@ -934,11 +934,11 @@ def test_mean_fix_zeroes_the_mean_rate_and_keeps_the_energy_rate(basis, monkeypa
         nd, kd = kit["nd"], kit["kd"]
         weights = (b.parseval * b.green_mult)[: nd + 1, None, :kd]
         for _ in range(3):
-            y = es._Band(b, ds._band_values(_flat_field(b, rng, band_only=True)))
+            y = ds._band_values(_flat_field(b, rng, band_only=True))
             for a in (0.0, 0.5):
                 for c in (0.0, 0.6):
                     bg = es.RadialBackground(a, root, b, uniform=c)
-                    grad = weights * y.values
+                    grad = weights * y
                     grad[0, 0] += bg.stream_dual
                     monkeypatch.setattr(es, "_mean_fix", lambda *args: None)
                     unfixed = es.tendency(y, bg)
@@ -954,14 +954,13 @@ def _stream_row_mean_fix(row0, y, background):
     """The mean fix as it ran before it read the trace's energy gradient: the
     stream row on the first six n = 0 modes from Python floats, the channel's
     part the basis' analysis of its stream profile."""
-    b, m = y.basis, ds._MEAN_FIX_MODES
+    b, m = background.basis, ds._MEAN_FIX_MODES
     kit = b.band_kit
     mean0 = b.mean0[:m]
     defect = float(row0.dot(kit["mean_row"]))
     green, norm2 = b.green_mult[0, :m].tolist(), b.norm2[0, :m].tolist()
-    stream = ((0.0,) * m if background is None
-              else (b.analysis[0, :m] @ background.stream_profile).tolist())
-    q = [(v * g + s) * n for v, g, s, n in zip(y.values[0, 0].tolist(), green, stream, norm2)]
+    stream = (b.analysis[0, :m] @ background.stream_profile).tolist()
+    q = [(v * g + s) * n for v, g, s, n in zip(y[0, 0].tolist(), green, stream, norm2)]
     qa = np.array(q)
     g00, g01, g11 = float(mean0 @ mean0), float(mean0.dot(qa)), float(qa.dot(qa))
     reg = 1e-14 * max(g00, g11, 1e-30)
@@ -977,7 +976,7 @@ def test_tendency_within_tolerance_of_stream_row_fix(basis, monkeypatch):
     # 10 cases, and 7.6e-16)
     for b in (basis, ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))):
         for w, background in _stage_cases(b):
-            y = es._Band(b, ds._band_values(w))
+            y = ds._band_values(w)
             got = es.tendency(y, background)
             monkeypatch.setattr(es, "_mean_fix", _stream_row_mean_fix)
             expect = es.tendency(y, background)
@@ -990,11 +989,11 @@ def test_run_raises_on_non_finite_state(basis):
     c = state.w.coeffs.copy()
     c[1, 0, 0] = np.nan
     state = es.SolverState(ds.SpectralField(basis, c), state.background)
-    values = state.band.values.tobytes()
+    values = state.band.tobytes()
     with pytest.raises(NonFiniteFieldError):
         es.run(state, es.RunConfig(t_end=1.0, reference=sf.VElement(0.5, 1.0, 0.0)))
     # the given state is left as it was
-    assert state.t == 0.0 and state.band.values.tobytes() == values
+    assert state.t == 0.0 and state.band.tobytes() == values
 
 
 def _spectral_field_rk4(state, dt):
@@ -1040,10 +1039,10 @@ def _unpaired_band_grids(y, kit, synth_r, synth_t, background=None):
     return d_r[:nr], over_r[:nr], d_r[nr:], over_r[nr:]
 
 
-def _unpaired_mean_fix(row0, y, kit, background):
-    b, m = y.basis, min(ds._MEAN_FIX_MODES, kit["kd"])
+def _unpaired_mean_fix(row0, y, b, kit, background):
+    m = min(ds._MEAN_FIX_MODES, kit["kd"])
     defect = float(row0 @ b.mean0[: row0.size])
-    q = y.values[0, 0, :m] * (b.norm2[0, :m] * b.green_mult[0, :m])
+    q = y[0, 0, :m] * (b.norm2[0, :m] * b.green_mult[0, :m])
     if background is not None:
         q = q + background.stream_dual[:m]
     mean0 = kit["mean0"]
@@ -1054,29 +1053,31 @@ def _unpaired_mean_fix(row0, y, kit, background):
     row0[:m] -= scale * (g11 * mean0 - g01 * q)
 
 
-def _unpaired_tendency(y, background):
-    kit = _unpaired_kit(y.basis)
+def _unpaired_tendency(y, background, b=None):
+    """The oracle stage of the band array y on the basis b, by default the
+    channel's; a channel-free call (background None) names b."""
+    b = background.basis if b is None else b
+    kit = _unpaired_kit(b)
     dr_om, dth_om, dr_psi, dth_psi = _unpaired_band_grids(
-        y.values, kit, kit["sub_synth_r"], kit["sub_synth_t"], background)
+        y, kit, kit["sub_synth_r"], kit["sub_synth_t"], background)
     band = ds._project(dr_psi * dth_om - dth_psi * dr_om, kit["sub_analyze"], kit["proj"])
-    _unpaired_mean_fix(band[0, 0], y, kit, background)
+    _unpaired_mean_fix(band[0, 0], y, b, kit, background)
     return band
 
 
-def _unpaired_rk4(y, dt, background):
-    b, y0 = y
-    k1 = _unpaired_tendency(y, background)
-    k2 = _unpaired_tendency(es._Band(b, y0 + 0.5 * dt * k1), background)
-    k3 = _unpaired_tendency(es._Band(b, y0 + 0.5 * dt * k2), background)
-    k4 = _unpaired_tendency(es._Band(b, y0 + dt * k3), background)
+def _unpaired_rk4(y0, dt, background):
+    k1 = _unpaired_tendency(y0, background)
+    k2 = _unpaired_tendency(y0 + 0.5 * dt * k1, background)
+    k3 = _unpaired_tendency(y0 + 0.5 * dt * k2, background)
+    k4 = _unpaired_tendency(y0 + dt * k3, background)
     return y0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _unpaired_velocity_magnitude(w, background=None):
+def _unpaired_velocity_magnitude(y, background, b=None):
     """Max |u| from the psi columns d_r psi and (1/r) psi, one product and
-    one synthesis each, with the root taken of every grid point; ``w`` is a
-    SpectralField or the stepper's carrier."""
-    b, y = es._carrier(w)
+    one synthesis each, with the root taken of every grid point; ``y`` is the
+    stepper's band array on the basis b, by default the channel's."""
+    b = background.basis if b is None else b
     kit, nr = _unpaired_kit(b), b.grid.n_r
     radial = kit["radial"]
     dr_psi, = ds._synth(np.matmul(y, radial[..., nr: 2 * nr]), (kit["synth_r"],))
@@ -1086,11 +1087,11 @@ def _unpaired_velocity_magnitude(w, background=None):
     return float(np.sqrt(dr_psi**2 + dth_psi**2).max())
 
 
-def _four_grid_velocity_magnitude(w, background=None):
+def _four_grid_velocity_magnitude(y, background, b=None):
     """Max |u| as it was taken before the two-grid synthesis: all four band
-    grids synthesized on the collocation grid, the two of psi read.  ``w`` is
-    a SpectralField or the stepper's carrier."""
-    b, y = es._carrier(w)
+    grids synthesized on the collocation grid, the two of psi read.  ``y`` is
+    the stepper's band array on the basis b, by default the channel's."""
+    b = background.basis if b is None else b
     kit = _unpaired_kit(b)
     _, _, dr_psi, dth_psi = _unpaired_band_grids(y, kit, kit["synth_r"], kit["synth_t"])
     if background is not None:
@@ -1121,7 +1122,7 @@ def test_stage_matches_unpaired_oracle(basis):
         for w, background in _stage_cases(b):
             state = es.SolverState(w, background)
             assert (es.velocity_magnitude(state.band, background)
-                    == _unpaired_velocity_magnitude(w, background))
+                    == _unpaired_velocity_magnitude(ds._band_values(w), background))
             for _ in range(8):
                 y = state.band
                 assert np.array_equal(es.tendency(y, background), _unpaired_tendency(y, background))
@@ -1129,7 +1130,7 @@ def test_stage_matches_unpaired_oracle(basis):
                         == _unpaired_velocity_magnitude(y, background)
                         == _four_grid_velocity_magnitude(y, background))
                 state = es.step_rk4(state, 0.02)
-                assert np.array_equal(state.band.values, _unpaired_rk4(y, 0.02, background))
+                assert np.array_equal(state.band, _unpaired_rk4(y, 0.02, background))
 
 
 def test_zero_channel_is_the_channel_free_solver(basis):
@@ -1147,9 +1148,9 @@ def test_zero_channel_is_the_channel_free_solver(basis):
         for w, _ in _band_states(b):
             state = es.SolverState(w, zero)
             y = state.band
-            assert np.array_equal(es.tendency(y, zero), _unpaired_tendency(y, None))
-            assert (es.velocity_magnitude(y, zero) == _unpaired_velocity_magnitude(y, None)
-                    == _four_grid_velocity_magnitude(y, None))
+            assert np.array_equal(es.tendency(y, zero), _unpaired_tendency(y, None, b))
+            assert (es.velocity_magnitude(y, zero) == _unpaired_velocity_magnitude(y, None, b)
+                    == _four_grid_velocity_magnitude(y, None, b))
             assert np.array_equal(state.full_grid_values().values, ds.to_grid(state.w).values)
             assert np.array_equal(state.stream_grid_values().values,
                                   ds.to_grid(apply_green(state.w)).values)
@@ -1177,11 +1178,58 @@ def test_tendency_on_the_carrier_is_the_band_slice(basis):
         nd, kd = b.dealias_band()
         for w, bg in _band_states(b):
             for background in _channels(bg):
-                band = es.tendency(es._Band(b, ds._band_values(w)), background)
+                band = es.tendency(ds._band_values(w), background)
                 full = es.tendency(w, background).coeffs
                 assert band.shape == (nd + 1, 2, kd)
                 assert np.array_equal(band[:, 0], full[: nd + 1, 0, :kd])
                 assert np.array_equal(band[:, 1], full[: nd + 1, 1, :kd])
+
+
+def test_fields_on_another_resolution_are_refused(basis):
+    # a SpectralField on a basis whose modes, radial modes or grid differ
+    # from the channel's basis raises ResolutionError in SolverState and in
+    # tendency, whether or not its band has the channel's shape (7 x 10 and
+    # the 24 x 48 grid keep the 6 x 10 band); one on a basis built apart at
+    # the channel's resolution runs as on the channel's own
+    coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    root = sf.VElement(0.5, 1.0).root
+    for b, other in ((basis, coarse), (coarse, basis),
+                     (coarse, ds.DiskBasis(7, 10, ds.DiskGrid(24, 32))),
+                     (coarse, ds.DiskBasis(6, 11, ds.DiskGrid(24, 32))),
+                     (coarse, ds.DiskBasis(6, 10, ds.DiskGrid(24, 48)))):
+        w, _ = next(_band_states(other))
+        bg = es.RadialBackground(0.5, root, b)
+        with pytest.raises(ResolutionError):
+            es.SolverState(w, bg)
+        with pytest.raises(ResolutionError):
+            es.tendency(w, bg)
+    twin = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    w, _ = next(_band_states(twin))
+    own = ds.SpectralField(coarse, w.coeffs)
+    bg = es.RadialBackground(0.5, root, coarse)
+    assert np.array_equal(es.tendency(w, bg).coeffs, es.tendency(own, bg).coeffs)
+    assert np.array_equal(es.SolverState(w, bg).band, es.SolverState(own, bg).band)
+
+
+def test_experiments_refuse_a_perturbation_on_another_resolution():
+    # both experiments raise ResolutionError for a perturbation on another
+    # number of modes, or on another grid with the same band shape; one on a
+    # basis built apart at the run's resolution gives the run's own trace
+    b = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    ve = sf.VElement(0.3, 1.0)
+    for other in (ds.DiskBasis(8, 12, ds.DiskGrid(32, 32)),
+                  ds.DiskBasis(6, 10, ds.DiskGrid(24, 48))):
+        pert = es.make_perturbation("smooth-random", ve, 1e-3, 2.0, other,
+                                    np.random.default_rng(5))
+        with pytest.raises(ResolutionError):
+            es.run_stability_experiment(ve, pert, 2.0, b, t_end=0.05)
+        with pytest.raises(ResolutionError):
+            es.run_rotating_orbit_experiment(ve, 0.3, pert, 2.0, b, t_end=0.05)
+    twin = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    pert = es.make_perturbation("smooth-random", ve, 1e-3, 2.0, twin, np.random.default_rng(5))
+    got = es.run_stability_experiment(ve, pert, 2.0, b, t_end=0.05)
+    expect = es.run_stability_experiment(ve, ds.SpectralField(b, pert.coeffs), 2.0, b, t_end=0.05)
+    assert got.trace == expect.trace
 
 
 def test_every_producer_gives_the_real_row_layout(basis, rng):
@@ -1338,7 +1386,7 @@ def test_band_stage_and_stream_solve_peak_memory(basis):
     # threshold: a larger temporary could get fresh pages, and page faults,
     # on every call
     w, bg = next(_band_states(basis))
-    y = es._Band(basis, ds._band_values(w))
+    y = ds._band_values(w)
     for background in _channels(bg):
         assert _traced_peak(lambda: es.tendency(y, background)) <= 200 * 1024
     g = ds.to_grid(w)

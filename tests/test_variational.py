@@ -8,7 +8,7 @@ from diskvort import disk_spectral as ds
 from diskvort import variational as vr
 from diskvort import steady_family as sf
 from diskvort.bessel import bessel_j, bessel_zero
-from diskvort.errors import AscentError, NonFiniteFieldError
+from diskvort.errors import AscentError, NonFiniteFieldError, ResolutionError
 from diskvort.green_energy import energy, energy_grid
 from complex_layout import as_complex
 
@@ -342,3 +342,13 @@ def test_burton_step_makes_no_linalg_solve(basis, grid, monkeypatch):
     nxt = vr.burton_step(state, basis)
     vr.burton_step(nxt, basis)
     assert calls == [] and nxt.energy > state.energy
+
+
+def test_ascent_refuses_a_seed_on_another_grid():
+    # a seed on another grid than the basis raises ResolutionError before the
+    # first step, as from_grid and plain_distance do
+    basis = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    ve = sf.VElement(0.0, 1.0, 0.4)
+    seed = ds.ring_shuffle(sf.v_element_grid(ve, ds.DiskGrid(24, 48)), np.random.default_rng(7))
+    with pytest.raises(ResolutionError):
+        vr.burton_maximize(ve, seed, basis, max_iters=3)
