@@ -91,8 +91,10 @@ def _key(default, kinds, lo=None, hi=None, *, open_lo=False, choices=None, caps=
 # A bound that caps work keeps one run on the default basis within about five
 # minutes on a 2-core x86 VM at cfl_safety 0.4, p = 2 and cadence 10, where
 # one turnover of default evolve takes 0.14 s (t_end: ~2.3 ms per time unit,
-# 48 to a turnover), one ascent seed ~50 ms (~0.8 ms per iteration, up to
-# max_iters) and one unit of n_uniform ~11 ms.  The caps are sized at that p
+# 48 to a turnover), one ascent seed ~30 ms (~0.8 ms per step, which is one
+# transplant, or two when its lead trial is rejected, a few percent of steps;
+# so max_iters steps take ~80 s, and ~160 s were every trial rejected) and
+# one unit of n_uniform ~11 ms.  The caps are sized at that p
 # and cadence: a turnover takes 0.19 s at p = 1.5 and 0.65 s at p = 1.5 with
 # cadence 1, so turnovers = 1000 runs ~11 min there.  The basis tables grow as
 # n_theta_modes n_r k_radial (k_radial < n_r) and the Gauss-Legendre nodes as
@@ -332,7 +334,7 @@ def _exp_burton(cfg, rng, outdir):
     nrm = lp_norm(target, 2)
     rows = []
     n_ok = 0
-    steps, stalled = [], []
+    steps, transplants, stalled = [], [], []
     for s in range(cfg.seeds):
         seed_field = ring_shuffle(target, rng)
         res = burton_maximize(ve, seed_field, basis, max_iters=cfg.max_iters,
@@ -340,6 +342,7 @@ def _exp_burton(cfg, rng, outdir):
         ok = res.distance <= 1e-3 * nrm
         n_ok += ok
         steps.append(len(res.energies) - 1)
+        transplants.append(steps[-1] + res.rejected)
         if res.converged:           # the 8-step stall rule, not the orbit
             stalled.append(s)
         for it, (e, d) in enumerate(zip(res.energies, res.distances)):
@@ -350,7 +353,7 @@ def _exp_burton(cfg, rng, outdir):
     passed = n_ok >= max(1, cfg.seeds - 1)
     return passed, rows, ["seed", "iteration", "energy", "orbital_distance"], {
         "converged_runs": n_ok, "total_runs": cfg.seeds,
-        "ascent_steps": steps, "stalled_runs": stalled}
+        "ascent_steps": steps, "ascent_transplants": transplants, "stalled_runs": stalled}
 
 
 def _perturbation(cfg, kind, p, ve, target, basis, rng):

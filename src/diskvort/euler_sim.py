@@ -216,14 +216,21 @@ class SolverState:
     The spectral part is held only as the stepper's band array ``band``,
     built at construction from ``w``: a copy of a SpectralField's band rows
     (ResolutionError for a field on another resolution than the channel's
-    basis or outside the band), or a band array, taken as it is.  ``w`` zero
-    pads it back to a SpectralField.  ``background``, the channel, is
+    basis or outside the band), or a band array, taken as it is
+    (ResolutionError unless its shape is the basis's (nd+1, 2, kd)).  ``w``
+    zero pads it back to a SpectralField.  ``background``, the channel, is
     required (a bare field takes the zero channel) and holds the run's basis.
     """
 
     def __init__(self, w, background: RadialBackground, t=0.0):
         b = background.basis
-        self.band = _band_values(_on_basis(w, b)) if isinstance(w, SpectralField) else w
+        if isinstance(w, SpectralField):
+            w = _band_values(_on_basis(w, b))
+        else:
+            nd, kd = b.dealias_band()
+            if w.shape != (nd + 1, 2, kd):
+                raise ResolutionError(f"band array of shape {w.shape}, expected {(nd + 1, 2, kd)}")
+        self.band = w
         self.background = background
         self.t = t
 

@@ -19,11 +19,18 @@ eigendecomposition of the mean-projected Green operator.  The two problems
 are mutually inverse (m * M = 1), both attained on the same family.
 
 The rearrangement ascent maximizes the kinetic energy over the convex hull
-(weak closure) of a profile's rearrangement class on the grid.  Each step
+(weak closure) of a profile's rearrangement class on the grid.  A plain step
 gives every cell the profile's average over its slot in the current stream
 function's level order, which maximizes <f, psi_old> over the hull, so from
 an iterate in the hull the energy cannot fall.  Only the first step, the
-seed's entry into the hull, may lower it.
+seed's entry into the hull, may lower it.  From the second step on, a step
+first tries the same transplant onto the led order psi + lambda (psi -
+psi_prev), a heavy-ball lead (Polyak 1964) along the last change of the
+stream function, and keeps it when its energy is not below the current one;
+otherwise it takes the plain step.  Every iterate stays in the hull and
+every accepted step is monotone.  The lead shortens the slow linear approach
+to the orbit: on the default basis the orbital distance falls by a median
+factor of 0.72 a step there, against 0.89 for plain steps.
 """
 
 import math
@@ -208,16 +215,29 @@ def solve_v2(basis: DiskBasis):
 # Rearrangement energy ascent
 
 
+# The lead factor lambda of the led order psi + lambda (psi - psi_prev).  On
+# six bases and elements (6 x 10 to 16 x 32 modes, a in {0, 0.2, 0.3}, eight
+# ring-shuffled seeds each) 0.5 made 28-45% fewer transplants than the plain
+# ascent and 0.7 28-59%, both reaching the orbit from the same seeds; 0.7
+# rejects two to six times as many trials as 0.5, yet its ascents on the
+# Lamb dipole took 9% less time, faster in 18 of 20 interleaved benchmark
+# pairs on a 2-core x86 host.
+_LEAD = 0.7
+
+
 @dataclass
 class AscentState:
     """One energy-ascent iterate over a fixed rearrangement profile, with its
-    stream function psi."""
+    stream function psi, the previous iterate's stream function psi_prev
+    (None at the start) and the count of lead trials rejected so far."""
 
     iterate: GridField
     energy: float
     iteration: int
     profile: DistributionProfile
     psi: GridField
+    psi_prev: GridField = None
+    rejected: int = 0
 
 
 def _stream_of(g: GridField, basis: DiskBasis) -> GridField:
@@ -235,35 +255,63 @@ def ascent_start(seed: GridField, profile: DistributionProfile, basis: DiskBasis
     return AscentState(seed, energy_grid(seed, psi), 0, profile, psi)
 
 
-def burton_step(state: AscentState, basis: DiskBasis) -> AscentState:
-    """One monotone transplantation of the state's profile onto the current
-    stream function.  From iteration 1 on the iterate lies in the profile's
-    hull, and an energy drop beyond rounding raises; so does a non-finite
-    energy."""
-    nxt = transplant(state.profile, state.psi)
+def _transplanted(profile: DistributionProfile, onto: GridField, basis: DiskBasis):
+    """The profile transplanted onto the level order of ``onto``, its stream
+    function and its energy."""
+    nxt = transplant(profile, onto)
     psi_next = _stream_of(nxt, basis)
-    e_next = energy_grid(nxt, psi_next)
+    return nxt, psi_next, energy_grid(nxt, psi_next)
+
+
+def burton_step(state: AscentState, basis: DiskBasis) -> AscentState:
+    """One monotone transplantation of the state's profile.
+
+    When the state carries psi_prev, the step first transplants onto the
+    led order psi + lambda (psi - psi_prev) and keeps that trial if its
+    energy is at least the state's (a NaN energy is not).  psi is linear in
+    the iterate, so the lead is one grid axpy; a rejected trial costs a
+    second transplant and stream solve.  Otherwise, or after a rejection,
+    the step transplants onto psi.  From iteration 1 on the iterate lies in
+    the profile's hull, and a plain step's energy drop beyond rounding
+    raises; so does a non-finite energy.
+    """
+    rejected = state.rejected
+    if state.psi_prev is not None:
+        led = state.psi.values - state.psi_prev.values
+        led *= _LEAD
+        led += state.psi.values
+        nxt, psi_next, e_next = _transplanted(state.profile, GridField(basis.grid, led), basis)
+        if e_next >= state.energy:
+            return AscentState(nxt, e_next, state.iteration + 1, state.profile,
+                               psi_next, state.psi, rejected)
+        del led, nxt, psi_next          # so the peak holds one trial at a time
+        rejected += 1
+    nxt, psi_next, e_next = _transplanted(state.profile, state.psi, basis)
     if not math.isfinite(e_next):       # which no comparison below would catch
         raise NonFiniteFieldError(f"ascent energy {e_next!r}")
     if state.iteration >= 1 and e_next < state.energy - 1e-12 * max(1.0, abs(state.energy)):
         raise AscentError(
             f"transplantation decreased energy: {state.energy!r} -> {e_next!r}"
         )
-    return AscentState(nxt, e_next, state.iteration + 1, state.profile, psi_next)
+    return AscentState(nxt, e_next, state.iteration + 1, state.profile, psi_next,
+                       state.psi, rejected)
 
 
 @dataclass
 class AscentResult:
     """The end of one ascent.  ``converged`` means that the 8-step stall
     rule stopped it: the energy stopped rising, not that the iterate reached
-    the orbit; ``distance`` to the orbit tells that."""
+    the orbit; ``distance`` to the orbit tells that.  ``rejected`` counts the
+    lead trials that fell back to the plain step, so the ascent made
+    ``len(energies) - 1 + rejected`` transplants."""
 
     final: GridField
     energies: list
     converged: bool
     distance: float
     beta: float
-    distances: list = None
+    distances: list
+    rejected: int
 
 
 def burton_maximize(ve: VElement, seed: GridField, basis: DiskBasis,
@@ -291,4 +339,5 @@ def burton_maximize(ve: VElement, seed: GridField, basis: DiskBasis,
         if stall == 8:
             break
     dist, beta = orbital_distance(state.iterate, ve, p)
-    return AscentResult(state.iterate, energies, stall == 8, dist, beta, distances)
+    return AscentResult(state.iterate, energies, stall == 8, dist, beta, distances,
+                        state.rejected)

@@ -243,7 +243,7 @@ def test_ascent_error_exit_code(tmp_path, capsys, monkeypatch):
     args = ["burton-maximize", "--config", str(cfgfile), "--seed", "7"]
     assert cli.main(args + ["--out", str(tmp_path / "o")]) == 3
     assert "TOLERANCE FAILURE" in capsys.readouterr().err
-    # a transplant that halves its result from the second step on lowers the
+    # a transplant that halves its result from the second call on lowers the
     # energy of an in-class iterate: a numerical failure, with its manifest
     calls = []
 
@@ -258,7 +258,8 @@ def test_ascent_error_exit_code(tmp_path, capsys, monkeypatch):
     manifest = json.loads((tmp_path / "e" / "manifest.json").read_text())
     assert manifest["passed"] is False
     assert manifest["error"].startswith("AscentError: transplantation decreased energy")
-    assert len(calls) == 2
+    # step 2's lead trial is rejected, and its plain fallback raises
+    assert len(calls) == 3
 
 
 def test_family_outside_band_exit_code(tmp_path, capsys):
@@ -513,19 +514,22 @@ def test_burton_maximize_smoke(tmp_path):
     # its start and one row per step
     assert manifest["converged_runs"] == 1 and manifest["stalled_runs"] == [0]
     assert manifest["ascent_steps"] == [len(lines) - 3]
+    # two of its lead trials fell back to the plain step, at a second transplant
+    assert manifest["ascent_transplants"] == [manifest["ascent_steps"][0] + 2]
 
 
 def test_burton_maximize_stall_reason(tmp_path):
     # on this coarse basis no seed reaches the orbit: seed 0 stalls away from
-    # it after 33 steps, and the other three run out of max_iters
+    # it (d / |omega| = 0.79) after 22 steps, and the other three run out of
+    # max_iters (they reach it in 60-67 steps)
     cfgfile = tmp_path / "b.cfg"
     cfgfile.write_text("n_theta_modes = 6\nk_radial = 10\nn_r = 24\nn_theta = 32\n"
-                       "a = 0.4\nseeds = 4\nmax_iters = 60\n")
+                       "a = 0.6\nseeds = 4\nmax_iters = 40\n")
     assert cli.main(["burton-maximize", "--config", str(cfgfile), "--seed", "7",
                      "--out", str(tmp_path / "o")]) == 3
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["converged_runs"] == 0 and manifest["total_runs"] == 4
-    assert manifest["ascent_steps"] == [33, 60, 60, 60]
+    assert manifest["ascent_steps"] == [22, 40, 40, 40]
     assert manifest["stalled_runs"] == [0]
     rows = (tmp_path / "o" / "results.csv").read_text().splitlines()[2:]
     per_seed = np.bincount([int(row.split(",")[0]) for row in rows])

@@ -633,10 +633,11 @@ def test_ascent_transplants_match_stable_sort(basis, grid, monkeypatch):
     # shuffle drawn from default_rng([seed, 0])
     ve = sf.VElement(0.0, 1.0, 0.4)
     lamb = sf.VElement(0.0, 1.0, 0.0)
+    # each pinned count is steps plus rejected lead trials
     ascents = (
-        (ve, ds.ring_shuffle(sf.v_element_grid(ve, grid), np.random.default_rng(7)), 77),
+        (ve, ds.ring_shuffle(sf.v_element_grid(ve, grid), np.random.default_rng(7)), 33 + 4),
         (lamb, ds.ring_shuffle(sf.v_element_grid(lamb, grid),
-                               np.random.default_rng([400, 0])), 58),
+                               np.random.default_rng([400, 0])), 28 + 3),
     )
     calls = []
 
@@ -646,10 +647,10 @@ def test_ascent_transplants_match_stable_sort(basis, grid, monkeypatch):
         return got
 
     monkeypatch.setattr(vr, "transplant", checked)
-    for element, seed, steps in ascents:
+    for element, seed, transplants in ascents:
         calls.clear()
         res = vr.burton_maximize(element, seed, basis, max_iters=600, p=2.0)
-        assert len(calls) == len(res.energies) - 1 == steps and all(calls)
+        assert len(calls) == len(res.energies) - 1 + res.rejected == transplants and all(calls)
         _assert_matches_stable_sort(res.final, ds.distribution_profile(res.final))
 
 

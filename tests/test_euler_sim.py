@@ -1211,6 +1211,20 @@ def test_fields_on_another_resolution_are_refused(basis):
     assert np.array_equal(es.SolverState(w, bg).band, es.SolverState(own, bg).band)
 
 
+def test_band_arrays_of_another_shape_are_refused():
+    # a band array whose shape is not the channel's (nd+1, 2, kd), (5, 2, 6)
+    # on 6 x 10, raises ResolutionError in SolverState; it used to be built,
+    # and the first step raised numpy's matmul ValueError
+    coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    bg = es.RadialBackground(0.5, sf.VElement(0.5, 1.0).root, coarse)
+    for shape in ((3, 2, 4), (5, 2, 7), (6, 2, 6), (5, 1, 6), (5, 6, 2), (5, 2, 6, 1)):
+        with pytest.raises(ResolutionError, match="band array of shape"):
+            es.SolverState(np.zeros(shape), bg)
+    w, _ = next(_band_states(coarse))
+    state = es.SolverState(ds._band_values(w), bg)
+    assert es.step_rk4(state, 1e-3).band.shape == (5, 2, 6)
+
+
 def test_experiments_refuse_a_perturbation_on_another_resolution():
     # both experiments raise ResolutionError for a perturbation on another
     # number of modes, or on another grid with the same band shape; one on a

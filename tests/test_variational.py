@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -311,22 +312,90 @@ def test_burton_radial_stall_is_reported(basis, grid, rng):
     assert res.distance > 1e-2 * ds.lp_norm(target, 2)
 
 
+def _plain_ascent(ve, seed, basis, max_iters=600):
+    """Energies of burton_maximize's ascent with every step plain: burton_step
+    on states whose psi_prev is cleared, under the same 8-step stall rule;
+    and whether that rule stopped it."""
+    profile = ds.distribution_profile(sf.v_element_grid(ve, basis.grid))
+    state = vr.ascent_start(seed, profile, basis)
+    energies = [state.energy]
+    stall = 0
+    for _ in range(max_iters):
+        state = vr.burton_step(dataclasses.replace(state, psi_prev=None), basis)
+        gain = state.energy - energies[-1]
+        energies.append(state.energy)
+        stall = stall + 1 if gain <= 1e-12 * max(1.0, abs(state.energy)) else 0
+        if stall == 8:
+            break
+    return energies, stall == 8
+
+
 def test_ascent_matches_reference(basis, grid):
-    # energies and step count of one ascent from a fixed ring shuffle,
+    # energies and step count of one plain ascent from a fixed ring shuffle,
     # recorded from the slot-average transplant; the final energy is the
-    # one the midpoint transplant before it reached, to rounding
+    # one the midpoint transplant before it reached, to rounding.  The led
+    # ascent from the same seed reaches that energy in 33 steps
     ve = sf.VElement(0.0, 1.0, 0.4)
     seed = ds.ring_shuffle(sf.v_element_grid(ve, grid), np.random.default_rng(7))
-    res = vr.burton_maximize(ve, seed, basis)
-    assert res.converged and len(res.energies) - 1 == 77
+    energies, converged = _plain_ascent(ve, seed, basis)
+    assert converged and len(energies) - 1 == 77
     reference = {0: 1.9074714765443258e-05, 1: 0.003097803912513607,
                  2: 0.0050435460192467816, 5: 0.00836961966669095,
                  10: 0.008659460910505398, 20: 0.008674903608737024,
                  77: 0.008677545333119235}
     for i, e in reference.items():
-        assert abs(res.energies[i] - e) <= 1e-12 * e, i
+        assert abs(energies[i] - e) <= 1e-12 * e, i
     midpoint_final = 0.008677545333119234
+    assert abs(energies[-1] - midpoint_final) <= 1e-12 * midpoint_final
+    res = vr.burton_maximize(ve, seed, basis)
+    assert res.converged and len(res.energies) - 1 == 33
     assert abs(res.energies[-1] - midpoint_final) <= 1e-12 * midpoint_final
+
+
+@pytest.mark.parametrize("trial_energy", [-math.inf, math.nan], ids=["lower", "nan"])
+def test_rejected_lead_trial_is_the_plain_step(basis, grid, monkeypatch, trial_energy):
+    # a lead trial whose energy reads below the state's, or NaN, is dropped,
+    # and the step is the plain transplant onto psi, bit for bit
+    ve = sf.VElement(0.0, 1.0, 0.4)
+    target = sf.v_element_grid(ve, grid)
+    state = vr.ascent_start(ds.ring_shuffle(target, np.random.default_rng(7)),
+                            ds.distribution_profile(target), basis)
+    state = vr.burton_step(vr.burton_step(state, basis), basis)
+    plain = vr.burton_step(dataclasses.replace(state, psi_prev=None), basis)
+    energies = []
+    energy_grid = vr.energy_grid
+
+    def trial_misread(g, psi):
+        energies.append(energy_grid(g, psi))
+        return trial_energy if len(energies) == 1 else energies[-1]
+
+    monkeypatch.setattr(vr, "energy_grid", trial_misread)
+    got = vr.burton_step(state, basis)
+    # read truly, the trial would have been kept
+    assert len(energies) == 2 and energies[0] >= state.energy
+    assert np.array_equal(got.iterate.values, plain.iterate.values)
+    assert np.array_equal(got.psi.values, plain.psi.values)
+    assert (got.energy, got.iteration) == (plain.energy, plain.iteration)
+    assert got.psi_prev is state.psi and got.rejected == plain.rejected + 1
+
+
+def test_led_ascent_reaches_the_plain_energy_in_fewer_steps(basis, grid):
+    # criterion 5's three a = 0 elements, three ring-shuffled seeds each: the
+    # led ascent is monotone to rounding and ends at the plain ascent's final
+    # energy, in fewer steps
+    rng = np.random.default_rng(42)
+    for ve in (sf.VElement(0.0, 1.0, 0.0), sf.VElement(0.0, 0.7, 1.3),
+               sf.VElement(0.0, 1.6, 2.5)):
+        target = sf.v_element_grid(ve, grid)
+        for _ in range(3):
+            seed = ds.ring_shuffle(target, rng)
+            res = vr.burton_maximize(ve, seed, basis)
+            plain, converged = _plain_ascent(ve, seed, basis)
+            assert res.converged and converged
+            e = plain[-1]
+            assert np.diff(res.energies).min() >= -1e-12 * max(1.0, e)
+            assert abs(res.energies[-1] - e) <= 1e-12 * e
+            assert len(res.energies) < len(plain)
 
 
 def test_burton_step_makes_no_linalg_solve(basis, grid, monkeypatch):
