@@ -510,9 +510,12 @@ def test_burton_maximize_smoke(tmp_path):
     assert lines[1] == "seed,iteration,energy,orbital_distance"
     assert (tmp_path / "o" / "fields" / "ascent_final.json").exists()
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    # the seed reached the orbit and stopped by the stall rule; the CSV holds
-    # its start and one row per step
+    # the seed reached the orbit and stopped at a fixed point of the
+    # transplant; the CSV holds its start and one row per step
     assert manifest["converged_runs"] == 1 and manifest["stalled_runs"] == [0]
+    assert manifest["ascent_stops"] == ["fixed point"]
+    # near E* its lead trials were rotated onto the element's in-class phases
+    assert manifest["ascent_rotations"][0] > 0
     assert manifest["ascent_steps"] == [len(lines) - 3]
     # two of its lead trials fell back to the plain step, at a second transplant
     assert manifest["ascent_transplants"] == [manifest["ascent_steps"][0] + 2]
@@ -520,8 +523,8 @@ def test_burton_maximize_smoke(tmp_path):
 
 def test_burton_maximize_stall_reason(tmp_path):
     # on this coarse basis no seed reaches the orbit: seed 0 stalls away from
-    # it (d / |omega| = 0.79) after 22 steps, and the other three run out of
-    # max_iters (they reach it in 60-67 steps)
+    # it (d / |omega| = 0.79) at a fixed point after 16 steps, and the other
+    # three run out of max_iters (they reach it in 60-67 steps)
     cfgfile = tmp_path / "b.cfg"
     cfgfile.write_text("n_theta_modes = 6\nk_radial = 10\nn_r = 24\nn_theta = 32\n"
                        "a = 0.6\nseeds = 4\nmax_iters = 40\n")
@@ -529,8 +532,10 @@ def test_burton_maximize_stall_reason(tmp_path):
                      "--out", str(tmp_path / "o")]) == 3
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["converged_runs"] == 0 and manifest["total_runs"] == 4
-    assert manifest["ascent_steps"] == [22, 40, 40, 40]
+    assert manifest["ascent_steps"] == [16, 40, 40, 40]
     assert manifest["stalled_runs"] == [0]
+    assert manifest["ascent_stops"] == ["fixed point", "max_iters", "max_iters", "max_iters"]
+    assert manifest["ascent_rotations"] == [0, 0, 0, 0]
     rows = (tmp_path / "o" / "results.csv").read_text().splitlines()[2:]
     per_seed = np.bincount([int(row.split(",")[0]) for row in rows])
     assert list(per_seed - 1) == manifest["ascent_steps"]

@@ -635,9 +635,9 @@ def test_ascent_transplants_match_stable_sort(basis, grid, monkeypatch):
     lamb = sf.VElement(0.0, 1.0, 0.0)
     # each pinned count is steps plus rejected lead trials
     ascents = (
-        (ve, ds.ring_shuffle(sf.v_element_grid(ve, grid), np.random.default_rng(7)), 33 + 4),
+        (ve, ds.ring_shuffle(sf.v_element_grid(ve, grid), np.random.default_rng(7)), 23 + 4),
         (lamb, ds.ring_shuffle(sf.v_element_grid(lamb, grid),
-                               np.random.default_rng([400, 0])), 28 + 3),
+                               np.random.default_rng([400, 0])), 16 + 3),
     )
     calls = []
 

@@ -312,32 +312,35 @@ def test_burton_radial_stall_is_reported(basis, grid, rng):
     assert res.distance > 1e-2 * ds.lp_norm(target, 2)
 
 
-def _plain_ascent(ve, seed, basis, max_iters=600):
-    """Energies of burton_maximize's ascent with every step plain: burton_step
-    on states whose psi_prev is cleared, under the same 8-step stall rule;
-    and whether that rule stopped it."""
+def _stall_rule_ascent(ve, seed, basis, plain, max_iters=600):
+    """burton_maximize's ascent under the 8-step stall rule alone, with no
+    lead rotated: burton_step from a state without a target, every step
+    plain (psi_prev cleared) when ``plain``.  Returns its energies, whether
+    the rule stopped it, and its last state."""
     profile = ds.distribution_profile(sf.v_element_grid(ve, basis.grid))
     state = vr.ascent_start(seed, profile, basis)
     energies = [state.energy]
     stall = 0
     for _ in range(max_iters):
-        state = vr.burton_step(dataclasses.replace(state, psi_prev=None), basis)
+        if plain:
+            state = dataclasses.replace(state, psi_prev=None)
+        state = vr.burton_step(state, basis)
         gain = state.energy - energies[-1]
         energies.append(state.energy)
         stall = stall + 1 if gain <= 1e-12 * max(1.0, abs(state.energy)) else 0
         if stall == 8:
             break
-    return energies, stall == 8
+    return energies, stall == 8, state
 
 
 def test_ascent_matches_reference(basis, grid):
     # energies and step count of one plain ascent from a fixed ring shuffle,
     # recorded from the slot-average transplant; the final energy is the
     # one the midpoint transplant before it reached, to rounding.  The led
-    # ascent from the same seed reaches that energy in 33 steps
+    # ascent from the same seed reaches that energy in 23 steps
     ve = sf.VElement(0.0, 1.0, 0.4)
     seed = ds.ring_shuffle(sf.v_element_grid(ve, grid), np.random.default_rng(7))
-    energies, converged = _plain_ascent(ve, seed, basis)
+    energies, converged, _ = _stall_rule_ascent(ve, seed, basis, plain=True)
     assert converged and len(energies) - 1 == 77
     reference = {0: 1.9074714765443258e-05, 1: 0.003097803912513607,
                  2: 0.0050435460192467816, 5: 0.00836961966669095,
@@ -348,7 +351,7 @@ def test_ascent_matches_reference(basis, grid):
     midpoint_final = 0.008677545333119234
     assert abs(energies[-1] - midpoint_final) <= 1e-12 * midpoint_final
     res = vr.burton_maximize(ve, seed, basis)
-    assert res.converged and len(res.energies) - 1 == 33
+    assert res.converged and len(res.energies) - 1 == 23
     assert abs(res.energies[-1] - midpoint_final) <= 1e-12 * midpoint_final
 
 
@@ -390,7 +393,7 @@ def test_led_ascent_reaches_the_plain_energy_in_fewer_steps(basis, grid):
         for _ in range(3):
             seed = ds.ring_shuffle(target, rng)
             res = vr.burton_maximize(ve, seed, basis)
-            plain, converged = _plain_ascent(ve, seed, basis)
+            plain, converged, _ = _stall_rule_ascent(ve, seed, basis, plain=True)
             assert res.converged and converged
             e = plain[-1]
             assert np.diff(res.energies).min() >= -1e-12 * max(1.0, e)
@@ -421,3 +424,127 @@ def test_ascent_refuses_a_seed_on_another_grid():
     seed = ds.ring_shuffle(sf.v_element_grid(ve, ds.DiskGrid(24, 48)), np.random.default_rng(7))
     with pytest.raises(ResolutionError):
         vr.burton_maximize(ve, seed, basis, max_iters=3)
+
+
+def _rotated_ascent_cases(basis):
+    """(basis, element, seed) of criterion 5's three a = 0 elements, three
+    ring shuffles each from rng 42, and of a in {0.3, 0.5}, b = 1,
+    beta = 0.7 on two coarse bases, six ring shuffles each from rng 5."""
+    rng = np.random.default_rng(42)
+    for ve in (sf.VElement(0.0, 1.0, 0.0), sf.VElement(0.0, 0.7, 1.3),
+               sf.VElement(0.0, 1.6, 2.5)):
+        target = sf.v_element_grid(ve, basis.grid)
+        for _ in range(3):
+            yield basis, ve, ds.ring_shuffle(target, rng)
+    for modes, k, n_r, n_theta in ((6, 10, 24, 32), (8, 12, 32, 32)):
+        coarse = ds.DiskBasis(modes, k, ds.DiskGrid(n_r, n_theta))
+        for a in (0.3, 0.5):
+            ve = sf.VElement(a, 1.0, 0.7)
+            target = sf.v_element_grid(ve, coarse.grid)
+            rng = np.random.default_rng(5)
+            for _ in range(6):
+                yield coarse, ve, ds.ring_shuffle(target, rng)
+
+
+def test_rotated_ascent_keeps_the_unrotated_end(basis):
+    # the rotated lead and the fixed-point stop end each ascent at the
+    # unrotated 8-step ascent's energy (the worst gap read 2.9e-11, at
+    # 6 x 10 with a = 0.3), on the same side of the 1e-3 orbit test, in no
+    # more transplants; seeds that stall below E* (1 - 1e-4) rotate no lead
+    for b, ve, seed in _rotated_ascent_cases(basis):
+        target = sf.v_element_grid(ve, b.grid)
+        nrm = ds.lp_norm(target, 2)
+        e_star = energy_grid(target, vr._stream_of(target, b))
+        _, _, ref = _stall_rule_ascent(ve, seed, b, plain=False)
+        res = vr.burton_maximize(ve, seed, b)
+        assert res.converged
+        assert abs(res.energies[-1] - ref.energy) <= 1e-10 * ref.energy
+        hit = sf.orbital_distance(ref.iterate, ve, 2.0)[0] <= 1e-3 * nrm
+        assert (res.distance <= 1e-3 * nrm) == hit
+        assert len(res.energies) - 1 + res.rejected <= ref.iteration + ref.rejected
+        if res.energies[-1] < e_star * (1.0 - vr._NEAR):
+            assert res.rotated == 0
+
+
+@pytest.mark.parametrize("modes, k, n_r, n_theta", [(16, 32, 80, 128), (8, 12, 32, 32)],
+                         ids=["default", "32x32"])
+@pytest.mark.parametrize("ve", [sf.VElement(0.3, 1.0, 0.7), sf.VElement(0.2, 1.0, 2.1, (2, 1))],
+                         ids=["n1", "n2"])
+def test_in_class_phases_of_the_element_coefficient(basis, modes, k, n_r, n_theta, ve):
+    # np.roll of the target by m cells along theta puts the phase of its
+    # (n, k) coefficient at beta - m n Delta, and the reflection j -> -j at
+    # its negative; _class_rotation leaves every such phase in place, and
+    # turns a phase off the set onto it by no more than the turn that moved
+    # it off (the nearest phase may lie on the other sign's lattice)
+    b = basis if modes == basis.n_modes else ds.DiskBasis(modes, k, ds.DiskGrid(n_r, n_theta))
+    n, kk = ve.family
+    delta = 2.0 * math.pi / n_theta
+    target = sf.v_element_grid(ve, b.grid).values
+    reflect = -np.arange(n_theta) % n_theta
+
+    def phase_gap(values, phase):
+        c = ds.from_grid(ds.GridField(b.grid, values), b).coeffs[n, :, kk - 1]
+        return abs(math.remainder(math.atan2(c[1], c[0]) - phase, 2.0 * math.pi))
+
+    for m in (0, 1, 5, -3):
+        rolled = np.roll(target, m, axis=1)
+        for values, phase in ((rolled, ve.beta - m * n * delta),
+                              (rolled[:, reflect], m * n * delta - ve.beta)):
+            assert phase_gap(values, phase) <= 1e-12
+            half = ds.from_grid(ds.GridField(b.grid, values), b).coeffs
+            assert abs(vr._class_rotation(half, ve, n_theta)) <= 1e-12
+    half = ds.from_grid(ds.GridField(b.grid, target), b)
+    for turn in (0.3, -0.45):
+        off = ds.rotate(half, turn * delta)
+        alpha = vr._class_rotation(off.coeffs, ve, n_theta)
+        assert 1e-3 * delta <= abs(alpha) <= abs(turn) * delta + 1e-12
+        assert abs(vr._class_rotation(ds.rotate(off, alpha).coeffs, ve, n_theta)) <= 1e-12
+
+
+def test_lead_rotation_needs_the_element_mode_in_the_basis():
+    # an element with b = 0, of order n = 0, or whose (n, k) mode lies
+    # outside the basis has no coefficient phase to rotate onto: its ascent
+    # keeps no target, as burton-maximize allows such configs
+    coarse = ds.DiskBasis(6, 10, ds.DiskGrid(24, 32))
+    seed = sf.v_element_grid(sf.VElement(0.3, 1.0, 0.7), coarse.grid)
+    profile = ds.distribution_profile(seed)
+    state = vr.ascent_start(seed, profile, coarse, sf.VElement(0.3, 1.0, 0.7))
+    assert state.target is not None and 0.0 < state.target_energy < math.inf
+    for ve in (sf.VElement(1.0, 0.0, 0.7), sf.VElement(0.3, 1.0, 0.7, (0, 2)),
+               sf.VElement(0.3, 1.0, 0.7, (7, 1)), sf.VElement(0.3, 1.0, 0.7, (1, 11))):
+        state = vr.ascent_start(seed, profile, coarse, ve)
+        assert state.target is None and state.target_energy == math.inf
+
+
+def test_ascent_stalled_below_e_star_rotates_no_lead(basis, grid):
+    # a = 0.5, beta = 0.7 ascents stall near E / E* = 0.985, away from the
+    # orbit: no lead is rotated there, and the stop is a stall rule
+    ve = sf.VElement(0.5, 1.0, 0.7)
+    target = sf.v_element_grid(ve, grid)
+    e_star = energy_grid(target, vr._stream_of(target, basis))
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        res = vr.burton_maximize(ve, ds.ring_shuffle(target, rng), basis)
+        assert res.stop in ("stall", "fixed point")
+        assert 0.98 <= res.energies[-1] / e_star <= 0.99
+        assert res.rotated == 0
+
+
+def test_stop_reasons(basis, grid, monkeypatch):
+    # the ascent from test_ascent_matches_reference's seed stops at a fixed
+    # point; capped one step short it stops on max_iters; and with every
+    # move read as large as the target's norm no step is a fixed point, so
+    # the same steps run on until the 8-step stall rule stops them
+    ve = sf.VElement(0.0, 1.0, 0.4)
+    seed = ds.ring_shuffle(sf.v_element_grid(ve, grid), np.random.default_rng(7))
+    res = vr.burton_maximize(ve, seed, basis)
+    assert res.stop == "fixed point" and res.converged
+    assert res.energies[-1] - res.energies[-2] <= 1e-12 * res.energies[-1]
+    capped = vr.burton_maximize(ve, seed, basis, max_iters=len(res.energies) - 2)
+    assert capped.stop == "max_iters" and not capped.converged
+    monkeypatch.setattr(vr, "lp_norm", lambda g, p: 1.0)
+    stalled = vr.burton_maximize(ve, seed, basis)
+    assert stalled.stop == "stall" and stalled.converged
+    assert stalled.energies[:len(res.energies)] == res.energies
+    gains = np.diff(stalled.energies[-9:])
+    assert len(stalled.energies) > len(res.energies) and gains.max() <= 1e-12 * res.energies[-1]
