@@ -90,18 +90,24 @@ class DiskGrid:
             raise ResolutionError(f"cell measures sum to {total!r}, expected pi")
 
 
-def _projector(T, rw):
-    """Gram^-1 T^t diag(rw): projection onto T's columns in the rw product."""
-    G = T.T @ (rw[:, None] * T)
-    return np.linalg.solve(G, (rw[:, None] * T).T)
+def _gram(T, rw):
+    """T^t diag(rw) T: the Gram matrix of T's columns in the rw product."""
+    return T.T @ (rw[:, None] * T)
+
+
+def _projector(T, rw, G=None):
+    """Gram^-1 T^t diag(rw): projection onto T's columns in the rw product.
+    ``G`` is their Gram matrix, formed here if not given."""
+    return np.linalg.solve(_gram(T, rw) if G is None else G, (rw[:, None] * T).T)
 
 
 class DiskBasis:
     """Fourier-Bessel basis bound to a collocation grid.
 
     Holds the radial and azimuthal DFT tables, the per-mode real operators
-    r_eval[n] (synthesis) and analysis[n] = Gram_n^-1 r_eval[n]^t diag(2 pi r w),
-    and the dealias-band operators of euler_sim.
+    r_eval[n] (synthesis), gram[n] = Gram_n = r_eval[n]^t diag(2 pi r w) r_eval[n]
+    and analysis[n] = Gram_n^-1 r_eval[n]^t diag(2 pi r w), and the
+    dealias-band operators of euler_sim.
     """
 
     def __init__(self, n_theta_modes=16, k_radial=32, grid=None):
@@ -162,10 +168,15 @@ class DiskBasis:
                 # Mean of the n=0 radial modes: integral of J_0(j_{0,k} r) over the disk.
                 self.mean0 = 2.0 * np.pi * jp[0, -K:] / z[0]
 
-        # Per-mode analysis operators (N+1, K, n_r): measure-weighted least
-        # squares onto the columns of r_eval[n].
+        # Per-mode Gram matrices (N+1, K, K) and analysis operators
+        # (N+1, K, n_r): measure-weighted least squares onto the columns of
+        # r_eval[n].
         rw = grid.measure_r * grid.n_theta  # = 2 pi r w
-        self.analysis = np.stack([_projector(T, rw) for T in self.r_eval])
+        self.gram = np.empty((N + 1, K, K))
+        self.analysis = np.empty((N + 1, K, grid.n_r))
+        for T, G, P in zip(self.r_eval, self.gram, self.analysis):
+            G[...] = _gram(T, rw)
+            P[...] = _projector(T, rw, G)
 
         self.green_mult = 1.0 / self.roots**2
         # Half-spectrum Parseval weights w_n norm2: row n > 0 also stands for
@@ -205,6 +216,11 @@ class DiskBasis:
         # leaves more than 3 nd of them.
         s = max(d for d in range(1, grid.n_theta + 1)
                 if grid.n_theta % d == 0 and grid.n_theta // d > 3 * nd)
+        # analysis of the truncated tables r_eval[n][:, :kd], filled in place
+        # (their Gram differs from analysis[n]'s, so not a slice of it)
+        proj = np.empty((nd + 1, kd, grid.n_r))
+        for T, P in zip(self.r_eval, proj):
+            P[...] = _projector(T[:, :kd], rw)
         self.band_kit = {
             "nd": nd,
             "kd": kd,
@@ -212,9 +228,8 @@ class DiskBasis:
             # (2 nd + 2, n_theta): synthesis on the collocation grid
             "synth_r": synth_r,
             "synth_t": synth_t,
-            # (nd+1, kd, n_r): analysis of the truncated tables r_eval[n][:, :kd]
-            # (their Gram differs from analysis[n]'s, so not a slice of it)
-            "proj": np.stack([_projector(T[:, :kd], rw) for T in self.r_eval[: nd + 1]]),
+            # (nd+1, kd, n_r): analysis of the truncated tables
+            "proj": proj,
             # the same tables on the subgrid of every s-th angle, and its
             # analysis: columns cos(n theta), -sin(n theta), over n_b (w is
             # 1 or 2, so dividing the synthesis rows by it is exact)
@@ -404,11 +419,20 @@ def from_grid(g: GridField, basis: DiskBasis) -> SpectralField:
     return SpectralField(basis, _analyze(g.values, basis))
 
 
+def _rotate_rows(coeffs, beta):
+    """The (N+1, 2, K) rows [Re c_n; Im c_n] of the field rotated by beta:
+    each c_n times e^{i n beta}."""
+    n_beta = np.arange(coeffs.shape[0])[:, None] * beta
+    (re, im), cos, sin = coeffs.swapaxes(0, 1), np.cos(n_beta), np.sin(n_beta)
+    out = np.empty_like(coeffs)
+    np.subtract(re * cos, im * sin, out=out[:, 0])
+    np.add(re * sin, im * cos, out=out[:, 1])
+    return out
+
+
 def rotate(f: SpectralField, beta: float) -> SpectralField:
     """Rotated field f(r, theta + beta): each c_n times e^{i n beta}."""
-    n_beta = np.arange(f.basis.n_modes + 1)[:, None] * beta
-    (re, im), cos, sin = f.coeffs.swapaxes(0, 1), np.cos(n_beta), np.sin(n_beta)
-    return SpectralField(f.basis, np.stack([re * cos - im * sin, re * sin + im * cos], axis=1))
+    return SpectralField(f.basis, _rotate_rows(f.coeffs, beta))
 
 
 # ---------------------------------------------------------------------------

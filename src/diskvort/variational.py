@@ -35,19 +35,29 @@ factor of 0.72 a step there, against 0.89 for plain steps.
 On the grid the class holds the target element rotated only by whole cells
 or reflected, so near the orbit a led ascent crawls along it, by a fraction
 of a cell a step.  Once an ascent toward an element is within 1e-4 of the
-element's energy E*, the lead is formed on the stream function's
-half-spectrum and rotated so that the phase of the element's (n, k)
-coefficient lands on the nearest phase the element takes in its class; the
-trial is kept on the same energy test.  The orbital distance is rotation
+element's energy E*, the lead is rotated so that the phase of the element's
+(n, k) coefficient lands on the nearest phase the element takes in its
+class; the trial is kept on the same energy test.  The orbital distance is rotation
 invariant, so the rotation moves the trial along the orbit, never toward it.
 An ascent stops at the first stalled step that moved its iterate by at most
 1e-13 of the target's L2 norm (a fixed point of the transplant), or after 8
 stalled steps.
+
+What an ascent needs of its element is built once per (element, basis) and
+memoized, read-only: the element's grid profile, E* and the fixed-point
+threshold, so that many seeds toward one element pay for them once.  An
+iterate's stream function is carried only as its half-spectrum; the led
+order is formed there and synthesized once, as the only grid the trial
+sorts, and psi's grid is synthesized only for a plain step.  The energy is
+read off the coefficients through the per-mode Gram matrices of the
+discrete inner product (``gram_energy``), which is the grid energy
+(1/2) <omega, psi> without psi's synthesis.
 """
 
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,17 +67,17 @@ from .disk_spectral import (
     GridField,
     SpectralField,
     _analyze,
+    _rotate_rows,
     _synthesize,
     distribution_profile,
     lp_norm,
-    rotate,
     single_mode,
     spectral_norm2,
     to_grid,
     transplant,
 )
 from .errors import AscentError, NonFiniteFieldError, ResolutionError
-from .green_energy import energy_grid
+from .green_energy import energy_grid, gram_energy
 from .steady_family import VElement, orbital_distance, v_element_grid
 
 
@@ -245,20 +255,20 @@ _NEAR = 1e-4
 
 @dataclass
 class AscentState:
-    """One energy-ascent iterate over a fixed rearrangement profile, with its
-    stream function psi and psi's half-spectrum ``half``, the previous
-    iterate's psi and half (None at the start), the count of lead trials
-    rejected so far, and the count of rotated ones.  ``target`` is the
-    element whose orbit the ascent climbs toward, and ``target_energy`` its
-    energy E*; without a target no lead is rotated."""
+    """One energy-ascent iterate over a fixed rearrangement profile, with
+    the half-spectrum ``half`` of its stream function psi, the previous
+    iterate's (None at the start), the count of lead trials rejected so far,
+    and the count of rotated ones.  psi itself is never kept: a step
+    synthesizes the one grid it sorts.  ``energy`` is read off the
+    iterate's coefficients by ``gram_energy``.  ``target`` is the element
+    whose orbit the ascent climbs toward, and ``target_energy`` its energy
+    E*; without a target no lead is rotated."""
 
     iterate: GridField
     energy: float
     iteration: int
     profile: DistributionProfile
-    psi: GridField
     half: np.ndarray
-    psi_prev: GridField = None
     half_prev: np.ndarray = None
     rejected: int = 0
     target: VElement = None
@@ -266,22 +276,38 @@ class AscentState:
     rotated: int = 0
 
 
-def _stream_half(g: GridField, basis: DiskBasis) -> np.ndarray:
-    """Half-spectrum of g's stream function: analysis, then 1/j^2."""
-    return _analyze(g.values, basis) * basis.green_mult[:, None]
-
-
 def _stream_of(g: GridField, basis: DiskBasis) -> GridField:
     """Stream function of g: half-spectrum analysis, 1/j^2, synthesis."""
-    return GridField(basis.grid, _synthesize(_stream_half(g, basis), basis))
+    half = _analyze(g.values, basis) * basis.green_mult[:, None]
+    return GridField(basis.grid, _synthesize(half, basis))
 
 
 def _streamed(g: GridField, basis: DiskBasis):
-    """g's stream function as its half-spectrum and on the grid, and g's
-    energy."""
-    half = _stream_half(g, basis)
-    psi = GridField(basis.grid, _synthesize(half, basis))
-    return half, psi, energy_grid(g, psi)
+    """g's stream function as its half-spectrum, and g's energy."""
+    rows = _analyze(g.values, basis)
+    half = rows * basis.green_mult[:, None]
+    return half, gram_energy(basis, rows, half)
+
+
+@lru_cache(maxsize=4)
+def _ascent_target(ve: VElement, basis: DiskBasis):
+    """(profile, E*, still) of the ascents toward ve on the basis: the
+    distribution profile of ve's grid, E* (inf when b = 0 or the basis lacks
+    ve's (n, k) mode, which leaves the ascent without a target) and the
+    fixed-point threshold 1e-13 of ve's L2 norm on the grid.  Memoized, with
+    the profile's values and cumulative measures read-only.  Its
+    interpolation tables ``knots`` and ``integral`` stay writeable: np.interp
+    copies a read-only table on every call, which added 0.16 ms to a 0.45 ms
+    transplant on the default grid (2-core x86 host)."""
+    target = v_element_grid(ve, basis.grid)
+    profile = distribution_profile(target)
+    profile.values.flags.writeable = False
+    profile.cum_measure.flags.writeable = False
+    n, k = ve.family
+    e_star = math.inf
+    if ve.b > 0.0 and 1 <= n <= basis.n_modes and k <= basis.k_radial:
+        e_star = energy_grid(target, _stream_of(target, basis))
+    return profile, e_star, 1e-13 * lp_norm(target, 2)
 
 
 def ascent_start(seed: GridField, profile: DistributionProfile, basis: DiskBasis,
@@ -292,13 +318,12 @@ def ascent_start(seed: GridField, profile: DistributionProfile, basis: DiskBasis
     the rotated lead; another leaves the state without one."""
     if seed.grid != basis.grid:
         raise ResolutionError(f"ascent seed on {seed.grid}, basis on {basis.grid}")
-    half, psi, energy = _streamed(seed, basis)
-    state = AscentState(seed, energy, 0, profile, psi, half)
-    if target is not None and target.b > 0.0:
-        n, k = target.family
-        if 1 <= n <= basis.n_modes and k <= basis.k_radial:
-            t = v_element_grid(target, basis.grid)
-            state.target, state.target_energy = target, energy_grid(t, _stream_of(t, basis))
+    half, energy = _streamed(seed, basis)
+    state = AscentState(seed, energy, 0, profile, half)
+    if target is not None:
+        e_star = _ascent_target(target, basis)[1]
+        if e_star < math.inf:
+            state.target, state.target_energy = target, e_star
     return state
 
 
@@ -317,25 +342,21 @@ def _class_rotation(half, ve: VElement, n_theta: int) -> float:
 
 
 def _led_order(state: AscentState, basis: DiskBasis):
-    """The led order psi + lambda (psi - psi_prev) and whether it was rotated.
-
-    Below E* (1 - _NEAR) it is one grid axpy.  Nearer E* it is formed on the
-    half-spectra, rotated by ``_class_rotation`` and synthesized."""
-    if state.energy < state.target_energy * (1.0 - _NEAR):
-        led = state.psi.values - state.psi_prev.values
-        led *= _LEAD
-        led += state.psi.values
-        return led, False
+    """The led order psi + lambda (psi - psi_prev), formed on the
+    half-spectra and synthesized, and whether it was rotated: from
+    E* (1 - _NEAR) on, by ``_class_rotation``, before the synthesis."""
     half = state.half - state.half_prev
     half *= _LEAD
     half += state.half
-    alpha = _class_rotation(half, state.target, basis.grid.n_theta)
-    return _synthesize(rotate(SpectralField(basis, half), alpha).coeffs, basis), True
+    turned = state.energy >= state.target_energy * (1.0 - _NEAR)
+    if turned:
+        half = _rotate_rows(half, _class_rotation(half, state.target, basis.grid.n_theta))
+    return GridField(basis.grid, _synthesize(half, basis)), turned
 
 
 def _transplanted(profile: DistributionProfile, onto: GridField, basis: DiskBasis):
     """The profile transplanted onto the level order of ``onto``, its stream
-    function's half-spectrum, the stream function and its energy."""
+    function's half-spectrum and its energy."""
     nxt = transplant(profile, onto)
     return (nxt, *_streamed(nxt, basis))
 
@@ -343,29 +364,30 @@ def _transplanted(profile: DistributionProfile, onto: GridField, basis: DiskBasi
 def burton_step(state: AscentState, basis: DiskBasis) -> AscentState:
     """One monotone transplantation of the state's profile.
 
-    When the state carries psi_prev, the step first transplants onto the
+    When the state carries half_prev, the step first transplants onto the
     led order psi + lambda (psi - psi_prev) and keeps that trial if its
     energy is at least the state's (a NaN energy is not).  psi is linear in
-    the iterate, so the lead is one grid axpy; within 1e-4 of the target's
-    energy E* it is rotated onto the target's in-class phases instead, at one
-    synthesis.  A rejected trial costs a second transplant and stream solve.
+    the iterate, so the lead is one axpy on the half-spectra; within 1e-4 of
+    the target's energy E* it is also rotated onto the target's in-class
+    phases.  A rejected trial costs psi's synthesis, a second transplant
+    and a second stream solve.
     Otherwise, or after a rejection, the step transplants onto psi.  From
     iteration 1 on the iterate lies in the profile's hull, and a plain step's
     energy drop beyond rounding raises; so does a non-finite energy.
     """
     rejected, rotated = state.rejected, state.rotated
-    if state.psi_prev is not None:
+    if state.half_prev is not None:
         led, turned = _led_order(state, basis)
         rotated += turned
-        nxt, half, psi_next, e_next = _transplanted(state.profile, GridField(basis.grid, led),
-                                                    basis)
+        nxt, half, e_next = _transplanted(state.profile, led, basis)
         if e_next >= state.energy:
             return dataclasses.replace(
-                state, iterate=nxt, energy=e_next, iteration=state.iteration + 1, psi=psi_next,
-                psi_prev=state.psi, half=half, half_prev=state.half, rotated=rotated)
-        del led, nxt, half, psi_next    # so the peak holds one trial at a time
+                state, iterate=nxt, energy=e_next, iteration=state.iteration + 1,
+                half=half, half_prev=state.half, rotated=rotated)
+        del led, nxt, half              # so the peak holds one trial at a time
         rejected += 1
-    nxt, half, psi_next, e_next = _transplanted(state.profile, state.psi, basis)
+    psi = GridField(basis.grid, _synthesize(state.half, basis))
+    nxt, half, e_next = _transplanted(state.profile, psi, basis)
     if not math.isfinite(e_next):       # which no comparison below would catch
         raise NonFiniteFieldError(f"ascent energy {e_next!r}")
     if state.iteration >= 1 and e_next < state.energy - 1e-12 * max(1.0, abs(state.energy)):
@@ -373,8 +395,8 @@ def burton_step(state: AscentState, basis: DiskBasis) -> AscentState:
             f"transplantation decreased energy: {state.energy!r} -> {e_next!r}"
         )
     return dataclasses.replace(
-        state, iterate=nxt, energy=e_next, iteration=state.iteration + 1, psi=psi_next,
-        psi_prev=state.psi, half=half, half_prev=state.half, rejected=rejected, rotated=rotated)
+        state, iterate=nxt, energy=e_next, iteration=state.iteration + 1,
+        half=half, half_prev=state.half, rejected=rejected, rotated=rotated)
 
 
 @dataclass
@@ -414,12 +436,11 @@ def burton_maximize(ve: VElement, seed: GridField, basis: DiskBasis,
     radially arranged critical state well away from the orbit; the returned
     distance reports such stalls, it does not hide them.
     """
-    target = v_element_grid(ve, basis.grid)
-    profile = distribution_profile(target)
+    profile, _, still = _ascent_target(ve, basis)
     state = ascent_start(seed, profile, basis, ve)
     energies = [state.energy]
     distances = [orbital_distance(state.iterate, ve, p)[0]] if trace_distance else None
-    stall, still, stop = 0, None, "max_iters"
+    stall, stop = 0, "max_iters"
     for _ in range(max_iters):
         before = state.iterate
         state = burton_step(state, basis)
@@ -431,8 +452,6 @@ def burton_maximize(ve: VElement, seed: GridField, basis: DiskBasis,
             stall = 0
             continue
         stall += 1
-        if still is None:
-            still = 1e-13 * lp_norm(target, 2)
         if lp_norm(GridField(basis.grid, state.iterate.values - before.values), 2) <= still:
             stop = "fixed point"
             break

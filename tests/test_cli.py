@@ -541,6 +541,42 @@ def test_burton_maximize_stall_reason(tmp_path):
     assert list(per_seed - 1) == manifest["ascent_steps"]
 
 
+# burton-maximize at --seed 3: exit code, seeds that reached the orbit, each
+# seed's stop and final energy.  The energies hold to 2e-15 relative: the
+# grid and the coefficient (Gram) readings of an ascent's energy put them at
+# most 4.1e-16 apart
+_BURTON_FINALS = {
+    "": (0, 10, ["fixed point"] * 10,
+         [0.0086775453331192302] * 7 + [0.0086775453331192284] + [0.0086775453331192302] * 2),
+    "a = 0.3\nbeta = 0.7\nseeds = 6\n": (
+        3, 3, ["fixed point"] * 6,
+        [0.010239494124313069, 0.010239494124313072, 0.010239494124313072,
+         0.0098860517198758255, 0.0098859583799101713, 0.0098860517196778293]),
+    "a = 0.5\nbeta = 0.7\nseeds = 6\n": (
+        3, 0, ["stall"] + ["fixed point"] * 4 + ["stall"],
+        [0.012820077194785328, 0.012820077194896614, 0.012820077194881849,
+         0.012820006605448952, 0.012820006605450371, 0.012820077194910403]),
+}
+
+
+@pytest.mark.parametrize("text", list(_BURTON_FINALS), ids=["default", "a0.3", "a0.5"])
+def test_burton_maximize_final_energies(tmp_path, text):
+    status, hits, stops, finals = _BURTON_FINALS[text]
+    cfgfile = tmp_path / "b.cfg"
+    cfgfile.write_text(text)
+    assert cli.main(["burton-maximize", "--config", str(cfgfile), "--seed", "3",
+                     "--out", str(tmp_path / "o")]) == status
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["converged_runs"] == hits and manifest["ascent_stops"] == stops
+    last = {}
+    for row in (tmp_path / "o" / "results.csv").read_text().splitlines()[2:]:
+        seed, _, e, _ = row.split(",")
+        last[int(seed)] = float(e)
+    assert sorted(last) == list(range(len(finals)))
+    for s, e in last.items():
+        assert abs(e - finals[s]) <= 2e-15 * finals[s], s
+
+
 def test_rotate_demo_smoke(tmp_path):
     cfgfile = tmp_path / "r.cfg"
     cfgfile.write_text(

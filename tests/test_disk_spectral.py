@@ -633,11 +633,12 @@ def test_ascent_transplants_match_stable_sort(basis, grid, monkeypatch):
     # shuffle drawn from default_rng([seed, 0])
     ve = sf.VElement(0.0, 1.0, 0.4)
     lamb = sf.VElement(0.0, 1.0, 0.0)
-    # each pinned count is steps plus rejected lead trials
+    # each pinned count is steps plus rejected lead trials (the Lamb ascent's
+    # step 14 trial ties the state's energy to rounding, and is kept)
     ascents = (
         (ve, ds.ring_shuffle(sf.v_element_grid(ve, grid), np.random.default_rng(7)), 23 + 4),
         (lamb, ds.ring_shuffle(sf.v_element_grid(lamb, grid),
-                               np.random.default_rng([400, 0])), 16 + 3),
+                               np.random.default_rng([400, 0])), 16 + 2),
     )
     calls = []
 

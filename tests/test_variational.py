@@ -10,7 +10,7 @@ from diskvort import variational as vr
 from diskvort import steady_family as sf
 from diskvort.bessel import bessel_j, bessel_zero
 from diskvort.errors import AscentError, NonFiniteFieldError, ResolutionError
-from diskvort.green_energy import energy, energy_grid
+from diskvort.green_energy import energy, energy_grid, gram_energy
 from complex_layout import as_complex
 
 
@@ -312,10 +312,61 @@ def test_burton_radial_stall_is_reported(basis, grid, rng):
     assert res.distance > 1e-2 * ds.lp_norm(target, 2)
 
 
+def test_ascent_target_memo_is_bitwise(basis, grid):
+    # burton_maximize reads its element's profile, E* and fixed-point
+    # threshold from a memo: cold, warm, and for a second basis built at the
+    # same resolution, the ascent is the same bit for bit
+    ve = sf.VElement(0.0, 1.0, 0.4)
+    seed = ds.ring_shuffle(sf.v_element_grid(ve, grid), np.random.default_rng(7))
+    vr._ascent_target.cache_clear()
+    cold = vr.burton_maximize(ve, seed, basis)
+    assert cold.rotated > 0 and cold.stop == "fixed point"
+    other = ds.DiskBasis(basis.n_modes, basis.k_radial, grid)
+    for res in (vr.burton_maximize(ve, seed, basis), vr.burton_maximize(ve, seed, other)):
+        assert res.energies == cold.energies
+        assert np.array_equal(res.final.values, cold.final.values)
+        assert (res.distance, res.stop, res.rejected, res.rotated) == \
+            (cold.distance, cold.stop, cold.rejected, cold.rotated)
+
+
+def test_ascent_target_memo_is_read_only(basis):
+    # the memoized profile's values and cumulative measures refuse writes
+    # (its interpolation tables stay writeable, which np.interp reads uncopied)
+    profile, e_star, still = vr._ascent_target(sf.VElement(0.0, 1.0, 0.4), basis)
+    assert 0.0 < e_star < math.inf and still > 0.0
+    for a in (profile.values, profile.cum_measure):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_gram_energy_is_the_grid_energy(any_basis):
+    # the energy an ascent reads off the coefficients is the grid energy
+    # (1/2) <omega, psi> of the synthesized stream function, to rounding: on
+    # elements, their ring shuffles, the iterates of their ascents and white
+    # noise the worst gap measured 8.1e-16 relative (6 x 10, an iterate)
+    b = any_basis
+    rng = np.random.default_rng(1)
+    fields = [ds.GridField(b.grid, rng.standard_normal((b.grid.n_r, b.grid.n_theta)))
+              for _ in range(3)]
+    for ve in (sf.VElement(0.0, 1.0, 0.4), sf.VElement(0.3, 1.0, 0.7), sf.VElement(0.5, 1.0, 0.7)):
+        target = sf.v_element_grid(ve, b.grid)
+        seed = ds.ring_shuffle(target, rng)
+        fields += [target, seed]
+        state = vr.ascent_start(seed, ds.distribution_profile(target), b, ve)
+        for _ in range(6):
+            state = vr.burton_step(state, b)
+            fields.append(state.iterate)
+    for g in fields:
+        rows = ds._analyze(g.values, b)
+        e = gram_energy(b, rows, rows * b.green_mult[:, None])
+        ref = energy_grid(g, vr._stream_of(g, b))
+        assert abs(e - ref) <= 2e-15 * ref
+
+
 def _stall_rule_ascent(ve, seed, basis, plain, max_iters=600):
     """burton_maximize's ascent under the 8-step stall rule alone, with no
     lead rotated: burton_step from a state without a target, every step
-    plain (psi_prev cleared) when ``plain``.  Returns its energies, whether
+    plain (half_prev cleared) when ``plain``.  Returns its energies, whether
     the rule stopped it, and its last state."""
     profile = ds.distribution_profile(sf.v_element_grid(ve, basis.grid))
     state = vr.ascent_start(seed, profile, basis)
@@ -323,7 +374,7 @@ def _stall_rule_ascent(ve, seed, basis, plain, max_iters=600):
     stall = 0
     for _ in range(max_iters):
         if plain:
-            state = dataclasses.replace(state, psi_prev=None)
+            state = dataclasses.replace(state, half_prev=None)
         state = vr.burton_step(state, basis)
         gain = state.energy - energies[-1]
         energies.append(state.energy)
@@ -364,22 +415,22 @@ def test_rejected_lead_trial_is_the_plain_step(basis, grid, monkeypatch, trial_e
     state = vr.ascent_start(ds.ring_shuffle(target, np.random.default_rng(7)),
                             ds.distribution_profile(target), basis)
     state = vr.burton_step(vr.burton_step(state, basis), basis)
-    plain = vr.burton_step(dataclasses.replace(state, psi_prev=None), basis)
+    plain = vr.burton_step(dataclasses.replace(state, half_prev=None), basis)
     energies = []
-    energy_grid = vr.energy_grid
+    gram_energy = vr.gram_energy
 
-    def trial_misread(g, psi):
-        energies.append(energy_grid(g, psi))
+    def trial_misread(*args):
+        energies.append(gram_energy(*args))
         return trial_energy if len(energies) == 1 else energies[-1]
 
-    monkeypatch.setattr(vr, "energy_grid", trial_misread)
+    monkeypatch.setattr(vr, "gram_energy", trial_misread)
     got = vr.burton_step(state, basis)
     # read truly, the trial would have been kept
     assert len(energies) == 2 and energies[0] >= state.energy
     assert np.array_equal(got.iterate.values, plain.iterate.values)
-    assert np.array_equal(got.psi.values, plain.psi.values)
+    assert np.array_equal(got.half, plain.half)
     assert (got.energy, got.iteration) == (plain.energy, plain.iteration)
-    assert got.psi_prev is state.psi and got.rejected == plain.rejected + 1
+    assert got.half_prev is state.half and got.rejected == plain.rejected + 1
 
 
 def test_led_ascent_reaches_the_plain_energy_in_fewer_steps(basis, grid):
